@@ -15,11 +15,12 @@ behind the four KOKO indexes, see ``src/repro/indexing/columnar.py``):
   sentences/second** on the full run (smoke runs are too small to time
   meaningfully — ``bar_applicable`` stays honest).
 * **query stage timings** — per-query LoadArticle and extract stage p50
-  at 4 shards, columnar versus object-backed, through a full
-  :class:`~repro.service.KokoService` (``columnar=True`` is the service
-  default; the baseline passes ``columnar=False``).  Queries execute as
-  compiled plans, which the service never serves from the result cache,
-  so every pass runs the real stage pipeline.
+  at 4 shards through a full :class:`~repro.service.KokoService` (which
+  is columnar-only; tuple identity with the object-backed
+  :class:`~repro.koko.engine.KokoEngine` oracle is a tier-1 test,
+  ``tests/indexing/test_columnar_property.py``, not a runtime option).
+  Queries execute as compiled plans, which the service never serves from
+  the result cache, so every pass runs the real stage pipeline.
 
 Run under pytest-benchmark like the other ``bench_*`` modules, or
 directly to print a JSON summary for the perf trajectory:
@@ -27,7 +28,7 @@ directly to print a JSON summary for the perf trajectory:
     PYTHONPATH=src python benchmarks/bench_columnar.py [--smoke]
 
 ``--smoke`` shrinks corpus sizes and pass counts so CI can exercise both
-measurement paths in seconds (numbers then mean nothing — the ≥5× bar is
+measurements in seconds (numbers then mean nothing — the ≥5× bar is
 only checked on full runs).
 """
 
@@ -40,12 +41,6 @@ from repro.indexing import KokoIndexSet
 from repro.koko.engine import compile_query
 from repro.nlp.types import Corpus
 from repro.service import KokoService
-
-QUERIES = list(SCALEUP_QUERIES.values())
-
-
-def _rows(result):
-    return [(t.doc_id, t.sid, t.values) for t in result]
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +89,7 @@ def run_splice_throughput(corpus: Corpus, repeats: int = 3) -> dict:
 
 
 # ----------------------------------------------------------------------
-# query stage timings at 4 shards: columnar vs object service
+# query stage timings at 4 shards
 # ----------------------------------------------------------------------
 def _stage_percentiles(service: KokoService, plans, passes: int) -> dict:
     """p50 of the LoadArticle and extract stage seconds per query pass."""
@@ -121,33 +116,16 @@ def _stage_percentiles(service: KokoService, plans, passes: int) -> dict:
 def run_query_stage_timings(
     corpus: Corpus, shards: int = 4, passes: int = 5
 ) -> dict:
-    """LoadArticle/extract p50 per query, columnar vs object, same corpus.
-
-    Both services ingest the same pre-annotated documents (no second
-    annotation pass) and answer the same compiled plans; tuple identity
-    across backends is verified query by query.
-    """
+    """LoadArticle/extract p50 per query over the pre-annotated *corpus*."""
     plans = [compile_query(text) for text in SCALEUP_QUERIES.values()]
-    summary: dict = {"shards": shards, "passes": passes}
-    expected: dict | None = None
-    for label, columnar in (("object", False), ("columnar", True)):
-        with KokoService(shards=shards, columnar=columnar) as service:
-            for document in corpus.documents:
-                service.add_annotated_document(document)
-            rows = {i: _rows(service.query(plan)) for i, plan in enumerate(plans)}
-            if expected is None:
-                expected = rows
-            else:
-                assert rows == expected, "columnar results differ from object"
-            summary[label] = _stage_percentiles(service, plans, passes)
-    summary["load_articles_speedup"] = summary["object"][
-        "load_articles_p50_seconds"
-    ] / max(summary["columnar"]["load_articles_p50_seconds"], 1e-9)
-    summary["extract_speedup"] = summary["object"]["extract_p50_seconds"] / max(
-        summary["columnar"]["extract_p50_seconds"], 1e-9
-    )
-    summary["results_identical"] = True
-    return summary
+    with KokoService(shards=shards) as service:
+        for document in corpus.documents:
+            service.add_annotated_document(document)
+        return {
+            "shards": shards,
+            "passes": passes,
+            **_stage_percentiles(service, plans, passes),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -165,15 +143,14 @@ def test_columnar_splice_faster(benchmark, happy_corpus):
 
 
 def test_columnar_query_stages(benchmark, happy_corpus):
-    """Columnar and object services answer tuple-identically at 4 shards."""
+    """The 4-shard service runs every scale-up plan through the stages."""
     result = benchmark.pedantic(
         run_query_stage_timings,
         kwargs={"corpus": happy_corpus, "shards": 4, "passes": 2},
         iterations=1,
         rounds=1,
     )
-    assert result["results_identical"]
-    assert result["columnar"]["queries"] > 0
+    assert result["queries"] > 0
 
 
 if __name__ == "__main__":
@@ -196,8 +173,6 @@ if __name__ == "__main__":
     splice["bar_applicable"] = not smoke
     summary = {"smoke": smoke, "splice_throughput": splice, "query_stages": stages}
     print(json.dumps(summary, indent=2))
-    if not stages["results_identical"]:
-        sys.exit("columnar service returned different tuples than object service")
     if splice["bar_applicable"] and splice["splice_speedup"] < 5.0:
         sys.exit(
             f"columnar splice speedup {splice['splice_speedup']:.2f}x "

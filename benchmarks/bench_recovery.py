@@ -4,8 +4,9 @@ Two headline numbers for the persistence subsystem:
 
 * **cold vs. warm** — a cold rebuild re-runs NLP annotation and index
   construction for the whole corpus; a warm restart
-  (``KokoService.open``) loads the latest snapshot through the storage
-  engine's ``from_database`` inverse and replays nothing.  The acceptance
+  (``KokoService.open``) loads the latest snapshot — the pickled corpus
+  plus each shard's index columns, read straight back into the columnar
+  stores — and replays nothing.  The acceptance
   bar is warm ≥ 5× faster than cold, with tuple-identical query results.
 * **WAL replay throughput** — after a simulated crash (fsynced log, no
   checkpoint), recovery replays the tail record by record; this measures

@@ -15,14 +15,20 @@ arrays instead of Python object lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..nlp.types import Corpus, Sentence
 from ..storage.database import Database
 from ..storage.table import Schema
-from .columnar import ColumnarPostings, StringInterner
+from .columnar import (
+    ColumnarPostings,
+    StringInterner,
+    int_column,
+    pack_strings,
+    unpack_strings,
+)
 
 _E_COLUMNS = ("sid", "left", "right", "text_id", "etype_id")
 
@@ -97,15 +103,10 @@ class EntityIndex:
     # construction
     # ------------------------------------------------------------------
     def add_sentence(self, sentence: Sentence) -> None:
+        """Index every mention of *sentence* (object-backed; a columnar
+        index is spliced in batches through :meth:`add_rows`)."""
         if self.columnar:
-            mentions = sentence.entities
-            if not mentions:
-                return
-            self._append_rows(
-                sentence.sid,
-                [(m.start, m.end, m.etype, m.text) for m in mentions],
-            )
-            return
+            raise RuntimeError("columnar EntityIndex takes rows via add_rows")
         for mention in sentence.entities:
             posting = EntityPosting(
                 sid=sentence.sid,
@@ -142,16 +143,6 @@ class EntityIndex:
             [store_type.intern_key(etype) for etype in etypes], columns
         )
 
-    def _append_rows(self, sid: int, rows: list[tuple[int, int, str, str]]) -> None:
-        """Columnar splice: append one sentence's mention rows."""
-        self.add_rows(
-            [sid] * len(rows),
-            [row[0] for row in rows],
-            [row[1] for row in rows],
-            [row[2] for row in rows],
-            [row[3] for row in rows],
-        )
-
     def add_corpus(self, corpus: Corpus) -> None:
         for _, sentence in corpus.all_sentences():
             self.add_sentence(sentence)
@@ -179,18 +170,35 @@ class EntityIndex:
         self._count -= len(self._by_sid.pop(sid, ()))
 
     # ------------------------------------------------------------------
-    # conversion (object-backed -> columnar, used on snapshot restore)
+    # snapshot payload (columnar only): the E rows once + the string table
     # ------------------------------------------------------------------
-    @classmethod
-    def from_object(cls, source: "EntityIndex") -> "EntityIndex":
-        """A columnar copy of an object-backed index (same posting multiset)."""
-        assert not source.columnar, "source is already columnar"
-        index = cls(columnar=True)
-        for sid, bucket in source._by_sid.items():
-            index._append_rows(sid, [(p.left, p.right, p.etype, p.text) for p in bucket])
-        index._store_text.compact()
-        index._store_type.compact()
-        return index
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The mention rows (stored once) and the interned string table."""
+        rows = self._store_type.all_arrays()
+        return {
+            **pack_strings("E.strings", self._strings.texts()),
+            **{f"E.{name}": col for name, col in zip(_E_COLUMNS, rows)},
+        }
+
+    def load_arrays(self, arrays: "Mapping[str, np.ndarray]") -> None:
+        """Fill this empty columnar index from :meth:`to_arrays` output.
+
+        Both keyed stores — by lower-cased mention text, by mention type —
+        are regrouped from the one row set.
+        """
+        strings = self._strings
+        strings.intern_many(unpack_strings(arrays, "E.strings"))
+        cols = [int_column(arrays[f"E.{name}"]) for name in _E_COLUMNS]
+        for store, ids, key_of in (
+            (self._store_text, cols[3], lambda i: strings.text(i).lower()),
+            (self._store_type, cols[4], strings.text),
+        ):
+            unique, inverse = np.unique(ids, return_inverse=True)
+            if len(unique) and not 0 <= unique[0] <= unique[-1] < len(strings):
+                raise ValueError("E row names a string outside the string table")
+            key_ids: dict[str, int] = {}
+            kids = [key_ids.setdefault(key_of(i), len(key_ids)) for i in unique.tolist()]
+            store.load(np.asarray(kids, np.int64)[inverse], cols, keys=key_ids)
 
     # ------------------------------------------------------------------
     # lookup
@@ -263,12 +271,8 @@ class EntityIndex:
     # ------------------------------------------------------------------
     E_SCHEMA = Schema.of("entity", "x", "u", "v", "etype")
 
-    def to_table(self, database: Database, table_name: str = "E", create_indexes: bool = True):
-        """Materialise the index into *database* with the paper's E schema.
-
-        ``create_indexes=False`` skips the secondary B-trees — used by the
-        snapshot path, whose only reader (:meth:`from_table`) scans rows.
-        """
+    def to_table(self, database: Database, table_name: str = "E"):
+        """Materialise the index into *database* with the paper's E schema."""
         if database.has_table(table_name):
             database.drop_table(table_name)
         table = database.create_table(table_name, self.E_SCHEMA)
@@ -276,39 +280,6 @@ class EntityIndex:
             table.insert(
                 (posting.text.lower(), posting.sid, posting.left, posting.right, posting.etype)
             )
-        if create_indexes:
-            table.create_index("by_entity", "entity")
-            table.create_index("by_sentence", "x")
+        table.create_index("by_entity", "entity")
+        table.create_index("by_sentence", "x")
         return table
-
-    @classmethod
-    def from_table(
-        cls,
-        database: Database,
-        table_name: str = "E",
-        mention_texts: dict[tuple[int, int, int], str] | None = None,
-    ) -> "EntityIndex":
-        """Rebuild an entity index from an ``E`` relation written by :meth:`to_table`.
-
-        ``mention_texts`` maps ``(sid, start, end)`` to the original-case
-        mention text (the E relation stores the lower-cased form).  Rows were
-        written in sentence-id bucket order, which is ingest order, so the
-        rebuilt per-text/per-type posting lists keep their original order.
-        The rebuilt index is object-backed; convert with :meth:`from_object`
-        if the owner runs columnar.
-        """
-        mention_texts = mention_texts or {}
-        index = cls()
-        for entity, sid, left, right, etype in database.table(table_name):
-            posting = EntityPosting(
-                sid=sid,
-                left=left,
-                right=right,
-                etype=etype,
-                text=mention_texts.get((sid, left, right), entity),
-            )
-            index._by_text.setdefault(entity, []).append(posting)
-            index._by_type.setdefault(etype, []).append(posting)
-            index._by_sid.setdefault(sid, []).append(posting)
-            index._count += 1
-        return index

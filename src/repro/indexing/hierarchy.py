@@ -28,12 +28,21 @@ carry a lazy view over their store slice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..nlp.types import Corpus, Sentence
 from ..storage.closure import ClosureTable
 from ..storage.database import Database
-from .columnar import ColumnarPostings, PostingBlock, StringInterner
+from .columnar import (
+    ColumnarPostings,
+    PostingBlock,
+    StringInterner,
+    int_column,
+    pack_strings,
+    unpack_strings,
+)
 from .postings import Posting, posting_for_token
 
 _H_COLUMNS = ("sid", "tid", "left", "right", "depth", "wid")
@@ -158,63 +167,12 @@ class HierarchyIndex:
     # construction
     # ------------------------------------------------------------------
     def add_sentence(self, sentence: Sentence) -> None:
-        """Merge the dependency tree of *sentence* into the index."""
-        if len(sentence) == 0:
-            return
-        root = sentence.root_index()
+        """Merge the dependency tree of *sentence* (object-backed; a columnar
+        index is spliced through :meth:`merge_tree` + :meth:`append_rows`)."""
         if self.columnar:
-            children, spans, depths = sentence.tree_columns()
-            intern = self._interner.intern
-            self.merge_sentence(
-                sentence.sid,
-                root,
-                children,
-                [str(self._label_of(token)) for token in sentence.tokens],
-                [span[0] for span in spans],
-                [span[1] for span in spans],
-                depths,
-                [intern(token.text) for token in sentence.tokens],
-            )
-            return
-        self._insert(sentence, root, self._dummy)
-
-    def merge_sentence(
-        self,
-        sid: int,
-        root: int,
-        children: "Sequence[Sequence[int]]",
-        labels: list[str],
-        lefts: list[int],
-        rights: list[int],
-        depths: list[int],
-        wids: list[int],
-    ) -> list[int]:
-        """Columnar splice: merge one pre-columnised dependency tree.
-
-        The trie walk visits tokens in exactly the order the recursive
-        object-backed merge does, so newly created node ids are identical
-        across backends; rows are appended in token order (per-node posting
-        order is not contractual — every consumer sorts).  Returns the
-        per-token node ids (``-1`` for tokens unreachable from *root*).
-        """
-        node_ids = self.merge_tree(root, children, labels)
-        n = len(node_ids)
-        if -1 in node_ids:
-            reachable = [t for t in range(n) if node_ids[t] != -1]
-            kids = [node_ids[t] for t in reachable]
-            columns = (
-                [sid] * len(reachable),
-                reachable,
-                [lefts[t] for t in reachable],
-                [rights[t] for t in reachable],
-                [depths[t] for t in reachable],
-                [wids[t] for t in reachable],
-            )
-        else:
-            kids = node_ids
-            columns = ([sid] * n, range(n), lefts, rights, depths, wids)
-        self.append_rows(kids, columns)
-        return node_ids
+            raise RuntimeError("columnar HierarchyIndex merges via merge_tree")
+        if len(sentence):
+            self._insert(sentence, sentence.root_index(), self._dummy)
 
     def merge_tree(
         self,
@@ -458,40 +416,58 @@ class HierarchyIndex:
         return node_label.lower() == pattern_label.lower()
 
     # ------------------------------------------------------------------
-    # conversion (object-backed -> columnar, used on snapshot restore)
+    # snapshot payload (columnar only): the trie, not its postings
     # ------------------------------------------------------------------
-    def convert_to_columnar(self, interner: StringInterner) -> "HierarchyIndex":
-        """Move the per-node posting lists into a columnar store, in place.
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The trie as a ``(node_id, parent_id, label)`` table plus next id.
 
-        The trie (node ids, labels, links) is untouched, so closure tables,
-        ``node_by_id`` and path lookups are unaffected; each node's
-        ``postings`` list is replaced by a live view of its store slice.
+        Node postings are absent on purpose: they are W's rows regrouped on
+        ``plid``/``posid`` (Section 6.2.1), which :meth:`load_arrays` is handed.
         """
-        assert not self.columnar, f"hierarchy index {self.name!r} is already columnar"
-        store = ColumnarPostings(_H_COLUMNS, identity_keys=True)
-        store.ensure_key_capacity(self._next_id)
-        kids: list[int] = []
-        columns: tuple[list[int], ...] = tuple([] for _ in _H_COLUMNS)
-        sids, tids, lefts, rights, depths, wids = columns
-        for node in self._nodes.values():
-            if node is not self._dummy:
-                for p in node.postings:
-                    kids.append(node.node_id)
-                    sids.append(p.sid)
-                    tids.append(p.tid)
-                    lefts.append(p.left)
-                    rights.append(p.right)
-                    depths.append(p.depth)
-                    wids.append(interner.intern(p.word))
-            node.postings = _NodePostingsView(store, node.node_id, interner)
-        store.append_batch(kids, columns)
-        store.compact()
-        self.columnar = True
-        self._interner = interner
-        self._store = store
-        self._token_nodes = {}
-        self._token_cache = None
-        return self
+        name, nodes = self.name, list(self.nodes())
+        return {
+            f"{name}.node_id": np.asarray([n.node_id for n in nodes], np.int64),
+            f"{name}.parent_id": np.asarray([n.parent.node_id for n in nodes], np.int64),
+            f"{name}.next_id": np.asarray([self._next_id], np.int64),
+            **pack_strings(f"{name}.labels", [n.label for n in nodes]),
+        }
+
+    def load_arrays(
+        self, arrays: "Mapping[str, np.ndarray]", kids: np.ndarray, rows
+    ) -> None:
+        """Fill this empty columnar index: the trie from *arrays*, the
+        postings from *rows* keyed by node id *kids*.
+
+        Table order is creation order (ascending id, parents first), so
+        child order and node ids match the captured index and the next
+        merged sentence mints the same ids.  Raises ``ValueError`` on a
+        malformed table or a row keyed by a node the table lacks.
+        """
+        name = self.name
+        node_ids = int_column(arrays[f"{name}.node_id"])
+        parent_ids = int_column(arrays[f"{name}.parent_id"])
+        labels = unpack_strings(arrays, f"{name}.labels")
+        (self._next_id,) = int_column(arrays[f"{name}.next_id"]).tolist()
+        self._store.load(kids, rows, nkeys=self._next_id)
+        if not len(node_ids) == len(parent_ids) == len(labels):
+            raise ValueError(f"{name} node table columns differ in length")
+        if not np.isin(kids, node_ids).all():
+            raise ValueError(f"{name} posting row names an absent trie node")
+        previous = self._dummy.node_id
+        for node_id, parent_id, label in zip(
+            node_ids.tolist(), parent_ids.tolist(), labels
+        ):
+            parent = self._nodes.get(parent_id)
+            if (
+                parent is None
+                or not previous < node_id < self._next_id
+                or label in parent.children
+            ):
+                raise ValueError(f"{name} node table is not a trie in creation order")
+            node = HierarchyNode(node_id, label, parent.depth + 1, parent)
+            node.postings = _NodePostingsView(self._store, node_id, self._interner)
+            parent.children[label] = self._nodes[node_id] = node
+            previous = node_id
 
     # ------------------------------------------------------------------
     # materialisation (closure table of Section 6.2.1)
@@ -508,74 +484,9 @@ class HierarchyIndex:
                 closure.add_node(node.node_id, node.label, parent_id)
         return closure
 
-    def to_table(self, database: Database, table_name: str, create_indexes: bool = True):
+    def to_table(self, database: Database, table_name: str):
         """Materialise the closure table into the storage engine."""
-        return self.to_closure_table().to_table(database, table_name, create_indexes)
-
-    # ------------------------------------------------------------------
-    # restoration (the from_database inverse used by snapshots)
-    # ------------------------------------------------------------------
-    def load_closure_table(self, database: Database, table_name: str) -> "HierarchyIndex":
-        """Rebuild the merged node structure from a closure-table relation.
-
-        The inverse of :meth:`to_table` for the *structure* of the index:
-        node ids, labels, depths and parent/child links.  Postings and the
-        token → node map are **not** stored in the closure table (Section
-        6.2.1 recovers them by joining with ``W`` on ``plid``/``posid``);
-        re-attach them with :meth:`attach_token` afterwards.  The index must
-        be freshly constructed (nothing merged yet).
-        """
-        if self.node_count:
-            raise ValueError(f"hierarchy index {self.name!r} is not empty")
-        labels: dict[int, str] = {}
-        depths: dict[int, int] = {}
-        parents: dict[int, int] = {}
-        for node_id, label, depth, ancestor_id, _alabel, ancestor_depth in database.table(
-            table_name
-        ):
-            if node_id == ancestor_id:
-                labels[node_id] = label
-                depths[node_id] = depth
-            elif ancestor_depth == depth - 1:
-                parents[node_id] = ancestor_id
-        # Creation order is ascending node id (parents precede children), so
-        # rebuilding in id order reproduces the original _nodes iteration
-        # order and keeps surviving ids stable.
-        for node_id in sorted(labels):
-            if node_id not in parents:  # the dummy root above all trees
-                self._dummy.node_id = node_id
-                self._nodes.clear()
-                self._nodes[node_id] = self._dummy
-                continue
-            parent = self._nodes[parents[node_id]]
-            node = HierarchyNode(
-                node_id=node_id,
-                label=labels[node_id],
-                depth=depths[node_id] - 1,  # closure depth counts the dummy
-                parent=parent,
-            )
-            parent.children[node.label] = node
-            self._nodes[node_id] = node
-        self._next_id = max(labels, default=-1) + 1
-        return self
-
-    def attach_token(self, node_id: int, posting: Posting) -> None:
-        """Re-attach one token occurrence to its merged node (restore path)."""
-        node = self._nodes[node_id]
-        node.postings.append(posting)
-        self._token_nodes[(posting.sid, posting.tid)] = node_id
-        self._merged_token_count += 1
-
-    def attach_tokens(self, entries: "Iterable[tuple[int, Posting]]") -> None:
-        """Bulk :meth:`attach_token` — the hot loop of snapshot restore."""
-        nodes = self._nodes
-        token_nodes = self._token_nodes
-        count = 0
-        for node_id, posting in entries:
-            nodes[node_id].postings.append(posting)
-            token_nodes[(posting.sid, posting.tid)] = node_id
-            count += 1
-        self._merged_token_count += count
+        return self.to_closure_table().to_table(database, table_name)
 
 
 def parse_label_index(

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from ..nlp.types import Corpus, Document
 from ..storage.database import Database
-from .columnar import StringInterner
+from .columnar import StringInterner, int_column, pack_strings, unpack_strings
 from .entity_index import EntityIndex
 from .hierarchy import HierarchyIndex, parse_label_index, pos_tag_index
-from .postings import Posting
 from .word_index import WordIndex
 
 
@@ -122,7 +123,7 @@ class KokoIndexSet:
     def add_sentence(self, sentence) -> None:
         """Index one sentence in all four indexes."""
         if self.columnar:
-            self._add_sentence_columnar(sentence)
+            self._splice_sentences((sentence,))
             return
         self.word_index.add_sentence(sentence)
         self.entity_index.add_sentence(sentence)
@@ -134,10 +135,6 @@ class KokoIndexSet:
             self.word_index.set_node_ids(sentence.sid, token.index, plid, posid)
         self._sentences += 1
         self._tokens += len(sentence)
-
-    def _add_sentence_columnar(self, sentence) -> None:
-        """Columnar splice of a single sentence (one-element batch)."""
-        self._splice_sentences((sentence,))
 
     def _splice_sentences(self, sentences) -> None:
         """Columnar splice: columnise each sentence once, flush one batch.
@@ -299,106 +296,55 @@ class KokoIndexSet:
         return total
 
     # ------------------------------------------------------------------
-    # conversion
+    # snapshot payload (columnar only)
     # ------------------------------------------------------------------
-    def to_columnar(self) -> "KokoIndexSet":
-        """Convert an object-backed index set to columnar storage, in place.
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The index set as named integer arrays — what a snapshot persists.
 
-        Used by the service on snapshot-restored and bootstrap index sets
-        (the persistence formats stay object-shaped on disk).  Postings,
-        node ids, hierarchy structure and statistics are preserved exactly;
-        subsequent ``add_sentence``/``remove_sentence`` calls take the
-        columnar paths.  A no-op when already columnar.
+        W's columns, the E rows once, the string tables and the two trie
+        node tables.  The PL and POS postings are not captured:
+        :meth:`from_arrays` regroups them from W's ``plid``/``posid``
+        columns (Section 6.2.1).  Nothing is compacted or otherwise
+        mutated, so a shard read lock suffices.
         """
-        if self.columnar:
-            return self
-        interner = StringInterner()
-        self.word_index = WordIndex.from_object(self.word_index, interner)
-        self.entity_index = EntityIndex.from_object(self.entity_index)
-        self.pl_index.convert_to_columnar(interner)
-        self.pos_index.convert_to_columnar(interner)
-        self._interner = interner
-        self.columnar = True
-        return self
+        return {
+            "counts": np.asarray([self._sentences, self._tokens], np.int64),
+            **pack_strings("words", self._interner.texts()),
+            **self.word_index.to_arrays(),
+            **self.entity_index.to_arrays(),
+            **self.pl_index.to_arrays(),
+            **self.pos_index.to_arrays(),
+        }
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: "Mapping[str, np.ndarray]", build_seconds: float = 0.0
+    ) -> "KokoIndexSet":
+        """A columnar index set rebuilt from :meth:`to_arrays` output.
+
+        Postings, node ids, interner ids and statistics equal the captured
+        set's, so later splices mint the same ids.  The arrays come from
+        disk or a socket: a missing name raises ``KeyError``, a structural
+        inconsistency ``ValueError``.
+        """
+        index_set = cls(columnar=True)
+        words = index_set.word_index
+        index_set._interner.intern_many(unpack_strings(arrays, "words"))
+        words.load_arrays(arrays)
+        index_set.entity_index.load_arrays(arrays)
+        index_set.pl_index.load_arrays(arrays, *words.rows_by_node("plid"))
+        index_set.pos_index.load_arrays(arrays, *words.rows_by_node("posid"))
+        index_set._sentences, index_set._tokens = int_column(arrays["counts"]).tolist()
+        index_set.build_seconds = build_seconds
+        return index_set
 
     # ------------------------------------------------------------------
     # materialisation
     # ------------------------------------------------------------------
-    def to_database(self, database: Database, create_indexes: bool = True) -> Database:
-        """Store W, E, PL and POS relations (Section 6.2.1 schemas).
-
-        ``create_indexes=False`` writes the relations without secondary
-        B-trees — the snapshot path uses it because :meth:`from_database`
-        only ever scans rows, and index-free tables capture, pickle and
-        load substantially faster.
-        """
-        self.word_index.to_table(database, "W", create_indexes)
-        self.entity_index.to_table(database, "E", create_indexes)
-        self.pl_index.to_table(database, "PL", create_indexes)
-        self.pos_index.to_table(database, "POS", create_indexes)
+    def to_database(self, database: Database) -> Database:
+        """Store W, E, PL and POS relations (Section 6.2.1 schemas)."""
+        self.word_index.to_table(database, "W")
+        self.entity_index.to_table(database, "E")
+        self.pl_index.to_table(database, "PL")
+        self.pos_index.to_table(database, "POS")
         return database
-
-    @classmethod
-    def from_database(
-        cls,
-        database: Database,
-        documents: "Sequence[Document] | None" = None,
-        table_suffix: str = "",
-        build_seconds: float = 0.0,
-    ) -> "KokoIndexSet":
-        """Rebuild an index set from relations written by :meth:`to_database`.
-
-        The inverse of the Section 6.2.1 materialisation: the word and entity
-        indexes come straight back from ``W`` and ``E``, the hierarchy node
-        structure from the ``PL``/``POS`` closure tables, and the hierarchy
-        posting lists plus token → node maps from joining ``W`` on its
-        ``plid``/``posid`` columns — no sentence is ever re-parsed.
-
-        ``documents`` (the corpus slice the relations were built from) is
-        optional but recommended: the relations store lower-cased words and
-        mention texts, so the originals are recovered from the annotated
-        sentences.  ``table_suffix`` selects one partition of a sharded
-        layout (e.g. ``".3"`` for ``W.3``).
-        """
-        token_texts: dict[tuple[int, int], str] = {}
-        mention_texts: dict[tuple[int, int, int], str] = {}
-        sentence_lengths: dict[int, int] = {}
-        for document in documents or ():
-            for sentence in document:
-                sentence_lengths[sentence.sid] = len(sentence)
-                for token in sentence:
-                    token_texts[(sentence.sid, token.index)] = token.text
-                for mention in sentence.entities:
-                    mention_texts[(sentence.sid, mention.start, mention.end)] = mention.text
-
-        index_set = cls()
-        token_rows: list[tuple[Posting, int, int]] = []
-        index_set.word_index = WordIndex.from_table(
-            database, f"W{table_suffix}", token_texts, postings_sink=token_rows
-        )
-        index_set.entity_index = EntityIndex.from_table(
-            database, f"E{table_suffix}", mention_texts
-        )
-        index_set.pl_index.load_closure_table(database, f"PL{table_suffix}")
-        index_set.pos_index.load_closure_table(database, f"POS{table_suffix}")
-
-        # Hierarchy posting lists are recovered from W in row order (itself
-        # deterministic: first-seen-word grouping); per-node posting order
-        # differs from the original DFS merge order, but every consumer of
-        # node postings sorts (posting-list union), so the restored index is
-        # lookup-identical to the original.
-        index_set.pl_index.attach_tokens(
-            (plid, posting) for posting, plid, _posid in token_rows if plid != -1
-        )
-        index_set.pos_index.attach_tokens(
-            (posid, posting) for posting, _plid, posid in token_rows if posid != -1
-        )
-
-        if documents is not None:
-            index_set._sentences = sum(len(doc) for doc in documents)
-            index_set._tokens = sum(sentence_lengths.values())
-        else:
-            index_set._sentences = len({posting.sid for posting, _, _ in token_rows})
-            index_set._tokens = len(token_rows)
-        index_set.build_seconds = build_seconds
-        return index_set

@@ -40,18 +40,12 @@ def shard_of(doc_id: str, num_shards: int) -> int:
 class ShardedIndexSet:
     """N hash-partitioned :class:`KokoIndexSet` shards behaving as one."""
 
-    def __init__(self, num_shards: int = 4, columnar: bool = False) -> None:
+    def __init__(self, num_shards: int = 4) -> None:
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
         self.shards: list[KokoIndexSet] = [
-            KokoIndexSet(columnar=columnar) for _ in range(num_shards)
+            KokoIndexSet(columnar=True) for _ in range(num_shards)
         ]
-
-    def to_columnar(self) -> "ShardedIndexSet":
-        """Convert every shard to columnar storage, in place; returns self."""
-        for shard in self.shards:
-            shard.to_columnar()
-        return self
 
     # ------------------------------------------------------------------
     # routing
@@ -124,31 +118,3 @@ class ShardedIndexSet:
             shard.pl_index.to_table(database, f"PL.{index}")
             shard.pos_index.to_table(database, f"POS.{index}")
         return database
-
-    @classmethod
-    def from_database(
-        cls,
-        database: Database,
-        num_shards: int,
-        documents_by_shard: "list[list[Document]] | None" = None,
-        build_seconds_by_shard: "list[float] | None" = None,
-    ) -> "ShardedIndexSet":
-        """Rebuild a sharded index set from a partitioned Section 6.2.1 layout.
-
-        The inverse of :meth:`to_database`: shard *i* is restored from the
-        ``W.i``/``E.i``/``PL.i``/``POS.i`` relations via
-        :meth:`KokoIndexSet.from_database`.  ``documents_by_shard`` supplies
-        each shard's corpus slice so original-case words and mention texts
-        come back exactly.
-        """
-        index_set = cls(num_shards)
-        index_set.shards = [
-            KokoIndexSet.from_database(
-                database,
-                documents=documents_by_shard[i] if documents_by_shard else None,
-                table_suffix=f".{i}",
-                build_seconds=build_seconds_by_shard[i] if build_seconds_by_shard else 0.0,
-            )
-            for i in range(num_shards)
-        ]
-        return index_set

@@ -11,17 +11,26 @@ Python list of :class:`Posting` per word) and, with ``columnar=True``, a
 :class:`~repro.indexing.columnar.ColumnarPostings` store whose ``W``-shaped
 rows ``(sid, tid, left, right, depth, wid, plid, posid)`` live in flat
 numpy columns — batch appends for the ingest splice, array slices for the
-read-side joins.  The on-disk ``W`` relation is identical either way.
+read-side joins.  The ``W`` relation (:meth:`WordIndex.to_table`) is identical
+either way; a snapshot persists the columnar store's own arrays.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from ..nlp.types import Corpus, Sentence
 from ..storage.database import Database
 from ..storage.table import Schema
-from .columnar import ColumnarPostings, PostingBlock, StringInterner
+from .columnar import (
+    ColumnarPostings,
+    PostingBlock,
+    StringInterner,
+    pack_strings,
+    unpack_strings,
+)
 from .postings import Posting, posting_for_token
 
 _W_COLUMNS = ("sid", "tid", "left", "right", "depth", "wid", "plid", "posid")
@@ -55,50 +64,13 @@ class WordIndex:
     # construction
     # ------------------------------------------------------------------
     def add_sentence(self, sentence: Sentence) -> None:
-        """Index every token of *sentence*."""
+        """Index every token of *sentence* (object-backed; a columnar index
+        is spliced in batches through :meth:`add_token_rows`)."""
         if self.columnar:
-            n = len(sentence)
-            if n == 0:
-                return
-            _, spans, depths = sentence.tree_columns()
-            texts = [token.text for token in sentence.tokens]
-            self.add_sentence_batch(
-                sentence.sid,
-                texts,
-                [span[0] for span in spans],
-                [span[1] for span in spans],
-                list(depths),
-                [-1] * n,
-                [-1] * n,
-            )
-            return
+            raise RuntimeError("columnar WordIndex takes rows via add_token_rows")
         for token in sentence:
             posting = posting_for_token(sentence, token.index)
             self._postings.setdefault(token.text.lower(), []).append(posting)
-
-    def add_sentence_batch(
-        self,
-        sid: int,
-        texts: list[str],
-        lefts: list[int],
-        rights: list[int],
-        depths: list[int],
-        plids: list[int],
-        posids: list[int],
-        wids: list[int] | None = None,
-    ) -> None:
-        """Columnar splice: append one sentence's tokens as a row batch.
-
-        ``wids`` (word-interner ids for *texts*) may be passed when the
-        caller already interned the tokens, avoiding a second pass.
-        """
-        if wids is None:
-            intern_text = self._interner.intern
-            wids = [intern_text(text) for text in texts]
-        n = len(texts)
-        self.add_token_rows(
-            texts, ([sid] * n, range(n), lefts, rights, depths, wids, plids, posids)
-        )
 
     def add_token_rows(
         self, texts: list[str], columns: "tuple[Sequence[int], ...]"
@@ -150,9 +122,7 @@ class WordIndex:
     def set_node_ids(self, sid: int, tid: int, plid: int, posid: int) -> None:
         """Record the hierarchy-index node ids for one token occurrence."""
         if self.columnar:
-            raise RuntimeError(
-                "columnar WordIndex takes node ids via add_sentence_batch"
-            )
+            raise RuntimeError("columnar WordIndex takes node ids via add_token_rows")
         self._node_ids[(sid, tid)] = (plid, posid)
 
     # ------------------------------------------------------------------
@@ -213,48 +183,53 @@ class WordIndex:
         return sum(len(p) for p in self._postings.values())
 
     # ------------------------------------------------------------------
-    # conversion (object-backed -> columnar, used on snapshot restore)
+    # snapshot payload (columnar only): the store's own columns
     # ------------------------------------------------------------------
-    @classmethod
-    def from_object(
-        cls, source: "WordIndex", interner: StringInterner
-    ) -> "WordIndex":
-        """A columnar copy of an object-backed index (postings + node ids)."""
-        assert not source.columnar, "source is already columnar"
-        index = cls(columnar=True, interner=interner)
-        store = index._store
-        node_ids = source._node_ids
-        kids: list[int] = []
-        columns: tuple[list[int], ...] = tuple([] for _ in _W_COLUMNS)
-        sids, tids, lefts, rights, depths, wids, plids, posids = columns
-        for word, postings in source._postings.items():
-            kid = store.intern_key(word)
-            for p in postings:
-                kids.append(kid)
-                sids.append(p.sid)
-                tids.append(p.tid)
-                lefts.append(p.left)
-                rights.append(p.right)
-                depths.append(p.depth)
-                wids.append(interner.intern(p.word or word))
-                plid, posid = node_ids.get((p.sid, p.tid), (-1, -1))
-                plids.append(plid)
-                posids.append(posid)
-        store.append_batch(kids, columns)
-        store.compact()
-        return index
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The W store as named arrays: key table, key ids, the eight columns.
+
+        Rows are main followed by the delta tail — nothing is compacted, so
+        a shard read lock suffices; :meth:`load_arrays` compacts.
+        """
+        kid, cols = self._store.all_arrays_with_keys()
+        return {
+            **pack_strings("W.keys", self._store.keys()),
+            "W.kid": kid,
+            **{f"W.{name}": col for name, col in zip(_W_COLUMNS, cols)},
+        }
+
+    def load_arrays(self, arrays: "Mapping[str, np.ndarray]") -> None:
+        """Fill this empty columnar index from :meth:`to_arrays` output.
+
+        The shared word interner must already hold its table.
+        """
+        self._store.load(
+            arrays["W.kid"],
+            [arrays[f"W.{name}"] for name in _W_COLUMNS],
+            keys=unpack_strings(arrays, "W.keys"),
+        )
+        wids = self._store.all_arrays()[5]
+        if len(wids) and not 0 <= wids.min() <= wids.max() < len(self._interner):
+            raise ValueError("W.wid names a word outside the interner table")
+
+    def rows_by_node(self, column: str) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """W's rows keyed by its ``plid`` or ``posid`` column, ``-1`` rows dropped.
+
+        The Section 6.2.1 join: hierarchy postings are not stored a second
+        time, their six columns are a prefix of W's eight.
+        """
+        cols = self._store.all_arrays()
+        node_ids = cols[_W_COLUMNS.index(column)]
+        keep = node_ids != -1
+        return node_ids[keep], tuple(col[keep] for col in cols[:6])
 
     # ------------------------------------------------------------------
     # materialisation (the W relation of Section 6.2.1)
     # ------------------------------------------------------------------
     W_SCHEMA = Schema.of("word", "x", "y", "u", "v", "d", "plid", "posid")
 
-    def to_table(self, database: Database, table_name: str = "W", create_indexes: bool = True):
-        """Materialise the index into *database* with the paper's W schema.
-
-        ``create_indexes=False`` skips the secondary B-trees — used by the
-        snapshot path, whose only reader (:meth:`from_table`) scans rows.
-        """
+    def to_table(self, database: Database, table_name: str = "W"):
+        """Materialise the index into *database* with the paper's W schema."""
         if database.has_table(table_name):
             database.drop_table(table_name)
         table = database.create_table(table_name, self.W_SCHEMA)
@@ -283,47 +258,6 @@ class WordIndex:
                             posid,
                         )
                     )
-        if create_indexes:
-            table.create_index("by_word", "word")
-            table.create_index("by_sentence", "x")
+        table.create_index("by_word", "word")
+        table.create_index("by_sentence", "x")
         return table
-
-    @classmethod
-    def from_table(
-        cls,
-        database: Database,
-        table_name: str = "W",
-        token_texts: dict[tuple[int, int], str] | None = None,
-        postings_sink: list[tuple[Posting, int, int]] | None = None,
-    ) -> "WordIndex":
-        """Rebuild a word index from a ``W`` relation written by :meth:`to_table`.
-
-        ``token_texts`` maps ``(sid, tid)`` to the original surface form; the
-        W relation stores only the lower-cased key, so without the map the
-        rebuilt postings carry the lower-cased word.  Row order preserves the
-        per-word posting order of the original index, so a round trip through
-        the storage engine is lookup-identical.  The rebuilt index is
-        object-backed; convert with :meth:`from_object` if the owner runs
-        columnar.
-
-        ``postings_sink`` (when given) collects ``(posting, plid, posid)``
-        per row, so :meth:`KokoIndexSet.from_database` can re-attach the
-        hierarchy posting lists without a second pass over W.
-        """
-        token_texts = token_texts or {}
-        index = cls()
-        postings = index._postings
-        node_ids = index._node_ids
-        lookup_text = token_texts.get
-        for word, sid, tid, left, right, depth, plid, posid in database.table(table_name):
-            posting = Posting(sid, tid, left, right, depth, lookup_text((sid, tid), word))
-            bucket = postings.get(word)
-            if bucket is None:
-                postings[word] = [posting]
-            else:
-                bucket.append(posting)
-            if plid != -1 or posid != -1:
-                node_ids[(sid, tid)] = (plid, posid)
-            if postings_sink is not None:
-                postings_sink.append((posting, plid, posid))
-        return index

@@ -2,10 +2,12 @@
 
 The subsystem splits durable state the way HTAP engines do:
 
-* **snapshots** — read-optimised: the corpus and every shard's multi-index,
-  materialised through the existing storage-engine path
-  (:meth:`~repro.indexing.koko_index.KokoIndexSet.to_database`) and restored
-  through its new ``from_database`` inverse;
+* **snapshots** — read-optimised: the corpus and every shard's index
+  columns, the same numpy arrays the shard serves from
+  (:meth:`~repro.indexing.koko_index.KokoIndexSet.to_arrays` /
+  ``from_arrays``); the bytes on disk are also the replica-bootstrap
+  payload, and a store of another layout version is refused
+  (:class:`LayoutVersionError`), never partially read;
 * **write-ahead log** — write-optimised: every ``add``/``remove`` appended
   with CRC framing and fsync before it touches memory, rotated at each
   checkpoint;
@@ -18,6 +20,7 @@ from .checkpoint import CheckpointPolicy, CheckpointScheduler
 from .layout import LAYOUT_VERSION, StorageLayout
 from .recovery import RecoveredState, RecoveryManager
 from .snapshot import (
+    LayoutVersionError,
     SnapshotState,
     load_snapshot,
     read_snapshot_payloads,
@@ -45,6 +48,7 @@ __all__ = [
     "CommitTicket",
     "FrameScan",
     "LAYOUT_VERSION",
+    "LayoutVersionError",
     "OP_ADD",
     "OP_REMOVE",
     "RecoveredState",

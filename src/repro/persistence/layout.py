@@ -8,7 +8,7 @@ One service maps to one directory::
         ckpt-0000000002/          # one versioned snapshot per checkpoint
           manifest.json           # layout version, config, counters, digests
           corpus-0.pkl            # shard 0's annotated documents (pickle)
-          indexes-0.db            # shard 0's W/E/PL/POS relations (Database)
+          indexes-0.npz           # shard 0's index columns (numpy, no pickle)
           ...
       wal/
         wal-0000000003.log        # operations since checkpoint 2
@@ -28,8 +28,9 @@ from pathlib import Path
 
 __all__ = ["LAYOUT_VERSION", "StorageLayout", "fsync_dir", "fsync_file"]
 
-#: bump when the snapshot or WAL format changes incompatibly
-LAYOUT_VERSION = 1
+#: bump when the snapshot or WAL format changes incompatibly; a store of
+#: any other version is refused (there is no reader for old layouts)
+LAYOUT_VERSION = 2
 
 SNAPSHOT_PREFIX = "ckpt-"
 WAL_PREFIX = "wal-"

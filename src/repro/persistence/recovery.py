@@ -2,9 +2,10 @@
 
 The recovery sequence (the write path in reverse):
 
-1. Resolve the newest **valid** snapshot — ``CURRENT`` first, then a
-   newest-first scan so a crash mid-snapshot (torn directory, bad digest)
-   falls back to the previous durable checkpoint.
+1. Resolve the newest **valid** snapshot by a newest-first scan, so a
+   crash mid-snapshot (torn directory, bad digest) falls back to the
+   previous durable checkpoint.  A snapshot of another layout version is
+   not a corrupt one: recovery raises instead of falling back past it.
 2. Replay every WAL segment newer than that snapshot, in segment order,
    stopping at the first torn or corrupt frame: the state recovered is
    exactly the longest durable prefix of the operation history.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 from ..errors import PersistenceError
 from .layout import StorageLayout
-from .snapshot import SnapshotState, load_snapshot
+from .snapshot import LayoutVersionError, SnapshotState, load_snapshot
 from .wal import ReplayResult, WalRecord, read_records
 
 __all__ = ["RecoveredState", "RecoveryManager"]
@@ -56,16 +57,24 @@ class RecoveryManager:
         self.layout = layout
 
     def recover(self) -> RecoveredState:
-        """Load the latest valid snapshot and replay the WAL tail."""
+        """Load the latest valid snapshot and replay the WAL tail.
+
+        Raises :class:`~repro.persistence.snapshot.LayoutVersionError`, and
+        touches nothing on disk, on a snapshot of another layout version:
+        the WAL it covers is already pruned, so booting from what is left
+        would serve a subset of the documents.
+        """
         # Newest-first: a fully-valid snapshot always beats an older one
         # (and a stale CURRENT pointer).  load_snapshot digests each file
-        # from the bytes it is about to unpickle, so selection and loading
+        # from the bytes it is about to decode, so selection and loading
         # cost one read, and a corrupt candidate just drops to the next.
         snapshot = None
         for checkpoint_id in reversed(self.layout.snapshot_ids()):
             try:
                 snapshot = load_snapshot(self.layout, checkpoint_id)
                 break
+            except LayoutVersionError:
+                raise
             except PersistenceError:
                 continue
         recovered = RecoveredState(snapshot=snapshot)

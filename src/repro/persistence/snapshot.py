@@ -1,16 +1,21 @@
-"""Versioned snapshots of a live service: corpus + indexes + counters.
+"""Versioned snapshots of a live service: corpus + index columns + counters.
 
 A snapshot is the read-optimised half of the durability design: the full
 service state at one checkpoint, written as
 
 * ``corpus-<i>.pkl`` — shard *i*'s annotated documents (pickle), the exact
   objects the NLP pipeline produced, so warm restart re-annotates nothing;
-* ``indexes-<i>.db`` — shard *i*'s W/E/PL/POS relations, materialised
-  through the existing :meth:`KokoIndexSet.to_database` storage-engine path
-  and restored through its :meth:`~KokoIndexSet.from_database` inverse;
+* ``indexes-<i>.npz`` — shard *i*'s index columns as
+  :meth:`KokoIndexSet.to_arrays` names them, each in the narrowest integer
+  dtype that holds it, zip-deflated; nothing in it is pickled and it is
+  read with ``allow_pickle=False``;
 * ``manifest.json`` — layout version, shard count, sid counter, per-shard
   generation stamps, and a SHA-256 digest per file so a half-written or
   bit-rotted snapshot is detected and skipped at recovery time.
+
+The same bytes are the replica-bootstrap payload.  A manifest of another
+``LAYOUT_VERSION`` is refused (:class:`LayoutVersionError`): there is one
+reader, for the current layout.
 
 Writes are crash-safe: everything lands in a ``.tmp`` sibling first, is
 fsynced, and the directory is atomically renamed into place; the ``CURRENT``
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -28,19 +34,21 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import PersistenceError
+from ..indexing.koko_index import KokoIndexSet
+from ..nlp.types import Document
+from .layout import LAYOUT_VERSION, StorageLayout, fsync_dir, fsync_file
 
 __all__ = [
+    "LayoutVersionError",
     "SnapshotState",
     "load_snapshot",
     "read_snapshot_payloads",
     "state_from_payloads",
     "write_snapshot",
 ]
-from ..indexing.koko_index import KokoIndexSet
-from ..nlp.types import Document
-from ..storage.database import Database
-from .layout import LAYOUT_VERSION, StorageLayout, fsync_dir, fsync_file
 
 MANIFEST_NAME = "manifest.json"
 
@@ -56,11 +64,61 @@ class SnapshotState:
     generations: list[int]
     documents_by_shard: list[list[Document]]
     build_seconds_by_shard: list[float] = field(default_factory=list)
-    #: per-shard W/E/PL/POS databases; populated by the writer (captured
-    #: under lock) and by the loader (read back from disk)
-    databases: list[Database] = field(default_factory=list)
+    #: per-shard :meth:`KokoIndexSet.to_arrays` captures (taken under the
+    #: shard lock); populated by whoever hands the state to the writer
+    index_arrays: list[dict[str, np.ndarray]] = field(default_factory=list)
     #: per-shard restored index sets; populated by the loader only
     index_sets: list[KokoIndexSet] = field(default_factory=list)
+
+
+class LayoutVersionError(PersistenceError):
+    """A snapshot of another ``LAYOUT_VERSION`` — not corruption: falling
+    back past it would silently serve a subset of the data."""
+
+
+def _check_version(manifest: dict, where: str) -> None:
+    if manifest.get("version") != LAYOUT_VERSION:
+        raise LayoutVersionError(
+            f"{where} has layout version {manifest.get('version')!r}; "
+            f"this build reads only version {LAYOUT_VERSION}"
+        )
+
+
+def _read_manifest(layout: StorageLayout, checkpoint_id: int) -> dict:
+    """The parsed, version-checked manifest of snapshot *checkpoint_id*."""
+    directory = layout.snapshot_dir(checkpoint_id)
+    try:
+        manifest = json.loads((directory / MANIFEST_NAME).read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise PersistenceError(
+            f"snapshot {checkpoint_id} at {directory} is missing or corrupt"
+        ) from exc
+    if not isinstance(manifest, dict) or manifest.get("checkpoint_id") != checkpoint_id:
+        raise PersistenceError(f"snapshot {checkpoint_id} manifest is inconsistent")
+    _check_version(manifest, f"snapshot {checkpoint_id} at {directory}")
+    return manifest
+
+
+def _narrow(array: np.ndarray) -> np.ndarray:
+    """*array* in the narrowest integer dtype that holds every value."""
+    if array.size == 0:
+        return array.astype(np.uint8)
+    return array.astype(
+        np.result_type(
+            np.min_scalar_type(int(array.min())), np.min_scalar_type(int(array.max()))
+        )
+    )
+
+
+def _encode_index_arrays(arrays: dict[str, np.ndarray]) -> bytes:
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **{name: _narrow(a) for name, a in arrays.items()})
+    return buffer.getvalue()
+
+
+def _decode_index_arrays(payload: bytes) -> dict[str, np.ndarray]:
+    with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
 
 
 def _digest(path: Path) -> str:
@@ -100,10 +158,9 @@ def write_snapshot(layout: StorageLayout, state: SnapshotState) -> Path:
                 state.documents_by_shard[shard_id], protocol=pickle.HIGHEST_PROTOCOL
             ),
         )
-        indexes_name = f"indexes-{shard_id}.db"
+        indexes_name = f"indexes-{shard_id}.npz"
         files[indexes_name] = _write_file(
-            tmp_dir / indexes_name,
-            pickle.dumps(state.databases[shard_id], protocol=pickle.HIGHEST_PROTOCOL),
+            tmp_dir / indexes_name, _encode_index_arrays(state.index_arrays[shard_id])
         )
         shards_meta.append(
             {
@@ -145,19 +202,14 @@ def validate_snapshot(layout: StorageLayout, checkpoint_id: int) -> dict | None:
     """Return the manifest of snapshot *checkpoint_id* iff it is fully valid.
 
     Valid means: the directory and manifest exist, the layout version is
-    readable, and every listed file is present with a matching digest.
-    Returns ``None`` for anything less (the recovery scan skips it).
+    the one this build reads, and every listed file is present with a
+    matching digest.  Returns ``None`` for anything less.
     """
-    directory = layout.snapshot_dir(checkpoint_id)
-    manifest_path = directory / MANIFEST_NAME
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        manifest = _read_manifest(layout, checkpoint_id)
+    except PersistenceError:
         return None
-    if manifest.get("version") != LAYOUT_VERSION:
-        return None
-    if manifest.get("checkpoint_id") != checkpoint_id:
-        return None
+    directory = layout.snapshot_dir(checkpoint_id)
     for name, digest in manifest.get("files", {}).items():
         path = directory / name
         if not path.is_file() or _digest(path) != digest:
@@ -180,45 +232,17 @@ def find_latest_valid(layout: StorageLayout) -> int | None:
     return None
 
 
-def load_snapshot(
-    layout: StorageLayout, checkpoint_id: int, verify: bool = True
-) -> SnapshotState:
+def load_snapshot(layout: StorageLayout, checkpoint_id: int) -> SnapshotState:
     """Load snapshot *checkpoint_id*: documents, index sets, counters.
 
-    The indexes come back through :meth:`KokoIndexSet.from_database` — the
-    inverse of the storage-engine materialisation — with each shard's corpus
-    slice supplying original-case words and mention texts.
-
-    Each file is read exactly once: the bytes are digested in hand (when
-    ``verify`` is on, the default) and unpickled from the same buffer, so
-    validation costs no extra I/O on the warm-restart path.  Any missing
-    file, digest mismatch or undecodable payload raises
-    :class:`PersistenceError`.
+    The disk path is the wire path: the digest-verified file bytes of
+    :func:`read_snapshot_payloads`, decoded by :func:`state_from_payloads`.
+    Any missing file, digest mismatch or undecodable payload raises
+    :class:`PersistenceError`; a manifest of another layout version raises
+    its subclass :class:`LayoutVersionError`.
     """
-    directory = layout.snapshot_dir(checkpoint_id)
-    try:
-        manifest = json.loads((directory / MANIFEST_NAME).read_text("utf-8"))
-    except (OSError, ValueError):
-        manifest = None
-    if (
-        manifest is None
-        or manifest.get("version") != LAYOUT_VERSION
-        or manifest.get("checkpoint_id") != checkpoint_id
-    ):
-        raise PersistenceError(
-            f"snapshot {checkpoint_id} at {directory} is missing or corrupt"
-        )
-
-    def read_verified(name: str) -> bytes:
-        try:
-            payload = (directory / name).read_bytes()
-        except OSError as exc:
-            raise PersistenceError(f"snapshot file {name} unreadable: {exc}") from exc
-        if verify and hashlib.sha256(payload).hexdigest() != manifest["files"].get(name):
-            raise PersistenceError(f"snapshot file {name} fails its digest")
-        return payload
-
-    return _decode_state(manifest, read_verified)
+    manifest, payloads = read_snapshot_payloads(layout, checkpoint_id)
+    return state_from_payloads(manifest, payloads, verify=False)
 
 
 def read_snapshot_payloads(
@@ -230,23 +254,13 @@ def read_snapshot_payloads(
     the manifest to its exact on-disk bytes.  This is the shipping form of
     a snapshot: a replication primary sends these bytes verbatim and the
     follower rebuilds the state with :func:`state_from_payloads` — no
-    pickling round trip, and the digests in the manifest let the follower
+    re-encoding, and the digests in the manifest let the follower
     re-verify what it received.  Raises :class:`PersistenceError` on any
     missing file or digest mismatch (e.g. a snapshot pruned mid-read — the
     caller retries with the new latest checkpoint).
     """
+    manifest = _read_manifest(layout, checkpoint_id)
     directory = layout.snapshot_dir(checkpoint_id)
-    try:
-        manifest = json.loads((directory / MANIFEST_NAME).read_text("utf-8"))
-    except (OSError, ValueError) as exc:
-        raise PersistenceError(
-            f"snapshot {checkpoint_id} at {directory} is missing or corrupt"
-        ) from exc
-    if (
-        manifest.get("version") != LAYOUT_VERSION
-        or manifest.get("checkpoint_id") != checkpoint_id
-    ):
-        raise PersistenceError(f"snapshot {checkpoint_id} manifest is inconsistent")
     payloads: dict[str, bytes] = {}
     for name, digest in manifest.get("files", {}).items():
         try:
@@ -262,37 +276,15 @@ def read_snapshot_payloads(
 def state_from_payloads(
     manifest: dict, payloads: dict[str, bytes], verify: bool = True
 ) -> SnapshotState:
-    """Rebuild a :class:`SnapshotState` from shipped snapshot bytes.
+    """Rebuild a :class:`SnapshotState` from snapshot bytes.
 
-    The in-memory inverse of :func:`read_snapshot_payloads`: a replication
-    follower hands the manifest and file bytes it received and gets back
-    the same state :func:`load_snapshot` would produce from disk, digests
+    The inverse of :func:`read_snapshot_payloads`.  A replication follower
+    hands over the manifest and file bytes it received and the digests are
     re-checked against the manifest (``verify=True``, the default —
-    transports are framed but not content-checksummed).
+    transports are framed but not content-checksummed);
+    :func:`load_snapshot` passes what it just verified.
     """
-    if manifest.get("version") != LAYOUT_VERSION:
-        raise PersistenceError(
-            f"shipped snapshot has layout version {manifest.get('version')!r}; "
-            f"this build reads {LAYOUT_VERSION}"
-        )
-
-    def read_verified(name: str) -> bytes:
-        payload = payloads.get(name)
-        if payload is None:
-            raise PersistenceError(f"shipped snapshot is missing file {name}")
-        if verify and hashlib.sha256(payload).hexdigest() != manifest["files"].get(name):
-            raise PersistenceError(f"shipped snapshot file {name} fails its digest")
-        return payload
-
-    return _decode_state(manifest, read_verified)
-
-
-def _decode_state(manifest: dict, read_verified) -> SnapshotState:
-    """Decode a snapshot's documents, databases and index sets.
-
-    Shared by the disk loader and the replication (shipped-bytes) loader;
-    *read_verified* maps a file name to its verified payload bytes.
-    """
+    _check_version(manifest, "shipped snapshot")
     checkpoint_id = manifest["checkpoint_id"]
     state = SnapshotState(
         checkpoint_id=checkpoint_id,
@@ -305,6 +297,15 @@ def _decode_state(manifest: dict, read_verified) -> SnapshotState:
             float(meta.get("build_seconds", 0.0)) for meta in manifest["shards"]
         ],
     )
+
+    def read_verified(name: str) -> bytes:
+        payload = payloads.get(name)
+        if payload is None:
+            raise PersistenceError(f"snapshot is missing file {name}")
+        if verify and hashlib.sha256(payload).hexdigest() != manifest["files"].get(name):
+            raise PersistenceError(f"snapshot file {name} fails its digest")
+        return payload
+
     # Deserialising a corpus allocates very many small objects; collector
     # passes in the middle of that dominate warm-restart time, so hold GC
     # off for the duration (nothing loaded here is garbage yet anyway).
@@ -316,26 +317,18 @@ def _decode_state(manifest: dict, read_verified) -> SnapshotState:
                 documents: list[Document] = pickle.loads(
                     read_verified(f"corpus-{shard_id}.pkl")
                 )
-                database = pickle.loads(read_verified(f"indexes-{shard_id}.db"))
+                index_set = KokoIndexSet.from_arrays(
+                    _decode_index_arrays(read_verified(f"indexes-{shard_id}.npz")),
+                    build_seconds=state.build_seconds_by_shard[shard_id],
+                )
             except PersistenceError:
                 raise
             except Exception as exc:
                 raise PersistenceError(
-                    f"snapshot {checkpoint_id} shard {shard_id} fails to decode: {exc}"
+                    f"snapshot {checkpoint_id} shard {shard_id} fails to decode: {exc!r}"
                 ) from exc
-            if not isinstance(database, Database):
-                raise PersistenceError(
-                    f"snapshot {checkpoint_id} shard {shard_id} is not a Database"
-                )
             state.documents_by_shard.append(documents)
-            state.databases.append(database)
-            state.index_sets.append(
-                KokoIndexSet.from_database(
-                    database,
-                    documents=documents,
-                    build_seconds=state.build_seconds_by_shard[shard_id],
-                )
-            )
+            state.index_sets.append(index_set)
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -126,7 +126,6 @@ from ..persistence import (
     WriteAheadLog,
     write_snapshot,
 )
-from ..storage.database import Database
 from .cache import PlanCache, ResultCache
 from .locks import ReadWriteLock
 from .stats import ServiceStats
@@ -256,13 +255,6 @@ class KokoService:
         or — when ``storage_dir`` holds an existing service — whatever
         shard count was persisted.  An explicit value that contradicts a
         recovered snapshot raises :class:`ServiceError`.
-    columnar:
-        Store each shard's postings in flat numpy column arrays and run
-        the posting-list algebra vectorized (default True).  Snapshots,
-        WAL records and replication payloads are format-identical either
-        way — restored shards are converted in memory — and query results
-        are tuple-for-tuple the same; ``False`` falls back to the
-        object-backed posting lists.
     plan_cache_size, result_cache_size:
         LRU capacities of the two read-side caches.
     result_cache_max_entry_bytes:
@@ -363,7 +355,6 @@ class KokoService:
         pipeline: Pipeline | None = None,
         name: str = "service",
         shards: int | None = None,
-        columnar: bool = True,
         plan_cache_size: int = 256,
         result_cache_size: int = 256,
         result_cache_max_entry_bytes: int | None = None,
@@ -468,17 +459,11 @@ class KokoService:
             use_gsp=use_gsp,
             use_default_vectors=use_default_vectors,
         )
-        self.columnar = columnar
-        self._index_set = ShardedIndexSet(shards, columnar=columnar)
+        self._index_set = ShardedIndexSet(shards)
         if recovered is not None and recovered.snapshot is not None:
             self._index_set.shards = list(recovered.snapshot.index_sets)
         elif bootstrap_snapshot is not None:
             self._index_set.shards = list(bootstrap_snapshot.index_sets)
-        if columnar:
-            # snapshots restore object-backed index sets (their on-disk
-            # format is unchanged); convert them in place before the shard
-            # façades capture references
-            self._index_set.to_columnar()
         self._shards = [
             _Shard(i, f"{name}/shard{i}", self._index_set.shards[i], engine_kwargs)
             for i in range(shards)
@@ -699,15 +684,13 @@ class KokoService:
         self._layout.write_current(0)
 
     def _capture_snapshot_state(self, checkpoint_id: int) -> SnapshotState:
-        """Materialise every shard under its read lock (readers unaffected)."""
-        databases: list[Database] = []
+        """Capture every shard under its read lock (readers unaffected)."""
+        index_arrays: list[dict] = []
         documents_by_shard: list[list[Document]] = []
         build_seconds: list[float] = []
         for shard in self._shards:
             with shard.lock.read_locked():
-                database = Database(name=f"{self.name}-shard{shard.shard_id}")
-                shard.indexes.to_database(database, create_indexes=False)
-                databases.append(database)
+                index_arrays.append(shard.indexes.to_arrays())
                 documents_by_shard.append(list(shard.corpus.documents))
                 build_seconds.append(shard.indexes.build_seconds)
         return SnapshotState(
@@ -718,7 +701,7 @@ class KokoService:
             generations=list(self._generations),
             documents_by_shard=documents_by_shard,
             build_seconds_by_shard=build_seconds,
-            databases=databases,
+            index_arrays=index_arrays,
         )
 
     def checkpoint(self) -> int | None:
@@ -759,8 +742,9 @@ class KokoService:
                         self._ingest_barrier -= 1
                         self._meta_cond.notify_all()
                 # File writes happen outside the meta lock: the captured state
-                # is immutable (fresh Database objects; documents are never
-                # mutated after ingest), so writers proceed while we fsync.
+                # is immutable (column arrays are replaced, never written in
+                # place; documents are never mutated after ingest), so
+                # writers proceed while we fsync.
                 write_snapshot(self._layout, state)
                 self._layout.write_current(sealed)
                 self._layout.prune(sealed, wal_keep_from=self._wal_pin_floor())

@@ -107,11 +107,8 @@ class ClosureTable:
     # ------------------------------------------------------------------
     CLOSURE_SCHEMA = Schema.of("id", "label", "depth", "aid", "alabel", "adepth")
 
-    def to_table(self, database: Database, table_name: str, create_indexes: bool = True) -> Table:
-        """Materialise this closure table into *database* as *table_name*.
-
-        ``create_indexes=False`` skips the secondary B-trees (snapshot path).
-        """
+    def to_table(self, database: Database, table_name: str) -> Table:
+        """Materialise this closure table into *database* as *table_name*."""
         if database.has_table(table_name):
             database.drop_table(table_name)
         table = database.create_table(table_name, self.CLOSURE_SCHEMA)
@@ -126,8 +123,7 @@ class ClosureTable:
                     row.ancestor_depth,
                 )
             )
-        if create_indexes:
-            table.create_index("by_label", "label")
-            table.create_index("by_alabel", "alabel")
-            table.create_index("by_id", "id")
+        table.create_index("by_label", "label")
+        table.create_index("by_alabel", "alabel")
+        table.create_index("by_id", "id")
         return table

@@ -126,30 +126,3 @@ def test_to_database_writes_suffixed_relations(paper_corpus):
     for shard_index in range(2):
         for relation in ("W", "E", "PL", "POS"):
             assert f"{relation}.{shard_index}" in database
-
-
-def test_from_database_inverts_the_suffixed_layout(paper_corpus):
-    sharded = ShardedIndexSet(2).build(paper_corpus)
-    database = sharded.to_database(Database("sharded"))
-    documents_by_shard = [
-        [d for d in paper_corpus if sharded.shard_id(d.doc_id) == i] for i in range(2)
-    ]
-    restored = ShardedIndexSet.from_database(
-        database, 2, documents_by_shard=documents_by_shard
-    )
-    assert restored.num_shards == 2
-    for original, rebuilt in zip(sharded.shards, restored.shards):
-        assert rebuilt.word_index.vocabulary() == original.word_index.vocabulary()
-        for word in original.word_index.vocabulary():
-            assert rebuilt.word_index.lookup(word) == original.word_index.lookup(word)
-        assert sorted(rebuilt.entity_index.all_postings()) == sorted(
-            original.entity_index.all_postings()
-        )
-        steps = [("/", "root"), ("//", "*")]
-        assert rebuilt.pl_index.lookup_path(steps) == original.pl_index.lookup_path(steps)
-    merged_original = sharded.statistics()
-    merged_restored = restored.statistics()
-    assert (merged_restored.sentences, merged_restored.tokens) == (
-        merged_original.sentences,
-        merged_original.tokens,
-    )

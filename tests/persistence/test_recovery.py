@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.errors import PersistenceError
 from repro.indexing.koko_index import KokoIndexSet
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Corpus
 from repro.persistence import (
+    LAYOUT_VERSION,
     OP_ADD,
     OP_REMOVE,
     RecoveryManager,
@@ -17,11 +21,12 @@ from repro.persistence import (
     WalWriter,
     write_snapshot,
 )
-from repro.storage.database import Database
+from repro.persistence.checkpoint import CheckpointPolicy
+from repro.service import KokoService
 
 
 def snapshot_state_for(documents, checkpoint_id):
-    indexes = KokoIndexSet().build(Corpus(name="snap", documents=documents))
+    indexes = KokoIndexSet(columnar=True).build(Corpus(name="snap", documents=documents))
     return SnapshotState(
         checkpoint_id=checkpoint_id,
         name="snap",
@@ -30,7 +35,7 @@ def snapshot_state_for(documents, checkpoint_id):
         generations=[len(documents)],
         documents_by_shard=[documents],
         build_seconds_by_shard=[indexes.build_seconds],
-        databases=[indexes.to_database(Database())],
+        index_arrays=[indexes.to_arrays()],
     )
 
 TEXTS = [
@@ -147,6 +152,58 @@ def test_torn_middle_segment_drops_later_segments(tmp_path, documents):
     assert recovered.active_segment_id == 1
     # the out-of-order later segment is dropped rather than replayed
     assert layout.wal_segment_ids() == [1]
+
+
+def _stamp_version(layout, version):
+    for checkpoint_id in layout.snapshot_ids():
+        path = layout.snapshot_dir(checkpoint_id) / "manifest.json"
+        manifest = json.loads(path.read_text("utf-8"))
+        manifest["version"] = version
+        path.write_text(json.dumps(manifest), "utf-8")
+
+
+def _tree_state(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
+
+
+def test_layout_version_skew_fails_closed(tmp_path):
+    """A store of another layout version is refused, not partially reopened.
+
+    Before the check, recovery treated the skewed snapshots as corrupt,
+    booted from the un-pruned WAL tail alone (1 of 4 documents) and let the
+    next checkpoint prune the only complete snapshots.
+    """
+    with KokoService(
+        storage_dir=tmp_path,
+        checkpoint_policy=CheckpointPolicy.disabled(),
+        use_default_vectors=False,
+    ) as service:
+        for index, text in enumerate(TEXTS):
+            service.add_document(text, doc_id=f"doc{index}")
+            service.checkpoint()
+        service.add_document("Maria visited Beijing.", doc_id="doc3")
+        # killed here: doc3 is durable in the WAL tail only
+        service._wal.close()
+        service._wal = None
+    layout = StorageLayout(tmp_path)
+    _stamp_version(layout, LAYOUT_VERSION + 1)
+    before = _tree_state(tmp_path)
+
+    with pytest.raises(PersistenceError) as raised:
+        KokoService.open(tmp_path, use_default_vectors=False)
+    assert str(LAYOUT_VERSION + 1) in str(raised.value)
+    assert f"version {LAYOUT_VERSION}" in str(raised.value)
+    assert _tree_state(tmp_path) == before
+
+    # a corrupt newest snapshot is a different matter: fall back one
+    _stamp_version(layout, LAYOUT_VERSION)
+    newest = layout.snapshot_dir(layout.snapshot_ids()[-1])
+    (newest / "indexes-0.npz").write_bytes(b"bit rot")
+    with KokoService.open(tmp_path, use_default_vectors=False) as reopened:
+        assert sorted(reopened.document_ids()) == ["doc0", "doc1", "doc2", "doc3"]
 
 
 def test_operations_tally():

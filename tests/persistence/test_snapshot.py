@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import PersistenceError
 from repro.indexing.koko_index import KokoIndexSet
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Corpus
-from repro.persistence import SnapshotState, StorageLayout, load_snapshot, write_snapshot
+from repro.persistence import (
+    LAYOUT_VERSION,
+    LayoutVersionError,
+    SnapshotState,
+    StorageLayout,
+    load_snapshot,
+    read_snapshot_payloads,
+    state_from_payloads,
+    write_snapshot,
+)
 from repro.persistence.snapshot import find_latest_valid, validate_snapshot
-from repro.storage.database import Database
 
 TEXTS = [
     "Anna ate some delicious cheesecake that she bought at a grocery store.",
@@ -33,7 +44,7 @@ def documents():
 
 
 def snapshot_state_for(documents, checkpoint_id=3):
-    indexes = KokoIndexSet().build(Corpus(name="snap", documents=documents))
+    indexes = KokoIndexSet(columnar=True).build(Corpus(name="snap", documents=documents))
     return SnapshotState(
         checkpoint_id=checkpoint_id,
         name="snap",
@@ -42,7 +53,7 @@ def snapshot_state_for(documents, checkpoint_id=3):
         generations=[len(documents)],
         documents_by_shard=[documents],
         build_seconds_by_shard=[indexes.build_seconds],
-        databases=[indexes.to_database(Database())],
+        index_arrays=[indexes.to_arrays()],
     )
 
 
@@ -85,6 +96,95 @@ def test_write_validate_load_round_trip(tmp_path, documents):
     )
 
 
+def test_snapshot_directory_holds_columns_not_pickles(tmp_path, documents):
+    layout = StorageLayout(tmp_path)
+    layout.initialise()
+    directory = write_snapshot(layout, snapshot_state_for(documents))
+    assert sorted(p.name for p in directory.iterdir()) == [
+        "corpus-0.pkl",
+        "indexes-0.npz",
+        "manifest.json",
+    ]
+    with np.load(directory / "indexes-0.npz", allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    assert all(a.dtype.kind in "iu" and a.ndim == 1 for a in arrays.values())
+    # narrowest lossless dtype per column; PL/POS postings are not stored
+    assert arrays["W.sid"].dtype == np.uint8 and arrays["W.plid"].dtype == np.uint8
+    assert not any(name in arrays for name in ("PL.sid", "POS.sid", "PL.kid"))
+
+
+def _rewrite_index_payload(layout, checkpoint_id, mutate):
+    """Replace indexes-0.npz with a mutated copy and re-digest the manifest."""
+    directory = layout.snapshot_dir(checkpoint_id)
+    with np.load(directory / "indexes-0.npz", allow_pickle=False) as archive:
+        arrays = {name: archive[name].astype(np.int64) for name in archive.files}
+    mutate(arrays)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    (directory / "indexes-0.npz").write_bytes(buffer.getvalue())
+    manifest = json.loads((directory / "manifest.json").read_text("utf-8"))
+    manifest["files"]["indexes-0.npz"] = hashlib.sha256(buffer.getvalue()).hexdigest()
+    (directory / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+
+
+class _Boom:
+    def __reduce__(self):
+        return (pytest.fail, ("index payload was unpickled",))
+
+
+def _set(name, value):
+    return lambda arrays: arrays.__setitem__(name, value(arrays[name]))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda a: a.pop("W.tid"), id="missing-array"),
+        pytest.param(_set("W.depth", lambda c: c[:-1]), id="column-length-mismatch"),
+        pytest.param(_set("W.kid", lambda c: c + 1000), id="key-id-past-key-table"),
+        pytest.param(_set("W.wid", lambda c: c + 100000), id="word-id-past-interner"),
+        pytest.param(_set("W.plid", lambda c: np.where(c == c.max(), c.max() + 1, c)),
+                     id="plid-names-absent-node"),
+        pytest.param(_set("W.posid", lambda c: c - 7), id="negative-posid"),
+        pytest.param(_set("PL.parent_id", lambda c: c[::-1].copy()), id="trie-out-of-order"),
+        pytest.param(_set("E.text_id", lambda c: c + 100000), id="entity-string-id-past-table"),
+        pytest.param(_set("W.keys.ends", lambda c: c[:-1]), id="string-table-truncated"),
+        pytest.param(_set("W.left", lambda c: c.astype(np.float64)), id="float-column"),
+        pytest.param(_set("W.sid", lambda c: np.array([_Boom()] * len(c), dtype=object)),
+                     id="object-dtype-array"),
+    ],
+)
+def test_malformed_index_payload_is_refused(tmp_path, documents, mutate):
+    """Digest-consistent but structurally wrong columns never load."""
+    layout = StorageLayout(tmp_path)
+    layout.initialise()
+    write_snapshot(layout, snapshot_state_for(documents))
+    _rewrite_index_payload(layout, 3, mutate)
+    assert validate_snapshot(layout, 3) is not None  # the digests do match
+    with pytest.raises(PersistenceError):
+        load_snapshot(layout, 3)
+    manifest, payloads = read_snapshot_payloads(layout, 3)
+    with pytest.raises(PersistenceError):
+        state_from_payloads(manifest, payloads)
+
+
+def test_shipped_bytes_round_trip_and_version_check(tmp_path, documents):
+    layout = StorageLayout(tmp_path)
+    layout.initialise()
+    write_snapshot(layout, snapshot_state_for(documents))
+    manifest, payloads = read_snapshot_payloads(layout, 3)
+    assert sorted(payloads) == ["corpus-0.pkl", "indexes-0.npz"]
+    state = state_from_payloads(manifest, payloads)
+    assert state.index_sets[0].statistics().tokens == sum(
+        d.num_tokens for d in documents
+    )
+    skewed = dict(manifest, version=LAYOUT_VERSION + 1)
+    with pytest.raises(LayoutVersionError) as raised:
+        state_from_payloads(skewed, payloads)
+    assert str(LAYOUT_VERSION + 1) in str(raised.value)
+    assert f"version {LAYOUT_VERSION}" in str(raised.value)
+
+
 def test_tampered_file_fails_validation(tmp_path, documents):
     layout = StorageLayout(tmp_path)
     layout.initialise()
@@ -100,7 +200,7 @@ def test_missing_manifest_or_file_fails_validation(tmp_path, documents):
     layout = StorageLayout(tmp_path)
     layout.initialise()
     write_snapshot(layout, snapshot_state_for(documents))
-    (layout.snapshot_dir(3) / "indexes-0.db").unlink()
+    (layout.snapshot_dir(3) / "indexes-0.npz").unlink()
     assert validate_snapshot(layout, 3) is None
     assert validate_snapshot(layout, 99) is None  # absent snapshot
 
