@@ -21,7 +21,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from repro import ShardedKokoService
+from repro import KokoService
 
 CITY_QUERY = (
     'extract a:GPE from "input.txt" if () satisfying a '
@@ -40,7 +40,8 @@ def main() -> None:
     """Ingest a small corpus and print all three observability surfaces."""
     storage = Path(tempfile.mkdtemp(prefix="koko-observability-"))
     try:
-        with ShardedKokoService(
+        with KokoService(
+            shards=4,
             storage_dir=storage,
             trace_sample_rate=1.0,  # trace everything for the demo
             slow_query_ms=0.0,  # every op "slow": shows the entry shape

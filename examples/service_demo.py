@@ -9,7 +9,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from repro import KokoService, ShardedKokoService
+from repro import KokoService
 
 CITY_QUERY = (
     'extract a:GPE from "input.txt" if () satisfying a '
@@ -59,7 +59,7 @@ def main() -> None:
         print(f"  {key}: {value:.6g}" if isinstance(value, float) else f"  {key}: {value}")
 
     print("\n--- sharded service (4 hash partitions) ---")
-    with ShardedKokoService() as sharded:
+    with KokoService(shards=4) as sharded:
         texts = [
             "I ate a chocolate ice cream, which was delicious, and also ate a pie.",
             "Anna ate some delicious cheesecake that she bought at a grocery store.",

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Documentation lint: docstrings + ``__all__`` + markdown link check.
+"""Documentation lint: docstrings + ``__all__`` + markdown links + cited symbols.
 
 Stdlib-only (runs anywhere CI or a laptop has Python), mirroring the
 missing-docstring subset of pydocstyle/ruff that the repo enforces:
@@ -10,7 +10,10 @@ missing-docstring subset of pydocstyle/ruff that the repo enforces:
 * **ALL** — every linted module declares ``__all__`` (``__init__``
   modules included);
 * **LNK** — every relative markdown link in the checked documents points
-  at an existing file or directory.
+  at an existing file or directory;
+* **SYM** — every ``_private_name`` cited in ``docs/ARCHITECTURE.md``
+  occurs somewhere under ``src/repro/`` (the architecture document names
+  internals on purpose, so a refactor that deletes one must update it).
 
 Exit status 0 = clean; 1 = findings (printed one per line as
 ``path:line: CODE message``).
@@ -41,7 +44,12 @@ LINTED_PACKAGES = (
 #: markdown documents whose relative links must resolve
 LINKED_DOCUMENTS = ("README.md", "docs/*.md", "benchmarks/README.md")
 
+#: document whose cited ``_private_name`` identifiers must exist in the source
+SYMBOL_DOCUMENT = "docs/ARCHITECTURE.md"
+SYMBOL_SOURCES = "src/repro"
+
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_PRIVATE_NAME = re.compile(r"(?<![A-Za-z0-9_])_[A-Za-z]\w*")
 
 
 def lint_docstrings(module_path: Path, repo_root: Path) -> list[str]:
@@ -108,8 +116,26 @@ def lint_links(document: Path, repo_root: Path) -> list[str]:
     return findings
 
 
+def lint_symbols(document: Path, source_root: Path, repo_root: Path) -> list[str]:
+    """Findings for ``_private_name`` citations no source file contains."""
+    defined: set[str] = set()
+    for module_path in source_root.rglob("*.py"):
+        defined.update(_PRIVATE_NAME.findall(module_path.read_text(encoding="utf-8")))
+    findings: list[str] = []
+    relative = document.relative_to(repo_root)
+    for line_number, line in enumerate(
+        document.read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        for name in _PRIVATE_NAME.findall(line):
+            if name not in defined:
+                findings.append(
+                    f"{relative}:{line_number}: SYM {name} is not in {SYMBOL_SOURCES}/"
+                )
+    return findings
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run both lints over the configured packages and documents."""
+    """Run every lint over the configured packages and documents."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--root",
@@ -129,6 +155,10 @@ def main(argv: list[str] | None = None) -> int:
     for pattern in LINKED_DOCUMENTS:
         for document in sorted(root.glob(pattern)):
             findings.extend(lint_links(document, root))
+    if (root / SYMBOL_DOCUMENT).exists():
+        findings.extend(
+            lint_symbols(root / SYMBOL_DOCUMENT, root / SYMBOL_SOURCES, root)
+        )
 
     for finding in findings:
         print(finding)

@@ -23,7 +23,7 @@ from .nlp import Corpus, Document, Pipeline, Sentence, Token
 from .indexing import KokoIndexSet, ShardedIndexSet
 from .observability import ExplainedResult, MetricsRegistry, Span
 from .persistence import CheckpointPolicy
-from .service import KokoService, ServiceStats, ShardedKokoService
+from .service import KokoService, ServiceStats
 
 __version__ = "1.4.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "Sentence",
     "ServiceStats",
     "ShardedIndexSet",
-    "ShardedKokoService",
     "Span",
     "Token",
     "compile_query",

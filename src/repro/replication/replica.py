@@ -289,6 +289,7 @@ class ReplicaService:
                         info.get("end"),
                         info.get("lag_bytes"),
                         info.get("sent_unix"),
+                        info.get("position"),
                     )
                     # always ack: an idle-but-caught-up follower must keep
                     # refreshing its liveness (and its WAL retention pin)
@@ -350,8 +351,18 @@ class ReplicaService:
             transport.send(("ack", applied))
         return 0
 
-    def _note_primary_end(self, end, lag_bytes=None, sent_unix=None) -> None:
+    def _note_primary_end(
+        self, end, lag_bytes=None, sent_unix=None, sent_up_to=None
+    ) -> None:
         with self._lock:
+            if sent_up_to is not None and (
+                self._applied is None or sent_up_to > self._applied
+            ):
+                # a heartbeat's send cursor: the channel is ordered, so all
+                # the primary sent before it is applied and the cursor is a
+                # position we have reached (it moves past our last record
+                # when a checkpoint rotates the log)
+                self._applied = sent_up_to
             if end is not None and (
                 self._primary_end is None or end > self._primary_end
             ):

@@ -245,6 +245,11 @@ class ShipperSession:
                         "heartbeat",
                         {
                             "end": shipper.service.wal_position(),
+                            # every record before the cursor has been sent
+                            # on this (ordered) transport, so the follower
+                            # may raise its applied position to it — across
+                            # a rotation that is the new segment's start
+                            "position": cursor.position,
                             "acked": self.acked,
                             "lag_bytes": lag,
                             # wall-clock send time: the follower derives its

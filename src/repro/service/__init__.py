@@ -3,7 +3,7 @@
 from ..persistence import CheckpointPolicy
 from .cache import PlanCache, ResultCache
 from .locks import ReadWriteLock
-from .service import IngestAck, KokoService, ShardedKokoService
+from .service import IngestAck, KokoService
 from .stats import ServiceStats
 
 __all__ = [
@@ -14,5 +14,4 @@ __all__ = [
     "ReadWriteLock",
     "ResultCache",
     "ServiceStats",
-    "ShardedKokoService",
 ]

@@ -7,13 +7,18 @@ a long-lived server:
 * **Incremental ingestion** — :meth:`add_document` annotates raw text with
   the NLP pipeline and folds it into the live word, entity, PL and POS
   indexes (no rebuild); :meth:`remove_document` un-indexes a document.
-* **Staged concurrent ingest** — the write path is a pipeline: reserve a
-  sentence-id range under the meta lock (microseconds), run NLP annotation
-  *outside every lock* (optionally on a thread or process annotation
-  pool), append to the write-ahead log under its own group-commit
-  machinery, and splice postings under only the target shard's write lock.
-  Writers on different shards therefore ingest in parallel, and readers
-  are never blocked by annotation or fsync.
+* **One staged write path** — every write (``add_document``,
+  ``add_documents``, ``remove_document``, ``add_annotated_document``) is a
+  list of ops driven through the same stages: *claim* ids and
+  sentence-id ranges under the meta lock (microseconds), *annotate* raw
+  text outside every lock (optionally on a thread or process annotation
+  pool), *log* to the write-ahead log under its own group-commit
+  machinery, *apply* under only the target shards' write locks, *commit*
+  under the meta lock.  Recovery replay and replica apply run the same
+  claim → apply → commit on records that are already logged.  Writers
+  on different shards therefore ingest in parallel, and readers are
+  never blocked by annotation or fsync.  The claim/commit bookkeeping
+  lives in :class:`~repro.service.ingest.IngestState`.
 * **Hash-partitioned shards** — with ``shards=N`` the corpus is split
   across N :class:`~repro.indexing.koko_index.KokoIndexSet` partitions
   (stable hash of ``doc_id``, see
@@ -66,18 +71,19 @@ a long-lived server:
 
 Lock hierarchy (see ``docs/ARCHITECTURE.md`` for the full map)::
 
-    meta lock (+ condition)   — sid reservation, doc-id claims, routing,
-      │                         checkpoint drain barrier
-      ├─ per-shard RW locks   — readers share, the splice of one ingest
-      │                         write-locks exactly one shard
+    meta lock (+ condition)   — ``IngestState``: sid reservation, doc-id
+      │                         claims, routing, admission, checkpoint
+      │                         drain barrier
+      ├─ per-shard RW locks   — readers share, a write's apply stage
+      │                         write-locks exactly the shards it touches
       └─ WAL internal locks   — frame append mutex + group-commit condvar
 
-    The meta lock is never held while annotating, fsyncing or executing
-    queries: adds *and* removes follow the claim → log-off-lock → apply
-    shape, so no group commit (including any ``sync_interval`` linger)
-    ever happens under the meta lock.  Only ``add_annotated_document``
-    still appends under it (it has no off-lock work to pipeline), which is
-    safe because the WAL's own locks are leaves of the hierarchy.
+    The meta lock is never held while annotating, appending to the WAL,
+    waiting for an fsync, holding a shard write lock or executing a
+    query — on every write entry point.  A write that fails is undone by
+    its ops' progress: applied ops are un-applied, logged ops get the
+    inverse record appended (a remove for an add, an add for a remove)
+    so replay nets to nothing, and the claims are released.
 
 Consistency note: a result served from the cache always corresponds to one
 vector of shard generations.  An uncached query that overlaps an in-flight
@@ -91,7 +97,6 @@ import asyncio
 import hashlib
 import threading
 import time
-from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -127,10 +132,11 @@ from ..persistence import (
     write_snapshot,
 )
 from .cache import PlanCache, ResultCache
+from .ingest import APPLIED, LOGGED, IngestState, WriteOp
 from .locks import ReadWriteLock
 from .stats import ServiceStats
 
-__all__ = ["IngestAck", "KokoService", "ShardedKokoService"]
+__all__ = ["IngestAck", "KokoService"]
 
 
 @dataclass
@@ -419,7 +425,6 @@ class KokoService:
         self._checkpoint_policy = checkpoint_policy or CheckpointPolicy()
         self._checkpoint_lock = threading.Lock()
         self._checkpoint_id = 0
-        self._ops_since_checkpoint = 0
         self._last_checkpoint_monotonic = time.monotonic()
         self._closed = False
         self._wal_sync = wal_sync
@@ -520,28 +525,18 @@ class KokoService:
             )
             for shard_id in range(shards)
         ]
-        # Serialises the *metadata* of corpus mutation — sid reservation,
-        # doc-id claims, routing, generation finalisation — without ever
-        # blocking the per-shard read side.  Annotation, WAL fsync (add
-        # path) and posting splices all run outside it.  The condition
-        # carries the ingest drain barrier checkpoints use.
-        self._meta_lock = threading.Lock()
-        self._meta_cond = threading.Condition(self._meta_lock)
-        self._doc_shard: dict[str, int] = {}
-        self._pending_docs: set[str] = set()
-        self._pending_removes: set[str] = set()
-        self._sid_reservations: dict[int, int] = {}  # base sid -> reserved count
-        self._inflight_ingests = 0
-        self._ingest_barrier = 0
-        # admission control: text bytes of claimed-but-uncommitted ingests
-        self._max_inflight_ingest_bytes = max_inflight_ingest_bytes
-        self._inflight_ingest_bytes = 0
-        self._claimed_ingest_bytes: dict[str, int] = {}  # doc id -> admitted bytes
-        self._ingest_admission: deque = deque()  # FIFO claim tickets
+        # The meta lock and everything it guards — sid reservation, doc-id
+        # claims, routing, admission, the checkpoint drain barrier — live
+        # in the ingest state.  Annotation, WAL appends and posting
+        # splices all run outside that lock.
+        self._ingest = IngestState(
+            max_inflight_ingest_bytes,
+            ensure_open=self._ensure_open,
+            on_admission_wait=self.stats.record_backpressure_wait,
+        )
         # WAL retention pins (log shipping): callables returning the lowest
         # segment id a subscriber still needs, or None when idle
         self._wal_pins: list = []
-        self._next_sid = 0
         self._generations = [0] * shards
         self._shard_pool: ThreadPoolExecutor | None = (
             ThreadPoolExecutor(max_workers=shards, thread_name_prefix="koko-shard")
@@ -591,7 +586,7 @@ class KokoService:
             self._finish_recovery(recovered)
             self.stats.record_recovery(
                 time.perf_counter() - recovery_started,
-                documents=len(self._doc_shard),
+                documents=len(self),
                 replayed=len(recovered.operations),
                 torn_tail=recovered.torn_tail,
             )
@@ -603,7 +598,7 @@ class KokoService:
             self._adopt_snapshot(bootstrap_snapshot)
             self.stats.record_recovery(
                 time.perf_counter() - recovery_started,
-                documents=len(self._doc_shard),
+                documents=len(self),
                 replayed=0,
                 torn_tail=False,
             )
@@ -632,8 +627,8 @@ class KokoService:
             documents = snapshot.documents_by_shard[shard_id]
             shard.adopt(documents)
             for document in documents:
-                self._doc_shard[document.doc_id] = shard_id
-        self._next_sid = snapshot.next_sid
+                self._ingest.live[document.doc_id] = shard_id
+        self._ingest.next_sid = snapshot.next_sid
         self._generations = list(snapshot.generations)
         self._checkpoint_id = snapshot.checkpoint_id
 
@@ -643,20 +638,7 @@ class KokoService:
         if recovered.snapshot is not None:
             self._adopt_snapshot(recovered.snapshot)
         for record in recovered.operations:
-            if record.op == OP_ADD:
-                if record.document is None or record.doc_id in self._doc_shard:
-                    raise PersistenceError(
-                        f"WAL replay: bad add record for {record.doc_id!r}"
-                    )
-                self._apply_add_locked(record.document)
-            elif record.op == OP_REMOVE:
-                if record.doc_id not in self._doc_shard:
-                    raise PersistenceError(
-                        f"WAL replay: remove of unknown document {record.doc_id!r}"
-                    )
-                self._apply_remove_locked(record.doc_id)
-            else:  # pragma: no cover - defensive
-                raise PersistenceError(f"WAL replay: unknown op {record.op!r}")
+            self._apply_record(record)
         self._wal = WriteAheadLog(
             self._layout,
             recovered.active_segment_id,
@@ -671,7 +653,6 @@ class KokoService:
         # before the first bootstrap completed) gets a bootstrap snapshot
         # that pins the shard topology.
         if recovered.operations:
-            self._ops_since_checkpoint = len(recovered.operations)
             self.checkpoint()
         elif recovered.snapshot is None:
             self._write_bootstrap_snapshot()
@@ -697,7 +678,7 @@ class KokoService:
             checkpoint_id=checkpoint_id,
             name=self.name,
             num_shards=len(self._shards),
-            next_sid=self._next_sid,
+            next_sid=self._ingest.next_sid,
             generations=list(self._generations),
             documents_by_shard=documents_by_shard,
             build_seconds_by_shard=build_seconds,
@@ -724,23 +705,16 @@ class KokoService:
         self.stats.record_checkpoint_started()
         try:
             with self._checkpoint_lock:
-                with self._meta_cond:
-                    # Drain: a staged ingest may have appended to the WAL but
-                    # not yet spliced; rotating under it would strand a logged
-                    # operation in a segment the checkpoint claims to cover.
-                    self._ingest_barrier += 1
-                    try:
-                        while self._inflight_ingests:
-                            self._meta_cond.wait()
-                        if self._ops_since_checkpoint == 0:
-                            return None
-                        sealed = self._wal.rotate()
-                        state = self._capture_snapshot_state(checkpoint_id=sealed)
-                        self._ops_since_checkpoint = 0
-                        self._last_checkpoint_monotonic = time.monotonic()
-                    finally:
-                        self._ingest_barrier -= 1
-                        self._meta_cond.notify_all()
+                # Drain: a staged write may have appended to the WAL but not
+                # yet applied; rotating under it would strand a logged
+                # operation in a segment the checkpoint claims to cover.
+                with self._ingest.drained() as ingest:
+                    if ingest.uncheckpointed_ops == 0:
+                        return None
+                    sealed = self._wal.rotate()
+                    state = self._capture_snapshot_state(checkpoint_id=sealed)
+                    ingest.uncheckpointed_ops = 0
+                    self._last_checkpoint_monotonic = time.monotonic()
                 # File writes happen outside the meta lock: the captured state
                 # is immutable (column arrays are replaced, never written in
                 # place; documents are never mutated after ingest), so
@@ -760,7 +734,7 @@ class KokoService:
             return
         elapsed = time.monotonic() - self._last_checkpoint_monotonic
         if self._checkpoint_policy.due(
-            self._ops_since_checkpoint, self._wal.active_bytes, elapsed
+            self._ingest.uncheckpointed_ops, self._wal.active_bytes, elapsed
         ):
             try:
                 self.checkpoint()
@@ -799,18 +773,18 @@ class KokoService:
         when pruning, so a follower tailing segment *N* never has it
         folded away mid-read.
         """
-        with self._meta_lock:
+        with self._ingest.lock:
             self._wal_pins.append(pin)
 
     def unregister_wal_pin(self, pin) -> None:
         """Drop a previously registered retention pin (idempotent)."""
-        with self._meta_lock:
+        with self._ingest.lock:
             if pin in self._wal_pins:
                 self._wal_pins.remove(pin)
 
     def _wal_pin_floor(self) -> int | None:
         """The lowest WAL segment id any registered pin still needs."""
-        with self._meta_lock:
+        with self._ingest.lock:
             pins = list(self._wal_pins)
         floors = []
         for pin in pins:
@@ -834,38 +808,10 @@ class KokoService:
         follower means the stream diverged and a re-bootstrap is needed.
         """
         started = time.perf_counter()
-        with self._meta_lock:
-            self._ensure_open()
-            if record.op == OP_ADD:
-                if record.document is None or record.doc_id in self._doc_shard:
-                    raise PersistenceError(
-                        f"replicated add of {record.doc_id!r} is inconsistent "
-                        f"with the follower state"
-                    )
-                document = record.document
-                shard = self._apply_add_locked(document)
-                shard_id, removed = shard.shard_id, False
-            elif record.op == OP_REMOVE:
-                if record.doc_id not in self._doc_shard:
-                    raise PersistenceError(
-                        f"replicated remove of unknown document {record.doc_id!r}"
-                    )
-                shard_id, document = self._apply_remove_locked(record.doc_id)
-                removed = True
-            else:
-                raise PersistenceError(f"replicated record has unknown op {record.op!r}")
-        elapsed = time.perf_counter() - started
-        self.stats.record_ingest(
-            elapsed,
-            len(document),
-            document.num_tokens,
-            removed=removed,
-            shard=shard_id,
-        )
-        self._heat.record_splice(
-            shard_id, _estimate_document_bytes(document), elapsed
-        )
-        return document
+        self._ensure_open()
+        op = self._apply_record(record)
+        self._record_writes([op], time.perf_counter() - started)
+        return op.document
 
     @property
     def checkpoint_id(self) -> int:
@@ -873,7 +819,7 @@ class KokoService:
         return self._checkpoint_id
 
     # ------------------------------------------------------------------
-    # ingestion (write side) — the staged concurrent pipeline
+    # ingestion (write side) — the one staged write path
     # ------------------------------------------------------------------
     def add_document(
         self,
@@ -937,109 +883,11 @@ class KokoService:
         Returns the annotated :class:`~repro.nlp.types.Document` — or the
         :class:`IngestAck` wrapping it when ``wait_durable=False``.
         """
-        started = time.perf_counter()
-        # Stage 0 (no lock): a cheap sentence split sizes the sid range to
-        # reserve.  Empty sentences are skipped by annotation, so a
-        # reservation is an upper bound — unused sids become gaps, which
-        # the sid-keyed indexes tolerate by construction.
-        # The text is split again inside annotate(): the reservation must
-        # be sized before annotation runs, and re-using the same splitter
-        # keeps the count an exact upper bound of the sids annotate() will
-        # assign.
-        reserve = len(self.pipeline.tokenizer.split_sentences(text))
-        resolved_id, base_sid, consumed = self._claim_ingest(
-            doc_id, reserve, first_sid, ingest_bytes=len(text.encode("utf-8"))
-        )
-        trace: Span | None = None
-        frag: TraceContext | None = None
-        sampled = (
-            trace_context.sampled
-            if trace_context is not None
-            else self._tracer.should_sample()
-        )
-        if sampled:
-            self._traces_sampled.inc()
-            frag = (
-                trace_context.child()
-                if trace_context is not None
-                else TraceContext.root()
-            )
-            trace = Span("ingest", doc_id=resolved_id, trace_id=frag.trace_id)
-        logged = False
-        frame_bytes = 0
-        try:
-            # Stage 1 (no lock): heavy NLP annotation.
-            stage_started = time.perf_counter()
-            document = self._annotate_off_lock(text, resolved_id, base_sid)
-            annotate_s = time.perf_counter() - stage_started
-            if trace is not None:
-                trace.record("annotate", annotate_s, sentences=len(document))
-            # Stage 2 (no lock): write-ahead logging; group commit batches
-            # concurrent fsyncs.  Durable before visible — unless the
-            # caller opted into pipelined acks, where the fsync wait moves
-            # behind the returned ticket and the splice proceeds at once.
-            wal_span = trace.child("wal") if trace is not None else None
-            stage_started = time.perf_counter()
-            record = WalRecord(
-                op=OP_ADD, doc_id=resolved_id, document=document, trace=frag
-            )
-            ticket: CommitTicket | None = None
-            if wait_durable:
-                frame_bytes = self._log(record, trace=wal_span)
-            else:
-                frame_bytes, ticket = self._log_pipelined(record, trace=wal_span)
-            wal_s = time.perf_counter() - stage_started
-            if wal_span is not None:
-                wal_span.annotate(frame_bytes=frame_bytes)
-                wal_span.finish()
-            logged = self._wal is not None
-            # Stage 3 (one shard's write lock): splice postings.
-            stage_started = time.perf_counter()
-            shard = self._splice_into_shard(document)
-            splice_s = time.perf_counter() - stage_started
-            if trace is not None:
-                trace.record("splice", splice_s, shard=shard.shard_id)
-        except BaseException:
-            self._abort_ingest(resolved_id, logged=logged, reservation=consumed)
-            raise
-        self._commit_ingest(resolved_id, shard.shard_id)
-        elapsed = time.perf_counter() - started
-        self.stats.record_ingest(
-            elapsed, len(document), document.num_tokens, shard=shard.shard_id
-        )
-        self._heat.record_splice(
-            shard.shard_id,
-            frame_bytes or _estimate_document_bytes(document),
-            splice_s,
-        )
-        if trace is not None:
-            trace.annotate(shard=shard.shard_id, tokens=document.num_tokens)
-            trace.finish()
-            self._trace_store.record(
-                frag,
-                trace,
-                parent_span_id=(
-                    trace_context.span_id if trace_context is not None else None
-                ),
-                kind="ingest",
-                node=self.name,
-            )
-        self._observe_slow_ingest(
-            "ingest",
-            elapsed,
-            doc_id=resolved_id,
-            shard=shard.shard_id,
-            stages={"annotate": annotate_s, "wal": wal_s, "splice": splice_s},
-            frame_bytes=frame_bytes,
-            sentences=len(document),
-            tokens=document.num_tokens,
-            trace=trace,
-            trace_id=frag.trace_id if frag is not None else None,
-            client_id=client_id,
-        )
+        op = WriteOp(OP_ADD, doc_id, text=text, first_sid=first_sid)
+        ticket = self._write([op], wait_durable, trace_context, client_id)
         if not wait_durable:
-            return IngestAck(document=document, ticket=ticket)
-        return document
+            return IngestAck(document=op.document, ticket=ticket)
+        return op.document
 
     def add_documents(
         self,
@@ -1064,101 +912,25 @@ class KokoService:
         fsync wait entirely — call :meth:`wait_durable` afterwards to make
         the whole load durable with a single flush.
 
-        A failure mid-chunk rolls that chunk back (compensating WAL
-        removes for logged records, claims released); previously completed
-        chunks stay committed.  Returns the annotated documents in input
-        order.
+        A failure mid-chunk rolls that chunk back (documents already
+        spliced are un-spliced, logged records are cancelled by inverse
+        WAL records, claims released); previously completed chunks stay
+        committed.  Returns the annotated documents in input order.
         """
         texts = list(texts)
-        if doc_ids is not None:
-            doc_ids = list(doc_ids)
-            if len(doc_ids) != len(texts):
-                raise ServiceError(
-                    f"doc_ids length {len(doc_ids)} != texts length {len(texts)}"
-                )
+        doc_ids = list(doc_ids) if doc_ids is not None else [None] * len(texts)
+        if len(doc_ids) != len(texts):
+            raise ServiceError(
+                f"doc_ids length {len(doc_ids)} != texts length {len(texts)}"
+            )
         if batch_size < 1:
             raise ServiceError(f"batch_size must be >= 1, got {batch_size}")
-        documents: list[Document] = []
-        for start in range(0, len(texts), batch_size):
-            chunk = texts[start : start + batch_size]
-            chunk_ids = (
-                doc_ids[start : start + batch_size]
-                if doc_ids is not None
-                else [None] * len(chunk)
-            )
-            documents.extend(
-                self._add_documents_chunk(chunk, chunk_ids, wait_durable)
-            )
-        return documents
-
-    def _add_documents_chunk(
-        self, texts: list[str], doc_ids: list[str | None], wait_durable: bool
-    ) -> list[Document]:
-        """Ingest one bulk chunk: one claim, one fsync, one commit round."""
-        started = time.perf_counter()
-        reserves = [
-            len(self.pipeline.tokenizer.split_sentences(text)) for text in texts
+        ops = [
+            WriteOp(OP_ADD, doc_id, text=text) for doc_id, text in zip(doc_ids, texts)
         ]
-        sizes = [len(text.encode("utf-8")) for text in texts]
-        claims = self._claim_ingest_batch(doc_ids, reserves, sizes)
-        logged_ids: list[str] = []
-        try:
-            documents = [
-                self._annotate_off_lock(text, resolved_id, base_sid)
-                for text, (resolved_id, base_sid) in zip(texts, claims)
-            ]
-            # WAL appends are buffered; one group commit at the end covers
-            # the whole chunk (~1 fsync instead of len(texts)).
-            ticket: CommitTicket | None = None
-            frame_total = 0
-            for document in documents:
-                appended, doc_ticket = self._log_pipelined(
-                    WalRecord(op=OP_ADD, doc_id=document.doc_id, document=document)
-                )
-                frame_total += appended
-                if doc_ticket is not None:
-                    logged_ids.append(document.doc_id)
-                    ticket = doc_ticket
-            if wait_durable and ticket is not None:
-                ticket.wait()  # durable before visible, amortised
-            # Splice grouped per shard: one write-lock round per shard.
-            by_shard: dict[int, list[Document]] = {}
-            for document in documents:
-                shard_id = self._index_set.shard_id(document.doc_id)
-                by_shard.setdefault(shard_id, []).append(document)
-            assignments: list[tuple[str, int]] = []
-            for shard_id in sorted(by_shard):
-                shard = self._shards[shard_id]
-                shard_docs = by_shard[shard_id]
-                splice_started = time.perf_counter()
-                with shard.lock.write_locked():
-                    for document in shard_docs:
-                        shard.splice(document)
-                    # one bump per document keeps generation counters
-                    # identical to a record-at-a-time replica apply
-                    self._generations[shard_id] += len(shard_docs)
-                self._heat.record_splice(
-                    shard_id,
-                    sum(_estimate_document_bytes(d) for d in shard_docs),
-                    time.perf_counter() - splice_started,
-                )
-                assignments.extend(
-                    (document.doc_id, shard_id) for document in shard_docs
-                )
-        except BaseException:
-            self._abort_ingest_batch(claims, logged_ids)
-            raise
-        self._commit_ingest_batch(assignments)
-        per_doc = (time.perf_counter() - started) / max(len(documents), 1)
-        shard_of = dict(assignments)
-        for document in documents:
-            self.stats.record_ingest(
-                per_doc,
-                len(document),
-                document.num_tokens,
-                shard=shard_of[document.doc_id],
-            )
-        return documents
+        for start in range(0, len(ops), batch_size):
+            self._write(ops[start : start + batch_size], wait_durable)
+        return [op.document for op in ops]
 
     def wait_durable(self) -> WalPosition | None:
         """Make every operation logged before this call durable.
@@ -1178,34 +950,13 @@ class KokoService:
 
         The document's sentence ids must be fresh; documents annotated with
         ``first_sid=service.next_sid()`` (or produced by this service's own
-        pipeline flow) satisfy that.  Runs entirely under the meta lock —
-        there is no annotation stage to pipeline — so it serialises with
-        other metadata operations but never blocks shard readers for
-        longer than the splice itself.
+        pipeline flow) satisfy that.  Staged like every other write, minus
+        the annotation: the claim checks the sid span and the id under the
+        meta lock, the WAL append and the splice run outside it.  A failed
+        ingest leaves the claimed sid span as a gap, so a retry needs the
+        document re-annotated at the new :meth:`next_sid`.
         """
-        started = time.perf_counter()
-        with self._meta_lock:
-            self._ensure_open()
-            if document.doc_id in self._doc_shard or document.doc_id in self._pending_docs:
-                raise ServiceError(f"document id {document.doc_id!r} already ingested")
-            for sentence in document:
-                if sentence.sid < self._next_sid:
-                    raise ServiceError(
-                        f"sentence id {sentence.sid} of document "
-                        f"{document.doc_id!r} is not fresh (next sid is "
-                        f"{self._next_sid})"
-                    )
-            self._log(WalRecord(op=OP_ADD, doc_id=document.doc_id, document=document))
-            shard = self._apply_add_locked(document)
-            if self._wal is not None:
-                self._ops_since_checkpoint += 1
-        self.stats.record_ingest(
-            time.perf_counter() - started,
-            len(document),
-            document.num_tokens,
-            shard=shard.shard_id,
-        )
-        self._heat.record_splice(shard.shard_id, _estimate_document_bytes(document))
+        self._write([WriteOp(OP_ADD, document.doc_id, document=document)])
         return document
 
     def remove_document(
@@ -1230,89 +981,9 @@ class KokoService:
         WAL-logged (and fsynced) *before* it is applied — durable before
         invisible.
         """
-        started = time.perf_counter()
-        document, shard_id = self._claim_remove(doc_id)
-        trace: Span | None = None
-        frag: TraceContext | None = None
-        sampled = (
-            trace_context.sampled
-            if trace_context is not None
-            else self._tracer.should_sample()
-        )
-        if sampled:
-            self._traces_sampled.inc()
-            frag = (
-                trace_context.child()
-                if trace_context is not None
-                else TraceContext.root()
-            )
-            trace = Span("remove", doc_id=doc_id, trace_id=frag.trace_id)
-        logged = False
-        frame_bytes = 0
-        try:
-            # Off-lock: group-committed WAL append (durable before applied).
-            wal_span = trace.child("wal") if trace is not None else None
-            stage_started = time.perf_counter()
-            frame_bytes = self._log(
-                WalRecord(op=OP_REMOVE, doc_id=doc_id, trace=frag), trace=wal_span
-            )
-            wal_s = time.perf_counter() - stage_started
-            if wal_span is not None:
-                wal_span.annotate(frame_bytes=frame_bytes)
-                wal_span.finish()
-            logged = self._wal is not None
-            # One shard's write lock: un-splice the postings.
-            stage_started = time.perf_counter()
-            shard = self._shards[shard_id]
-            with shard.lock.write_locked():
-                shard.unsplice(document)
-                self._generations[shard_id] += 1
-            unsplice_s = time.perf_counter() - stage_started
-            if trace is not None:
-                trace.record("unsplice", unsplice_s, shard=shard_id)
-        except BaseException:
-            self._abort_remove(doc_id, document if logged else None)
-            raise
-        self._commit_remove(doc_id)
-        elapsed = time.perf_counter() - started
-        self.stats.record_ingest(
-            elapsed,
-            len(document),
-            document.num_tokens,
-            removed=True,
-            shard=shard_id,
-        )
-        self._heat.record_splice(
-            shard_id,
-            frame_bytes or _estimate_document_bytes(document),
-            unsplice_s,
-        )
-        if trace is not None:
-            trace.annotate(shard=shard_id)
-            trace.finish()
-            self._trace_store.record(
-                frag,
-                trace,
-                parent_span_id=(
-                    trace_context.span_id if trace_context is not None else None
-                ),
-                kind="ingest",
-                node=self.name,
-            )
-        self._observe_slow_ingest(
-            "remove",
-            elapsed,
-            doc_id=doc_id,
-            shard=shard_id,
-            stages={"wal": wal_s, "unsplice": unsplice_s},
-            frame_bytes=frame_bytes,
-            sentences=len(document),
-            tokens=document.num_tokens,
-            trace=trace,
-            trace_id=frag.trace_id if frag is not None else None,
-            client_id=client_id,
-        )
-        return document
+        op = WriteOp(OP_REMOVE, doc_id)
+        self._write([op], trace_context=trace_context, client_id=client_id)
+        return op.document
 
     def reserve_sids(self, count: int) -> int:
         """Atomically reserve a contiguous range of *count* sentence ids.
@@ -1333,101 +1004,111 @@ class KokoService:
         """
         if count < 0:
             raise ServiceError(f"cannot reserve a negative sid range ({count})")
-        with self._meta_lock:
-            self._ensure_open()
-            base = self._next_sid
-            self._next_sid += max(count, 1)
-            self._sid_reservations[base] = count
-            return base
+        return self._ingest.reserve_sids(count)
 
-    # -- staged-pipeline plumbing --------------------------------------
-    def _claim_ingest(
+    # -- the write state machine ---------------------------------------
+    def _write(
         self,
-        doc_id: str | None,
-        reserve: int,
-        first_sid: int | None,
-        ingest_bytes: int = 0,
-    ) -> tuple[str, int, tuple[int, int] | None]:
-        """Claim a doc id and reserve a sid range (meta lock, microseconds).
+        ops: list[WriteOp],
+        wait_durable: bool = True,
+        trace_context: TraceContext | None = None,
+        client_id: str | None = None,
+    ) -> CommitTicket | None:
+        """Drive *ops* through claim → annotate → log → apply → commit.
 
-        Returns ``(resolved_id, base_sid, consumed_reservation)`` — the
-        last element is the ``(base, count)`` of a :meth:`reserve_sids`
-        reservation this claim consumed (so an aborted ingest can restore
-        it), or ``None``.  The claim blocks while a checkpoint drain
-        barrier is up — or, with ``max_inflight_ingest_bytes`` set, while
-        admitting *ingest_bytes* would push the in-flight annotation bytes
-        over the bound (backpressure; an oversized document is still
-        admitted once the pipeline is empty, so nothing deadlocks) — and
-        marks the ingest in-flight so checkpoints wait for it
-        symmetrically.  Admission is FIFO, so a large blocked document is
-        never starved by smaller claims arriving behind it.
+        The only writer of the corpus: one meta-lock round claims every
+        op, raw text is annotated and the records are logged with no
+        service lock held, the ops are applied grouped per shard under
+        that shard's write lock, and one more meta-lock round publishes
+        them.  On any failure :meth:`_abort` undoes each op as far as its
+        ``progress`` says it got.  Returns the commit ticket of a
+        pipelined (``wait_durable=False``) write, else ``None``.
         """
-        with self._meta_cond:
-            # admission is FIFO (ticketed): without an order, a large
-            # document blocked on the byte budget could be starved forever
-            # by a stream of small claims slipping into the headroom
-            ticket = object()
-            self._ingest_admission.append(ticket)
-            try:
-                waited_for_admission = False
-                while True:
-                    over_budget = (
-                        self._max_inflight_ingest_bytes is not None
-                        and self._inflight_ingest_bytes > 0
-                        and self._inflight_ingest_bytes + ingest_bytes
-                        > self._max_inflight_ingest_bytes
+        started = time.perf_counter()
+        # Stage 0 (no lock): a cheap sentence split sizes the sid range to
+        # reserve.  Empty sentences are skipped by annotation, so a
+        # reservation is an upper bound — unused sids become gaps, which
+        # the sid-keyed indexes tolerate by construction.  The text is
+        # split again inside annotate(): the reservation must be sized
+        # before annotation runs, and re-using the same splitter keeps the
+        # count an exact upper bound of the sids annotate() will assign.
+        for op in ops:
+            if op.text is not None:
+                op.reserve = len(self.pipeline.tokenizer.split_sentences(op.text))
+                op.nbytes = len(op.text.encode("utf-8"))
+        self._ingest.claim(ops)
+        kind = "remove" if ops[0].kind == OP_REMOVE else "ingest"
+        trace, frag = self._start_trace(kind, trace_context, doc_id=ops[0].doc_id)
+        stages: dict[str, float] = {}
+        try:
+            self._route(ops)
+            # Stage 1 (no lock): heavy NLP annotation.
+            raw = [op for op in ops if op.text is not None]
+            if raw:
+                stage_started = time.perf_counter()
+                for op in raw:
+                    op.document = self._annotate_off_lock(
+                        op.text, op.doc_id, op.base_sid
                     )
-                    if (
-                        not self._ingest_barrier
-                        and self._ingest_admission[0] is ticket
-                        and not over_budget
-                    ):
-                        break
-                    if not self._ingest_barrier and not waited_for_admission:
-                        waited_for_admission = True
-                        self.stats.record_backpressure_wait()
-                    self._meta_cond.wait()
-            finally:
-                # admitted (or raising): stop gating the claims behind us.
-                # The rest of the claim runs without releasing the lock, so
-                # dropping the ticket here cannot let anyone overtake.
-                self._ingest_admission.remove(ticket)
-                self._meta_cond.notify_all()
-            self._ensure_open()
-            resolved = doc_id if doc_id is not None else self._fresh_doc_id()
-            if resolved in self._doc_shard or resolved in self._pending_docs:
-                raise ServiceError(f"document id {resolved!r} already ingested")
-            consumed: tuple[int, int] | None = None
-            if first_sid is not None:
-                reserved = self._sid_reservations.get(first_sid)
-                if reserved is not None:
-                    if reserved < reserve:
-                        # leave the reservation intact: the caller can
-                        # retry with a correctly sized range
-                        raise ServiceError(
-                            f"sid range at {first_sid} reserved {reserved} ids "
-                            f"but the document needs {reserve} (size "
-                            f"reservations with tokenizer.split_sentences)"
-                        )
-                    del self._sid_reservations[first_sid]
-                    consumed = (first_sid, reserved)
-                elif first_sid >= self._next_sid:
-                    self._next_sid = first_sid + reserve
-                else:
-                    raise ServiceError(
-                        f"first_sid {first_sid} is neither a reserved range "
-                        f"nor fresh (next sid is {self._next_sid})"
+                stages["annotate"] = time.perf_counter() - stage_started
+                if trace is not None:
+                    trace.record(
+                        "annotate",
+                        stages["annotate"],
+                        sentences=sum(len(op.document) for op in raw),
                     )
-                base = first_sid
-            else:
-                base = self._next_sid
-                self._next_sid += reserve
-            self._pending_docs.add(resolved)
-            self._inflight_ingests += 1
-            if ingest_bytes:
-                self._inflight_ingest_bytes += ingest_bytes
-                self._claimed_ingest_bytes[resolved] = ingest_bytes
-            return resolved, base, consumed
+            # Stage 2 (no lock): write-ahead logging; group commit batches
+            # concurrent fsyncs.  Durable before visible — unless the
+            # caller opted into pipelined acks, where the fsync wait moves
+            # behind the returned ticket and the apply proceeds at once.
+            wal_span = trace.child("wal") if trace is not None else None
+            stage_started = time.perf_counter()
+            ticket = self._log(ops, wait_durable, frag, wal_span)
+            stages["wal"] = time.perf_counter() - stage_started
+            if wal_span is not None:
+                wal_span.annotate(frame_bytes=sum(op.frame_bytes for op in ops))
+                wal_span.finish()
+            # Stage 3 (the touched shards' write locks): splice postings.
+            stage_started = time.perf_counter()
+            self._apply(ops, trace)
+            applied = "unsplice" if kind == "remove" else "splice"
+            stages[applied] = time.perf_counter() - stage_started
+        except BaseException:
+            self._abort(ops)
+            raise
+        self._ingest.commit(ops)
+        elapsed = time.perf_counter() - started
+        self._record_writes(ops, elapsed)
+        if trace is not None:
+            trace.annotate(
+                shard=ops[0].shard_id,
+                tokens=sum(op.document.num_tokens for op in ops),
+            )
+            self._finish_trace(trace, frag, trace_context, "ingest")
+        self._observe_slow_ingest(
+            kind, elapsed, ops, stages, trace, frag and frag.trace_id, client_id
+        )
+        return ticket
+
+    def _route(self, ops: list[WriteOp]) -> None:
+        """Fix each claimed op's shard, and a remove's document.
+
+        No lock needed: nothing else may touch a claimed id, so the
+        routing and the live document are stable for the claim's duration.
+        """
+        for op in ops:
+            if op.kind == OP_ADD:
+                op.shard_id = self._index_set.shard_id(op.doc_id)
+                continue
+            op.document = self._shards[op.shard_id].documents.get(op.doc_id)
+            if op.document is None:
+                # a previous removal failed partway through its un-splice:
+                # the id is routed but the document is gone from the shard
+                raise ServiceError(
+                    f"document id {op.doc_id!r} is in an inconsistent state "
+                    f"after a failed removal; reopen the service to replay "
+                    f"the durable history"
+                )
 
     def _annotate_off_lock(self, text: str, doc_id: str, first_sid: int) -> Document:
         """Run NLP annotation with no service lock held (stage 1)."""
@@ -1440,314 +1121,148 @@ class KokoService:
             self.pipeline.annotate, text, doc_id=doc_id, first_sid=first_sid
         ).result()
 
-    def _splice_into_shard(self, document: Document) -> _Shard:
-        """Splice postings under only the target shard's write lock (stage 3)."""
-        shard = self._shards[self._index_set.shard_id(document.doc_id)]
-        with shard.lock.write_locked():
-            shard.splice(document)
-            self._generations[shard.shard_id] += 1
-        return shard
-
-    def _commit_ingest(self, doc_id: str, shard_id: int) -> None:
-        """Publish a finished staged ingest (meta lock, microseconds)."""
-        with self._meta_cond:
-            self._doc_shard[doc_id] = shard_id
-            self._pending_docs.discard(doc_id)
-            self._inflight_ingest_bytes -= self._claimed_ingest_bytes.pop(doc_id, 0)
-            if self._wal is not None:
-                self._ops_since_checkpoint += 1
-            self._inflight_ingests -= 1
-            self._meta_cond.notify_all()
-
-    def _abort_ingest(
+    def _log(
         self,
-        doc_id: str,
-        logged: bool = False,
-        reservation: tuple[int, int] | None = None,
-    ) -> None:
-        """Roll back a failed staged ingest.
+        ops: list[WriteOp],
+        wait_durable: bool,
+        trace_context: TraceContext | None = None,
+        trace: Span | None = None,
+    ) -> CommitTicket | None:
+        """Write-ahead: put *ops* in the log, in order, before they apply.
 
-        A consumed :meth:`reserve_sids` *reservation* is restored so the
-        caller can retry a transient failure with the same planned
-        ``first_sid``; an implicit sid range simply leaks (a harmless gap
-        — sids only need to be unique and monotonic).
-
-        When the add was already WAL-logged (the failure struck between
-        the durable append and the splice), a compensating remove record
-        is appended so replay nets to nothing — otherwise a restart would
-        resurrect a document whose ingest the caller saw fail, and a
-        successful retry of the same doc id would make replay see two
-        adds for one id and refuse to open the store.
+        A lone durable op is one synchronous :meth:`WriteAheadLog.append`;
+        a chunk or a pipelined ack is buffered appends (log order fixed)
+        and one ticket, waited on here when *wait_durable* — one group
+        commit covers the whole chunk.  Concurrent calls coalesce their
+        fsyncs.  A no-op without a local log (memory-only service, replica,
+        recovery replay), where every op counts as logged.  ``trace`` is
+        forwarded to the WAL for ``wal_append``/``fsync_wait`` child spans.
         """
-        if logged:
+        wal = self._wal
+        ticket: CommitTicket | None = None
+        for op in ops:
+            if wal is not None:
+                if trace_context is not None:
+                    self._wal_traces_logged += 1
+                record = op.record(trace_context)
+                if wait_durable and len(ops) == 1:
+                    op.frame_bytes = wal.append(record, trace=trace)
+                else:
+                    op.frame_bytes, ticket = wal.append_pipelined(record, trace=trace)
+                self.stats.record_wal_append(op.frame_bytes)
+            op.progress = LOGGED
+        if wait_durable and ticket is not None:
+            ticket.wait()  # durable before visible, amortised over the chunk
+        return ticket
+
+    def _apply(self, ops: list[WriteOp], trace: Span | None = None) -> None:
+        """Splice adds and un-splice removes, grouped per shard.
+
+        One write-lock round per touched shard; one generation bump per
+        document keeps the counters identical to a record-at-a-time
+        replica apply.
+        """
+        by_shard: dict[int, list[WriteOp]] = {}
+        for op in ops:
+            by_shard.setdefault(op.shard_id, []).append(op)
+        for shard_id in sorted(by_shard):
+            shard = self._shards[shard_id]
+            group = by_shard[shard_id]
+            started = time.perf_counter()
+            with shard.lock.write_locked():
+                for op in group:
+                    if op.kind == OP_ADD:
+                        shard.splice(op.document)
+                    else:
+                        shard.unsplice(op.document)
+                    self._generations[shard_id] += 1
+                    op.progress = APPLIED
+            seconds = time.perf_counter() - started
+            for op in group:
+                op.apply_seconds = seconds / len(group)
+            if trace is not None:
+                name = "splice" if group[0].kind == OP_ADD else "unsplice"
+                trace.record(name, seconds, shard=shard_id)
+
+    def _abort(self, ops: list[WriteOp]) -> None:
+        """Undo a failed write exactly as far as each op's progress got.
+
+        Every logged op gets its inverse record appended (a remove for an
+        add, an add for a remove) so replay — and every replica — nets to
+        nothing: otherwise a restart would resurrect a document whose
+        ingest the caller saw fail, and a successful retry of the same id
+        would make replay see two adds and refuse to open the store.
+        Applied ops are then un-applied through the same :meth:`_apply`,
+        and the claims are released (restoring a consumed
+        :meth:`reserve_sids` range).
+        """
+        reached_log = [op for op in ops if op.progress in (LOGGED, APPLIED)]
+        try:
             try:
-                self._log(WalRecord(op=OP_REMOVE, doc_id=doc_id))
+                self._log([op.inverse() for op in reached_log], wait_durable=True)
             except Exception:
                 # The WAL itself is failing; the original error (about to
                 # propagate from the caller) is the actionable one.  The
-                # orphaned add record can at worst resurrect this document
-                # on restart.
+                # orphaned records can at worst replay on restart.
                 pass
-        with self._meta_cond:
-            self._pending_docs.discard(doc_id)
-            self._inflight_ingest_bytes -= self._claimed_ingest_bytes.pop(doc_id, 0)
-            if reservation is not None:
-                self._sid_reservations.setdefault(*reservation)
-            self._inflight_ingests -= 1
-            if logged and self._wal is not None:
-                # the add + compensating remove both count toward the
-                # checkpoint policy's ops threshold
-                self._ops_since_checkpoint += 2
-            self._meta_cond.notify_all()
+            self._apply(
+                [op.inverse() for op in reversed(ops) if op.progress == APPLIED]
+            )
+        finally:
+            self._ingest.abort(ops)
 
-    def _claim_ingest_batch(
-        self,
-        doc_ids: list[str | None],
-        reserves: list[int],
-        sizes: list[int],
-    ) -> list[tuple[str, int]]:
-        """Claim a whole bulk chunk in one meta-lock round.
+    def _apply_record(self, record: WalRecord) -> WriteOp:
+        """Apply one record that is already in a log (replay, replica).
 
-        The batch analogue of :meth:`_claim_ingest`: one FIFO admission
-        ticket covers the chunk (its total bytes are admitted together, so
-        backpressure sees the true load), every id is resolved/validated
-        and every sid range reserved under a single lock acquisition, and
-        the chunk counts as **one** in-flight unit for the checkpoint
-        drain barrier.  Returns ``(resolved_id, base_sid)`` per document.
-        On any validation failure the whole chunk's claims are released
-        before the error propagates — bulk claims are all-or-nothing.
+        The same claim → apply → commit as :meth:`_write`, minus the
+        stages a logged record is past; the claim is what validates it
+        against the current state.  Raises :class:`PersistenceError` on a
+        malformed record or one that contradicts the state (duplicate add,
+        remove of an unknown id).
         """
-        total_bytes = sum(sizes)
-        with self._meta_cond:
-            ticket = object()
-            self._ingest_admission.append(ticket)
-            try:
-                waited_for_admission = False
-                while True:
-                    over_budget = (
-                        self._max_inflight_ingest_bytes is not None
-                        and self._inflight_ingest_bytes > 0
-                        and self._inflight_ingest_bytes + total_bytes
-                        > self._max_inflight_ingest_bytes
-                    )
-                    if (
-                        not self._ingest_barrier
-                        and self._ingest_admission[0] is ticket
-                        and not over_budget
-                    ):
-                        break
-                    if not self._ingest_barrier and not waited_for_admission:
-                        waited_for_admission = True
-                        self.stats.record_backpressure_wait()
-                    self._meta_cond.wait()
-            finally:
-                self._ingest_admission.remove(ticket)
-                self._meta_cond.notify_all()
-            self._ensure_open()
-            claims: list[tuple[str, int]] = []
-            try:
-                for doc_id, reserve, size in zip(doc_ids, reserves, sizes):
-                    resolved = (
-                        doc_id if doc_id is not None else self._fresh_doc_id()
-                    )
-                    if resolved in self._doc_shard or resolved in self._pending_docs:
-                        raise ServiceError(
-                            f"document id {resolved!r} already ingested"
-                        )
-                    base = self._next_sid
-                    self._next_sid += reserve
-                    # marking pending as we go keeps later ids in the same
-                    # chunk (and _fresh_doc_id) from colliding with this one
-                    self._pending_docs.add(resolved)
-                    if size:
-                        self._claimed_ingest_bytes[resolved] = size
-                    claims.append((resolved, base))
-            except BaseException:
-                for resolved, _ in claims:
-                    self._pending_docs.discard(resolved)
-                    self._claimed_ingest_bytes.pop(resolved, None)
-                self._meta_cond.notify_all()
-                raise
-            self._inflight_ingests += 1
-            self._inflight_ingest_bytes += total_bytes
-            return claims
+        if record.op == OP_ADD and record.document is not None:
+            op = WriteOp(
+                OP_ADD, record.doc_id, document=record.document, replayed=True
+            )
+        elif record.op == OP_REMOVE:
+            op = WriteOp(OP_REMOVE, record.doc_id, replayed=True)
+        else:
+            raise PersistenceError(
+                f"malformed {record.op!r} record for {record.doc_id!r}"
+            )
+        try:
+            self._ingest.claim([op])
+        except ServiceError as exc:
+            raise PersistenceError(
+                f"logged {record.op} of {record.doc_id!r} contradicts the "
+                f"current state: {exc}"
+            ) from exc
+        try:
+            self._route([op])
+            self._apply([op])
+        except BaseException:
+            self._abort([op])
+            raise
+        self._ingest.commit([op])
+        return op
 
-    def _commit_ingest_batch(self, assignments: list[tuple[str, int]]) -> None:
-        """Publish a finished bulk chunk in one meta-lock round."""
-        with self._meta_cond:
-            for doc_id, shard_id in assignments:
-                self._doc_shard[doc_id] = shard_id
-                self._pending_docs.discard(doc_id)
-                self._inflight_ingest_bytes -= self._claimed_ingest_bytes.pop(
-                    doc_id, 0
-                )
-            if self._wal is not None:
-                self._ops_since_checkpoint += len(assignments)
-            self._inflight_ingests -= 1
-            self._meta_cond.notify_all()
-
-    def _abort_ingest_batch(
-        self, claims: list[tuple[str, int]], logged_ids: list[str]
-    ) -> None:
-        """Roll back a failed bulk chunk.
-
-        Appends compensating removes for every record the chunk already
-        logged (replay nets to nothing, as in :meth:`_abort_ingest`) and
-        releases every claim in one meta-lock round.  Implicit sid ranges
-        leak as harmless gaps.
-        """
-        for doc_id in logged_ids:
-            try:
-                self._log(WalRecord(op=OP_REMOVE, doc_id=doc_id))
-            except Exception:
-                pass  # the original chunk failure is the actionable error
-        with self._meta_cond:
-            for doc_id, _ in claims:
-                self._pending_docs.discard(doc_id)
-                self._inflight_ingest_bytes -= self._claimed_ingest_bytes.pop(
-                    doc_id, 0
-                )
-            if logged_ids and self._wal is not None:
-                self._ops_since_checkpoint += 2 * len(logged_ids)
-            self._inflight_ingests -= 1
-            self._meta_cond.notify_all()
-
-    def _claim_remove(self, doc_id: str) -> tuple[Document, int]:
-        """Claim a staged removal (meta lock, microseconds).
-
-        Validates the id, marks it mid-removal (conflicting adds and
-        removes are rejected until commit/abort) and counts the operation
-        in flight so checkpoint drains cover it.  Returns the live
-        document and its shard — stable for the duration of the claim:
-        nothing else may touch a claimed id.
-        """
-        with self._meta_cond:
-            while self._ingest_barrier:
-                self._meta_cond.wait()
-            self._ensure_open()
-            if doc_id in self._pending_docs:
-                raise ServiceError(f"document id {doc_id!r} is still being ingested")
-            if doc_id in self._pending_removes:
-                raise ServiceError(f"document id {doc_id!r} is already being removed")
-            if doc_id not in self._doc_shard:
-                raise ServiceError(f"unknown document id {doc_id!r}")
-            shard_id = self._doc_shard[doc_id]
-            document = self._shards[shard_id].documents.get(doc_id)
-            if document is None:
-                # a previous removal failed partway through its un-splice:
-                # the id is routed but the document is gone from the shard
-                raise ServiceError(
-                    f"document id {doc_id!r} is in an inconsistent state "
-                    f"after a failed removal; reopen the service to replay "
-                    f"the durable history"
-                )
-            self._pending_removes.add(doc_id)
-            self._inflight_ingests += 1
-            return document, shard_id
-
-    def _commit_remove(self, doc_id: str) -> None:
-        """Publish a finished staged removal (meta lock, microseconds)."""
-        with self._meta_cond:
-            self._doc_shard.pop(doc_id, None)
-            self._pending_removes.discard(doc_id)
-            if self._wal is not None:
-                self._ops_since_checkpoint += 1
-            self._inflight_ingests -= 1
-            self._meta_cond.notify_all()
-
-    def _abort_remove(self, doc_id: str, logged_document: Document | None) -> None:
-        """Roll back a failed staged removal.
-
-        When the removal was already WAL-logged but the un-splice failed
-        (*logged_document* is the still-live document), a compensating
-        ``add`` record is appended so replay nets to nothing — otherwise a
-        restart would drop a document whose removal the caller saw fail.
-        """
-        if logged_document is not None:
-            try:
-                self._log(
-                    WalRecord(
-                        op=OP_ADD,
-                        doc_id=doc_id,
-                        document=logged_document,
-                    )
-                )
-            except Exception:
-                # The WAL itself is failing; the original error (about to
-                # propagate) is the actionable one.  The orphaned remove
-                # record can at worst drop this document on restart.
-                pass
-        with self._meta_cond:
-            self._pending_removes.discard(doc_id)
-            if logged_document is not None and self._wal is not None:
-                self._ops_since_checkpoint += 2
-            self._inflight_ingests -= 1
-            self._meta_cond.notify_all()
-
-    def _log(self, record: WalRecord, trace: Span | None = None) -> int:
-        """Write-ahead: make one operation durable before applying it.
-
-        Thread-safe; concurrent calls coalesce their fsyncs (group
-        commit).  A no-op on a memory-only service.  Returns the appended
-        frame size in bytes (0 when memory-only).  ``trace`` is forwarded
-        to the WAL for ``wal_append``/``fsync_wait`` child spans.
-        """
-        if self._wal is not None:
-            if record.trace is not None:
-                self._wal_traces_logged += 1
-            appended = self._wal.append(record, trace=trace)
-            self.stats.record_wal_append(appended)
-            return appended
-        return 0
-
-    def _log_pipelined(
-        self, record: WalRecord, trace: Span | None = None
-    ) -> tuple[int, CommitTicket | None]:
-        """Buffered write-ahead append that does not wait for the fsync.
-
-        Returns ``(frame_bytes, ticket)`` — the ticket is the commit
-        future (``None`` on a memory-only service).  Log *order* is fixed
-        when this returns; durability arrives when the ticket is waited on
-        or any later group commit covers the frame.
-        """
-        if self._wal is not None:
-            if record.trace is not None:
-                self._wal_traces_logged += 1
-            appended, ticket = self._wal.append_pipelined(record, trace=trace)
-            self.stats.record_wal_append(appended)
-            return appended, ticket
-        return 0, None
-
-    def _apply_add_locked(self, document: Document) -> _Shard:
-        """Route and splice one document under the meta lock (replay path,
-        ``add_annotated_document``); updates the sid counter from the
-        document's actual sids."""
-        self._next_sid = max(
-            self._next_sid, max((s.sid for s in document), default=self._next_sid - 1) + 1
-        )
-        shard = self._shards[self._index_set.shard_id(document.doc_id)]
-        self._doc_shard[document.doc_id] = shard.shard_id
-        with shard.lock.write_locked():
-            shard.splice(document)
-            self._generations[shard.shard_id] += 1
-        return shard
-
-    def _apply_remove_locked(self, doc_id: str) -> tuple[int, Document]:
-        """Remove one document from its shard (meta lock held)."""
-        shard_id = self._doc_shard.pop(doc_id)
-        shard = self._shards[shard_id]
-        with shard.lock.write_locked():
-            document = shard.documents[doc_id]
-            shard.unsplice(document)
-            self._generations[shard_id] += 1
-        return shard_id, document
-
-    def _fresh_doc_id(self) -> str:
-        """A doc id not currently live or mid-ingest (meta lock held)."""
-        candidate = f"doc{len(self._doc_shard) + len(self._pending_docs)}"
-        while candidate in self._doc_shard or candidate in self._pending_docs:
-            candidate = candidate + "_"
-        return candidate
+    def _record_writes(self, ops: list[WriteOp], elapsed: float) -> None:
+        """Account committed ops in the ingest stats and the shard heat."""
+        per_op = elapsed / len(ops)
+        for op in ops:
+            document = op.document
+            self.stats.record_ingest(
+                per_op,
+                len(document),
+                document.num_tokens,
+                removed=op.kind == OP_REMOVE,
+                shard=op.shard_id,
+            )
+            self._heat.record_splice(
+                op.shard_id,
+                op.frame_bytes or _estimate_document_bytes(document),
+                op.apply_seconds,
+            )
 
     def _ensure_open(self) -> None:
         """Raise :class:`ServiceError` when the service has been closed."""
@@ -1811,21 +1326,9 @@ class KokoService:
         self._ensure_open()
         self._check_deadline(deadline)
         started = time.perf_counter()
-        trace: Span | None = None
-        frag: TraceContext | None = None
-        sampled = explain or (
-            trace_context.sampled
-            if trace_context is not None
-            else self._tracer.should_sample()
+        trace, frag = self._start_trace(
+            "query", trace_context, force=explain, shards=len(self._shards)
         )
-        if sampled:
-            self._traces_sampled.inc()
-            frag = (
-                trace_context.child()
-                if trace_context is not None
-                else TraceContext.root()
-            )
-            trace = Span("query", shards=len(self._shards), trace_id=frag.trace_id)
         result_hit: bool | None = None
         plan_hit: bool | None = None
         if isinstance(query, str):
@@ -1881,16 +1384,7 @@ class KokoService:
         )
         if trace is not None:
             trace.annotate(tuples=len(result))
-            trace.finish()
-            self._trace_store.record(
-                frag,
-                trace,
-                parent_span_id=(
-                    trace_context.span_id if trace_context is not None else None
-                ),
-                kind="query",
-                node=self.name,
-            )
+            self._finish_trace(trace, frag, trace_context, "query")
         self._observe_slow_query(
             query,
             elapsed,
@@ -2178,12 +1672,11 @@ class KokoService:
         # Drain staged ingests that claimed before _closed was set: they
         # must reach the WAL and splice before the WAL (and pools) go
         # away.  New claims already raise, so the count only falls.
-        with self._meta_cond:
-            while self._inflight_ingests:
-                self._meta_cond.wait()
+        with self._ingest.drained():
+            pass
         if self._wal is not None:
             try:
-                if self._ops_since_checkpoint:
+                if self._ingest.uncheckpointed_ops:
                     self.checkpoint()
             finally:
                 self._wal.close()
@@ -2272,6 +1765,52 @@ class KokoService:
         """
         return self._wal_traces_logged
 
+    def _start_trace(
+        self,
+        name: str,
+        trace_context: TraceContext | None,
+        force: bool = False,
+        **attributes,
+    ) -> tuple[Span | None, TraceContext | None]:
+        """Decide whether one operation is traced; open its root span.
+
+        A propagated *trace_context*'s ``sampled`` flag replaces the local
+        sampling decision (``force`` — ``explain=True`` — overrides both).
+        Returns ``(None, None)`` for an untraced operation, which then
+        allocates no spans at all; otherwise the root span and the
+        :class:`TraceContext` fragment it is recorded under.
+        """
+        if not force:
+            sampled = (
+                trace_context.sampled
+                if trace_context is not None
+                else self._tracer.should_sample()
+            )
+            if not sampled:
+                return None, None
+        self._traces_sampled.inc()
+        frag = (
+            trace_context.child() if trace_context is not None else TraceContext.root()
+        )
+        return Span(name, trace_id=frag.trace_id, **attributes), frag
+
+    def _finish_trace(
+        self,
+        trace: Span,
+        frag: TraceContext,
+        trace_context: TraceContext | None,
+        kind: str,
+    ) -> None:
+        """Close a :meth:`_start_trace` span and file it in the trace store."""
+        trace.finish()
+        self._trace_store.record(
+            frag,
+            trace,
+            parent_span_id=trace_context.span_id if trace_context is not None else None,
+            kind=kind,
+            node=self.name,
+        )
+
     def _observe_slow_query(
         self,
         query,
@@ -2327,18 +1866,17 @@ class KokoService:
         self,
         kind: str,
         elapsed: float,
-        *,
-        doc_id: str,
-        shard: int,
+        ops: list[WriteOp],
         stages: dict[str, float],
-        frame_bytes: int,
-        sentences: int,
-        tokens: int,
         trace: Span | None,
         trace_id: str | None = None,
         client_id: str | None = None,
     ) -> None:
-        """Record one structured slow ingest/remove entry if over threshold."""
+        """Record one structured slow ingest/remove entry if over threshold.
+
+        A multi-op write is one entry: the first op's id and shard, the
+        sentence, token and frame-byte totals of them all.
+        """
         threshold = self._slow_ingest_ms
         if threshold is None:
             return
@@ -2351,12 +1889,12 @@ class KokoService:
             "duration_ms": round(duration_ms, 3),
             "trace_id": trace_id,
             "client_id": client_id,
-            "doc_id": doc_id,
-            "shard": shard,
-            "sentences": sentences,
-            "tokens": tokens,
+            "doc_id": ops[0].doc_id,
+            "shard": ops[0].shard_id,
+            "sentences": sum(len(op.document) for op in ops),
+            "tokens": sum(op.document.num_tokens for op in ops),
             "wal": {
-                "frame_bytes": frame_bytes,
+                "frame_bytes": sum(op.frame_bytes for op in ops),
                 "mean_batch": round(self.stats.wal_mean_batch, 2),
             },
             "stages_ms": {
@@ -2425,8 +1963,8 @@ class KokoService:
     @property
     def inflight_ingest_bytes(self) -> int:
         """Text bytes of ingests currently claimed but not yet committed."""
-        with self._meta_lock:
-            return self._inflight_ingest_bytes
+        with self._ingest.lock:
+            return self._ingest.inflight_bytes
 
     def next_sid(self) -> int:
         """The first sentence id a newly annotated document should use.
@@ -2435,12 +1973,12 @@ class KokoService:
         ranges, so a value read here stays safe to pass as ``first_sid``
         only while no other writer claims ids in between.
         """
-        return self._next_sid
+        return self._ingest.next_sid
 
     def document_ids(self) -> list[str]:
         """Ids of every fully ingested document (mid-ingest ids excluded)."""
-        with self._meta_lock:
-            return list(self._doc_shard)
+        with self._ingest.lock:
+            return list(self._ingest.live)
 
     def shard_of(self, doc_id: str) -> int:
         """The shard index *doc_id* is (or would be) routed to."""
@@ -2460,19 +1998,12 @@ class KokoService:
 
     def __len__(self) -> int:
         """Number of fully ingested documents."""
-        return len(self._doc_shard)
+        return len(self._ingest.live)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"KokoService(documents={len(self._doc_shard)}, "
+            f"KokoService(documents={len(self)}, "
             f"shards={len(self._shards)}, generations={self._generations}, "
             f"durable={self._layout is not None})"
         )
 
-
-class ShardedKokoService(KokoService):
-    """A :class:`KokoService` that defaults to four hash partitions."""
-
-    def __init__(self, shards: int = 4, **kwargs) -> None:
-        """Same parameters as :class:`KokoService`, with ``shards=4``."""
-        super().__init__(shards=shards, **kwargs)

@@ -265,6 +265,42 @@ def test_idle_caught_up_follower_never_goes_stalled(tmp_path):
             shipper.close()
 
 
+def test_token_taken_right_after_a_checkpoint_is_reached(tmp_path):
+    """A checkpoint rotates the log, so the primary's position becomes the
+    start of an empty segment no shipped record ends at.  The heartbeat
+    carries the shipper's send cursor, which lets a caught-up follower
+    reach that token without waiting for the next write — and the router
+    then serves the read-your-writes query from the replica."""
+    from repro.replication import ReplicaSet
+
+    with KokoService(
+        shards=2,
+        storage_dir=tmp_path / "svc",
+        checkpoint_policy=CheckpointPolicy.disabled(),
+    ) as primary:
+        shipper = LogShipper(primary, heartbeat_interval=0.1)
+        replica = attach_replica(shipper, name="r0")
+        try:
+            primary.add_document(TEXTS[0], "doc0")
+            assert primary.checkpoint() is not None
+            token = primary.wal_position()
+            assert token.offset == 0  # nothing logged since the rotation
+            assert replica.wait_caught_up(token, timeout=2.0), (
+                replica.replication_stats()
+            )
+            router = ReplicaSet(primary, [replica])
+            result = router.query(ENTITY_QUERY, read_your_writes=token)
+            assert as_rows(result) == as_rows(primary.query(ENTITY_QUERY))
+            assert router.stats.snapshot()["replica_queries"] == {"r0": 1}
+            assert router.stats.primary_queries == 0
+            # the raised position is a real one: later writes still apply
+            primary.add_document(TEXTS[1], "doc1")
+            assert_identical(primary, replica)
+        finally:
+            replica.close()
+            shipper.close()
+
+
 def test_dead_applier_closes_its_session(tmp_path):
     """When the applier thread dies, the primary-side session must end too
     (nothing keeps shipping into a queue nobody drains)."""

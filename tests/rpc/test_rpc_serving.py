@@ -27,6 +27,7 @@ from repro.errors import (
 from repro.persistence import WalPosition
 from repro.rpc import AdmissionPolicy, AsyncRpcClient, RpcClient, RpcServer
 from repro.service import KokoService
+from repro.service.ingest import IngestState
 
 ENTITY_QUERY = (
     'extract e:Entity, d:Str from input.txt if '
@@ -270,30 +271,27 @@ def test_bulk_ingest_amortizes_claim_and_commit_rounds(
     with KokoService(shards=2, storage_dir=tmp_path / "svc") as service:
         client = rpc_client(service)
         claims, commits = [], []
-        original_claim = KokoService._claim_ingest_batch
-        original_commit = KokoService._commit_ingest_batch
+        original_claim = IngestState.claim
+        original_commit = IngestState.commit
 
-        def counting_claim(self, *args, **kwargs):
-            claims.append(1)
-            return original_claim(self, *args, **kwargs)
+        def counting_claim(self, ops):
+            claims.append(len(ops))
+            return original_claim(self, ops)
 
-        def counting_commit(self, *args, **kwargs):
-            commits.append(1)
-            return original_commit(self, *args, **kwargs)
+        def counting_commit(self, ops):
+            commits.append(len(ops))
+            return original_commit(self, ops)
 
-        def no_single_claims(self, *args, **kwargs):  # pragma: no cover
-            raise AssertionError("bulk ingest fell back to per-doc claims")
-
-        monkeypatch.setattr(KokoService, "_claim_ingest_batch", counting_claim)
-        monkeypatch.setattr(KokoService, "_commit_ingest_batch", counting_commit)
-        monkeypatch.setattr(KokoService, "_claim_ingest", no_single_claims)
+        monkeypatch.setattr(IngestState, "claim", counting_claim)
+        monkeypatch.setattr(IngestState, "commit", counting_commit)
 
         texts = [f"{text} bulk variation {index}" for index in range(12)
                  for text in TEXTS[:1]]
         ack = client.add_documents(texts, batch_size=4)
         assert ack["count"] == 12 and len(ack["doc_ids"]) == 12
-        # 12 docs at batch_size=4: exactly ceil(12/4) = 3 rounds of each
-        assert len(claims) == 3 and len(commits) == 3
+        # 12 docs at batch_size=4: exactly ceil(12/4) = 3 rounds of each,
+        # every one carrying a whole chunk (no per-document fallback)
+        assert claims == [4, 4, 4] and commits == [4, 4, 4]
         assert len(service) == 12
 
 

@@ -9,8 +9,9 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.nlp.pipeline import Pipeline
-from repro.persistence import CheckpointPolicy
+from repro.persistence import CheckpointPolicy, WriteAheadLog
 from repro.service import KokoService
+from repro.service.service import _Shard
 
 ENTITY_QUERY = (
     'extract e:Entity, d:Str from input.txt if '
@@ -96,35 +97,80 @@ def test_remove_conflicts_are_rejected():
             service.remove_document("doc0")
 
 
-def test_remove_does_not_hold_the_meta_lock_across_the_wal_append(tmp_path):
-    """With a long group-commit linger, a remove in flight must not block
-    an unrelated metadata operation (sid reservation) for the linger."""
+PARKABLE_STAGES = {
+    "annotate": (Pipeline, ["annotate"]),
+    "log": (WriteAheadLog, ["append", "append_pipelined"]),
+    "apply": (_Shard, ["splice", "unsplice"]),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,stage",
+    [
+        (entry, stage)
+        for entry, stages in (
+            ("add_document", ("annotate", "log", "apply")),
+            ("add_document_pipelined", ("annotate", "log", "apply")),
+            ("add_documents", ("annotate", "log", "apply")),
+            ("remove_document", ("log", "apply")),
+            ("add_annotated_document", ("log", "apply")),
+        )
+        for stage in stages
+    ],
+)
+def test_no_write_holds_the_meta_lock_off_its_claim_and_commit(
+    tmp_path, monkeypatch, pipeline, entry, stage
+):
+    """While any entry point is parked inside annotation, the WAL append
+    (however long its group commit lingers) or a shard write lock, an
+    unrelated metadata operation — a sid reservation — goes through."""
     service = KokoService(
         shards=2,
         storage_dir=tmp_path / "svc",
-        sync_interval=0.25,
         checkpoint_policy=CheckpointPolicy.disabled(),
     )
+    parked, release = threading.Event(), threading.Event()
     try:
         service.add_document(TEXTS[0], "doc0")
-        started = threading.Event()
-
-        def slow_remove():
-            started.set()
-            service.remove_document("doc0")
-
-        remover = threading.Thread(target=slow_remove)
-        remover.start()
-        started.wait()
-        time.sleep(0.02)  # let the remove reach its lingering fsync
-        reserve_started = time.perf_counter()
-        service.reserve_sids(1)  # meta-lock op: must not wait out the linger
-        reserve_seconds = time.perf_counter() - reserve_started
-        remover.join()
-        assert reserve_seconds < 0.2, (
-            f"meta lock was held across the group commit ({reserve_seconds:.3f}s)"
+        annotated = pipeline.annotate(
+            TEXTS[1], doc_id="pre", first_sid=service.next_sid()
         )
+        write = {
+            "add_document": lambda: service.add_document(TEXTS[1], "new"),
+            "add_document_pipelined": lambda: service.add_document(
+                TEXTS[1], "new", wait_durable=False
+            ),
+            "add_documents": lambda: service.add_documents(TEXTS[1:4]),
+            "remove_document": lambda: service.remove_document("doc0"),
+            "add_annotated_document": lambda: service.add_annotated_document(
+                annotated
+            ),
+        }[entry]
+
+        def park_then(original):
+            def wrapper(*args, **kwargs):
+                parked.set()
+                assert release.wait(10.0)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        owner, names = PARKABLE_STAGES[stage]
+        for name in names:
+            monkeypatch.setattr(owner, name, park_then(getattr(owner, name)))
+        writer = threading.Thread(target=write)
+        writer.start()
+        assert parked.wait(10.0)
+        reserver = threading.Thread(target=service.reserve_sids, args=(1,))
+        reserver.start()
+        reserver.join(2.0)
+        held = reserver.is_alive()
+        release.set()
+        writer.join(10.0)
+        reserver.join(10.0)
+        assert not held, f"{entry} held the meta lock through its {stage} stage"
     finally:
+        release.set()
         service.close()
 
 

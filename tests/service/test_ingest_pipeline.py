@@ -17,7 +17,9 @@ The load-bearing properties:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import random
+import shutil
 import threading
 
 import pytest
@@ -26,8 +28,10 @@ from repro.errors import ServiceError
 from repro.koko.engine import KokoEngine
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Corpus
-from repro.persistence import CheckpointPolicy
+from repro.persistence import CheckpointPolicy, WriteAheadLog
+from repro.replication import LogShipper, ReplicaService, connect_tcp
 from repro.service import KokoService
+from repro.service.service import _Shard
 
 ENTITY_QUERY = (
     'extract e:Entity, d:Str from input.txt if '
@@ -37,6 +41,8 @@ CITY_QUERY = (
     'extract a:GPE from "input.txt" if () satisfying a '
     '(a SimilarTo "city" {1.0}) with threshold 0.3'
 )
+
+ALL_ENTITIES_QUERY = 'extract e:Entity from "svc" if ()'
 
 BASE_TEXTS = [
     "I ate a chocolate ice cream, which was delicious, and also ate a pie.",
@@ -252,27 +258,24 @@ def test_removal_of_inflight_document_is_rejected():
         service.remove_document("slow")
 
 
-def test_failed_splice_after_wal_append_does_not_resurrect(tmp_path):
+def test_failed_splice_after_wal_append_does_not_resurrect(tmp_path, monkeypatch):
     """A WAL-logged add whose splice fails is compensated in the log, so
     replay nets to nothing and a retried id replays cleanly."""
-    import shutil
-
     path = tmp_path / "svc"
     service = KokoService(
         shards=2, storage_dir=path, checkpoint_policy=CheckpointPolicy.disabled()
     )
     try:
         service.add_document(BASE_TEXTS[0], "good")
-        original = service._splice_into_shard
 
-        def exploding(document):
+        def exploding(shard, document):
             raise RuntimeError("splice blew up")
 
-        service._splice_into_shard = exploding
-        with pytest.raises(RuntimeError):
-            service.add_document(BASE_TEXTS[1], "broken")
+        with monkeypatch.context() as patched:
+            patched.setattr(_Shard, "splice", exploding)
+            with pytest.raises(RuntimeError):
+                service.add_document(BASE_TEXTS[1], "broken")
         assert sorted(service.document_ids()) == ["good"]
-        service._splice_into_shard = original
         # the same id can be retried — and the WAL now holds
         # [add good, add broken, remove broken, add broken]
         service.add_document(BASE_TEXTS[1], "broken")
@@ -287,6 +290,172 @@ def test_failed_splice_after_wal_append_does_not_resurrect(tmp_path):
         assert as_rows(reopened.query(ENTITY_QUERY)) is not None
     finally:
         reopened.close()
+
+
+def test_failed_bulk_chunk_leaves_no_orphan_postings(tmp_path, monkeypatch):
+    """A chunk whose splice fails on a later shard un-splices the shards
+    that already succeeded: no document the service disowns stays
+    query-visible, and a retried id is not in its shard twice."""
+    path = tmp_path / "svc"
+    service = KokoService(
+        shards=2, storage_dir=path, checkpoint_policy=CheckpointPolicy.disabled()
+    )
+    try:
+        original = _Shard.splice
+
+        def failing_on_shard_1(shard, document):
+            if shard.shard_id == 1:
+                raise RuntimeError("splice blew up")
+            original(shard, document)
+
+        ids = [f"d{index}" for index in range(8)]
+        assert {service.shard_of(doc_id) for doc_id in ids} == {0, 1}
+        with monkeypatch.context() as patched:
+            patched.setattr(_Shard, "splice", failing_on_shard_1)
+            with pytest.raises(RuntimeError):
+                service.add_documents(TEXTS[:8], ids)
+        assert service.document_ids() == [] and len(service) == 0
+        assert as_rows(service.query(ALL_ENTITIES_QUERY)) == []
+        service.add_document(TEXTS[0], "d0")
+        held = [d.doc_id for corpus in service.corpora for d in corpus.documents]
+        assert held == ["d0"]
+        shutil.copytree(path, tmp_path / "crashed")
+    finally:
+        service.close()
+    with KokoService.open(tmp_path / "crashed") as reopened:
+        assert reopened.document_ids() == ["d0"]
+
+
+# ----------------------------------------------------------------------
+# one failure table: every entry point x every stage a write can die in
+# ----------------------------------------------------------------------
+def _fail_nth_call(monkeypatch, owner, names, nth):
+    """Make the *nth* call (0-based, counted across *names*) raise, once."""
+    calls = itertools.count()
+    fired = []
+
+    def wrap(original):
+        def wrapper(*args, **kwargs):
+            if not fired and next(calls) == nth:
+                fired.append(True)
+                raise RuntimeError("injected failure")
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    return fired
+
+
+CHUNK = 8
+WRITE_FAILURES = [
+    (entry, stage)
+    for entry, stages in (
+        ("add_document", ("annotate", "wal", "apply_first")),
+        ("add_document_pipelined", ("annotate", "wal", "apply_first")),
+        ("add_documents", ("annotate", "wal", "apply_first", "apply_later")),
+        ("remove_document", ("wal", "apply_first")),
+        ("add_annotated_document", ("wal", "apply_first")),
+    )
+    for stage in stages
+]
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("entry,stage", WRITE_FAILURES)
+def test_failed_write_is_undone_everywhere(
+    tmp_path, monkeypatch, pipeline, listen_ready, entry, stage, shards
+):
+    """After a write dies in any stage, the routing table, the shards, the
+    query results, a crash-copy reopen and a TCP replica all agree with a
+    fresh engine over the surviving documents — and the same ids retry."""
+    path = tmp_path / "svc"
+    service = KokoService(
+        shards=shards, storage_dir=path, checkpoint_policy=CheckpointPolicy.disabled()
+    )
+    shipper = replica = None
+    try:
+        surviving = {
+            f"seed{index}": service.add_document(text, f"seed{index}")
+            for index, text in enumerate(BASE_TEXTS[:4])
+        }
+        victims = [f"victim{index}" for index in range(CHUNK)]
+        base = service.reserve_sids(
+            len(pipeline.tokenizer.split_sentences(BASE_TEXTS[4]))
+        )
+
+        def write() -> dict:
+            """Run the entry point; returns how the survivors change."""
+            if entry == "add_document":
+                doc = service.add_document(BASE_TEXTS[4], "victim0", first_sid=base)
+            elif entry == "add_document_pipelined":
+                doc = service.add_document(
+                    BASE_TEXTS[4], "victim0", first_sid=base, wait_durable=False
+                ).wait_durable()
+            elif entry == "add_documents":
+                docs = service.add_documents(TEXTS[:CHUNK], victims, batch_size=CHUNK)
+                return {d.doc_id: d for d in docs}
+            elif entry == "remove_document":
+                return {service.remove_document("seed1").doc_id: None}
+            else:
+                doc = service.add_annotated_document(
+                    pipeline.annotate(
+                        BASE_TEXTS[4], doc_id="victim0", first_sid=service.next_sid()
+                    )
+                )
+            return {doc.doc_id: doc}
+
+        ops = CHUNK if entry == "add_documents" else 1
+        owner, names, nth = {
+            "annotate": (Pipeline, ["annotate"], ops - 1),
+            "wal": (WriteAheadLog, ["append", "append_pipelined"], ops // 2),
+            "apply_first": (_Shard, ["splice", "unsplice"], 0),
+            "apply_later": (_Shard, ["splice", "unsplice"], ops - 1),
+        }[stage]
+
+        def check(node) -> None:
+            documents = sorted(surviving.values(), key=lambda d: d.sentences[0].sid)
+            engine = KokoEngine(Corpus(name="reference", documents=documents))
+            assert sorted(node.document_ids()) == sorted(surviving)
+            for query in (ENTITY_QUERY, ALL_ENTITIES_QUERY):
+                assert as_rows(node.query(query)) == as_rows(engine.execute(query))
+
+        with monkeypatch.context() as patched:
+            fired = _fail_nth_call(patched, owner, names, nth)
+            with pytest.raises(RuntimeError, match="injected failure"):
+                write()
+            assert fired
+        held = [d.doc_id for corpus in service.corpora for d in corpus.documents]
+        assert sorted(held) == sorted(surviving)
+        assert service.inflight_ingest_bytes == 0
+        check(service)
+        shutil.copytree(path, tmp_path / "crashed")
+        with KokoService.open(tmp_path / "crashed") as reopened:
+            check(reopened)
+        shipper = LogShipper(service)
+        host, port = listen_ready(*shipper.listen())
+        replica = ReplicaService(connect_tcp(host, port), name="follower")
+        assert replica.wait_caught_up(service.wal_position())
+        check(replica)
+
+        # the retry consumes the same ids (and the restored sid reservation)
+        for doc_id, document in write().items():
+            if document is None:
+                del surviving[doc_id]
+            else:
+                surviving[doc_id] = document
+        if entry.startswith("add_document") and entry != "add_documents":
+            assert surviving["victim0"].sentences[0].sid == base
+        check(service)
+        assert replica.wait_caught_up(service.wal_position())
+        check(replica)
+    finally:
+        if replica is not None:
+            replica.close()
+        if shipper is not None:
+            shipper.close()
+        service.close()
 
 
 def test_close_drains_inflight_staged_ingest(tmp_path):

@@ -16,7 +16,7 @@ from repro.errors import ServiceError
 from repro.indexing.sharding import ShardedIndexSet
 from repro.koko.engine import KokoEngine
 from repro.nlp.types import Corpus
-from repro.service import KokoService, ShardedKokoService
+from repro.service import KokoService
 
 ENTITY_QUERY = (
     'extract e:Entity, d:Str from input.txt if '
@@ -215,7 +215,7 @@ def test_unsharded_accessors_and_defaults():
     service.close()  # no-op without a fan-out pool
     service.close()  # idempotent
 
-    sharded = ShardedKokoService()
+    sharded = KokoService(shards=4)
     assert sharded.shard_count == 4
     sharded.close()
     sharded.close()
