@@ -8,6 +8,9 @@ import numpy as np
 
 from ..errors import EmbeddingError
 
+#: back-fill vectors a store remembers; past it the memo restarts
+_BACKFILL_MEMO_LIMIT = 4096
+
 
 class VectorStore:
     """A mapping from word to dense vector with similarity queries.
@@ -24,6 +27,9 @@ class VectorStore:
         self.dimensions = dimensions
         self.backfill_unknown = backfill_unknown
         self._vectors: dict[str, np.ndarray] = {}
+        #: unknown word -> its back-fill vector (a pure function of the word
+        #: and the dimensions, so remembering it changes no result)
+        self._backfill: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -56,7 +62,13 @@ class VectorStore:
             return self._vectors[low]
         if not self.backfill_unknown:
             raise EmbeddingError(f"unknown word {word!r} and backfill disabled")
-        return _hash_vector(low, self.dimensions)
+        vector = self._backfill.get(low)
+        if vector is None:
+            vector = _hash_vector(low, self.dimensions)
+            if len(self._backfill) >= _BACKFILL_MEMO_LIMIT:
+                self._backfill.clear()
+            self._backfill[low] = vector
+        return vector
 
     def similarity(self, word_a: str, word_b: str) -> float:
         """Cosine similarity in [-1, 1]; identical words give 1.0."""

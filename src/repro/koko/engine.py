@@ -30,6 +30,7 @@ from ..indexing.koko_index import KokoIndexSet
 from ..nlp.lexicon import GAZETTEER_GPE
 from ..nlp.types import Corpus, Document, Sentence
 from ..observability.tracing import Span
+from .aggregate import AggregationPlan, plan_aggregation
 from .ast import KokoQuery
 from .conditions import EvidenceResources
 from .normalize import NormalizedQuery, normalize
@@ -42,14 +43,17 @@ from .stages import ExecutionContext, StagePipeline
 class CompiledQuery:
     """A parsed + normalised query, reusable across many executions.
 
-    Parsing and normalisation depend only on the query text, not on the
-    corpus, so a compiled query can be cached (the service layer keys a
+    Parsing, normalisation and the preparation of the satisfying /
+    excluding clauses (which conditions read the document, their needles
+    and compiled regular expressions) depend only on the query text, not on
+    the corpus, so a compiled query can be cached (the service layer keys a
     plan cache by query string) and executed repeatedly — the engine then
     skips the Normalize stage entirely.
     """
 
     parsed: KokoQuery
     normalized: NormalizedQuery
+    aggregation: AggregationPlan
     text: str | None = None
     compile_seconds: float = 0.0
 
@@ -62,6 +66,7 @@ def compile_query(query: str | KokoQuery) -> CompiledQuery:
     return CompiledQuery(
         parsed=parsed,
         normalized=normalized,
+        aggregation=plan_aggregation(parsed),
         text=query if isinstance(query, str) else None,
         compile_seconds=time.perf_counter() - started,
     )

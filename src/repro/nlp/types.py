@@ -289,7 +289,10 @@ class Sentence:
 
     def span_text(self, start: int, end: int) -> str:
         """Surface text of tokens ``start..end`` (inclusive)."""
-        return detokenize(tok.text for tok in self.tokens[start : end + 1])
+        tokens = self.tokens[start : end + 1]
+        if len(tokens) == 1:
+            return tokens[0].text
+        return detokenize([tok.text for tok in tokens])
 
     def entity_at(self, index: int) -> EntityMention | None:
         """The entity mention covering token *index*, if any."""
@@ -447,10 +450,14 @@ class Document:
 # ----------------------------------------------------------------------
 _NO_SPACE_BEFORE = {".", ",", ";", ":", "!", "?", ")", "]", "}", "'s", "n't", "%", "'"}
 _NO_SPACE_AFTER = {"(", "[", "{", "$"}
+_SPACING_EXCEPTIONS = _NO_SPACE_BEFORE | _NO_SPACE_AFTER
 
 
 def detokenize(tokens: Iterable[str]) -> str:
     """Join tokens back into a readable string with conventional spacing."""
+    tokens = list(tokens)
+    if _SPACING_EXCEPTIONS.isdisjoint(tokens):
+        return " ".join(tokens)  # the common case: a space between every two
     pieces: list[str] = []
     previous = ""
     for token in tokens:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.embeddings.vectors as vectors_module
 from repro.embeddings.cooccurrence import CooccurrenceCounter
 from repro.embeddings.expansion import DescriptorExpander
 from repro.embeddings.ontology import DomainOntology, default_ontology
@@ -33,6 +34,25 @@ class TestVectorStore:
     def test_unknown_word_backfill_deterministic(self):
         store = VectorStore(dimensions=8)
         assert np.allclose(store.vector("mystery"), store.vector("mystery"))
+
+    def test_backfill_is_memoised_bit_identically_and_bounded(self, monkeypatch):
+        store = VectorStore(dimensions=8)
+        first = store.vector("Mystery")
+        assert store.vector("mystery") is first  # remembered, case-folded
+        assert first.tobytes() == vectors_module._hash_vector("mystery", 8).tobytes()
+        assert store.copy().vector("mystery") is not first  # memo not shared
+        # a word added later wins over its remembered back-fill
+        store.add("mystery", np.arange(1.0, 9.0))
+        assert store.vector("mystery") is not first
+        # past the limit the memo restarts instead of growing
+        monkeypatch.setattr(vectors_module, "_BACKFILL_MEMO_LIMIT", 3)
+        small = VectorStore(dimensions=4)
+        for word in "abcdefg":
+            assert (
+                small.vector(word).tobytes()
+                == vectors_module._hash_vector(word, 4).tobytes()
+            )
+            assert len(small._backfill) <= 3
 
     def test_backfill_disabled_raises(self):
         store = VectorStore(dimensions=4, backfill_unknown=False)

@@ -6,7 +6,8 @@ import pytest
 
 from repro.embeddings.expansion import DescriptorExpander
 from repro.embeddings.pretrained import build_default_vectors
-from repro.koko.aggregate import EvidenceAggregator
+from repro.errors import KokoSemanticError
+from repro.koko.aggregate import EvidenceAggregator, plan_aggregation
 from repro.koko.ast import (
     AdjacencyCondition,
     DescriptorCondition,
@@ -15,7 +16,13 @@ from repro.koko.ast import (
     SimilarToCondition,
     StrCondition,
 )
-from repro.koko.conditions import ConditionScorer, EvidenceResources, find_occurrences
+from repro.koko.conditions import (
+    ConditionScorer,
+    EvidenceResources,
+    find_occurrences,
+    prepare_condition,
+)
+from repro.koko.engine import KokoEngine, compile_query
 from repro.koko.dpli import run_dpli
 from repro.koko.evaluator import SentenceEvaluator
 from repro.koko.normalize import normalize
@@ -206,3 +213,70 @@ class TestAggregation:
         aggregator = EvidenceAggregator(scorer)
         assert aggregator.is_excluded(query.excluding, "La Marzocco", cafe_doc)
         assert not aggregator.is_excluded(query.excluding, "Velvet Fox Collective", cafe_doc)
+
+
+class TestQueryTimePreparation:
+    """What ``compile_query`` decides once about the satisfying/excluding clauses."""
+
+    def test_value_only_and_document_reading_conditions_are_told_apart(self):
+        value_only = [
+            StrCondition("x", "contains", "Cafe"),
+            StrCondition("x", "mentions", "caf"),
+            StrCondition("x", "matches", "^C"),
+            InDictCondition("x", "Location"),
+            SimilarToCondition("x", "city"),
+        ]
+        document_reading = [
+            AdjacencyCondition("x", "cafe called", side="before"),
+            NearCondition("x", ", a cafe"),
+            DescriptorCondition("x", "serves coffee", side="after"),
+        ]
+        assert not any(prepare_condition(c).reads_document for c in value_only)
+        assert all(prepare_condition(c).reads_document for c in document_reading)
+        assert prepare_condition(document_reading[1]).needle == (",", "a", "cafe")
+        assert prepare_condition(value_only[2]).pattern.pattern == "^C"
+
+    def test_clause_reads_the_document_iff_one_of_its_conditions_does(self):
+        plan = compile_query(
+            'extract x:Entity, y:Entity from "t" if () '
+            'satisfying x (str(x) contains "Cafe" {1}) or (x ~ "cafe" {1}) with threshold 0.5 '
+            'satisfying y (str(y) contains "Cafe" {1}) or (y near "coffee" {1}) with threshold 0.5 '
+            'excluding (str(x) matches "^[a-z]")'
+        ).aggregation
+        assert plan.variables == ("x", "y") and plan.outputs == 2
+        assert [clause.reads_document for clause in plan.clauses] == [False, True]
+        assert not plan.excluding.reads_document
+
+    def test_first_satisfying_clause_of_a_variable_scores_it(self):
+        query = parse_query(
+            'extract x:Entity from "t" if (/ROOT:{ v = //verb }) '
+            'satisfying v (str(v) contains "a" {1}) with threshold 0.1 '
+            'satisfying v (str(v) contains "b" {1}) with threshold 0.9'
+        )
+        plan = plan_aggregation(query)
+        assert plan.variables == ("x", "v", "v")
+        assert plan.clauses[0] is None
+        assert plan.clauses[1] is plan.clauses[2] and plan.clauses[1].threshold == 0.1
+
+    def test_invalid_regular_expression_fails_at_compile_time(self):
+        with pytest.raises(KokoSemanticError, match="invalid regular expression"):
+            compile_query('extract x:Entity from "t" if () excluding (str(x) matches "[a-")')
+
+    def test_descriptor_expansions_outlive_the_query(self, cafe_corpus, monkeypatch):
+        engine = KokoEngine(cafe_corpus)
+        expanded: list[str] = []
+        real = engine.resources.expander.expand
+
+        def counting(descriptor):
+            expanded.append(descriptor)
+            return real(descriptor)
+
+        monkeypatch.setattr(engine.resources.expander, "expand", counting)
+        query = (
+            'extract x:Entity from "blogs" if () satisfying x '
+            '(x [["serves coffee"]] {0.5}) or ([["baristas of"]] x {0.5}) with threshold 0.3'
+        )
+        first = engine.execute(query)
+        second = engine.execute(query)
+        assert sorted(expanded) == ["baristas of", "serves coffee"]  # once per engine
+        assert [t.scores for t in first] == [t.scores for t in second]
