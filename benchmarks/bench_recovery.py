@@ -45,8 +45,6 @@ def _crash(service: KokoService) -> None:
         service._checkpoint_scheduler = None
     if service._wal is not None:
         service._wal.close()
-    if service._shard_pool is not None:
-        service._shard_pool.shutdown(wait=True)
 
 
 def run_cold_vs_warm(

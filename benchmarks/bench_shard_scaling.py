@@ -3,9 +3,11 @@
 Two effects of hash-partitioned execution are measured across shard
 counts (1/2/4/8 by default):
 
-* **query throughput** — uncached (compiled-plan) queries fan the stage
-  pipeline out per shard, so more shards means more of the corpus is
-  evaluated in parallel;
+* **query throughput** — uncached (compiled-plan) queries run the stage
+  pipeline once per shard, one slice after another on the calling thread
+  (the pipeline is GIL-bound: shards are not read parallelism), so
+  ``speedup_vs_first`` is at most 1 and prices the fixed per-slice cost
+  that N shards add to a cold query;
 * **ingest-while-querying latency** — ingestion write-locks one shard
   only, so reader latency under a concurrent ingest stream should drop
   as shards are added (at N=1 every reader stalls behind every ingest).
@@ -43,7 +45,11 @@ def run_query_throughput(
     articles: int = 40,
     repeats: int = 3,
 ) -> dict:
-    """Uncached queries/second per shard count (compiled plans bypass caches)."""
+    """Uncached queries/second per shard count (compiled plans bypass caches).
+
+    ``speedup_vs_first`` is each count's rate over the first count's: the
+    price of splitting one scan into N serial slices, not a parallel gain.
+    """
     plans = [compile_query(text) for text in SCALEUP_QUERIES.values()]
     summary: dict = {"articles": articles, "queries": len(plans), "per_shards": {}}
     reference_rows: list | None = None

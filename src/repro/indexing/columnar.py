@@ -39,6 +39,7 @@ __all__ = [
     "PostingView",
     "StringInterner",
     "covers_block",
+    "distinct_sorted",
     "int_column",
     "join_ancestor_block",
     "join_same_token_block",
@@ -318,27 +319,35 @@ class ColumnarPostings:
             for col, dcol in zip(self._main, dcols)
         )
 
-    def arrays_for_keys(self, kids: Sequence[int]) -> tuple[np.ndarray, ...]:
-        """Concatenated column arrays of several key ids (in *kids* order)."""
-        bounded = len(self._offsets) - 1
-        ranges = [
-            np.arange(self._offsets[kid], self._offsets[kid + 1])
-            for kid in kids
-            if 0 <= kid < bounded
-        ]
-        main_idx = (
-            np.concatenate(ranges) if ranges else np.empty(0, _INT)
-        )
-        parts = tuple(col[main_idx] for col in self._main)
+    def arrays_for_keys(
+        self, kids: np.ndarray, member: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """Concatenated column arrays of several key ids: one gather.
+
+        *kids* is the ascending array of wanted key ids and *member* the
+        same set as a boolean table over every key id of the store
+        (``member[k]`` iff ``k`` is wanted).  Main rows come first, grouped
+        by key in *kids* order, then the delta rows in insertion order.
+        """
+        parts = self._main
+        if len(self._main_kid):
+            kids = kids[: np.searchsorted(kids, len(self._offsets) - 1)]
+            starts = self._offsets[kids]
+            counts = self._offsets[kids + 1] - starts
+            # every wanted key's [start, start + count) range, concatenated
+            main_idx = np.repeat(starts - np.cumsum(counts) + counts, counts)
+            main_idx += np.arange(len(main_idx))
+            parts = tuple(col[main_idx] for col in parts)
         if not self._delta_kid:
             return parts
         dkid, dcols = self._delta_np()
-        sel = np.isin(dkid, np.asarray(list(kids), _INT))
+        sel = member[dkid]
         if not sel.any():
             return parts
-        return tuple(
-            np.concatenate([part, dcol[sel]]) for part, dcol in zip(parts, dcols)
-        )
+        picked = tuple(dcol[sel] for dcol in dcols)
+        if not len(parts[0]):
+            return picked
+        return tuple(np.concatenate(pair) for pair in zip(parts, picked))
 
     def all_arrays(self) -> tuple[np.ndarray, ...]:
         """Every row's column arrays (main order, then delta order)."""
@@ -427,8 +436,8 @@ class PostingBlock:
         return self.take(np.lexsort((self.tid, self.sid)))
 
     def unique_sids(self) -> np.ndarray:
-        """Sorted distinct sentence ids of the block."""
-        return np.unique(self.sid)
+        """Sorted distinct sentence ids of a ``(sid, tid)``-sorted block."""
+        return distinct_sorted(self.sid)
 
     def materialize(self) -> list[Posting]:
         """The block as a list of :class:`Posting` objects."""
@@ -486,6 +495,16 @@ class PostingView(Sequence):
 # ----------------------------------------------------------------------
 # vectorized posting algebra (Section 4.2.2 as whole-array window ops)
 # ----------------------------------------------------------------------
+def distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array (a boundary mask, no sort)."""
+    if len(values) <= 1:
+        return values
+    keep = np.empty(len(values), bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _pair_indices(
     group_sids: np.ndarray, probe_sids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -537,12 +556,18 @@ def join_ancestor_block(
 
 
 def join_same_token_block(left: PostingBlock, right: PostingBlock) -> PostingBlock:
-    """Rows of *left* whose ``(sid, tid)`` token also appears in *right*."""
+    """Rows of *left* whose ``(sid, tid)`` token also appears in *right*.
+
+    *right* must be sorted by ``(sid, tid)`` (every lookup block is): its
+    packed keys are then ascending and membership is one binary search.
+    """
     if left.size == 0 or right.size == 0:
         return PostingBlock.empty()
     left_keys = left.sid * np.int64(2**32) + left.tid
     right_keys = right.sid * np.int64(2**32) + right.tid
-    return left.take(np.isin(left_keys, right_keys))
+    slot = np.searchsorted(right_keys, left_keys)
+    slot[slot == len(right_keys)] = 0
+    return left.take(right_keys[slot] == left_keys)
 
 
 def under_words_block(candidates: PostingBlock, words: PostingBlock) -> PostingBlock:

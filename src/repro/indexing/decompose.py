@@ -177,15 +177,20 @@ def _lookup_word_path(
     return current
 
 
-def lookup_decomposed_block(indexes: KokoIndexSet, path: TreePath) -> PostingBlock:
+def lookup_decomposed_block(
+    indexes: KokoIndexSet, path: TreePath, decomposed: DecomposedPath | None = None
+) -> PostingBlock:
     """Vectorized DPLI lookup of one path over a columnar index set.
 
     Mirrors :func:`lookup_decomposed` step for step, but every access and
     join is a whole-array operation over ``(sid, tid)``-sorted posting
     blocks; the returned block is sorted the same way, so materialising it
-    reproduces the object-backed result exactly.
+    reproduces the object-backed result exactly.  *decomposed* is
+    ``decompose_path(path)`` when the caller already holds it (a compiled
+    plan decomposes each path once, not once per shard).
     """
-    decomposed = decompose_path(path)
+    if decomposed is None:
+        decomposed = decompose_path(path)
     last_step = path.steps[-1]
     last_is_word = last_step.kind == KIND_WORD
 

@@ -47,6 +47,9 @@ from .postings import Posting, posting_for_token
 
 _H_COLUMNS = ("sid", "tid", "left", "right", "depth", "wid")
 
+#: distinct path patterns whose trie walk one index remembers
+_MATCH_MEMO_LIMIT = 256
+
 
 @dataclass
 class HierarchyNode:
@@ -138,6 +141,11 @@ class HierarchyIndex:
         self._store = (
             ColumnarPostings(_H_COLUMNS, identity_keys=True) if columnar else None
         )
+        # case-folded (axis, label) pattern -> (sorted matched node ids,
+        # boolean table over node ids), both read-only.  The answer depends
+        # on the trie's structure alone, so the memo is cleared where a
+        # node is minted or pruned and survives every other write.
+        self._match_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._dummy = self._new_node("<dummy>", depth=-1, parent=None)
         # node id -> node; insertion order is creation order, which is
         # topological (parents are always created before their children) —
@@ -159,6 +167,7 @@ class HierarchyIndex:
     def _new_node(self, label: str, depth: int, parent: HierarchyNode | None) -> HierarchyNode:
         node = HierarchyNode(node_id=self._next_id, label=label, depth=depth, parent=parent)
         self._next_id += 1
+        self._match_memo.clear()
         if self.columnar:
             node.postings = _NodePostingsView(self._store, node.node_id, self._interner)
         return node
@@ -277,6 +286,7 @@ class HierarchyIndex:
         if not child.postings and not child.children:
             del parent.children[label]
             del self._nodes[child.node_id]
+            self._match_memo.clear()
 
     def _remove_structural(
         self, sentence: Sentence, tid: int, parent: HierarchyNode
@@ -291,6 +301,7 @@ class HierarchyIndex:
         if not child.children and self._store.key_count(child.node_id) == 0:
             del parent.children[label]
             del self._nodes[child.node_id]
+            self._match_memo.clear()
 
     # ------------------------------------------------------------------
     # statistics (the >99.7% node-reduction claim of Section 3)
@@ -370,18 +381,47 @@ class HierarchyIndex:
         """
         store = self._store
         assert store is not None, "lookup_path_block requires columnar=True"
-        matches = self.match_nodes(steps)
-        if not matches:
+        node_ids, member = self._matched(steps)
+        if not len(node_ids):
             return PostingBlock.empty()
-        sid, tid, left, right, depth, wid = store.arrays_for_keys(
-            [node.node_id for node in matches]
-        )
+        sid, tid, left, right, depth, wid = store.arrays_for_keys(node_ids, member)
         return PostingBlock(
             sid, tid, left, right, depth, wid, self._interner
         ).sort_positional()
 
     def match_nodes(self, steps: list[tuple[str, str]]) -> list[HierarchyNode]:
         """All hierarchy nodes whose root path matches the pattern *steps*."""
+        nodes = self._nodes
+        return [nodes[node_id] for node_id in self._matched(steps)[0].tolist()]
+
+    def _matched(
+        self, steps: "Sequence[tuple[str, str]]"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Remembered :meth:`_walk_nodes`: ``(ids, member)``, both read-only.
+
+        ``ids`` is the sorted array of matched node ids and ``member`` a
+        boolean table over every node id minted so far (``member[i]`` iff
+        node *i* matched).  Labels match case-insensitively, so the memo
+        key is the case-folded pattern.  Concurrent readers may fill the
+        memo at once; entries are pure functions of the trie, so the race
+        is harmless.
+        """
+        key = tuple((axis, label.lower()) for axis, label in steps)
+        memo = self._match_memo
+        matched = memo.get(key)
+        if matched is None:
+            ids = np.asarray(self._walk_nodes(steps), np.int64)
+            member = np.zeros(self._next_id, bool)
+            member[ids] = True
+            ids.setflags(write=False)
+            member.setflags(write=False)
+            if len(memo) >= _MATCH_MEMO_LIMIT:
+                memo.clear()
+            matched = memo[key] = (ids, member)
+        return matched
+
+    def _walk_nodes(self, steps: "Sequence[tuple[str, str]]") -> list[int]:
+        """Walk the trie: sorted ids of the nodes whose root path matches."""
         frontier: set[int] = {self._dummy.node_id}
         for axis, label in steps:
             next_frontier: set[int] = set()
@@ -400,7 +440,7 @@ class HierarchyIndex:
             frontier = next_frontier
             if not frontier:
                 return []
-        return [self._nodes[nid] for nid in sorted(frontier)]
+        return sorted(frontier)
 
     def _descendants(self, node: HierarchyNode) -> Iterator[HierarchyNode]:
         stack = list(node.children.values())
@@ -468,6 +508,7 @@ class HierarchyIndex:
             node.postings = _NodePostingsView(self._store, node_id, self._interner)
             parent.children[label] = self._nodes[node_id] = node
             previous = node_id
+        self._match_memo.clear()
 
     # ------------------------------------------------------------------
     # materialisation (closure table of Section 6.2.1)

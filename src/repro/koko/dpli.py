@@ -33,7 +33,7 @@ import numpy as np
 from ..indexing.decompose import lookup_decomposed, lookup_decomposed_block
 from ..indexing.entity_index import EntityPosting
 from ..indexing.koko_index import KokoIndexSet
-from ..indexing.columnar import PostingView
+from ..indexing.columnar import PostingBlock, PostingView, distinct_sorted
 from ..indexing.postings import Posting
 from .normalize import NormalizedQuery
 
@@ -147,18 +147,21 @@ def _run_dpli_columnar(
     for variable, etype in normalized.entity_vars.items():
         sid_col, view = indexes.entity_index.lookup_type_block(etype)
         result.entity_bindings[variable] = view
-        count_index[variable] = np.sort(sid_col)
-        sid_arrays.append(np.unique(sid_col))
+        count_index[variable] = sorted_sids = np.sort(sid_col)
+        sid_arrays.append(distinct_sorted(sorted_sids))
 
-    # dominant paths: decompose and look up, all vectorized
-    dominant_blocks: dict[str, "object"] = {}
-    for variable, path in normalized.dominant.items():
-        tree_path = normalized.tree_paths[variable]
-        block = lookup_decomposed_block(indexes, tree_path)
+    # dominant paths: look up the plan's decompositions, all vectorized;
+    # every block comes back (sid, tid)-sorted, so its sid column already
+    # is the count index
+    dominant_blocks: dict[str, PostingBlock] = {}
+    for variable in normalized.dominant:
+        block = lookup_decomposed_block(
+            indexes, normalized.tree_paths[variable], normalized.decomposed[variable]
+        )
         dominant_blocks[variable] = block
         if block.size == 0:
             result.provably_empty = True
-        sid_arrays.append(np.unique(block.sid))
+        sid_arrays.append(block.unique_sids())
 
     # every path variable is served by the bindings of its dominant path
     for variable in normalized.absolute_paths:
@@ -169,7 +172,7 @@ def _run_dpli_columnar(
             count_index[variable] = _EMPTY_SIDS
         else:
             result.path_bindings[variable] = PostingView(block)
-            count_index[variable] = np.sort(block.sid)
+            count_index[variable] = block.sid
 
     if result.provably_empty:
         result.candidate_sids = set()

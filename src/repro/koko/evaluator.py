@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from ..indexing.exact import match_path_in_sentence
+from ..indexing.query_ir import TreePath
 from ..nlp.types import Sentence
 from .ast import Elastic, PathExpr, SpanExpr, SubtreeRef, TokenSeq, VarRef
 from .dpli import DpliResult
@@ -31,6 +32,26 @@ from .paths import to_tree_path
 # A guard against pathological nested-loop sizes (mostly relevant for the
 # NOGSP baseline on long sentences).
 _MAX_ASSIGNMENTS_PER_SENTENCE = 200_000
+
+#: query-side entity type (lower-cased) -> mention types it accepts
+_ENTITY_TYPE_ALIASES = {
+    "person": frozenset({"PERSON"}),
+    "gpe": frozenset({"GPE"}),
+    "location": frozenset({"LOCATION", "GPE", "FACILITY"}),
+    "organization": frozenset({"ORGANIZATION"}),
+    "org": frozenset({"ORGANIZATION"}),
+    "date": frozenset({"DATE"}),
+    "facility": frozenset({"FACILITY"}),
+    "team": frozenset({"TEAM", "ORGANIZATION"}),
+}
+
+
+def _accepted_mention_types(wanted: str) -> frozenset[str] | None:
+    """Mention types an entity variable of type *wanted* binds; None = any."""
+    low = wanted.lower()
+    if low == "entity":
+        return None
+    return _ENTITY_TYPE_ALIASES.get(low, frozenset({wanted.upper()}))
 
 
 @dataclass(frozen=True)
@@ -58,6 +79,11 @@ class Binding:
 Assignment = dict[str, Binding]
 
 
+def _final_conditions(path: PathExpr) -> tuple:
+    """The conditions on the last step of *path* (checked per matched token)."""
+    return tuple(path.steps[-1].conditions) if path.steps else ()
+
+
 class SentenceEvaluator:
     """Evaluates the extract clause of one normalised query over sentences."""
 
@@ -70,6 +96,22 @@ class SentenceEvaluator:
         #: skip plans pre-generated in one vectorized pass (columnar DPLI);
         #: evaluate() falls back to per-sentence generation on misses
         self._plans: dict[int, SkipPlan] | None = None
+        # resolved once per evaluator, not per candidate sentence: what each
+        # entity variable accepts, and each path (of a variable or an inline
+        # span atom) as its tree path plus final-step conditions
+        self._entity_types = {
+            variable: _accepted_mention_types(etype)
+            for variable, etype in normalized.entity_vars.items()
+        }
+        self._variable_paths = {
+            variable: (normalized.tree_paths[variable], _final_conditions(path))
+            for variable, path in normalized.absolute_paths.items()
+        }
+        self._atom_paths = {
+            atom_var: (to_tree_path(atom), _final_conditions(atom))
+            for atom_var, atom in normalized.atom_vars.items()
+            if isinstance(atom, PathExpr)
+        }
 
     # ------------------------------------------------------------------
     # public API
@@ -135,43 +177,26 @@ class SentenceEvaluator:
     ) -> dict[str, list[Binding]] | None:
         """Exact candidate bindings for entity and path variables, or None."""
         bindings: dict[str, list[Binding]] = {}
-        for variable, etype in self.normalized.entity_vars.items():
+        for variable, accepted in self._entity_types.items():
             mentions = [
                 Binding(sid=sentence.sid, start=m.start, end=m.end)
                 for m in sentence.entities
-                if self._entity_type_matches(m.etype, etype)
+                if accepted is None or m.etype in accepted
             ]
             if not mentions:
                 return None
             bindings[variable] = mentions
-        for variable, path in self.normalized.absolute_paths.items():
-            matches = self._match_path(sentence, path)
+        for variable, (tree_path, conditions) in self._variable_paths.items():
+            matches = self._match_path(sentence, tree_path, conditions)
             if not matches:
                 return None
             bindings[variable] = matches
         return bindings
 
-    @staticmethod
-    def _entity_type_matches(mention_type: str, wanted: str) -> bool:
-        wanted_low = wanted.lower()
-        if wanted_low == "entity":
-            return True
-        aliases = {
-            "person": {"PERSON"},
-            "gpe": {"GPE"},
-            "location": {"LOCATION", "GPE", "FACILITY"},
-            "organization": {"ORGANIZATION"},
-            "org": {"ORGANIZATION"},
-            "date": {"DATE"},
-            "facility": {"FACILITY"},
-            "team": {"TEAM", "ORGANIZATION"},
-        }
-        return mention_type in aliases.get(wanted_low, {wanted.upper()})
-
-    def _match_path(self, sentence: Sentence, path: PathExpr) -> list[Binding]:
-        tree_path = to_tree_path(path)
+    def _match_path(
+        self, sentence: Sentence, tree_path: TreePath, final_conditions
+    ) -> list[Binding]:
         token_ids = match_path_in_sentence(sentence, tree_path)
-        final_conditions = path.steps[-1].conditions if path.steps else ()
         result = []
         for tid in token_ids:
             if all(
@@ -293,7 +318,7 @@ class SentenceEvaluator:
             left, right = sentence.subtree_span(bound.node)
             return [Binding(sid=sentence.sid, start=left, end=right)]
         if isinstance(atom, PathExpr):
-            return self._match_path(sentence, atom)
+            return self._match_path(sentence, *self._atom_paths[atom_var])
         if isinstance(atom, Elastic):
             return self._elastic_spans(sentence, atom)
         if isinstance(atom, SpanExpr):  # pragma: no cover - not produced by parser

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import KokoSemanticError
+from ..indexing.decompose import DecomposedPath, decompose_path
 from ..indexing.query_ir import TreePath
 from .ast import (
     CHILD_AXIS,
@@ -73,6 +74,8 @@ class NormalizedQuery:
     dominant: dict[str, PathExpr] = field(default_factory=dict)
     #: var -> name of the variable whose dominant path serves it
     dominant_for: dict[str, str] = field(default_factory=dict)
+    #: dominant var -> Section 4.2.1 decomposition of its tree path
+    decomposed: dict[str, DecomposedPath] = field(default_factory=dict)
 
     def all_variables(self) -> list[str]:
         names = list(self.entity_vars) + list(self.absolute_paths) + list(self.span_vars)
@@ -101,6 +104,9 @@ def normalize(query: KokoQuery) -> NormalizedQuery:
     }
     normalized.tree_paths = {
         name: to_tree_path(path) for name, path in normalized.absolute_paths.items()
+    }
+    normalized.decomposed = {
+        name: decompose_path(normalized.tree_paths[name]) for name in normalized.dominant
     }
     return normalized
 

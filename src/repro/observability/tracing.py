@@ -93,8 +93,8 @@ class Span:
 
     Created running (``start`` taken from :func:`time.perf_counter`);
     :meth:`finish` freezes the duration.  Children may be added from
-    multiple threads (the shard fan-out does) — the child list is
-    guarded by a small per-span lock.
+    multiple threads — the child list is guarded by a small per-span
+    lock.
     """
 
     __slots__ = ("name", "attributes", "children", "_lock", "_start", "_elapsed")

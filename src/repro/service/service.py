@@ -26,10 +26,13 @@ a long-lived server:
   own corpus slice, engine and readers-writer lock, so ingesting a
   document write-locks **one** shard — queries keep reading the other
   N−1 concurrently.
-* **Parallel fan-out** — a query executes the stage pipeline per shard on
-  a thread pool and the per-shard results are merged deterministically
+* **Shard fan-out on the request thread** — a query executes the stage
+  pipeline shard by shard on the calling thread (the stages are
+  GIL-bound: four shard threads bought context switches, not overlap)
+  and the per-shard results are merged deterministically
   (:func:`~repro.koko.results.merge_results`): stable tuple order,
-  summed :class:`~repro.koko.results.StageTimings`.
+  summed :class:`~repro.koko.results.StageTimings`.  Concurrency is
+  across requests (:meth:`query_batch`, the async front end, RPC).
 * **Plan caching** — each distinct query string is parsed and normalised
   once (:class:`~repro.service.cache.PlanCache`).
 * **Result caching with per-shard generation stamps** — full query results
@@ -538,11 +541,6 @@ class KokoService:
         # segment id a subscriber still needs, or None when idle
         self._wal_pins: list = []
         self._generations = [0] * shards
-        self._shard_pool: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(max_workers=shards, thread_name_prefix="koko-shard")
-            if shards > 1
-            else None
-        )
         # Async front end: asyncio wrappers run the blocking calls here so
         # the event loop never blocks on annotation, fsyncs or execution.
         self._frontend_pool = ThreadPoolExecutor(
@@ -1311,11 +1309,10 @@ class KokoService:
             identical to a plain query's.
         deadline:
             A ``time.monotonic()`` timestamp after which the query is
-            abandoned: checked on entry, before each shard is dispatched,
-            and at the start of each shard's scan, raising
-            :class:`~repro.errors.DeadlineExceeded` — cooperative
-            cancellation, so already-running shard scans finish but no
-            new work starts for a caller that has given up.
+            abandoned: checked on entry and before each shard's scan,
+            raising :class:`~repro.errors.DeadlineExceeded` — cooperative
+            cancellation, so a running shard scan finishes but the
+            remaining shards never start for a caller that has given up.
         trace_context:
             A propagated :class:`~repro.observability.tracing.TraceContext`;
             its ``sampled`` flag replaces the local sampling decision and
@@ -1408,7 +1405,7 @@ class KokoService:
         trace: Span | None = None,
         deadline: float | None = None,
     ) -> KokoResult:
-        """Run the stage pipeline on every shard and merge the results.
+        """Run the stage pipeline shard by shard, here, and merge the results.
 
         With a ``cache_key`` (string queries), shards whose generation is
         unchanged since a previous execution of the same query are served
@@ -1417,45 +1414,22 @@ class KokoService:
         a ``shard_fanout`` span with one ``shardN`` child per shard and a
         ``merge`` span for the deterministic combine.
         """
-        if len(self._shards) == 1:
-            if trace is None:
-                return self._execute_shard(
-                    self._shards[0],
-                    query,
-                    threshold_override,
-                    keep_all_scores,
-                    deadline=deadline,
-                )
-            with trace.span("shard_fanout", shards=1) as fanout:
-                return self._execute_shard(
-                    self._shards[0],
-                    query,
-                    threshold_override,
-                    keep_all_scores,
-                    trace=fanout,
-                    deadline=deadline,
-                )
-        pool = self._shard_pool
-        if pool is None:
-            raise ServiceError("service is closed")
         fanout = (
             trace.child("shard_fanout", shards=len(self._shards))
             if trace is not None
             else None
         )
-        partials: list[KokoResult | None] = [None] * len(self._shards)
-        pending: list[_Shard] = []
+        partials: list[KokoResult] = []
         for shard in self._shards:
             lookup_started = time.perf_counter()
-            cached = (
+            partial_result = (
                 self._shard_result_caches[shard.shard_id].get(
                     cache_key, self._generations[shard.shard_id]
                 )
                 if cache_key is not None
                 else None
             )
-            if cached is not None:
-                partials[shard.shard_id] = cached
+            if partial_result is not None:
                 self.stats.record_shard_partial(reused=True, shard=shard.shard_id)
                 if fanout is not None:
                     fanout.record(
@@ -1464,37 +1438,26 @@ class KokoService:
                         partial_cache="hit",
                     )
             else:
-                pending.append(shard)
-        if pending:
-            self._check_deadline(deadline)
-            # Normalise once so the fan-out doesn't repeat parse + normalise
-            # per shard (the plan cache already hands us a CompiledQuery).
-            if not isinstance(query, CompiledQuery):
-                query = compile_query(query)
-            futures = [
-                (
-                    shard.shard_id,
-                    pool.submit(
-                        self._execute_shard,
-                        shard,
-                        query,
-                        threshold_override,
-                        keep_all_scores,
-                        cache_key,
-                        fanout,
-                        deadline,
-                    ),
+                # Normalise once so the loop doesn't repeat parse + normalise
+                # per shard (the plan cache already hands us a CompiledQuery).
+                if not isinstance(query, CompiledQuery):
+                    query = compile_query(query)
+                partial_result = self._execute_shard(
+                    shard,
+                    query,
+                    threshold_override,
+                    keep_all_scores,
+                    cache_key,
+                    fanout,
+                    deadline,
                 )
-                for shard in pending
-            ]
-            for shard_id, future in futures:
-                partials[shard_id] = future.result()
+            partials.append(partial_result)
         if fanout is not None:
             fanout.finish()
         if trace is None:
-            return merge_results([p for p in partials if p is not None])
+            return merge_results(partials)
         with trace.span("merge"):
-            return merge_results([p for p in partials if p is not None])
+            return merge_results(partials)
 
     def _execute_shard(
         self,
@@ -1509,10 +1472,9 @@ class KokoService:
         """Execute one shard's slice under its read lock; cache the partial.
 
         ``trace`` is the fan-out span this execution should hang its own
-        ``shardN`` child under (safe from pool threads: span child lists
-        are lock-guarded).  An expired *deadline* abandons the shard
-        before its scan starts (cooperative cancellation: queued shards
-        of a timed-out query never run).
+        ``shardN`` child under.  An expired *deadline* abandons the shard
+        before its scan starts (cooperative cancellation: the remaining
+        shards of a timed-out query never run).
         """
         self._check_deadline(deadline)
         started = time.perf_counter()
@@ -1560,9 +1522,8 @@ class KokoService:
         """Evaluate a batch of queries concurrently, preserving order.
 
         Each result carries its own :class:`~repro.koko.results.StageTimings`
-        exactly as single-query execution would.  The batch pool is separate
-        from the per-shard fan-out pool, so batched queries on a sharded
-        service still parallelise across shards.
+        exactly as single-query execution would; each query runs its shard
+        slices on its own batch thread.
 
         ``max_workers`` overrides the service-level thread-pool width for
         this batch only.
@@ -1685,9 +1646,6 @@ class KokoService:
             self._annotation_pool.shutdown(wait=True)
             self._annotation_pool = None
         self._frontend_pool.shutdown(wait=True)
-        if self._shard_pool is not None:
-            self._shard_pool.shutdown(wait=True)
-            self._shard_pool = None
         self._slow_log.close()
 
     def __enter__(self) -> "KokoService":

@@ -212,7 +212,7 @@ def test_unsharded_accessors_and_defaults():
     assert not isinstance(service.indexes, ShardedIndexSet)
     assert service.engine is service.engines[0]
     assert service.corpus is service.corpora[0]
-    service.close()  # no-op without a fan-out pool
+    service.close()
     service.close()  # idempotent
 
     sharded = KokoService(shards=4)
