@@ -510,6 +510,11 @@ class ReplicaService:
                 return self.service.query(query, **kwargs)
             raise
 
+    def cached_result(self, query, *args, **kwargs):
+        """The inner service's non-blocking result-cache probe (see
+        :meth:`KokoService.cached_result`); ``None`` during a rebuild."""
+        return self.service.cached_result(query, *args, **kwargs)
+
     def query_batch(self, queries, **kwargs):
         """Concurrent batch evaluation (see :meth:`KokoService.query_batch`)."""
         service = self.service

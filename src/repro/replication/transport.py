@@ -176,6 +176,12 @@ class TcpTransport:
 
     def recv(self, timeout: float | None = None):
         """The next message, or ``None`` after *timeout* seconds of silence."""
+        payload = self.recv_payload(timeout)
+        return None if payload is None else pickle.loads(payload)
+
+    def recv_payload(self, timeout: float | None = None) -> bytes | None:
+        """The next frame's payload, still encoded (for a caller with its
+        own decoder), or ``None`` after *timeout* seconds of silence."""
         with self._recv_lock:
             if self._closed:
                 raise TransportClosed(f"{self.name} transport is closed")
@@ -199,7 +205,7 @@ class TcpTransport:
             except TransportClosed:
                 self._closed = True
                 raise
-        return pickle.loads(payload)
+        return payload
 
     def close(self) -> None:
         """Shut the socket down (idempotent); the peer's recv raises."""

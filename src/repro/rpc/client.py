@@ -2,9 +2,11 @@
 
 :class:`RpcClient` is the blocking client.  Because the RPC wire dialect
 is the replication transport's framing plus the same HMAC handshake, the
-blocking client simply *is* a
-:class:`~repro.replication.transport.TcpTransport` obtained from
-``connect_tcp`` — no second framing implementation to keep in sync.
+blocking client sends and receives its frames through a
+:class:`~repro.replication.transport.TcpTransport` — no second framing
+implementation to keep in sync.  A response payload of either shape
+(:mod:`repro.rpc.wire`) is decoded, matched to its request and accounted
+by one method both clients share (:meth:`_CallMixin._complete_call`).
 
 :class:`AsyncRpcClient` is the asyncio twin for event-loop callers (and
 for tests that drive many concurrent requests without threads).
@@ -51,9 +53,8 @@ from ..replication.transport import (
 )
 from .wire import (
     RpcRequest,
-    RpcResponse,
     answer_auth_challenge_async,
-    decode_message,
+    decode_response,
     encode_message,
     frame_message,
     raise_fault,
@@ -140,6 +141,34 @@ class _CallMixin:
             span.annotate(fault=fault_code)
         span.finish()
         self.traces.record(ctx, span, kind="client", node=self.client_id)
+
+    def _complete_call(
+        self,
+        request: RpcRequest,
+        payload: bytes,
+        span: Span | None,
+        started: float,
+    ):
+        """Everything after a response payload arrived, for both clients:
+        decode it (either frame shape), check it answers *request*,
+        account the exchange, and return its value or raise its fault."""
+        response = decode_response(payload)
+        if response.request_id != request.request_id:
+            raise RpcError(
+                f"response id {response.request_id} does not match "
+                f"request id {request.request_id}"
+            )
+        fault = response.fault
+        self._finish_call(
+            request.trace,
+            span,
+            started,
+            response.server_ms,
+            fault_code=fault.code if fault is not None else None,
+        )
+        if fault is not None:
+            raise_fault(fault)
+        return response.value
 
     def stats(self) -> dict:
         """Running request counters with the wire-vs-server time split.
@@ -289,7 +318,10 @@ class RpcClient(_CallMixin):
 
     Thread-safe: a lock serialises request/response exchanges, so one
     client may be shared across threads (each call holds the connection
-    for its full round trip).
+    for its full round trip).  A call that gets no response within
+    ``timeout`` seconds raises :class:`~repro.errors.RpcUnavailable` and
+    closes the connection — the late response must never be read as the
+    next call's answer — so later calls fail fast; connect again.
 
     ``trace_sample_rate`` samples calls into client-side ``rpc.call``
     root spans whose :class:`TraceContext` the server continues; the
@@ -339,28 +371,20 @@ class RpcClient(_CallMixin):
         with self._lock:
             try:
                 self._transport.send(request)
-                response = self._transport.recv(timeout=self.timeout)
+                payload = self._transport.recv_payload(timeout=self.timeout)
             except TransportClosed as exc:
                 raise RpcUnavailable(f"server connection lost: {exc}") from exc
             except OSError as exc:
                 raise RpcUnavailable(f"server connection failed: {exc}") from exc
-        if not isinstance(response, RpcResponse):
-            raise RpcError(f"unexpected message from server: {response!r}")
-        if response.request_id != request.request_id:
-            raise RpcError(
-                f"response id {response.request_id} does not match "
-                f"request id {request.request_id}"
-            )
-        self._finish_call(
-            ctx,
-            span,
-            started,
-            response.server_ms,
-            fault_code=response.fault.code if response.fault is not None else None,
-        )
-        if response.fault is not None:
-            raise_fault(response.fault)
-        return response.value
+            if payload is None:
+                # the late response would be read as the next call's answer:
+                # a connection that timed out once is never used again
+                self._transport.close()
+                raise RpcUnavailable(
+                    f"no response to {op!r} within the client timeout of "
+                    f"{self.timeout:g}s; connection closed"
+                )
+        return self._complete_call(request, payload, span, started)
 
     def close(self) -> None:
         """Close the connection (idempotent)."""
@@ -447,24 +471,7 @@ class AsyncRpcClient(_CallMixin):
                 raise RpcUnavailable(f"server connection failed: {exc}") from exc
         if payload is None:
             raise RpcUnavailable("server closed the connection")
-        response = decode_message(payload)
-        if not isinstance(response, RpcResponse):
-            raise RpcError(f"unexpected message from server: {response!r}")
-        if response.request_id != request.request_id:
-            raise RpcError(
-                f"response id {response.request_id} does not match "
-                f"request id {request.request_id}"
-            )
-        self._finish_call(
-            ctx,
-            span,
-            started,
-            response.server_ms,
-            fault_code=response.fault.code if response.fault is not None else None,
-        )
-        if response.fault is not None:
-            raise_fault(response.fault)
-        return response.value
+        return self._complete_call(request, payload, span, started)
 
     async def close(self) -> None:
         """Close the connection (idempotent)."""

@@ -9,6 +9,15 @@ tuple-identically), or a :class:`~repro.replication.router.ReplicaSet`
 primary).  The wire dialect is the replication transport's framing plus
 the same mutual HMAC handshake (:mod:`repro.rpc.wire`).
 
+A request takes one of **two paths**.  A ``query`` that a primary's or a
+replica's result cache can answer is answered **on the event loop**, where
+it arrived (:meth:`RpcServer._cached_entry` →
+:meth:`~repro.service.service.KokoService.cached_result`: a cache probe
+that takes no lock a writer or an fsync can hold), and its response reuses
+the answer's wire bytes, kept in the cache entry since its first sending.
+Everything else — misses, writes, routers, token-carrying and
+trace-sampled requests — runs its blocking handler on an executor thread.
+
 Production admission machinery lives at this boundary:
 
 * **per-client token buckets** (:mod:`repro.rpc.admission`) reject a
@@ -59,18 +68,21 @@ from ..errors import (
 from ..observability.exposition import _node_kind
 from ..observability.tracing import Span, TraceContext
 from ..replication.shipper import _is_loopback
+from ..service.cache import CacheEntry
 from ..service.service import IngestAck
 from .admission import AdmissionController, AdmissionPolicy
 from .wire import (
+    FRAME_HEADER,
     MAX_FRAME_BYTES,
     FrameError,
     FrameTooLarge,
+    IdleTimer,
     RpcRequest,
     RpcResponse,
     decode_message,
+    encode_body,
     encode_message,
     fault_for,
-    frame_message,
     issue_auth_challenge_async,
     read_frame,
 )
@@ -110,7 +122,8 @@ class RpcServer:
         Budget in seconds applied to requests that carry none
         (``None`` = no server-imposed deadline).
     max_workers:
-        Executor threads running the blocking node calls.
+        Executor threads running the blocking node calls: query misses
+        and writes (cached answers never occupy one).
     name:
         Label for thread names and ``ping``/``info`` responses.
     """
@@ -191,6 +204,12 @@ class RpcServer:
             "remove_document": self._op_remove_document,
             "flush": self._op_flush,
             "info": self._op_info,
+        }
+        #: the two per-op metric children of every known op, resolved once
+        #: (an unknown op name still goes through ``labels()``)
+        self._op_metrics = {
+            op: (self._requests.labels(op), self._latency.labels(op))
+            for op in (*self._handlers, "ping")
         }
 
     # ------------------------------------------------------------------
@@ -275,6 +294,18 @@ class RpcServer:
     # connection handling
     # ------------------------------------------------------------------
     async def _serve_connection(self, reader, writer) -> None:
+        """The task of one accepted connection (see :meth:`_connection_loop`).
+
+        Only :meth:`close` cancels it, as the loop shuts down; ending
+        quietly then keeps Python 3.11's stream callback from logging the
+        cancellation as an unhandled exception of this coroutine.
+        """
+        try:
+            await self._connection_loop(reader, writer)
+        except asyncio.CancelledError:
+            pass
+
+    async def _connection_loop(self, reader, writer) -> None:
         """One accepted connection: handshake, then a request loop.
 
         Any transport-level fault (garbage, oversized frame, mid-frame
@@ -284,6 +315,11 @@ class RpcServer:
         self._connections.inc()
         peername = writer.get_extra_info("peername") or ("unknown", 0)
         peer = f"{peername[0]}:{peername[1]}"
+        idle = (
+            IdleTimer(reader, self.idle_timeout)
+            if self.idle_timeout is not None
+            else None
+        )
         try:
             if self.auth_token is not None:
                 try:
@@ -298,9 +334,7 @@ class RpcServer:
                     return
             while True:
                 try:
-                    payload = await read_frame(
-                        reader, self.max_frame_bytes, timeout=self.idle_timeout
-                    )
+                    payload = await read_frame(reader, self.max_frame_bytes, idle)
                 except (asyncio.TimeoutError, TimeoutError):
                     self._transport_errors.labels("idle_timeout").inc()
                     return
@@ -321,12 +355,22 @@ class RpcServer:
                 if not isinstance(message, RpcRequest):
                     self._transport_errors.labels("garbage_frame").inc()
                     return
-                response = await self._dispatch(message, received_at, peer)
-                writer.write(frame_message(encode_message(response)))
+                response, entry = await self._dispatch(message, received_at, peer)
+                if entry is None:
+                    payload = encode_message(response)
+                else:
+                    # a cached answer: its body is encoded on first sending
+                    # and kept in the cache entry, to die with it
+                    if entry.encoded is None:
+                        entry.encoded = encode_body(entry.value)
+                    payload = encode_message(response, entry.encoded)
+                writer.writelines((FRAME_HEADER.pack(len(payload)), payload))
                 await writer.drain()
         except (ConnectionError, OSError):
             self._transport_errors.labels("disconnect").inc()
         finally:
+            if idle is not None:
+                idle.cancel()
             self._connections.dec()
             try:
                 writer.close()
@@ -336,8 +380,14 @@ class RpcServer:
 
     async def _dispatch(
         self, request: RpcRequest, received_at: float, peer: str
-    ) -> RpcResponse:
-        """Admission → deadline → execute; every failure becomes a fault.
+    ) -> tuple[RpcResponse, CacheEntry | None]:
+        """Admission → deadline → cached answer or execute; every failure
+        becomes a fault.
+
+        Returns the response and, when the value came out of the node's
+        result cache right here on the loop (:meth:`_cached_entry`), the
+        cache entry whose ``encoded`` slot holds — or will hold — the
+        value's wire bytes.
 
         A request whose ``trace`` header is sampled gets an ``rpc.server``
         fragment continuing the caller's trace — admission wait, executor
@@ -346,8 +396,16 @@ class RpcServer:
         own span tree joins the trace.  Every response (success or fault)
         carries ``server_ms``.
         """
-        self._requests.labels(request.op).inc()
+        op_metrics = self._op_metrics.get(request.op)
+        if op_metrics is None:
+            op_metrics = (
+                self._requests.labels(request.op),
+                self._latency.labels(request.op),
+            )
+        requests, latency = op_metrics
+        requests.inc()
         self._inflight.inc()
+        entry: CacheEntry | None = None
         started = time.perf_counter()
         ctx = request.trace if isinstance(request.trace, TraceContext) else None
         span: Span | None = None
@@ -387,7 +445,11 @@ class RpcServer:
                         f"deadline of {budget:g}s expired before "
                         f"{request.op!r} started"
                     )
-                value = await self._execute(request, deadline_at, frag, span)
+                entry = self._cached_entry(request, span)
+                if entry is not None:
+                    value = entry.value
+                else:
+                    value = await self._execute(request, deadline_at, frag, span)
                 if span is not None and deadline_at is not None:
                     span.annotate(
                         deadline_slack_ms=round(
@@ -404,7 +466,7 @@ class RpcServer:
         finally:
             self._inflight.dec()
         elapsed = time.perf_counter() - started
-        self._latency.labels(request.op).observe(elapsed)
+        latency.observe(elapsed)
         if span is not None and frag is not None:
             span.finish()
             store = getattr(self._underlying_service(), "trace_store", None)
@@ -416,11 +478,35 @@ class RpcServer:
                     kind="rpc",
                     node=self.name,
                 )
-        return RpcResponse(
+        response = RpcResponse(
             request_id=request.request_id,
             value=value,
             fault=fault,
             server_ms=round(elapsed * 1000.0, 3),
+        )
+        return response, entry
+
+    def _cached_entry(self, request: RpcRequest, span: Span | None) -> CacheEntry | None:
+        """The loop-inline request path: a ``query`` the node's result cache
+        can answer is answered here, with no executor hop.
+
+        Only :meth:`KokoService.cached_result` runs on the loop — a cache
+        probe that takes no lock a writer or an fsync can hold.  Everything
+        else goes to the executor as before: a miss, a router node (it
+        chooses a replica per request), a read-your-writes token (checking
+        it may wait on the WAL lock) and a sampled trace (its span tree
+        records the executor path).
+        """
+        if request.op != "query" or span is not None or self._kind == "router":
+            return None
+        args = request.args
+        if args.get("read_your_writes") is not None:
+            return None
+        return self.node.cached_result(
+            args.get("query"),
+            args.get("threshold_override"),
+            bool(args.get("keep_all_scores", False)),
+            request.client_id,
         )
 
     async def _execute(

@@ -1,12 +1,29 @@
 """Wire format of the query/ingest RPC tier.
 
-The RPC tier speaks the **same framing** as the replication transport
+The RPC tier frames like the replication transport
 (:class:`~repro.replication.transport.TcpTransport`): a little-endian
-``u64`` length prefix followed by a pickled message, and the same mutual
-HMAC challenge-response before any byte is unpickled (async variants of
-the handshake live here for the asyncio server and client).  Keeping the
-frame format shared means a blocking RPC client literally *is* a
-``TcpTransport`` — one wire dialect across the whole system.
+``u64`` length prefix, then the payload, after the same mutual HMAC
+challenge-response before any byte is unpickled (async variants of the
+handshake live here for the asyncio server and client).  The blocking
+client therefore reads and writes its frames through a ``TcpTransport``.
+
+A **request** payload, and most response payloads, are one pickled
+message.  A response that carries a *cached* query result is laid out as
+``len ‖ envelope ‖ body`` inside the one frame:
+
+* the **envelope** is the small per-response pickle — an
+  :class:`RpcResponse` whose ``value`` is a :class:`BodyFollows` marker
+  naming the body's length and codec instead of the value itself;
+* the **body** is the value's encoding (:func:`encode_body`), which the
+  server computed once and keeps in the result-cache entry beside the
+  value, so a repeated answer is not re-encoded per reader.
+
+:func:`encode_message` builds both shapes (the stored body rides as its
+optional second argument) and :func:`decode_response` reads both, for
+both clients.  The marker is explicit so that a decoder which does not
+know it sees a foreign object in ``value``, never a plausible ``None``;
+the body's codec name is the seam a typed codec replacing pickle plugs
+into.
 
 Messages are two frozen dataclasses:
 
@@ -33,10 +50,11 @@ from __future__ import annotations
 
 import asyncio
 import hmac
+import io
 import os
 import pickle
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NoReturn
 
 from ..errors import (
@@ -64,14 +82,18 @@ from ..replication.transport import (
 __all__ = [
     "FRAME_HEADER",
     "MAX_FRAME_BYTES",
+    "BodyFollows",
     "FrameError",
     "FrameTooLarge",
+    "IdleTimer",
     "RpcFault",
     "RpcRequest",
     "RpcResponse",
     "TraceContext",
     "answer_auth_challenge_async",
     "decode_message",
+    "decode_response",
+    "encode_body",
     "encode_message",
     "fault_for",
     "frame_message",
@@ -136,19 +158,75 @@ class RpcResponse:
     server_ms: float | None = None
 
 
-def encode_message(message: object) -> bytes:
-    """Serialise one message — byte-identical to ``TcpTransport.send``'s
-    payload encoding (highest-protocol pickle)."""
-    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+@dataclass(frozen=True)
+class BodyFollows:
+    """Stands in an envelope's ``value`` place: the value is not in this
+    pickle — its *nbytes* bytes, encoded with *codec*, follow the envelope
+    inside the same frame."""
+
+    nbytes: int
+    codec: str = "pickle"
+
+
+def encode_body(value: object) -> bytes:
+    """Encode one response value on its own, to be kept and sent many times."""
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def encode_message(message: object, body: bytes | None = None) -> bytes:
+    """Serialise one message into a frame payload (highest-protocol pickle).
+
+    With *body* — the :func:`encode_body` bytes of ``message.value``,
+    which must be an :class:`RpcResponse`'s — the payload is ``envelope ‖
+    body`` and the value itself is not pickled again.
+    """
+    if body is None:
+        return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    envelope = replace(message, value=BodyFollows(len(body)))
+    return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL) + body
 
 
 def decode_message(payload: bytes) -> object:
-    """Inverse of :func:`encode_message`; raises :class:`FrameError` on
-    bytes that do not decode."""
+    """Inverse of single-pickle :func:`encode_message`; raises
+    :class:`FrameError` on bytes that do not decode."""
     try:
         return pickle.loads(payload)
     except Exception as exc:
         raise FrameError(f"undecodable frame payload: {exc!r}") from exc
+
+
+def decode_response(payload: bytes) -> RpcResponse:
+    """Decode one response payload of either shape into an
+    :class:`RpcResponse` that carries its value.
+
+    Raises :class:`FrameError` when the payload is not a response, when
+    bytes trail a response that announced no body, when the body's length
+    differs from the marker's, or when the marker names an unknown codec.
+    """
+    stream = io.BytesIO(payload)
+    try:
+        response = pickle.load(stream)
+    except Exception as exc:
+        raise FrameError(f"undecodable frame payload: {exc!r}") from exc
+    if not isinstance(response, RpcResponse):
+        raise FrameError(f"unexpected message from server: {response!r}")
+    envelope_end = stream.tell()
+    trailing = len(payload) - envelope_end
+    marker = response.value
+    if not isinstance(marker, BodyFollows):
+        if trailing:
+            raise FrameError(f"{trailing} bytes trail a response without a body")
+        return response
+    if marker.codec != "pickle":
+        raise FrameError(f"response body uses unknown codec {marker.codec!r}")
+    if marker.nbytes != trailing:
+        raise FrameError(
+            f"response announced a body of {marker.nbytes} bytes, "
+            f"{trailing} arrived"
+        )
+    return replace(
+        response, value=decode_message(memoryview(payload)[envelope_end:])
+    )
 
 
 def frame_message(payload: bytes) -> bytes:
@@ -156,10 +234,60 @@ def frame_message(payload: bytes) -> bytes:
     return FRAME_HEADER.pack(len(payload)) + payload
 
 
+class IdleTimer:
+    """The idle / slow-loris guard of one connection: one timer, re-armed.
+
+    :func:`read_frame` calls :meth:`start` when it begins waiting for a
+    frame and :meth:`stop` once the frame is whole; a read still pending
+    *timeout* seconds after its start fails with
+    :class:`asyncio.TimeoutError`.  Starting and stopping only move a
+    deadline — the one ``call_at`` handle is re-armed when it fires, not
+    per request — so the guard costs a busy connection a clock read per
+    frame instead of a task and a timer.  :meth:`cancel` when the
+    connection closes.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader, timeout: float) -> None:
+        self._reader = reader
+        self._timeout = timeout
+        self._loop = asyncio.get_running_loop()
+        self._deadline: float | None = None  # set while a frame read is pending
+        self._handle: asyncio.TimerHandle | None = None
+
+    def start(self) -> None:
+        """A frame read begins: it must finish within the timeout."""
+        self._deadline = self._loop.time() + self._timeout
+        if self._handle is None:
+            self._handle = self._loop.call_at(self._deadline, self._fire)
+
+    def stop(self) -> None:
+        """The frame read ended; nothing is pending."""
+        self._deadline = None
+
+    def cancel(self) -> None:
+        """The connection is closing: drop the timer."""
+        self._deadline = None
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _fire(self) -> None:
+        self._handle = None
+        deadline = self._deadline
+        if deadline is None:
+            return  # no read pending: the next start() arms a new timer
+        if self._loop.time() < deadline:
+            self._handle = self._loop.call_at(deadline, self._fire)
+        else:
+            # wakes the pending read with the error; the stream is unusable
+            # afterwards, which is the point — the connection is dropped
+            self._reader.set_exception(asyncio.TimeoutError())
+
+
 async def read_frame(
     reader: asyncio.StreamReader,
     max_frame_bytes: int = MAX_FRAME_BYTES,
-    timeout: float | None = None,
+    idle: IdleTimer | None = None,
 ) -> bytes | None:
     """Read one whole frame payload from an asyncio stream.
 
@@ -167,11 +295,12 @@ async def read_frame(
     :class:`FrameTooLarge` when the header announces more than
     *max_frame_bytes* (the stream cannot be resynchronised — drop the
     connection), :class:`FrameError` on a mid-frame EOF, and
-    :class:`asyncio.TimeoutError` when *timeout* elapses first (the
+    :class:`asyncio.TimeoutError` when *idle*'s timeout elapses first (the
     slow-loris guard: a peer trickling header bytes forever is cut off).
     """
-
-    async def _read() -> bytes | None:
+    if idle is not None:
+        idle.start()
+    try:
         try:
             header = await reader.readexactly(FRAME_HEADER.size)
         except asyncio.IncompleteReadError as exc:
@@ -187,10 +316,9 @@ async def read_frame(
             return await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
             raise FrameError("connection closed mid-frame") from exc
-
-    if timeout is None:
-        return await _read()
-    return await asyncio.wait_for(_read(), timeout=timeout)
+    finally:
+        if idle is not None:
+            idle.stop()
 
 
 # -- fault mapping ------------------------------------------------------

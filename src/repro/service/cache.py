@@ -9,6 +9,8 @@ Two read-side caches, both keyed by query text:
   Every ingest bumps the service's corpus generation; an entry stamped
   with an older generation is stale and treated as a miss (and evicted),
   so results never outlive the corpus snapshot they were computed from.
+  An entry (:class:`CacheEntry`) has one optional slot for an encoding
+  derived from its value, which therefore needs no cache of its own.
 
 Both caches are guarded by their own mutex: many query threads hit them
 concurrently under the service's *read* lock.
@@ -22,9 +24,28 @@ from typing import Callable, Generic, Hashable, TypeVar
 
 from ..koko.engine import CompiledQuery, compile_query
 
-__all__ = ["PlanCache", "ResultCache"]
+__all__ = ["CacheEntry", "PlanCache", "ResultCache"]
 
 V = TypeVar("V")
+
+
+class CacheEntry(Generic[V]):
+    """One :class:`ResultCache` entry: a value, the generation it was
+    computed at, and one optional slot for an encoding derived from it.
+
+    ``encoded`` is whatever the reader that serves the value wants to keep
+    beside it (the RPC server keeps the value's wire bytes there).  The
+    value is immutable, so the slot is write-once in effect — every writer
+    would store equal bytes — and it has no lifetime of its own: evicting
+    or staling the entry drops the only reference to both.
+    """
+
+    __slots__ = ("generation", "value", "encoded")
+
+    def __init__(self, generation: Hashable, value: V) -> None:
+        self.generation = generation
+        self.value = value
+        self.encoded: bytes | None = None
 
 
 class _LruDict(Generic[V]):
@@ -145,7 +166,7 @@ class ResultCache(Generic[V]):
             )
         if max_entry_bytes is not None and entry_bytes is None:
             raise ValueError("max_entry_bytes requires an entry_bytes estimator")
-        self._entries: _LruDict[tuple[Hashable, V]] = _LruDict(
+        self._entries: _LruDict[CacheEntry[V]] = _LruDict(
             capacity, on_evict=self._forward_lru_eviction
         )
         self._on_evict = on_evict
@@ -157,8 +178,8 @@ class ResultCache(Generic[V]):
         if self._on_evict is not None:
             self._on_evict(False)
 
-    def get(self, key: Hashable, generation: Hashable) -> V | None:
-        """The value cached under *key* at exactly *generation*, else None.
+    def entry(self, key: Hashable, generation: Hashable) -> CacheEntry[V] | None:
+        """The entry cached under *key* at exactly *generation*, else None.
 
         An entry stamped with a different generation is stale: it is
         evicted on sight and reported as a miss.
@@ -166,12 +187,16 @@ class ResultCache(Generic[V]):
         entry = self._entries.get(key)
         if entry is None:
             return None
-        stamped_generation, value = entry
-        if stamped_generation != generation:
+        if entry.generation != generation:
             if self._entries.evict(key) and self._on_evict is not None:
                 self._on_evict(True)
             return None
-        return value
+        return entry
+
+    def get(self, key: Hashable, generation: Hashable) -> V | None:
+        """The value of :meth:`entry`, else None."""
+        entry = self.entry(key, generation)
+        return None if entry is None else entry.value
 
     def put(self, key: Hashable, generation: Hashable, value: V) -> None:
         """Cache *value* under *key*, stamped with *generation*.
@@ -186,7 +211,7 @@ class ResultCache(Generic[V]):
             if self._on_admission_skip is not None:
                 self._on_admission_skip()
             return
-        self._entries.put(key, (generation, value))
+        self._entries.put(key, CacheEntry(generation, value))
 
     def get_or_compute(
         self, key: Hashable, generation: Hashable, compute: Callable[[], V]

@@ -134,7 +134,7 @@ from ..persistence import (
     WriteAheadLog,
     write_snapshot,
 )
-from .cache import PlanCache, ResultCache
+from .cache import CacheEntry, PlanCache, ResultCache
 from .ingest import APPLIED, LOGGED, IngestState, WriteOp
 from .locks import ReadWriteLock
 from .stats import ServiceStats
@@ -1283,7 +1283,9 @@ class KokoService:
         """Evaluate one query against the current corpus.
 
         String queries go through the plan cache and the generation-stamped
-        result caches; pre-parsed queries bypass both.  Execution holds
+        result caches; pre-parsed queries bypass both.  An untraced query
+        starts with :meth:`cached_result` — a full-result hit returns from
+        there, by the same code a non-blocking caller uses.  Execution holds
         per-shard *read* locks only, so any number of queries run
         concurrently with each other and with the off-lock stages of
         in-flight ingests.
@@ -1326,14 +1328,23 @@ class KokoService:
         trace, frag = self._start_trace(
             "query", trace_context, force=explain, shards=len(self._shards)
         )
+        if trace is None:
+            entry = self.cached_result(
+                query, threshold_override, keep_all_scores, client_id
+            )
+            if entry is not None:
+                return entry.value
         result_hit: bool | None = None
         plan_hit: bool | None = None
         if isinstance(query, str):
             key = (query, threshold_override, keep_all_scores)
             stamp = tuple(self._generations)
-            lookup_started = time.perf_counter()
-            cached = self._result_cache.get(key, stamp)
+            cached = None
             if trace is not None:
+                # an untraced query already probed (and missed) above; a
+                # traced one makes the same lookup here, timed into a span
+                lookup_started = time.perf_counter()
+                cached = self._result_cache.get(key, stamp)
                 trace.record(
                     "result_cache",
                     time.perf_counter() - lookup_started,
@@ -1395,6 +1406,43 @@ class KokoService:
         if explain:
             return ExplainedResult(result=result, trace=trace)
         return result
+
+    def cached_result(
+        self,
+        query,
+        threshold_override: float | None = None,
+        keep_all_scores: bool = False,
+        client_id: str | None = None,
+    ) -> CacheEntry[KokoResult] | None:
+        """The result-cache entry that answers *query* right now, else None.
+
+        This is the hit path of :meth:`query` (which starts with it) made
+        callable on its own, so a caller that must not block — the RPC
+        server's event loop — can answer a cached query where the request
+        arrived.  It reads the generation vector and probes the result
+        cache under the cache's own short mutex; it never compiles, never
+        executes and takes no shard, ingest or WAL lock.  A hit is recorded
+        in :attr:`stats` (and the slow-op log) exactly as ``query`` records
+        one; a miss, a non-string query and a closed service return
+        ``None`` and record nothing — the caller falls back to ``query``.
+
+        The entry (not just its value) is returned so that a server can
+        keep the value's encoded form in the entry's ``encoded`` slot.
+        """
+        if self._closed or not isinstance(query, str):
+            return None
+        started = time.perf_counter()
+        entry = self._result_cache.entry(
+            (query, threshold_override, keep_all_scores), tuple(self._generations)
+        )
+        if entry is None:
+            return None
+        elapsed = time.perf_counter() - started
+        self.stats.record_query(elapsed, result_cache_hit=True)
+        self._observe_slow_query(
+            query, elapsed, entry.value, True, None, None, client_id=client_id
+        )
+        return entry
 
     def _execute(
         self,
