@@ -2,10 +2,11 @@
 
 The subsystem splits durable state the way HTAP engines do:
 
-* **snapshots** — read-optimised: the corpus and every shard's index
-  columns, the same numpy arrays the shard serves from
-  (:meth:`~repro.indexing.koko_index.KokoIndexSet.to_arrays` /
-  ``from_arrays``); the bytes on disk are also the replica-bootstrap
+* **snapshots** — read-optimised: the corpus as immutable per-shard
+  segments that later snapshots share (a checkpoint writes only what
+  changed) and every shard's index columns, the same numpy arrays the
+  shard serves from (:meth:`~repro.indexing.koko_index.KokoIndexSet.to_arrays`
+  / ``from_arrays``); the bytes on disk are also the replica-bootstrap
   payload, and a store of another layout version is refused
   (:class:`LayoutVersionError`), never partially read;
 * **write-ahead log** — write-optimised: every ``add``/``remove`` appended
@@ -21,8 +22,10 @@ from .layout import LAYOUT_VERSION, StorageLayout
 from .recovery import RecoveredState, RecoveryManager
 from .snapshot import (
     LayoutVersionError,
+    ShardSegments,
     SnapshotState,
     load_snapshot,
+    prune_segments,
     read_snapshot_payloads,
     state_from_payloads,
     write_snapshot,
@@ -54,6 +57,7 @@ __all__ = [
     "RecoveredState",
     "RecoveryManager",
     "ReplayResult",
+    "ShardSegments",
     "SnapshotState",
     "StorageLayout",
     "WalCursor",
@@ -62,6 +66,7 @@ __all__ = [
     "WalWriter",
     "WriteAheadLog",
     "load_snapshot",
+    "prune_segments",
     "read_frames",
     "read_records",
     "read_snapshot_payloads",

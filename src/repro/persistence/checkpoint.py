@@ -2,13 +2,19 @@
 
 A checkpoint folds the WAL into a new snapshot: the log stays short, and
 recovery time stays proportional to the write traffic since the last
-checkpoint rather than to the corpus size.  The policy is threshold-based
-(operations logged, WAL bytes, seconds elapsed — whichever trips first),
-mirroring the update-log/checkpoint split of HTAP designs.
+checkpoint rather than to the corpus size.  So does the checkpoint
+itself: a snapshot shares every unchanged corpus segment and index file
+with its predecessor by name, so a checkpoint pickles only the documents
+spliced since the previous one and encodes only the columns of shards
+whose generation moved (see :mod:`repro.persistence.snapshot`).  The
+policy is threshold-based (operations logged, WAL bytes, seconds elapsed
+— whichever trips first), mirroring the update-log/checkpoint split of
+HTAP designs.
 
 The scheduler is a daemon thread that polls the policy; the snapshot
 capture itself runs under the service's meta lock plus per-shard *read*
-locks, so checkpointing stalls writers briefly but never blocks readers.
+locks, so checkpointing stalls writers briefly but never blocks readers;
+the files are written after both are released.
 """
 
 from __future__ import annotations

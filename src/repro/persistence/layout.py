@@ -3,36 +3,47 @@
 One service maps to one directory::
 
     <root>/
-      CURRENT                     # id of the latest durable checkpoint
+      CURRENT                       # id of the latest durable checkpoint
       snapshots/
-        ckpt-0000000002/          # one versioned snapshot per checkpoint
-          manifest.json           # layout version, config, counters, digests
-          corpus-0.pkl            # shard 0's annotated documents (pickle)
-          indexes-0.npz           # shard 0's index columns (numpy, no pickle)
+        ckpt-0000000009/            # one versioned snapshot per checkpoint:
+          manifest.json             #   counters, the files it names, digests
+        ckpt-0000000005/            # the retained fallback
+          manifest.json
+        segments/                   # immutable files the manifests share
+          corpus-0-0000000005.seg   #   shard 0's documents gained by ckpt 5
+          corpus-0-0000000009.seg   #   ... and those gained by ckpt 9
+          indexes-0-0000000009.npz  #   shard 0's index columns at ckpt 9
           ...
       wal/
-        wal-0000000003.log        # operations since checkpoint 2
+        wal-0000000010.log          # operations since checkpoint 9
 
 Checkpoint ids are monotonically increasing.  Snapshot ``ckpt-N`` contains
 every operation recorded in WAL segments ``1..N``; after it becomes durable
-the active segment is ``N+1`` and segments ``<= N`` are garbage.  The
-``CURRENT`` pointer is updated with an atomic rename *after* the snapshot
-directory is fully written and fsynced, so a crash at any point leaves
-either the old or the new checkpoint referenced — never a torn one.
+the active segment is ``N+1`` and segments ``<= N`` are garbage.  A
+snapshot directory holds only its manifest; the manifest's ``files`` table
+names (relative to ``snapshots/``) every file under ``segments/`` the
+snapshot reads, and a file is written once, by the checkpoint whose id it
+carries, before any manifest names it.  The ``CURRENT`` pointer is updated
+with an atomic rename *after* the snapshot is fully written and fsynced, so
+a crash at any point leaves either the old or the new checkpoint
+referenced — never a torn one.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 from pathlib import Path
 
 __all__ = ["LAYOUT_VERSION", "StorageLayout", "fsync_dir", "fsync_file"]
 
 #: bump when the snapshot or WAL format changes incompatibly; a store of
 #: any other version is refused (there is no reader for old layouts)
-LAYOUT_VERSION = 2
+LAYOUT_VERSION = 3
 
 SNAPSHOT_PREFIX = "ckpt-"
+MANIFEST_NAME = "manifest.json"
+SEGMENTS_DIR = "segments"
 WAL_PREFIX = "wal-"
 WAL_SUFFIX = ".log"
 
@@ -68,6 +79,11 @@ class StorageLayout:
     def snapshots_dir(self) -> Path:
         """Directory holding one ``ckpt-N`` subdirectory per snapshot."""
         return self.root / "snapshots"
+
+    @property
+    def segments_dir(self) -> Path:
+        """Directory holding the files snapshots share (corpus segments, columns)."""
+        return self.snapshots_dir / SEGMENTS_DIR
 
     @property
     def wal_dir(self) -> Path:
@@ -154,10 +170,17 @@ class StorageLayout:
 
         Keeps snapshot ``keep_checkpoint_id`` **and its predecessor**, plus
         every WAL segment the predecessor needs to roll forward — so if the
-        newest snapshot is later found corrupt (bit rot, crash mid-write),
-        recovery falls back one checkpoint and replays the retained log
-        instead of losing data.  Everything older is unreferenced once
-        ``CURRENT`` points at the new checkpoint.
+        newest snapshot is later found torn or corrupt in a file only it
+        names, recovery falls back one checkpoint and replays the retained
+        log instead of losing data.  (The two share most of their files
+        under ``segments/``: a bad shared file sinks both, and recovery
+        refuses to boot rather than fall back further.)  Everything older
+        is unreferenced once ``CURRENT`` points at the new checkpoint, and
+        so are leftover ``ckpt-N.tmp`` directories, which a crashed
+        checkpoint leaves behind.  The files under ``segments/`` that no
+        remaining manifest names are
+        :func:`~repro.persistence.snapshot.prune_segments`' to delete: the
+        manifest format is that module's.
 
         ``wal_keep_from`` additionally retains every WAL segment with id
         ``>= wal_keep_from`` regardless of checkpoint coverage — the
@@ -165,13 +188,13 @@ class StorageLayout:
         never has it folded away mid-read (see
         ``KokoService.register_wal_pin``).
         """
-        import shutil
-
         retained = [s for s in self.snapshot_ids() if s <= keep_checkpoint_id][-2:]
         oldest_retained = min(retained, default=keep_checkpoint_id)
         for snapshot_id in self.snapshot_ids():
             if snapshot_id < keep_checkpoint_id and snapshot_id not in retained:
                 shutil.rmtree(self.snapshot_dir(snapshot_id), ignore_errors=True)
+        for leftover in self.snapshots_dir.glob(f"{SNAPSHOT_PREFIX}*.tmp"):
+            shutil.rmtree(leftover, ignore_errors=True)
         for segment_id in self.wal_segment_ids():
             if segment_id <= oldest_retained and (
                 wal_keep_from is None or segment_id < wal_keep_from

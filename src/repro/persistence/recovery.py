@@ -6,6 +6,10 @@ The recovery sequence (the write path in reverse):
    crash mid-snapshot (torn directory, bad digest) falls back to the
    previous durable checkpoint.  A snapshot of another layout version is
    not a corrupt one: recovery raises instead of falling back past it.
+   Recovery also raises, touching nothing, when the fallback cannot be
+   complete: snapshots exist but none loads (the two retained ones share
+   segments, so one bad shared file sinks both), or the WAL no longer
+   starts right after the base it falls back to.
 2. Replay every WAL segment newer than that snapshot, in segment order,
    stopping at the first torn or corrupt frame: the state recovered is
    exactly the longest durable prefix of the operation history.
@@ -62,14 +66,18 @@ class RecoveryManager:
         Raises :class:`~repro.persistence.snapshot.LayoutVersionError`, and
         touches nothing on disk, on a snapshot of another layout version:
         the WAL it covers is already pruned, so booting from what is left
-        would serve a subset of the documents.
+        would serve a subset of the documents.  Raises
+        :class:`PersistenceError`, touching nothing, for the same reason
+        when snapshots exist but none loads, or when the WAL segment right
+        after the base recovery falls back to is gone.
         """
         # Newest-first: a fully-valid snapshot always beats an older one
         # (and a stale CURRENT pointer).  load_snapshot digests each file
         # from the bytes it is about to decode, so selection and loading
         # cost one read, and a corrupt candidate just drops to the next.
+        snapshot_ids = self.layout.snapshot_ids()
         snapshot = None
-        for checkpoint_id in reversed(self.layout.snapshot_ids()):
+        for checkpoint_id in reversed(snapshot_ids):
             try:
                 snapshot = load_snapshot(self.layout, checkpoint_id)
                 break
@@ -77,10 +85,26 @@ class RecoveryManager:
                 raise
             except PersistenceError:
                 continue
+        if snapshot_ids and snapshot is None:
+            raise PersistenceError(
+                f"none of the snapshots {snapshot_ids} under "
+                f"{self.layout.snapshots_dir} loads, and the WAL they cover is "
+                "pruned: refusing to boot from what is left"
+            )
         recovered = RecoveredState(snapshot=snapshot)
         base = snapshot.checkpoint_id if snapshot is not None else 0
 
         segment_ids = [s for s in self.layout.wal_segment_ids() if s > base]
+        # Below the newest snapshot, or with none but a log, only the WAL
+        # holds the operations since the base: it must start right after.
+        falls_back = snapshot is not None and base < snapshot_ids[-1]
+        if (falls_back or (snapshot is None and segment_ids)) and (
+            base + 1 not in segment_ids
+        ):
+            raise PersistenceError(
+                f"recovery falls back to checkpoint {base}, but WAL segment "
+                f"{base + 1} is gone: refusing to boot from what is left"
+            )
         last_result: ReplayResult | None = None
         last_segment = base
         for segment_id in sorted(segment_ids):

@@ -252,15 +252,22 @@ class IngestState:
         """Release failed *ops* in one lock round.
 
         A consumed :meth:`reserve_sids` range is restored so the caller
-        can retry with the same planned ``first_sid``; any other claimed
-        range simply leaks (a harmless gap — sids only need to be unique).
-        Every op that reached the log counts twice toward the checkpoint
-        policy: its record and the inverse record that cancels it.
+        can retry with the same planned ``first_sid``, and so is the span a
+        pre-annotated add claimed fresh: its sids are fixed in the
+        document, so only a reservation lets the same document retry.  A
+        raw-text add's fresh range simply leaks (a harmless gap — sids only
+        need to be unique).  Every op that reached the log counts twice
+        toward the checkpoint policy: its record and the inverse record
+        that cancels it.
         """
         with self._cond:
             for op in ops:
                 if op.reservation is not None:
                     self._reservations.setdefault(*op.reservation)
+                elif (
+                    op.kind == OP_ADD and op.text is None and op.reserve and not op.replayed
+                ):
+                    self._reservations.setdefault(op.base_sid, op.reserve)
                 if op.progress in (LOGGED, APPLIED):
                     self.uncheckpointed_ops += 2
             self._finish(ops)

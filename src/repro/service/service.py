@@ -98,7 +98,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -124,17 +123,13 @@ from ..persistence import (
     OP_ADD,
     OP_REMOVE,
     CheckpointPolicy,
-    CheckpointScheduler,
     CommitTicket,
-    RecoveryManager,
     SnapshotState,
-    StorageLayout,
     WalPosition,
     WalRecord,
-    WriteAheadLog,
-    write_snapshot,
 )
 from .cache import CacheEntry, PlanCache, ResultCache
+from .durability import Durability
 from .ingest import APPLIED, LOGGED, IngestState, WriteOp
 from .locks import ReadWriteLock
 from .stats import ServiceStats
@@ -239,11 +234,12 @@ class _Shard:
             self.engine.register_document(document)
 
 
-class KokoService:
+class KokoService(Durability):
     """A mutable-corpus, multi-query, optionally sharded and durable server.
 
     Results returned by :meth:`query` may be shared cache entries — treat
-    them as read-only.
+    them as read-only.  Recovery, checkpoints and WAL pins live in the
+    :class:`~repro.service.durability.Durability` mixin.
 
     Parameters
     ----------
@@ -422,37 +418,22 @@ class KokoService:
         # ---- durability: recover any existing on-disk state first, since
         # the persisted shard count and name define the topology we build.
         recovery_started = time.perf_counter()
-        self._layout: StorageLayout | None = None
-        self._wal: WriteAheadLog | None = None
-        self._checkpoint_scheduler: CheckpointScheduler | None = None
-        self._checkpoint_policy = checkpoint_policy or CheckpointPolicy()
-        self._checkpoint_lock = threading.Lock()
-        self._checkpoint_id = 0
-        self._last_checkpoint_monotonic = time.monotonic()
         self._closed = False
-        self._wal_sync = wal_sync
-        self._wal_sync_interval = sync_interval
-        recovered = None
-        if storage_dir is not None:
-            self._layout = StorageLayout(storage_dir)
-            self._layout.initialise()
-            recovered = RecoveryManager(self._layout).recover()
-            if recovered.snapshot is not None:
-                if shards is not None and shards != recovered.snapshot.num_shards:
-                    raise ServiceError(
-                        f"storage at {storage_dir} holds {recovered.snapshot.num_shards} "
-                        f"shard(s) but {shards} were requested"
-                    )
-                shards = recovered.snapshot.num_shards
-                name = recovered.snapshot.name
-        elif bootstrap_snapshot is not None:
-            if shards is not None and shards != bootstrap_snapshot.num_shards:
-                raise ServiceError(
-                    f"bootstrap snapshot holds {bootstrap_snapshot.num_shards} "
-                    f"shard(s) but {shards} were requested"
+        recovered = self._init_durability(
+            storage_dir, checkpoint_policy, wal_sync, sync_interval
+        )
+        adopted = recovered.snapshot if recovered is not None else bootstrap_snapshot
+        if adopted is not None:
+            if shards is not None and shards != adopted.num_shards:
+                source = (
+                    f"storage at {storage_dir}" if recovered else "bootstrap snapshot"
                 )
-            shards = bootstrap_snapshot.num_shards
-            name = bootstrap_snapshot.name
+                raise ServiceError(
+                    f"{source} holds {adopted.num_shards} shard(s) but {shards} "
+                    f"were requested"
+                )
+            shards = adopted.num_shards
+            name = adopted.name
 
         shards = shards if shards is not None else 1
         self.name = name
@@ -468,10 +449,8 @@ class KokoService:
             use_default_vectors=use_default_vectors,
         )
         self._index_set = ShardedIndexSet(shards)
-        if recovered is not None and recovered.snapshot is not None:
-            self._index_set.shards = list(recovered.snapshot.index_sets)
-        elif bootstrap_snapshot is not None:
-            self._index_set.shards = list(bootstrap_snapshot.index_sets)
+        if adopted is not None:
+            self._index_set.shards = list(adopted.index_sets)
         self._shards = [
             _Shard(i, f"{name}/shard{i}", self._index_set.shards[i], engine_kwargs)
             for i in range(shards)
@@ -537,9 +516,6 @@ class KokoService:
             ensure_open=self._ensure_open,
             on_admission_wait=self.stats.record_backpressure_wait,
         )
-        # WAL retention pins (log shipping): callables returning the lowest
-        # segment id a subscriber still needs, or None when idle
-        self._wal_pins: list = []
         self._generations = [0] * shards
         # Async front end: asyncio wrappers run the blocking calls here so
         # the event loop never blocks on annotation, fsyncs or execution.
@@ -581,28 +557,20 @@ class KokoService:
                 )
 
         if recovered is not None:
-            self._finish_recovery(recovered)
-            self.stats.record_recovery(
-                time.perf_counter() - recovery_started,
-                documents=len(self),
-                replayed=len(recovered.operations),
-                torn_tail=recovered.torn_tail,
-            )
-            self._checkpoint_scheduler = CheckpointScheduler(
-                self._maybe_checkpoint, poll_seconds=checkpoint_poll_seconds
-            )
-            self._checkpoint_scheduler.start()
+            self._finish_recovery(recovered, checkpoint_poll_seconds)
         elif bootstrap_snapshot is not None:
             self._adopt_snapshot(bootstrap_snapshot)
+        if adopted is not None or recovered is not None:
             self.stats.record_recovery(
                 time.perf_counter() - recovery_started,
                 documents=len(self),
-                replayed=0,
-                torn_tail=False,
+                replayed=len(recovered.operations) if recovered else 0,
+                torn_tail=bool(recovered and recovered.torn_tail),
             )
 
     # ------------------------------------------------------------------
-    # durability lifecycle
+    # durable open and replica apply (checkpoints, recovery and WAL pins
+    # are in durability.py)
     # ------------------------------------------------------------------
     @classmethod
     def open(cls, storage_dir: str | Path, **kwargs) -> "KokoService":
@@ -613,186 +581,6 @@ class KokoService:
         tail, zero re-annotation — and a missing one is initialised.
         """
         return cls(storage_dir=storage_dir, **kwargs)
-
-    def _adopt_snapshot(self, snapshot: SnapshotState) -> None:
-        """Attach a restored snapshot's documents and counters to the shards.
-
-        Shared by on-disk recovery and the replication bootstrap: the
-        index sets were already installed at construction; this wires the
-        documents, routing table, sid counter and generation stamps.
-        """
-        for shard_id, shard in enumerate(self._shards):
-            documents = snapshot.documents_by_shard[shard_id]
-            shard.adopt(documents)
-            for document in documents:
-                self._ingest.live[document.doc_id] = shard_id
-        self._ingest.next_sid = snapshot.next_sid
-        self._generations = list(snapshot.generations)
-        self._checkpoint_id = snapshot.checkpoint_id
-
-    def _finish_recovery(self, recovered) -> None:
-        """Adopt the snapshot, replay the WAL tail, and open the live WAL."""
-        assert self._layout is not None
-        if recovered.snapshot is not None:
-            self._adopt_snapshot(recovered.snapshot)
-        for record in recovered.operations:
-            self._apply_record(record)
-        self._wal = WriteAheadLog(
-            self._layout,
-            recovered.active_segment_id,
-            sync=self._wal_sync,
-            truncate_to=recovered.active_segment_valid_bytes,
-            sync_interval=self._wal_sync_interval,
-            on_fsync=self.stats.record_wal_fsync,
-        )
-        # Replayed operations are only durable in the WAL tail; fold them
-        # into a checkpoint so the next restart is one load.  A directory
-        # with no snapshot and nothing to replay (brand new, or a crash
-        # before the first bootstrap completed) gets a bootstrap snapshot
-        # that pins the shard topology.
-        if recovered.operations:
-            self.checkpoint()
-        elif recovered.snapshot is None:
-            self._write_bootstrap_snapshot()
-
-    def _write_bootstrap_snapshot(self) -> None:
-        """Persist the empty topology (shard count, name) as checkpoint 0."""
-        assert self._layout is not None
-        state = self._capture_snapshot_state(checkpoint_id=0)
-        write_snapshot(self._layout, state)
-        self._layout.write_current(0)
-
-    def _capture_snapshot_state(self, checkpoint_id: int) -> SnapshotState:
-        """Capture every shard under its read lock (readers unaffected)."""
-        index_arrays: list[dict] = []
-        documents_by_shard: list[list[Document]] = []
-        build_seconds: list[float] = []
-        for shard in self._shards:
-            with shard.lock.read_locked():
-                index_arrays.append(shard.indexes.to_arrays())
-                documents_by_shard.append(list(shard.corpus.documents))
-                build_seconds.append(shard.indexes.build_seconds)
-        return SnapshotState(
-            checkpoint_id=checkpoint_id,
-            name=self.name,
-            num_shards=len(self._shards),
-            next_sid=self._ingest.next_sid,
-            generations=list(self._generations),
-            documents_by_shard=documents_by_shard,
-            build_seconds_by_shard=build_seconds,
-            index_arrays=index_arrays,
-        )
-
-    def checkpoint(self) -> int | None:
-        """Fold the write-ahead log into a fresh snapshot.
-
-        Raises the ingest drain barrier (staged ingests that already
-        reserved ids finish; new claims wait), rotates the WAL, captures
-        every shard under its *read* lock (readers keep running), writes
-        the versioned snapshot, atomically repoints ``CURRENT`` and prunes
-        superseded snapshots and segments.  Returns the new checkpoint id,
-        or ``None`` when nothing was logged since the last checkpoint.
-
-        Raises :class:`ServiceError` on a memory-only service.
-        """
-        if self._wal is None or self._layout is None:
-            raise ServiceError("service has no storage_dir to checkpoint into")
-        started = time.perf_counter()
-        # the in-progress gauge brackets the whole attempt (including the
-        # drain wait), so a wedged checkpointer is visible from outside
-        self.stats.record_checkpoint_started()
-        try:
-            with self._checkpoint_lock:
-                # Drain: a staged write may have appended to the WAL but not
-                # yet applied; rotating under it would strand a logged
-                # operation in a segment the checkpoint claims to cover.
-                with self._ingest.drained() as ingest:
-                    if ingest.uncheckpointed_ops == 0:
-                        return None
-                    sealed = self._wal.rotate()
-                    state = self._capture_snapshot_state(checkpoint_id=sealed)
-                    ingest.uncheckpointed_ops = 0
-                    self._last_checkpoint_monotonic = time.monotonic()
-                # File writes happen outside the meta lock: the captured state
-                # is immutable (column arrays are replaced, never written in
-                # place; documents are never mutated after ingest), so
-                # writers proceed while we fsync.
-                write_snapshot(self._layout, state)
-                self._layout.write_current(sealed)
-                self._layout.prune(sealed, wal_keep_from=self._wal_pin_floor())
-                self._checkpoint_id = sealed
-            self.stats.record_checkpoint(time.perf_counter() - started, sealed)
-            return sealed
-        finally:
-            self.stats.record_checkpoint_finished()
-
-    def _maybe_checkpoint(self) -> None:
-        """Background heartbeat: checkpoint when the policy says it is due."""
-        if self._closed or self._wal is None:
-            return
-        elapsed = time.monotonic() - self._last_checkpoint_monotonic
-        if self._checkpoint_policy.due(
-            self._ingest.uncheckpointed_ops, self._wal.active_bytes, elapsed
-        ):
-            try:
-                self.checkpoint()
-            except Exception as exc:
-                # The WAL stays the source of durability; surface the
-                # failure in the stats instead of dying silently (the next
-                # heartbeat, or an explicit checkpoint(), retries).
-                self.stats.record_checkpoint_failure(repr(exc))
-
-    @property
-    def storage_dir(self) -> Path | None:
-        """Root of the durability layout, or None for a memory-only service."""
-        return self._layout.root if self._layout is not None else None
-
-    # ------------------------------------------------------------------
-    # replication hooks (see repro.replication)
-    # ------------------------------------------------------------------
-    def wal_position(self) -> WalPosition | None:
-        """The durable end of the write-ahead log, or None when memory-only.
-
-        Monotonic across rotations, so it works as a *read-your-writes*
-        token: a position captured after :meth:`add_document` returns
-        covers that document (the record was fsynced before the return),
-        and a replica whose applied position is ``>=`` the token has the
-        write.
-        """
-        wal = self._wal
-        return wal.durable_position() if wal is not None else None
-
-    def register_wal_pin(self, pin) -> None:
-        """Register a WAL retention pin (a log-shipping subscriber).
-
-        *pin* is a callable returning the lowest WAL segment id the
-        subscriber still needs, or ``None`` when it needs nothing.
-        Checkpoints keep every segment at or above the lowest pinned id
-        when pruning, so a follower tailing segment *N* never has it
-        folded away mid-read.
-        """
-        with self._ingest.lock:
-            self._wal_pins.append(pin)
-
-    def unregister_wal_pin(self, pin) -> None:
-        """Drop a previously registered retention pin (idempotent)."""
-        with self._ingest.lock:
-            if pin in self._wal_pins:
-                self._wal_pins.remove(pin)
-
-    def _wal_pin_floor(self) -> int | None:
-        """The lowest WAL segment id any registered pin still needs."""
-        with self._ingest.lock:
-            pins = list(self._wal_pins)
-        floors = []
-        for pin in pins:
-            try:
-                floor = pin()
-            except Exception:  # pragma: no cover - defensive: a dying
-                continue  # subscriber must not wedge checkpoints
-            if floor is not None:
-                floors.append(floor)
-        return min(floors, default=None)
 
     def apply_replicated(self, record: WalRecord) -> Document:
         """Apply one shipped WAL record to this service (replication follower).
@@ -810,11 +598,6 @@ class KokoService:
         op = self._apply_record(record)
         self._record_writes([op], time.perf_counter() - started)
         return op.document
-
-    @property
-    def checkpoint_id(self) -> int:
-        """Id of the latest durable checkpoint (0 until the first one)."""
-        return self._checkpoint_id
 
     # ------------------------------------------------------------------
     # ingestion (write side) — the one staged write path
@@ -951,8 +734,8 @@ class KokoService:
         pipeline flow) satisfy that.  Staged like every other write, minus
         the annotation: the claim checks the sid span and the id under the
         meta lock, the WAL append and the splice run outside it.  A failed
-        ingest leaves the claimed sid span as a gap, so a retry needs the
-        document re-annotated at the new :meth:`next_sid`.
+        ingest hands the claimed sid span back as a reservation, so the
+        same document can simply be retried.
         """
         self._write([WriteOp(OP_ADD, document.doc_id, document=document)])
         return document
@@ -1675,21 +1458,7 @@ class KokoService:
         if self._closed:
             return
         self._closed = True
-        if self._checkpoint_scheduler is not None:
-            self._checkpoint_scheduler.stop()
-            self._checkpoint_scheduler = None
-        # Drain staged ingests that claimed before _closed was set: they
-        # must reach the WAL and splice before the WAL (and pools) go
-        # away.  New claims already raise, so the count only falls.
-        with self._ingest.drained():
-            pass
-        if self._wal is not None:
-            try:
-                if self._ingest.uncheckpointed_ops:
-                    self.checkpoint()
-            finally:
-                self._wal.close()
-                self._wal = None
+        self._close_durability()
         if self._annotation_pool is not None:
             self._annotation_pool.shutdown(wait=True)
             self._annotation_pool = None

@@ -201,9 +201,48 @@ def test_layout_version_skew_fails_closed(tmp_path):
     # a corrupt newest snapshot is a different matter: fall back one
     _stamp_version(layout, LAYOUT_VERSION)
     newest = layout.snapshot_dir(layout.snapshot_ids()[-1])
-    (newest / "indexes-0.npz").write_bytes(b"bit rot")
+    manifest = json.loads((newest / "manifest.json").read_text("utf-8"))
+    (layout.snapshots_dir / manifest["shards"][0]["indexes"]).write_bytes(b"bit rot")
     with KokoService.open(tmp_path, use_default_vectors=False) as reopened:
         assert sorted(reopened.document_ids()) == ["doc0", "doc1", "doc2", "doc3"]
+
+
+def test_fallback_without_the_log_after_its_base_fails_closed(tmp_path):
+    """Falling back one snapshot is only complete while the WAL segment
+    right after it survives; without it, recovery refuses and touches
+    nothing rather than serve a subset."""
+    with KokoService(
+        shards=1,
+        storage_dir=tmp_path,
+        checkpoint_policy=CheckpointPolicy.disabled(),
+        use_default_vectors=False,
+    ) as service:
+        service.add_document(TEXTS[0], doc_id="doc0")
+        older = service.checkpoint()
+        service.add_document(TEXTS[1], doc_id="doc1")
+        newer = service.checkpoint()
+    layout = StorageLayout(tmp_path)
+    manifest = json.loads((layout.snapshot_dir(newer) / "manifest.json").read_text("utf-8"))
+    own = manifest["shards"][0]["segments"][-1]["file"]
+    assert own not in json.loads(
+        (layout.snapshot_dir(older) / "manifest.json").read_text("utf-8")
+    )["files"]
+    (layout.snapshots_dir / own).write_bytes(b"bit rot")
+    layout.wal_path(older + 1).unlink()
+    before = _tree_state(tmp_path)
+    with pytest.raises(PersistenceError, match=f"WAL segment {older + 1} is gone"):
+        RecoveryManager(layout).recover()
+    assert _tree_state(tmp_path) == before
+
+
+def test_a_log_without_its_first_segment_and_no_snapshot_fails_closed(
+    tmp_path, documents
+):
+    layout = StorageLayout(tmp_path)
+    layout.initialise()
+    append_segment(layout, 2, [WalRecord(op=OP_ADD, doc_id="doc1", document=documents[1])])
+    with pytest.raises(PersistenceError, match="WAL segment 1 is gone"):
+        RecoveryManager(layout).recover()
 
 
 def test_operations_tally():

@@ -96,16 +96,27 @@ def test_write_validate_load_round_trip(tmp_path, documents):
     )
 
 
+def _manifest(layout, checkpoint_id):
+    return json.loads((layout.snapshot_dir(checkpoint_id) / "manifest.json").read_text("utf-8"))
+
+
+def _shard_file(layout, checkpoint_id, kind):
+    """Path of shard 0's index file (``"indexes"``) or first corpus segment."""
+    shard = _manifest(layout, checkpoint_id)["shards"][0]
+    name = shard["indexes"] if kind == "indexes" else shard["segments"][0]["file"]
+    return layout.snapshots_dir / name
+
+
 def test_snapshot_directory_holds_columns_not_pickles(tmp_path, documents):
     layout = StorageLayout(tmp_path)
     layout.initialise()
     directory = write_snapshot(layout, snapshot_state_for(documents))
-    assert sorted(p.name for p in directory.iterdir()) == [
-        "corpus-0.pkl",
-        "indexes-0.npz",
-        "manifest.json",
+    assert [p.name for p in directory.iterdir()] == ["manifest.json"]
+    assert sorted(p.name for p in layout.segments_dir.iterdir()) == [
+        "corpus-0-0000000003.seg",
+        "indexes-0-0000000003.npz",
     ]
-    with np.load(directory / "indexes-0.npz", allow_pickle=False) as archive:
+    with np.load(_shard_file(layout, 3, "indexes"), allow_pickle=False) as archive:
         arrays = {name: archive[name] for name in archive.files}
     assert all(a.dtype.kind in "iu" and a.ndim == 1 for a in arrays.values())
     # narrowest lossless dtype per column; PL/POS postings are not stored
@@ -114,17 +125,20 @@ def test_snapshot_directory_holds_columns_not_pickles(tmp_path, documents):
 
 
 def _rewrite_index_payload(layout, checkpoint_id, mutate):
-    """Replace indexes-0.npz with a mutated copy and re-digest the manifest."""
-    directory = layout.snapshot_dir(checkpoint_id)
-    with np.load(directory / "indexes-0.npz", allow_pickle=False) as archive:
+    """Replace shard 0's index file with a mutated copy and re-digest the manifest."""
+    path = _shard_file(layout, checkpoint_id, "indexes")
+    with np.load(path, allow_pickle=False) as archive:
         arrays = {name: archive[name].astype(np.int64) for name in archive.files}
     mutate(arrays)
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **arrays)
-    (directory / "indexes-0.npz").write_bytes(buffer.getvalue())
-    manifest = json.loads((directory / "manifest.json").read_text("utf-8"))
-    manifest["files"]["indexes-0.npz"] = hashlib.sha256(buffer.getvalue()).hexdigest()
-    (directory / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    path.write_bytes(buffer.getvalue())
+    manifest = _manifest(layout, checkpoint_id)
+    name = manifest["shards"][0]["indexes"]
+    manifest["files"][name] = hashlib.sha256(buffer.getvalue()).hexdigest()
+    (layout.snapshot_dir(checkpoint_id) / "manifest.json").write_text(
+        json.dumps(manifest), "utf-8"
+    )
 
 
 class _Boom:
@@ -173,7 +187,10 @@ def test_shipped_bytes_round_trip_and_version_check(tmp_path, documents):
     layout.initialise()
     write_snapshot(layout, snapshot_state_for(documents))
     manifest, payloads = read_snapshot_payloads(layout, 3)
-    assert sorted(payloads) == ["corpus-0.pkl", "indexes-0.npz"]
+    assert sorted(payloads) == [
+        "segments/corpus-0-0000000003.seg",
+        "segments/indexes-0-0000000003.npz",
+    ]
     state = state_from_payloads(manifest, payloads)
     assert state.index_sets[0].statistics().tokens == sum(
         d.num_tokens for d in documents
@@ -189,7 +206,7 @@ def test_tampered_file_fails_validation(tmp_path, documents):
     layout = StorageLayout(tmp_path)
     layout.initialise()
     write_snapshot(layout, snapshot_state_for(documents))
-    corpus_file = layout.snapshot_dir(3) / "corpus-0.pkl"
+    corpus_file = _shard_file(layout, 3, "corpus")
     corpus_file.write_bytes(corpus_file.read_bytes() + b"x")
     assert validate_snapshot(layout, 3) is None
     with pytest.raises(PersistenceError):
@@ -200,7 +217,7 @@ def test_missing_manifest_or_file_fails_validation(tmp_path, documents):
     layout = StorageLayout(tmp_path)
     layout.initialise()
     write_snapshot(layout, snapshot_state_for(documents))
-    (layout.snapshot_dir(3) / "indexes-0.npz").unlink()
+    _shard_file(layout, 3, "indexes").unlink()
     assert validate_snapshot(layout, 3) is None
     assert validate_snapshot(layout, 99) is None  # absent snapshot
 

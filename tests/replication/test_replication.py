@@ -4,6 +4,7 @@ re-annotation, across checkpoint rotations and follower restarts."""
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -195,6 +196,40 @@ def test_follower_restart_catches_up_from_fresh_snapshot(tmp_path):
             assert second.records_applied <= 2
         finally:
             second.close()
+            shipper.close()
+
+
+def test_bootstrap_from_a_multi_segment_snapshot_with_tombstones(tmp_path):
+    """The shipped snapshot is several segments per shard, some frames
+    tombstoned: the follower holds exactly the primary's documents, in
+    each shard's order, and answers identically."""
+    with KokoService(
+        shards=2, storage_dir=tmp_path / "svc", checkpoint_policy=CheckpointPolicy.disabled()
+    ) as primary:
+        for round_number, texts in enumerate((TEXTS, TEXTS[:2], TEXTS[2:3])):
+            for index, text in enumerate(texts):
+                primary.add_document(text, f"r{round_number}-{index}")
+            primary.checkpoint()
+        for doc_id in ("r0-0", "r0-3", "r1-1"):
+            primary.remove_document(doc_id)
+        sealed = primary.checkpoint()
+        manifest = json.loads(
+            (tmp_path / "svc" / "snapshots" / f"ckpt-{sealed:010d}" / "manifest.json").read_text()
+        )
+        segments = [s for shard in manifest["shards"] for s in shard["segments"]]
+        assert max(len(shard["segments"]) for shard in manifest["shards"]) > 1
+        assert sum(len(s["tombstones"]) for s in segments) == 3
+
+        shipper = LogShipper(primary)
+        replica = attach_replica(shipper)
+        try:
+            assert_identical(primary, replica)
+            assert replica.records_applied == 0  # everything came in the snapshot
+            assert [[d.doc_id for d in c.documents] for c in replica.service.corpora] == [
+                [d.doc_id for d in c.documents] for c in primary.corpora
+            ]
+        finally:
+            replica.close()
             shipper.close()
 
 

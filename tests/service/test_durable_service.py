@@ -8,6 +8,8 @@ re-annotation on the warm path.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import PersistenceError, ServiceError
@@ -176,7 +178,9 @@ def test_recovery_survives_a_corrupt_latest_snapshot(tmp_path):
 
     layout = StorageLayout(path)
     latest = layout.snapshot_ids()[-1]
-    corpus_file = layout.snapshot_dir(latest) / "corpus-0.pkl"
+    manifest = json.loads((layout.snapshot_dir(latest) / "manifest.json").read_text())
+    # the newest checkpoint's own segment (its predecessor does not share it)
+    corpus_file = layout.snapshots_dir / manifest["shards"][0]["segments"][-1]["file"]
     corpus_file.write_bytes(corpus_file.read_bytes()[:-3])  # digest mismatch
 
     recovered = KokoService.open(path, pipeline=ExplodingPipeline())

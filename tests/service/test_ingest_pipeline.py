@@ -21,11 +21,12 @@ import itertools
 import random
 import shutil
 import threading
+import time
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.koko.engine import KokoEngine
+from repro.koko.engine import KokoEngine, compile_query
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Corpus
 from repro.persistence import CheckpointPolicy, WriteAheadLog
@@ -517,6 +518,114 @@ def test_aborted_ingest_restores_consumed_reservation():
         # the retry consumes the restored reservation deterministically
         document = service.add_document("Anna ate a pie.", "doc0", first_sid=base)
         assert document.sentences[0].sid == base
+
+
+def test_failed_pre_annotated_add_retries_with_the_same_sids(
+    tmp_path, monkeypatch, pipeline
+):
+    """A pre-annotated add that dies in its splice hands its sid span back,
+    so the very same document retries (it used to fail with "neither a
+    reserved range nor fresh" and needed re-annotating)."""
+    path = tmp_path / "svc"
+    with KokoService(
+        shards=2, storage_dir=path, checkpoint_policy=CheckpointPolicy.disabled()
+    ) as service:
+        service.add_document(BASE_TEXTS[0], "doc0")
+        document = pipeline.annotate(
+            BASE_TEXTS[4], doc_id="pre", first_sid=service.next_sid()
+        )
+        sids = [sentence.sid for sentence in document]
+        with monkeypatch.context() as patched:
+            _fail_nth_call(patched, _Shard, ["splice"], 0)
+            with pytest.raises(RuntimeError, match="injected failure"):
+                service.add_annotated_document(document)
+        # a raw add in between takes fresh sids past the handed-back span
+        later = service.add_document(BASE_TEXTS[1], "doc1")
+        assert later.sentences[0].sid > sids[-1]
+        assert service.add_annotated_document(document) is document
+        shard = service.corpora[service.shard_of("pre")]
+        assert [s.sid for s in shard.documents[-1]] == sids
+        expected = as_rows(service.query(ENTITY_QUERY))
+    with KokoService.open(path) as reopened:  # the log replays add, remove, add
+        assert as_rows(reopened.query(ENTITY_QUERY)) == expected
+
+
+def test_concurrent_writers_annotate_together_and_share_fsyncs(
+    tmp_path, monkeypatch, run_threads
+):
+    """Why concurrent ingest scales: four writers are inside annotation at
+    once (a four-party barrier in ``annotate`` would time out otherwise),
+    and their WAL records share fsyncs — fewer flushes than records."""
+    import repro.persistence.wal as wal_module
+
+    together = threading.Barrier(4, timeout=10.0)
+
+    class MeetingPipeline(Pipeline):
+        def annotate(self, *args, **kwargs):
+            together.wait()
+            return super().annotate(*args, **kwargs)
+
+    real_fsync = wal_module.os.fsync
+
+    def slow_fsync(fd):
+        time.sleep(0.003)
+        real_fsync(fd)
+
+    monkeypatch.setattr(wal_module.os, "fsync", slow_fsync)
+    with KokoService(
+        shards=4,
+        storage_dir=tmp_path / "svc",
+        checkpoint_policy=CheckpointPolicy.disabled(),
+        pipeline=MeetingPipeline(),
+        sync_interval=0.002,
+    ) as service:
+        def work(index: int) -> None:
+            for n in range(3):
+                service.add_document(TEXTS[index * 3 + n], f"w{index}-{n}")
+
+        run_threads(4, work)
+        assert len(service) == 12
+        assert service.stats.wal_records_synced == 12
+        assert service.stats.wal_fsyncs < 12
+
+
+def test_queries_are_served_while_a_write_annotates_or_fsyncs(tmp_path, monkeypatch):
+    """Readers never wait for a writer's annotation or WAL flush on the
+    same shard: only the splice takes the shard's write lock."""
+    import repro.persistence.wal as wal_module
+
+    service = KokoService(
+        shards=1, storage_dir=tmp_path / "svc", checkpoint_policy=CheckpointPolicy.disabled()
+    )
+    try:
+        service.add_document(BASE_TEXTS[1], "doc0")
+        expected = as_rows(service.query(ENTITY_QUERY))
+        for owner, name in ((Pipeline, "annotate"), (wal_module.os, "fsync")):
+            parked, release = threading.Event(), threading.Event()
+            original = getattr(owner, name)
+
+            def parking(*args, original=original, parked=parked, release=release, **kw):
+                parked.set()
+                assert release.wait(10.0)
+                return original(*args, **kw)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(owner, name, parking)
+                writer = threading.Thread(
+                    target=service.add_document, args=(BASE_TEXTS[3], f"w-{name}")
+                )
+                writer.start()
+                try:
+                    assert parked.wait(10.0)
+                    # a compiled plan skips the result cache: a real shard read
+                    assert as_rows(service.query(compile_query(ENTITY_QUERY))) == expected
+                finally:
+                    release.set()
+                    writer.join(10.0)
+            expected = as_rows(service.query(ENTITY_QUERY))
+        assert sorted(service.document_ids()) == ["doc0", "w-annotate", "w-fsync"]
+    finally:
+        service.close()
 
 
 def test_undersized_reservation_is_rejected_but_kept():
