@@ -39,6 +39,11 @@ LINTED_PACKAGES = (
     "src/repro/observability",
     "src/repro/rpc",
     "src/repro/indexing/columnar.py",
+    "src/repro/indexing/reference.py",
+    "src/repro/indexing/koko_index.py",
+    "src/repro/indexing/word_index.py",
+    "src/repro/indexing/entity_index.py",
+    "src/repro/indexing/hierarchy.py",
 )
 
 #: markdown documents whose relative links must resolve

@@ -41,14 +41,6 @@ class KokoSemanticError(ReproError):
     """
 
 
-class StorageError(ReproError):
-    """Raised by the embedded storage engine (bad schema, unknown table...)."""
-
-
-class SchemaError(StorageError):
-    """Raised when a row does not conform to its table schema."""
-
-
 class IndexError_(ReproError):
     """Raised by index construction or lookup failures.
 

@@ -1,6 +1,6 @@
 """KOKO's multi-indexing scheme and the baseline index designs."""
 
-from .decompose import DecomposedPath, decompose_path, lookup_decomposed
+from .decompose import DecomposedPath, decompose_path, lookup_decomposed_block
 from .entity_index import EntityIndex, EntityPosting
 from .exact import (
     count_extractions,
@@ -62,7 +62,7 @@ __all__ = [
     "join_ancestor",
     "join_descendant",
     "join_same_token",
-    "lookup_decomposed",
+    "lookup_decomposed_block",
     "match_path_in_sentence",
     "matching_sentences",
     "parent_of",

@@ -16,7 +16,7 @@ directly.
 from __future__ import annotations
 
 from ...nlp.types import Corpus
-from ...storage.btree import _sizeof
+from ..koko_index import sizeof
 from ..query_ir import CHILD, KIND_ANY, TreePath, TreePatternQuery
 from .base import BaseTreeIndex
 
@@ -113,5 +113,5 @@ class AdvInvertedIndex(BaseTreeIndex):
         # One relation row per (label, sid, tid, left, right, depth, pid).
         total = 0
         for label, rows in self._postings.items():
-            total += len(rows) * (_sizeof(label) + 6 * 28 + 40)
+            total += len(rows) * (sizeof(label) + 6 * 28 + 40)
         return total

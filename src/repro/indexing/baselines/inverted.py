@@ -12,7 +12,7 @@ behaviour Figures 7 and 8 report for INVERTED.
 from __future__ import annotations
 
 from ...nlp.types import Corpus
-from ...storage.btree import _sizeof
+from ..koko_index import sizeof
 from ..query_ir import KIND_ANY, TreePatternQuery
 from .base import BaseTreeIndex
 
@@ -70,5 +70,5 @@ class InvertedIndex(BaseTreeIndex):
         # every row, as it would be in the P(label, sid, tid) table.
         total = 0
         for label, postings in self._postings.items():
-            total += len(postings) * (_sizeof(label) + 2 * 28 + 40)
+            total += len(postings) * (sizeof(label) + 2 * 28 + 40)
         return total

@@ -19,7 +19,7 @@ queries" restriction reported in Section 6.2.1.
 from __future__ import annotations
 
 from ...nlp.types import Corpus, Sentence
-from ...storage.btree import _sizeof
+from ..koko_index import sizeof
 from ..query_ir import (
     CHILD,
     KIND_PARSE_LABEL,
@@ -132,7 +132,7 @@ class _SingleLayerSubtreeIndex:
         # with every posting, which is what makes SUBTREE the largest design.
         total = 0
         for key, sids in self._postings.items():
-            total += len(sids) * (_sizeof(key) + 28 + 40)
+            total += len(sids) * (sizeof(key) + 28 + 40)
         return total
 
 

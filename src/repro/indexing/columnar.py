@@ -1,11 +1,12 @@
 """Columnar (numpy-backed) posting storage and vectorized posting algebra.
 
-The object-backed indexes keep one Python list of
-:class:`~repro.indexing.postings.Posting` dataclasses per key, which makes
-the ingest splice allocation-bound and the read-side joins interpreter-bound.
-This module provides the columnar alternative the HTAP literature
-(Polynesia and its follow-ups) prescribes: a *main* structure of flat,
-sorted ``int64`` column arrays fed by a small append-only *delta* tail.
+One Python list of :class:`~repro.indexing.postings.Posting` dataclasses
+per key (the design :mod:`repro.indexing.reference` keeps as the test
+oracle) makes the ingest splice allocation-bound and the read-side joins
+interpreter-bound.  Every production index stores its postings the way the
+HTAP literature (Polynesia and its follow-ups) prescribes instead: a *main*
+structure of flat, sorted ``int64`` column arrays fed by a small
+append-only *delta* tail.
 
 * :class:`ColumnarPostings` — a generic store of integer rows grouped by an
   interned key.  Appends go to per-column Python lists (O(batch));

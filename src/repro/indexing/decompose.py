@@ -11,14 +11,16 @@ per index:
   the word index and join on ancestor/descendant relationships).
 
 This module performs the decomposition and the index lookups + joins of
-Section 4.2.2 against a :class:`~repro.indexing.koko_index.KokoIndexSet`.
-It is shared by the DPLI module of the KOKO engine and by the KOKO entry in
-the index-comparison experiments.
+Section 4.2.2 against a :class:`~repro.indexing.koko_index.KokoIndexSet`,
+as whole-array operations over posting blocks.  It serves the DPLI module
+of the KOKO engine and the KOKO entry in the index-comparison experiments;
+:mod:`repro.indexing.reference` holds the same steps over object lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .columnar import (
     PostingBlock,
@@ -26,8 +28,6 @@ from .columnar import (
     join_same_token_block,
     under_words_block,
 )
-from .koko_index import KokoIndexSet
-from .postings import Posting, join_ancestor, join_same_token
 from .query_ir import (
     CHILD,
     DESCENDANT,
@@ -39,6 +39,9 @@ from .query_ir import (
     TreePatternQuery,
     TreeStep,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (koko_index imports us)
+    from .koko_index import KokoIndexSet
 
 
 @dataclass(frozen=True)
@@ -90,104 +93,17 @@ def is_trivial(path: TreePath) -> bool:
     return all(step.kind == KIND_ANY for step in path.steps)
 
 
-def lookup_decomposed(
-    indexes: KokoIndexSet, path: TreePath
-) -> list[Posting]:
+def lookup_decomposed_block(
+    indexes: "KokoIndexSet", path: TreePath, decomposed: DecomposedPath | None = None
+) -> PostingBlock:
     """DPLI lookup of one path: decompose, access indexes, join (Section 4.2.2).
 
-    Returns the candidate postings for the path's final step.  An empty list
-    means the index proves there is no binding anywhere in the corpus.
-    Columnar index sets take the vectorized block pipeline
-    (:func:`lookup_decomposed_block`) and materialise the result.
-    """
-    if getattr(indexes, "columnar", False):
-        return lookup_decomposed_block(indexes, path).materialize()
-    decomposed = decompose_path(path)
-    last_step = path.steps[-1]
-    last_is_word = last_step.kind == KIND_WORD
-
-    # P1 and P2: hierarchy-index lookups, joined on the same token.
-    base: list[Posting] | None = None
-    if not is_trivial(decomposed.parse_label_path):
-        base = indexes.pl_index.lookup_path(
-            [(s.axis, s.label) for s in decomposed.parse_label_path.steps]
-        )
-    if not is_trivial(decomposed.pos_path):
-        pos_postings = indexes.pos_index.lookup_path(
-            [(s.axis, s.label) for s in decomposed.pos_path.steps]
-        )
-        base = pos_postings if base is None else join_same_token(base, pos_postings)
-
-    # Q: the word-path lookup (already ancestor-joined along the word chain).
-    word_result = _lookup_word_path(indexes, decomposed.word_steps)
-
-    if base is None and word_result is None:
-        # The path constrains nothing (e.g. "//*"); every token qualifies,
-        # which the hierarchy index can enumerate cheaply.
-        return indexes.pl_index.lookup_path([(DESCENDANT, "*")])
-
-    # Join of P and Q (the two cases of Section 4.2.2): when the last path
-    # element is a word, P and Q must refer to the very same token; when it
-    # is not, the quintuples of Q are ancestors of the final token, so the
-    # candidates are the P tokens dominated by (or equal to) a Q token.
-    if base is None:
-        if last_is_word:
-            return sorted(word_result or [])
-        candidates = indexes.pl_index.lookup_path([(DESCENDANT, "*")])
-        return sorted(_under_words(candidates, word_result or []))
-
-    result = base
-    if word_result is not None:
-        if last_is_word:
-            result = join_same_token(result, word_result)
-        else:
-            result = _under_words(result, word_result)
-    return sorted(result)
-
-
-def _under_words(candidates: list[Posting], words: list[Posting]) -> list[Posting]:
-    """Candidates whose token lies in the subtree of (or is) a word posting."""
-    by_sentence: dict[int, list[Posting]] = {}
-    for word in words:
-        by_sentence.setdefault(word.sid, []).append(word)
-    kept = []
-    for posting in candidates:
-        for word in by_sentence.get(posting.sid, ()):
-            same_token = word.tid == posting.tid
-            dominated = word.left <= posting.left and posting.right <= word.right
-            if same_token or dominated:
-                kept.append(posting)
-                break
-    return kept
-
-
-def _lookup_word_path(
-    indexes: KokoIndexSet, word_steps: tuple[tuple[str, int], ...]
-) -> list[Posting] | None:
-    """Look up and join the word path; None when the path has no word steps."""
-    if not word_steps:
-        return None
-    word, _ = word_steps[0]
-    current = indexes.word_index.lookup(word)
-    for word, gap in word_steps[1:]:
-        nxt = indexes.word_index.lookup(word)
-        current = join_ancestor(current, nxt, min_gap=max(1, gap))
-        if not current:
-            return []
-    return current
-
-
-def lookup_decomposed_block(
-    indexes: KokoIndexSet, path: TreePath, decomposed: DecomposedPath | None = None
-) -> PostingBlock:
-    """Vectorized DPLI lookup of one path over a columnar index set.
-
-    Mirrors :func:`lookup_decomposed` step for step, but every access and
-    join is a whole-array operation over ``(sid, tid)``-sorted posting
-    blocks; the returned block is sorted the same way, so materialising it
-    reproduces the object-backed result exactly.  *decomposed* is
-    ``decompose_path(path)`` when the caller already holds it (a compiled
-    plan decomposes each path once, not once per shard).
+    Returns the candidate postings for the path's final step as a
+    ``(sid, tid)``-sorted block; an empty block means the index proves
+    there is no binding anywhere in the corpus.  Every access and join is a
+    whole-array operation.  *decomposed* is ``decompose_path(path)`` when
+    the caller already holds it (a compiled plan decomposes each path once,
+    not once per shard).
     """
     if decomposed is None:
         decomposed = decompose_path(path)
@@ -214,12 +130,14 @@ def lookup_decomposed_block(
         # which the hierarchy index can enumerate cheaply.
         return indexes.pl_index.lookup_path_block([(DESCENDANT, "*")])
 
+    # Join of P and Q (the two cases of Section 4.2.2): when the last path
+    # element is a word, P and Q must refer to the very same token; when it
+    # is not, the quintuples of Q are ancestors of the final token, so the
+    # candidates are the P tokens dominated by (or equal to) a Q token.
     if base is None:
         if last_is_word:
-            return word_result if word_result is not None else PostingBlock.empty()
+            return word_result
         candidates = indexes.pl_index.lookup_path_block([(DESCENDANT, "*")])
-        if word_result is None:
-            return PostingBlock.empty()
         return under_words_block(candidates, word_result)
 
     result = base
@@ -232,9 +150,9 @@ def lookup_decomposed_block(
 
 
 def _lookup_word_path_block(
-    indexes: KokoIndexSet, word_steps: tuple[tuple[str, int], ...]
+    indexes: "KokoIndexSet", word_steps: tuple[tuple[str, int], ...]
 ) -> PostingBlock | None:
-    """Columnar word-path chain; None when the path has no word steps."""
+    """The word-path chain, ancestor-joined; None when it has no word steps."""
     if not word_steps:
         return None
     word, _ = word_steps[0]
@@ -247,14 +165,15 @@ def _lookup_word_path_block(
     return current
 
 
-def candidate_sentences_for_query(
-    indexes: KokoIndexSet, query: TreePatternQuery
-) -> set[int]:
-    """Sentences the KOKO indexes return for a whole tree-pattern query."""
+def candidate_sentences_for_query(indexes, query: TreePatternQuery) -> set[int]:
+    """Sentences the KOKO indexes return for a whole tree-pattern query.
+
+    *indexes* is a :class:`~repro.indexing.koko_index.KokoIndexSet` or any
+    other index set answering ``path_candidates(path)``.
+    """
     candidates: set[int] | None = None
     for path in query.paths:
-        postings = lookup_decomposed(indexes, path)
-        sids = {p.sid for p in postings}
+        sids = set(indexes.path_candidates(path)[0].tolist())
         candidates = sids if candidates is None else candidates & sids
         if not candidates:
             return set()

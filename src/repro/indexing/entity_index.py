@@ -5,11 +5,12 @@ leftmost and rightmost token ids of the mention span.  The index can also be
 queried by entity type, which is how variables declared as ``x:Entity``,
 ``a:GPE`` or ``a:Person`` obtain their candidate bindings.
 
-With ``columnar=True`` the posting rows ``(sid, left, right, text, etype)``
-live in two :class:`~repro.indexing.columnar.ColumnarPostings` stores — one
-keyed by lower-cased mention text, one by mention type — with the string
-payloads interned, so type lookups hand the query planner whole sentence-id
-arrays instead of Python object lists.
+The posting rows ``(sid, left, right, text, etype)`` live in two
+:class:`~repro.indexing.columnar.ColumnarPostings` stores — one keyed by
+lower-cased mention text, one by mention type — with the string payloads
+interned, so type lookups hand the query planner whole sentence-id arrays
+instead of Python object lists.  The object-list build survives only as the
+test oracle in :mod:`repro.indexing.reference`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..nlp.types import Corpus, Sentence
-from ..storage.database import Database
-from ..storage.table import Schema
+from ..nlp.types import Sentence
 from .columnar import (
     ColumnarPostings,
     StringInterner,
@@ -30,7 +29,12 @@ from .columnar import (
     unpack_strings,
 )
 
+__all__ = ["EntityIndex", "EntityPosting", "canonical_type"]
+
 _E_COLUMNS = ("sid", "left", "right", "text_id", "etype_id")
+
+#: query-side type spellings whose index key is not just ``upper()``
+_TYPE_KEYS = {"org": "ORGANIZATION"}
 
 
 @dataclass(frozen=True, order=True)
@@ -87,39 +91,14 @@ class _EntityView(Sequence):
 class EntityIndex:
     """Inverted index over entity mentions."""
 
-    def __init__(self, columnar: bool = False) -> None:
-        self.columnar = columnar
-        self._by_text: dict[str, list[EntityPosting]] = {}
-        self._by_type: dict[str, list[EntityPosting]] = {}
-        # keyed by sentence id so remove_sentence is one dict pop instead
-        # of a rebuild of the whole corpus-wide posting list
-        self._by_sid: dict[int, list[EntityPosting]] = {}
-        self._count = 0
-        self._strings = StringInterner() if columnar else None
-        self._store_text = ColumnarPostings(_E_COLUMNS) if columnar else None
-        self._store_type = ColumnarPostings(_E_COLUMNS) if columnar else None
+    def __init__(self) -> None:
+        self._strings = StringInterner()
+        self._store_text = ColumnarPostings(_E_COLUMNS)
+        self._store_type = ColumnarPostings(_E_COLUMNS)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_sentence(self, sentence: Sentence) -> None:
-        """Index every mention of *sentence* (object-backed; a columnar
-        index is spliced in batches through :meth:`add_rows`)."""
-        if self.columnar:
-            raise RuntimeError("columnar EntityIndex takes rows via add_rows")
-        for mention in sentence.entities:
-            posting = EntityPosting(
-                sid=sentence.sid,
-                left=mention.start,
-                right=mention.end,
-                etype=mention.etype,
-                text=mention.text,
-            )
-            self._by_text.setdefault(mention.text.lower(), []).append(posting)
-            self._by_type.setdefault(mention.etype, []).append(posting)
-            self._by_sid.setdefault(sentence.sid, []).append(posting)
-            self._count += 1
-
     def add_rows(
         self,
         sids: list[int],
@@ -128,8 +107,8 @@ class EntityIndex:
         etypes: list[str],
         texts: list[str],
     ) -> None:
-        """Columnar splice: append mention rows (spanning any number of
-        sentences, in ``(sid, position)`` order) to both keyed stores."""
+        """Splice: append mention rows (spanning any number of sentences,
+        in ``(sid, position)`` order) to both keyed stores."""
         intern_many = self._strings.intern_many
         etype_ids = intern_many(etypes)
         text_ids = intern_many(texts)
@@ -143,34 +122,14 @@ class EntityIndex:
             [store_type.intern_key(etype) for etype in etypes], columns
         )
 
-    def add_corpus(self, corpus: Corpus) -> None:
-        for _, sentence in corpus.all_sentences():
-            self.add_sentence(sentence)
-
     def remove_sentence(self, sentence: Sentence) -> None:
         """Remove every posting contributed by *sentence* (by sentence id)."""
-        if not sentence.entities:
-            return
-        sid = sentence.sid
-        if self.columnar:
-            self._store_text.remove_sid(sid)
-            self._store_type.remove_sid(sid)
-            return
-        for mention in sentence.entities:
-            for mapping, key in (
-                (self._by_text, mention.text.lower()),
-                (self._by_type, mention.etype),
-            ):
-                bucket = mapping.get(key)
-                if bucket is None:
-                    continue
-                bucket[:] = [p for p in bucket if p.sid != sid]
-                if not bucket:
-                    del mapping[key]
-        self._count -= len(self._by_sid.pop(sid, ()))
+        if sentence.entities:
+            self._store_text.remove_sid(sentence.sid)
+            self._store_type.remove_sid(sentence.sid)
 
     # ------------------------------------------------------------------
-    # snapshot payload (columnar only): the E rows once + the string table
+    # snapshot payload: the E rows once + the string table
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The mention rows (stored once) and the interned string table."""
@@ -181,7 +140,7 @@ class EntityIndex:
         }
 
     def load_arrays(self, arrays: "Mapping[str, np.ndarray]") -> None:
-        """Fill this empty columnar index from :meth:`to_arrays` output.
+        """Fill this empty index from :meth:`to_arrays` output.
 
         Both keyed stores — by lower-cased mention text, by mention type —
         are regrouped from the one row set.
@@ -205,36 +164,25 @@ class EntityIndex:
     # ------------------------------------------------------------------
     def lookup_text(self, text: str) -> list[EntityPosting]:
         """All occurrences of the entity whose surface text is *text*."""
-        if self.columnar:
-            kid = self._store_text.key_id(text.lower())
-            if kid is None:
-                return []
-            return list(
-                _EntityView(self._store_text.arrays_for_key(kid), self._strings)
-            )
-        return list(self._by_text.get(text.lower(), ()))
+        kid = self._store_text.key_id(text.lower())
+        if kid is None:
+            return []
+        return list(_EntityView(self._store_text.arrays_for_key(kid), self._strings))
 
     def lookup_type(self, etype: str) -> list[EntityPosting]:
         """All occurrences of entities of type *etype*.
 
         The pseudo-type ``"Entity"`` returns every mention regardless of type.
         """
-        if self.columnar:
-            _, view = self.lookup_type_block(etype)
-            return list(view)
-        if etype.lower() == "entity":
-            return self.all_postings()
-        key = self._canonical_type(etype)
-        return list(self._by_type.get(key, ()))
+        return list(self.lookup_type_block(etype)[1])
 
     def lookup_type_block(self, etype: str) -> tuple[np.ndarray, Sequence]:
-        """Columnar type lookup: the sid column plus a lazy posting view."""
+        """Type lookup: the sid column plus a lazy posting view."""
         store = self._store_type
-        assert store is not None, "lookup_type_block requires columnar=True"
         if etype.lower() == "entity":
             arrays = store.all_arrays()
         else:
-            kid = store.key_id(self._canonical_type(etype))
+            kid = store.key_id(canonical_type(etype))
             if kid is None:
                 arrays = tuple(np.empty(0, np.int64) for _ in _E_COLUMNS)
             else:
@@ -242,44 +190,13 @@ class EntityIndex:
         return arrays[0], _EntityView(arrays, self._strings)
 
     def all_postings(self) -> list[EntityPosting]:
-        if self.columnar:
-            return list(_EntityView(self._store_type.all_arrays(), self._strings))
-        return [posting for bucket in self._by_sid.values() for posting in bucket]
+        """Every mention in the index."""
+        return list(_EntityView(self._store_type.all_arrays(), self._strings))
 
     def __len__(self) -> int:
-        if self.columnar:
-            return self._store_type.total_rows
-        return self._count
+        return self._store_type.total_rows
 
-    @staticmethod
-    def _canonical_type(etype: str) -> str:
-        mapping = {
-            "person": "PERSON",
-            "gpe": "GPE",
-            "location": "LOCATION",
-            "organization": "ORGANIZATION",
-            "org": "ORGANIZATION",
-            "date": "DATE",
-            "facility": "FACILITY",
-            "team": "TEAM",
-            "other": "OTHER",
-        }
-        return mapping.get(etype.lower(), etype.upper())
 
-    # ------------------------------------------------------------------
-    # materialisation (the E relation of Section 6.2.1)
-    # ------------------------------------------------------------------
-    E_SCHEMA = Schema.of("entity", "x", "u", "v", "etype")
-
-    def to_table(self, database: Database, table_name: str = "E"):
-        """Materialise the index into *database* with the paper's E schema."""
-        if database.has_table(table_name):
-            database.drop_table(table_name)
-        table = database.create_table(table_name, self.E_SCHEMA)
-        for posting in self.all_postings():
-            table.insert(
-                (posting.text.lower(), posting.sid, posting.left, posting.right, posting.etype)
-            )
-        table.create_index("by_entity", "entity")
-        table.create_index("by_sentence", "x")
-        return table
+def canonical_type(etype: str) -> str:
+    """The index key of a query-side type name (``"gpe"`` -> ``"GPE"``)."""
+    return _TYPE_KEYS.get(etype.lower(), etype.upper())

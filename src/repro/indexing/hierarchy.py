@@ -15,14 +15,14 @@ The index answers *path-pattern* lookups — patterns with ``/`` (child) and
 which is how the DPLI module resolves decomposed parse-label and POS-tag
 paths without touching individual sentences.
 
-With ``columnar=True`` the trie structure (nodes, labels, parent/child
-links) is kept exactly as before, but the per-node posting lists move into
-one :class:`~repro.indexing.columnar.ColumnarPostings` store keyed by node
-id: the splice appends one row batch per sentence (an iterative DFS that
-reproduces the recursive merge order, so node ids are identical to the
-object-backed build), and path lookups gather whole column slices instead
-of walking Python lists.  ``node.postings`` stays readable — columnar nodes
-carry a lazy view over their store slice.
+The trie structure (nodes, labels, parent/child links) is plain Python
+objects; the per-node posting lists live in one
+:class:`~repro.indexing.columnar.ColumnarPostings` store keyed by node id.
+The splice merges each tree shape once (an iterative DFS in the recursive
+merge order, so node ids equal those of the object-list build kept as the
+test oracle in :mod:`repro.indexing.reference`) and appends rows in
+batches; path lookups gather whole column slices.  ``node.postings`` stays
+readable as a lazy view over the node's store slice.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..nlp.types import Corpus, Sentence
-from ..storage.closure import ClosureTable
-from ..storage.database import Database
+from ..nlp.types import Sentence
 from .columnar import (
     ColumnarPostings,
     PostingBlock,
@@ -43,7 +41,9 @@ from .columnar import (
     pack_strings,
     unpack_strings,
 )
-from .postings import Posting, posting_for_token
+from .postings import Posting
+
+__all__ = ["HierarchyIndex", "HierarchyNode", "parse_label_index", "pos_tag_index"]
 
 _H_COLUMNS = ("sid", "tid", "left", "right", "depth", "wid")
 
@@ -60,7 +60,7 @@ class HierarchyNode:
     depth: int
     parent: "HierarchyNode | None" = None
     children: dict[str, "HierarchyNode"] = field(default_factory=dict)
-    postings: list[Posting] = field(default_factory=list)
+    postings: Sequence[Posting] = ()
 
     def path(self) -> str:
         """The unique ``/label/...`` path identifying this node (dummy excluded)."""
@@ -73,7 +73,7 @@ class HierarchyNode:
 
 
 class _NodePostingsView(Sequence):
-    """Read-only live view of one columnar node's postings."""
+    """Read-only live view of one node's postings."""
 
     __slots__ = ("_store", "_node_id", "_interner")
 
@@ -111,36 +111,25 @@ class HierarchyIndex:
         label for the PL index, the POS tag for the POS index.
     name:
         Diagnostic name ("PL" or "POS").
-    columnar:
-        Store per-node postings in a shared columnar store instead of
-        Python lists (the trie structure is identical either way).
     interner:
-        Word interner shared with sibling columnar indexes; a private one
-        is created when omitted.
+        Word interner shared with the sibling indexes; a private one is
+        created when omitted.
     """
 
     def __init__(
         self,
         label_of: Callable,
         name: str = "PL",
-        columnar: bool = False,
         interner: StringInterner | None = None,
     ) -> None:
         self.name = name
-        self.columnar = columnar
         self._label_of = label_of
         self._next_id = 0
         # NOTE: an explicit None test — a fresh shared interner is empty and
         # therefore falsy, and falling back to a private one here would make
         # stored word ids undecodable.
-        self._interner = (
-            (interner if interner is not None else StringInterner())
-            if columnar
-            else None
-        )
-        self._store = (
-            ColumnarPostings(_H_COLUMNS, identity_keys=True) if columnar else None
-        )
+        self._interner = interner if interner is not None else StringInterner()
+        self._store = ColumnarPostings(_H_COLUMNS, identity_keys=True)
         # case-folded (axis, label) pattern -> (sorted matched node ids,
         # boolean table over node ids), both read-only.  The answer depends
         # on the trie's structure alone, so the memo is cleared where a
@@ -149,15 +138,10 @@ class HierarchyIndex:
         self._dummy = self._new_node("<dummy>", depth=-1, parent=None)
         # node id -> node; insertion order is creation order, which is
         # topological (parents are always created before their children) —
-        # the property to_closure_table relies on.  A dict (not a list) so
-        # that remove_sentence can prune emptied nodes without invalidating
-        # the ids of the survivors.
+        # the property to_arrays relies on.  A dict (not a list) so that
+        # remove_sentence can prune emptied nodes without invalidating the
+        # ids of the survivors.
         self._nodes: dict[int, HierarchyNode] = {self._dummy.node_id: self._dummy}
-        # (sid, tid) -> node id; consumed by WordIndex.set_node_ids
-        self._token_nodes: dict[tuple[int, int], int] = {}
-        self._merged_token_count = 0
-        # columnar (sid, tid) -> node id cache, rebuilt lazily after writes
-        self._token_cache: dict[tuple[int, int], int] | None = None
         # (root, labels, structure) -> per-token node ids: two trees with
         # the same shape and label sequence merge through exactly the same
         # trie path, so the walk result can be reused verbatim.  Node
@@ -168,21 +152,12 @@ class HierarchyIndex:
         node = HierarchyNode(node_id=self._next_id, label=label, depth=depth, parent=parent)
         self._next_id += 1
         self._match_memo.clear()
-        if self.columnar:
-            node.postings = _NodePostingsView(self._store, node.node_id, self._interner)
+        node.postings = _NodePostingsView(self._store, node.node_id, self._interner)
         return node
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_sentence(self, sentence: Sentence) -> None:
-        """Merge the dependency tree of *sentence* (object-backed; a columnar
-        index is spliced through :meth:`merge_tree` + :meth:`append_rows`)."""
-        if self.columnar:
-            raise RuntimeError("columnar HierarchyIndex merges via merge_tree")
-        if len(sentence):
-            self._insert(sentence, sentence.root_index(), self._dummy)
-
     def merge_tree(
         self,
         root: int,
@@ -225,79 +200,36 @@ class HierarchyIndex:
     def append_rows(
         self, kids: Sequence[int], columns: Sequence[Sequence[int]]
     ) -> None:
-        """Columnar splice: append posting rows keyed by node id.
+        """Splice: append posting rows keyed by node id.
 
         Covers every node id minted so far (batch writers mint ids through
         :meth:`merge_tree` before flushing rows here).
         """
         store = self._store
-        assert store is not None, "append_rows requires columnar=True"
         store.ensure_key_capacity(self._next_id)
         store.append_batch(kids, columns)
-        self._token_cache = None
-
-    def _insert(self, sentence: Sentence, tid: int, parent: HierarchyNode) -> None:
-        label = str(self._label_of(sentence[tid]))
-        child = parent.children.get(label)
-        if child is None:
-            child = self._new_node(label, depth=parent.depth + 1, parent=parent)
-            parent.children[label] = child
-            self._nodes[child.node_id] = child
-        child.postings.append(posting_for_token(sentence, tid))
-        self._token_nodes[(sentence.sid, tid)] = child.node_id
-        self._merged_token_count += 1
-        for ctid in sentence.children(tid):
-            self._insert(sentence, ctid, child)
-
-    def add_corpus(self, corpus: Corpus) -> None:
-        for _, sentence in corpus.all_sentences():
-            self.add_sentence(sentence)
 
     def remove_sentence(self, sentence: Sentence) -> None:
         """Un-merge *sentence*: drop its postings, prune emptied nodes.
 
-        Walks the same label paths :meth:`add_sentence` merged the sentence
+        Walks the same label paths :meth:`merge_tree` merged the sentence
         through; a node left with no postings and no children is removed so
         that node counts (and the compression ratio) track the live corpus.
         """
         if len(sentence) == 0:
             return
-        root = sentence.root_index()
-        if self.columnar:
-            self._store.remove_sid(sentence.sid)
-            self._token_cache = None
-            self._merge_memo.clear()  # pruning may invalidate memoised ids
-            self._remove_structural(sentence, root, self._dummy)
-            return
-        self._remove(sentence, root, self._dummy)
+        self._store.remove_sid(sentence.sid)
+        self._merge_memo.clear()  # pruning may invalidate memoised ids
+        self._prune(sentence, sentence.root_index(), self._dummy)
 
-    def _remove(self, sentence: Sentence, tid: int, parent: HierarchyNode) -> None:
-        label = str(self._label_of(sentence[tid]))
-        child = parent.children.get(label)
-        if child is None:
-            return  # this sentence was never merged through here
-        for ctid in sentence.children(tid):
-            self._remove(sentence, ctid, child)
-        if self._token_nodes.pop((sentence.sid, tid), None) is not None:
-            self._merged_token_count -= 1
-        child.postings = [
-            p for p in child.postings if not (p.sid == sentence.sid and p.tid == tid)
-        ]
-        if not child.postings and not child.children:
-            del parent.children[label]
-            del self._nodes[child.node_id]
-            self._match_memo.clear()
-
-    def _remove_structural(
-        self, sentence: Sentence, tid: int, parent: HierarchyNode
-    ) -> None:
-        """Columnar prune: drop trie nodes left with no rows and no children."""
+    def _prune(self, sentence: Sentence, tid: int, parent: HierarchyNode) -> None:
+        """Drop the trie nodes of *sentence* left with no rows and no children."""
         label = str(self._label_of(sentence[tid]))
         child = parent.children.get(label)
         if child is None:
             return
         for ctid in sentence.children(tid):
-            self._remove_structural(sentence, ctid, child)
+            self._prune(sentence, ctid, child)
         if not child.children and self._store.key_count(child.node_id) == 0:
             del parent.children[label]
             del self._nodes[child.node_id]
@@ -314,9 +246,7 @@ class HierarchyIndex:
     @property
     def token_count(self) -> int:
         """Number of tokens merged into the index."""
-        if self.columnar:
-            return self._store.total_rows
-        return self._merged_token_count
+        return self._store.total_rows
 
     def compression_ratio(self) -> float:
         """Fraction of nodes eliminated by merging (0 when nothing merged)."""
@@ -328,21 +258,8 @@ class HierarchyIndex:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
-    def node_id_of(self, sid: int, tid: int) -> int:
-        """Hierarchy node id that token (sid, tid) was merged into (-1 if absent)."""
-        if not self.columnar:
-            return self._token_nodes.get((sid, tid), -1)
-        cache = self._token_cache
-        if cache is None:
-            kid, cols = self._store.all_arrays_with_keys()
-            cache = {
-                (s, t): k
-                for s, t, k in zip(cols[0].tolist(), cols[1].tolist(), kid.tolist())
-            }
-            self._token_cache = cache
-        return cache.get((sid, tid), -1)
-
     def node_by_id(self, node_id: int) -> HierarchyNode:
+        """The node minted under *node_id*."""
         return self._nodes[node_id]
 
     def nodes(self) -> Iterator[HierarchyNode]:
@@ -358,29 +275,16 @@ class HierarchyIndex:
         step with axis ``"/"`` must match a top-level label (``root`` for
         the PL index).
         """
-        if self.columnar:
-            return self.lookup_path_block(steps).materialize()
-        matches = self.match_nodes(steps)
-        merged: list[Posting] = []
-        seen: set[tuple[int, int]] = set()
-        for node in matches:
-            for posting in node.postings:
-                key = (posting.sid, posting.tid)
-                if key not in seen:
-                    seen.add(key)
-                    merged.append(posting)
-        merged.sort()
-        return merged
+        return self.lookup_path_block(steps).materialize()
 
     def lookup_path_block(self, steps: list[tuple[str, str]]) -> PostingBlock:
-        """Columnar :meth:`lookup_path`: the union as a sorted posting block.
+        """:meth:`lookup_path` as a ``(sid, tid)``-sorted posting block.
 
         Every token merges into exactly one node, so the per-node slices are
         disjoint and their concatenation needs no deduplication — one gather
-        plus one ``(sid, tid)`` sort replaces the object-backed merge loop.
+        plus one ``(sid, tid)`` sort.
         """
         store = self._store
-        assert store is not None, "lookup_path_block requires columnar=True"
         node_ids, member = self._matched(steps)
         if not len(node_ids):
             return PostingBlock.empty()
@@ -456,7 +360,7 @@ class HierarchyIndex:
         return node_label.lower() == pattern_label.lower()
 
     # ------------------------------------------------------------------
-    # snapshot payload (columnar only): the trie, not its postings
+    # snapshot payload: the trie, not its postings
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The trie as a ``(node_id, parent_id, label)`` table plus next id.
@@ -475,7 +379,7 @@ class HierarchyIndex:
     def load_arrays(
         self, arrays: "Mapping[str, np.ndarray]", kids: np.ndarray, rows
     ) -> None:
-        """Fill this empty columnar index: the trie from *arrays*, the
+        """Fill this empty index: the trie from *arrays*, the
         postings from *rows* keyed by node id *kids*.
 
         Table order is creation order (ascending id, parents first), so
@@ -510,39 +414,12 @@ class HierarchyIndex:
             previous = node_id
         self._match_memo.clear()
 
-    # ------------------------------------------------------------------
-    # materialisation (closure table of Section 6.2.1)
-    # ------------------------------------------------------------------
-    def to_closure_table(self) -> ClosureTable:
-        """Export the merged hierarchy as a closure table."""
-        closure = ClosureTable()
-        # Insert in creation order, which is also topological (parents first).
-        for node in self._nodes.values():
-            if node is self._dummy:
-                closure.add_node(node.node_id, node.label, None)
-            else:
-                parent_id = node.parent.node_id if node.parent else None
-                closure.add_node(node.node_id, node.label, parent_id)
-        return closure
 
-    def to_table(self, database: Database, table_name: str):
-        """Materialise the closure table into the storage engine."""
-        return self.to_closure_table().to_table(database, table_name)
-
-
-def parse_label_index(
-    columnar: bool = False, interner: StringInterner | None = None
-) -> HierarchyIndex:
+def parse_label_index(interner: StringInterner | None = None) -> HierarchyIndex:
     """A hierarchy index keyed on dependency parse labels (the PL index)."""
-    return HierarchyIndex(
-        label_of=lambda token: token.label, name="PL", columnar=columnar, interner=interner
-    )
+    return HierarchyIndex(label_of=lambda token: token.label, name="PL", interner=interner)
 
 
-def pos_tag_index(
-    columnar: bool = False, interner: StringInterner | None = None
-) -> HierarchyIndex:
+def pos_tag_index(interner: StringInterner | None = None) -> HierarchyIndex:
     """A hierarchy index keyed on POS tags (the POS index)."""
-    return HierarchyIndex(
-        label_of=lambda token: token.pos, name="POS", columnar=columnar, interner=interner
-    )
+    return HierarchyIndex(label_of=lambda token: token.pos, name="POS", interner=interner)

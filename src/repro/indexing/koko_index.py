@@ -1,26 +1,58 @@
 """The KOKO multi-index: word + entity inverted indexes, PL + POS hierarchies.
 
-:class:`KokoIndexSet` is what the engine builds during preprocessing
-(Figure 2 of the paper, "Parse text & build indices"): it owns the four
-indexes, records build time, can materialise everything into the embedded
-storage engine with the schemas of Section 6.2.1, and reports its size for
-the index-size experiments (Figure 6).
+:class:`KokoIndexSet` is what every service shard builds during
+preprocessing (Figure 2 of the paper, "Parse text & build indices"): it
+owns the four columnar indexes, records build time, answers the DPLI
+lookups of Algorithm 1, persists itself as named arrays for snapshots, and
+reports its size for the index-size experiments (Figure 6) by the
+relational accounting of Section 6.2.1.  :mod:`repro.indexing.reference`
+holds the object-list build the tests compare it against.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..nlp.types import Corpus, Document
-from ..storage.database import Database
-from .columnar import StringInterner, int_column, pack_strings, unpack_strings
-from .entity_index import EntityIndex
+from .columnar import (
+    PostingView,
+    StringInterner,
+    int_column,
+    pack_strings,
+    unpack_strings,
+)
+from .decompose import DecomposedPath, lookup_decomposed_block
+from .entity_index import EntityIndex, EntityPosting
 from .hierarchy import HierarchyIndex, parse_label_index, pos_tag_index
+from .postings import Posting
+from .query_ir import TreePath
 from .word_index import WordIndex
+
+__all__ = ["IndexStatistics", "KokoIndexSet", "sizeof"]
+
+
+def sizeof(value: Any) -> int:
+    """Rough, platform-independent size of one relational cell in bytes.
+
+    The shared unit of every ``approximate_bytes`` estimate — KOKO's here,
+    the baselines' in :mod:`repro.indexing.baselines` — so Figure 6(b)
+    compares index designs, not Python object layouts.
+    """
+    if isinstance(value, str):
+        return 49 + len(value)
+    if isinstance(value, (int, float)):
+        return 28
+    if isinstance(value, tuple):
+        return 40 + sum(sizeof(v) for v in value)
+    if isinstance(value, (list, set, frozenset)):
+        return 56 + sum(sizeof(v) for v in value)
+    if value is None:
+        return 16
+    return 48
 
 
 @dataclass
@@ -67,17 +99,12 @@ class IndexStatistics:
 class KokoIndexSet:
     """Builds and owns KOKO's four indexes over one corpus."""
 
-    def __init__(self, columnar: bool = False) -> None:
-        self.columnar = columnar
-        self._interner = StringInterner() if columnar else None
-        self.word_index = WordIndex(columnar=columnar, interner=self._interner)
-        self.entity_index = EntityIndex(columnar=columnar)
-        self.pl_index: HierarchyIndex = parse_label_index(
-            columnar=columnar, interner=self._interner
-        )
-        self.pos_index: HierarchyIndex = pos_tag_index(
-            columnar=columnar, interner=self._interner
-        )
+    def __init__(self) -> None:
+        self._interner = StringInterner()
+        self.word_index = WordIndex(interner=self._interner)
+        self.entity_index = EntityIndex()
+        self.pl_index: HierarchyIndex = parse_label_index(interner=self._interner)
+        self.pos_index: HierarchyIndex = pos_tag_index(interner=self._interner)
         self.build_seconds = 0.0
         self._sentences = 0
         self._tokens = 0
@@ -88,11 +115,7 @@ class KokoIndexSet:
     def build(self, corpus: Corpus) -> "KokoIndexSet":
         """Index every sentence of *corpus*; returns self for chaining."""
         started = time.perf_counter()
-        if self.columnar:
-            self._splice_sentences([s for _, s in corpus.all_sentences()])
-        else:
-            for _, sentence in corpus.all_sentences():
-                self.add_sentence(sentence)
+        self._splice_sentences([s for _, s in corpus.all_sentences()])
         self.build_seconds += time.perf_counter() - started
         return self
 
@@ -104,11 +127,7 @@ class KokoIndexSet:
         same postings, same hierarchy nodes, same statistics.
         """
         started = time.perf_counter()
-        if self.columnar:
-            self._splice_sentences(list(document))
-        else:
-            for sentence in document:
-                self.add_sentence(sentence)
+        self._splice_sentences(list(document))
         self.build_seconds += time.perf_counter() - started
         return self
 
@@ -122,22 +141,10 @@ class KokoIndexSet:
 
     def add_sentence(self, sentence) -> None:
         """Index one sentence in all four indexes."""
-        if self.columnar:
-            self._splice_sentences((sentence,))
-            return
-        self.word_index.add_sentence(sentence)
-        self.entity_index.add_sentence(sentence)
-        self.pl_index.add_sentence(sentence)
-        self.pos_index.add_sentence(sentence)
-        for token in sentence:
-            plid = self.pl_index.node_id_of(sentence.sid, token.index)
-            posid = self.pos_index.node_id_of(sentence.sid, token.index)
-            self.word_index.set_node_ids(sentence.sid, token.index, plid, posid)
-        self._sentences += 1
-        self._tokens += len(sentence)
+        self._splice_sentences((sentence,))
 
     def _splice_sentences(self, sentences) -> None:
-        """Columnar splice: columnise each sentence once, flush one batch.
+        """The splice: columnise each sentence once, flush one batch.
 
         Each dependency tree is read as whole-sentence columns
         (:meth:`~repro.nlp.types.Sentence.tree_columns`) and merged into
@@ -236,9 +243,30 @@ class KokoIndexSet:
         self._tokens -= len(sentence)
 
     # ------------------------------------------------------------------
+    # DPLI lookups (Algorithm 1)
+    # ------------------------------------------------------------------
+    def entity_candidates(
+        self, etype: str
+    ) -> tuple[np.ndarray, Sequence[EntityPosting]]:
+        """Mentions of type *etype*: ``(sorted sid column, postings)``."""
+        sids, postings = self.entity_index.lookup_type_block(etype)
+        return np.sort(sids), postings
+
+    def path_candidates(
+        self, path: TreePath, decomposed: DecomposedPath | None = None
+    ) -> tuple[np.ndarray, Sequence[Posting]]:
+        """Postings of *path*'s final step: ``(sorted sid column, postings)``.
+
+        *decomposed* is ``decompose_path(path)`` when the caller holds it.
+        """
+        block = lookup_decomposed_block(self, path, decomposed)
+        return block.sid, PostingView(block)
+
+    # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
     def statistics(self) -> IndexStatistics:
+        """Counts, node compression and size of the index set."""
         return IndexStatistics(
             sentences=self._sentences,
             tokens=self._tokens,
@@ -262,28 +290,14 @@ class KokoIndexSet:
         row per (node, ancestor) pair of the merged hierarchies, which is
         tiny because merging removes the vast majority of nodes.
         """
-        from ..storage.btree import _sizeof
-
         total = 0
-        if self.columnar:
-            # Same accounting over the columnar layout: per-key row counts
-            # for W, interned strings for E — identical totals by design
-            # (the equivalence tests compare statistics across backends).
-            word_store = self.word_index._store
-            for kid in word_store.live_key_ids():
-                word = word_store.key_of(kid)
-                total += word_store.key_count(kid) * (_sizeof(word) + 7 * 28 + 40)
-            entity_store = self.entity_index._store_type
-            strings = self.entity_index._strings
-            text_ids = entity_store.all_arrays()[3]
-            for text_id in text_ids.tolist():
-                total += _sizeof(strings.text(text_id)) + 3 * 28 + 40
-        else:
-            for word in self.word_index.vocabulary():
-                postings = self.word_index.lookup(word)
-                total += len(postings) * (_sizeof(word) + 7 * 28 + 40)
-            for posting in self.entity_index.all_postings():
-                total += _sizeof(posting.text) + 3 * 28 + 40
+        word_store = self.word_index._store
+        for kid in word_store.live_key_ids():
+            word = word_store.key_of(kid)
+            total += word_store.key_count(kid) * (sizeof(word) + 7 * 28 + 40)
+        strings = self.entity_index._strings
+        for text_id in self.entity_index._store_type.all_arrays()[3].tolist():
+            total += sizeof(strings.text(text_id)) + 3 * 28 + 40
         for hierarchy in (self.pl_index, self.pos_index):
             for node in hierarchy.nodes():
                 # One closure-table row per (node, ancestor) pair.  The
@@ -292,11 +306,11 @@ class KokoIndexSet:
                 # W.plid / W.posid (Section 6.2.1), which is what makes the
                 # multi-index the smallest design.
                 ancestors = node.depth + 1
-                total += ancestors * (2 * _sizeof(node.label) + 4 * 28 + 40)
+                total += ancestors * (2 * sizeof(node.label) + 4 * 28 + 40)
         return total
 
     # ------------------------------------------------------------------
-    # snapshot payload (columnar only)
+    # snapshot payload
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The index set as named integer arrays — what a snapshot persists.
@@ -320,14 +334,14 @@ class KokoIndexSet:
     def from_arrays(
         cls, arrays: "Mapping[str, np.ndarray]", build_seconds: float = 0.0
     ) -> "KokoIndexSet":
-        """A columnar index set rebuilt from :meth:`to_arrays` output.
+        """An index set rebuilt from :meth:`to_arrays` output.
 
         Postings, node ids, interner ids and statistics equal the captured
         set's, so later splices mint the same ids.  The arrays come from
         disk or a socket: a missing name raises ``KeyError``, a structural
         inconsistency ``ValueError``.
         """
-        index_set = cls(columnar=True)
+        index_set = cls()
         words = index_set.word_index
         index_set._interner.intern_many(unpack_strings(arrays, "words"))
         words.load_arrays(arrays)
@@ -337,14 +351,3 @@ class KokoIndexSet:
         index_set._sentences, index_set._tokens = int_column(arrays["counts"]).tolist()
         index_set.build_seconds = build_seconds
         return index_set
-
-    # ------------------------------------------------------------------
-    # materialisation
-    # ------------------------------------------------------------------
-    def to_database(self, database: Database) -> Database:
-        """Store W, E, PL and POS relations (Section 6.2.1 schemas)."""
-        self.word_index.to_table(database, "W")
-        self.entity_index.to_table(database, "E")
-        self.pl_index.to_table(database, "PL")
-        self.pos_index.to_table(database, "POS")
-        return database

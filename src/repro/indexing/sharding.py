@@ -22,7 +22,6 @@ import zlib
 from typing import Iterator
 
 from ..nlp.types import Corpus, Document
-from ..storage.database import Database
 from .koko_index import IndexStatistics, KokoIndexSet
 
 
@@ -43,9 +42,7 @@ class ShardedIndexSet:
     def __init__(self, num_shards: int = 4) -> None:
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
-        self.shards: list[KokoIndexSet] = [
-            KokoIndexSet(columnar=True) for _ in range(num_shards)
-        ]
+        self.shards: list[KokoIndexSet] = [KokoIndexSet() for _ in range(num_shards)]
 
     # ------------------------------------------------------------------
     # routing
@@ -102,19 +99,3 @@ class ShardedIndexSet:
 
     def approximate_bytes(self) -> int:
         return sum(shard.approximate_bytes() for shard in self.shards)
-
-    # ------------------------------------------------------------------
-    # materialisation
-    # ------------------------------------------------------------------
-    def to_database(self, database: Database) -> Database:
-        """Store each shard's W/E/PL/POS relations under suffixed names.
-
-        Shard *i*'s relations become ``W.i``, ``E.i``, ``PL.i`` and
-        ``POS.i`` — the partitioned equivalent of the Section 6.2.1 layout.
-        """
-        for index, shard in enumerate(self.shards):
-            shard.word_index.to_table(database, f"W.{index}")
-            shard.entity_index.to_table(database, f"E.{index}")
-            shard.pl_index.to_table(database, f"PL.{index}")
-            shard.pos_index.to_table(database, f"POS.{index}")
-        return database

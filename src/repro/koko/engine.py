@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from ..embeddings.expansion import DescriptorExpander
 from ..embeddings.vectors import VectorStore
 from ..indexing.koko_index import KokoIndexSet
+from ..indexing.reference import ReferenceIndexSet
 from ..nlp.lexicon import GAZETTEER_GPE
 from ..nlp.types import Corpus, Document, Sentence
 from ..observability.tracing import Span
@@ -82,12 +83,16 @@ class KokoEngine:
         vectors: VectorStore | None = None,
         dictionaries: dict[str, set[str]] | None = None,
         use_gsp: bool = True,
-        indexes: KokoIndexSet | None = None,
+        indexes: KokoIndexSet | ReferenceIndexSet | None = None,
         use_default_vectors: bool = True,
     ) -> None:
         self.corpus = corpus
         self.use_gsp = use_gsp
-        self.indexes = indexes if indexes is not None else KokoIndexSet().build(corpus)
+        # Without *indexes* the engine builds the object-list reference: a
+        # plain engine is the oracle the columnar service is checked against.
+        self.indexes = (
+            indexes if indexes is not None else ReferenceIndexSet().build(corpus)
+        )
         self.pipeline = StagePipeline()
         if vectors is None and use_default_vectors:
             from ..embeddings.pretrained import build_default_vectors

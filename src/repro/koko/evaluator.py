@@ -119,16 +119,13 @@ class SentenceEvaluator:
     def prepare_skip_plans(self, sentences: list[Sentence], dpli: DpliResult) -> None:
         """Batch-generate skip plans for *sentences* ahead of evaluation.
 
-        Only effective when GSP is enabled, the query has horizontal
-        conditions, and DPLI carries the sorted sid columns that make the
-        batched cost model possible (``dpli.supports_batch``); otherwise
-        this is a no-op and :meth:`evaluate` keeps generating plans lazily.
-        The time spent is accounted to ``gsp_seconds`` just like the
-        per-sentence path, so stage timings remain comparable.
+        Only effective when GSP is enabled and the query has horizontal
+        conditions; otherwise this is a no-op.  The cost model reads DPLI's
+        sorted sid columns for all *sentences* at once.  The time spent is
+        accounted to ``gsp_seconds`` just like the per-sentence path, so
+        stage timings remain comparable.
         """
         if not self.use_gsp or not sentences:
-            return
-        if not getattr(dpli, "supports_batch", False):
             return
         if not self.normalized.horizontal_conditions:
             return

@@ -9,8 +9,8 @@ costing ``t(t+1)/2`` (all possible spans of a ``t``-token sentence) — under
 the constraint that two adjacent atoms are never both skipped (otherwise the
 gap between their neighbours would be ambiguous).
 
-When DPLI ran against columnar indexes (``dpli.supports_batch``), the cost
-model can be evaluated for **all candidate sentences at once**: every atom's
+DPLI carries each variable's sorted sid column, so the cost model can be
+evaluated for **all candidate sentences at once**: every atom's
 per-sentence binding counts come back as one searchsorted pass over the
 variable's sorted sid column (:func:`generate_skip_plans_batch`), and only
 the tiny greedy selection still runs per sentence.  Both paths share the

@@ -5,12 +5,12 @@ Three layers, mirroring ``src/repro/indexing/columnar.py``:
 * :class:`ColumnarPostings` — the delta/main store itself (append order,
   compaction, sid removal, identity keys);
 * the ``join_*_block`` vectorized posting algebra, compared against the
-  object-backed joins of ``repro.indexing.postings``;
-* backend equivalence — ``KokoIndexSet(columnar=True)`` must be
-  observationally identical to the object-backed build (postings,
-  hierarchy paths, node ids, statistics) across batch builds, incremental
-  adds, removals, single-sentence splices and the ``to_arrays`` /
-  ``from_arrays`` round trip a snapshot takes.
+  object-list joins of ``repro.indexing.postings``;
+* equivalence — ``KokoIndexSet()`` must be observationally identical to
+  the object-list reference build (postings, hierarchy paths, node ids,
+  statistics) across batch builds, incremental adds, removals,
+  single-sentence splices and the ``to_arrays`` / ``from_arrays`` round
+  trip a snapshot takes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.indexing.postings import (
     parent_of,
     posting_for_token,
 )
-from repro.indexing.word_index import WordIndex
+from repro.indexing.reference import ReferenceIndexSet
 
 
 def _int(values):
@@ -160,8 +160,7 @@ class TestColumnarPostings:
 
 class TestBlockAlgebra:
     def test_join_ancestor_block_matches_object(self, paper_corpus):
-        index = WordIndex()
-        index.add_corpus(paper_corpus)
+        index = ReferenceIndexSet().build(paper_corpus).word_index
         interner = StringInterner()
         ate = index.lookup("ate")
         delicious = index.lookup("delicious")
@@ -198,8 +197,8 @@ class TestBackendEquivalence:
         self, corpus_fixture, request, assert_equivalent_indexes
     ):
         corpus = request.getfixturevalue(corpus_fixture)
-        columnar = KokoIndexSet(columnar=True).build(corpus)
-        object_backed = KokoIndexSet().build(corpus)
+        columnar = KokoIndexSet().build(corpus)
+        object_backed = ReferenceIndexSet().build(corpus)
         assert_equivalent_indexes(columnar, object_backed)
         # the columnar trie walk reproduces the recursive merge order, so
         # even the hierarchy node ids coincide
@@ -210,43 +209,43 @@ class TestBackendEquivalence:
     def test_incremental_add_matches_batch_build(
         self, paper_corpus, assert_equivalent_indexes
     ):
-        incremental = KokoIndexSet(columnar=True)
+        incremental = KokoIndexSet()
         for document in paper_corpus:
             incremental.add_document(document)
         assert_equivalent_indexes(
-            incremental, KokoIndexSet(columnar=True).build(paper_corpus)
+            incremental, KokoIndexSet().build(paper_corpus)
         )
 
     def test_sentence_splice_matches_batch_build(
         self, paper_corpus, assert_equivalent_indexes
     ):
         """The single-sentence splice is the batch splice of one sentence."""
-        one_by_one = KokoIndexSet(columnar=True)
+        one_by_one = KokoIndexSet()
         for _, sentence in paper_corpus.all_sentences():
             one_by_one.add_sentence(sentence)
         assert_equivalent_indexes(
-            one_by_one, KokoIndexSet(columnar=True).build(paper_corpus)
+            one_by_one, KokoIndexSet().build(paper_corpus)
         )
 
     def test_remove_matches_add_only_survivors(
         self, paper_corpus, assert_equivalent_indexes
     ):
-        full = KokoIndexSet(columnar=True).build(paper_corpus)
+        full = KokoIndexSet().build(paper_corpus)
         full.remove_document(paper_corpus.documents[0])
-        survivors = KokoIndexSet(columnar=True)
+        survivors = KokoIndexSet()
         for document in paper_corpus.documents[1:]:
             survivors.add_document(document)
         assert_equivalent_indexes(full, survivors)
 
     def test_arrays_round_trip(self, paper_corpus, assert_equivalent_indexes):
         """``from_arrays(to_arrays())`` — the snapshot payload — is lossless."""
-        columnar = KokoIndexSet(columnar=True).build(paper_corpus)
+        columnar = KokoIndexSet().build(paper_corpus)
         arrays = columnar.to_arrays()
         assert not any(name.startswith(("PL.sid", "POS.sid")) for name in arrays)
         restored = KokoIndexSet.from_arrays(arrays, build_seconds=1.5)
-        assert restored.columnar and restored.build_seconds == 1.5
+        assert restored.build_seconds == 1.5
         assert_equivalent_indexes(restored, columnar)
-        assert_equivalent_indexes(restored, KokoIndexSet().build(paper_corpus))
+        assert_equivalent_indexes(restored, ReferenceIndexSet().build(paper_corpus))
         for original, rebuilt in (
             (columnar.pl_index, restored.pl_index),
             (columnar.pos_index, restored.pos_index),
@@ -256,20 +255,9 @@ class TestBackendEquivalence:
             }
 
 
-    def test_columnar_indexes_refuse_the_object_splice(self, paper_sentence_2):
-        """One columnar splice (KokoIndexSet's batch path), not one per index."""
-        indexes = KokoIndexSet(columnar=True)
-        for index in (
-            indexes.word_index, indexes.entity_index, indexes.pl_index, indexes.pos_index
-        ):
-            with pytest.raises(RuntimeError, match="columnar"):
-                index.add_sentence(paper_sentence_2)
-        assert indexes.statistics().tokens == 0
-
-
 class TestMergeMemo:
     def test_identical_tree_shapes_share_the_walk(self):
-        index = parse_label_index(columnar=True)
+        index = parse_label_index()
         children = ((1, 2), (), ())
         labels = ["root", "nsubj", "dobj"]
         first = index.merge_tree(0, children, labels)
@@ -278,7 +266,7 @@ class TestMergeMemo:
         assert index.merge_tree(0, children, ["root", "dobj", "nsubj"]) != first
 
     def test_remove_clears_the_memo(self, paper_corpus):
-        indexes = KokoIndexSet(columnar=True).build(paper_corpus)
+        indexes = KokoIndexSet().build(paper_corpus)
         assert indexes.pl_index._merge_memo
         indexes.remove_document(paper_corpus.documents[0])
         assert not indexes.pl_index._merge_memo
@@ -288,9 +276,9 @@ class TestMergeMemo:
         self, paper_corpus, assert_equivalent_indexes
     ):
         """Node pruning invalidates memoised ids; re-merging must rebuild."""
-        indexes = KokoIndexSet(columnar=True).build(paper_corpus)
+        indexes = KokoIndexSet().build(paper_corpus)
         indexes.remove_document(paper_corpus.documents[0])
         indexes.add_document(paper_corpus.documents[0])
         assert_equivalent_indexes(
-            indexes, KokoIndexSet(columnar=True).build(paper_corpus)
+            indexes, KokoIndexSet().build(paper_corpus)
         )

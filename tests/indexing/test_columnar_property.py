@@ -3,10 +3,10 @@ in memory and across a snapshot.
 
 For randomly generated corpora:
 
-* the columnar index set agrees with the object-backed one that a plain
-  :class:`~repro.koko.engine.KokoEngine` builds — identical posting sets,
-  hierarchy paths and statistics (the shared equivalence assertion of
-  ``tests/conftest.py``);
+* the columnar index set agrees with the object-list reference that a
+  plain :class:`~repro.koko.engine.KokoEngine` builds — identical posting
+  sets, hierarchy paths and statistics (the shared equivalence assertion
+  of ``tests/conftest.py``), also for a token unreachable from the root;
 * :class:`~repro.service.KokoService` at 1 and 4 shards answers every query
   with the tuples of that engine, in the same order;
 * after ``checkpoint()`` → ``close()`` → ``open()`` every shard's index set
@@ -31,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.indexing.koko_index import KokoIndexSet
+from repro.indexing.reference import ReferenceIndexSet
 from repro.koko.engine import KokoEngine
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Corpus
@@ -63,7 +64,7 @@ def _rows(result):
 
 
 def _oracle_rows(documents):
-    """Every query's tuples from a fresh unsharded, object-backed engine."""
+    """Every query's tuples from a fresh unsharded engine over the reference."""
     engine = KokoEngine(
         Corpus(name="oracle", documents=list(documents)), use_default_vectors=False
     )
@@ -85,12 +86,22 @@ def _minted_ids(index_set: KokoIndexSet):
     )
 
 
+def _detach_last_token(sentence) -> None:
+    """Make the last token a second root: it hangs off no tree, so its W row
+    carries ``plid == posid == -1`` and no hierarchy holds it."""
+    sentence.tokens[-1].head = -1
+    sentence.invalidate_caches()
+
+
 @settings(max_examples=8, deadline=None)
-@given(texts=_corpora)
-def test_columnar_and_object_backends_agree(texts, assert_equivalent_indexes):
+@example(texts=["Paolo visited Beijing and Anna ate cheesecake."], detach=True)
+@given(texts=_corpora, detach=st.booleans())
+def test_columnar_and_object_backends_agree(texts, detach, assert_equivalent_indexes):
     corpus = _PIPELINE.annotate_corpus(texts, name="random")
+    if detach:
+        _detach_last_token(corpus.documents[0].sentences[0])
     assert_equivalent_indexes(
-        KokoIndexSet(columnar=True).build(corpus), KokoIndexSet().build(corpus)
+        KokoIndexSet().build(corpus), ReferenceIndexSet().build(corpus)
     )
     expected = _oracle_rows(corpus.documents)
     for shards in (1, 4):
@@ -135,11 +146,7 @@ def test_reopened_service_matches_the_never_restarted_one(
                     text, doc_id=next(doc_ids), first_sid=live.next_sid()
                 )
                 if detach and not mirror:
-                    # a second root: the last token hangs off no tree, so
-                    # its W row carries plid == posid == -1
-                    sentence = document.sentences[0]
-                    sentence.tokens[-1].head = -1
-                    sentence.invalidate_caches()
+                    _detach_last_token(document.sentences[0])
                 for service in (live, durable):
                     service.add_annotated_document(document)
                 mirror[document.doc_id] = document

@@ -12,11 +12,7 @@ from repro.indexing.baselines import (
     UnsupportedQueryError,
     all_index_designs,
 )
-from repro.indexing.decompose import (
-    candidate_sentences_for_query,
-    decompose_path,
-    lookup_decomposed,
-)
+from repro.indexing.decompose import decompose_path, lookup_decomposed_block
 from repro.indexing.exact import (
     count_extractions,
     match_path_in_sentence,
@@ -63,14 +59,14 @@ class TestDecomposition:
         assert decomposed.word_steps == (("ate", 0), ("delicious", 2))
 
     def test_lookup_decomposed_matches_exact(self, paper_corpus, paper_indexes):
-        postings = lookup_decomposed(paper_indexes, DELICIOUS_PATH)
+        postings = lookup_decomposed_block(paper_indexes, DELICIOUS_PATH).materialize()
         exact_sids = matching_sentences(paper_corpus, DELICIOUS_QUERY)
         assert {p.sid for p in postings} == exact_sids
         assert {p.word for p in postings} == {"delicious"}
 
     def test_lookup_word_final_step(self, paper_indexes):
         p = path(step(DESCENDANT, "ate", KIND_WORD))
-        postings = lookup_decomposed(paper_indexes, p)
+        postings = lookup_decomposed_block(paper_indexes, p).materialize()
         assert len(postings) == 3
 
     def test_lookup_pos_final_step_under_word(self, paper_indexes):
@@ -79,7 +75,7 @@ class TestDecomposition:
             step(DESCENDANT, "ate", KIND_WORD),
             step(CHILD, "dobj", KIND_PARSE_LABEL),
         )
-        postings = lookup_decomposed(paper_indexes, p)
+        postings = lookup_decomposed_block(paper_indexes, p).materialize()
         assert {p_.word for p_ in postings} >= {"cream", "cheesecake"}
 
     def test_candidate_sentences_completeness(self, happy_corpus):

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.indexing.entity_index import EntityIndex
-from repro.indexing.hierarchy import parse_label_index, pos_tag_index
 from repro.indexing.koko_index import KokoIndexSet
 from repro.indexing.postings import (
     Posting,
@@ -18,8 +15,6 @@ from repro.indexing.postings import (
     posting_for_token,
     union,
 )
-from repro.indexing.word_index import WordIndex
-from repro.storage.database import Database
 
 
 class TestPostings:
@@ -72,10 +67,9 @@ class TestPostings:
         c = Posting(0, 4, 4, 4, 2)
         assert join_same_token([a, c], [b]) == [a]
 
-    def test_join_ancestor_example_4_4(self, paper_corpus):
+    def test_join_ancestor_example_4_4(self, paper_indexes):
         """Example 4.4: join 'ate' and 'delicious' postings with gap 2."""
-        index = WordIndex()
-        index.add_corpus(paper_corpus)
+        index = paper_indexes.word_index
         ate = index.lookup("ate")
         delicious = index.lookup("delicious")
         joined = join_ancestor(ate, delicious, min_gap=2)
@@ -96,101 +90,70 @@ class TestPostings:
 
 
 class TestWordAndEntityIndexes:
-    def test_word_index_lookup_case_insensitive(self, paper_corpus):
-        index = WordIndex()
-        index.add_corpus(paper_corpus)
+    def test_word_index_lookup_case_insensitive(self, paper_indexes):
+        index = paper_indexes.word_index
         assert len(index.lookup("ATE")) == 3  # twice in sentence 0, once in sentence 1
 
-    def test_word_index_vocabulary(self, paper_corpus):
-        index = WordIndex()
-        index.add_corpus(paper_corpus)
+    def test_word_index_vocabulary(self, paper_indexes):
+        index = paper_indexes.word_index
         assert "delicious" in index
         assert "zebra" not in index
 
-    def test_word_index_materialisation(self, paper_corpus):
-        index = WordIndex()
-        index.add_corpus(paper_corpus)
-        table = index.to_table(Database(), "W")
-        assert len(table) == len(index)
-        assert table.has_index("by_word")
-
-    def test_entity_index_by_text_and_type(self, paper_corpus):
-        index = EntityIndex()
-        index.add_corpus(paper_corpus)
+    def test_entity_index_by_text_and_type(self, paper_indexes):
+        index = paper_indexes.entity_index
         assert len(index.lookup_text("cheesecake")) == 1
         assert len(index.lookup_type("Entity")) == len(index)
         assert all(p.etype == "PERSON" for p in index.lookup_type("Person"))
 
-    def test_entity_index_example_3_2(self, paper_corpus):
-        index = EntityIndex()
-        index.add_corpus(paper_corpus)
-        chunk = index.lookup_text("chocolate ice cream")
+    def test_entity_index_example_3_2(self, paper_indexes):
+        chunk = paper_indexes.entity_index.lookup_text("chocolate ice cream")
         assert len(chunk) == 1
         assert (chunk[0].left, chunk[0].right) == (3, 5)
-
-    def test_entity_index_materialisation(self, paper_corpus):
-        index = EntityIndex()
-        index.add_corpus(paper_corpus)
-        table = index.to_table(Database(), "E")
-        assert len(table) == len(index)
 
 
 class TestHierarchyIndexes:
     def test_merging_reduces_nodes(self, happy_corpus):
-        index = parse_label_index()
-        index.add_corpus(happy_corpus)
+        index = KokoIndexSet().build(happy_corpus).pl_index
         assert index.node_count < index.token_count
         assert 0.0 < index.compression_ratio() < 1.0
 
-    def test_pl_index_has_single_root_child(self, paper_corpus):
-        index = parse_label_index()
-        index.add_corpus(paper_corpus)
+    def test_pl_index_has_single_root_child(self, paper_indexes):
+        index = paper_indexes.pl_index
         top_labels = {
             node.label for node in index.nodes() if node.depth == 0
         }
         assert top_labels == {"root"}
 
-    def test_example_3_3_merged_postings(self, paper_corpus):
+    def test_example_3_3_merged_postings(self, paper_indexes):
         """/root/dobj posting list contains cheesecake and cream (Example 3.3)."""
-        index = parse_label_index()
-        index.add_corpus(paper_corpus)
+        index = paper_indexes.pl_index
         postings = index.lookup_path([("/", "root"), ("/", "dobj")])
         words = {p.word for p in postings}
         assert {"cream", "cheesecake"} <= words
 
-    def test_wildcard_lookup(self, paper_corpus):
-        index = parse_label_index()
-        index.add_corpus(paper_corpus)
+    def test_wildcard_lookup(self, paper_corpus, paper_indexes):
+        index = paper_indexes.pl_index
         all_tokens = index.lookup_path([("//", "*")])
         assert len(all_tokens) == paper_corpus.num_tokens
 
-    def test_missing_path_returns_empty(self, paper_corpus):
-        index = parse_label_index()
-        index.add_corpus(paper_corpus)
+    def test_missing_path_returns_empty(self, paper_indexes):
+        index = paper_indexes.pl_index
         assert index.lookup_path([("/", "root"), ("/", "xcomp"), ("/", "xcomp")]) == []
 
-    def test_pos_index_lookup(self, paper_corpus):
-        index = pos_tag_index()
-        index.add_corpus(paper_corpus)
+    def test_pos_index_lookup(self, paper_indexes):
+        index = paper_indexes.pos_index
         verbs = index.lookup_path([("//", "VERB")])
         assert {p.word.lower() for p in verbs} >= {"ate", "was", "bought"}
 
-    def test_node_id_recorded_per_token(self, paper_corpus):
-        index = parse_label_index()
-        index.add_corpus(paper_corpus)
+    def test_node_id_recorded_per_token(self, paper_corpus, paper_indexes):
         sentence = paper_corpus.documents[0].sentences[0]
         for token in sentence:
-            assert index.node_id_of(sentence.sid, token.index) >= 0
+            plid, posid = paper_indexes.word_index.node_ids(sentence.sid, token.index)
+            assert paper_indexes.pl_index.node_by_id(plid).label == token.label
+            assert paper_indexes.pos_index.node_by_id(posid).label == token.pos
 
-    def test_closure_table_export(self, paper_corpus):
-        index = parse_label_index()
-        index.add_corpus(paper_corpus)
-        closure = index.to_closure_table()
-        assert len(closure) == index.node_count + 1  # + dummy
-
-    def test_unique_paths(self, paper_corpus):
-        index = parse_label_index()
-        index.add_corpus(paper_corpus)
+    def test_unique_paths(self, paper_indexes):
+        index = paper_indexes.pl_index
         paths = [node.path() for node in index.nodes()]
         assert len(paths) == len(set(paths))
 
@@ -208,9 +171,3 @@ class TestKokoIndexSet:
         plid, posid = paper_indexes.word_index.node_ids(0, 1)
         assert plid >= 0 and posid >= 0
         assert paper_indexes.pl_index.node_by_id(plid).label == "root"
-
-    def test_materialise_all_relations(self, paper_indexes):
-        db = Database()
-        paper_indexes.to_database(db)
-        for name in ("W", "E", "PL", "POS"):
-            assert db.has_table(name)

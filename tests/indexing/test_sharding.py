@@ -6,7 +6,6 @@ import pytest
 
 from repro.indexing.koko_index import IndexStatistics, KokoIndexSet
 from repro.indexing.sharding import ShardedIndexSet, shard_of
-from repro.storage.database import Database
 
 
 # ----------------------------------------------------------------------
@@ -115,14 +114,3 @@ class TestMergedStatistics:
         merged = IndexStatistics.merged([])
         assert merged.tokens == 0
         assert merged.pl_compression == 0.0 and merged.pos_compression == 0.0
-
-
-# ----------------------------------------------------------------------
-# materialisation
-# ----------------------------------------------------------------------
-def test_to_database_writes_suffixed_relations(paper_corpus):
-    sharded = ShardedIndexSet(2).build(paper_corpus)
-    database = sharded.to_database(Database("sharded"))
-    for shard_index in range(2):
-        for relation in ("W", "E", "PL", "POS"):
-            assert f"{relation}.{shard_index}" in database

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.indexing import hierarchy
 from repro.indexing.hierarchy import HierarchyIndex, parse_label_index
 from repro.indexing.koko_index import KokoIndexSet
+from repro.indexing.reference import ReferenceIndexSet
 from repro.koko.engine import compile_query
 from repro.nlp.pipeline import Pipeline
 from repro.service import KokoService
@@ -64,7 +65,7 @@ def _paths(nodes) -> list[str]:
     return sorted(node.path() for node in nodes)
 
 
-def _assert_lookups_agree(columnar: KokoIndexSet, oracle: KokoIndexSet, patterns) -> None:
+def _assert_lookups_agree(columnar: KokoIndexSet, oracle: ReferenceIndexSet, patterns) -> None:
     for name in ("pl_index", "pos_index"):
         index, reference = getattr(columnar, name), getattr(oracle, name)
         for steps in patterns:
@@ -78,7 +79,7 @@ def _assert_lookups_agree(columnar: KokoIndexSet, oracle: KokoIndexSet, patterns
 @settings(max_examples=25, deadline=None)
 @given(operations=_operations, patterns=st.lists(_steps, min_size=1, max_size=6))
 def test_memoised_lookups_track_adds_and_removes(operations, patterns):
-    columnar, oracle = KokoIndexSet(columnar=True), KokoIndexSet()
+    columnar, oracle = KokoIndexSet(), ReferenceIndexSet()
     live = []
     next_sid = 0
     for number, operation in enumerate(operations):
@@ -127,7 +128,7 @@ def test_second_identical_query_walks_no_trie_on_any_shard(walks):
 
 
 def test_memo_survives_a_splice_that_mints_no_node_and_not_one_that_does(walks):
-    indexes = KokoIndexSet(columnar=True)
+    indexes = KokoIndexSet()
     indexes.add_document(_PIPELINE.annotate(TEXTS[1], doc_id="a", first_sid=0))
     pl = indexes.pl_index
     before = _paths(pl.match_nodes(VERBS) + pl.match_nodes(ROOT_CHILDREN))
@@ -161,14 +162,14 @@ def test_memo_survives_a_splice_that_mints_no_node_and_not_one_that_does(walks):
 
 
 def test_loading_a_snapshot_drops_what_the_empty_trie_remembered():
-    original = KokoIndexSet(columnar=True)
+    original = KokoIndexSet()
     for number, text in enumerate(TEXTS):
         original.add_document(_PIPELINE.annotate(text, doc_id=f"d{number}", first_sid=10 * number))
     arrays = original.to_arrays()
     restored = KokoIndexSet.from_arrays(arrays)
     assert _paths(restored.pl_index.match_nodes(VERBS)) == _paths(original.pl_index.match_nodes(VERBS))
 
-    fresh = parse_label_index(columnar=True, interner=restored._interner)
+    fresh = parse_label_index(interner=restored._interner)
     assert fresh.match_nodes(ROOT_CHILDREN) == []  # remembered: nothing matches an empty trie
     fresh.load_arrays(arrays, *restored.word_index.rows_by_node("plid"))
     assert _paths(fresh.match_nodes(ROOT_CHILDREN)) == _paths(
@@ -181,7 +182,7 @@ def test_loading_a_snapshot_drops_what_the_empty_trie_remembered():
 
 
 def test_memo_is_bounded_by_its_constant():
-    indexes = KokoIndexSet(columnar=True)
+    indexes = KokoIndexSet()
     indexes.add_document(_PIPELINE.annotate(TEXTS[0], doc_id="a", first_sid=0))
     pl = indexes.pl_index
     for number in range(hierarchy._MATCH_MEMO_LIMIT + 10):
@@ -193,7 +194,7 @@ def test_memo_is_bounded_by_its_constant():
 
 
 def test_patterns_that_differ_only_in_case_share_one_entry():
-    indexes = KokoIndexSet(columnar=True)
+    indexes = KokoIndexSet()
     indexes.add_document(_PIPELINE.annotate(TEXTS[0], doc_id="a", first_sid=0))
     pos = indexes.pos_index
     upper = pos.match_nodes([("//", "VERB")])
@@ -202,7 +203,7 @@ def test_patterns_that_differ_only_in_case_share_one_entry():
 
 
 def test_callers_cannot_corrupt_a_remembered_walk():
-    indexes = KokoIndexSet(columnar=True)
+    indexes = KokoIndexSet()
     for number, text in enumerate(TEXTS[:3]):
         indexes.add_document(_PIPELINE.annotate(text, doc_id=f"d{number}", first_sid=10 * number))
     pl = indexes.pl_index

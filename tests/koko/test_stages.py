@@ -134,17 +134,22 @@ class TestStagePipeline:
         self, paper_engine, monkeypatch
     ):
         """The GSP stage is timed as a by-product — no dry re-planning."""
-        calls = {"count": 0}
-        real = evaluator_module.generate_skip_plan
+        planned: list[int] = []
+        one, batch = evaluator_module.generate_skip_plan, evaluator_module.generate_skip_plans_batch
 
-        def counting(*args, **kwargs):
-            calls["count"] += 1
-            return real(*args, **kwargs)
+        def counting_one(normalized, dpli, sid, tokens):
+            planned.append(sid)
+            return one(normalized, dpli, sid, tokens)
 
-        monkeypatch.setattr(evaluator_module, "generate_skip_plan", counting)
+        def counting_batch(normalized, dpli, sids, token_counts):
+            planned.extend(sids)
+            return batch(normalized, dpli, sids, token_counts)
+
+        monkeypatch.setattr(evaluator_module, "generate_skip_plan", counting_one)
+        monkeypatch.setattr(evaluator_module, "generate_skip_plans_batch", counting_batch)
         result = paper_engine.execute(EXAMPLE_2_1)
         assert result.evaluated_sentences == 2
-        assert calls["count"] == 2  # one plan per evaluated sentence, not two
+        assert sorted(planned) == [0, 1]  # one plan per evaluated sentence, not two
         assert result.timings.gsp > 0.0
 
     def test_timings_partition_extract_and_gsp(self, paper_engine):

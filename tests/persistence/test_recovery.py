@@ -26,7 +26,7 @@ from repro.service import KokoService
 
 
 def snapshot_state_for(documents, checkpoint_id):
-    indexes = KokoIndexSet(columnar=True).build(Corpus(name="snap", documents=documents))
+    indexes = KokoIndexSet().build(Corpus(name="snap", documents=documents))
     return SnapshotState(
         checkpoint_id=checkpoint_id,
         name="snap",

@@ -298,7 +298,7 @@ def _bare_state(checkpoint_id, documents, previous):
         next_sid=0,
         generations=[0],
         documents_by_shard=[documents],
-        index_arrays=[None if previous else KokoIndexSet(columnar=True).to_arrays()],
+        index_arrays=[None if previous else KokoIndexSet().to_arrays()],
         segments=previous,
     )
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import PersistenceError
 from repro.indexing.koko_index import KokoIndexSet
+from repro.indexing.reference import ReferenceIndexSet
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Corpus
 from repro.persistence import (
@@ -44,7 +45,7 @@ def documents():
 
 
 def snapshot_state_for(documents, checkpoint_id=3):
-    indexes = KokoIndexSet(columnar=True).build(Corpus(name="snap", documents=documents))
+    indexes = KokoIndexSet().build(Corpus(name="snap", documents=documents))
     return SnapshotState(
         checkpoint_id=checkpoint_id,
         name="snap",
@@ -73,7 +74,7 @@ def test_write_validate_load_round_trip(tmp_path, documents):
     assert [d.doc_id for d in loaded.documents_by_shard[0]] == ["doc0", "doc1", "doc2"]
 
     # the restored index set is lookup-identical to the original
-    original = KokoIndexSet().build(Corpus(name="ref", documents=documents))
+    original = ReferenceIndexSet().build(Corpus(name="ref", documents=documents))
     restored = loaded.index_sets[0]
     assert restored.word_index.vocabulary() == original.word_index.vocabulary()
     for word in original.word_index.vocabulary():
