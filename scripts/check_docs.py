@@ -44,6 +44,7 @@ LINTED_PACKAGES = (
     "src/repro/indexing/word_index.py",
     "src/repro/indexing/entity_index.py",
     "src/repro/indexing/hierarchy.py",
+    "src/repro/koko/results.py",
 )
 
 #: markdown documents whose relative links must resolve

@@ -9,7 +9,9 @@ thread — and prints one JSON document with
 * per answer (the most popular hot pair of each query, every request a
   result-cache hit): ``round_trip_ms`` and the server's own ``server_ms``,
   ``encode_ms`` (the server building the frame payload), ``decode_ms`` (the
-  client turning the payload back into a result), ``frame_bytes``;
+  client turning the payload back into a result), ``materialize_ms`` (the
+  client then building every ``ExtractionTuple`` of it, as a caller that
+  iterates the whole answer does — outside the round trip), ``frame_bytes``;
 * per reader count (1 and 2 closed-loop readers drawing from the ledger's
   Zipf stream): ``ops_per_s``, ``op_p50_ms``, ``executor_submits_per_op`` (0
   when hits are answered on the event loop), and
@@ -104,17 +106,21 @@ def profile_answer(client: RpcClient, probes: Probes, text: str, threshold: floa
     """One cached answer asked *repeat* times by one reader."""
     client.query(text, threshold_override=threshold)  # the entry's body exists
     probes.reset()
-    samples = []
+    samples, materialize = [], []
     for _ in range(repeat):
         started = time.perf_counter()
         result = client.query(text, threshold_override=threshold)
         samples.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        list(result)
+        materialize.append(time.perf_counter() - started)
     return {
         "tuples": len(result),
         "round_trip_ms": _median_ms(samples),
         "server_ms": _median_ms(probes.server_ms),
         "encode_ms": _median_ms(probes.encode),
         "decode_ms": _median_ms(probes.decode),
+        "materialize_ms": _median_ms(materialize),
         "frame_bytes": int(statistics.median(probes.frame_bytes)),
         "executor_submits_per_op": round(probes.submits / repeat, 3),
     }

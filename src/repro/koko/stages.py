@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
+from operator import is_not, itemgetter
 from typing import Mapping, Sequence
 
 from ..indexing.koko_index import KokoIndexSet
@@ -41,7 +42,7 @@ from .dpli import DpliResult, run_dpli
 from .evaluator import Assignment, SentenceEvaluator
 from .normalize import NormalizedQuery, normalize
 from .parser import parse_query
-from .results import ExtractionTuple, KokoResult
+from .results import KokoResult, ResultColumns
 
 
 @dataclass
@@ -210,7 +211,8 @@ class AggregateStage(Stage):
        once per distinct value for the whole execution and never looks at
        a document; a clause with a document-reading condition is scored
        once per (document, value), over evidence built lazily per document;
-    3. **emit** — build the tuples by dictionary lookup, in candidate order.
+    3. **emit** — fill the result's columns by dictionary lookup, in
+       candidate order (no per-tuple object is built).
 
     Within a document, values that differ only in case share one score:
     the first-seen spelling is the one handed to the scorer (``matches``
@@ -305,7 +307,7 @@ class AggregateStage(Stage):
     def _score(aggregator, documents, plan: AggregationPlan, seen, threshold_override):
         """Pass 2: per document and slot, lower-cased value → verdict.
 
-        A verdict is ``((variable, score), passed)``.
+        A verdict is ``(score, passed)``.
         """
         #: value-only clauses: spelling → verdict, for every document
         shared: list[dict] = [{} for _ in plan.clauses]
@@ -322,10 +324,7 @@ class AggregateStage(Stage):
                         outcome = aggregator.score_clause(
                             clause, text, document, threshold_override
                         )
-                        verdict = memo[text] = (
-                            (clause.variable, outcome.score),
-                            outcome.passed,
-                        )
+                        verdict = memo[text] = (outcome.score, outcome.passed)
                     scored[lowered] = verdict
                 doc_verdicts.append(scored)
             verdicts.append(doc_verdicts)
@@ -348,32 +347,72 @@ class AggregateStage(Stage):
 
     @staticmethod
     def _emit(ctx, plan: AggregationPlan, documents, rows, verdicts, excluded):
-        """Pass 3: tuples in candidate order, scores looked up."""
+        """Pass 3: the result's columns, rows in candidate order, scores looked up.
+
+        A row is kept when every score it carries passed (or
+        ``keep_all_scores``) and the excluding clause removes none of its
+        output texts.  An unbound non-output variable has key ``None``, so
+        the row carries no score for it: absent, and never failing.
+        """
         outputs = plan.outputs
         scored_slots = [s for s, clause in enumerate(plan.clauses) if clause is not None]
         keep_all = ctx.keep_all_scores
-        emitted = ctx.result.tuples
+        doc_ids: list[str] = []
+        doc_column: list[int] = []
+        sid_column: list[int] = []
+        texts: list[list[str]] = [[] for _ in range(outputs)]
+        scores: list[list[float]] = [[] for _ in scored_slots]
+        present: list[list[bool]] = [[] for _ in scored_slots]
         for document, (sids, pairs, keys), doc_verdicts, doc_excluded in zip(
             documents, rows, verdicts, excluded
         ):
-            doc_id = document.doc_id
-            values = zip(*pairs) if outputs else [()] * len(sids)
-            # an unbound non-output variable has key None and so verdict None
-            looked_up = [map(doc_verdicts[slot].get, keys[slot]) for slot in scored_slots]
-            for sid, row_values, *row_verdicts in zip(sids, values, *looked_up):
-                passed = True
-                scores = []
-                for verdict in row_verdicts:
-                    if verdict is None:
-                        continue
-                    scores.append(verdict[0])
-                    if not verdict[1]:
-                        passed = False
-                if not (passed or keep_all):
-                    continue
-                if doc_excluded and any(text in doc_excluded for _, text in row_values):
-                    continue
-                emitted.append(ExtractionTuple(doc_id, sid, row_values, tuple(scores)))
+            if not sids:
+                continue  # no candidate of this document binds every output
+            keep = None  # None: every row
+            if not keep_all and scored_slots:
+                passes = [
+                    map(
+                        {k: v[1] for k, v in doc_verdicts[slot].items()}.get,
+                        keys[slot],
+                        repeat(True),
+                    )
+                    for slot in scored_slots
+                ]
+                keep = list(map(all, zip(*passes)))
+            if doc_excluded:
+                keep = [
+                    (keep is None or keep[row])
+                    and not any(pair[1] in doc_excluded for pair in row_pairs)
+                    for row, row_pairs in enumerate(zip(*pairs))
+                ]
+            row_sids = _kept(sids, keep)
+            if not row_sids:
+                continue
+            doc_column.extend(repeat(len(doc_ids), len(row_sids)))
+            doc_ids.append(document.doc_id)
+            sid_column.extend(row_sids)
+            for slot in range(outputs):
+                texts[slot].extend(map(itemgetter(1), _kept(pairs[slot], keep)))
+            for j, slot in enumerate(scored_slots):
+                row_keys = _kept(keys[slot], keep)
+                score_of = {k: v[0] for k, v in doc_verdicts[slot].items()}
+                scores[j].extend(map(score_of.get, row_keys, repeat(0.0)))
+                present[j].extend(map(is_not, row_keys, repeat(None)))
+        ctx.result.columns = ResultColumns.build(
+            doc_ids,
+            doc_column,
+            sid_column,
+            plan.variables[:outputs],
+            texts,
+            [plan.variables[slot] for slot in scored_slots],
+            scores,
+            present,
+        )
+
+
+def _kept(column: list, keep: list[bool] | None) -> list:
+    """The entries of *column* that *keep* selects (all of them for None)."""
+    return column if keep is None else list(compress(column, keep))
 
 
 #: The engine's canonical stage order (Figure 2).

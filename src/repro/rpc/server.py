@@ -357,6 +357,7 @@ class RpcServer:
                     return
                 response, entry = await self._dispatch(message, received_at, peer)
                 if entry is None:
+                    # a computed result is encoded into its typed body here
                     payload = encode_message(response)
                 else:
                     # a cached answer: its body is encoded on first sending

@@ -45,6 +45,8 @@ from repro.koko.stages import (
     StagePipeline,
 )
 from repro.nlp.pipeline import Pipeline
+from repro.rpc import RpcClient, RpcServer
+from repro.rpc.wire import decode_body, encode_body
 from repro.service import KokoService
 
 EXAMPLE_2_1 = """
@@ -321,6 +323,33 @@ class TestGoldenIdentity:
         )
         assert golden_rows(via_service) == golden
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
+    def test_rpc_client_reproduces_the_golden_file(self, golden_setup, listen_ready, name):
+        """The scores survive the typed wire body bit for bit."""
+        golden = json.loads(GOLDEN_PATH.read_text())[name]
+        _, services = golden_setup
+        family, query = GOLDEN_QUERIES[name]
+        with RpcServer(services[family]) as server:
+            with RpcClient(*listen_ready(*server.address)) as client:
+                for _ in range(2):  # computed, then served from the result cache
+                    answer = client.query(query, threshold_override=0.0, keep_all_scores=True)
+                    assert golden_rows(answer) == golden
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
+    def test_cache_admission_size_is_the_per_tuple_formula(self, golden_setup, name):
+        """``approximate_bytes`` from the columns is what tuple objects were charged."""
+        engines, services = golden_setup
+        family, query = GOLDEN_QUERIES[name]
+        for result in (
+            engines[family].execute(query, threshold_override=0.0, keep_all_scores=True),
+            services[family].query(query, threshold_override=0.0, keep_all_scores=True),
+        ):
+            expected = 256
+            for t in result:
+                expected += 120 + len(t.doc_id) + 80 * len(t.scores)
+                expected += sum(100 + len(var) + len(text) for var, text in t.values)
+            assert result.approximate_bytes() == expected
+
 
 # ----------------------------------------------------------------------
 # the set-at-a-time stage against the per-tuple loop it replaced
@@ -529,9 +558,10 @@ def test_set_at_a_time_stage_matches_the_per_tuple_loop(
     )
     ctx.parsed, ctx.aggregation, ctx.candidates = query, plan_aggregation(query), candidates
     AggregateStage().run(ctx)
-    assert as_rows(ctx.result) == [
-        (t.doc_id, t.sid, t.values, t.scores) for t in reference_aggregate(ctx)
-    ]
+    expected = [(t.doc_id, t.sid, t.values, t.scores) for t in reference_aggregate(ctx)]
+    assert as_rows(ctx.result) == expected
+    # rows with an unbound scored variable survive the wire body too
+    assert as_rows(decode_body(encode_body(ctx.result))) == expected
 
 
 def test_dateofbirth_scores_each_value_once_and_never_reads_the_document(

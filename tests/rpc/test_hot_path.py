@@ -1,9 +1,10 @@
 """Hot reads: answered where they arrive, encoded once.
 
 A query the node's result cache can answer is answered on the server's
-event loop (no executor hop), and the answer's wire bytes are kept in the
-cache entry beside the value, so a repeated response pickles no result.
-These tests pin both, the requests that must still take the executor, the
+event loop (no executor hop), every result travels as a typed body and is
+never pickled, and a cached answer's wire bytes are kept in the cache
+entry beside the value, so a repeated response is not re-encoded.  These
+tests pin all three, the requests that must still take the executor, the
 frame layout's failure modes in both clients, and that nothing about the
 answers, admission, deadlines or invalidation changed.
 """
@@ -27,14 +28,16 @@ from repro.errors import (
     RpcUnavailable,
 )
 from repro.koko.engine import KokoEngine, compile_query
-from repro.koko.results import KokoResult
+from repro.koko.results import ExtractionTuple, KokoResult
 from repro.nlp.types import Corpus
 from repro.rpc import AdmissionPolicy, AsyncRpcClient, RpcClient, RpcServer
+from repro.rpc import server as server_module
 from repro.rpc.wire import (
     FRAME_HEADER,
     BodyFollows,
     FrameError,
     RpcResponse,
+    decode_body,
     decode_message,
     decode_response,
     encode_body,
@@ -255,48 +258,78 @@ def test_unknown_ops_are_still_counted_by_name(service, serve):
 
 
 # ----------------------------------------------------------------------
-# (b) a cached answer is encoded once, and its bytes die with the entry
+# (b) results travel as typed bodies; a cached one is encoded once, and
+#     its bytes die with the entry
 # ----------------------------------------------------------------------
 @pytest.fixture
-def result_dumps(monkeypatch):
-    """Count ``pickle.dumps`` calls that serialise a ``KokoResult``."""
-    counted: list[str] = []
-    dumps = pickle.dumps
+def result_pickles(monkeypatch):
+    """Every pickling or unpickling of a ``KokoResult`` or ``ExtractionTuple``.
 
-    def spy(obj, *args, **kwargs):
-        if isinstance(obj, KokoResult):
-            counted.append("body")
-        elif isinstance(obj, RpcResponse) and isinstance(obj.value, KokoResult):
-            counted.append("response")
-        return dumps(obj, *args, **kwargs)
+    Pickling is caught at any depth (``__reduce_ex__``); unpickling as the
+    value ``pickle.load``/``pickle.loads`` return, or that value's ``value``.
+    """
+    seen: list[str] = []
+    watched = (KokoResult, ExtractionTuple)
+    for cls in watched:
 
-    monkeypatch.setattr(pickle, "dumps", spy)
-    return counted
+        def reduce_ex(self, protocol, _original=cls.__reduce_ex__):
+            seen.append(f"pickled {type(self).__name__}")
+            return _original(self, protocol)
+
+        monkeypatch.setattr(cls, "__reduce_ex__", reduce_ex)
+
+    def watching(load):
+        def spy(*args, **kwargs):
+            obj = load(*args, **kwargs)
+            for candidate in (obj, getattr(obj, "value", None)):
+                if isinstance(candidate, watched):
+                    seen.append(f"unpickled {type(candidate).__name__}")
+            return obj
+
+        return spy
+
+    monkeypatch.setattr(pickle, "load", watching(pickle.load))
+    monkeypatch.setattr(pickle, "loads", watching(pickle.loads))
+    return seen
 
 
-def test_repeated_response_pickles_no_result(service, serve, result_dumps):
+def test_no_query_response_pickles_a_result(service, serve, result_pickles):
     served = serve(service)
     client = served.client()
     local = whole(service.query(ENTITY_QUERY))  # cached in-process: no encoding yet
-    assert result_dumps == []
+    encodes = []
+    real_encode_body = server_module.encode_body
 
-    first = client.query(ENTITY_QUERY)  # first sending builds the entry's body
-    assert result_dumps == ["body"]
-    for _ in range(3):
-        again = client.query(ENTITY_QUERY)
-        assert whole(again) == whole(first) == local
-    assert result_dumps == ["body"]
-    assert served.submits == 0
+    def counted_encode_body(value):
+        encodes.append(value)
+        return real_encode_body(value)
 
-    async def ask_async():
+    server_module.encode_body = counted_encode_body
+    try:
+        first = client.query(ENTITY_QUERY)  # first sending builds the entry's body
+        for _ in range(3):
+            assert whole(client.query(ENTITY_QUERY)) == whole(first) == local
+        assert len(encodes) == 1 and served.submits == 0
+    finally:
+        server_module.encode_body = real_encode_body
+
+    async def ask_async(threshold):
         async with await AsyncRpcClient.connect(*served.address) as async_client:
-            return await async_client.query(ENTITY_QUERY)
+            return await async_client.query(ENTITY_QUERY, threshold_override=threshold)
 
-    assert whole(asyncio.run(ask_async())) == local
-    assert result_dumps == ["body"]
-    # an uncached result keeps the single-pickle frame
-    client.query(ENTITY_QUERY, threshold_override=0.4)
-    assert result_dumps == ["body", "response"]
+    assert whole(asyncio.run(ask_async(None))) == local  # a hit
+    # misses ship the same typed body, through either client
+    missed = client.query(ENTITY_QUERY, threshold_override=0.4)
+    assert as_rows(missed) == as_rows(service.query(ENTITY_QUERY, threshold_override=0.4))
+    async_missed = asyncio.run(ask_async(0.45))
+    assert as_rows(async_missed) == as_rows(
+        service.query(ENTITY_QUERY, threshold_override=0.45)
+    )
+    assert served.submits == 2
+    assert result_pickles == []
+    # the spies do see a pickled result (query_batch keeps its envelope pickle)
+    client.query_batch([ENTITY_QUERY])
+    assert "pickled KokoResult" in result_pickles
 
 
 def cached_bodies(service: KokoService) -> list[bytes]:
@@ -311,7 +344,7 @@ def test_a_write_leaves_no_stale_body(service, serve):
     for _ in range(2):
         before = client.query(ENTITY_QUERY)
     (old_body,) = cached_bodies(service)
-    assert as_rows(decode_message(old_body)) == as_rows(before)
+    assert as_rows(decode_body(old_body)) == as_rows(before)
 
     service.add_document("Maria ate a delicious tart in Lisbon.", "tart")
     assert client.query(ENTITY_QUERY) is not None  # a miss: evicts the stale entry
@@ -319,7 +352,7 @@ def test_a_write_leaves_no_stale_body(service, serve):
     after = client.query(ENTITY_QUERY)  # the new entry's first sending
     assert "tart" in {row[0] for row in as_rows(after)}
     (new_body,) = cached_bodies(service)
-    assert new_body != old_body and as_rows(decode_message(new_body)) == as_rows(after)
+    assert new_body != old_body and as_rows(decode_body(new_body)) == as_rows(after)
 
     service.remove_document("tart")
     assert as_rows(client.query(ENTITY_QUERY)) == as_rows(before)
