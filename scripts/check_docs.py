@@ -45,6 +45,8 @@ LINTED_PACKAGES = (
     "src/repro/indexing/entity_index.py",
     "src/repro/indexing/hierarchy.py",
     "src/repro/koko/results.py",
+    "src/repro/nlp/types.py",
+    "src/repro/nlp/pipeline.py",
 )
 
 #: markdown documents whose relative links must resolve

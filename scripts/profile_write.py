@@ -18,7 +18,12 @@ It prints one JSON document: the writes (count, total and slow latency,
 slow = above ``--slow-ms``), and per interval kind its count, total and
 max seconds and how much slow-write time it overlaps — the share of the
 tail each kind can explain.  Kinds overlap each other (a gen-2 pass inside
-a checkpoint counts for both).
+a checkpoint counts for both).  Beside them, the collector: per generation
+its collections, total and max seconds over the timed section, and
+``tracked_objects_per_write`` — the growth of ``len(gc.get_objects())``
+across the timed section (each end after a full collection) divided by
+the writes, i.e. how many objects every write leaves for later full
+collections to walk.
 
 Usage::
 
@@ -58,6 +63,8 @@ class Intervals:
 
     def __init__(self) -> None:
         self.spans: dict[str, list[tuple[float, float]]] = {}
+        #: generation -> (start, end) of each of its collections
+        self.collections: dict[int, list[tuple[float, float]]] = {0: [], 1: [], 2: []}
         self._undo: list = []
         self._gc_started: float | None = None
 
@@ -76,12 +83,13 @@ class Intervals:
         setattr(owner, attr, timed)
 
     def _on_gc(self, phase: str, info: dict) -> None:
-        if info.get("generation") != 2:
-            return
         if phase == "start":
             self._gc_started = _now()
         elif self._gc_started is not None:
-            self.spans.setdefault("gc2", []).append((self._gc_started, _now()))
+            span = (self._gc_started, _now())
+            self.collections[info["generation"]].append(span)
+            if info["generation"] == 2:
+                self.spans["gc2"].append(span)
             self._gc_started = None
 
     def install(self) -> None:
@@ -102,7 +110,7 @@ class Intervals:
                 setattr(owner, attr, original)
 
     def clear(self) -> None:
-        for spans in self.spans.values():
+        for spans in (*self.spans.values(), *self.collections.values()):
             spans.clear()
 
 
@@ -140,6 +148,14 @@ def drive(address, texts: list[str], seconds: float, first: int) -> list[tuple[f
     return writes
 
 
+def _totals(spans: list[tuple[float, float]]) -> dict:
+    return {
+        "count": len(spans),
+        "total_s": round(sum(e - s for s, e in spans), 4),
+        "max_s": round(max((e - s for s, e in spans), default=0.0), 4),
+    }
+
+
 def report(writes, intervals: Intervals, slow_ms: float) -> dict:
     slow = [(s, e) for s, e in writes if (e - s) * 1000.0 > slow_ms]
     slow_seconds = sum(e - s for s, e in slow)
@@ -148,9 +164,7 @@ def report(writes, intervals: Intervals, slow_ms: float) -> dict:
         union = _union(spans)
         overlap = sum(_overlap(union, s, e) for s, e in slow)
         kinds[kind] = {
-            "count": len(spans),
-            "total_s": round(sum(e - s for s, e in spans), 4),
-            "max_s": round(max((e - s for s, e in spans), default=0.0), 4),
+            **_totals(spans),
             "slow_write_overlap_s": round(overlap, 4),
             "slow_write_overlap_share": round(overlap / slow_seconds, 4) if slow else 0.0,
         }
@@ -164,6 +178,10 @@ def report(writes, intervals: Intervals, slow_ms: float) -> dict:
         "slow_writes": len(slow),
         "slow_write_latency_s": round(slow_seconds, 4),
         "background": kinds,
+        "gc_collections": {
+            f"gen{generation}": _totals(spans)
+            for generation, spans in sorted(intervals.collections.items())
+        },
     }
 
 
@@ -192,9 +210,14 @@ def main(argv: list[str] | None = None) -> int:
             intervals.install()
             warm = drive(serving.rpc_address, texts, min(workloads.WARMUP_SECONDS, seconds), 0)
             gc.collect()
+            tracked_before = len(gc.get_objects())
             intervals.clear()
             writes = drive(serving.rpc_address, texts, seconds, len(warm))
             result = report(writes, intervals, args.slow_ms)
+            gc.collect()
+            result["tracked_objects_per_write"] = round(
+                (len(gc.get_objects()) - tracked_before) / max(1, len(writes)), 1
+            )
         finally:
             intervals.uninstall()
             serving.close()

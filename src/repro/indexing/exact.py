@@ -20,33 +20,29 @@ def match_path_in_sentence(sentence: Sentence, tree_path: TreePath) -> list[int]
 
     The first step is matched against the sentence root (child axis) or any
     token (descendant axis); each further step follows child or descendant
-    edges of the dependency tree.
+    edges of the dependency tree.  Reads the sentence's columns, never a
+    token object.
     """
     if len(sentence) == 0 or not tree_path.steps:
         return []
-    root = sentence.root_index()
+    children, spans, _ = sentence.tree_columns()
 
     first = tree_path.steps[0]
-    if first.axis == CHILD:
-        frontier = {root} if first.matches_token(sentence[root]) else set()
-    else:
-        frontier = {
-            tok.index for tok in sentence if first.matches_token(tok)
-        }
-
+    frontier = first.matching_tokens(
+        sentence,
+        (sentence.root_index(),) if first.axis == CHILD else range(len(sentence)),
+    )
     for step in tree_path.steps[1:]:
-        next_frontier: set[int] = set()
-        for index in frontier:
-            if step.axis == CHILD:
-                candidates = sentence.children(index)
-            else:
-                candidates = [
-                    i for i in sentence.subtree_indices(index) if i != index
-                ]
-            for candidate in candidates:
-                if step.matches_token(sentence[candidate]):
-                    next_frontier.add(candidate)
-        frontier = next_frontier
+        if step.axis == CHILD:
+            candidates = [child for index in frontier for child in children[index]]
+        else:  # proper descendants: the subtree extent minus the token itself
+            candidates = [
+                other
+                for index in frontier
+                for other in range(spans[index][0], spans[index][1] + 1)
+                if other != index
+            ]
+        frontier = step.matching_tokens(sentence, candidates)
         if not frontier:
             return []
     return sorted(frontier)

@@ -28,7 +28,7 @@ readable as a lazy view over the node's store slice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -106,9 +106,10 @@ class HierarchyIndex:
 
     Parameters
     ----------
-    label_of:
-        Function mapping a token to the label used for merging — the parse
-        label for the PL index, the POS tag for the POS index.
+    layer:
+        The :class:`~repro.nlp.types.Sentence` column merged on —
+        ``"labels"`` (parse labels) for the PL index, ``"pos_tags"`` for
+        the POS index.
     name:
         Diagnostic name ("PL" or "POS").
     interner:
@@ -118,12 +119,12 @@ class HierarchyIndex:
 
     def __init__(
         self,
-        label_of: Callable,
+        layer: str,
         name: str = "PL",
         interner: StringInterner | None = None,
     ) -> None:
         self.name = name
-        self._label_of = label_of
+        self._layer = layer
         self._next_id = 0
         # NOTE: an explicit None test — a fresh shared interner is empty and
         # therefore falsy, and falling back to a private one here would make
@@ -162,7 +163,7 @@ class HierarchyIndex:
         self,
         root: int,
         children: "Sequence[Sequence[int]]",
-        labels: list[str],
+        labels: Sequence[str],
     ) -> list[int]:
         """Merge one tree shape into the trie; per-token node ids, no rows.
 
@@ -220,16 +221,27 @@ class HierarchyIndex:
             return
         self._store.remove_sid(sentence.sid)
         self._merge_memo.clear()  # pruning may invalidate memoised ids
-        self._prune(sentence, sentence.root_index(), self._dummy)
+        self._prune(
+            getattr(sentence, self._layer),
+            sentence.tree_columns()[0],
+            sentence.root_index(),
+            self._dummy,
+        )
 
-    def _prune(self, sentence: Sentence, tid: int, parent: HierarchyNode) -> None:
-        """Drop the trie nodes of *sentence* left with no rows and no children."""
-        label = str(self._label_of(sentence[tid]))
+    def _prune(
+        self,
+        labels: Sequence[str],
+        children: Sequence[Sequence[int]],
+        tid: int,
+        parent: HierarchyNode,
+    ) -> None:
+        """Drop the trie nodes of one tree left with no rows and no children."""
+        label = labels[tid]
         child = parent.children.get(label)
         if child is None:
             return
-        for ctid in sentence.children(tid):
-            self._prune(sentence, ctid, child)
+        for ctid in children[tid]:
+            self._prune(labels, children, ctid, child)
         if not child.children and self._store.key_count(child.node_id) == 0:
             del parent.children[label]
             del self._nodes[child.node_id]
@@ -417,9 +429,9 @@ class HierarchyIndex:
 
 def parse_label_index(interner: StringInterner | None = None) -> HierarchyIndex:
     """A hierarchy index keyed on dependency parse labels (the PL index)."""
-    return HierarchyIndex(label_of=lambda token: token.label, name="PL", interner=interner)
+    return HierarchyIndex("labels", name="PL", interner=interner)
 
 
 def pos_tag_index(interner: StringInterner | None = None) -> HierarchyIndex:
     """A hierarchy index keyed on POS tags (the POS index)."""
-    return HierarchyIndex(label_of=lambda token: token.pos, name="POS", interner=interner)
+    return HierarchyIndex("pos_tags", name="POS", interner=interner)

@@ -146,8 +146,9 @@ class KokoIndexSet:
     def _splice_sentences(self, sentences) -> None:
         """The splice: columnise each sentence once, flush one batch.
 
-        Each dependency tree is read as whole-sentence columns
-        (:meth:`~repro.nlp.types.Sentence.tree_columns`) and merged into
+        Each sentence is read as its annotation columns (words, labels,
+        POS tags, mention rows and
+        :meth:`~repro.nlp.types.Sentence.tree_columns`) and merged into
         the two hierarchy tries (a memoised walk — no rows yet); the W, PL,
         POS and E rows of the whole batch accumulate in flat column lists,
         ``(sid, tid)``-ordered, and land in one
@@ -179,23 +180,22 @@ class KokoIndexSet:
             n = len(sentence)
             self._sentences += 1
             self._tokens += n
-            mentions = sentence.entities
+            mentions = sentence.entity_rows
             if mentions:
+                starts, ends, etypes, texts = zip(*mentions)
                 e_sids.extend([sid] * len(mentions))
-                e_lefts.extend(m.start for m in mentions)
-                e_rights.extend(m.end for m in mentions)
-                e_etypes.extend(m.etype for m in mentions)
-                e_texts.extend(m.text for m in mentions)
+                e_lefts.extend(starts)
+                e_rights.extend(ends)
+                e_etypes.extend(etypes)
+                e_texts.extend(texts)
             if n == 0:
                 continue
-            tokens = sentence.tokens
+            # the children column is a tuple of tuples: hashable as it
+            # stands, and shared by both hierarchy merges' memo keys
             children, spans, depths = sentence.tree_columns()
-            # hashable shape, built once and shared by both hierarchy
-            # merges (their merge memos key on it)
-            structure = tuple(map(tuple, children))
             root = sentence.root_index()
-            plids = pl_merge(root, structure, [t.label for t in tokens])
-            posids = pos_merge(root, structure, [t.pos for t in tokens])
+            plids = pl_merge(root, children, sentence.labels)
+            posids = pos_merge(root, children, sentence.pos_tags)
             if -1 in plids:
                 all_reachable = False
             w_sids.extend([sid] * n)
@@ -205,7 +205,7 @@ class KokoIndexSet:
             w_depths.extend(depths)
             w_plids.extend(plids)
             w_posids.extend(posids)
-            w_texts.extend([token.text for token in tokens])
+            w_texts.extend(sentence.words)
         if w_texts:
             wids = self._interner.intern_many(w_texts)
             if all_reachable:

@@ -18,6 +18,7 @@ paths, exactly as KOKO's query normalisation does).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 CHILD = "/"
 DESCENDANT = "//"
@@ -45,15 +46,20 @@ class TreeStep:
         if self.kind not in _VALID_KINDS:
             raise ValueError(f"invalid step kind {self.kind!r}")
 
-    def matches_token(self, token) -> bool:
-        """Does this step's label match *token* on the right annotation layer?"""
+    def matching_tokens(self, sentence, candidates: Iterable[int]) -> set[int]:
+        """The *candidates* (token ids of *sentence*) whose annotation on this
+        step's layer — parse label, POS tag or word — equals the step's
+        label case-insensitively; all of them for a wildcard."""
         if self.kind == KIND_ANY:
-            return True
+            return set(candidates)
         if self.kind == KIND_PARSE_LABEL:
-            return token.label.lower() == self.label.lower()
-        if self.kind == KIND_POS:
-            return token.pos.lower() == self.label.lower()
-        return token.text.lower() == self.label.lower()
+            column = sentence.labels
+        elif self.kind == KIND_POS:
+            column = sentence.pos_tags
+        else:
+            column = sentence.words
+        wanted = self.label.lower()
+        return {i for i in candidates if column[i].lower() == wanted}
 
     def render(self) -> str:
         label = f'"{self.label}"' if self.kind == KIND_WORD else self.label

@@ -122,7 +122,7 @@ class DocumentEvidence:
         tokens = self._lowered.get(sentence.sid)
         if tokens is None:
             tokens = self._lowered[sentence.sid] = [
-                tok.text.lower() for tok in sentence
+                word.lower() for word in sentence.words
             ]
         return tokens
 
@@ -160,7 +160,7 @@ class DocumentEvidence:
                 (
                     clause,
                     lowered[clause.start : clause.end + 1],
-                    [sentence[t].lemma for t in clause.token_range()],
+                    list(sentence.lemmas[clause.start : clause.end + 1]),
                 )
                 for clause in segmenter.segment(sentence)
             ]

@@ -176,9 +176,9 @@ class SentenceEvaluator:
         bindings: dict[str, list[Binding]] = {}
         for variable, accepted in self._entity_types.items():
             mentions = [
-                Binding(sid=sentence.sid, start=m.start, end=m.end)
-                for m in sentence.entities
-                if accepted is None or m.etype in accepted
+                Binding(sid=sentence.sid, start=start, end=end)
+                for start, end, etype, _ in sentence.entity_rows
+                if accepted is None or etype in accepted
             ]
             if not mentions:
                 return None
@@ -205,17 +205,17 @@ class SentenceEvaluator:
 
     @staticmethod
     def _step_condition_holds(sentence: Sentence, tid: int, attribute: str, value: str) -> bool:
-        token = sentence[tid]
         if attribute == "pos":
-            return token.pos.lower() == value.lower()
+            return sentence.pos_tags[tid].lower() == value.lower()
         if attribute == "text":
-            return token.text.lower() == value.lower()
+            return sentence.words[tid].lower() == value.lower()
         if attribute == "etype":
+            entity_type = sentence.entity_types[tid]
             if value.lower() == "entity":
-                return token.entity_type is not None
-            return (token.entity_type or "").lower() == value.lower()
+                return entity_type is not None
+            return (entity_type or "").lower() == value.lower()
         if attribute == "regex":
-            return re.search(value, token.text) is not None
+            return re.search(value, sentence.words[tid]) is not None
         return True
 
     def _enumerate_node_assignments(
@@ -326,7 +326,7 @@ class SentenceEvaluator:
         words = [w.lower() for w in text.split()]
         if not words:
             return []
-        tokens = [tok.text.lower() for tok in sentence]
+        tokens = [word.lower() for word in sentence.words]
         found = []
         for start in range(0, len(tokens) - len(words) + 1):
             if tokens[start : start + len(words)] == words:
@@ -421,9 +421,9 @@ class SentenceEvaluator:
                     return None
             elif isinstance(atom, TokenSeq):
                 expected = [w.lower() for w in atom.text.split()]
+                words = sentence.words
                 actual = [
-                    sentence[t].text.lower()
-                    for t in range(derived.start, derived.end + 1)
+                    words[t].lower() for t in range(derived.start, derived.end + 1)
                 ]
                 if actual != expected:
                     return None
@@ -473,7 +473,7 @@ class SentenceEvaluator:
         if op == "parentOf":
             if left.node is None or right.node is None:
                 return False
-            return sentence[right.node].head == left.node
+            return sentence.heads[right.node] == left.node
         if op == "ancestorOf":
             if left.node is None or right.node is None:
                 return False

@@ -81,45 +81,38 @@ class ClauseSegmenter:
     def _boundaries(self, sentence: Sentence) -> list[int]:
         """Token indexes at which a new clause starts."""
         boundaries: list[int] = []
-        verbs = {
-            tok.index
-            for tok in sentence
-            if tok.pos == "VERB"
-        }
-        for tok in sentence:
-            low = tok.text.lower()
+        tags = sentence.pos_tags
+        verbs = [index for index, tag in enumerate(tags) if tag == "VERB"]
+        for index, (word, tag) in enumerate(zip(sentence.words, tags)):
+            low = word.lower()
             # clause-opening relative pronoun
-            if low in _RELATIVE_PRONOUNS and tok.pos in {"PRON", "DET"}:
-                if any(v > tok.index for v in verbs):
-                    boundaries.append(tok.index)
+            if low in _RELATIVE_PRONOUNS and tag in {"PRON", "DET"}:
+                if any(v > index for v in verbs):
+                    boundaries.append(index)
             # subordinator mid-sentence
-            elif low in _SUBORDINATORS and low in CONJUNCTIONS and tok.index > 0:
-                boundaries.append(tok.index)
+            elif low in _SUBORDINATORS and low in CONJUNCTIONS and index > 0:
+                boundaries.append(index)
             # coordinating conjunction directly linking two verbal conjuncts
-            elif low in {"and", "but", "or"} and tok.pos == "CONJ":
-                if any(v > tok.index for v in verbs) and any(
-                    v < tok.index for v in verbs
-                ):
-                    boundaries.append(tok.index)
-            elif tok.text == ";":
-                boundaries.append(tok.index + 1)
+            elif low in {"and", "but", "or"} and tag == "CONJ":
+                if any(v > index for v in verbs) and any(v < index for v in verbs):
+                    boundaries.append(index)
+            elif word == ";":
+                boundaries.append(index + 1)
         return sorted(set(b for b in boundaries if 0 < b < len(sentence)))
 
     def _trim(self, sentence: Sentence, start: int, end: int) -> tuple[int, int]:
         """Strip leading/trailing punctuation and connectives from a clause."""
+        words, tags = sentence.words, sentence.pos_tags
         while start <= end and (
-            sentence[start].pos == "PUNCT"
-            or sentence[start].text.lower() in {"and", "but", "or", ","}
+            tags[start] == "PUNCT" or words[start].lower() in {"and", "but", "or", ","}
         ):
             start += 1
-        while end >= start and sentence[end].pos == "PUNCT":
+        while end >= start and tags[end] == "PUNCT":
             end -= 1
         return start, end
 
     def _make_clause(self, sentence: Sentence, start: int, end: int) -> CanonicalClause:
-        has_root = any(
-            sentence[i].label == "root" for i in range(start, end + 1)
-        )
+        has_root = "root" in sentence.labels[start : end + 1]
         weight = self.main_weight if has_root else self.subordinate_weight
-        text = detokenize(tok.text for tok in sentence.tokens[start : end + 1])
+        text = detokenize(sentence.words[start : end + 1])
         return CanonicalClause(start=start, end=end, text=text, weight=weight)

@@ -14,7 +14,9 @@ from .lemmatizer import Lemmatizer
 from .ner import EntityRecognizer
 from .pos import PosTagger
 from .tokenizer import Tokenizer
-from .types import Corpus, Document, Sentence, Token
+from .types import Corpus, Document, Sentence
+
+__all__ = ["Pipeline"]
 
 
 class Pipeline:
@@ -65,28 +67,32 @@ class Pipeline:
         return Document(doc_id=doc_id, sentences=sentences, text=text)
 
     def annotate_sentence(self, raw_sentence: str, sid: int = 0) -> Sentence:
-        """Annotate a single sentence string."""
+        """Annotate a single sentence string.
+
+        The components' outputs become the sentence's columns directly
+        (:meth:`Sentence.from_columns`); no per-token object is built.
+        """
         words = self.tokenizer.tokenize(raw_sentence)
         if not words:
-            return Sentence(sid=sid, tokens=[], text=raw_sentence)
+            return Sentence.from_columns(sid, (), (), (), (), (), text=raw_sentence)
         tags = self.tagger.tag(words)
         heads, labels = self.parser.parse(words, tags)
-        entities = self.recognizer.recognize(words, tags)
-        tokens = [
-            Token(
-                index=i,
-                text=words[i],
-                pos=tags[i],
-                label=labels[i],
-                head=heads[i],
-                lemma=self.lemmatizer.lemma(words[i], tags[i]),
-            )
-            for i in range(len(words))
-        ]
-        for mention in entities:
-            for i in range(mention.start, mention.end + 1):
-                tokens[i].entity_type = mention.etype
-        return Sentence(sid=sid, tokens=tokens, entities=entities, text=raw_sentence)
+        mentions = self.recognizer.recognize(words, tags)
+        lemma = self.lemmatizer.lemma
+        entity_types: list[str | None] = [None] * len(words)
+        for mention in mentions:
+            entity_types[mention.start : mention.end + 1] = [mention.etype] * len(mention)
+        return Sentence.from_columns(
+            sid,
+            words,
+            tags,
+            labels,
+            heads,
+            [lemma(word, tag) or word.lower() for word, tag in zip(words, tags)],
+            entity_types,
+            [(m.start, m.end, m.etype, m.text) for m in mentions],
+            raw_sentence,
+        )
 
     def annotate_corpus(
         self, texts: dict[str, str] | list[str], name: str = "corpus"

@@ -8,17 +8,43 @@ annotated with four layers of information per token:
 * a dependency parse label and a pointer to the head token,
 * optionally, membership in a named-entity mention with an entity type.
 
-This module defines the immutable-by-convention containers for those
-annotations: :class:`Token`, :class:`Sentence`, :class:`EntityMention`,
-:class:`Span`, and :class:`Document`.  The containers are deliberately plain
-(dataclasses with explicit fields) so they are cheap to construct in bulk,
-easy to serialise, and independent of any particular parser implementation.
+This module defines the containers for those annotations: :class:`Sentence`,
+:class:`Document`, :class:`Span` and :class:`Corpus`, independent of any
+particular parser implementation.
+
+A :class:`Sentence` stores its annotation as **columns**: one tuple per
+layer (``words``, ``pos_tags``, ``labels``, ``heads``, ``lemmas``,
+``entity_types``), the mentions as plain ``(start, end, etype, text)``
+tuples and the dependency tree as a tuple-only ``(children, spans,
+depths)`` cache.  CPython's garbage collector stops tracking a tuple once a
+collection finds nothing tracked inside it — one nesting level per
+collection, and these nest at most two deep — so a stored sentence settles
+to **one** tracked object however long it is, before the young-generation
+passes hand it to the full collections that walk the whole heap.
+:class:`Token` and :class:`EntityMention` are read-only *views* built on
+each access and never stored.
 """
 
 from __future__ import annotations
 
+import copyreg
+import pickle
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
+
+__all__ = [
+    "ENTITY_TYPES",
+    "PARSE_LABELS",
+    "UNIVERSAL_POS_TAGS",
+    "Corpus",
+    "Document",
+    "EntityMention",
+    "Sentence",
+    "Span",
+    "Token",
+    "detokenize",
+]
 
 # Universal POS tagset (Petrov, Das, McDonald 2012) with PROPN split out,
 # matching the tags used in the paper's Figure 1.
@@ -90,9 +116,14 @@ ENTITY_TYPES = frozenset(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Token:
     """A single token of a sentence with all its annotations.
+
+    A sentence hands out fresh, read-only tokens built from its columns
+    (``sentence[i]``, iteration, :attr:`Sentence.tokens`); writing to one
+    raises instead of being lost.  Build a changed sentence with
+    :meth:`Sentence.from_columns` instead.
 
     Attributes
     ----------
@@ -125,7 +156,7 @@ class Token:
 
     def __post_init__(self) -> None:
         if not self.lemma:
-            self.lemma = self.text.lower()
+            object.__setattr__(self, "lemma", self.text.lower())
 
     @property
     def is_root(self) -> bool:
@@ -149,12 +180,14 @@ class Token:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntityMention:
     """A named-entity mention: a contiguous span of tokens with a type.
 
     ``start`` and ``end`` are inclusive token indexes within the sentence,
     mirroring the ``(x, u-v)`` triples stored in the paper's entity index.
+    A sentence stores its mentions as plain ``(start, end, etype, text)``
+    rows and hands out read-only mentions built from them.
     """
 
     start: int
@@ -176,13 +209,43 @@ class EntityMention:
         return self.start <= token_index <= self.end
 
 
-class Sentence:
-    """A parsed sentence: a sequence of tokens plus entity mentions.
+#: per-token columns, in constructor, pickle and :class:`Token` field order
+_COLUMNS = ("words", "pos_tags", "labels", "heads", "lemmas", "entity_types")
+_columns_of = attrgetter(*_COLUMNS)
 
-    The sentence owns the dependency tree implicitly through the ``head``
-    field of its tokens and exposes the tree-navigation helpers the KOKO
-    evaluator relies on: children lookup, subtree extent, and depth.
+
+class Sentence:
+    """A parsed sentence, stored as per-token annotation columns.
+
+    ``words``, ``pos_tags``, ``labels``, ``heads``, ``lemmas`` and
+    ``entity_types`` are equally long tuples (position *i* is token *i*);
+    ``entity_rows`` holds one ``(start, end, etype, text)`` tuple per
+    mention.  The dependency tree is implicit in ``heads``; the navigation
+    helpers the KOKO evaluator relies on (children, subtree extent, depth)
+    read one memoised, tuple-only cache (:meth:`tree_columns`).  Treat a
+    sentence as immutable: build a changed one with :meth:`from_columns`.
+
+    ``Sentence(sid, tokens, entities, text)`` accepts :class:`Token` and
+    :class:`EntityMention` sequences and converts them to columns once.
+    ``sentence[i]``, iteration, :attr:`tokens` and :attr:`entities` build
+    fresh views on every call and never keep them — a kept view would make
+    the sentence a graph the garbage collector walks again.
     """
+
+    __slots__ = (
+        "sid",
+        "words",
+        "pos_tags",
+        "labels",
+        "heads",
+        "lemmas",
+        "entity_types",
+        "entity_rows",
+        "_text",
+        "_children",
+        "_spans",
+        "_depths",
+    )
 
     def __init__(
         self,
@@ -191,53 +254,152 @@ class Sentence:
         entities: Sequence[EntityMention] | None = None,
         text: str | None = None,
     ) -> None:
+        rows = [
+            (t.text, t.pos, t.label, t.head, t.lemma, t.entity_type) for t in tokens
+        ]
+        columns = tuple(zip(*rows)) if rows else ((),) * len(_COLUMNS)
+        mentions = tuple((m.start, m.end, m.etype, m.text) for m in entities or ())
+        self._fill(sid, *columns, mentions, text)
+
+    @classmethod
+    def from_columns(
+        cls,
+        sid: int,
+        words: Sequence[str],
+        pos_tags: Sequence[str],
+        labels: Sequence[str],
+        heads: Sequence[int],
+        lemmas: Sequence[str],
+        entity_types: Sequence[str | None] | None = None,
+        entity_rows: Iterable[tuple[int, int, str, str]] = (),
+        text: str | None = None,
+    ) -> "Sentence":
+        """A sentence built straight from its columns (no token objects).
+
+        Every column must have one entry per word; *entity_types* defaults
+        to ``None`` everywhere.  Raises ``ValueError`` otherwise.
+        """
+        sentence = cls.__new__(cls)
+        words = tuple(words)
+        sentence._fill(
+            sid,
+            words,
+            tuple(pos_tags),
+            tuple(labels),
+            tuple(heads),
+            tuple(lemmas),
+            (None,) * len(words) if entity_types is None else tuple(entity_types),
+            tuple(map(tuple, entity_rows)),
+            text,
+        )
+        return sentence
+
+    def _fill(
+        self,
+        sid: int,
+        words: tuple,
+        pos_tags: tuple,
+        labels: tuple,
+        heads: tuple,
+        lemmas: tuple,
+        entity_types: tuple,
+        entity_rows: tuple,
+        text: str | None,
+    ) -> None:
+        if any(
+            len(column) != len(words)
+            for column in (pos_tags, labels, heads, lemmas, entity_types)
+        ):
+            raise ValueError(f"sentence {sid}: annotation columns differ in length")
         self.sid = sid
-        self.tokens: list[Token] = list(tokens)
-        self.entities: list[EntityMention] = list(entities or [])
+        self.words = words
+        self.pos_tags = pos_tags
+        self.labels = labels
+        self.heads = heads
+        self.lemmas = lemmas
+        self.entity_types = entity_types
+        self.entity_rows = entity_rows
         self._text = text
-        self._children: list[list[int]] | None = None
-        self._subtree_spans: list[tuple[int, int]] | None = None
-        self._depths: list[int] | None = None
+        self._children = self._spans = self._depths = None
 
     # ------------------------------------------------------------------
-    # basic container protocol
+    # pickling: the columns, nothing else
+    # ------------------------------------------------------------------
+    def __reduce__(self):
+        """Pickle as the columns; the tree cache rebuilds on first use."""
+        return (
+            copyreg.__newobj__,
+            (type(self),),
+            (self.sid, *_columns_of(self), self.entity_rows, self._text),
+        )
+
+    def __setstate__(self, state) -> None:
+        """Restore the columns :meth:`__reduce__` emitted.
+
+        Any other shape — a pickle of the object-graph sentence that stored
+        ``Token`` lists in a ``__dict__`` included — raises
+        :class:`pickle.UnpicklingError` before anything is assigned.
+        """
+        if type(state) is not tuple or len(state) != 3 + len(_COLUMNS):
+            raise pickle.UnpicklingError(
+                f"not a columnar Sentence state: a {type(state).__name__}"
+            )
+        if not all(type(column) is tuple for column in state[1:8]):
+            raise pickle.UnpicklingError("Sentence columns are not tuples")
+        try:
+            self._fill(*state)
+        except ValueError as exc:
+            raise pickle.UnpicklingError(str(exc)) from exc
+
+    # ------------------------------------------------------------------
+    # views: built per call, never stored
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.words)
 
     def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
+        return (
+            Token(index, *annotation)
+            for index, annotation in enumerate(zip(*_columns_of(self)))
+        )
 
     def __getitem__(self, index: int) -> Token:
-        return self.tokens[index]
+        if index < 0:
+            index += len(self.words)
+        if not 0 <= index < len(self.words):
+            raise IndexError(f"token {index} out of range for sentence {self.sid}")
+        return Token(index, *(column[index] for column in _columns_of(self)))
+
+    @property
+    def tokens(self) -> list[Token]:
+        """Fresh :class:`Token` views of every token, in order."""
+        return list(self)
+
+    @property
+    def entities(self) -> list[EntityMention]:
+        """Fresh :class:`EntityMention` views of every mention, in order."""
+        return [EntityMention(*row) for row in self.entity_rows]
 
     @property
     def text(self) -> str:
         """The (reconstructed) surface text of the sentence."""
         if self._text is None:
-            self._text = detokenize(tok.text for tok in self.tokens)
+            self._text = detokenize(self.words)
         return self._text
-
-    @property
-    def words(self) -> list[str]:
-        """The token surface forms, in order."""
-        return [tok.text for tok in self.tokens]
 
     # ------------------------------------------------------------------
     # dependency-tree navigation
     # ------------------------------------------------------------------
     def root_index(self) -> int:
         """Index of the root token (first token with head < 0)."""
-        for tok in self.tokens:
-            if tok.is_root:
-                return tok.index
+        for index, head in enumerate(self.heads):
+            if head < 0:
+                return index
         raise ValueError(f"sentence {self.sid} has no root token")
 
-    def children(self, index: int) -> list[int]:
+    def children(self, index: int) -> tuple[int, ...]:
         """Indexes of the direct dependents of token *index*."""
-        self._ensure_tree_caches()
-        assert self._children is not None
-        return self._children[index]
+        return self.tree_columns()[0][index]
 
     def subtree_span(self, index: int) -> tuple[int, int]:
         """Inclusive ``(first, last)`` token indexes of the subtree rooted at *index*.
@@ -245,29 +407,31 @@ class Sentence:
         This is the ``u-v`` component of the quintuples stored by every
         KOKO index (Section 3.1 of the paper).
         """
-        self._ensure_tree_caches()
-        assert self._subtree_spans is not None
-        return self._subtree_spans[index]
+        return self.tree_columns()[1][index]
 
     def depth(self, index: int) -> int:
         """Depth of token *index* in the dependency tree (root has depth 0)."""
-        self._ensure_tree_caches()
-        assert self._depths is not None
-        return self._depths[index]
+        return self.tree_columns()[2][index]
 
-    def tree_columns(self) -> tuple[list[list[int]], list[tuple[int, int]], list[int]]:
+    def tree_columns(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
         """The memoised tree structure as whole-sentence columns.
 
-        Returns ``(children, subtree_spans, depths)`` — the per-token lists
-        backing :meth:`children`, :meth:`subtree_span` and :meth:`depth` —
-        so the columnar index splice can read the whole sentence without a
-        per-token method call.  Treat the returned lists as read-only.
+        Returns ``(children, subtree_spans, depths)`` — per token its
+        dependents, its inclusive subtree extent and its depth — as tuples
+        only, so the cache is as invisible to the garbage collector as the
+        columns are and the children column is hashable as it stands (the
+        hierarchy merge memo keys on it).  A token on a head cycle, which
+        no root reaches, has depth ``len(self) + 1``.
         """
-        self._ensure_tree_caches()
-        assert self._children is not None
-        assert self._subtree_spans is not None
-        assert self._depths is not None
-        return self._children, self._subtree_spans, self._depths
+        children = self._children
+        if children is None:
+            children, self._spans, self._depths = _tree_of(self.heads)
+            # assigned last: concurrent readers key the "cache ready" check
+            # on _children, so the other two must already be visible
+            self._children = children
+        return children, self._spans, self._depths
 
     def subtree_indices(self, index: int) -> list[int]:
         """All token indexes in the subtree rooted at *index*, in surface order."""
@@ -278,10 +442,11 @@ class Sentence:
         """True when token *ancestor* dominates token *descendant* (strictly)."""
         if ancestor == descendant:
             return False
+        heads = self.heads
         node = descendant
         seen = 0
-        while node >= 0 and seen <= len(self.tokens):
-            node = self.tokens[node].head
+        while node >= 0 and seen <= len(heads):
+            node = heads[node]
             seen += 1
             if node == ancestor:
                 return True
@@ -289,80 +454,67 @@ class Sentence:
 
     def span_text(self, start: int, end: int) -> str:
         """Surface text of tokens ``start..end`` (inclusive)."""
-        tokens = self.tokens[start : end + 1]
-        if len(tokens) == 1:
-            return tokens[0].text
-        return detokenize([tok.text for tok in tokens])
+        words = self.words[start : end + 1]
+        if len(words) == 1:
+            return words[0]
+        return detokenize(words)
 
     def entity_at(self, index: int) -> EntityMention | None:
         """The entity mention covering token *index*, if any."""
-        for mention in self.entities:
-            if mention.covers(index):
-                return mention
+        for row in self.entity_rows:
+            if row[0] <= index <= row[1]:
+                return EntityMention(*row)
         return None
 
-    # ------------------------------------------------------------------
-    # internal caches
-    # ------------------------------------------------------------------
-    def _ensure_tree_caches(self) -> None:
-        if self._children is not None:
-            return
-        n = len(self.tokens)
-        children: list[list[int]] = [[] for _ in range(n)]
-        for tok in self.tokens:
-            if 0 <= tok.head < n and tok.head != tok.index:
-                children[tok.head].append(tok.index)
-
-        # Depth by walking up the head chain (with cycle guard).
-        depths = [0] * n
-        for i in range(n):
-            depth = 0
-            node = i
-            while not self.tokens[node].is_root and depth <= n:
-                node = self.tokens[node].head
-                depth += 1
-            depths[i] = depth
-        self._depths = depths
-
-        # Subtree spans: the contiguous extent is computed as the min/max
-        # token index reachable in the subtree.  Rule-based trees in this
-        # package are projective so the extent is exactly the subtree.
-        spans = [(i, i) for i in range(n)]
-        order = sorted(range(n), key=lambda i: depths[i], reverse=True)
-        for i in order:
-            first, last = spans[i]
-            for child in children[i]:
-                cf, cl = spans[child]
-                first = min(first, cf)
-                last = max(last, cl)
-            spans[i] = (first, last)
-        self._subtree_spans = spans
-
-        # Assigned last: concurrent readers key the "caches ready" check on
-        # _children, so the other caches must already be visible by then.
-        self._children = children
-
-    def invalidate_caches(self) -> None:
-        """Drop memoised tree structure (call after mutating tokens)."""
-        self._children = None
-        self._subtree_spans = None
-        self._depths = None
-
-    def __getstate__(self) -> dict:
-        """Pickle without the memoised tree caches.
-
-        The caches are pure functions of the tokens and rebuild lazily on
-        first use; dropping them keeps serialised sentences (snapshot
-        corpus files, WAL records) small and load fast.
-        """
-        state = self.__dict__.copy()
-        state["_children"] = None
-        state["_subtree_spans"] = None
-        state["_depths"] = None
-        return state
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Sentence(sid={self.sid}, tokens={len(self.tokens)})"
+        return f"Sentence(sid={self.sid}, tokens={len(self.words)})"
+
+
+def _tree_of(
+    heads: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """``(children, subtree_spans, depths)`` of the tree *heads* describes."""
+    n = len(heads)
+    children: list[list[int]] = [[] for _ in range(n)]
+    frontier: list[int] = []
+    for index, head in enumerate(heads):
+        if head < 0:
+            frontier.append(index)
+        elif head < n and head != index:
+            children[head].append(index)
+    # depths level by level from the roots; a token no root reaches sits on
+    # (or hangs below) a head cycle
+    depths = [n + 1] * n
+    levels: list[list[int]] = []
+    depth = 0
+    while frontier:
+        levels.append(frontier)
+        following: list[int] = []
+        for index in frontier:
+            depths[index] = depth
+            following.extend(children[index])
+        frontier = following
+        depth += 1
+    # Subtree spans: the contiguous extent is the min/max token index
+    # reachable in the subtree, filled deepest first (unreached tokens
+    # before every level).  Rule-based trees in this package are
+    # projective, so the extent is exactly the subtree.
+    spans = [(i, i) for i in range(n)]
+    order = [i for i in range(n) if depths[i] > n]
+    for level in reversed(levels):
+        order.extend(level)
+    for index in order:
+        kids = children[index]
+        if kids:
+            first, last = spans[index]
+            for child in kids:
+                child_first, child_last = spans[child]
+                if child_first < first:
+                    first = child_first
+                if child_last > last:
+                    last = child_last
+            spans[index] = (first, last)
+    return tuple(map(tuple, children)), tuple(spans), tuple(depths)
 
 
 @dataclass(frozen=True)
@@ -434,12 +586,12 @@ class Document:
 
     def entity_texts(self, etype: str | None = None) -> list[str]:
         """All entity-mention texts in the document, optionally filtered by type."""
-        found = []
-        for sentence in self.sentences:
-            for mention in sentence.entities:
-                if etype is None or mention.etype == etype:
-                    found.append(mention.text)
-        return found
+        return [
+            text
+            for sentence in self.sentences
+            for _, _, mention_type, text in sentence.entity_rows
+            if etype is None or mention_type == etype
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Document(doc_id={self.doc_id!r}, sentences={len(self.sentences)})"
@@ -492,10 +644,12 @@ class Corpus:
 
     @property
     def num_sentences(self) -> int:
+        """Total number of sentences across all documents."""
         return sum(len(doc) for doc in self.documents)
 
     @property
     def num_tokens(self) -> int:
+        """Total number of tokens across all documents."""
         return sum(doc.num_tokens for doc in self.documents)
 
     def all_sentences(self) -> Iterator[tuple[Document, Sentence]]:

@@ -39,7 +39,7 @@ __all__ = ["LAYOUT_VERSION", "StorageLayout", "fsync_dir", "fsync_file"]
 
 #: bump when the snapshot or WAL format changes incompatibly; a store of
 #: any other version is refused (there is no reader for old layouts)
-LAYOUT_VERSION = 3
+LAYOUT_VERSION = 4
 
 SNAPSHOT_PREFIX = "ckpt-"
 MANIFEST_NAME = "manifest.json"

@@ -53,7 +53,6 @@ What a crash leaves behind is removed by the next prune
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import io
 import json
@@ -705,34 +704,25 @@ def state_from_payloads(
             raise PersistenceError(f"snapshot file {name} fails its digest")
         return payload
 
-    # Deserialising a corpus allocates very many small objects; collector
-    # passes in the middle of that dominate warm-restart time, so hold GC
-    # off for the duration (nothing loaded here is garbage yet anyway).
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for shard_id, entry in enumerate(parsed.shards):
-            try:
-                index_set = KokoIndexSet.from_arrays(
-                    _decode_index_arrays(payload_of(entry.indexes[0])),
-                    build_seconds=entry.build_seconds,
-                )
-                documents, segments = _read_shard(
-                    entry, parsed.generations[shard_id], payload_of
-                )
-            except PersistenceError:
-                raise
-            except Exception as exc:
-                raise PersistenceError(
-                    f"snapshot {parsed.checkpoint_id} shard {shard_id} fails to "
-                    f"decode: {exc!r}"
-                ) from exc
-            state.documents_by_shard.append(documents)
-            state.index_sets.append(index_set)
-            state.segments.append(segments)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for shard_id, entry in enumerate(parsed.shards):
+        try:
+            index_set = KokoIndexSet.from_arrays(
+                _decode_index_arrays(payload_of(entry.indexes[0])),
+                build_seconds=entry.build_seconds,
+            )
+            documents, segments = _read_shard(
+                entry, parsed.generations[shard_id], payload_of
+            )
+        except PersistenceError:
+            raise
+        except Exception as exc:
+            raise PersistenceError(
+                f"snapshot {parsed.checkpoint_id} shard {shard_id} fails to "
+                f"decode: {exc!r}"
+            ) from exc
+        state.documents_by_shard.append(documents)
+        state.index_sets.append(index_set)
+        state.segments.append(segments)
     if len(set().union(*(shard.saved for shard in state.segments))) != sum(
         map(len, state.documents_by_shard)
     ):

@@ -78,10 +78,12 @@ class WalRecord:
     :class:`~repro.observability.tracing.TraceContext` of the ingest
     that produced the record.  Payloads ship to replicas verbatim, so a
     carried context lets the shipper's ship span and the replica's apply
-    span join the originating trace.  Untraced records keep the
-    original 3-tuple payload format byte-for-byte (and
-    :meth:`from_payload` accepts both shapes), so old WAL segments and
-    mixed-version replication keep working.
+    span join the originating trace.  Untraced records keep the 3-tuple
+    payload format (and :meth:`from_payload` accepts both shapes).  The
+    document pickles as annotation columns
+    (:meth:`~repro.nlp.types.Sentence.__reduce__`); a record of the
+    object-graph sentences before ``LAYOUT_VERSION`` 4 raises
+    :class:`pickle.UnpicklingError` on decode.
     """
 
     op: str

@@ -21,6 +21,7 @@ from repro.corpora.wikipedia import generate_wikipedia_corpus
 from repro.indexing.koko_index import KokoIndexSet
 from repro.koko.engine import KokoEngine
 from repro.nlp.pipeline import Pipeline
+from repro.nlp.types import Sentence
 
 # The two running-example sentences of the paper (Figure 1 / Example 3.1).
 PAPER_SENTENCE_1 = (
@@ -131,6 +132,29 @@ def assert_index_sets_equivalent(actual: KokoIndexSet, expected: KokoIndexSet) -
 def assert_equivalent_indexes():
     """The index-set equivalence assertion, as an injectable fixture."""
     return assert_index_sets_equivalent
+
+
+def detached_last_token(sentence: Sentence) -> Sentence:
+    """*sentence* rebuilt from its columns with the last token a second root:
+    it hangs off no tree, so its W row carries ``plid == posid == -1`` and
+    no hierarchy holds it."""
+    return Sentence.from_columns(
+        sentence.sid,
+        sentence.words,
+        sentence.pos_tags,
+        sentence.labels,
+        sentence.heads[:-1] + (-1,),
+        sentence.lemmas,
+        sentence.entity_types,
+        sentence.entity_rows,
+        sentence.text,
+    )
+
+
+@pytest.fixture(scope="session")
+def detach_last_token():
+    """:func:`detached_last_token`, as an injectable fixture."""
+    return detached_last_token
 
 
 # ----------------------------------------------------------------------

@@ -86,20 +86,16 @@ def _minted_ids(index_set: KokoIndexSet):
     )
 
 
-def _detach_last_token(sentence) -> None:
-    """Make the last token a second root: it hangs off no tree, so its W row
-    carries ``plid == posid == -1`` and no hierarchy holds it."""
-    sentence.tokens[-1].head = -1
-    sentence.invalidate_caches()
-
-
 @settings(max_examples=8, deadline=None)
 @example(texts=["Paolo visited Beijing and Anna ate cheesecake."], detach=True)
 @given(texts=_corpora, detach=st.booleans())
-def test_columnar_and_object_backends_agree(texts, detach, assert_equivalent_indexes):
+def test_columnar_and_object_backends_agree(
+    texts, detach, assert_equivalent_indexes, detach_last_token
+):
     corpus = _PIPELINE.annotate_corpus(texts, name="random")
     if detach:
-        _detach_last_token(corpus.documents[0].sentences[0])
+        sentences = corpus.documents[0].sentences
+        sentences[0] = detach_last_token(sentences[0])
     assert_equivalent_indexes(
         KokoIndexSet().build(corpus), ReferenceIndexSet().build(corpus)
     )
@@ -127,7 +123,7 @@ def test_columnar_and_object_backends_agree(texts, detach, assert_equivalent_ind
     detach=st.booleans(),
 )
 def test_reopened_service_matches_the_never_restarted_one(
-    before, removed, after, tail, detach, assert_equivalent_indexes
+    before, removed, after, tail, detach, assert_equivalent_indexes, detach_last_token
 ):
     for shards in (1, 4):
         with tempfile.TemporaryDirectory() as storage_dir:
@@ -146,7 +142,7 @@ def test_reopened_service_matches_the_never_restarted_one(
                     text, doc_id=next(doc_ids), first_sid=live.next_sid()
                 )
                 if detach and not mirror:
-                    _detach_last_token(document.sentences[0])
+                    document.sentences[0] = detach_last_token(document.sentences[0])
                 for service in (live, durable):
                     service.add_annotated_document(document)
                 mirror[document.doc_id] = document

@@ -47,15 +47,14 @@ def paper_reference(paper_corpus) -> ReferenceIndexSet:
     return ReferenceIndexSet().build(paper_corpus)
 
 
-def _detached(pipeline):
+def _detached(pipeline, detach):
     """Example text whose last token hangs off no tree (a second root)."""
     corpus = pipeline.annotate_corpus(
         ["Paolo visited Beijing and Anna ate cheesecake."], name="detached"
     )
-    sentence = corpus.documents[0].sentences[0]
-    sentence.tokens[-1].head = -1
-    sentence.invalidate_caches()
-    return corpus, sentence
+    sentences = corpus.documents[0].sentences
+    sentences[0] = detach(sentences[0])
+    return corpus, sentences[0]
 
 
 def _word(axis, label):
@@ -101,8 +100,8 @@ class TestReferenceWordIndex:
                 assert paper_reference.pl_index.node_by_id(plid).label == token.label
                 assert paper_reference.pos_index.node_by_id(posid).label == token.pos
 
-    def test_unreachable_token_has_no_node_ids(self, pipeline):
-        corpus, sentence = _detached(pipeline)
+    def test_unreachable_token_has_no_node_ids(self, pipeline, detach_last_token):
+        corpus, sentence = _detached(pipeline, detach_last_token)
         word_index = ReferenceIndexSet().build(corpus).word_index
         assert word_index.node_ids(sentence.sid, len(sentence) - 1) is None
         assert word_index.node_ids(sentence.sid, 0) is not None
@@ -232,8 +231,8 @@ class TestReferenceHierarchyIndex:
             pl_index.remove_sentence(sentence)
         assert pl_index.node_count == 0 and list(pl_index.nodes()) == []
 
-    def test_unreachable_token_is_not_merged(self, pipeline):
-        corpus, sentence = _detached(pipeline)
+    def test_unreachable_token_is_not_merged(self, pipeline, detach_last_token):
+        corpus, sentence = _detached(pipeline, detach_last_token)
         pl_index = ReferenceHierarchyIndex(lambda token: token.label, "PL")
         merged = pl_index.add_sentence(sentence)
         assert len(sentence) - 1 not in merged

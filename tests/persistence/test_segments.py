@@ -14,7 +14,7 @@ later snapshots share.  The properties pinned here:
 * a shard whose generation did not move names its old index file again;
 * a manifest is checked before it is used: a mutated or hostile one, on
   disk or shipped, raises ``PersistenceError`` and nothing else, and a
-  version-2 store gets ``LayoutVersionError``.
+  version-2 or version-3 store gets ``LayoutVersionError``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import os
 import pickle
 import shutil
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,6 +47,7 @@ from repro.persistence import (
     state_from_payloads,
     write_snapshot,
 )
+from repro.persistence import snapshot as snapshot_module
 from repro.persistence.snapshot import referenced_files, validate_snapshot
 from repro.service import KokoService
 from repro.service import durability
@@ -591,3 +593,32 @@ def test_a_version_2_store_is_refused_with_a_typed_error(tmp_path):
     assert sorted(str(p) for p in layout.root.rglob("*")) == before
     with pytest.raises(LayoutVersionError):
         state_from_payloads(v2, {})
+
+
+def test_a_version_3_store_is_refused_before_a_frame_is_decoded(tmp_path, monkeypatch):
+    """The layout before columnar sentences had these very files, but its
+    segment frames and WAL records pickle object-graph sentences.  Opening
+    such a store, reading it, or bootstrapping from it shipped raises
+    ``LayoutVersionError`` before any frame is unpickled, and touches nothing."""
+    with KokoService(storage_dir=tmp_path / "svc", **SERVICE_KWARGS) as service:
+        for index, text in enumerate(TEXTS[:3]):
+            service.add_document(text, f"doc{index}")
+        sealed = service.checkpoint()
+    layout = StorageLayout(tmp_path / "svc")
+    path = layout.snapshot_dir(sealed) / "manifest.json"
+    v3 = dict(json.loads(path.read_text("utf-8")), version=3)
+    path.write_text(json.dumps(v3), "utf-8")
+    shipped = {name: (layout.snapshots_dir / name).read_bytes() for name in v3["files"]}
+    unpickled = []
+    monkeypatch.setattr(
+        snapshot_module, "pickle", SimpleNamespace(loads=unpickled.append)
+    )
+    before = sorted(str(p) for p in layout.root.rglob("*"))
+    with pytest.raises(LayoutVersionError, match="version 3"):
+        KokoService.open(layout.root, **SERVICE_KWARGS)
+    with pytest.raises(LayoutVersionError):
+        read_snapshot_payloads(layout, sealed)
+    with pytest.raises(LayoutVersionError):
+        state_from_payloads(v3, shipped)
+    assert unpickled == []
+    assert sorted(str(p) for p in layout.root.rglob("*")) == before
