@@ -69,8 +69,8 @@ def run_cold_vs_warm(
         warm_seconds = time.perf_counter() - warm_started
         try:
             identical = [_rows(warm.query(q)) for q in queries] == reference
-            replayed = warm.stats.replayed_wal_records
-            recovered = warm.stats.recovered_documents
+            replayed = warm.metrics.get("koko_replayed_wal_records").value
+            recovered = warm.metrics.get("koko_recovered_documents").value
         finally:
             warm.close()
         return {
@@ -107,7 +107,7 @@ def run_wal_replay_throughput(
             service.add_document(text, f"bench-{index}")
         ingest_seconds = time.perf_counter() - ingest_started
         reference = [_rows(service.query(q)) for q in queries]
-        wal_bytes = service.stats.wal_bytes_appended
+        wal_bytes = service.metrics.get("koko_wal_bytes_appended_total").value
         _crash(service)  # everything lives only in the fsynced log
 
         replay_started = time.perf_counter()
@@ -115,7 +115,7 @@ def run_wal_replay_throughput(
         replay_seconds = time.perf_counter() - replay_started
         try:
             identical = [_rows(recovered.query(q)) for q in queries] == reference
-            replayed = recovered.stats.replayed_wal_records
+            replayed = recovered.metrics.get("koko_replayed_wal_records").value
         finally:
             recovered.close()
         return {

@@ -253,8 +253,8 @@ def run_ingest_modes(tmp_dir, docs: int = 24, batch_size: int = 8) -> dict:
             with RpcServer(service) as server:
                 client = RpcClient(*server.address, client_id=mode)
                 try:
-                    stats0 = service.stats
-                    fsyncs0 = stats0.wal_fsyncs
+                    wal_fsyncs = service.metrics.get("koko_wal_fsyncs_total")
+                    fsyncs0 = wal_fsyncs.value
                     started = time.perf_counter()
                     if mode == "per_doc":
                         for index, text in enumerate(texts):
@@ -272,7 +272,7 @@ def run_ingest_modes(tmp_dir, docs: int = 24, batch_size: int = 8) -> dict:
                             )
                         client.flush()
                     elapsed = time.perf_counter() - started
-                    fsyncs = service.stats.wal_fsyncs - fsyncs0
+                    fsyncs = wal_fsyncs.value - fsyncs0
                 finally:
                     client.close()
             assert len(service) == docs

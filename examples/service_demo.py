@@ -42,7 +42,8 @@ def main() -> None:
         print(f"  {extraction.doc_id}: e={extraction.value('e')!r}")
 
     service.query(DELICIOUS_QUERY)  # served from the result cache
-    print(f"result-cache hits so far: {service.stats.result_cache_hits}")
+    hits = service.metrics.get("koko_result_cache_hits_total")
+    print(f"result-cache hits so far: {hits.value}")
 
     print("\ningesting a third document invalidates cached results...")
     service.add_document("cities in asian countries such as Beijing and Tokyo.", "s2")
@@ -54,9 +55,10 @@ def main() -> None:
     service.remove_document("s2")
     print(f"  cities now: {[t.value('a') for t in service.query(CITY_QUERY)]}")
 
-    print("\nservice stats:")
-    for key, value in service.stats.snapshot().items():
-        print(f"  {key}: {value:.6g}" if isinstance(value, float) else f"  {key}: {value}")
+    print("\nservice metrics (registry snapshot, unlabelled counters):")
+    for name, value in service.metrics.snapshot().items():
+        if isinstance(value, (int, float)) and name.endswith("_total"):
+            print(f"  {name}: {value:.6g}" if isinstance(value, float) else f"  {name}: {value}")
 
     print("\n--- sharded service (4 hash partitions) ---")
     with KokoService(shards=4) as sharded:
@@ -72,11 +74,11 @@ def main() -> None:
         # a query fans out across every shard and merges deterministically
         merged = sharded.query(DELICIOUS_QUERY)
         print(f"  merged tuples (sid order): {[t.sid for t in merged]}")
-        print("  per-shard breakdown:")
-        for shard, row in sharded.stats.shard_breakdown().items():
+        print("  per-shard heat:")
+        for row in sharded.shard_heat_report().shards:
             print(
-                f"    shard {shard}: docs={row['documents_added']} "
-                f"queries={row['queries']}"
+                f"    shard {row.shard_id}: splices={row.splices} "
+                f"queries={row.queries} heat={row.heat_score:.2f}"
             )
 
     print("\n--- durable service (snapshot + write-ahead log) ---")
@@ -93,9 +95,11 @@ def main() -> None:
             print(f"  live tuples: {live}")
         # the context manager flushed a final checkpoint on exit
         with KokoService.open(root / "durable") as warm:
+            recovery = warm.metrics.get("koko_recovery_seconds").value
+            replayed = warm.metrics.get("koko_replayed_wal_records").value
             print(f"  reopened warm: {len(warm)} documents, "
-                  f"recovery took {warm.stats.recovery_seconds * 1e3:.1f} ms, "
-                  f"{warm.stats.replayed_wal_records} WAL records replayed")
+                  f"recovery took {recovery * 1e3:.1f} ms, "
+                  f"{replayed} WAL records replayed")
             assert [t.sid for t in warm.query(DELICIOUS_QUERY)] == live
             print(f"  identical tuples after restart: {live}")
     finally:

@@ -125,12 +125,22 @@ def main() -> int:
                     if not document["ready"] or node["lag_bytes"] != 0:
                         failures += 1
 
-                    print("\n=== /stats, /slowlog, /shards " + "=" * 37)
+                    print("\n=== /metrics.json, /stats, /slowlog, /shards " + "=" * 22)
+                    status, counters = http_get_json(
+                        *primary_telemetry.address, "/metrics.json"
+                    )
+                    assert status == 200
+                    print(
+                        f"  /metrics.json: queries="
+                        f"{counters['koko_queries_served_total']} "
+                        f"wal_fsyncs={counters['koko_wal_fsyncs_total']}"
+                    )
                     status, stats = http_get_json(*primary_telemetry.address, "/stats")
                     assert status == 200
                     print(
                         f"  /stats: node={stats['node']} "
-                        f"p50={stats['query_latency_percentiles']['p50']:.6f}s"
+                        f"p50={stats['query_latency_percentiles']['p50']:.6f}s "
+                        f"wal_position={stats['wal_position']}"
                     )
                     status, slowlog = http_get_json(
                         *primary_telemetry.address, "/slowlog?limit=3"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Documentation lint: docstrings + ``__all__`` + markdown links + cited symbols.
+"""Documentation lint: docstrings, ``__all__``, links, cited symbols and metrics.
 
 Stdlib-only (runs anywhere CI or a laptop has Python), mirroring the
 missing-docstring subset of pydocstyle/ruff that the repo enforces:
@@ -13,7 +13,11 @@ missing-docstring subset of pydocstyle/ruff that the repo enforces:
   at an existing file or directory;
 * **SYM** — every ``_private_name`` cited in ``docs/ARCHITECTURE.md``
   occurs somewhere under ``src/repro/`` (the architecture document names
-  internals on purpose, so a refactor that deletes one must update it).
+  internals on purpose, so a refactor that deletes one must update it);
+* **MET** — every metric registered under ``src/repro/`` (the literal
+  first argument of a ``.counter(`` / ``.gauge(`` / ``.histogram(`` call)
+  is written out in the first column of ``docs/OPERATIONS.md``'s metric
+  table, and every ``koko_*`` name that document cites is registered.
 
 Exit status 0 = clean; 1 = findings (printed one per line as
 ``path:line: CODE message``).
@@ -56,8 +60,14 @@ LINKED_DOCUMENTS = ("README.md", "docs/*.md", "benchmarks/README.md")
 SYMBOL_DOCUMENT = "docs/ARCHITECTURE.md"
 SYMBOL_SOURCES = "src/repro"
 
+#: document whose metric table (header cell ``Metric``) lists every metric
+METRIC_DOCUMENT = "docs/OPERATIONS.md"
+_REGISTRATIONS = ("counter", "gauge", "histogram")
+
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _PRIVATE_NAME = re.compile(r"(?<![A-Za-z0-9_])_[A-Za-z]\w*")
+_CITED_METRIC = re.compile(r"(?<![A-Za-z0-9_])koko_\w*")
+_CODE_SPAN = re.compile(r"`([^`]+)`")
 
 
 def lint_docstrings(module_path: Path, repo_root: Path) -> list[str]:
@@ -142,6 +152,61 @@ def lint_symbols(document: Path, source_root: Path, repo_root: Path) -> list[str
     return findings
 
 
+def registered_metrics(source_root: Path, repo_root: Path) -> dict[str, tuple]:
+    """``{metric name: (path, line)}`` of every literal registration."""
+    found: dict[str, tuple] = {}
+    for module_path in sorted(source_root.rglob("*.py")):
+        tree = ast.parse(module_path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _REGISTRATIONS
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                where = (str(module_path.relative_to(repo_root)), node.lineno)
+                found.setdefault(node.args[0].value, where)
+    return found
+
+
+def metric_table_names(lines: list[str]) -> set[str]:
+    """Code spans in the first column of the table headed ``| Metric |``."""
+    names: set[str] = set()
+    in_table = False
+    for line in lines:
+        cells = line.strip().strip("|").split("|") if line.startswith("|") else []
+        if not cells:
+            in_table = False
+        elif cells[0].strip() == "Metric":
+            in_table = True
+        elif in_table:
+            names.update(span.split("{")[0] for span in _CODE_SPAN.findall(cells[0]))
+    return names
+
+
+def lint_metrics(document: Path, source_root: Path, repo_root: Path) -> list[str]:
+    """Findings for undocumented metrics and documented-but-absent ones."""
+    registered = registered_metrics(source_root, repo_root)
+    lines = document.read_text(encoding="utf-8").splitlines()
+    documented = metric_table_names(lines)
+    relative = document.relative_to(repo_root)
+    findings = [
+        f"{path}:{line}: MET {name} is missing from the metric table of {relative}"
+        for name, (path, line) in sorted(registered.items(), key=lambda item: item[1])
+        if name not in documented
+    ]
+    for line_number, line in enumerate(lines, start=1):
+        for name in _CITED_METRIC.findall(line):
+            if name not in registered:
+                findings.append(
+                    f"{relative}:{line_number}: MET {name} is not registered "
+                    f"in {SYMBOL_SOURCES}/"
+                )
+    return findings
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run every lint over the configured packages and documents."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -166,6 +231,10 @@ def main(argv: list[str] | None = None) -> int:
     if (root / SYMBOL_DOCUMENT).exists():
         findings.extend(
             lint_symbols(root / SYMBOL_DOCUMENT, root / SYMBOL_SOURCES, root)
+        )
+    if (root / METRIC_DOCUMENT).exists():
+        findings.extend(
+            lint_metrics(root / METRIC_DOCUMENT, root / SYMBOL_SOURCES, root)
         )
 
     for finding in findings:

@@ -58,6 +58,13 @@ def _median_ms(samples: list[float]) -> float:
     return round(statistics.median(samples) * 1000.0, 4) if samples else 0.0
 
 
+def hit_ratio(registry) -> float:
+    """Result-cache hits over cacheable queries, from the two counters."""
+    hits = registry.get("koko_result_cache_hits_total").value
+    misses = registry.get("koko_result_cache_misses_total").value
+    return hits / (hits + misses) if hits + misses else 0.0
+
+
 class Probes:
     """Timers around the wire functions and a counter on the executor."""
 
@@ -206,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
                         str(readers): profile_readers(server.address, probes, args.seed, readers, seconds)
                         for readers in (1, 2)
                     },
-                    "result_cache_hit_ratio": round(service.stats.snapshot()["result_cache_hit_rate"], 4),
+                    "result_cache_hit_ratio": round(hit_ratio(service.metrics), 4),
                 }
             finally:
                 probes.close()

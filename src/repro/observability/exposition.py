@@ -16,9 +16,10 @@ Two pieces, both dependency-free (asyncio + stdlib ``http.client``):
                        durability advancing, checkpoint not wedged,
                        replica connected and under the lag bound, scraped
                        cluster peers ready)
-  ``GET /stats``       the ``ServiceStats`` snapshot + node identity,
-                       p50/p95/p99 latency estimates, replication /
-                       routing sections per node kind
+  ``GET /stats``       what the registry does not hold: node identity,
+                       last checkpoint error, p50/p95/p99 latency
+                       estimates, WAL position or replication /
+                       routing state per node kind
   ``GET /slowlog``     newest-first slow-op entries (``?limit=N``,
                        ``?trace_id=...`` to filter to one trace)
   ``GET /shards``      the per-shard :class:`ShardHeatReport`
@@ -163,7 +164,7 @@ class TelemetryServer:
     node:
         The ``KokoService``, ``ReplicaService`` or ``ReplicaSet`` to
         expose.  Only its public observability surface is used
-        (``metrics``, ``stats``, ``recent_slow_ops``,
+        (``metrics``, ``stats.last_checkpoint_error``, ``recent_slow_ops``,
         ``shard_heat_report``, ``replication_stats`` / ``routing_stats``).
     host / port:
         Bind address; port 0 (the default) picks a free port —
@@ -423,15 +424,15 @@ class TelemetryServer:
         problems).
         """
         service = _underlying_service(self.node)
-        stats = service.stats
+        registry = service.metrics
         checks: dict[str, bool] = {}
         detail: dict[str, object] = {"kind": self._kind}
         checks["open"] = not (
             bool(getattr(self.node, "closed", False))
             or bool(getattr(service, "closed", False))
         )
-        checks["checkpoint_not_wedged"] = self._checkpoint_not_wedged(stats)
-        checks["wal_advancing"] = self._wal_advancing(stats, detail)
+        checks["checkpoint_not_wedged"] = self._checkpoint_not_wedged(registry)
+        checks["wal_advancing"] = self._wal_advancing(registry, detail)
         if self.rpc_server is not None:
             checks["rpc_listening"] = bool(self.rpc_server.listening)
         if self._kind == "replica":
@@ -466,11 +467,11 @@ class TelemetryServer:
             detail["unready_replicas"] = unready
         return all(checks.values()), checks, detail
 
-    def _checkpoint_not_wedged(self, stats) -> bool:
+    def _checkpoint_not_wedged(self, registry: MetricsRegistry) -> bool:
         """False once one checkpoint has run past the wedge bound."""
         with self._probe_lock:
             now = time.monotonic()
-            if stats.checkpoint_in_progress:
+            if registry.get("koko_checkpoint_in_progress").value > 0:
                 if self._checkpoint_first_seen is None:
                     self._checkpoint_first_seen = now
                 return (
@@ -480,16 +481,16 @@ class TelemetryServer:
             self._checkpoint_first_seen = None
             return True
 
-    def _wal_advancing(self, stats, detail: dict) -> bool:
+    def _wal_advancing(self, registry: MetricsRegistry, detail: dict) -> bool:
         """False when an append/sync backlog exists and syncs stopped."""
         with self._probe_lock:
             now = time.monotonic()
-            synced = stats.wal_records_synced
+            synced = registry.get("koko_wal_records_synced_total").value
             last_synced, changed_at = self._wal_synced_seen
             if synced != last_synced:
                 self._wal_synced_seen = (synced, now)
                 changed_at = now
-            backlog = stats.wal_records_appended - synced
+            backlog = registry.get("koko_wal_records_appended_total").value - synced
             detail["wal_unsynced_records"] = backlog
             return backlog <= 0 or (now - changed_at) <= self._wal_stall_seconds
 
@@ -497,20 +498,23 @@ class TelemetryServer:
     # documents
     # ------------------------------------------------------------------
     def stats_document(self) -> dict:
-        """The ``/stats`` payload: snapshot + identity + per-kind extras."""
+        """The ``/stats`` payload: what the registry does not hold.
+
+        Node identity, the last checkpoint error, p50/p95/p99 estimated
+        from ``koko_query_latency_seconds``, and the WAL position or the
+        node kind's replication / routing state.  Counters are served by
+        ``/metrics`` and ``/metrics.json`` only.
+        """
         service = _underlying_service(self.node)
-        document = service.stats.snapshot()
-        document["node"] = {
-            "name": self.name,
-            "kind": self._kind,
-            "documents": len(service),
-        }
         latency = service.metrics.get("koko_query_latency_seconds")
-        if latency is not None:
-            document["query_latency_percentiles"] = {
+        document: dict = {
+            "node": {"name": self.name, "kind": self._kind, "documents": len(service)},
+            "last_checkpoint_error": service.stats.last_checkpoint_error,
+            "query_latency_percentiles": {
                 f"p{percentile:g}": estimate
                 for percentile, estimate in histogram_quantiles(latency).items()
-            }
+            },
+        }
         if self._kind == "replica":
             document["replication"] = self.node.replication_stats()
         else:

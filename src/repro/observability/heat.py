@@ -19,10 +19,10 @@ query fan-out and the staged write path:
 :class:`ShardHeatReport` whose per-shard ``heat_score`` is a weighted
 blend of each shard's share of every active signal — the
 split-victim-selection substrate for online shard split/rebalance
-(``report.hottest()`` is the candidate victim).  When a
-:class:`~repro.observability.metrics.MetricsRegistry` is attached, the
-new signals are mirrored as labeled instruments so ``/metrics`` scrapes
-see them too.
+(``report.hottest()`` is the candidate victim).  The signals live only
+in the service's :class:`~repro.observability.metrics.MetricsRegistry`
+as ``shard``-labelled families, so ``/metrics`` scrapes and the report
+read the same numbers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,16 @@ from dataclasses import asdict, dataclass
 
 from .metrics import MetricsRegistry
 
-__all__ = ["HEAT_WEIGHTS", "ShardHeat", "ShardHeatAccumulator", "ShardHeatReport"]
+__all__ = [
+    "EWMA_ALPHA",
+    "HEAT_WEIGHTS",
+    "ShardHeat",
+    "ShardHeatAccumulator",
+    "ShardHeatReport",
+]
+
+#: weight of the newest observation in the moving stage-latency averages
+EWMA_ALPHA = 0.2
 
 #: relative weight of each signal in the blended heat score
 HEAT_WEIGHTS = {
@@ -102,80 +111,104 @@ class ShardHeatReport:
 
 
 class ShardHeatAccumulator:
-    """Thread-safe per-shard heat counters with EWMA stage latency.
+    """Records per-shard load into the registry and scores it.
+
+    Every signal is a ``shard``-labelled family in *registry* (the
+    service's): ``koko_shard_queries_total``,
+    ``koko_shard_query_seconds_total``,
+    ``koko_shard_skip_candidates_total``,
+    ``koko_shard_documents_added_total`` /
+    ``koko_shard_documents_removed_total`` (their sum is the splice
+    count), ``koko_shard_splice_bytes_total`` and the two
+    ``koko_shard_ewma_*_seconds`` gauges.  The accumulator keeps no copy:
+    its lock only serialises the read-modify-write of an EWMA blend, and
+    :meth:`report` reads the families back.
 
     Parameters
     ----------
     shards:
-        Number of shards to account (fixed topology for now; the online
-        split path will grow this).
-    ewma_alpha:
-        Weight of the newest observation in the moving stage-latency
-        averages (``alpha * new + (1 - alpha) * old``); must be in
-        ``(0, 1]``.
+        Number of shards to account (fixed topology, so each shard's
+        children are resolved once, here).
     registry:
-        Optional :class:`~repro.observability.metrics.MetricsRegistry`
-        to mirror the *new* signals into (``koko_shard_skip_candidates_total``,
-        ``koko_shard_splice_bytes_total`` and the two EWMA gauges);
-        query counts are already covered by ``koko_shard_queries_total``.
+        The :class:`~repro.observability.metrics.MetricsRegistry` the
+        families are registered in.
     """
 
-    def __init__(
-        self,
-        shards: int,
-        *,
-        ewma_alpha: float = 0.2,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, shards: int, *, registry: MetricsRegistry) -> None:
         if shards <= 0:
             raise ValueError(f"shards must be positive, got {shards}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self._ewma_alpha = ewma_alpha
         self._lock = threading.Lock()
-        self._queries = [0] * shards
-        self._query_seconds = [0.0] * shards
-        self._skip_candidates = [0] * shards
-        self._splices = [0] * shards
-        self._splice_bytes = [0] * shards
-        self._ewma_query = [0.0] * shards
-        self._ewma_splice = [0.0] * shards
-        self._candidates_family = None
-        self._splice_bytes_family = None
-        self._ewma_query_family = None
-        self._ewma_splice_family = None
-        if registry is not None:
-            self._candidates_family = registry.counter(
+
+        def children(family) -> list:
+            return [family.labels(shard_id) for shard_id in range(shards)]
+
+        shard = ("shard",)
+        self._queries = children(
+            registry.counter(
+                "koko_shard_queries_total", "Per-shard query executions.", shard
+            )
+        )
+        self._query_seconds = children(
+            registry.counter(
+                "koko_shard_query_seconds_total", "Per-shard execution seconds.", shard
+            )
+        )
+        self._skip_candidates = children(
+            registry.counter(
                 "koko_shard_skip_candidates_total",
                 "Per-shard skip-plan candidate sentences scanned.",
-                ("shard",),
+                shard,
             )
-            self._splice_bytes_family = registry.counter(
+        )
+        self._documents_added = children(
+            registry.counter(
+                "koko_shard_documents_added_total", "Per-shard document routing.", shard
+            )
+        )
+        self._documents_removed = children(
+            registry.counter(
+                "koko_shard_documents_removed_total", "Per-shard removals.", shard
+            )
+        )
+        self._splice_bytes = children(
+            registry.counter(
                 "koko_shard_splice_bytes_total",
                 "Per-shard payload bytes spliced in or out.",
-                ("shard",),
+                shard,
             )
-            self._ewma_query_family = registry.gauge(
+        )
+        self._ewma_query = children(
+            registry.gauge(
                 "koko_shard_ewma_query_seconds",
                 "EWMA of per-shard query-stage latency.",
-                ("shard",),
+                shard,
             )
-            self._ewma_splice_family = registry.gauge(
+        )
+        self._ewma_splice = children(
+            registry.gauge(
                 "koko_shard_ewma_splice_seconds",
                 "EWMA of per-shard splice-stage latency.",
-                ("shard",),
+                shard,
             )
+        )
 
     @property
     def shard_count(self) -> int:
         """Number of shards being accounted."""
         return len(self._queries)
 
-    def _ewma(self, previous: float, observed: float, first: bool) -> float:
-        if first:
-            return observed
-        alpha = self._ewma_alpha
-        return alpha * observed + (1.0 - alpha) * previous
+    def _blend(self, gauge, seconds: float) -> None:
+        """Fold *seconds* into *gauge*'s moving average.
+
+        A zero average is seeded with the observation as is, so the
+        first one is not diluted by the empty start.
+        """
+        with self._lock:
+            previous = gauge.value
+            if previous == 0.0:
+                gauge.set(seconds)
+            else:
+                gauge.set(EWMA_ALPHA * seconds + (1.0 - EWMA_ALPHA) * previous)
 
     def record_query(
         self, shard_id: int, seconds: float, *, skip_candidates: int = 0
@@ -185,62 +218,49 @@ class ShardHeatAccumulator:
         ``skip_candidates`` is the candidate-sentence count the shard's
         skip plan produced for this execution (0 when unknown).
         """
-        with self._lock:
-            first = self._queries[shard_id] == 0
-            self._queries[shard_id] += 1
-            self._query_seconds[shard_id] += seconds
-            self._skip_candidates[shard_id] += skip_candidates
-            self._ewma_query[shard_id] = self._ewma(
-                self._ewma_query[shard_id], seconds, first
-            )
-            ewma = self._ewma_query[shard_id]
-        if self._candidates_family is not None and skip_candidates:
-            self._candidates_family.labels(shard_id).inc(skip_candidates)
-        if self._ewma_query_family is not None:
-            self._ewma_query_family.labels(shard_id).set(ewma)
+        self._queries[shard_id].inc()
+        self._query_seconds[shard_id].inc(seconds)
+        self._skip_candidates[shard_id].inc(skip_candidates)
+        self._blend(self._ewma_query[shard_id], seconds)
 
-    def record_splice(self, shard_id: int, nbytes: int, seconds: float = 0.0) -> None:
-        """Account one splice (or un-splice) of *nbytes* into *shard_id*.
+    def record_splice(
+        self, shard_id: int, nbytes: int, seconds: float = 0.0, *, removed: bool = False
+    ) -> None:
+        """Account one splice (``removed``: un-splice) of *nbytes* on *shard_id*.
 
         ``seconds`` is the splice-stage wall time when the caller timed
         it (the staged write path does); 0.0 leaves the EWMA untouched.
         """
-        with self._lock:
-            self._splices[shard_id] += 1
-            self._splice_bytes[shard_id] += nbytes
-            ewma = self._ewma_splice[shard_id]
-            if seconds > 0.0:
-                first = ewma == 0.0
-                self._ewma_splice[shard_id] = self._ewma(ewma, seconds, first)
-                ewma = self._ewma_splice[shard_id]
-        if self._splice_bytes_family is not None and nbytes:
-            self._splice_bytes_family.labels(shard_id).inc(nbytes)
-        if self._ewma_splice_family is not None and seconds > 0.0:
-            self._ewma_splice_family.labels(shard_id).set(ewma)
+        documents = self._documents_removed if removed else self._documents_added
+        documents[shard_id].inc()
+        self._splice_bytes[shard_id].inc(nbytes)
+        if seconds > 0.0:
+            self._blend(self._ewma_splice[shard_id], seconds)
 
     def report(self) -> ShardHeatReport:
-        """One consistent cut of every shard's signals, scored.
+        """Every shard's signals, read from the registry and scored.
 
         Each shard's ``heat_score`` is the weighted mean of its *share*
         of every signal that has any activity (signals with no activity
         anywhere are left out of the blend, so a query-only workload
         still ranks shards purely by query traffic).  Scores sum to
-        ~1.0 across shards whenever anything was recorded.
+        ~1.0 across shards whenever anything was recorded.  Each value
+        is read atomically; the rows are not one cut across signals.
         """
-        with self._lock:
-            rows = [
-                ShardHeat(
-                    shard_id=shard_id,
-                    queries=self._queries[shard_id],
-                    query_seconds=self._query_seconds[shard_id],
-                    skip_candidates=self._skip_candidates[shard_id],
-                    splices=self._splices[shard_id],
-                    splice_bytes=self._splice_bytes[shard_id],
-                    ewma_query_seconds=self._ewma_query[shard_id],
-                    ewma_splice_seconds=self._ewma_splice[shard_id],
-                )
-                for shard_id in range(len(self._queries))
-            ]
+        rows = [
+            ShardHeat(
+                shard_id=shard_id,
+                queries=self._queries[shard_id].value,
+                query_seconds=float(self._query_seconds[shard_id].value),
+                skip_candidates=self._skip_candidates[shard_id].value,
+                splices=self._documents_added[shard_id].value
+                + self._documents_removed[shard_id].value,
+                splice_bytes=self._splice_bytes[shard_id].value,
+                ewma_query_seconds=float(self._ewma_query[shard_id].value),
+                ewma_splice_seconds=float(self._ewma_splice[shard_id].value),
+            )
+            for shard_id in range(self.shard_count)
+        ]
         signals = {
             "queries": [float(row.queries) for row in rows],
             "skip_candidates": [float(row.skip_candidates) for row in rows],

@@ -131,7 +131,7 @@ class ReplicaService:
         Lag and connectivity are callback gauges — they read the live
         properties at scrape time rather than being pushed.
         """
-        registry = self.service.stats.registry
+        registry = self.service.metrics
         connected = registry.gauge(
             "koko_replication_connected",
             "1 while the applier is attached to a live shipping session.",
@@ -536,11 +536,6 @@ class ReplicaService:
     def remove_document(self, *args, **kwargs):
         """Replicas are read-only: raises :class:`ReplicationError`."""
         raise ReplicationError(f"{self.name} is a read-only replica")
-
-    @property
-    def stats(self):
-        """The inner service's :class:`~repro.service.stats.ServiceStats`."""
-        return self.service.stats
 
     @property
     def metrics(self):

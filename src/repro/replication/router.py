@@ -42,17 +42,15 @@ _UNSET = object()
 
 
 class ReplicaSetStats:
-    """Routing counters for one :class:`ReplicaSet`, registry-backed.
+    """Registers one :class:`ReplicaSet`'s routing counters and records them.
 
-    Counters live in *registry* (the primary's, when the router can reach
-    one — so ``primary.metrics.render_text()`` includes routing traffic);
-    the pre-registry attribute API (``primary_queries``,
-    ``replica_queries``, the rejection counts, ``failovers``) is preserved
-    as read-only properties and :meth:`snapshot` keeps its exact shape.
+    The counters live in *registry* — the primary's, so
+    ``primary.metrics.render_text()`` includes routing traffic — and are
+    read from there by name (``koko_router_*``).
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
         self._primary = self.registry.counter(
             "koko_router_primary_queries_total",
             "Queries the router served from the primary.",
@@ -89,48 +87,6 @@ class ReplicaSetStats:
     def record_failover(self) -> None:
         """Account one replica that failed mid-query and was routed around."""
         self._failovers.inc()
-
-    @property
-    def primary_queries(self) -> int:
-        """Queries served by the primary."""
-        return self._primary.value
-
-    @property
-    def replica_queries(self) -> dict[str, int]:
-        """Per-replica served-query counts."""
-        return dict(self._replica.values())
-
-    @property
-    def read_your_writes_rejections(self) -> int:
-        """Replicas skipped for not having applied a read-your-writes token."""
-        return self._rejections.values().get("read_your_writes", 0)
-
-    @property
-    def lag_rejections(self) -> int:
-        """Replicas skipped for exceeding the byte-lag bound."""
-        return self._rejections.values().get("lag", 0)
-
-    @property
-    def health_rejections(self) -> int:
-        """Replicas skipped as disconnected, restarting, benched or stuck."""
-        return self._rejections.values().get("health", 0)
-
-    @property
-    def failovers(self) -> int:
-        """Replicas that raised mid-query and were routed around."""
-        return self._failovers.value
-
-    def snapshot(self) -> dict:
-        """A point-in-time dict of every routing counter."""
-        rejections = self._rejections.values()
-        return {
-            "primary_queries": self._primary.value,
-            "replica_queries": dict(self._replica.values()),
-            "read_your_writes_rejections": rejections.get("read_your_writes", 0),
-            "lag_rejections": rejections.get("lag", 0),
-            "health_rejections": rejections.get("health", 0),
-            "failovers": self._failovers.value,
-        }
 
 
 class _ReplicaHealth:
@@ -179,11 +135,9 @@ class ReplicaSet:
         self.max_lag_bytes = max_lag_bytes
         self.failover_seconds = failover_seconds
         self.suspend_seconds = suspend_seconds
-        # routing counters join the primary's registry when it has one, so
-        # the primary's exposition covers the whole replicated read path
-        self.stats = ReplicaSetStats(
-            registry=getattr(getattr(primary, "stats", None), "registry", None)
-        )
+        # routing counters join the primary's registry, so the primary's
+        # exposition covers the whole replicated read path
+        self.stats = ReplicaSetStats(primary.metrics)
         self._lock = threading.Lock()
         self._replicas: list = []
         self._health: dict[int, _ReplicaHealth] = {}
@@ -417,27 +371,22 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     @property
     def metrics(self) -> MetricsRegistry:
-        """The registry holding the routing counters.
-
-        The primary's registry when the router could join it (the usual
-        case), else the router's own private one.
-        """
+        """The primary's registry, which holds the routing counters."""
         return self.stats.registry
 
     def routing_stats(self) -> dict:
-        """Routing counters plus each member's replication state."""
+        """Each member's replication state and the primary's WAL position.
+
+        The routing counters are ``koko_router_*`` in :attr:`metrics`.
+        """
         members = []
         for replica in self.replicas:
             describe = getattr(replica, "replication_stats", None)
             members.append(describe() if describe else repr(replica))
+        position = self.primary.wal_position()
         return {
-            "routing": self.stats.snapshot(),
             "replicas": members,
-            "primary_position": (
-                str(self.primary.wal_position())
-                if self.primary.wal_position() is not None
-                else None
-            ),
+            "primary_position": str(position) if position is not None else None,
         }
 
     def __len__(self) -> int:

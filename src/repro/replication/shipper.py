@@ -456,10 +456,7 @@ class LogShipper:
         self._closed = False
         # Shipping metrics live in the primary's registry, so one
         # render_text() covers service + persistence + replication.
-        registry = getattr(getattr(service, "stats", None), "registry", None)
-        self.metrics: MetricsRegistry = (
-            registry if registry is not None else MetricsRegistry()
-        )
+        self.metrics: MetricsRegistry = service.metrics
         self._sessions_gauge = self.metrics.gauge(
             "koko_shipper_sessions", "Live follower shipping sessions."
         )

@@ -59,12 +59,14 @@ a long-lived server:
   per-shard read locks; :meth:`query_batch` fans a batch out over a thread
   pool, preserving per-query timings.  Checkpoints hold per-shard *read*
   locks only, so snapshotting never stalls readers.
-* **Observability** — :class:`~repro.service.stats.ServiceStats` tracks
-  cache hit rates, ingest throughput, p50/p95 query latency, a per-shard
-  breakdown, and durability counters (WAL appends, group-commit batch
-  sizes and fsyncs saved, checkpoints, recovery) — all backed by one
-  :class:`~repro.observability.metrics.MetricsRegistry` (``service.metrics``)
-  with Prometheus text / JSON exposition.  Query and ingest executions are
+* **Observability** — one
+  :class:`~repro.observability.metrics.MetricsRegistry` (``service.metrics``,
+  Prometheus text / JSON exposition) holds every counter: cache outcomes,
+  ingest volume, the query-latency histogram, per-shard load and heat
+  (:class:`~repro.observability.heat.ShardHeatAccumulator`), and
+  durability (WAL appends, group-commit batch sizes, checkpoints,
+  recovery), recorded through :class:`~repro.service.stats.ServiceStats`
+  and read by name (``service.metrics.get("koko_…")``).  Query and ingest executions are
   traced into :class:`~repro.observability.tracing.Span` trees —
   deterministically sampled at ``trace_sample_rate``, or on demand via
   ``query(..., explain=True)`` which returns an EXPLAIN ANALYZE-style
@@ -268,9 +270,9 @@ class KokoService(Durability):
         exceeds this bound are never cached — one giant result would
         evict many small reusable entries.  Applies to the full-result
         cache and every per-shard partial cache; refusals are counted in
-        ``stats.result_cache_admission_skips`` and the per-shard
-        ``admission_skips`` breakdown.  ``None`` (default) admits any
-        size.
+        ``koko_result_cache_admission_skips_total`` and
+        ``koko_shard_cache_admission_skips_total{shard}``.  ``None``
+        (default) admits any size.
     max_workers:
         Thread-pool width used by :meth:`query_batch` and by the async
         front end (:meth:`aquery` et al.).
@@ -308,7 +310,7 @@ class KokoService(Durability):
         single document larger than the bound is still admitted (alone),
         so no input can deadlock the pipeline.  ``None`` (default) admits
         unconditionally.  Waits are counted in
-        ``stats.ingest_backpressure_waits``.
+        ``koko_ingest_backpressure_waits_total``.
     wal_sync:
         fsync the WAL on every logged operation (default True).  Appends
         from concurrent writers share fsyncs via group commit.
@@ -471,9 +473,8 @@ class KokoService(Durability):
             path=str(slow_op_log_path) if slow_op_log_path is not None else None,
             max_file_bytes=slow_op_log_max_bytes,
         )
-        # per-shard heat signals (queries, skip candidates, splice bytes,
-        # EWMA stage latency) — the split-victim-selection substrate;
-        # mirrored into the same registry for /metrics scrapes
+        # per-shard load (queries, skip candidates, splices, EWMA stage
+        # latency): registry families, scored into the heat report
         self._heat = ShardHeatAccumulator(shards, registry=self.stats.registry)
         self._traces_sampled = self.stats.registry.counter(
             "koko_traces_sampled_total", "Operations traced into a span tree."
@@ -1032,17 +1033,15 @@ class KokoService(Durability):
         per_op = elapsed / len(ops)
         for op in ops:
             document = op.document
+            removed = op.kind == OP_REMOVE
             self.stats.record_ingest(
-                per_op,
-                len(document),
-                document.num_tokens,
-                removed=op.kind == OP_REMOVE,
-                shard=op.shard_id,
+                per_op, len(document), document.num_tokens, removed=removed
             )
             self._heat.record_splice(
                 op.shard_id,
                 op.frame_bytes or _estimate_document_bytes(document),
                 op.apply_seconds,
+                removed=removed,
             )
 
     def _ensure_open(self) -> None:
@@ -1204,10 +1203,13 @@ class KokoService(Durability):
         server's event loop — can answer a cached query where the request
         arrived.  It reads the generation vector and probes the result
         cache under the cache's own short mutex; it never compiles, never
-        executes and takes no shard, ingest or WAL lock.  A hit is recorded
-        in :attr:`stats` (and the slow-op log) exactly as ``query`` records
-        one; a miss, a non-string query and a closed service return
-        ``None`` and record nothing — the caller falls back to ``query``.
+        executes and takes no shard, ingest or WAL lock.  A hit is counted
+        (``koko_queries_served_total``, ``koko_result_cache_hits_total``,
+        the latency histogram, the slow-op log) as ``query`` counts one,
+        but it is never traced: the local tracer does not sample here,
+        even at ``trace_sample_rate=1.0``.  A miss, a non-string query
+        and a closed service return ``None`` and record nothing — the
+        caller falls back to ``query``.
 
         The entry (not just its value) is returned so that a server can
         keep the value's encoded form in the entry's ``encoded`` slot.
@@ -1327,7 +1329,6 @@ class KokoService(Durability):
             span.annotate(tuples=len(result), generation=generation)
             span.finish()
         elapsed = time.perf_counter() - started
-        self.stats.record_shard_query(shard.shard_id, elapsed)
         self._heat.record_query(
             shard.shard_id, elapsed, skip_candidates=result.candidate_sentences
         )
@@ -1482,7 +1483,7 @@ class KokoService(Durability):
         return self._closed
 
     def shard_heat_report(self) -> ShardHeatReport:
-        """One consistent, scored cut of every shard's heat signals.
+        """Every shard's heat signals, read from the registry and scored.
 
         The :class:`~repro.observability.heat.ShardHeatReport` blends
         queries routed, skip-plan candidates scanned, splice bytes, and
@@ -1668,10 +1669,7 @@ class KokoService(Durability):
             "shard": ops[0].shard_id,
             "sentences": sum(len(op.document) for op in ops),
             "tokens": sum(op.document.num_tokens for op in ops),
-            "wal": {
-                "frame_bytes": sum(op.frame_bytes for op in ops),
-                "mean_batch": round(self.stats.wal_mean_batch, 2),
-            },
+            "wal": {"frame_bytes": sum(op.frame_bytes for op in ops)},
             "stages_ms": {
                 name: round(seconds * 1000.0, 3) for name, seconds in stages.items()
             },

@@ -1,58 +1,41 @@
-"""Operational metrics for :class:`~repro.service.KokoService`.
+"""The service's metric instruments and the rules that record them.
 
-``ServiceStats`` aggregates the numbers an operator of a query-serving
-deployment watches: cache hit rates, ingest throughput, query latency
-percentiles (p50/p95/p99 estimated straight from the power-of-two
-latency histogram via
-:func:`~repro.observability.metrics.histogram_quantiles` — no
-per-observation sample buffer to size or lock), a per-shard breakdown
-of query work and document routing for partitioned services, and
-durability counters — WAL appends, group-commit batch sizes (how many
-records each fsync made durable, bucketed into a power-of-two histogram)
-and the fsyncs saved relative to one-fsync-per-record.
+``ServiceStats`` registers the query, cache, ingest and durability
+instruments of one :class:`~repro.service.KokoService` in a
+:class:`~repro.observability.metrics.MetricsRegistry` (``stats.registry``,
+which is ``service.metrics``) and records into them through ``record_*``
+methods that encode a rule — ``record_query`` counts a bypassed cache as
+neither hit nor miss, ``record_wal_fsync`` feeds four instruments from one
+group commit.  The per-shard load families (queries, splices, heat) are
+registered by :class:`~repro.observability.heat.ShardHeatAccumulator`.
 
-Every number is backed by an instrument in a
-:class:`~repro.observability.metrics.MetricsRegistry` (exposed as
-``stats.registry``), so the whole set renders as Prometheus text or JSON
-via ``registry.render_text()`` / ``registry.render_json()`` — and other
-components (WAL shipper, replica applier) can register their own gauges
-into the *same* registry for one unified exposition.  The historical
-attribute API (``stats.queries_served``, ``stats.shard_queries`` …) is
-kept as a read-only façade over those instruments, so existing callers,
-tests and benchmarks are unaffected.  Per-shard breakdowns are read as
-one atomic cut per metric family (they used to be racy attribute-by-
-attribute reads of dicts mutated under a different lock).
+The registry is the only read path: ``service.metrics.get("koko_…")``
+returns the instrument (``.value`` for counters and gauges, ``.values()``
+for labelled families), and ``render_text()`` / ``render_json()`` expose
+the whole set.  Other components (WAL shipper, replica applier, router,
+RPC server) register into the same registry for one exposition.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
-from ..observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    histogram_quantiles,
-)
+from ..observability.metrics import MetricsRegistry
 
 __all__ = ["ServiceStats"]
 
 
 class ServiceStats:
-    """Thread-safe counters and latency percentiles for one service.
+    """Registers one service's instruments and records into them.
 
-    ``registry`` (optional) lets several components share one
-    :class:`~repro.observability.metrics.MetricsRegistry`; by default
-    each stats object owns a fresh registry so independent services
-    never mix counters.
+    Each stats object owns a fresh registry, so independent services
+    never mix counters; ``last_checkpoint_error`` is the one value kept
+    outside it (text, not a number).
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
         self.last_checkpoint_error = ""
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         r = self.registry
         # --- query / cache path -------------------------------------
         self._queries_served = r.counter(
@@ -105,19 +88,7 @@ class ServiceStats:
             "koko_ingest_backpressure_waits_total",
             "Ingest claims that blocked on the in-flight bytes bound.",
         )
-        # --- per-shard breakdown (keys appear as shards are touched) -
-        self._shard_queries = r.counter(
-            "koko_shard_queries_total", "Per-shard query executions.", ("shard",)
-        )
-        self._shard_query_seconds = r.counter(
-            "koko_shard_query_seconds_total", "Per-shard execution seconds.", ("shard",)
-        )
-        self._shard_documents_added = r.counter(
-            "koko_shard_documents_added_total", "Per-shard document routing.", ("shard",)
-        )
-        self._shard_documents_removed = r.counter(
-            "koko_shard_documents_removed_total", "Per-shard removals.", ("shard",)
-        )
+        # --- per-shard partial caches (keys appear as shards are touched)
         self._shard_partials_reused = r.counter(
             "koko_shard_partials_reused_total",
             "Shard partial results served from the partial cache.",
@@ -228,52 +199,34 @@ class ServiceStats:
             self._plan_cache_misses.inc()
 
     def record_ingest(
-        self,
-        seconds: float,
-        sentences: int,
-        tokens: int,
-        *,
-        removed: bool = False,
-        shard: int | None = None,
+        self, seconds: float, sentences: int, tokens: int, *, removed: bool = False
     ) -> None:
         """Account one document added to (or removed from) the corpus.
 
-        ``shard`` attributes the operation to one partition of a sharded
-        service; ``None`` (e.g. in unit tests of the stats object itself)
-        records no per-shard routing.
+        Which shard it landed on is the heat accumulator's
+        ``record_splice``.
         """
         if removed:
             self._documents_removed.inc()
             self._removal_seconds.inc(float(seconds))
-            if shard is not None:
-                self._shard_documents_removed.labels(shard).inc()
         else:
             self._documents_added.inc()
             self._sentences_ingested.inc(sentences)
             self._tokens_ingested.inc(tokens)
             self._ingest_seconds.inc(float(seconds))
-            if shard is not None:
-                self._shard_documents_added.labels(shard).inc()
 
-    def record_shard_query(self, shard: int, seconds: float) -> None:
-        """Account one per-shard execution of a fanned-out (or single) query."""
-        self._shard_queries.labels(shard).inc()
-        self._shard_query_seconds.labels(shard).inc(float(seconds))
-
-    def record_shard_partial(self, *, reused: bool, shard: int | None = None) -> None:
+    def record_shard_partial(self, *, reused: bool, shard: int) -> None:
         """Account one shard partial served from (or stored into) its cache.
 
-        With ``shard`` given, the event also lands in that shard's
-        hit/miss breakdown (reused = a cache hit for the shard).
+        The event lands in the service-wide reuse counters and in that
+        shard's hit/miss family (reused = a cache hit for the shard).
         """
         if reused:
             self._shard_partials_reused.inc()
-            if shard is not None:
-                self._shard_cache_hits.labels(shard).inc()
+            self._shard_cache_hits.labels(shard).inc()
         else:
             self._shard_partials_computed.inc()
-            if shard is not None:
-                self._shard_cache_misses.labels(shard).inc()
+            self._shard_cache_misses.labels(shard).inc()
 
     def record_shard_cache_eviction(self, shard: int, *, stale: bool) -> None:
         """Account one eviction from shard *shard*'s partial-result cache."""
@@ -311,7 +264,7 @@ class ServiceStats:
         self._wal_batch_histogram.observe(int(batch))
 
     def record_checkpoint_started(self) -> None:
-        """Mark one checkpoint as running (see ``checkpoint_in_progress``)."""
+        """Mark one checkpoint as running (``koko_checkpoint_in_progress``)."""
         self._checkpoint_in_progress.inc()
 
     def record_checkpoint_finished(self) -> None:
@@ -328,8 +281,7 @@ class ServiceStats:
     def record_checkpoint_failure(self, error: str) -> None:
         """Account one failed background checkpoint (WAL keeps growing)."""
         self._checkpoint_failures.inc()
-        with self._lock:
-            self.last_checkpoint_error = error
+        self.last_checkpoint_error = error
 
     def record_recovery(
         self, seconds: float, *, documents: int, replayed: int, torn_tail: bool
@@ -339,382 +291,3 @@ class ServiceStats:
         self._recovered_documents.set(documents)
         self._replayed_wal_records.set(replayed)
         self._recovered_torn_tail.set(1 if torn_tail else 0)
-
-    # ------------------------------------------------------------------
-    # attribute façade (read-only views over the registry instruments)
-    # ------------------------------------------------------------------
-    @property
-    def queries_served(self) -> int:
-        """Queries served, every kind."""
-        return self._queries_served.value
-
-    @property
-    def result_cache_hits(self) -> int:
-        """Full-result cache hits."""
-        return self._result_cache_hits.value
-
-    @property
-    def result_cache_misses(self) -> int:
-        """Full-result cache misses."""
-        return self._result_cache_misses.value
-
-    @property
-    def plan_cache_hits(self) -> int:
-        """Compiled-plan cache hits."""
-        return self._plan_cache_hits.value
-
-    @property
-    def plan_cache_misses(self) -> int:
-        """Compiled-plan cache misses."""
-        return self._plan_cache_misses.value
-
-    @property
-    def documents_added(self) -> int:
-        """Documents ingested."""
-        return self._documents_added.value
-
-    @property
-    def documents_removed(self) -> int:
-        """Documents removed."""
-        return self._documents_removed.value
-
-    @property
-    def sentences_ingested(self) -> int:
-        """Sentences ingested."""
-        return self._sentences_ingested.value
-
-    @property
-    def tokens_ingested(self) -> int:
-        """Annotated tokens ingested."""
-        return self._tokens_ingested.value
-
-    @property
-    def ingest_seconds(self) -> float:
-        """Wall seconds spent adding documents."""
-        return float(self._ingest_seconds.value)
-
-    @property
-    def removal_seconds(self) -> float:
-        """Wall seconds spent removing documents."""
-        return float(self._removal_seconds.value)
-
-    @property
-    def shard_queries(self) -> dict[int, int]:
-        """Per-shard query executions (one atomic cut)."""
-        return self._shard_queries.values()
-
-    @property
-    def shard_query_seconds(self) -> dict[int, float]:
-        """Per-shard execution seconds (one atomic cut)."""
-        return self._shard_query_seconds.values()
-
-    @property
-    def shard_documents_added(self) -> dict[int, int]:
-        """Per-shard documents routed in (one atomic cut)."""
-        return self._shard_documents_added.values()
-
-    @property
-    def shard_documents_removed(self) -> dict[int, int]:
-        """Per-shard documents removed (one atomic cut)."""
-        return self._shard_documents_removed.values()
-
-    @property
-    def shard_partials_reused(self) -> int:
-        """Shard partials served from the partial cache."""
-        return self._shard_partials_reused.value
-
-    @property
-    def shard_partials_computed(self) -> int:
-        """Shard partials computed on a partial-cache miss."""
-        return self._shard_partials_computed.value
-
-    @property
-    def shard_cache_hits(self) -> dict[int, int]:
-        """Per-shard partial-cache hits (one atomic cut)."""
-        return self._shard_cache_hits.values()
-
-    @property
-    def shard_cache_misses(self) -> dict[int, int]:
-        """Per-shard partial-cache misses (one atomic cut)."""
-        return self._shard_cache_misses.values()
-
-    @property
-    def shard_cache_stale_evictions(self) -> dict[int, int]:
-        """Per-shard partial-cache generation evictions (one atomic cut)."""
-        return self._shard_cache_stale_evictions.values()
-
-    @property
-    def shard_cache_lru_evictions(self) -> dict[int, int]:
-        """Per-shard partial-cache capacity evictions (one atomic cut)."""
-        return self._shard_cache_lru_evictions.values()
-
-    @property
-    def shard_cache_admission_skips(self) -> dict[int, int]:
-        """Per-shard partials refused by cost-aware admission (atomic cut)."""
-        return self._shard_cache_admission_skips.values()
-
-    @property
-    def result_cache_admission_skips(self) -> int:
-        """Full results refused by cost-aware cache admission."""
-        return self._result_cache_admission_skips.value
-
-    @property
-    def result_cache_stale_evictions(self) -> int:
-        """Full-result cache evictions from generation turnover."""
-        return self._result_cache_evictions.values().get("stale", 0)
-
-    @property
-    def result_cache_lru_evictions(self) -> int:
-        """Full-result cache evictions from capacity pressure."""
-        return self._result_cache_evictions.values().get("lru", 0)
-
-    @property
-    def ingest_backpressure_waits(self) -> int:
-        """Ingest claims that blocked on the in-flight bytes bound."""
-        return self._backpressure_waits.value
-
-    @property
-    def wal_records_appended(self) -> int:
-        """Records appended to the WAL."""
-        return self._wal_records_appended.value
-
-    @property
-    def wal_bytes_appended(self) -> int:
-        """Framed bytes appended to the WAL."""
-        return self._wal_bytes_appended.value
-
-    @property
-    def wal_fsyncs(self) -> int:
-        """Group-commit fsyncs performed."""
-        return self._wal_fsyncs.value
-
-    @property
-    def wal_records_synced(self) -> int:
-        """Records made durable by those fsyncs."""
-        return self._wal_records_synced.value
-
-    @property
-    def wal_max_batch(self) -> int:
-        """Largest group-commit batch observed."""
-        return int(self._wal_max_batch.value)
-
-    @property
-    def wal_batch_histogram(self) -> dict[int, int]:
-        """Batch-size histogram: bucket = smallest power of two >= batch."""
-        return self._wal_batch_histogram.bucket_counts()
-
-    @property
-    def checkpoints_completed(self) -> int:
-        """Snapshot checkpoints completed."""
-        return self._checkpoints_completed.value
-
-    @property
-    def checkpoint_failures(self) -> int:
-        """Background checkpoints that failed."""
-        return self._checkpoint_failures.value
-
-    @property
-    def checkpoint_seconds(self) -> float:
-        """Wall seconds spent checkpointing."""
-        return float(self._checkpoint_seconds.value)
-
-    @property
-    def last_checkpoint_id(self) -> int:
-        """Id of the newest durable checkpoint."""
-        return int(self._last_checkpoint_id.value)
-
-    @property
-    def checkpoint_in_progress(self) -> bool:
-        """True while a checkpoint is running (stuck checkpointer tripwire)."""
-        return self._checkpoint_in_progress.value > 0
-
-    @property
-    def last_checkpoint_unix(self) -> float:
-        """Unix time of the last completed checkpoint (0.0 = none yet)."""
-        return float(self._last_checkpoint_unix.value)
-
-    @property
-    def recovery_seconds(self) -> float:
-        """Wall seconds the warm restart took."""
-        return float(self._recovery_seconds.value)
-
-    @property
-    def recovered_documents(self) -> int:
-        """Documents restored by the warm restart."""
-        return int(self._recovered_documents.value)
-
-    @property
-    def replayed_wal_records(self) -> int:
-        """WAL records replayed on recovery."""
-        return int(self._replayed_wal_records.value)
-
-    @property
-    def recovered_torn_tail(self) -> bool:
-        """True when recovery truncated a torn WAL tail."""
-        return bool(self._recovered_torn_tail.value)
-
-    # ------------------------------------------------------------------
-    # derived metrics
-    # ------------------------------------------------------------------
-    @property
-    def result_cache_hit_rate(self) -> float:
-        """Fraction of cacheable queries served from the result cache."""
-        hits = self.result_cache_hits
-        total = hits + self.result_cache_misses
-        return hits / total if total else 0.0
-
-    @property
-    def plan_cache_hit_rate(self) -> float:
-        """Fraction of string queries whose plan was already compiled."""
-        hits = self.plan_cache_hits
-        total = hits + self.plan_cache_misses
-        return hits / total if total else 0.0
-
-    @property
-    def wal_fsyncs_saved(self) -> int:
-        """Records committed minus fsyncs performed (the group-commit win)."""
-        return self.wal_records_synced - self.wal_fsyncs
-
-    @property
-    def wal_mean_batch(self) -> float:
-        """Mean number of records per group-commit fsync."""
-        fsyncs = self.wal_fsyncs
-        return self.wal_records_synced / fsyncs if fsyncs else 0.0
-
-    @property
-    def ingest_tokens_per_second(self) -> float:
-        """Lifetime ingest throughput in annotated tokens per second."""
-        seconds = self.ingest_seconds
-        if seconds <= 0.0:
-            return 0.0
-        return self.tokens_ingested / seconds
-
-    def latency_percentile(self, percentile: float) -> float:
-        """Estimated percentile (e.g. 50, 95) of the lifetime latencies.
-
-        Derived from the power-of-two ``koko_query_latency_seconds``
-        buckets by
-        :func:`~repro.observability.metrics.histogram_quantiles`, so no
-        per-observation sample window is kept.  0.0 before the first
-        query; ``ValueError`` for percentiles outside ``(0, 100]``.
-        """
-        return histogram_quantiles(self._query_latency, (percentile,))[percentile]
-
-    @property
-    def p50_query_seconds(self) -> float:
-        """Estimated median query latency."""
-        return self.latency_percentile(50.0)
-
-    @property
-    def p95_query_seconds(self) -> float:
-        """Estimated 95th-percentile query latency."""
-        return self.latency_percentile(95.0)
-
-    @property
-    def p99_query_seconds(self) -> float:
-        """Estimated 99th-percentile query latency."""
-        return self.latency_percentile(99.0)
-
-    def shard_breakdown(self) -> dict[int, dict[str, float | int]]:
-        """Per-shard queries, execution seconds and document routing.
-
-        Each underlying metric family is read as one atomic cut; the
-        four families are combined without a global lock (consistent
-        per metric, not across metrics).
-        """
-        queries = self.shard_queries
-        seconds = self.shard_query_seconds
-        added = self.shard_documents_added
-        removed = self.shard_documents_removed
-        shards = set(queries) | set(added) | set(removed)
-        return {
-            shard: {
-                "queries": queries.get(shard, 0),
-                "query_seconds": seconds.get(shard, 0.0),
-                "documents_added": added.get(shard, 0),
-                "documents_removed": removed.get(shard, 0),
-            }
-            for shard in sorted(shards)
-        }
-
-    def shard_cache_breakdown(self) -> dict[int, dict[str, int]]:
-        """Per-shard result-cache hit/miss/eviction counters.
-
-        The raw material of the cache-sizing question: a shard with high
-        misses and high lru evictions wants a bigger partial cache; high
-        stale evictions mean ingest churn, which no capacity fixes.
-        """
-        hits = self.shard_cache_hits
-        misses = self.shard_cache_misses
-        stale = self.shard_cache_stale_evictions
-        lru = self.shard_cache_lru_evictions
-        skips = self.shard_cache_admission_skips
-        shards = set(hits) | set(misses) | set(stale) | set(lru) | set(skips)
-        return {
-            shard: {
-                "hits": hits.get(shard, 0),
-                "misses": misses.get(shard, 0),
-                "stale_evictions": stale.get(shard, 0),
-                "lru_evictions": lru.get(shard, 0),
-                "admission_skips": skips.get(shard, 0),
-            }
-            for shard in sorted(shards)
-        }
-
-    def snapshot(self) -> dict[str, object]:
-        """A point-in-time dict of every metric (for logs / benchmarks).
-
-        Atomic per metric: each counter, gauge, histogram and labeled
-        family is read consistently; the document as a whole is not one
-        global cut (no stop-the-world lock is taken).
-        """
-        with self._lock:
-            last_checkpoint_error = self.last_checkpoint_error
-        return {
-            "queries_served": self.queries_served,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_misses": self.result_cache_misses,
-            "result_cache_hit_rate": self.result_cache_hit_rate,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "plan_cache_hit_rate": self.plan_cache_hit_rate,
-            "documents_added": self.documents_added,
-            "documents_removed": self.documents_removed,
-            "sentences_ingested": self.sentences_ingested,
-            "tokens_ingested": self.tokens_ingested,
-            "ingest_seconds": self.ingest_seconds,
-            "removal_seconds": self.removal_seconds,
-            "ingest_tokens_per_second": self.ingest_tokens_per_second,
-            "p50_query_seconds": self.p50_query_seconds,
-            "p95_query_seconds": self.p95_query_seconds,
-            "p99_query_seconds": self.p99_query_seconds,
-            "per_shard": self.shard_breakdown(),
-            "shard_partials_reused": self.shard_partials_reused,
-            "shard_partials_computed": self.shard_partials_computed,
-            "per_shard_result_cache": self.shard_cache_breakdown(),
-            "result_cache_stale_evictions": self.result_cache_stale_evictions,
-            "result_cache_lru_evictions": self.result_cache_lru_evictions,
-            "result_cache_admission_skips": self.result_cache_admission_skips,
-            "ingest_backpressure_waits": self.ingest_backpressure_waits,
-            "durability": {
-                "wal_records_appended": self.wal_records_appended,
-                "wal_bytes_appended": self.wal_bytes_appended,
-                "wal_fsyncs": self.wal_fsyncs,
-                "wal_records_synced": self.wal_records_synced,
-                "wal_fsyncs_saved": self.wal_fsyncs_saved,
-                "wal_mean_batch": self.wal_mean_batch,
-                "wal_max_batch": self.wal_max_batch,
-                "wal_batch_histogram": self.wal_batch_histogram,
-                "checkpoints_completed": self.checkpoints_completed,
-                "checkpoint_failures": self.checkpoint_failures,
-                "last_checkpoint_error": last_checkpoint_error,
-                "checkpoint_seconds": self.checkpoint_seconds,
-                "last_checkpoint_id": self.last_checkpoint_id,
-                "checkpoint_in_progress": self.checkpoint_in_progress,
-                "last_checkpoint_unix": self.last_checkpoint_unix,
-                "recovery_seconds": self.recovery_seconds,
-                "recovered_documents": self.recovered_documents,
-                "replayed_wal_records": self.replayed_wal_records,
-                "recovered_torn_tail": self.recovered_torn_tail,
-            },
-        }

@@ -201,7 +201,7 @@ def test_service_group_commit_crash_recovers_to_prefix(tmp_path, monkeypatch, ru
     recovered = KokoService.open(crash_dir)
     try:
         assert sorted(recovered.document_ids()) == [f"doc{i}" for i in range(4)]
-        assert recovered.stats.recovered_torn_tail
+        assert recovered.metrics.get("koko_recovered_torn_tail").value
         assert recovered.query(ENTITY_QUERY) is not None
         # the recovered service keeps ingesting cleanly after the tear
         recovered.add_document(TEXTS[4], "after-crash")

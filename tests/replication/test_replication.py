@@ -326,8 +326,8 @@ def test_token_taken_right_after_a_checkpoint_is_reached(tmp_path):
             router = ReplicaSet(primary, [replica])
             result = router.query(ENTITY_QUERY, read_your_writes=token)
             assert as_rows(result) == as_rows(primary.query(ENTITY_QUERY))
-            assert router.stats.snapshot()["replica_queries"] == {"r0": 1}
-            assert router.stats.primary_queries == 0
+            assert router.metrics.get("koko_router_replica_queries_total").values() == {"r0": 1}
+            assert router.metrics.get("koko_router_primary_queries_total").value == 0
             # the raised position is a real one: later writes still apply
             primary.add_document(TEXTS[1], "doc1")
             assert_identical(primary, replica)

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.observability.metrics import MetricsRegistry
 from repro.persistence import WalPosition
 from repro.replication import InProcessTransport, LogShipper, ReplicaService, ReplicaSet
 from repro.service import KokoService
@@ -59,6 +60,7 @@ class StubPrimary:
     def __init__(self, position=WalPosition(1, 100)) -> None:
         self._position = position
         self.queries = 0
+        self.metrics = MetricsRegistry()
 
     def wal_position(self):
         return self._position
@@ -66,6 +68,14 @@ class StubPrimary:
     def query(self, query, **kwargs):
         self.queries += 1
         return f"primary:{query}"
+
+
+def replica_reads(router) -> dict:
+    return router.metrics.get("koko_router_replica_queries_total").values()
+
+
+def rejections(router, reason: str) -> int:
+    return router.metrics.get("koko_router_rejections_total").values().get(reason, 0)
 
 
 def test_round_robin_spreads_reads_across_replicas():
@@ -76,7 +86,7 @@ def test_round_robin_spreads_reads_across_replicas():
         router.query("q")
     assert [r.queries for r in replicas] == [3, 3, 3]
     assert primary.queries == 0
-    assert router.stats.snapshot()["replica_queries"] == {"r0": 3, "r1": 3, "r2": 3}
+    assert replica_reads(router) == {"r0": 3, "r1": 3, "r2": 3}
 
 
 def test_read_your_writes_token_gates_stale_replicas():
@@ -88,7 +98,7 @@ def test_read_your_writes_token_gates_stale_replicas():
     for _ in range(4):
         router.query("q", read_your_writes=token)
     assert fresh.queries == 4 and stale.queries == 0
-    assert router.stats.snapshot()["read_your_writes_rejections"] >= 2
+    assert rejections(router, "read_your_writes") >= 2
 
     # a token beyond every replica routes to the primary
     assert router.query("q", read_your_writes=WalPosition(2, 0)) == "primary:q"
@@ -105,7 +115,7 @@ def test_max_lag_bound_rejects_laggards():
         router.query("q")
     assert near.queries == 3
     assert far.queries == 0 and unknown.queries == 0
-    assert router.stats.snapshot()["lag_rejections"] >= 2
+    assert rejections(router, "lag") >= 2
 
     # per-query override loosens the bound
     router.query("q", max_lag_bytes=None)
@@ -123,7 +133,7 @@ def test_disconnected_and_restarting_replicas_are_skipped():
         router.query("q")
     assert live.queries == 3
     assert dead.queries == 0 and rebooting.queries == 0
-    assert router.stats.snapshot()["health_rejections"] >= 3
+    assert rejections(router, "health") >= 3
 
 
 def test_failover_on_query_error_falls_back_and_suspends():
@@ -132,8 +142,8 @@ def test_failover_on_query_error_falls_back_and_suspends():
     flaky.fail_next = True
     router = ReplicaSet(primary, [flaky])
     assert router.query("q") == "primary:q"  # routed around the failure
-    stats = router.stats.snapshot()
-    assert stats["failovers"] == 1 and stats["primary_queries"] == 1
+    assert router.metrics.get("koko_router_failovers_total").value == 1
+    assert router.metrics.get("koko_router_primary_queries_total").value == 1
     # benched: stays out of rotation while the suspension lasts
     assert router.query("q") == "primary:q"
     assert flaky.queries == 0
@@ -183,7 +193,7 @@ def test_query_errors_propagate_without_suspending_replicas():
     router = ReplicaSet(primary, [replica])
     with pytest.raises(KokoSyntaxError):
         router.query("extract !!")
-    assert router.stats.snapshot()["failovers"] == 0
+    assert router.metrics.get("koko_router_failovers_total").value == 0
     # the replica is still in rotation for well-formed queries
     healthy = StubReplica("strict2")
     router.add_replica(healthy)
@@ -242,8 +252,7 @@ def test_router_with_live_replicas_and_write_tokens(tmp_path):
             # once caught up, replicas take the (tokenless) read traffic
             for _ in range(4):
                 router.query(ENTITY_QUERY)
-            routed = router.stats.snapshot()["replica_queries"]
-            assert sum(routed.values()) >= 2
+            assert sum(replica_reads(router).values()) >= 2
 
             removed, remove_token = router.remove_document("doc0")
             assert removed.doc_id == "doc0"
@@ -251,7 +260,10 @@ def test_router_with_live_replicas_and_write_tokens(tmp_path):
             assert as_rows(
                 router.query(ENTITY_QUERY, read_your_writes=remove_token)
             ) == as_rows(primary.query(ENTITY_QUERY))
-            assert "routing" in router.routing_stats()
+            assert router.metrics is primary.metrics  # counters join the primary's
+            state = router.routing_stats()
+            assert len(state["replicas"]) == 2
+            assert state["primary_position"] == str(primary.wal_position())
         finally:
             for replica in replicas:
                 replica.close()

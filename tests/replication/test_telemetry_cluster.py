@@ -15,6 +15,7 @@ import pytest
 
 from repro.observability import (
     ClusterTelemetry,
+    MetricsRegistry,
     TelemetryServer,
     http_get_json,
     scrape,
@@ -142,6 +143,8 @@ def test_scraped_health_feeds_replica_set_routing():
             return f"served {query}"
 
     class FakePrimary:
+        metrics = MetricsRegistry()
+
         def wal_position(self):
             return None
 
@@ -166,12 +169,12 @@ def test_scraped_health_feeds_replica_set_routing():
     # scraped lag over the bound -> rejected for staleness, primary serves
     source.view = {"scrape_ok": True, "ready": True, "lag_bytes": 5000}
     assert router.query("q") == "primary q"
-    assert router.stats.lag_rejections >= 1
+    assert router.metrics.get("koko_router_rejections_total").values()["lag"] >= 1
 
     # scraped un-readiness (e.g. wedged checkpoint) -> health rejection
     source.view = {"scrape_ok": True, "ready": False, "lag_bytes": 0}
     assert router.query("q") == "primary q"
-    assert router.stats.health_rejections >= 1
+    assert router.metrics.get("koko_router_rejections_total").values()["health"] >= 1
 
     # a failed scrape is not evidence against the replica
     source.view = {"scrape_ok": False}

@@ -194,7 +194,7 @@ def test_router_token_and_sampled_trace_requests_still_take_the_executor(
     fragment = cluster.primary.trace_store.get(traced.traces.recent(1)[0]["trace_id"])
     assert fragment is not None
     # all of them were hits for the service, wherever they were answered
-    assert cluster.primary.stats.snapshot()["result_cache_hits"] >= 3
+    assert cluster.primary.metrics.get("koko_result_cache_hits_total").value >= 3
 
 
 def test_admission_deadline_and_closed_service_are_the_same_on_both_paths(
@@ -235,15 +235,40 @@ def test_admission_deadline_and_closed_service_are_the_same_on_both_paths(
 
 def test_cached_result_is_the_hit_path_of_query(service):
     assert service.cached_result(CITY_QUERY) is None  # a miss records nothing
-    assert service.stats.snapshot()["queries_served"] == 0
+    served = service.metrics.get("koko_queries_served_total")
+    hits = service.metrics.get("koko_result_cache_hits_total")
+    assert served.value == 0
     result = service.query(CITY_QUERY)
     entry = service.cached_result(CITY_QUERY)
     assert entry.value is result and service.query(CITY_QUERY) is result
-    snapshot = service.stats.snapshot()
-    assert (snapshot["queries_served"], snapshot["result_cache_hits"]) == (3, 2)
+    assert (served.value, hits.value) == (3, 2)
     assert service.cached_result(compile_query(CITY_QUERY)) is None
     service.close()
     assert service.cached_result(CITY_QUERY) is None
+
+
+def test_a_loop_inline_hit_is_counted_but_never_sampled_locally(serve):
+    """The documented gap: a hit answered on the event loop bumps the hit
+    counter but is not sampled by the service's own tracer, even at
+    ``trace_sample_rate=1.0`` — only a caller's sampled trace header (which
+    takes the executor path) traces a hit that arrives over RPC."""
+    with KokoService(shards=2, trace_sample_rate=1.0) as service:
+        service.add_document(TEXTS[2], "doc2")
+        sampled = service.metrics.get("koko_traces_sampled_total")
+        hits = service.metrics.get("koko_result_cache_hits_total")
+        after_ingest = sampled.value  # the traced add
+        service.query(CITY_QUERY)  # in-process: sampled, and now cached
+        service.query(CITY_QUERY)  # an in-process hit is sampled too
+        assert (sampled.value - after_ingest, hits.value) == (2, 1)
+        traced, stored = sampled.value, len(service.trace_store)
+
+        served = serve(service)
+        client = served.client()
+        for _ in range(3):
+            assert len(client.query(CITY_QUERY)) > 0
+        assert served.hit_threads == [served.loop_thread] * 3
+        assert hits.value == 4
+        assert sampled.value == traced and len(service.trace_store) == stored
 
 
 def test_unknown_ops_are_still_counted_by_name(service, serve):

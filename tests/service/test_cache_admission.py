@@ -3,7 +3,7 @@
 One giant result can evict many small, frequently reused cache entries;
 the admission bound keeps it out of the cache entirely (the caller still
 gets the computed result).  These tests cover the :class:`ResultCache`
-mechanics, the service knob that wires it up, and the stats counters that
+mechanics, the service knob that wires it up, and the registry counters that
 make refusals observable.
 """
 
@@ -84,8 +84,8 @@ def test_unbounded_service_serves_repeat_queries_from_cache():
         first = [(t.doc_id, t.sid, t.values) for t in service.query(QUERY)]
         second = [(t.doc_id, t.sid, t.values) for t in service.query(QUERY)]
         assert first == second
-        assert service.stats.result_cache_hits == 1
-        assert service.stats.result_cache_admission_skips == 0
+        assert service.metrics.get("koko_result_cache_hits_total").value == 1
+        assert service.metrics.get("koko_result_cache_admission_skips_total").value == 0
 
 
 def test_tiny_bound_disables_caching_but_not_queries():
@@ -95,12 +95,12 @@ def test_tiny_bound_disables_caching_but_not_queries():
         second = [(t.doc_id, t.sid, t.values) for t in service.query(QUERY)]
         assert first == second
         assert first  # the query does match: results still flow
-        assert service.stats.result_cache_hits == 0
-        assert service.stats.result_cache_admission_skips >= 2
+        assert service.metrics.get("koko_result_cache_hits_total").value == 0
+        assert service.metrics.get("koko_result_cache_admission_skips_total").value >= 2
 
 
 def test_sharded_partial_caches_count_their_own_refusals():
     with _service(shards=2, result_cache_max_entry_bytes=1) as service:
         service.query(QUERY)
-        breakdown = service.stats.shard_cache_breakdown()
-        assert sum(row["admission_skips"] for row in breakdown.values()) >= 1
+        skips = service.metrics.get("koko_shard_cache_admission_skips_total").values()
+        assert sum(skips.values()) >= 1

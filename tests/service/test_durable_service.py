@@ -80,9 +80,9 @@ def test_reopen_after_close_is_tuple_identical(tmp_path, shards):
                 reopened.query(query, threshold_override=0.0, keep_all_scores=True)
             )
         # clean close folded everything into the snapshot: nothing replayed
-        assert reopened.stats.replayed_wal_records == 0
-        assert not reopened.stats.recovered_torn_tail
-        assert reopened.stats.recovered_documents == expected_len
+        assert reopened.metrics.get("koko_replayed_wal_records").value == 0
+        assert not reopened.metrics.get("koko_recovered_torn_tail").value
+        assert reopened.metrics.get("koko_recovered_documents").value == expected_len
     finally:
         reopened.close()
 
@@ -134,8 +134,8 @@ def test_crash_with_torn_wal_tail_recovers_durable_prefix(tmp_path, shards):
 
     recovered = KokoService.open(path, pipeline=ExplodingPipeline())
     try:
-        assert recovered.stats.recovered_torn_tail
-        assert recovered.stats.replayed_wal_records == len(TEXTS) - 1
+        assert recovered.metrics.get("koko_recovered_torn_tail").value
+        assert recovered.metrics.get("koko_replayed_wal_records").value == len(TEXTS) - 1
         assert len(recovered) == len(TEXTS) - 1
         assert as_rows(recovered.query(ENTITY_QUERY)) == expected
     finally:
@@ -159,7 +159,7 @@ def test_crash_recovery_replays_on_top_of_latest_checkpoint(tmp_path):
     recovered = KokoService.open(path, pipeline=ExplodingPipeline())
     try:
         assert sorted(recovered.document_ids()) == expected_ids
-        assert recovered.stats.replayed_wal_records == 2
+        assert recovered.metrics.get("koko_replayed_wal_records").value == 2
         assert as_rows(recovered.query(ENTITY_QUERY)) == expected
     finally:
         recovered.close()
@@ -242,7 +242,7 @@ def test_background_checkpoint_policy_triggers(tmp_path):
         while service.checkpoint_id == 0 and time.monotonic() < deadline:
             time.sleep(0.02)
         assert service.checkpoint_id > 0
-        assert service.stats.checkpoints_completed >= 1
+        assert service.metrics.get("koko_checkpoints_completed_total").value >= 1
 
 
 def test_explicit_checkpoint_is_a_noop_when_clean(tmp_path):
@@ -283,7 +283,7 @@ def test_newest_valid_snapshot_wins_over_stale_current_pointer(tmp_path):
 
     recovered = KokoService.open(path)
     try:
-        assert recovered.stats.replayed_wal_records == 0  # nothing to replay
+        assert recovered.metrics.get("koko_replayed_wal_records").value == 0  # nothing to replay
         assert recovered.checkpoint_id == sealed  # newest valid snapshot won
         assert as_rows(recovered.query(ENTITY_QUERY)) == expected
         recovered.add_document(TEXTS[1], "doc1")
@@ -315,7 +315,7 @@ def test_refolding_over_a_corrupt_snapshot_directory_succeeds(tmp_path):
 
     recovered = KokoService.open(path, pipeline=ExplodingPipeline())
     try:
-        assert recovered.stats.replayed_wal_records == 1
+        assert recovered.metrics.get("koko_replayed_wal_records").value == 1
         assert as_rows(recovered.query(ENTITY_QUERY)) == expected
         assert recovered.checkpoint_id == sealed  # refolded over the wreck
     finally:
@@ -396,18 +396,18 @@ def test_single_shard_ingest_reuses_other_shards_partials():
         for index, text in enumerate(TEXTS[:4]):
             service.add_document(text, f"doc{index}")
         first = service.query(ENTITY_QUERY)
-        assert service.stats.shard_partials_computed == 4
-        assert service.stats.shard_partials_reused == 0
+        assert service.metrics.get("koko_shard_partials_computed_total").value == 4
+        assert service.metrics.get("koko_shard_partials_reused_total").value == 0
 
         service.add_document(TEXTS[4], "docX")  # touches exactly one shard
         second = service.query(ENTITY_QUERY)
         assert second is not first  # full result was invalidated...
-        assert service.stats.shard_partials_reused == 3  # ...but 3 shards reused
-        assert service.stats.shard_partials_computed == 5
+        assert service.metrics.get("koko_shard_partials_reused_total").value == 3  # ...but 3 shards reused
+        assert service.metrics.get("koko_shard_partials_computed_total").value == 5
 
         third = service.query(ENTITY_QUERY)  # untouched stamp vector: full hit
         assert third is second
-        assert service.stats.result_cache_hits == 1
+        assert service.metrics.get("koko_result_cache_hits_total").value == 1
 
 
 def test_partial_reuse_matches_full_execution():
@@ -422,7 +422,7 @@ def test_partial_reuse_matches_full_execution():
             assert as_rows(service.query(ENTITY_QUERY)) == as_rows(
                 fresh.query(ENTITY_QUERY)
             )
-        assert service.stats.shard_partials_reused > 0
+        assert service.metrics.get("koko_shard_partials_reused_total").value > 0
         assert baseline != as_rows(service.query(ENTITY_QUERY))
 
 

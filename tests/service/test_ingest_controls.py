@@ -212,8 +212,8 @@ def test_backpressure_blocks_runaway_producers_and_drains(run_threads):
         run_threads(4, work)
         assert len(service) == 4
         assert service.inflight_ingest_bytes == 0  # fully drained
-        assert service.stats.ingest_backpressure_waits > 0
-        assert service.stats.snapshot()["ingest_backpressure_waits"] > 0
+        assert service.metrics.get("koko_ingest_backpressure_waits_total").value > 0
+        assert service.metrics.snapshot()["koko_ingest_backpressure_waits_total"] > 0
 
 
 def test_oversized_document_is_admitted_alone():
@@ -265,7 +265,7 @@ def test_backpressure_admission_is_fifo_no_overtaking():
         )
         threads[-1].start()  # blocks: holder + big exceeds the bound
         while (
-            service.stats.ingest_backpressure_waits < 1
+            service.metrics.get("koko_ingest_backpressure_waits_total").value < 1
             and time.monotonic() < deadline
         ):
             time.sleep(0.01)
@@ -311,16 +311,17 @@ def test_per_shard_cache_counters_track_hits_misses_and_stale_evictions():
         target = service.shard_of(service.add_document(TEXTS[4], "docX").doc_id)
         service.query(ENTITY_QUERY)  # 3 reused, 1 recomputed (stale evicted)
 
-        breakdown = service.stats.shard_cache_breakdown()
-        assert sum(b["misses"] for b in breakdown.values()) == 5
-        assert sum(b["hits"] for b in breakdown.values()) == 3
-        assert breakdown[target]["stale_evictions"] == 1
-        assert breakdown[target]["misses"] == 2
-        for shard, counters in breakdown.items():
-            if shard != target:
-                assert counters["stale_evictions"] == 0
-        snapshot = service.stats.snapshot()
-        assert snapshot["per_shard_result_cache"] == breakdown
+        misses = service.metrics.get("koko_shard_cache_misses_total").values()
+        hits = service.metrics.get("koko_shard_cache_hits_total").values()
+        stale = service.metrics.get("koko_shard_cache_stale_evictions_total").values()
+        assert sum(misses.values()) == 5
+        assert sum(hits.values()) == 3
+        assert stale == {target: 1}  # no other shard saw a stale entry
+        assert misses[target] == 2
+        snapshot = service.metrics.snapshot()
+        assert snapshot["koko_shard_cache_misses_total"] == {
+            str(shard): count for shard, count in misses.items()
+        }
 
 
 def test_per_shard_cache_lru_evictions_are_counted():
@@ -332,8 +333,8 @@ def test_per_shard_cache_lru_evictions_are_counted():
             service.query(query)
         for query in queries:  # each re-execution evicts the other's entry
             service.query(query)
-        breakdown = service.stats.shard_cache_breakdown()
-        assert sum(b["lru_evictions"] for b in breakdown.values()) > 0
+        lru = service.metrics.get("koko_shard_cache_lru_evictions_total").values()
+        assert sum(lru.values()) > 0
 
 
 def test_full_result_cache_evictions_are_counted():
@@ -342,6 +343,7 @@ def test_full_result_cache_evictions_are_counted():
         service.query(ENTITY_QUERY)
         service.add_document(TEXTS[1], "doc1")  # bumps the generation
         service.query(ENTITY_QUERY)  # stale entry evicted on sight
-        assert service.stats.result_cache_stale_evictions == 1
+        evictions = service.metrics.get("koko_result_cache_evictions_total")
+        assert evictions.values() == {"stale": 1}
         service.query(ENTITY_QUERY + " ")  # overflows capacity 1
-        assert service.stats.result_cache_lru_evictions >= 1
+        assert evictions.values()["lru"] >= 1

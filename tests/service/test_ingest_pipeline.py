@@ -585,8 +585,8 @@ def test_concurrent_writers_annotate_together_and_share_fsyncs(
 
         run_threads(4, work)
         assert len(service) == 12
-        assert service.stats.wal_records_synced == 12
-        assert service.stats.wal_fsyncs < 12
+        assert service.metrics.get("koko_wal_records_synced_total").value == 12
+        assert service.metrics.get("koko_wal_fsyncs_total").value < 12
 
 
 def test_queries_are_served_while_a_write_annotates_or_fsyncs(tmp_path, monkeypatch):

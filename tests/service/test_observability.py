@@ -195,7 +195,7 @@ def test_registry_exposes_service_and_durability_metrics(tmp_path):
     assert svc.checkpoint() is not None
     assert svc.metrics.get("koko_last_checkpoint_unix").value > 0
     assert svc.metrics.get("koko_checkpoint_in_progress").value == 0
-    assert not svc.stats.checkpoint_in_progress
+    assert svc.metrics.get("koko_checkpoint_in_progress").value == 0
 
     text = svc.metrics.render_text()
     for name in (

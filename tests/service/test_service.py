@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.indexing.koko_index import KokoIndexSet
 from repro.koko.engine import KokoEngine, compile_query
+from repro.observability.metrics import histogram_quantiles
 from repro.service import KokoService, PlanCache, ReadWriteLock, ResultCache
 from repro.service.stats import ServiceStats
 
@@ -29,6 +30,19 @@ DOC_TEXTS = {
 
 def tuple_set(result):
     return {(t.doc_id, t.sid, t.values) for t in result}
+
+
+def values(service, *names):
+    """The current value of each named unlabelled instrument."""
+    return [service.metrics.get(name).value for name in names]
+
+
+CACHE_COUNTERS = (
+    "koko_result_cache_hits_total",
+    "koko_result_cache_misses_total",
+    "koko_plan_cache_hits_total",
+    "koko_plan_cache_misses_total",
+)
 
 
 @pytest.fixture()
@@ -67,9 +81,7 @@ def test_repeated_query_hits_result_cache(service):
     first = service.query(ENTITY_QUERY)
     second = service.query(ENTITY_QUERY)
     assert second is first  # shared cache entry
-    assert service.stats.result_cache_hits == 1
-    assert service.stats.result_cache_misses == 1
-    assert service.stats.plan_cache_misses == 1
+    assert values(service, *CACHE_COUNTERS) == [1, 1, 0, 1]
 
 
 def test_ingestion_invalidates_result_cache_but_not_plans(service):
@@ -79,8 +91,8 @@ def test_ingestion_invalidates_result_cache_but_not_plans(service):
     assert second is not first
     assert len(second) == len(first) + 1
     # the plan survived ingestion: re-execution reused it
-    assert service.stats.plan_cache_hits == 1
-    assert service.stats.result_cache_hits == 0
+    assert values(service, "koko_plan_cache_hits_total") == [1]
+    assert values(service, "koko_result_cache_hits_total") == [0]
 
 
 def test_removal_invalidates_and_unindexes(service):
@@ -88,13 +100,13 @@ def test_removal_invalidates_and_unindexes(service):
     assert {t.value("a") for t in service.query(CITY_QUERY)} == {"Beijing", "Tokyo"}
     service.remove_document("cities")
     assert len(service.query(CITY_QUERY)) == 0
-    assert service.stats.documents_removed == 1
+    assert values(service, "koko_documents_removed_total") == [1]
 
 
 def test_distinct_parameters_cached_separately(service):
     strict = service.query(CITY_QUERY, threshold_override=0.99)
     lax = service.query(CITY_QUERY, threshold_override=0.0)
-    assert service.stats.result_cache_misses == 2
+    assert values(service, "koko_result_cache_misses_total") == [2]
     assert strict is not lax
 
 
@@ -105,10 +117,7 @@ def test_compiled_query_bypasses_caches(service):
     assert second is not first
     assert tuple_set(second) == tuple_set(first)
     # bypassed caches count toward neither hits nor misses
-    assert service.stats.result_cache_hits == 0
-    assert service.stats.result_cache_misses == 0
-    assert service.stats.plan_cache_hits == 0
-    assert service.stats.plan_cache_misses == 0
+    assert values(service, *CACHE_COUNTERS) == [0, 0, 0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +131,7 @@ def test_query_batch_preserves_order_and_timings(service):
     assert tuple_set(results[1]) == tuple_set(results[3])
     for result in results:
         assert result.timings.total >= 0.0
-    assert service.stats.queries_served == 4
+    assert values(service, "koko_queries_served_total") == [4]
     assert service.query_batch([]) == []
 
 
@@ -193,14 +202,18 @@ def test_statistics_track_live_corpus(service):
 def test_stats_snapshot_and_percentiles(service):
     for _ in range(10):
         service.query(ENTITY_QUERY)
-    snapshot = service.stats.snapshot()
-    assert snapshot["queries_served"] == 10
-    assert snapshot["result_cache_hit_rate"] == pytest.approx(0.9)
-    assert snapshot["documents_added"] == 2
-    assert snapshot["ingest_tokens_per_second"] > 0
-    assert 0.0 <= snapshot["p50_query_seconds"] <= snapshot["p95_query_seconds"]
+    snapshot = service.metrics.snapshot()
+    assert snapshot["koko_queries_served_total"] == 10
+    hits = snapshot["koko_result_cache_hits_total"]
+    assert hits / (hits + snapshot["koko_result_cache_misses_total"]) == pytest.approx(0.9)
+    assert snapshot["koko_documents_added_total"] == 2
+    assert snapshot["koko_tokens_ingested_total"] > 0
+    assert snapshot["koko_ingest_seconds_total"] > 0
+    latency = service.metrics.get("koko_query_latency_seconds")
+    estimates = histogram_quantiles(latency, (50.0, 95.0))
+    assert 0.0 < estimates[50.0] <= estimates[95.0]
     with pytest.raises(ValueError):
-        service.stats.latency_percentile(0.0)
+        histogram_quantiles(latency, (0.0,))
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +258,11 @@ def test_read_write_lock_excludes_writers():
 
 def test_service_stats_defaults():
     stats = ServiceStats()
-    assert stats.result_cache_hit_rate == 0.0
-    assert stats.plan_cache_hit_rate == 0.0
-    assert stats.ingest_tokens_per_second == 0.0
-    assert stats.p50_query_seconds == 0.0
+    snapshot = stats.registry.snapshot()
+    assert snapshot["koko_queries_served_total"] == 0
+    assert snapshot["koko_result_cache_hits_total"] == 0
+    assert snapshot["koko_plan_cache_hits_total"] == 0
+    assert snapshot["koko_ingest_seconds_total"] == 0
+    assert stats.last_checkpoint_error == ""
+    latency = stats.registry.get("koko_query_latency_seconds")
+    assert histogram_quantiles(latency) == {50.0: 0.0, 95.0: 0.0, 99.0: 0.0}

@@ -170,7 +170,8 @@ def test_caching_still_works_when_sharded():
         service.add_document(TEXTS[3], "doc3")
         third = service.query(ENTITY_QUERY)
         assert third is not first
-        assert service.stats.plan_cache_hits == 1  # the plan survived ingestion
+        # the plan survived ingestion
+        assert service.metrics.get("koko_plan_cache_hits_total").value == 1
 
 
 # ----------------------------------------------------------------------
@@ -193,10 +194,13 @@ def test_sharded_bookkeeping_and_stats():
         assert merged.tokens == sum(s.tokens for s in per_shard)
 
         service.query(ENTITY_QUERY)
-        breakdown = service.stats.shard_breakdown()
-        assert sum(b["documents_added"] for b in breakdown.values()) == len(TEXTS)
-        assert sum(b["queries"] for b in breakdown.values()) == 4  # one per shard
-        assert service.stats.snapshot()["per_shard"] == breakdown
+        added = service.metrics.get("koko_shard_documents_added_total").values()
+        queries = service.metrics.get("koko_shard_queries_total").values()
+        assert sum(added.values()) == len(TEXTS)
+        assert queries == {0: 1, 1: 1, 2: 1, 3: 1}  # one per shard
+        report = service.shard_heat_report()
+        assert [row.queries for row in report.shards] == [1, 1, 1, 1]
+        assert [row.splices for row in report.shards] == [added[i] for i in range(4)]
 
         # per-engine access: single-engine accessors refuse on sharded services
         assert len(service.engines) == 4 and len(service.corpora) == 4

@@ -5,8 +5,9 @@ module under ``src/repro/service`` and ``src/repro/persistence`` must
 carry a module docstring, ``__all__``, and docstrings on public
 classes/functions/methods — and every relative markdown link in
 ``README.md``, ``docs/*.md`` and ``benchmarks/README.md`` must resolve,
-and every ``_private_name`` ``docs/ARCHITECTURE.md`` cites must exist in
-``src/repro``.
+every ``_private_name`` ``docs/ARCHITECTURE.md`` cites must exist in
+``src/repro``, and ``docs/OPERATIONS.md``'s metric table must name every
+metric ``src/repro`` registers while citing none it does not.
 """
 
 from __future__ import annotations
@@ -54,4 +55,42 @@ def test_architecture_doc_citing_a_deleted_private_name_is_flagged(tmp_path):
     assert [line.split(" SYM ")[1].split()[0] for line in flagged] == [
         "_deleted_field",
         "_other_gone",
+    ]
+
+
+def test_metric_table_must_name_every_registered_metric_verbatim(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "module.py").write_text(
+        "def register(registry, name):\n"
+        '    registry.counter("koko_listed_total", "Listed.")\n'
+        '    registry.histogram("koko_listed_seconds", "In the meaning column only.")\n'
+        '    registry.gauge(\n        "koko_unlisted", "Nowhere.", ("shard",)\n    )\n'
+        "    registry.gauge(name)  # not a literal: out of scope\n"
+    )
+    (tmp_path / "docs" / "OPERATIONS.md").write_text(
+        "| Knob | Meaning |\n| --- | --- |\n| `koko_unlisted` | not the metric table |\n\n"
+        "| Metric | Kind | Meaning |\n| --- | --- | --- |\n"
+        "| `koko_listed_total{shard}` | counter | time: `koko_listed_seconds` |\n"
+        "| `koko_gone_total` / `koko_listed_*` | counter | shorthand |\n"
+    )
+    completed = subprocess.run(
+        [
+            sys.executable,
+            str(REPO_ROOT / "scripts" / "check_docs.py"),
+            "--root",
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 1
+    flagged = [
+        line.split(" MET ")[1] for line in completed.stdout.splitlines() if " MET " in line
+    ]
+    assert flagged == [
+        "koko_listed_seconds is missing from the metric table of docs/OPERATIONS.md",
+        "koko_unlisted is missing from the metric table of docs/OPERATIONS.md",
+        "koko_gone_total is not registered in src/repro/",
+        "koko_listed_ is not registered in src/repro/",
     ]
