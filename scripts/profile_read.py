@@ -11,6 +11,10 @@ replica or checkpoint thread — and prints one JSON document with, per query:
   ``threshold_override``, as on ``cold_extract``): the work plus whatever the
   service adds around it;
 * ``stage_ms`` — the merged ``StageTimings`` of one ``service.query``;
+* ``fallback_sentences`` — over all shards, the candidate sentences the
+  columnar extraction handed the per-sentence evaluator (span variables,
+  sentences with an unrooted token); 0 means every binding came from the
+  DPLI blocks;
 * ``voluntary_switches_per_op`` / ``system_ms_per_op`` — from
   ``resource.getrusage`` around the ``service.query`` loop: hundreds of
   switches per query mean threads are handing the GIL around, not working.
@@ -88,6 +92,12 @@ def profile_query(service: KokoService, text: str, repeat: int, top: int) -> dic
             shard.engine.execute(plan, threshold_override=threshold)
             per_shard[shard.shard_id].append(time.perf_counter() - started)
 
+    fallback = 0
+    for shard in service._shards:
+        ctx = shard.engine.make_context(plan, threshold_override=next(thresholds))
+        shard.engine.pipeline.run(ctx)
+        fallback += ctx.fallback_sentences
+
     service.query(text, threshold_override=next(thresholds))  # plan cache warm
     samples: list[float] = []
     before = resource.getrusage(resource.RUSAGE_SELF)
@@ -103,6 +113,7 @@ def profile_query(service: KokoService, text: str, repeat: int, top: int) -> dic
         "serial_sum_ms": round(sum(_median_ms(times) for times in per_shard), 3),
         "query_ms": _median_ms(samples),
         "stage_ms": {name: _ms(value) for name, value in result.timings.as_dict().items()},
+        "fallback_sentences": fallback,
         "voluntary_switches_per_op": round((after.ru_nvcsw - before.ru_nvcsw) / repeat, 1),
         "system_ms_per_op": _ms((after.ru_stime - before.ru_stime) / repeat),
     }

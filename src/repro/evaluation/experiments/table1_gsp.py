@@ -113,7 +113,9 @@ def _evaluate_query(
     normalized = normalize(parse_query(query_text))
     dpli = run_dpli(normalized, indexes)
     evaluator = SentenceEvaluator(normalized, use_gsp=use_gsp)
-    candidate_sids = dpli.candidate_sids
+    candidate_sids = (
+        None if dpli.candidate_sids is None else set(dpli.candidate_sids.tolist())
+    )
     sentences = []
     for _, sentence in corpus.all_sentences():
         if candidate_sids is None or sentence.sid in candidate_sids:

@@ -7,6 +7,10 @@ satisfying) and the selectivity are recorded.  Expected shape: total time
 grows roughly linearly with the number of articles; Normalize + GSP are a
 negligible share; higher-selectivity queries spend relatively more time in
 extract/satisfying and less (proportionally) in index lookup.
+
+Each engine runs over the columnar ``KokoIndexSet`` the service serves
+from, so the timings are those of the production extract (binding
+columns from the DPLI blocks), not of the per-sentence reference path.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...corpora.wikipedia import generate_wikipedia_corpus
+from ...indexing.koko_index import KokoIndexSet
 from ...koko.engine import KokoEngine
 from ...nlp.pipeline import Pipeline
 from ...nlp.types import Corpus
@@ -61,7 +66,7 @@ def run(
     largest = generate_wikipedia_corpus(articles=max(article_counts), pipeline=pipeline)
     for articles in article_counts:
         corpus = _prefix(largest, articles)
-        engine = KokoEngine(corpus)
+        engine = KokoEngine(corpus, indexes=KokoIndexSet().build(corpus))
         for name, query_text in queries.items():
             outcome = engine.execute(query_text)
             docs_with_extractions = len(outcome.selectivity)

@@ -470,6 +470,11 @@ class PostingView(Sequence):
         self._block = block
         self._items: list[Posting] | None = None
 
+    @property
+    def block(self) -> PostingBlock:
+        """The columns behind the view."""
+        return self._block
+
     def _materialized(self) -> list[Posting]:
         items = self._items
         if items is None:

@@ -93,6 +93,58 @@ def is_trivial(path: TreePath) -> bool:
     return all(step.kind == KIND_ANY for step in path.steps)
 
 
+@dataclass(frozen=True)
+class RowLookup:
+    """The lookup whose rows hold every exact match of a path.
+
+    ``exact`` says the rows hold nothing else; otherwise each row must be
+    re-checked.  ``decomposed`` is ``decompose_path(path)``.
+    """
+
+    path: TreePath
+    decomposed: DecomposedPath
+    exact: bool
+
+
+def row_lookup(path: TreePath) -> RowLookup:
+    """The :class:`RowLookup` of *path*.
+
+    Exactness is decided from the path alone, conservatively, for
+    sentences whose every token the hierarchies hold (one root, no head
+    cycle; the caller evaluates any other sentence in full):
+
+    * after the first step every axis is a child axis, so a token's
+      chain of matched ancestors is fixed by the token — the PL and POS
+      lookups, each exact for its own layer, then agree on that one
+      chain, and the interval joins admit every true ancestor;
+    * a word label sits, if anywhere, on the last step (the word chain
+      of Section 4.2.2 bounds depth gaps from below only);
+    * a hierarchy lookup carries the shape, unless the path is the single
+      step ``//x``.
+
+    A path that meets the first condition but not the others looks itself
+    up: its rows are a superset, re-checked row by row.  A descendant axis
+    after the first step is matched over a token's subtree *extent*
+    (:func:`~repro.indexing.exact.match_path_in_sentence`), which the
+    trie's true descendants do not cover on non-projective trees, so such
+    a path reads every token carrying its last label (``//last``) and
+    re-checks those.
+    """
+    steps = path.steps
+    last = steps[-1]
+    if any(step.axis == DESCENDANT for step in steps[1:]):
+        lookup = TreePath(steps=(TreeStep(DESCENDANT, last.label, last.kind),))
+        return RowLookup(lookup, decompose_path(lookup), False)
+    decomposed = decompose_path(path)
+    shaped = not (
+        is_trivial(decomposed.parse_label_path) and is_trivial(decomposed.pos_path)
+    )
+    exact = all(step.kind != KIND_WORD for step in steps[:-1]) and (
+        shaped or (len(steps) == 1 and last.axis == DESCENDANT)
+    )
+    return RowLookup(path, decomposed, exact)
+
+
 def lookup_decomposed_block(
     indexes: "KokoIndexSet", path: TreePath, decomposed: DecomposedPath | None = None
 ) -> PostingBlock:

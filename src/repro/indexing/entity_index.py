@@ -29,12 +29,22 @@ from .columnar import (
     unpack_strings,
 )
 
-__all__ = ["EntityIndex", "EntityPosting", "canonical_type"]
+__all__ = ["ENTITY_TYPE_ALIASES", "EntityIndex", "EntityPosting", "accepted_types"]
 
 _E_COLUMNS = ("sid", "left", "right", "text_id", "etype_id")
 
-#: query-side type spellings whose index key is not just ``upper()``
-_TYPE_KEYS = {"org": "ORGANIZATION"}
+#: query-side entity type (lower-cased) -> the mention types it binds; any
+#: other name binds mentions of its upper-cased self
+ENTITY_TYPE_ALIASES = {
+    "person": frozenset({"PERSON"}),
+    "gpe": frozenset({"GPE"}),
+    "location": frozenset({"LOCATION", "GPE", "FACILITY"}),
+    "organization": frozenset({"ORGANIZATION"}),
+    "org": frozenset({"ORGANIZATION"}),
+    "date": frozenset({"DATE"}),
+    "facility": frozenset({"FACILITY"}),
+    "team": frozenset({"TEAM", "ORGANIZATION"}),
+}
 
 
 @dataclass(frozen=True, order=True)
@@ -59,6 +69,11 @@ class _EntityView(Sequence):
         self._arrays = arrays
         self._strings = strings
         self._items: list[EntityPosting] | None = None
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The ``(sid, left, right, text_id, etype_id)`` columns behind the view."""
+        return self._arrays
 
     def _materialized(self) -> list[EntityPosting]:
         items = self._items
@@ -176,17 +191,25 @@ class EntityIndex:
         """
         return list(self.lookup_type_block(etype)[1])
 
-    def lookup_type_block(self, etype: str) -> tuple[np.ndarray, Sequence]:
-        """Type lookup: the sid column plus a lazy posting view."""
+    def lookup_type_block(self, etype: str) -> tuple[np.ndarray, _EntityView]:
+        """Type lookup: the sid column plus a lazy posting view.
+
+        Rows of one mention type keep their insertion order; a type that
+        aliases several (``Location``) lists them type by type.
+        """
         store = self._store_type
-        if etype.lower() == "entity":
+        accepted = accepted_types(etype)
+        if accepted is None:
             arrays = store.all_arrays()
         else:
-            kid = store.key_id(canonical_type(etype))
-            if kid is None:
+            kids = sorted(kid for kid in map(store.key_id, accepted) if kid is not None)
+            parts = [store.arrays_for_key(kid) for kid in kids]
+            if not parts:
                 arrays = tuple(np.empty(0, np.int64) for _ in _E_COLUMNS)
+            elif len(parts) == 1:
+                arrays = parts[0]
             else:
-                arrays = store.arrays_for_key(kid)
+                arrays = tuple(map(np.concatenate, zip(*parts)))
         return arrays[0], _EntityView(arrays, self._strings)
 
     def all_postings(self) -> list[EntityPosting]:
@@ -197,6 +220,13 @@ class EntityIndex:
         return self._store_type.total_rows
 
 
-def canonical_type(etype: str) -> str:
-    """The index key of a query-side type name (``"gpe"`` -> ``"GPE"``)."""
-    return _TYPE_KEYS.get(etype.lower(), etype.upper())
+def accepted_types(etype: str) -> frozenset[str] | None:
+    """The mention types an entity variable of type *etype* binds; None = any.
+
+    ``Entity`` binds every mention.  The entity index, its object-list
+    reference and the evaluator all read this one table.
+    """
+    low = etype.lower()
+    if low == "entity":
+        return None
+    return ENTITY_TYPE_ALIASES.get(low, frozenset({etype.upper()}))

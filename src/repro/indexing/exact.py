@@ -48,6 +48,50 @@ def match_path_in_sentence(sentence: Sentence, tree_path: TreePath) -> list[int]
     return sorted(frontier)
 
 
+def path_reaches_token(sentence: Sentence, tree_path: TreePath, tid: int) -> bool:
+    """Whether ``tid in match_path_in_sentence(sentence, tree_path)``.
+
+    Decided from the token back towards the root, so checking one
+    candidate token costs its ancestry instead of a whole-sentence match:
+    a child step's predecessor is the token's head, a descendant step's
+    any other token whose subtree extent covers it (the extent the forward
+    match enumerates).
+    """
+    steps = tree_path.steps
+    if not steps or not steps[-1].matches(sentence, tid):
+        return False
+    heads = sentence.heads
+    n = len(sentence)
+    if all(step.axis == CHILD for step in steps[1:]):
+        # one candidate chain: the token's ancestors, nearest first
+        node = tid
+        for step in reversed(steps[:-1]):
+            head = heads[node]
+            if not 0 <= head < n or head == node or not step.matches(sentence, head):
+                return False
+            node = head
+        return steps[0].axis != CHILD or node == sentence.root_index()
+    _, spans, _ = sentence.tree_columns()
+    frontier = {tid}
+    for index in range(len(steps) - 1, 0, -1):
+        if steps[index].axis == CHILD:
+            previous = {
+                heads[t] for t in frontier if 0 <= heads[t] < n and heads[t] != t
+            }
+        else:
+            previous = set()
+            for t in frontier:
+                previous.update(
+                    other
+                    for other, (first, last) in enumerate(spans)
+                    if first <= t <= last and other != t
+                )
+        frontier = steps[index - 1].matching_tokens(sentence, previous)
+        if not frontier:
+            return False
+    return steps[0].axis != CHILD or sentence.root_index() in frontier
+
+
 def sentence_matches_query(sentence: Sentence, query: TreePatternQuery) -> bool:
     """True when every path of *query* has at least one binding in *sentence*."""
     return all(match_path_in_sentence(sentence, p) for p in query.paths)

@@ -108,6 +108,9 @@ class KokoIndexSet:
         self.build_seconds = 0.0
         self._sentences = 0
         self._tokens = 0
+        #: sids of sentences with a token no hierarchy holds (a second root
+        #: or a head cycle): their lookup rows are not all their matches
+        self._unrooted: set[int] = set()
 
     # ------------------------------------------------------------------
     # construction
@@ -198,6 +201,7 @@ class KokoIndexSet:
             posids = pos_merge(root, children, sentence.pos_tags)
             if -1 in plids:
                 all_reachable = False
+                self._unrooted.add(sid)
             w_sids.extend([sid] * n)
             w_tids.extend(range(n))
             w_lefts.extend([span[0] for span in spans])
@@ -239,6 +243,7 @@ class KokoIndexSet:
         self.entity_index.remove_sentence(sentence)
         self.pl_index.remove_sentence(sentence)
         self.pos_index.remove_sentence(sentence)
+        self._unrooted.discard(sentence.sid)
         self._sentences -= 1
         self._tokens -= len(sentence)
 
@@ -261,6 +266,10 @@ class KokoIndexSet:
         """
         block = lookup_decomposed_block(self, path, decomposed)
         return block.sid, PostingView(block)
+
+    def unrooted_sids(self) -> np.ndarray:
+        """Sorted sids of sentences holding a token no hierarchy holds."""
+        return np.sort(np.fromiter(self._unrooted, np.int64, len(self._unrooted)))
 
     # ------------------------------------------------------------------
     # accounting
@@ -349,5 +358,7 @@ class KokoIndexSet:
         index_set.pl_index.load_arrays(arrays, *words.rows_by_node("plid"))
         index_set.pos_index.load_arrays(arrays, *words.rows_by_node("posid"))
         index_set._sentences, index_set._tokens = int_column(arrays["counts"]).tolist()
+        unrooted = int_column(arrays["W.plid"]) == -1
+        index_set._unrooted = set(int_column(arrays["W.sid"])[unrooted].tolist())
         index_set.build_seconds = build_seconds
         return index_set

@@ -46,20 +46,29 @@ class TreeStep:
         if self.kind not in _VALID_KINDS:
             raise ValueError(f"invalid step kind {self.kind!r}")
 
+    def matches(self, sentence, token: int) -> bool:
+        """Whether token *token* of *sentence* carries this step's label."""
+        return self.kind == KIND_ANY or (
+            self._layer(sentence)[token].lower() == self.label.lower()
+        )
+
     def matching_tokens(self, sentence, candidates: Iterable[int]) -> set[int]:
         """The *candidates* (token ids of *sentence*) whose annotation on this
         step's layer — parse label, POS tag or word — equals the step's
         label case-insensitively; all of them for a wildcard."""
         if self.kind == KIND_ANY:
             return set(candidates)
-        if self.kind == KIND_PARSE_LABEL:
-            column = sentence.labels
-        elif self.kind == KIND_POS:
-            column = sentence.pos_tags
-        else:
-            column = sentence.words
+        column = self._layer(sentence)
         wanted = self.label.lower()
         return {i for i in candidates if column[i].lower() == wanted}
+
+    def _layer(self, sentence):
+        """The sentence column this step's label is matched against."""
+        if self.kind == KIND_PARSE_LABEL:
+            return sentence.labels
+        if self.kind == KIND_POS:
+            return sentence.pos_tags
+        return sentence.words
 
     def render(self) -> str:
         label = f'"{self.label}"' if self.kind == KIND_WORD else self.label

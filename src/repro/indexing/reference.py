@@ -21,7 +21,7 @@ import numpy as np
 
 from ..nlp.types import Corpus, Document, Sentence
 from .decompose import DecomposedPath, decompose_path, is_trivial
-from .entity_index import EntityPosting, canonical_type
+from .entity_index import EntityPosting, accepted_types
 from .hierarchy import HierarchyNode
 from .koko_index import IndexStatistics, sizeof
 from .postings import Posting, join_ancestor, join_same_token, posting_for_token
@@ -101,10 +101,10 @@ class ReferenceEntityIndex:
 
     def lookup_type(self, etype: str) -> list[EntityPosting]:
         """Mentions of type *etype*; ``"Entity"`` matches every mention."""
-        if etype.lower() == "entity":
+        accepted = accepted_types(etype)
+        if accepted is None:
             return self.all_postings()
-        key = canonical_type(etype)
-        return [p for p in self.all_postings() if p.etype == key]
+        return [p for p in self.all_postings() if p.etype in accepted]
 
     def all_postings(self) -> list[EntityPosting]:
         """Every mention in the index."""

@@ -11,8 +11,8 @@ bindings for every variable:
 * span variables have no index-derived bindings; their candidates are
   computed per sentence by the evaluator.
 
-The union of the sentence ids over all index-derived bindings is the
-candidate-sentence set the rest of the evaluation iterates over.  If any
+The intersection of the sentence ids over all index-derived bindings is
+the candidate-sentence set the rest of the evaluation iterates over.  If any
 looked-up path has no match at all, the query provably has an empty answer
 ("If this happens, the evaluation immediately ceases").
 
@@ -22,7 +22,9 @@ The index set answers each lookup as ``(sorted sid column, postings)``
 result carries per-variable **sorted sentence-id columns**: skip-plan cost
 estimation (`bindings_count`) is a pair of binary searches instead of a
 posting-list scan, and can be answered for a whole candidate-sid array at
-once (:meth:`DpliResult.bindings_count_array`).
+once (:meth:`DpliResult.bindings_count_array`).  The postings stay what
+the index set returned: over the columnar indexes, views whose columns
+(``.block`` / ``.arrays``) the binding extraction reads its rows from.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from ..indexing.postings import Posting
 from .normalize import NormalizedQuery
 
 _EMPTY_SIDS = np.empty(0, dtype=np.int64)
+_EMPTY_SIDS.setflags(write=False)
 
 
 @dataclass
@@ -49,9 +52,9 @@ class DpliResult:
     path_bindings: dict[str, Sequence[Posting]] = field(default_factory=dict)
     #: entity variable -> entity postings
     entity_bindings: dict[str, Sequence[EntityPosting]] = field(default_factory=dict)
-    #: sentences worth evaluating; None means "all sentences" (no pruning
-    #: possible, e.g. an empty extract clause)
-    candidate_sids: set[int] | None = None
+    #: sorted ids of the sentences worth evaluating; None means "all
+    #: sentences" (no pruning possible, e.g. an empty extract clause)
+    candidate_sids: np.ndarray | None = None
     #: True when an index lookup proves the query has no answers
     provably_empty: bool = False
     #: variable -> sorted sid column of its bindings; bindings_count and
@@ -115,7 +118,7 @@ def run_dpli(normalized: NormalizedQuery, indexes: KokoIndexSet) -> DpliResult:
         sid_columns[variable] = sids
 
     if result.provably_empty:
-        result.candidate_sids = set()
+        result.candidate_sids = _EMPTY_SIDS
         return result
 
     if sid_arrays:
@@ -124,7 +127,5 @@ def run_dpli(normalized: NormalizedQuery, indexes: KokoIndexSet) -> DpliResult:
         candidate = sid_arrays[0]
         for sids in sid_arrays[1:]:
             candidate = np.intersect1d(candidate, sids, assume_unique=True)
-        result.candidate_sids = set(candidate.tolist())
-    else:
-        result.candidate_sids = None
+        result.candidate_sids = candidate
     return result

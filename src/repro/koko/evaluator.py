@@ -18,8 +18,9 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
+from ..indexing.entity_index import accepted_types
 from ..indexing.exact import match_path_in_sentence
 from ..indexing.query_ir import TreePath
 from ..nlp.types import Sentence
@@ -32,26 +33,6 @@ from .paths import to_tree_path
 # A guard against pathological nested-loop sizes (mostly relevant for the
 # NOGSP baseline on long sentences).
 _MAX_ASSIGNMENTS_PER_SENTENCE = 200_000
-
-#: query-side entity type (lower-cased) -> mention types it accepts
-_ENTITY_TYPE_ALIASES = {
-    "person": frozenset({"PERSON"}),
-    "gpe": frozenset({"GPE"}),
-    "location": frozenset({"LOCATION", "GPE", "FACILITY"}),
-    "organization": frozenset({"ORGANIZATION"}),
-    "org": frozenset({"ORGANIZATION"}),
-    "date": frozenset({"DATE"}),
-    "facility": frozenset({"FACILITY"}),
-    "team": frozenset({"TEAM", "ORGANIZATION"}),
-}
-
-
-def _accepted_mention_types(wanted: str) -> frozenset[str] | None:
-    """Mention types an entity variable of type *wanted* binds; None = any."""
-    low = wanted.lower()
-    if low == "entity":
-        return None
-    return _ENTITY_TYPE_ALIASES.get(low, frozenset({wanted.upper()}))
 
 
 @dataclass(frozen=True)
@@ -79,9 +60,25 @@ class Binding:
 Assignment = dict[str, Binding]
 
 
-def _final_conditions(path: PathExpr) -> tuple:
+def final_conditions(path: PathExpr) -> tuple:
     """The conditions on the last step of *path* (checked per matched token)."""
     return tuple(path.steps[-1].conditions) if path.steps else ()
+
+
+def step_condition_holds(sentence: Sentence, tid: int, attribute: str, value: str) -> bool:
+    """Whether token *tid* meets one final-step condition (``pos``, ``text``, ...)."""
+    if attribute == "pos":
+        return sentence.pos_tags[tid].lower() == value.lower()
+    if attribute == "text":
+        return sentence.words[tid].lower() == value.lower()
+    if attribute == "etype":
+        entity_type = sentence.entity_types[tid]
+        if value.lower() == "entity":
+            return entity_type is not None
+        return (entity_type or "").lower() == value.lower()
+    if attribute == "regex":
+        return re.search(value, sentence.words[tid]) is not None
+    return True
 
 
 class SentenceEvaluator:
@@ -100,15 +97,15 @@ class SentenceEvaluator:
         # entity variable accepts, and each path (of a variable or an inline
         # span atom) as its tree path plus final-step conditions
         self._entity_types = {
-            variable: _accepted_mention_types(etype)
+            variable: accepted_types(etype)
             for variable, etype in normalized.entity_vars.items()
         }
         self._variable_paths = {
-            variable: (normalized.tree_paths[variable], _final_conditions(path))
+            variable: (normalized.tree_paths[variable], final_conditions(path))
             for variable, path in normalized.absolute_paths.items()
         }
         self._atom_paths = {
-            atom_var: (to_tree_path(atom), _final_conditions(atom))
+            atom_var: (to_tree_path(atom), final_conditions(atom))
             for atom_var, atom in normalized.atom_vars.items()
             if isinstance(atom, PathExpr)
         }
@@ -161,7 +158,7 @@ class SentenceEvaluator:
                 skip_lists={c.target: [] for c in self.normalized.horizontal_conditions}
             )
 
-        assignments = self._enumerate_node_assignments(sentence, node_bindings)
+        assignments = self._enumerate_node_assignments(node_bindings)
         assignments = self._extend_with_span_variables(sentence, assignments, skip_plan)
         assignments = [a for a in assignments if self._check_constraints(sentence, a)]
         return assignments
@@ -191,50 +188,29 @@ class SentenceEvaluator:
         return bindings
 
     def _match_path(
-        self, sentence: Sentence, tree_path: TreePath, final_conditions
+        self, sentence: Sentence, tree_path: TreePath, conditions
     ) -> list[Binding]:
         token_ids = match_path_in_sentence(sentence, tree_path)
         result = []
         for tid in token_ids:
             if all(
-                self._step_condition_holds(sentence, tid, cond.attribute, cond.value)
-                for cond in final_conditions
+                step_condition_holds(sentence, tid, cond.attribute, cond.value)
+                for cond in conditions
             ):
                 result.append(Binding(sid=sentence.sid, start=tid, end=tid, node=tid))
         return result
 
     @staticmethod
-    def _step_condition_holds(sentence: Sentence, tid: int, attribute: str, value: str) -> bool:
-        if attribute == "pos":
-            return sentence.pos_tags[tid].lower() == value.lower()
-        if attribute == "text":
-            return sentence.words[tid].lower() == value.lower()
-        if attribute == "etype":
-            entity_type = sentence.entity_types[tid]
-            if value.lower() == "entity":
-                return entity_type is not None
-            return (entity_type or "").lower() == value.lower()
-        if attribute == "regex":
-            return re.search(value, sentence.words[tid]) is not None
-        return True
-
     def _enumerate_node_assignments(
-        self, sentence: Sentence, node_bindings: dict[str, list[Binding]]
+        node_bindings: dict[str, list[Binding]],
     ) -> list[Assignment]:
+        """The first ``_MAX_ASSIGNMENTS_PER_SENTENCE`` combinations, in product order."""
         names = list(node_bindings)
-        if not names:
-            return [{}]
-        combos = 1
-        for name in names:
-            combos *= len(node_bindings[name])
-            if combos > _MAX_ASSIGNMENTS_PER_SENTENCE:
-                break
-        assignments: list[Assignment] = []
-        for values in product(*(node_bindings[name] for name in names)):
-            assignments.append(dict(zip(names, values)))
-            if len(assignments) >= _MAX_ASSIGNMENTS_PER_SENTENCE:
-                break
-        return assignments
+        combinations = product(*(node_bindings[name] for name in names))
+        return [
+            dict(zip(names, values))
+            for values in islice(combinations, _MAX_ASSIGNMENTS_PER_SENTENCE)
+        ]
 
     # ------------------------------------------------------------------
     # span variables (horizontal conditions)

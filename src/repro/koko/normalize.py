@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import KokoSemanticError
-from ..indexing.decompose import DecomposedPath, decompose_path
+from ..indexing.decompose import DecomposedPath, RowLookup, decompose_path, row_lookup
 from ..indexing.query_ir import TreePath
 from .ast import (
     CHILD_AXIS,
@@ -76,6 +76,9 @@ class NormalizedQuery:
     dominant_for: dict[str, str] = field(default_factory=dict)
     #: dominant var -> Section 4.2.1 decomposition of its tree path
     decomposed: dict[str, DecomposedPath] = field(default_factory=dict)
+    #: path var -> the lookup whose rows hold its matches
+    #: (:func:`~repro.indexing.decompose.row_lookup`)
+    row_lookups: dict[str, RowLookup] = field(default_factory=dict)
 
     def all_variables(self) -> list[str]:
         names = list(self.entity_vars) + list(self.absolute_paths) + list(self.span_vars)
@@ -107,6 +110,9 @@ def normalize(query: KokoQuery) -> NormalizedQuery:
     }
     normalized.decomposed = {
         name: decompose_path(normalized.tree_paths[name]) for name in normalized.dominant
+    }
+    normalized.row_lookups = {
+        name: row_lookup(tree_path) for name, tree_path in normalized.tree_paths.items()
     }
     return normalized
 

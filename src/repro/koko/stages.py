@@ -23,23 +23,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import is_not, itemgetter
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from ..indexing.columnar import distinct_sorted
 from ..indexing.koko_index import KokoIndexSet
 from ..nlp.types import Corpus, Document, Sentence
 from ..observability.tracing import Span
 from .aggregate import (
     AggregationPlan,
-    ClausePlan,
     EvidenceAggregator,
     plan_aggregation,
 )
 from .ast import KokoQuery
+from .bindings import BindingTable, extract_bindings
 from .conditions import ConditionScorer, EvidenceResources
 from .dpli import DpliResult, run_dpli
-from .evaluator import Assignment, SentenceEvaluator
+from .evaluator import SentenceEvaluator
 from .normalize import NormalizedQuery, normalize
 from .parser import parse_query
 from .results import KokoResult, ResultColumns
@@ -51,7 +52,7 @@ class ExecutionContext:
 
     The *inputs* (query, corpus slice, indexes, resources) are set up by
     the caller; each stage fills in its *intermediate* output (``parsed``/
-    ``normalized``/``aggregation``, ``dpli``, ``documents``, ``candidates``) and accounts
+    ``normalized``/``aggregation``, ``dpli``, ``documents``, ``bindings``) and accounts
     its own wall-clock in ``result.timings``.  ``finished`` short-circuits
     the remaining stages (set when DPLI proves the answer empty).
     """
@@ -75,10 +76,11 @@ class ExecutionContext:
     dpli: DpliResult | None = None
     #: (document, candidate sentences) groups produced by LoadStage
     documents: list[tuple[Document, list[Sentence]]] = field(default_factory=list)
-    #: (document, [(sentence, assignment), ...]) groups produced by ExtractStage
-    candidates: list[tuple[Document, list[tuple[Sentence, Assignment]]]] = field(
-        default_factory=list
-    )
+    #: one row per assignment, produced by ExtractStage
+    bindings: BindingTable | None = None
+    #: candidate sentences ExtractStage handed the per-sentence evaluator
+    #: on the columnar path (span variables, unrooted tokens)
+    fallback_sentences: int = 0
     finished: bool = False
 
     # --- output -------------------------------------------------------
@@ -145,7 +147,7 @@ class LoadStage(Stage):
             ]
         else:
             grouped: dict[str, tuple[Document, list[Sentence]]] = {}
-            for sid in sorted(candidate_sids):
+            for sid in candidate_sids.tolist():
                 located = ctx.by_sid.get(sid)
                 if located is None:
                     continue
@@ -160,15 +162,20 @@ class LoadStage(Stage):
 
 
 class ExtractStage(Stage):
-    """Evaluate the extract clause per candidate sentence (GSP + extract).
+    """Evaluate the extract clause over the candidate sentences (GSP + extract).
 
-    The skip plan is generated once per sentence *inside* the evaluator,
-    which accounts the planning wall-clock itself
-    (:attr:`SentenceEvaluator.gsp_seconds`); this stage subtracts it out so
-    ``timings.gsp`` and ``timings.extract`` partition the loop without any
-    work running twice.  When DPLI carries sorted sid columns (columnar
-    indexes), all skip plans are pre-generated in one vectorized batch
-    before the sentence loop starts.
+    The index set picks the path.  Over the columnar
+    :class:`~repro.indexing.koko_index.KokoIndexSet` the binding table is
+    built from DPLI's blocks (:func:`~repro.koko.bindings.extract_bindings`),
+    and only the sentences it hands the per-sentence evaluator are counted
+    in ``ctx.fallback_sentences``.  Over the reference index set every
+    sentence is evaluated by :class:`SentenceEvaluator` and its assignments
+    are converted to the same table — that path is the oracle.
+
+    Skip plans are generated inside the evaluator, which accounts the
+    planning wall-clock itself (:attr:`SentenceEvaluator.gsp_seconds`);
+    this stage subtracts it out so ``timings.gsp`` and ``timings.extract``
+    partition the stage without any work running twice.
     """
 
     name = "extract"
@@ -176,48 +183,102 @@ class ExtractStage(Stage):
     def run(self, ctx: ExecutionContext) -> None:
         started = time.perf_counter()
         evaluator = SentenceEvaluator(ctx.normalized, use_gsp=ctx.use_gsp)
-        if ctx.use_gsp and ctx.dpli is not None and ctx.documents:
-            evaluator.prepare_skip_plans(
-                [sentence for _, sentences in ctx.documents for sentence in sentences],
-                ctx.dpli,
-            )
         result = ctx.result
-        candidates: list[tuple[Document, list[tuple[Sentence, Assignment]]]] = []
-        for document, sentences in ctx.documents:
-            candidate_tuples: list[tuple[Sentence, Assignment]] = []
-            for sentence in sentences:
-                result.candidate_sentences += 1
-                assignments = evaluator.evaluate(sentence, ctx.dpli)
-                result.evaluated_sentences += 1
-                for assignment in assignments:
-                    candidate_tuples.append((sentence, assignment))
-            candidates.append((document, candidate_tuples))
-        ctx.candidates = candidates
+        sentences = sum(len(group) for _, group in ctx.documents)
+        if isinstance(ctx.indexes, KokoIndexSet):
+            ctx.bindings, ctx.fallback_sentences = extract_bindings(
+                ctx.normalized, ctx.dpli, ctx.indexes, ctx.documents, evaluator
+            )
+        else:
+            evaluator.prepare_skip_plans(
+                [sentence for _, group in ctx.documents for sentence in group], ctx.dpli
+            )
+            ctx.bindings = BindingTable.from_assignments(
+                [
+                    (
+                        document,
+                        [
+                            (sentence, assignment)
+                            for sentence in group
+                            for assignment in evaluator.evaluate(sentence, ctx.dpli)
+                        ],
+                    )
+                    for document, group in ctx.documents
+                ]
+            )
+        result.candidate_sentences += sentences
+        result.evaluated_sentences += sentences
         elapsed = time.perf_counter() - started
         result.timings.gsp += evaluator.gsp_seconds
         result.timings.extract += max(0.0, elapsed - evaluator.gsp_seconds)
 
 
+class _Slot:
+    """The distinct values one scored (or excluding-judged) slot binds.
+
+    ``value[row]`` numbers the row's value, or is -1 where the row does
+    not bind the slot's variable (or was dropped before the slot).  Per
+    value, ``sids``/``starts``/``ends``/``docs`` locate its first row and
+    ``sighted`` lists the values in first-sighting order.  The per-value
+    arrays ``score``/``passed`` end in one more entry, the verdict of an
+    unbound row, so ``score[value]`` needs no mask.
+    """
+
+    __slots__ = ("value", "sids", "starts", "ends", "docs", "sighted", "score", "passed")
+
+    def __init__(self, value, first, table: BindingTable, column) -> None:
+        self.value = value
+        self.sids = table.sid[first].tolist()
+        self.starts, self.ends = column[:2, first].tolist() if column is not None else ([], [])
+        self.docs = table.doc[first].tolist()
+        self.sighted = np.argsort(first).tolist()
+        self.score = np.zeros(len(first) + 1)
+        self.passed = np.ones(len(first) + 1, bool)
+
+    def text(self, texts: "_Texts", value: int) -> str:
+        return texts.of(self.sids[value], self.starts[value], self.ends[value])
+
+
+class _Texts:
+    """Span texts of one execution, each built once."""
+
+    def __init__(self, sentences) -> None:
+        self._sentences = sentences
+        self._texts: dict[tuple[int, int, int], str] = {}
+
+    def of(self, sid: int, start: int, end: int) -> str:
+        span = (sid, start, end)
+        text = self._texts.get(span)
+        if text is None:
+            text = self._texts[span] = self._sentences[sid].span_text(start, end)
+        return text
+
+
 class AggregateStage(Stage):
-    """Score each distinct candidate value once, then attach scores to tuples.
+    """Score each distinct candidate value once, then attach scores to rows.
 
     Evidence is a property of the candidate *value* (Section 4.4), so the
-    stage works set-at-a-time, in three passes over one execution:
+    stage works set-at-a-time over the binding table, in three passes:
 
-    1. **collect** — walk the candidate assignments once, materialise the
-       text of each distinct ``(sid, start, end)`` binding once, and note,
-       per document and scored variable, the distinct values to score;
+    1. **collect** — per scored slot (the variable of a satisfying
+       clause; every output variable too when an excluding clause judges
+       them), one ``np.unique`` over the packed ``(sentence, start, end)``
+       keys of the rows that bind it numbers each row's value;
     2. **score** — a clause whose conditions are all value-only is scored
        once per distinct value for the whole execution and never looks at
        a document; a clause with a document-reading condition is scored
        once per (document, value), over evidence built lazily per document;
-    3. **emit** — fill the result's columns by dictionary lookup, in
-       candidate order (no per-tuple object is built).
+    3. **emit** — fancy-index the verdicts through the rows' values and
+       fill the result's columns in candidate order (no per-tuple object
+       is built).
 
-    Within a document, values that differ only in case share one score:
-    the first-seen spelling is the one handed to the scorer (``matches``
-    is case-sensitive, so which spelling that is matters).  The excluding
-    clause has no such rule and sees every distinct spelling.
+    The text of a distinct span is built once, when first needed.  Within
+    a document, values that differ only in case share one score: the
+    first-seen spelling is the one handed to the scorer (``matches`` is
+    case-sensitive, so which spelling that is matters).  The excluding
+    clause has no such rule and sees every distinct spelling.  A row that
+    leaves an output variable unbound is dropped from that slot on, after
+    the earlier slots have seen its values.
     """
 
     name = "aggregate"
@@ -225,194 +286,156 @@ class AggregateStage(Stage):
     def run(self, ctx: ExecutionContext) -> None:
         started = time.perf_counter()
         plan = ctx.aggregation
-        documents = [document for document, _ in ctx.candidates]
-        rows, seen, spellings = self._collect(ctx.candidates, plan)
+        table = ctx.bindings
+        texts = _Texts(table.sentences)
+        slots, alive = self._collect(table, plan)
         aggregator = EvidenceAggregator(ConditionScorer(ctx.resources))
-        verdicts = self._score(aggregator, documents, plan, seen, ctx.threshold_override)
-        excluded = self._exclusions(aggregator, documents, plan.excluding, spellings)
-        self._emit(ctx, plan, documents, rows, verdicts, excluded)
+        self._score(aggregator, table, plan, slots, ctx.threshold_override, texts)
+        keep = alive & ~self._exclusions(aggregator, table, plan, slots, texts)
+        self._emit(ctx, table, plan, slots, keep, texts)
         ctx.result.timings.satisfying += time.perf_counter() - started
 
     @staticmethod
-    def _collect(candidates, plan: AggregationPlan):
-        """Pass 1: binding texts, rows, and the distinct values per document.
+    def _collect(table: BindingTable, plan: AggregationPlan):
+        """Pass 1: the values of every slot that is scored or judged.
 
-        Works a document at a time and, within it, a slot (column) at a
-        time.  Returns, each per document: ``rows`` — ``(sids, pairs,
-        keys)`` for the assignments that bind all output variables, where
-        ``pairs[slot][row]`` is ``(variable, text)`` for an output slot and
-        ``keys[slot][row]`` is ``text.lower()`` for a scored slot (``None``
-        when a non-output variable is unbound); ``seen`` — per slot,
-        lower-cased value → first-seen spelling; ``spellings`` — the
-        distinct output texts the excluding clause must judge.
+        Returns one :class:`_Slot` per such slot (``None`` for an output
+        slot nothing judges) and the rows that bind every output variable.
         """
-        texts: dict[tuple[int, int, int], str] = {}
-        rows, seen, spellings = [], [], []
-        for _, candidate_tuples in candidates:
-            sentences = [sentence for sentence, _ in candidate_tuples]
-            assignments = [assignment for _, assignment in candidate_tuples]
-            pairs: list[list] = []
-            keys: list[list] = []
-            doc_seen: list[dict[str, str]] = []
-            doc_spellings: dict[str, None] = {}
-            for slot, (variable, clause) in enumerate(zip(plan.variables, plan.clauses)):
-                is_output = slot < plan.outputs
-                bindings = [assignment.get(variable) for assignment in assignments]
-                if is_output and None in bindings:
-                    # not full output tuples: dropped from this slot on,
-                    # after the earlier slots have seen their values
-                    bound = [binding is not None for binding in bindings]
-                    sentences, assignments, bindings = (
-                        list(compress(column, bound))
-                        for column in (sentences, assignments, bindings)
+        rows_total = len(table)
+        alive = np.ones(rows_total, bool)
+        keys = None
+        slots: list[_Slot | None] = []
+        for slot, (variable, clause) in enumerate(zip(plan.variables, plan.clauses)):
+            output = slot < plan.outputs
+            column = table.columns.get(variable)
+            if column is None:
+                seen = np.zeros(rows_total, bool)
+            else:
+                seen = alive & (column[0] >= 0)
+            if output:
+                alive = seen
+            if clause is None and (not output or plan.excluding is None):
+                slots.append(None)
+                continue
+            value = np.full(rows_total, -1, np.int64)
+            first = rows = np.flatnonzero(seen)
+            if len(rows):
+                if keys is None:
+                    keys = _SpanKeys(table, plan.variables)
+                _, first, value[rows] = np.unique(
+                    keys.of(rows, column), return_index=True, return_inverse=True
+                )
+                first = rows[first]
+            slots.append(_Slot(value, first, table, column))
+        return slots, alive
+
+    @staticmethod
+    def _score(aggregator, table, plan: AggregationPlan, slots, threshold_override, texts):
+        """Pass 2: a ``(score, passed)`` verdict per distinct value of each scored slot.
+
+        A value takes the verdict of its document's first-seen spelling of
+        it (case-insensitively).
+        """
+        for clause, slot in zip(plan.clauses, slots):
+            if clause is None:
+                continue
+            first_seen: dict[tuple[int, str], str] = {}
+            memo: dict = {}
+            for value in slot.sighted:
+                text, doc = slot.text(texts, value), slot.docs[value]
+                spelling = first_seen.setdefault((doc, text.lower()), text)
+                key = (doc, spelling) if clause.reads_document else spelling
+                verdict = memo.get(key)
+                if verdict is None:
+                    outcome = aggregator.score_clause(
+                        clause, spelling, table.documents[doc], threshold_override
                     )
-                    pairs = [list(compress(column, bound)) for column in pairs]
-                    keys = [list(compress(column, bound)) for column in keys]
-                # Distinct bindings in first-sighting order.  The evaluator
-                # hands one Binding object to every assignment of a sentence
-                # that uses it, so identity finds the repeats at C speed (an
-                # equal binding under another identity is registered again,
-                # which changes nothing).
-                idents = list(map(id, bindings))
-                pair_of: dict[int, tuple[str, str] | None] = {id(None): None}
-                key_of: dict[int, str | None] = {id(None): None}
-                first_seen: dict[str, str] = {}
-                for ident, (binding, sentence) in dict(
-                    zip(idents, zip(bindings, sentences))
-                ).items():
-                    if binding is None:
-                        continue
-                    span = (sentence.sid, binding.start, binding.end)
-                    text = texts.get(span)
-                    if text is None:
-                        text = texts[span] = sentence.span_text(binding.start, binding.end)
-                    if is_output:
-                        pair_of[ident] = (variable, text)
-                        if plan.excluding is not None:
-                            doc_spellings[text] = None
-                    if clause is not None:
-                        key_of[ident] = lowered = text.lower()
-                        first_seen.setdefault(lowered, text)
-                if is_output:
-                    pairs.append([pair_of[ident] for ident in idents])
-                # an unscored slot keeps an empty column so slots stay aligned
-                keys.append([key_of[ident] for ident in idents] if clause is not None else [])
-                doc_seen.append(first_seen)
-            rows.append(([sentence.sid for sentence in sentences], pairs, keys))
-            seen.append(doc_seen)
-            spellings.append(doc_spellings)
-        return rows, seen, spellings
+                    verdict = memo[key] = (outcome.score, outcome.passed)
+                slot.score[value], slot.passed[value] = verdict
 
     @staticmethod
-    def _score(aggregator, documents, plan: AggregationPlan, seen, threshold_override):
-        """Pass 2: per document and slot, lower-cased value → verdict.
-
-        A verdict is ``(score, passed)``.
-        """
-        #: value-only clauses: spelling → verdict, for every document
-        shared: list[dict] = [{} for _ in plan.clauses]
-        verdicts = []
-        for document, doc_seen in zip(documents, seen):
-            doc_verdicts = []
-            for clause, first_seen, memo in zip(plan.clauses, doc_seen, shared):
-                if clause is not None and clause.reads_document:
-                    memo = {}  # this clause's scores hold for this document only
-                scored = {}
-                for lowered, text in first_seen.items():
-                    verdict = memo.get(text)
-                    if verdict is None:
-                        outcome = aggregator.score_clause(
-                            clause, text, document, threshold_override
-                        )
-                        verdict = memo[text] = (outcome.score, outcome.passed)
-                    scored[lowered] = verdict
-                doc_verdicts.append(scored)
-            verdicts.append(doc_verdicts)
-        return verdicts
-
-    @staticmethod
-    def _exclusions(aggregator, documents, excluding: ClausePlan | None, spellings):
-        """Pass 2, excluding clause: per document, the texts it removes."""
+    def _exclusions(aggregator, table, plan: AggregationPlan, slots, texts):
+        """Pass 2, excluding clause: the rows whose output texts it removes."""
+        excluded = np.zeros(len(table), bool)
+        excluding = plan.excluding
         if excluding is None:
-            return [frozenset()] * len(documents)
-        shared: dict[str, bool] = {}
-        excluded = []
-        for document, doc_spellings in zip(documents, spellings):
-            memo = {} if excluding.reads_document else shared
-            for text in doc_spellings:
-                if text not in memo:
-                    memo[text] = aggregator.excludes(excluding, text, document)
-            excluded.append(frozenset(t for t in doc_spellings if memo[t]))
+            return excluded
+        memo: dict = {}
+        for slot in slots[: plan.outputs]:
+            flags = np.zeros(len(slot.sids) + 1, bool)  # the last: unbound
+            for value in slot.sighted:
+                text, doc = slot.text(texts, value), slot.docs[value]
+                key = (doc, text) if excluding.reads_document else text
+                if key not in memo:
+                    memo[key] = aggregator.excludes(excluding, text, table.documents[doc])
+                flags[value] = memo[key]
+            excluded |= flags[slot.value]
         return excluded
 
     @staticmethod
-    def _emit(ctx, plan: AggregationPlan, documents, rows, verdicts, excluded):
-        """Pass 3: the result's columns, rows in candidate order, scores looked up.
+    def _emit(ctx, table, plan: AggregationPlan, slots, keep, texts):
+        """Pass 3: the result's columns, rows in candidate order.
 
-        A row is kept when every score it carries passed (or
-        ``keep_all_scores``) and the excluding clause removes none of its
-        output texts.  An unbound non-output variable has key ``None``, so
-        the row carries no score for it: absent, and never failing.
+        A row is kept when it binds every output variable, every score it
+        carries passed (or ``keep_all_scores``) and the excluding clause
+        removes none of its output texts.  A row that leaves a non-output
+        scored variable unbound carries no score for it: absent, and never
+        failing.
         """
-        outputs = plan.outputs
-        scored_slots = [s for s, clause in enumerate(plan.clauses) if clause is not None]
-        keep_all = ctx.keep_all_scores
-        doc_ids: list[str] = []
-        doc_column: list[int] = []
-        sid_column: list[int] = []
-        texts: list[list[str]] = [[] for _ in range(outputs)]
-        scores: list[list[float]] = [[] for _ in scored_slots]
-        present: list[list[bool]] = [[] for _ in scored_slots]
-        for document, (sids, pairs, keys), doc_verdicts, doc_excluded in zip(
-            documents, rows, verdicts, excluded
-        ):
-            if not sids:
-                continue  # no candidate of this document binds every output
-            keep = None  # None: every row
-            if not keep_all and scored_slots:
-                passes = [
-                    map(
-                        {k: v[1] for k, v in doc_verdicts[slot].items()}.get,
-                        keys[slot],
-                        repeat(True),
-                    )
-                    for slot in scored_slots
-                ]
-                keep = list(map(all, zip(*passes)))
-            if doc_excluded:
-                keep = [
-                    (keep is None or keep[row])
-                    and not any(pair[1] in doc_excluded for pair in row_pairs)
-                    for row, row_pairs in enumerate(zip(*pairs))
-                ]
-            row_sids = _kept(sids, keep)
-            if not row_sids:
-                continue
-            doc_column.extend(repeat(len(doc_ids), len(row_sids)))
-            doc_ids.append(document.doc_id)
-            sid_column.extend(row_sids)
-            for slot in range(outputs):
-                texts[slot].extend(map(itemgetter(1), _kept(pairs[slot], keep)))
-            for j, slot in enumerate(scored_slots):
-                row_keys = _kept(keys[slot], keep)
-                score_of = {k: v[0] for k, v in doc_verdicts[slot].items()}
-                scores[j].extend(map(score_of.get, row_keys, repeat(0.0)))
-                present[j].extend(map(is_not, row_keys, repeat(None)))
+        scored = [slot for slot, clause in zip(slots, plan.clauses) if clause is not None]
+        if not ctx.keep_all_scores:
+            for slot in scored:
+                keep &= slot.passed[slot.value]
+        rows = np.flatnonzero(keep)
+        if not len(rows):
+            ctx.result.columns = ResultColumns()
+            return
+        doc = table.doc[rows]  # ascending: rows are grouped by document
+        docs = distinct_sorted(doc)
+        sids = table.sid[rows].tolist()
+        outputs = plan.variables[: plan.outputs]
         ctx.result.columns = ResultColumns.build(
-            doc_ids,
-            doc_column,
-            sid_column,
-            plan.variables[:outputs],
-            texts,
-            [plan.variables[slot] for slot in scored_slots],
-            scores,
-            present,
+            [table.documents[index].doc_id for index in docs.tolist()],
+            np.searchsorted(docs, doc).tolist(),
+            sids,
+            outputs,
+            [
+                list(map(texts.of, sids, *table.columns[variable][:2, rows].tolist()))
+                for variable in outputs
+            ],
+            [v for v, clause in zip(plan.variables, plan.clauses) if clause is not None],
+            [slot.score[slot.value[rows]] for slot in scored],
+            [slot.value[rows] >= 0 for slot in scored],
         )
 
 
-def _kept(column: list, keep: list[bool] | None) -> list:
-    """The entries of *column* that *keep* selects (all of them for None)."""
-    return column if keep is None else list(compress(column, keep))
+class _SpanKeys:
+    """Packs a row's ``(sentence, start, end)`` into one sortable key.
+
+    Rows of one sentence are adjacent, so a running sentence number stands
+    in for the sid.  Keys are ``int64`` bit fields when the numbers fit,
+    records otherwise.
+    """
+
+    def __init__(self, table: BindingTable, variables) -> None:
+        sid = table.sid
+        self.sentence = np.zeros(len(sid), np.int64)
+        np.cumsum(sid[1:] != sid[:-1], out=self.sentence[1:])
+        bounds = [int(table.columns[v][:2].max()) + 1 for v in variables if v in table.columns]
+        self.bits = max(bounds, default=0).bit_length()
+        self.packed = int(self.sentence[-1]).bit_length() + 2 * self.bits <= 62
+        if self.packed:
+            self.sentence <<= 2 * self.bits
+
+    def of(self, rows, column: np.ndarray) -> np.ndarray:
+        """The keys of *rows* (an index array or a slice) of *column*."""
+        sentence, start, end = self.sentence[rows], column[0, rows], column[1, rows] + 1
+        if self.packed:
+            return sentence | (start << self.bits) | end
+        keys = np.empty(len(sentence), [("sentence", "i8"), ("start", "i8"), ("end", "i8")])
+        keys["sentence"], keys["start"], keys["end"] = sentence, start, end
+        return keys
 
 
 #: The engine's canonical stage order (Figure 2).

@@ -14,6 +14,7 @@ import time
 from typing import NamedTuple
 
 import pytest
+from hypothesis import settings
 
 from repro.corpora.cafe_blogs import BARISTAMAG, generate_cafe_corpus
 from repro.corpora.happydb import generate_happydb_corpus
@@ -22,6 +23,14 @@ from repro.indexing.koko_index import KokoIndexSet
 from repro.koko.engine import KokoEngine
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Sentence
+
+# Budgets of the tests that take theirs from the Hypothesis profile (the
+# model-based state machine, the binding-table property): ``tier1`` for the
+# tier-1 suite, ``--hypothesis-profile ci`` for CI's longer run.  Tests that
+# set ``max_examples`` themselves keep it under either.
+settings.register_profile("tier1", max_examples=8, stateful_step_count=20)
+settings.register_profile("ci", max_examples=60, stateful_step_count=40)
+settings.load_profile("tier1")
 
 # The two running-example sentences of the paper (Figure 1 / Example 3.1).
 PAPER_SENTENCE_1 = (

@@ -368,7 +368,7 @@ def test_run_dpli_answers_alike_over_both_index_sets(name, wiki_corpus):
     normalized = compile_query(SCALEUP_QUERIES[name]).normalized
     production = run_dpli(normalized, KokoIndexSet().build(wiki_corpus))
     reference = run_dpli(normalized, ReferenceIndexSet().build(wiki_corpus))
-    assert production.candidate_sids == reference.candidate_sids
+    assert np.array_equal(production.candidate_sids, reference.candidate_sids)
     assert production.provably_empty == reference.provably_empty
     assert production.sid_columns.keys() == reference.sid_columns.keys()
     for variable, column in reference.sid_columns.items():

@@ -119,7 +119,7 @@ class TestDpli:
         normalized = normalize(parse_query(EXAMPLE_2_1))
         result = run_dpli(normalized, paper_indexes)
         assert not result.provably_empty
-        assert result.candidate_sids == {0, 1}
+        assert result.candidate_sids.tolist() == [0, 1]
         # all three path variables are served by the dominant path's postings
         assert result.path_bindings["b"] == result.path_bindings["c"]
         assert {p.word for p in result.path_bindings["c"]} == {"delicious"}
@@ -131,7 +131,7 @@ class TestDpli:
         )
         result = run_dpli(normalized, paper_indexes)
         assert result.provably_empty
-        assert result.candidate_sids == set()
+        assert result.candidate_sids.tolist() == []
 
     def test_empty_extract_clause_means_all_sentences(self, paper_indexes):
         normalized = normalize(parse_query('extract x:Entity from "t" if ()'))

@@ -17,6 +17,7 @@ from repro.corpora.tweets import generate_tweet_corpus
 from repro.corpora.wikipedia import WikipediaConfig, generate_wikipedia_corpus
 from repro.evaluation import queries as evaluation_queries
 from repro.koko.aggregate import plan_aggregation
+from repro.koko.bindings import BindingTable
 from repro.koko.ast import (
     AdjacencyCondition,
     DescriptorCondition,
@@ -89,7 +90,7 @@ class TestStagesIndividually:
         ExtractStage().run(ctx)
         assert ctx.result.candidate_sentences == 2
         assert ctx.result.evaluated_sentences == 2
-        assert any(tuples for _, tuples in ctx.candidates)
+        assert len(ctx.bindings) > 0
         assert ctx.result.timings.extract > 0.0
 
         AggregateStage().run(ctx)
@@ -107,7 +108,7 @@ class TestStagesIndividually:
         ctx = paper_engine.make_context(EMPTY_QUERY)
         result = StagePipeline().run(ctx)
         assert ctx.finished
-        assert ctx.documents == [] and ctx.candidates == []
+        assert ctx.documents == [] and ctx.bindings is None
         assert len(result) == 0
         # the post-DPLI stages never ran
         assert result.timings.load_articles == 0.0
@@ -368,7 +369,7 @@ def reference_occurrences(document, value):
     return found
 
 
-def reference_aggregate(ctx):
+def reference_aggregate(ctx, candidates):
     """A copy of the per-tuple aggregation loop, over the public scorer API."""
     scorer = ConditionScorer(ctx.resources)
     parsed = ctx.parsed
@@ -387,7 +388,7 @@ def reference_aggregate(ctx):
         )
         return total, total >= threshold
 
-    for document, candidate_tuples in ctx.candidates:
+    for document, candidate_tuples in candidates:
         clause_cache = {}
         for sentence, assignment in candidate_tuples:
             values, scores = [], []
@@ -556,9 +557,12 @@ def test_set_at_a_time_stage_matches_the_per_tuple_loop(
         threshold_override=threshold_override,
         keep_all_scores=keep_all_scores,
     )
-    ctx.parsed, ctx.aggregation, ctx.candidates = query, plan_aggregation(query), candidates
+    ctx.parsed, ctx.aggregation = query, plan_aggregation(query)
+    ctx.bindings = BindingTable.from_assignments(candidates)
     AggregateStage().run(ctx)
-    expected = [(t.doc_id, t.sid, t.values, t.scores) for t in reference_aggregate(ctx)]
+    expected = [
+        (t.doc_id, t.sid, t.values, t.scores) for t in reference_aggregate(ctx, candidates)
+    ]
     assert as_rows(ctx.result) == expected
     # rows with an unbound scored variable survive the wire body too
     assert as_rows(decode_body(encode_body(ctx.result))) == expected
@@ -574,13 +578,17 @@ def test_dateofbirth_scores_each_value_once_and_never_reads_the_document(
     )
     for stage in (NormalizeStage(), DpliStage(), LoadStage(), ExtractStage()):
         stage.run(ctx)
-    assignments = [a for _, pairs in ctx.candidates for _, a in pairs]
-    assert len(assignments) > 500
-    bindings = {(b.sid, b.start, b.end) for a in assignments for b in a.values()}
+    table = ctx.bindings
+    assert len(table) > 500
+    sids = table.sid.tolist()
+    bindings = {
+        (sid, start, end)
+        for column in table.columns.values()
+        for sid, start, end in zip(sids, column[0].tolist(), column[1].tolist())
+    }
     verbs = {
-        sentence.span_text(a["v"].start, a["v"].end)
-        for _, pairs in ctx.candidates
-        for sentence, a in pairs
+        table.sentences[sid].span_text(start, end)
+        for sid, (start, end) in zip(sids, zip(*table.columns["v"][:2].tolist()))
     }
 
     calls = {"occurrences": 0, "detokenize": 0, "similar_to": []}

@@ -1,0 +1,237 @@
+"""A model-based state machine over the durable, RPC-served service.
+
+The **model** is a dict of annotated documents; it answers a query with a
+fresh ``KokoEngine`` over the object-list ``ReferenceIndexSet``, which
+shares no index, extraction or storage code with the service.  The
+**system** is a durable ``KokoService`` (1 and 4 shards) behind an
+``RpcServer``, driven through an ``RpcClient``.  Hypothesis interleaves
+adds, bulk adds, removes, re-adds of removed ids, cold and repeated
+queries (the repeat is answered on the server's event loop from the
+result cache), checkpoints and close/reopen, and after every step checks
+what the service promises: tuple identity with the model, scores
+compared as ``repr``; equal candidate and evaluated sentence counts;
+sentence ids that never move; no ingest bytes left in flight.
+
+The budget comes from the Hypothesis profile: the small ``tier1`` one
+by default, ``--hypothesis-profile ci`` for the long run.
+"""
+
+from __future__ import annotations
+
+import functools
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.corpora.wikipedia import WikipediaConfig, generate_wikipedia_corpus
+from repro.evaluation import queries as evaluation_queries
+from repro.koko.engine import KokoEngine
+from repro.nlp.pipeline import Pipeline
+from repro.nlp.types import Corpus
+from repro.rpc import RpcClient, RpcServer
+from repro.service import KokoService
+
+QUERIES = {
+    **evaluation_queries.SCALEUP_QUERIES,  # the ledger's three
+    "in": 'extract e:Entity from "w" if (/ROOT:{ a = //noun } (a) in (e))',
+    "eq": 'extract e:Entity from "w" if (/ROOT:{ a = //propn } (a) eq (e))',
+    "parentOf": (
+        'extract x:Person from "w" if (/ROOT:{ v = //verb, s = v/nsubj } (s) in (x))'
+    ),
+    "ancestorOf": 'extract x:Entity, o:Str from "w" if (/ROOT:{ v = //verb, o = v//pobj })',
+    "leftOf": 'extract a:Person, v:Str from "w" if (/ROOT:{ v = //verb, c = a + ^ + v })',
+    "location": 'extract a:Location from "w" if ()',
+}
+OVERRIDES = [(None, False), (0.0, True)]
+DOC_IDS = [f"d{index}" for index in range(6)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pipeline() -> Pipeline:
+    return Pipeline()
+
+
+@functools.lru_cache(maxsize=None)
+def _texts() -> tuple[str, ...]:
+    """Short wiki articles (a birth date, a nickname, chocolate) plus places."""
+    config = WikipediaConfig(
+        articles=10, chocolate_fraction=0.3, called_fraction=0.3, seed=5
+    )
+    corpus = generate_wikipedia_corpus(config, pipeline=_pipeline())
+    return tuple(document.text for document in corpus) + (
+        "Alice visited Riverside Stadium in Paris.",
+        "Bob flew to Paris and walked through Central Park.",
+    )
+
+
+def rows(result) -> list:
+    return [(t.doc_id, t.sid, t.values, repr(t.scores)) for t in result]
+
+
+class ServiceMachine(RuleBasedStateMachine):
+    """The durable service against the dict-of-documents model."""
+
+    shards = 1
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.directory = Path(tempfile.mkdtemp(prefix="koko-machine-"))
+        self.model: dict = {}  # doc id -> annotated Document, in sid order
+        self.removed: set[str] = set()
+        self.next_sid = 0
+        self._oracle: KokoEngine | None = None
+        self.last_query: tuple[str, float | None, bool] | None = None
+        self.service = KokoService(shards=self.shards, storage_dir=self.directory)
+        self._connect()
+
+    # -- plumbing ---------------------------------------------------------
+    def _connect(self) -> None:
+        self.server = RpcServer(self.service)
+        self.client = RpcClient(*self.server.start())
+
+    def _disconnect(self) -> None:
+        self.client.close()
+        self.server.close()
+
+    def teardown(self) -> None:
+        self._disconnect()
+        self.service.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    def _admit(self, doc_id: str, text: str) -> None:
+        """Annotate *text* as the service will: the next free sid range."""
+        pipeline = _pipeline()
+        self.model[doc_id] = pipeline.annotate(text, doc_id=doc_id, first_sid=self.next_sid)
+        self.next_sid += len(pipeline.tokenizer.split_sentences(text))
+        self.removed.discard(doc_id)
+        self._changed()
+
+    def _changed(self) -> None:
+        """A write moved a generation: the oracle and the cached answer are stale."""
+        self._oracle = None
+        self.last_query = None
+
+    def _oracle_engine(self) -> KokoEngine:
+        if self._oracle is None:
+            self._oracle = KokoEngine(Corpus("model", list(self.model.values())))
+        return self._oracle
+
+    def _check_query(self, name: str, threshold: float | None, keep_all: bool) -> None:
+        text = QUERIES[name]
+        got = self.client.query(text, threshold_override=threshold, keep_all_scores=keep_all)
+        want = self._oracle_engine().execute(
+            text, threshold_override=threshold, keep_all_scores=keep_all
+        )
+        assert rows(got) == rows(want), name
+        assert got.candidate_sentences == want.candidate_sentences, name
+        assert got.evaluated_sentences == want.evaluated_sentences, name
+        self.last_query = (name, threshold, keep_all)
+
+    def _free_ids(self) -> list[str]:
+        return [doc_id for doc_id in DOC_IDS if doc_id not in self.model]
+
+    # -- writes -------------------------------------------------------------
+    @precondition(lambda self: self._free_ids())
+    @rule(data=st.data(), text=st.integers(0, 11))
+    def add(self, data, text):
+        doc_id = data.draw(st.sampled_from(self._free_ids()))
+        ack = self.client.add_document(_texts()[text], doc_id=doc_id)
+        assert ack["doc_id"] == doc_id
+        self._admit(doc_id, _texts()[text])
+
+    @precondition(lambda self: len(self._free_ids()) >= 2)
+    @rule(data=st.data())
+    def bulk_add(self, data):
+        free = self._free_ids()
+        ids = data.draw(st.lists(st.sampled_from(free), min_size=2, max_size=3, unique=True))
+        texts = [_texts()[data.draw(st.integers(0, 11))] for _ in ids]
+        ack = self.client.add_documents(texts, doc_ids=ids)
+        assert ack["doc_ids"] == ids
+        for doc_id, text in zip(ids, texts):
+            self._admit(doc_id, text)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def remove(self, data):
+        doc_id = data.draw(st.sampled_from(sorted(self.model)))
+        self.client.remove_document(doc_id)
+        del self.model[doc_id]
+        self.removed.add(doc_id)
+        self._changed()
+
+    @precondition(lambda self: self.removed)
+    @rule(data=st.data(), text=st.integers(0, 11))
+    def re_add_a_removed_id(self, data, text):
+        doc_id = data.draw(st.sampled_from(sorted(self.removed)))
+        self.client.add_document(_texts()[text], doc_id=doc_id)
+        self._admit(doc_id, _texts()[text])
+
+    # -- reads --------------------------------------------------------------
+    @rule(name=st.sampled_from(sorted(QUERIES)), override=st.sampled_from(OVERRIDES))
+    def cold_query(self, name, override):
+        self._check_query(name, *override)
+
+    @precondition(lambda self: self.last_query is not None)
+    @rule()
+    def repeated_query(self):
+        """The same request again: a result-cache hit, answered on the loop."""
+        hits = self.service.metrics.get("koko_result_cache_hits_total")
+        before = hits.value
+        self._check_query(*self.last_query)
+        assert hits.value == before + 1
+
+    # -- durability ---------------------------------------------------------
+    @rule()
+    def checkpoint(self):
+        self.service.checkpoint()
+
+    @rule()
+    def close_and_reopen(self):
+        self._disconnect()
+        self.service.close()
+        self.service = KokoService.open(self.directory)
+        assert self.service.shard_count == self.shards
+        self._connect()
+        self.last_query = None
+
+    # -- after every step ---------------------------------------------------
+    @invariant()
+    def documents_and_sids_are_the_models(self):
+        assert sorted(self.service.document_ids()) == sorted(self.model)
+        assert self.service.next_sid() == self.next_sid
+        live = {
+            document.doc_id: [sentence.sid for sentence in document]
+            for corpus in self.service.corpora
+            for document in corpus
+        }
+        assert live == {
+            doc_id: [sentence.sid for sentence in document]
+            for doc_id, document in self.model.items()
+        }
+
+    @invariant()
+    def nothing_is_in_flight(self):
+        assert self.service.inflight_ingest_bytes == 0
+
+
+class FourShardMachine(ServiceMachine):
+    shards = 4
+
+
+_SETTINGS = settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+TestOneShard = ServiceMachine.TestCase
+TestOneShard.settings = _SETTINGS
+TestFourShards = FourShardMachine.TestCase
+TestFourShards.settings = _SETTINGS
