@@ -37,6 +37,7 @@ from pathlib import Path
 
 #: packages (or single modules) that must carry docstrings + __all__
 LINTED_PACKAGES = (
+    "src/repro/net.py",
     "src/repro/service",
     "src/repro/persistence",
     "src/repro/replication",

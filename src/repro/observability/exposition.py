@@ -3,10 +3,10 @@
 Two pieces, both dependency-free (asyncio + stdlib ``http.client``):
 
 * :class:`TelemetryServer` — a tiny asyncio HTTP/1.1 endpoint that runs
-  in a daemon thread and attaches to any *node* (a ``KokoService``
-  primary, a ``ReplicaService`` follower, or a ``ReplicaSet`` router —
-  the node is duck-typed, so this module imports nothing from the
-  service or replication layers).  Endpoints:
+  in a daemon thread (:class:`~repro.net.LoopServer`) and attaches to
+  any *node* (a ``KokoService`` primary, a ``ReplicaService`` follower,
+  or a ``ReplicaSet`` router — the node is duck-typed, so this module
+  imports nothing from the service or replication layers).  Endpoints:
 
   ===================  ====================================================
   ``GET /metrics``     Prometheus text exposition of the node's registry
@@ -61,6 +61,7 @@ import json
 import threading
 import time
 
+from ..net import LoopServer
 from .metrics import MetricsRegistry, histogram_quantiles
 from .tracestore import stitch_fragments
 
@@ -156,7 +157,7 @@ def _dumps(payload: object) -> bytes:
     return (json.dumps(payload, indent=2, default=str) + "\n").encode("utf-8")
 
 
-class TelemetryServer:
+class TelemetryServer(LoopServer):
     """One node's HTTP telemetry endpoint (see the module docstring).
 
     Parameters
@@ -207,88 +208,19 @@ class TelemetryServer:
         self.cluster = cluster
         self.rpc_server = rpc_server
         self.name = name if name is not None else getattr(node, "name", "node")
+        super().__init__(host, port, f"telemetry-{self.name}")
         self.max_lag_bytes = max_lag_bytes
-        self._host = host
-        self._port = port
         self._kind = _node_kind(node)
         self._checkpoint_wedge_seconds = checkpoint_wedge_seconds
         self._wal_stall_seconds = wal_stall_seconds
         self._probe_lock = threading.Lock()
         self._checkpoint_first_seen: float | None = None
         self._wal_synced_seen: tuple[int, float] = (0, time.monotonic())
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self.address: tuple[str, int] | None = None
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> tuple[str, int]:
-        """Bind and serve in a daemon thread; returns ``(host, port)``."""
-        if self._thread is not None:
-            return self.address
-        ready = threading.Event()
-        failure: list[BaseException] = []
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-
-        def run() -> None:
-            asyncio.set_event_loop(loop)
-            try:
-                server = loop.run_until_complete(
-                    asyncio.start_server(self._handle, self._host, self._port)
-                )
-            except BaseException as exc:  # bind failure: surface to start()
-                failure.append(exc)
-                ready.set()
-                return
-            self.address = server.sockets[0].getsockname()[:2]
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                server.close()
-                loop.run_until_complete(server.wait_closed())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name=f"telemetry-{self.name}", daemon=True
-        )
-        self._thread.start()
-        ready.wait(timeout=10.0)
-        if failure:
-            self._thread.join(timeout=1.0)
-            self._thread = None
-            self._loop = None
-            raise failure[0]
-        return self.address
-
-    def close(self) -> None:
-        """Stop serving (idempotent); in-flight requests are abandoned."""
-        loop, thread = self._loop, self._thread
-        self._loop = self._thread = None
-        if loop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(loop.stop)
-        except RuntimeError:  # pragma: no cover - loop already gone
-            pass
-        if thread is not None:
-            thread.join(timeout=5.0)
-
-    def __enter__(self) -> "TelemetryServer":
-        """Context-manager entry: :meth:`start`, returning the server."""
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: :meth:`close`."""
-        self.close()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
+    async def _serve_connection(self, reader, writer) -> None:
         status, content_type, body = 400, _TEXT, b"bad request\n"
         try:
             request_line = await asyncio.wait_for(reader.readline(), timeout=10.0)

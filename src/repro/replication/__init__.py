@@ -6,8 +6,8 @@ The scale-out read path over the durability subsystem:
   :class:`~repro.replication.shipper.LogShipper` streams snapshot
   bootstrap + WAL tail to any number of followers, coordinating with
   checkpoint rotation through WAL retention pins;
-* **transports** (:mod:`.transport`) — an in-process queue pair and a
-  TCP socket transport behind one message interface;
+* **transports** — an in-process queue pair (:mod:`.transport`) and the
+  TCP transport of :mod:`repro.net` behind one message interface;
 * **replicas** (:mod:`.replica`) — a
   :class:`~repro.replication.replica.ReplicaService` restores the
   shipped snapshot, tails the log through the service's existing splice
@@ -19,11 +19,12 @@ The scale-out read path over the durability subsystem:
   staleness and failover.
 """
 
+from ..net import TcpTransport, TransportClosed, connect_tcp
 from ..persistence import WalPosition
 from .replica import ReplicaService
 from .router import ReplicaSet, ReplicaSetStats
 from .shipper import LogShipper, ShipperSession
-from .transport import InProcessTransport, TcpTransport, TransportClosed, connect_tcp
+from .transport import InProcessTransport
 
 __all__ = [
     "InProcessTransport",

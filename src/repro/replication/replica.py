@@ -30,10 +30,10 @@ import threading
 import time
 
 from ..errors import ReplicationError, ServiceError
+from ..net import TransportClosed
 from ..observability.tracing import Span, TraceContext, new_span_id
 from ..persistence import WalPosition, WalRecord, state_from_payloads
 from ..service import KokoService
-from .transport import TransportClosed
 
 __all__ = ["ReplicaService"]
 
@@ -46,7 +46,7 @@ class ReplicaService:
     transport:
         The follower end of a transport connected to a primary's
         :class:`~repro.replication.shipper.LogShipper` (e.g.
-        :func:`~repro.replication.transport.connect_tcp`, or the replica
+        :func:`~repro.net.connect_tcp`, or the replica
         end of :meth:`InProcessTransport.pair` handed to
         ``shipper.serve``).
     ack_every_records:
@@ -56,7 +56,7 @@ class ReplicaService:
         Label for diagnostics.
     **service_kwargs:
         Forwarded to the inner :class:`~repro.service.KokoService`
-        (cache sizes, ``max_workers``, engine options...).  Must match
+        (cache sizes, engine options...).  Must match
         the primary's engine configuration for identical results; the
         defaults do.
 

@@ -24,7 +24,8 @@ followers, with the staleness controls a replicated read path needs:
 
 The router is synchronous and in-process: it holds direct references to
 the replica objects.  Cross-process read scaling runs one router (or a
-bare replica) per process — see ``benchmarks/bench_replication.py``.
+bare replica) per process, each replica dialing the primary's shipping
+port with :func:`~repro.net.connect_tcp`.
 """
 
 from __future__ import annotations

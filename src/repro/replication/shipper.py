@@ -29,30 +29,19 @@ the follower to reconnect — which re-bootstraps from a fresh snapshot.
 
 from __future__ import annotations
 
-import ipaddress
 import socket
 import threading
 import time
 
 from ..errors import PersistenceError, ReplicationError
+from ..net import TcpTransport, TransportClosed, check_listen, handshake
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import Span, TraceContext, new_span_id
 from ..persistence import WalCursor, WalPosition, read_snapshot_payloads
 from ..persistence.wal import WalRecord
 from ..persistence.snapshot import find_latest_valid
-from .transport import TcpTransport, TransportClosed, issue_auth_challenge
 
 __all__ = ["LogShipper", "ShipperSession"]
-
-
-def _is_loopback(host: str) -> bool:
-    """True when *host* can only be reached from this machine."""
-    if host == "localhost":
-        return True
-    try:
-        return ipaddress.ip_address(host).is_loopback
-    except ValueError:
-        return False  # a hostname: assume reachable, require a token
 
 
 class ShipperSession:
@@ -513,25 +502,16 @@ class LogShipper:
         """Accept TCP followers on ``host:port``; returns the bound address.
 
         ``port=0`` binds an ephemeral port.  Each accepted connection gets
-        its own :class:`ShipperSession`.
-
-        Replication frames are pickles, so an open shipping port grants
-        whoever reaches it code execution on this process.  With
-        ``auth_token`` set, every accepted connection runs a mutual
-        HMAC-SHA256 challenge-response over raw bytes (see
-        :func:`~repro.replication.transport.connect_tcp`) before either
-        side unpickles a frame; a non-loopback *host* **requires** a token
-        unless
-        ``allow_unauthenticated=True`` explicitly opts out (only for
-        networks that are isolated by other means).
+        its own :class:`ShipperSession`.  With ``auth_token`` set, every
+        accepted connection must pass the mutual handshake of
+        :mod:`repro.net` before a frame is exchanged; a non-loopback
+        *host* requires a token unless ``allow_unauthenticated=True``
+        (:func:`~repro.net.check_listen`, whose module states the trust
+        model).
         """
-        if auth_token is None and not allow_unauthenticated and not _is_loopback(host):
-            raise ReplicationError(
-                f"refusing to accept unauthenticated followers on {host!r}: "
-                "frames are pickles (remote code execution for anyone who "
-                "can connect) — pass auth_token=..., or "
-                "allow_unauthenticated=True on an otherwise-isolated network"
-            )
+        check_listen(
+            host, auth_token, allow_unauthenticated, "accept unauthenticated followers"
+        )
         with self._lock:
             if self._closed:
                 raise ReplicationError("log shipper is closed")
@@ -571,14 +551,12 @@ class LogShipper:
         """Challenge one accepted connection; False on mismatch/timeout.
 
         Runs inline in the accept loop under a short deadline, so one
-        stalling dialer delays — but cannot wedge — later accepts.
+        stalling dialer delays — but cannot wedge — later accepts.  (The
+        transport built on the socket afterwards clears the timeout.)
         """
         try:
             sock.settimeout(5.0)
-            if not issue_auth_challenge(sock, self._auth_token):
-                return False
-            sock.settimeout(None)
-            return True
+            return handshake(sock, self._auth_token, listener=True)
         except (TransportClosed, OSError):
             return False
 

@@ -1,15 +1,15 @@
 """Clients for the query/ingest RPC tier: blocking and asyncio.
 
-:class:`RpcClient` is the blocking client.  Because the RPC wire dialect
-is the replication transport's framing plus the same HMAC handshake, the
-blocking client sends and receives its frames through a
-:class:`~repro.replication.transport.TcpTransport` — no second framing
-implementation to keep in sync.  A response payload of either shape
+:class:`RpcClient` is the blocking client: it dials, runs the HMAC
+handshake and frames its requests with :mod:`repro.net`'s blocking
+adapter (:func:`~repro.net.connect_tcp`, :class:`~repro.net.TcpTransport`),
+the path replication dials with too.  A response payload of either shape
 (:mod:`repro.rpc.wire`) is decoded, matched to its request and accounted
 by one method both clients share (:meth:`_CallMixin._complete_call`).
 
 :class:`AsyncRpcClient` is the asyncio twin for event-loop callers (and
-for tests that drive many concurrent requests without threads).
+for tests that drive many concurrent requests without threads), on
+:mod:`repro.net`'s asyncio adapter.
 
 Both expose the same surface: ``query``, ``query_batch``,
 ``add_document`` / ``add_documents`` (with ``wait_durable=False`` for
@@ -39,27 +39,20 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
-import socket
 import threading
 import time
 
 from ..errors import RpcError, RpcUnavailable
+from ..net import (
+    TransportClosed,
+    connect_tcp,
+    handshake_async,
+    read_frame,
+    write_frame,
+)
 from ..observability.tracestore import TraceStore
 from ..observability.tracing import Span, TraceContext, Tracer
-from ..replication.transport import (
-    TcpTransport,
-    TransportClosed,
-    answer_auth_challenge,
-)
-from .wire import (
-    RpcRequest,
-    answer_auth_challenge_async,
-    decode_response,
-    encode_message,
-    frame_message,
-    raise_fault,
-    read_frame,
-)
+from .wire import RpcRequest, decode_response, encode_message, raise_fault
 
 __all__ = ["AsyncRpcClient", "RpcClient"]
 
@@ -314,14 +307,15 @@ class _CallMixin:
 
 
 class RpcClient(_CallMixin):
-    """Blocking RPC client over a :class:`TcpTransport` connection.
+    """Blocking RPC client over a :class:`~repro.net.TcpTransport` connection.
 
     Thread-safe: a lock serialises request/response exchanges, so one
     client may be shared across threads (each call holds the connection
-    for its full round trip).  A call that gets no response within
-    ``timeout`` seconds raises :class:`~repro.errors.RpcUnavailable` and
-    closes the connection — the late response must never be read as the
-    next call's answer — so later calls fail fast; connect again.
+    for its full round trip).  A call that gets no whole response within
+    ``timeout`` seconds (none at all, or one that stalls mid-frame) raises
+    :class:`~repro.errors.RpcUnavailable` and closes the connection, so the
+    late response is never read as the next call's answer: later calls
+    fail fast; connect again.
 
     ``trace_sample_rate`` samples calls into client-side ``rpc.call``
     root spans whose :class:`TraceContext` the server continues; the
@@ -344,14 +338,7 @@ class RpcClient(_CallMixin):
         self.default_deadline = default_deadline
         self.timeout = timeout
         self._init_tracing(trace_sample_rate)
-        sock = socket.create_connection((host, port), timeout=timeout)
-        try:
-            if auth_token is not None:
-                answer_auth_challenge(sock, auth_token)
-        except Exception:
-            sock.close()
-            raise
-        self._transport = TcpTransport(sock)
+        self._transport = connect_tcp(host, port, timeout, auth_token)
         self._lock = threading.Lock()
         self._request_ids = itertools.count(1)
 
@@ -437,10 +424,12 @@ class AsyncRpcClient(_CallMixin):
             asyncio.open_connection(host, port), timeout=timeout
         )
         try:
-            if auth_token is not None:
-                await asyncio.wait_for(
-                    answer_auth_challenge_async(reader, writer, auth_token),
-                    timeout=timeout,
+            if auth_token is not None and not await asyncio.wait_for(
+                handshake_async(reader, writer, auth_token, listener=False),
+                timeout=timeout,
+            ):
+                raise RpcUnavailable(
+                    "server failed the auth handshake: wrong or missing token"
                 )
         except Exception:
             writer.close()
@@ -464,8 +453,7 @@ class AsyncRpcClient(_CallMixin):
         )
         async with self._lock:
             try:
-                self._writer.write(frame_message(encode_message(request)))
-                await self._writer.drain()
+                await write_frame(self._writer, encode_message(request))
                 payload = await read_frame(self._reader)
             except (ConnectionError, OSError) as exc:
                 raise RpcUnavailable(f"server connection failed: {exc}") from exc

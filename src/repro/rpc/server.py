@@ -6,8 +6,8 @@ a primary :class:`~repro.service.service.KokoService`, a read-only
 "replica query RPC" item: replicas answer the same ``query`` op,
 tuple-identically), or a :class:`~repro.replication.router.ReplicaSet`
 (reads fan across replicas with read-your-writes tokens, writes go to the
-primary).  The wire dialect is the replication transport's framing plus
-the same mutual HMAC handshake (:mod:`repro.rpc.wire`).
+primary).  Frames and the mutual HMAC handshake are :mod:`repro.net`'s,
+shared with replication; what goes inside a frame is :mod:`repro.rpc.wire`.
 
 A request takes one of **two paths**.  A ``query`` that a primary's or a
 replica's result cache can answer is answered **on the event loop**, where
@@ -43,48 +43,50 @@ Production admission machinery lives at this boundary:
   chain) joins the same trace.  Every response carries ``server_ms``
   so even untraced clients can split wire time from server time.
 
-Lifecycle follows the telemetry server: an asyncio loop on a daemon
-thread, ``start()`` returning the bound address, idempotent ``close()``.
-Faulty connections (garbage frames, oversized headers, handshake
-failures, slow-loris idling) are dropped — counted in the node's metrics
-registry under ``koko_rpc_transport_errors_total`` — without disturbing
+The lifecycle is :class:`~repro.net.LoopServer`'s: an asyncio loop on a
+daemon thread, ``start()`` returning the bound address, idempotent
+``close()`` that cancels the open connections.  Faulty connections
+(garbage frames, oversized headers, handshake failures, slow-loris
+idling) are dropped — counted in the node's metrics registry under
+``koko_rpc_transport_errors_total`` — without disturbing
 the other connections.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..errors import (
-    ReplicationError,
     RpcBadRequest,
     RpcDeadlineExceeded,
     RpcReadOnly,
     RpcStaleRead,
 )
-from ..observability.exposition import _node_kind
-from ..observability.tracing import Span, TraceContext
-from ..replication.shipper import _is_loopback
-from ..service.cache import CacheEntry
-from ..service.service import IngestAck
-from .admission import AdmissionController, AdmissionPolicy
-from .wire import (
-    FRAME_HEADER,
+from ..net import (
     MAX_FRAME_BYTES,
     FrameError,
     FrameTooLarge,
     IdleTimer,
+    LoopServer,
+    check_listen,
+    handshake_async,
+    read_frame,
+    write_frame,
+)
+from ..observability.exposition import _node_kind
+from ..observability.tracing import Span, TraceContext
+from ..service.cache import CacheEntry
+from ..service.service import IngestAck
+from .admission import AdmissionController, AdmissionPolicy
+from .wire import (
     RpcRequest,
     RpcResponse,
     decode_message,
     encode_body,
     encode_message,
     fault_for,
-    issue_auth_challenge_async,
-    read_frame,
 )
 
 __all__ = ["RpcServer"]
@@ -96,7 +98,7 @@ _WRITE_OPS = frozenset({"add_document", "add_documents", "remove_document", "flu
 _UNMETERED_OPS = frozenset({"ping", "info"})
 
 
-class RpcServer:
+class RpcServer(LoopServer):
     """Serve the query/ingest RPC protocol for one node.
 
     Parameters
@@ -107,8 +109,9 @@ class RpcServer:
     host / port:
         Bind address; port 0 picks a free port (returned by
         :meth:`start`).  A non-loopback *host* requires ``auth_token``
-        unless ``allow_unauthenticated=True`` — frames are pickles, the
-        same trust model as the replication listener.
+        unless ``allow_unauthenticated=True``
+        (:func:`~repro.net.check_listen`; the trust model is
+        :mod:`repro.net`'s).
     auth_token:
         Shared secret for the mutual HMAC handshake; clients must present
         it before any frame is exchanged.
@@ -144,22 +147,17 @@ class RpcServer:
         max_workers: int = 8,
         name: str | None = None,
     ) -> None:
-        if auth_token is None and not allow_unauthenticated and not _is_loopback(host):
-            raise ReplicationError(
-                f"refusing to serve unauthenticated RPC on {host!r}: frames "
-                "are pickles (remote code execution for anyone who can "
-                "connect) — pass auth_token=..., or allow_unauthenticated="
-                "True on an otherwise-isolated network"
-            )
+        check_listen(
+            host, auth_token, allow_unauthenticated, "serve unauthenticated RPC"
+        )
         self.node = node
         self.name = name if name is not None else getattr(node, "name", "rpc")
+        super().__init__(host, port, f"rpc-server-{self.name}")
         self.auth_token = auth_token
         self.max_frame_bytes = max_frame_bytes
         self.idle_timeout = idle_timeout
         self.handshake_timeout = handshake_timeout
         self.default_deadline = default_deadline
-        self._host = host
-        self._port = port
         self._kind = _node_kind(node)
         if isinstance(admission, AdmissionPolicy):
             admission = AdmissionController(admission)
@@ -167,9 +165,6 @@ class RpcServer:
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix=f"rpc-{self.name}"
         )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self.address: tuple[str, int] | None = None
         registry = node.metrics
         self._requests = registry.counter(
             "koko_rpc_requests_total", "RPC requests received", ("op",)
@@ -212,100 +207,15 @@ class RpcServer:
             for op in (*self._handlers, "ping")
         }
 
-    # ------------------------------------------------------------------
-    # lifecycle (the telemetry-server pattern: loop on a daemon thread)
-    # ------------------------------------------------------------------
-    def start(self) -> tuple[str, int]:
-        """Bind and serve in a daemon thread; returns ``(host, port)``."""
-        if self._thread is not None:
-            return self.address
-        ready = threading.Event()
-        failure: list[BaseException] = []
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-
-        def run() -> None:
-            asyncio.set_event_loop(loop)
-            try:
-                server = loop.run_until_complete(
-                    asyncio.start_server(self._serve_connection, self._host, self._port)
-                )
-            except BaseException as exc:  # bind failure: surface to start()
-                failure.append(exc)
-                ready.set()
-                return
-            self.address = server.sockets[0].getsockname()[:2]
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                server.close()
-                loop.run_until_complete(server.wait_closed())
-                pending = asyncio.all_tasks(loop)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name=f"rpc-server-{self.name}", daemon=True
-        )
-        self._thread.start()
-        ready.wait(timeout=10.0)
-        if failure:
-            self._thread.join(timeout=1.0)
-            self._thread = None
-            self._loop = None
-            raise failure[0]
-        return self.address
-
     def close(self) -> None:
-        """Stop serving (idempotent); open connections are abandoned."""
-        loop, thread = self._loop, self._thread
-        self._loop = self._thread = None
-        if loop is not None:
-            try:
-                loop.call_soon_threadsafe(loop.stop)
-            except RuntimeError:  # pragma: no cover - loop already gone
-                pass
-            if thread is not None:
-                thread.join(timeout=5.0)
+        """Stop serving (idempotent); open connections are cancelled."""
+        super().close()
         self._executor.shutdown(wait=False)
-
-    @property
-    def listening(self) -> bool:
-        """True while the server thread is alive and bound."""
-        thread = self._thread
-        return thread is not None and thread.is_alive() and self.address is not None
-
-    def __enter__(self) -> "RpcServer":
-        """Context-manager entry: :meth:`start`, returning the server."""
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: :meth:`close`."""
-        self.close()
 
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
     async def _serve_connection(self, reader, writer) -> None:
-        """The task of one accepted connection (see :meth:`_connection_loop`).
-
-        Only :meth:`close` cancels it, as the loop shuts down; ending
-        quietly then keeps Python 3.11's stream callback from logging the
-        cancellation as an unhandled exception of this coroutine.
-        """
-        try:
-            await self._connection_loop(reader, writer)
-        except asyncio.CancelledError:
-            pass
-
-    async def _connection_loop(self, reader, writer) -> None:
         """One accepted connection: handshake, then a request loop.
 
         Any transport-level fault (garbage, oversized frame, mid-frame
@@ -324,7 +234,7 @@ class RpcServer:
             if self.auth_token is not None:
                 try:
                     ok = await asyncio.wait_for(
-                        issue_auth_challenge_async(reader, writer, self.auth_token),
+                        handshake_async(reader, writer, self.auth_token, listener=True),
                         timeout=self.handshake_timeout,
                     )
                 except Exception:
@@ -365,8 +275,7 @@ class RpcServer:
                     if entry.encoded is None:
                         entry.encoded = encode_body(entry.value)
                     payload = encode_message(response, entry.encoded)
-                writer.writelines((FRAME_HEADER.pack(len(payload)), payload))
-                await writer.drain()
+                await write_frame(writer, payload)
         except (ConnectionError, OSError):
             self._transport_errors.labels("disconnect").inc()
         finally:

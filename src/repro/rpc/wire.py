@@ -1,11 +1,8 @@
-"""Wire format of the query/ingest RPC tier.
+"""Messages, result body and fault mapping of the query/ingest RPC tier.
 
-The RPC tier frames like the replication transport
-(:class:`~repro.replication.transport.TcpTransport`): a little-endian
-``u64`` length prefix, then the payload, after the same mutual HMAC
-challenge-response before any byte is unpickled (async variants of the
-handshake live here for the asyncio server and client).  The blocking
-client therefore reads and writes its frames through a ``TcpTransport``.
+Frames, the HMAC handshake and the trust model are the network layer's
+(:mod:`repro.net`), shared with replication; this module says what goes
+inside a frame.
 
 A **request** payload is one pickled message, and so are responses that
 carry no query result (faults, acks, ``info``, and for now the lists of
@@ -51,17 +48,13 @@ Messages are two frozen dataclasses:
   ``server_ms`` (server-side dispatch wall time, so every client —
   traced or not — can split wire time from server time).
 
-**Trust model**: identical to the replication transport — requests and
-envelopes are still pickles, which stay inside one trust domain; the
-token gates accidental exposure.  Only the result body is typed so far.
+Requests and envelopes are pickles, so the trust model of
+:mod:`repro.net` applies; only the result body is typed so far.
 """
 
 from __future__ import annotations
 
-import asyncio
-import hmac
 import io
-import os
 import pickle
 import struct
 from dataclasses import dataclass, field, replace
@@ -87,57 +80,26 @@ from ..errors import (
     ServiceError,
 )
 from ..koko.results import KokoResult, ResultColumns, StageTimings, index_dtype
+from ..net import FrameError, FrameTooLarge
 from ..observability.tracing import TraceContext
-from ..replication.transport import (
-    _AUTH_DIGEST_LEN,
-    _AUTH_NONCE_LEN,
-    _auth_digest,
-)
 
 __all__ = [
     "BODY_CODEC",
-    "FRAME_HEADER",
-    "MAX_FRAME_BYTES",
     "BodyFollows",
     "FrameError",
     "FrameTooLarge",
-    "IdleTimer",
     "RpcFault",
     "RpcRequest",
     "RpcResponse",
     "TraceContext",
-    "answer_auth_challenge_async",
     "decode_body",
     "decode_message",
     "decode_response",
     "encode_body",
     "encode_message",
     "fault_for",
-    "frame_message",
-    "issue_auth_challenge_async",
     "raise_fault",
-    "read_frame",
 ]
-
-#: the length prefix — identical to ``TcpTransport``'s, on purpose
-FRAME_HEADER = struct.Struct("<Q")
-
-#: default upper bound on one frame; a header announcing more is treated
-#: as garbage and the connection is dropped before any allocation
-MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-
-class FrameError(RpcError):
-    """The byte stream did not contain a well-formed frame."""
-
-    code = "bad_frame"
-
-
-class FrameTooLarge(FrameError):
-    """A frame header announced a payload over the configured bound."""
-
-    code = "frame_too_large"
-
 
 @dataclass(frozen=True)
 class RpcRequest:
@@ -434,98 +396,6 @@ def decode_response(payload: bytes) -> RpcResponse:
     return replace(response, value=decode_body(memoryview(payload)[envelope_end:]))
 
 
-def frame_message(payload: bytes) -> bytes:
-    """Prefix an encoded payload with the u64 length header."""
-    return FRAME_HEADER.pack(len(payload)) + payload
-
-
-class IdleTimer:
-    """The idle / slow-loris guard of one connection: one timer, re-armed.
-
-    :func:`read_frame` calls :meth:`start` when it begins waiting for a
-    frame and :meth:`stop` once the frame is whole; a read still pending
-    *timeout* seconds after its start fails with
-    :class:`asyncio.TimeoutError`.  Starting and stopping only move a
-    deadline — the one ``call_at`` handle is re-armed when it fires, not
-    per request — so the guard costs a busy connection a clock read per
-    frame instead of a task and a timer.  :meth:`cancel` when the
-    connection closes.
-    """
-
-    def __init__(self, reader: asyncio.StreamReader, timeout: float) -> None:
-        self._reader = reader
-        self._timeout = timeout
-        self._loop = asyncio.get_running_loop()
-        self._deadline: float | None = None  # set while a frame read is pending
-        self._handle: asyncio.TimerHandle | None = None
-
-    def start(self) -> None:
-        """A frame read begins: it must finish within the timeout."""
-        self._deadline = self._loop.time() + self._timeout
-        if self._handle is None:
-            self._handle = self._loop.call_at(self._deadline, self._fire)
-
-    def stop(self) -> None:
-        """The frame read ended; nothing is pending."""
-        self._deadline = None
-
-    def cancel(self) -> None:
-        """The connection is closing: drop the timer."""
-        self._deadline = None
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _fire(self) -> None:
-        self._handle = None
-        deadline = self._deadline
-        if deadline is None:
-            return  # no read pending: the next start() arms a new timer
-        if self._loop.time() < deadline:
-            self._handle = self._loop.call_at(deadline, self._fire)
-        else:
-            # wakes the pending read with the error; the stream is unusable
-            # afterwards, which is the point — the connection is dropped
-            self._reader.set_exception(asyncio.TimeoutError())
-
-
-async def read_frame(
-    reader: asyncio.StreamReader,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-    idle: IdleTimer | None = None,
-) -> bytes | None:
-    """Read one whole frame payload from an asyncio stream.
-
-    Returns ``None`` on a clean EOF at a frame boundary.  Raises
-    :class:`FrameTooLarge` when the header announces more than
-    *max_frame_bytes* (the stream cannot be resynchronised — drop the
-    connection), :class:`FrameError` on a mid-frame EOF, and
-    :class:`asyncio.TimeoutError` when *idle*'s timeout elapses first (the
-    slow-loris guard: a peer trickling header bytes forever is cut off).
-    """
-    if idle is not None:
-        idle.start()
-    try:
-        try:
-            header = await reader.readexactly(FRAME_HEADER.size)
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean EOF between frames
-            raise FrameError("connection closed mid-header") from exc
-        (length,) = FRAME_HEADER.unpack(header)
-        if length > max_frame_bytes:
-            raise FrameTooLarge(
-                f"frame of {length} bytes exceeds the {max_frame_bytes}-byte bound"
-            )
-        try:
-            return await reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            raise FrameError("connection closed mid-frame") from exc
-    finally:
-        if idle is not None:
-            idle.stop()
-
-
 # -- fault mapping ------------------------------------------------------
 
 _FAULT_TYPES: dict[str, type[RpcError]] = {
@@ -571,50 +441,3 @@ def fault_for(exc: BaseException) -> RpcFault:
 def raise_fault(fault: RpcFault) -> NoReturn:
     """Re-raise a wire fault as its typed client-side exception."""
     raise _FAULT_TYPES.get(fault.code, RpcServerError)(fault.message)
-
-
-# -- async HMAC handshake ----------------------------------------------
-#
-# The same mutual challenge-response as the replication transport (see
-# its module docstring for the protocol), transliterated to asyncio
-# streams for the RPC server and async client.
-
-
-async def issue_auth_challenge_async(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    token: bytes | str,
-) -> bool:
-    """Listener side of the mutual handshake (asyncio); True on success."""
-    server_nonce = os.urandom(_AUTH_NONCE_LEN)
-    writer.write(server_nonce)
-    await writer.drain()
-    answer = await reader.readexactly(_AUTH_NONCE_LEN + _AUTH_DIGEST_LEN)
-    client_nonce, digest = answer[:_AUTH_NONCE_LEN], answer[_AUTH_NONCE_LEN:]
-    if not hmac.compare_digest(
-        digest, _auth_digest(token, b"client", server_nonce)
-    ):
-        return False
-    writer.write(_auth_digest(token, b"server", client_nonce))
-    await writer.drain()
-    return True
-
-
-async def answer_auth_challenge_async(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    token: bytes | str,
-) -> None:
-    """Dialer side of the mutual handshake (asyncio); raises
-    :class:`RpcUnavailable` when the listener cannot prove the token."""
-    server_nonce = await reader.readexactly(_AUTH_NONCE_LEN)
-    client_nonce = os.urandom(_AUTH_NONCE_LEN)
-    writer.write(client_nonce + _auth_digest(token, b"client", server_nonce))
-    await writer.drain()
-    proof = await reader.readexactly(_AUTH_DIGEST_LEN)
-    if not hmac.compare_digest(
-        proof, _auth_digest(token, b"server", client_nonce)
-    ):
-        raise RpcUnavailable(
-            "server failed the auth handshake: wrong or missing token"
-        )

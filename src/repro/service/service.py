@@ -32,7 +32,7 @@ a long-lived server:
   and the per-shard results are merged deterministically
   (:func:`~repro.koko.results.merge_results`): stable tuple order,
   summed :class:`~repro.koko.results.StageTimings`.  Concurrency is
-  across requests (:meth:`query_batch`, the async front end, RPC).
+  across requests (:meth:`query_batch`, the RPC server's executor).
 * **Plan caching** — each distinct query string is parsed and normalised
   once (:class:`~repro.service.cache.PlanCache`).
 * **Result caching with per-shard generation stamps** — full query results
@@ -50,11 +50,6 @@ a long-lived server:
   Reopening the directory restores the latest valid snapshot and replays
   the WAL tail — tolerating a torn final record — so the service restarts
   warm with identical query results and zero re-annotation.
-* **Async front end** — :meth:`aquery`, :meth:`aadd_document`,
-  :meth:`aremove_document` and :meth:`aquery_batch` wrap the blocking
-  calls in ``asyncio`` futures driven by a dedicated thread pool, so an
-  event-loop application can serve heavy mixed read/write traffic without
-  blocking its loop.
 * **Concurrency** — any number of queries evaluate in parallel under the
   per-shard read locks; :meth:`query_batch` fans a batch out over a thread
   pool, preserving per-query timings.  Checkpoints hold per-shard *read*
@@ -98,7 +93,6 @@ read earlier — the usual read-committed view of a partitioned store.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -273,9 +267,6 @@ class KokoService(Durability):
         ``koko_result_cache_admission_skips_total`` and
         ``koko_shard_cache_admission_skips_total{shard}``.  ``None``
         (default) admits any size.
-    max_workers:
-        Thread-pool width used by :meth:`query_batch` and by the async
-        front end (:meth:`aquery` et al.).
     annotation_workers:
         Size of the annotation pool the staged ingest path uses to run NLP
         annotation off-lock.  ``None`` (default) annotates inline in the
@@ -365,7 +356,6 @@ class KokoService(Durability):
         plan_cache_size: int = 256,
         result_cache_size: int = 256,
         result_cache_max_entry_bytes: int | None = None,
-        max_workers: int = 4,
         annotation_workers: int | None = None,
         annotation_processes: bool = False,
         max_inflight_ingest_bytes: int | None = None,
@@ -457,7 +447,6 @@ class KokoService(Durability):
             _Shard(i, f"{name}/shard{i}", self._index_set.shards[i], engine_kwargs)
             for i in range(shards)
         ]
-        self.max_workers = max_workers
         self.stats = ServiceStats()
         # tracing + slow-op log share the stats registry, so one
         # render_text() exposes the whole service
@@ -518,11 +507,6 @@ class KokoService(Durability):
             on_admission_wait=self.stats.record_backpressure_wait,
         )
         self._generations = [0] * shards
-        # Async front end: asyncio wrappers run the blocking calls here so
-        # the event loop never blocks on annotation, fsyncs or execution.
-        self._frontend_pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="koko-frontend"
-        )
         # Optional annotation pool for the off-lock annotation stage.
         self._annotation_processes = annotation_processes
         self._annotation_pool: Executor | None = None
@@ -1349,7 +1333,7 @@ class KokoService(Durability):
         queries: list[str | KokoQuery | CompiledQuery],
         threshold_override: float | None = None,
         keep_all_scores: bool = False,
-        max_workers: int | None = None,
+        max_workers: int = 4,
     ) -> list[KokoResult]:
         """Evaluate a batch of queries concurrently, preserving order.
 
@@ -1357,13 +1341,12 @@ class KokoService(Durability):
         exactly as single-query execution would; each query runs its shard
         slices on its own batch thread.
 
-        ``max_workers`` overrides the service-level thread-pool width for
-        this batch only.
+        ``max_workers`` bounds the batch's thread pool.
         """
         self._ensure_open()
         if not queries:
             return []
-        workers = max(1, min(max_workers or self.max_workers, len(queries)))
+        workers = max(1, min(max_workers, len(queries)))
         with ThreadPoolExecutor(max_workers=workers) as executor:
             return list(
                 executor.map(
@@ -1375,72 +1358,6 @@ class KokoService(Durability):
                     queries,
                 )
             )
-
-    # ------------------------------------------------------------------
-    # async front end
-    # ------------------------------------------------------------------
-    def _run_async(self, fn, /, *args, **kwargs):
-        """Run a blocking service call on the front-end pool as an awaitable."""
-        self._ensure_open()
-        loop = asyncio.get_running_loop()
-        return loop.run_in_executor(self._frontend_pool, partial(fn, *args, **kwargs))
-
-    async def aquery(
-        self,
-        query: str | KokoQuery | CompiledQuery,
-        threshold_override: float | None = None,
-        keep_all_scores: bool = False,
-        explain: bool = False,
-    ) -> KokoResult | ExplainedResult:
-        """Async :meth:`query`: awaitable, runs on the front-end thread pool.
-
-        The event loop is never blocked — per-shard fan-out, read locking
-        and caching behave exactly as in the synchronous call.
-        """
-        return await self._run_async(
-            self.query,
-            query,
-            threshold_override=threshold_override,
-            keep_all_scores=keep_all_scores,
-            explain=explain,
-        )
-
-    async def aadd_document(
-        self, text: str, doc_id: str | None = None, first_sid: int | None = None
-    ) -> Document:
-        """Async :meth:`add_document`: annotation, group-committed WAL append
-        and the shard splice all happen off the event loop; awaiting the
-        result gives the same durability guarantee as the blocking call."""
-        return await self._run_async(
-            self.add_document, text, doc_id=doc_id, first_sid=first_sid
-        )
-
-    async def aremove_document(self, doc_id: str) -> Document:
-        """Async :meth:`remove_document` on the front-end thread pool."""
-        return await self._run_async(self.remove_document, doc_id)
-
-    async def aquery_batch(
-        self,
-        queries: list[str | KokoQuery | CompiledQuery],
-        threshold_override: float | None = None,
-        keep_all_scores: bool = False,
-    ) -> list[KokoResult]:
-        """Async batch evaluation: queries fan out as individual awaitables
-        on the front-end pool (bounded by ``max_workers``) and results come
-        back in input order."""
-        self._ensure_open()
-        return list(
-            await asyncio.gather(
-                *(
-                    self.aquery(
-                        query,
-                        threshold_override=threshold_override,
-                        keep_all_scores=keep_all_scores,
-                    )
-                    for query in queries
-                )
-            )
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1463,7 +1380,6 @@ class KokoService(Durability):
         if self._annotation_pool is not None:
             self._annotation_pool.shutdown(wait=True)
             self._annotation_pool = None
-        self._frontend_pool.shutdown(wait=True)
         self._slow_log.close()
 
     def __enter__(self) -> "KokoService":

@@ -199,6 +199,36 @@ def test_follower_restart_catches_up_from_fresh_snapshot(tmp_path):
             shipper.close()
 
 
+def test_restarted_follower_tails_only_the_records_after_the_newest_checkpoint(
+    tmp_path,
+):
+    """While a follower is down, some writes are folded into a new
+    checkpoint and the rest stay in the WAL tail: the restarted follower
+    gets the first from the snapshot and replays only the second."""
+    with KokoService(shards=2, storage_dir=tmp_path / "svc") as primary:
+        for index, text in enumerate(TEXTS[:2]):
+            primary.add_document(text, f"doc{index}")
+        shipper = LogShipper(primary)
+        first = attach_replica(shipper)
+        try:
+            assert_identical(primary, first)
+        finally:
+            first.close()
+
+        for index, text in enumerate(TEXTS[2:], start=2):
+            primary.add_document(text, f"doc{index}")
+            if index == 3:
+                primary.checkpoint()  # doc2 and doc3 go into the snapshot
+
+        second = attach_replica(shipper)
+        try:
+            assert_identical(primary, second)
+            assert second.records_applied == len(TEXTS) - 4  # doc4, doc5
+        finally:
+            second.close()
+            shipper.close()
+
+
 def test_bootstrap_from_a_multi_segment_snapshot_with_tombstones(tmp_path):
     """The shipped snapshot is several segments per shard, some frames
     tombstoned: the follower holds exactly the primary's documents, in

@@ -144,10 +144,7 @@ def _auth_socket_pair():
 
 
 def test_auth_challenge_accepts_matching_token_and_rejects_others():
-    from repro.replication.transport import (
-        answer_auth_challenge,
-        issue_auth_challenge,
-    )
+    from repro.net import handshake
 
     for client_token, expected in (("s3cret", True), ("wrong", False)):
         dialer, accepted = _auth_socket_pair()
@@ -155,15 +152,15 @@ def test_auth_challenge_accepts_matching_token_and_rejects_others():
 
         def dial(dialer=dialer, token=client_token):
             try:
-                answer_auth_challenge(dialer, token)
-                outcomes.append("authed")
+                authed = handshake(dialer, token, listener=False)
+                outcomes.append("authed" if authed else "rejected")
             except TransportClosed:
                 outcomes.append("rejected")
 
         try:
             answered = threading.Thread(target=dial)
             answered.start()
-            assert issue_auth_challenge(accepted, "s3cret") is expected
+            assert handshake(accepted, "s3cret", listener=True) is expected
         finally:
             accepted.close()  # a real listener hangs up on a mismatch
             answered.join(timeout=5.0)
@@ -175,24 +172,24 @@ def test_auth_is_mutual_dialer_rejects_a_listener_without_the_token():
     """A replica misdirected at the wrong endpoint must not proceed to
     unpickling frames: the listener has to prove token knowledge too."""
     import os
+    import socket
 
-    from repro.replication.transport import answer_auth_challenge
-
-    dialer, accepted = _auth_socket_pair()
+    listener = socket.create_server(("127.0.0.1", 0))
 
     def impostor_listener():
         # looks like a challenge, but the 'listener' has no token: its
         # proof can only be garbage
-        accepted.sendall(os.urandom(16))
-        accepted.recv(64)
-        accepted.sendall(os.urandom(32))
+        accepted, _ = listener.accept()
+        with accepted:
+            accepted.sendall(os.urandom(16))
+            accepted.recv(64)
+            accepted.sendall(os.urandom(32))
 
     impostor = threading.Thread(target=impostor_listener)
     impostor.start()
     try:
         with pytest.raises(TransportClosed, match="listener failed"):
-            answer_auth_challenge(dialer, "s3cret")
+            connect_tcp(*listener.getsockname()[:2], auth_token="s3cret")
     finally:
         impostor.join(timeout=5.0)
-        dialer.close()
-        accepted.close()
+        listener.close()

@@ -29,8 +29,8 @@ from repro.koko.results import ExtractionTuple, KokoResult, StageTimings
 from repro.nlp.types import Corpus
 from repro.rpc import AsyncRpcClient, RpcClient, RpcServer
 from repro.rpc import wire
+from repro.net import FRAME_HEADER, frame_message
 from repro.rpc.wire import (
-    FRAME_HEADER,
     FrameError,
     RpcResponse,
     decode_body,
@@ -38,7 +38,6 @@ from repro.rpc.wire import (
     decode_response,
     encode_body,
     encode_message,
-    frame_message,
 )
 from repro.service import KokoService
 

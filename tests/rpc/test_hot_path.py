@@ -32,8 +32,8 @@ from repro.koko.results import ExtractionTuple, KokoResult
 from repro.nlp.types import Corpus
 from repro.rpc import AdmissionPolicy, AsyncRpcClient, RpcClient, RpcServer
 from repro.rpc import server as server_module
+from repro.net import FRAME_HEADER, frame_message
 from repro.rpc.wire import (
-    FRAME_HEADER,
     BodyFollows,
     FrameError,
     RpcResponse,
@@ -42,7 +42,6 @@ from repro.rpc.wire import (
     decode_response,
     encode_body,
     encode_message,
-    frame_message,
 )
 from repro.service import KokoService
 

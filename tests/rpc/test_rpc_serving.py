@@ -321,6 +321,34 @@ def test_bulk_ingest_wait_durable_false_defers_the_fsync(tmp_path, rpc_client):
         assert len(service) == 3
 
 
+@pytest.mark.parametrize("mode", ["bulk", "pipelined"])
+def test_bulk_and_pipelined_ingest_fsync_at_most_half_as_often(
+    tmp_path, rpc_client, mode
+):
+    """Durable one-by-one ingest pays an fsync per document; bulk ingest
+    and pipelined acks behind one flush pay at most half as many."""
+    texts = [f"Visitor {index} ate a delicious croissant." for index in range(8)]
+    fsyncs = {}
+    for way in ("per_doc", mode):
+        with KokoService(shards=2, storage_dir=tmp_path / way) as service:
+            client = rpc_client(service)
+            counter = service.metrics.get("koko_wal_fsyncs_total")
+            before = counter.value
+            if way == "per_doc":
+                for text in texts:
+                    client.add_document(text)
+            elif way == "bulk":
+                client.add_documents(texts, batch_size=4)
+            else:
+                for text in texts:
+                    client.add_document(text, wait_durable=False)
+                client.flush()
+            fsyncs[way] = counter.value - before
+            assert len(service) == len(texts)
+    assert fsyncs["per_doc"] >= len(texts)
+    assert fsyncs[mode] <= fsyncs["per_doc"] / 2
+
+
 # ----------------------------------------------------------------------
 # protocol odds and ends
 # ----------------------------------------------------------------------

@@ -9,14 +9,11 @@ a proxy or a journal can replay frames without semantic drift).
 
 from __future__ import annotations
 
-import struct
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import FRAME_HEADER, frame_message
 from repro.rpc.wire import (
-    FRAME_HEADER,
     FrameError,
     RpcFault,
     RpcRequest,
@@ -24,7 +21,6 @@ from repro.rpc.wire import (
     TraceContext,
     decode_message,
     encode_message,
-    frame_message,
 )
 
 # JSON-ish payload values, closed under nesting; floats exclude NaN
@@ -128,10 +124,3 @@ def test_undecodable_payloads_raise_frame_error_not_random_exceptions(junk):
     # some byte strings ARE valid pickles; those must decode to a value,
     # not to a partially-constructed protocol object
     assert not isinstance(decoded, (RpcRequest, RpcResponse))
-
-
-def test_frame_header_is_the_transport_header():
-    # the RPC tier and the replication transport share one wire dialect;
-    # this pins the header so they cannot drift apart silently
-    assert FRAME_HEADER.format == struct.Struct("<Q").format
-    assert FRAME_HEADER.size == 8

@@ -9,14 +9,11 @@ The load-bearing properties:
 * the doc-id claim is race-free (exactly one of N concurrent writers of
   the same id wins);
 * checkpoints drain in-flight staged ingests, so a warm restart after
-  heavy concurrent ingest is tuple-identical;
-* the async front end (``aquery``/``aadd_document``) returns the same
-  results as the blocking calls.
+  heavy concurrent ingest is tuple-identical.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import random
 import shutil
@@ -638,40 +635,3 @@ def test_undersized_reservation_is_rejected_but_kept():
         # a document it can hold
         service.add_document("Anna ate a pie.", "doc0", first_sid=base)
         assert service.document_ids() == ["doc0"]
-
-
-# ----------------------------------------------------------------------
-# async front end
-# ----------------------------------------------------------------------
-def test_async_front_end_matches_blocking_calls():
-    async def scenario(service: KokoService):
-        await asyncio.gather(
-            *(
-                service.aadd_document(text, f"doc{index}")
-                for index, text in enumerate(BASE_TEXTS)
-            )
-        )
-        single = await service.aquery(ENTITY_QUERY)
-        batch = await service.aquery_batch([ENTITY_QUERY, CITY_QUERY])
-        removed = await service.aremove_document("doc0")
-        after = await service.aquery(ENTITY_QUERY)
-        return single, batch, removed, after
-
-    with KokoService(shards=2) as service:
-        single, batch, removed, after = asyncio.run(scenario(service))
-        assert len(service) == len(BASE_TEXTS) - 1
-        assert removed.doc_id == "doc0"
-        assert as_rows(batch[0]) == as_rows(single)
-        assert as_rows(batch[1]) == as_rows(service.query(CITY_QUERY))
-        assert as_rows(after) == as_rows(service.query(ENTITY_QUERY))
-
-
-def test_async_calls_after_close_raise():
-    service = KokoService()
-    service.close()
-
-    async def attempt():
-        await service.aquery(CITY_QUERY)
-
-    with pytest.raises(ServiceError):
-        asyncio.run(attempt())
