@@ -17,7 +17,10 @@ missing-docstring subset of pydocstyle/ruff that the repo enforces:
 * **MET** — every metric registered under ``src/repro/`` (the literal
   first argument of a ``.counter(`` / ``.gauge(`` / ``.histogram(`` call)
   is written out in the first column of ``docs/OPERATIONS.md``'s metric
-  table, and every ``koko_*`` name that document cites is registered.
+  table, and every ``koko_*`` name that document cites is registered;
+* **KNB** — every ``KokoService.__init__`` parameter is cited in a code
+  span somewhere in ``docs/OPERATIONS.md``, and every code span in the
+  first column of its knob table (header cell ``Knob``) is a parameter.
 
 Exit status 0 = clean; 1 = findings (printed one per line as
 ``path:line: CODE message``).
@@ -65,10 +68,15 @@ SYMBOL_SOURCES = "src/repro"
 METRIC_DOCUMENT = "docs/OPERATIONS.md"
 _REGISTRATIONS = ("counter", "gauge", "histogram")
 
+#: the constructor whose parameters OPERATIONS must cite (KNB)
+KNOB_SOURCE = "src/repro/service/service.py"
+KNOB_CLASS = "KokoService"
+
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _PRIVATE_NAME = re.compile(r"(?<![A-Za-z0-9_])_[A-Za-z]\w*")
 _CITED_METRIC = re.compile(r"(?<![A-Za-z0-9_])koko_\w*")
 _CODE_SPAN = re.compile(r"`([^`]+)`")
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 def lint_docstrings(module_path: Path, repo_root: Path) -> list[str]:
@@ -172,19 +180,25 @@ def registered_metrics(source_root: Path, repo_root: Path) -> dict[str, tuple]:
     return found
 
 
-def metric_table_names(lines: list[str]) -> set[str]:
-    """Code spans in the first column of the table headed ``| Metric |``."""
-    names: set[str] = set()
+def first_column_spans(lines: list[str], header: str) -> list[tuple[int, str]]:
+    """``(line number, code span)`` in the first column of the table headed
+    ``| <header> |``."""
+    spans: list[tuple[int, str]] = []
     in_table = False
-    for line in lines:
+    for line_number, line in enumerate(lines, start=1):
         cells = line.strip().strip("|").split("|") if line.startswith("|") else []
         if not cells:
             in_table = False
-        elif cells[0].strip() == "Metric":
+        elif cells[0].strip() == header:
             in_table = True
         elif in_table:
-            names.update(span.split("{")[0] for span in _CODE_SPAN.findall(cells[0]))
-    return names
+            spans.extend((line_number, span) for span in _CODE_SPAN.findall(cells[0]))
+    return spans
+
+
+def metric_table_names(lines: list[str]) -> set[str]:
+    """Code spans in the first column of the table headed ``| Metric |``."""
+    return {span.split("{")[0] for _, span in first_column_spans(lines, "Metric")}
 
 
 def lint_metrics(document: Path, source_root: Path, repo_root: Path) -> list[str]:
@@ -205,6 +219,45 @@ def lint_metrics(document: Path, source_root: Path, repo_root: Path) -> list[str
                     f"{relative}:{line_number}: MET {name} is not registered "
                     f"in {SYMBOL_SOURCES}/"
                 )
+    return findings
+
+
+def constructor_parameters(module_path: Path, class_name: str) -> list[ast.arg]:
+    """The parameters of ``class_name.__init__`` in *module_path*, minus ``self``."""
+    tree = ast.parse(module_path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    args = item.args
+                    return [*args.posonlyargs, *args.args, *args.kwonlyargs][1:]
+    return []
+
+
+def lint_knobs(document: Path, source: Path, repo_root: Path) -> list[str]:
+    """Findings for uncited constructor parameters and stale knob-table rows."""
+    parameters = constructor_parameters(source, KNOB_CLASS)
+    names = {parameter.arg for parameter in parameters}
+    lines = document.read_text(encoding="utf-8").splitlines()
+    cited = {
+        word
+        for line in lines
+        for span in _CODE_SPAN.findall(line)
+        for word in _IDENTIFIER.findall(span)
+    }
+    relative = document.relative_to(repo_root)
+    findings = [
+        f"{source.relative_to(repo_root)}:{parameter.lineno}: KNB "
+        f"{KNOB_CLASS}({parameter.arg}) is not cited in {relative}"
+        for parameter in parameters
+        if parameter.arg not in cited
+    ]
+    for line_number, span in first_column_spans(lines, "Knob"):
+        if span not in names:
+            findings.append(
+                f"{relative}:{line_number}: KNB {span} in the knob table is not "
+                f"a {KNOB_CLASS} parameter"
+            )
     return findings
 
 
@@ -237,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
         findings.extend(
             lint_metrics(root / METRIC_DOCUMENT, root / SYMBOL_SOURCES, root)
         )
+        if (root / KNOB_SOURCE).exists():
+            findings.extend(lint_knobs(root / METRIC_DOCUMENT, root / KNOB_SOURCE, root))
 
     for finding in findings:
         print(finding)

@@ -11,8 +11,8 @@ service's result caches, to the typed RPC body that ships it
 indexes a result, and afresh each time: nothing keeps them, so a cached
 result holds a handful of objects for the garbage collector to walk
 instead of several per tuple, and results stay safe to share between
-threads.  ``len(result)``, ``len(result.tuples)``, the sentence counters
-and :meth:`KokoResult.approximate_bytes` read the columns alone.
+threads.  ``len(result)``, ``len(result.tuples)`` and the sentence
+counters read the columns alone.
 """
 
 from __future__ import annotations
@@ -487,28 +487,6 @@ class KokoResult:
         for t in self:
             counts[t.doc_id] = counts.get(t.doc_id, 0) + 1
         return counts
-
-    def approximate_bytes(self) -> int:
-        """Deterministic rough size of this result, for cache admission.
-
-        Counts tuple/string payloads with flat per-object constants rather
-        than chasing real interpreter overhead — what matters is that two
-        results of very different sizes order correctly, cheaply.  The
-        figure is the one the per-tuple objects were charged (120 per
-        tuple plus its doc id's length, 100 per value plus name and text
-        lengths, 80 per score), computed from the columns.
-        """
-        columns = self.columns
-        rows = len(columns)
-        total = 256 + 120 * rows  # result container + timings, then tuples
-        if not rows:
-            return total
-        total += sum(100 + len(name) for name in columns.variables) * rows
-        for table, column in zip((columns.doc_ids, *columns.strings), columns.index.tolist()):
-            total += sum(map(len, map(table.__getitem__, column)))  # doc ids and texts
-        if columns.scored:
-            total += 80 * int(columns.present.sum())
-        return total
 
 
 def merge_results(results: Iterable[KokoResult]) -> KokoResult:

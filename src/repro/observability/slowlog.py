@@ -33,22 +33,19 @@ class SlowOpLog:
     """Thread-safe ring buffer of slow-op entries + bounded file sink.
 
     ``max_file_bytes`` caps the JSON-lines file: crossing it rotates
-    ``path`` to ``path.1`` (one rotation generation is kept).  ``None``
-    disables rotation (the pre-cap unbounded behaviour).
+    ``path`` to ``path.1`` (one rotation generation is kept).
     """
 
     def __init__(
         self,
         capacity: int = 256,
         path: str | None = None,
-        max_file_bytes: int | None = DEFAULT_MAX_FILE_BYTES,
+        max_file_bytes: int = DEFAULT_MAX_FILE_BYTES,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"slow-op log capacity must be positive, got {capacity}")
-        if max_file_bytes is not None and max_file_bytes <= 0:
-            raise ValueError(
-                f"max_file_bytes must be positive or None, got {max_file_bytes}"
-            )
+        if max_file_bytes <= 0:
+            raise ValueError(f"max_file_bytes must be positive, got {max_file_bytes}")
         self._lock = threading.Lock()
         self._entries: deque[dict] = deque(maxlen=capacity)
         self._path = str(path) if path is not None else None
@@ -78,11 +75,7 @@ class SlowOpLog:
             if self._file is not None and line is not None:
                 payload = line + "\n"
                 size = len(payload.encode("utf-8"))
-                if (
-                    self._max_file_bytes is not None
-                    and self._file_bytes > 0
-                    and self._file_bytes + size > self._max_file_bytes
-                ):
+                if self._file_bytes > 0 and self._file_bytes + size > self._max_file_bytes:
                     self._rotate_locked()
                 self._file.write(payload)
                 self._file.flush()

@@ -26,8 +26,8 @@ waits on a condition variable until a leader's fsync covers its frame.  One
 disk flush therefore commits a whole batch of records — the durability
 guarantee per record is unchanged (``append`` returns only once the record
 is on disk), but N concurrent writers share ~1 fsync instead of paying N.
-A ``sync_interval`` knob optionally makes the leader linger before
-flushing, trading commit latency for larger batches under bursty load.
+The leader flushes at once: a batch is whatever was buffered while the
+previous fsync was in flight.
 """
 
 from __future__ import annotations
@@ -334,19 +334,9 @@ class WalWriter:
     ----------
     path:
         Segment file; created (with parents) when missing.
-    sync:
-        When True (default) ``append`` returns only after an fsync covers
-        the record.  ``sync=False`` trades that for OS-buffered flushes —
-        still crash-consistent at the frame level thanks to the CRC
-        framing, but the tail may be lost on power failure (bulk loads).
     truncate_to:
         Discard bytes past this offset before appending (recovery hands the
         valid-prefix length here to drop a torn tail).
-    sync_interval:
-        Seconds the sync leader lingers before flushing, letting more
-        concurrent appends join the batch.  ``0.0`` (default) flushes
-        immediately; batching still happens while a leader's fsync is in
-        flight.
     on_fsync:
         Callback invoked after each fsync with the number of records the
         flush made durable (the group-commit batch size).
@@ -355,14 +345,10 @@ class WalWriter:
     def __init__(
         self,
         path: str | Path,
-        sync: bool = True,
         truncate_to: int | None = None,
-        sync_interval: float = 0.0,
         on_fsync: Callable[[int], None] | None = None,
     ):
         self.path = Path(path)
-        self.sync = sync
-        self.sync_interval = sync_interval
         self.on_fsync = on_fsync
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if truncate_to is not None and self.path.exists():
@@ -391,12 +377,11 @@ class WalWriter:
             return self._synced_bytes
 
     def append(self, record: WalRecord, trace: Span | None = None) -> int:
-        """Frame, append and (with ``sync``) make one record durable.
+        """Frame, append and make one record durable.
 
         Returns the frame size in bytes.  Thread-safe: concurrent appends
         keep frames whole and share fsyncs via group commit; the call
-        returns only once the record is covered by an fsync (or, with
-        ``sync=False``, once it reaches the OS buffer).  With ``trace``
+        returns only once the record is covered by an fsync.  With ``trace``
         given, the buffered write and the group-commit durability wait are
         recorded as ``wal_append`` / ``fsync_wait`` child spans, splitting
         serialisation cost from commit latency.
@@ -420,11 +405,10 @@ class WalWriter:
             trace.record(
                 "wal_append", time.perf_counter() - started, bytes=len(frame)
             )
-        if self.sync:
-            wait_started = time.perf_counter() if trace is not None else 0.0
-            self._await_durable(target)
-            if trace is not None:
-                trace.record("fsync_wait", time.perf_counter() - wait_started)
+        wait_started = time.perf_counter() if trace is not None else 0.0
+        self._await_durable(target)
+        if trace is not None:
+            trace.record("fsync_wait", time.perf_counter() - wait_started)
         return len(frame)
 
     def append_pipelined(
@@ -469,12 +453,9 @@ class WalWriter:
     def flush(self) -> None:
         """Block until every frame appended before this call is durable.
 
-        A no-op for ``sync=False`` writers (durability is best-effort by
-        construction) and for cleanly closed writers (close fsyncs).
-        Raises :class:`PersistenceError` when the writer is poisoned.
+        A no-op for cleanly closed writers (close fsyncs).  Raises
+        :class:`PersistenceError` when the writer is poisoned.
         """
-        if not self.sync:
-            return
         with self._write_lock:
             target = self._bytes_written
         self._await_durable(target)
@@ -503,8 +484,6 @@ class WalWriter:
                 self._sync_cond.wait()
         # --- we are the sync leader for this batch
         try:
-            if self.sync_interval > 0.0:
-                time.sleep(self.sync_interval)
             with self._write_lock:
                 if self._handle is None:
                     raise PersistenceError(f"WAL segment {self.path} is closed")
@@ -575,13 +554,12 @@ class WalWriter:
             self._handle = None  # segment unusable; appends now raise
 
     def close(self) -> None:
-        """Flush, fsync (when ``sync``) and close the segment (idempotent)."""
+        """Flush, fsync and close the segment (idempotent)."""
         with self._write_lock:
             if self._handle is None:
                 return
             self._handle.flush()
-            if self.sync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             end = self._bytes_written
             batch = self._unsynced_records
             self._unsynced_records = 0
@@ -590,7 +568,7 @@ class WalWriter:
         with self._sync_cond:
             self._synced_bytes = max(self._synced_bytes, end)
             self._sync_cond.notify_all()
-        if batch and self.sync and self.on_fsync is not None:
+        if batch and self.on_fsync is not None:
             self.on_fsync(batch)
 
 
@@ -602,8 +580,7 @@ class CommitTicket:
     the record is already in log order and visible to queries, but may not
     yet have been fsynced.  :meth:`wait` blocks until a group commit covers
     the record — the waiter becomes the sync leader when none is active, so
-    waiting *drives* the flush rather than hoping for one.  Tickets from a
-    non-``sync`` writer are trivially durable (best-effort by construction).
+    waiting *drives* the flush rather than hoping for one.
     """
 
     __slots__ = ("_writer", "_target")
@@ -615,8 +592,6 @@ class CommitTicket:
     @property
     def durable(self) -> bool:
         """True once an fsync covers the record (no blocking)."""
-        if not self._writer.sync:
-            return True
         return self._writer.synced_bytes >= self._target
 
     def wait(self) -> None:
@@ -625,8 +600,7 @@ class CommitTicket:
         Raises :class:`PersistenceError` when the writer was poisoned by a
         failed fsync — the record's durability can no longer be promised.
         """
-        if self._writer.sync:
-            self._writer._await_durable(self._target)
+        self._writer._await_durable(self._target)
 
 
 class WriteAheadLog:
@@ -642,14 +616,10 @@ class WriteAheadLog:
         self,
         layout,
         segment_id: int,
-        sync: bool = True,
         truncate_to: int | None = None,
-        sync_interval: float = 0.0,
         on_fsync: Callable[[int], None] | None = None,
     ) -> None:
         self._layout = layout
-        self.sync = sync
-        self.sync_interval = sync_interval
         self.segment_id = segment_id
         self._on_fsync_user = on_fsync
         self._stats_lock = threading.Lock()
@@ -659,9 +629,7 @@ class WriteAheadLog:
         self.max_batch_records = 0
         self._writer = WalWriter(
             layout.wal_path(segment_id),
-            sync=sync,
             truncate_to=truncate_to,
-            sync_interval=sync_interval,
             on_fsync=self._record_fsync,
         )
         # make the segment's dirent durable, not just its contents — a lost
@@ -687,19 +655,16 @@ class WriteAheadLog:
         """The durable end of the log: active segment + fsynced prefix length.
 
         Everything at or before this position survives a crash; it is the
-        honest value for replication offset tokens.  With ``sync=False``
-        durability is already best-effort, so the flushed size stands in.
-        Safe against a concurrent :meth:`rotate` (shipper threads read this
-        while checkpoints rotate): the segment id and writer are read under
-        the same lock rotation updates them under, so the offset always
-        belongs to the reported segment.
+        honest value for replication offset tokens.  Safe against a
+        concurrent :meth:`rotate` (shipper threads read this while
+        checkpoints rotate): the segment id and writer are read under the
+        same lock rotation updates them under, so the offset always belongs
+        to the reported segment.
         """
         with self._stats_lock:
             segment_id = self.segment_id
             writer = self._writer
-        return WalPosition(
-            segment_id, writer.synced_bytes if self.sync else writer.size_bytes
-        )
+        return WalPosition(segment_id, writer.synced_bytes)
 
     def _record_fsync(self, batch: int) -> None:
         """Account one fsync that committed *batch* records; forward to the user."""
@@ -758,10 +723,7 @@ class WriteAheadLog:
         sealed = self.segment_id
         self._writer.close()
         successor = WalWriter(
-            self._layout.wal_path(sealed + 1),
-            sync=self.sync,
-            sync_interval=self.sync_interval,
-            on_fsync=self._record_fsync,
+            self._layout.wal_path(sealed + 1), on_fsync=self._record_fsync
         )
         with self._stats_lock:  # paired with durable_position's read
             self.segment_id = sealed + 1

@@ -91,11 +91,6 @@ class _LruDict(Generic[V]):
         with self._lock:
             return self._entries.pop(key, None) is not None
 
-    def clear(self) -> None:
-        """Drop every entry."""
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -119,10 +114,6 @@ class PlanCache:
         self._plans.put(query_text, plan)
         return plan, False
 
-    def clear(self) -> None:
-        """Drop every cached plan."""
-        self._plans.clear()
-
     def __len__(self) -> int:
         return len(self._plans)
 
@@ -143,36 +134,15 @@ class ResultCache(Generic[V]):
     :class:`~repro.service.stats.ServiceStats` counters, the raw inputs
     of cache-sizing decisions.  (Hits and misses are recorded by the
     caller, which knows which shard and query the lookup was for.)
-
-    **Cost-aware admission**: with ``max_entry_bytes`` and an
-    ``entry_bytes`` estimator set, :meth:`put` refuses values whose
-    estimated size exceeds the bound — one giant result would otherwise
-    push out many small, frequently reused entries while being unlikely
-    to be re-asked before the next ingest staled it anyway.  Each refusal
-    fires ``on_admission_skip`` (the service counts them per shard).
     """
 
     def __init__(
-        self,
-        capacity: int = 256,
-        on_evict: Callable[[bool], None] | None = None,
-        max_entry_bytes: int | None = None,
-        entry_bytes: Callable[[V], int] | None = None,
-        on_admission_skip: Callable[[], None] | None = None,
+        self, capacity: int = 256, on_evict: Callable[[bool], None] | None = None
     ) -> None:
-        if max_entry_bytes is not None and max_entry_bytes <= 0:
-            raise ValueError(
-                f"max_entry_bytes must be positive or None, got {max_entry_bytes}"
-            )
-        if max_entry_bytes is not None and entry_bytes is None:
-            raise ValueError("max_entry_bytes requires an entry_bytes estimator")
         self._entries: _LruDict[CacheEntry[V]] = _LruDict(
             capacity, on_evict=self._forward_lru_eviction
         )
         self._on_evict = on_evict
-        self._max_entry_bytes = max_entry_bytes
-        self._entry_bytes = entry_bytes
-        self._on_admission_skip = on_admission_skip
 
     def _forward_lru_eviction(self, _key: Hashable) -> None:
         if self._on_evict is not None:
@@ -199,34 +169,8 @@ class ResultCache(Generic[V]):
         return None if entry is None else entry.value
 
     def put(self, key: Hashable, generation: Hashable, value: V) -> None:
-        """Cache *value* under *key*, stamped with *generation*.
-
-        Oversize values (see ``max_entry_bytes``) are not admitted; the
-        caller still gets its computed value, it just isn't cached.
-        """
-        if (
-            self._max_entry_bytes is not None
-            and self._entry_bytes(value) > self._max_entry_bytes
-        ):
-            if self._on_admission_skip is not None:
-                self._on_admission_skip()
-            return
+        """Cache *value* under *key*, stamped with *generation*."""
         self._entries.put(key, CacheEntry(generation, value))
-
-    def get_or_compute(
-        self, key: Hashable, generation: Hashable, compute: Callable[[], V]
-    ) -> tuple[V, bool]:
-        """Return ``(value, was_hit)``, computing and caching on miss."""
-        cached = self.get(key, generation)
-        if cached is not None:
-            return cached, True
-        value = compute()
-        self.put(key, generation, value)
-        return value, False
-
-    def clear(self) -> None:
-        """Drop every cached result."""
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -47,6 +47,9 @@ from ..persistence import (
 
 __all__ = ["Durability"]
 
+#: heartbeat of the background checkpoint thread, in seconds
+CHECKPOINT_POLL_SECONDS = 0.2
+
 
 class Durability:
     """Mixin: the durability lifecycle of a :class:`KokoService`."""
@@ -55,8 +58,6 @@ class Durability:
         self,
         storage_dir: str | Path | None,
         checkpoint_policy: CheckpointPolicy | None,
-        wal_sync: bool,
-        sync_interval: float,
     ) -> RecoveredState | None:
         """Set the durability handles and recover *storage_dir*, if any.
 
@@ -70,8 +71,6 @@ class Durability:
         self._checkpoint_lock = threading.Lock()
         self._checkpoint_id = 0
         self._last_checkpoint_monotonic = time.monotonic()
-        self._wal_sync = wal_sync
-        self._wal_sync_interval = sync_interval
         # WAL retention pins (log shipping): callables returning the lowest
         # segment id a subscriber still needs, or None when idle
         self._wal_pins: list = []
@@ -100,7 +99,7 @@ class Durability:
         self._generations = list(snapshot.generations)
         self._checkpoint_id = snapshot.checkpoint_id
 
-    def _finish_recovery(self, recovered: RecoveredState, poll_seconds: float) -> None:
+    def _finish_recovery(self, recovered: RecoveredState) -> None:
         """Adopt the snapshot, replay the WAL tail, open the WAL, start checkpoints."""
         assert self._layout is not None
         self._segments = [ShardSegments() for _ in self._shards]
@@ -112,9 +111,7 @@ class Durability:
         self._wal = WriteAheadLog(
             self._layout,
             recovered.active_segment_id,
-            sync=self._wal_sync,
             truncate_to=recovered.active_segment_valid_bytes,
-            sync_interval=self._wal_sync_interval,
             on_fsync=self.stats.record_wal_fsync,
         )
         # Replayed operations are only durable in the WAL tail; fold them
@@ -127,7 +124,7 @@ class Durability:
         elif recovered.snapshot is None:
             self._write_bootstrap_snapshot()
         self._checkpoint_scheduler = CheckpointScheduler(
-            self._maybe_checkpoint, poll_seconds=poll_seconds
+            self._maybe_checkpoint, poll_seconds=CHECKPOINT_POLL_SECONDS
         )
         self._checkpoint_scheduler.start()
 
@@ -243,7 +240,7 @@ class Durability:
         """Stop checkpointing, drain claimed writes, fold a final checkpoint.
 
         Writes that claimed before ``close`` set ``_closed`` must reach
-        the WAL and splice before the WAL (and the pools) go away; new
+        the WAL and splice before the WAL goes away; new
         claims already raise, so the in-flight count only falls.
         """
         if self._checkpoint_scheduler is not None:

@@ -11,10 +11,9 @@ a long-lived server:
   ``add_documents``, ``remove_document``, ``add_annotated_document``) is a
   list of ops driven through the same stages: *claim* ids and
   sentence-id ranges under the meta lock (microseconds), *annotate* raw
-  text outside every lock (optionally on a thread or process annotation
-  pool), *log* to the write-ahead log under its own group-commit
-  machinery, *apply* under only the target shards' write locks, *commit*
-  under the meta lock.  Recovery replay and replica apply run the same
+  text outside every lock on the writer's own thread, *log* to the
+  write-ahead log under its own group-commit machinery, *apply* under
+  only the target shards' write locks, *commit* under the meta lock.  Recovery replay and replica apply run the same
   claim → apply → commit on records that are already logged.  Writers
   on different shards therefore ingest in parallel, and readers are
   never blocked by annotation or fsync.  The claim/commit bookkeeping
@@ -45,8 +44,8 @@ a long-lived server:
   via :meth:`KokoService.open`), every ``add``/``remove`` is appended to a
   CRC-framed write-ahead log *before* it is applied; concurrent appends
   coalesce into shared fsyncs (one disk flush commits a whole batch — see
-  :mod:`repro.persistence.wal`), tunable with ``sync_interval``.  A
-  background checkpoint thread folds the log into versioned snapshots.
+  :mod:`repro.persistence.wal`).  A background checkpoint thread folds the
+  log into versioned snapshots.
   Reopening the directory restores the latest valid snapshot and replays
   the WAL tail — tolerating a torn final record — so the service restarts
   warm with identical query results and zero re-annotation.
@@ -95,7 +94,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -132,6 +131,14 @@ from .stats import ServiceStats
 
 __all__ = ["IngestAck", "KokoService"]
 
+# Sizes no workload varies: compiled plans kept, distinct traces behind
+# ``/traces``, slow-op entries in the ring, and the slow-op file's bytes
+# before it rotates to ``<path>.1``.
+PLAN_CACHE_SIZE = 256
+TRACE_STORE_CAPACITY = 128
+SLOW_OP_LOG_CAPACITY = 256
+SLOW_OP_LOG_MAX_BYTES = 16 * 1024 * 1024
+
 
 @dataclass
 class IngestAck:
@@ -157,29 +164,6 @@ class IngestAck:
         if self.ticket is not None:
             self.ticket.wait()
         return self.document
-
-
-# ----------------------------------------------------------------------
-# process-pool annotation workers (module level so they pickle)
-# ----------------------------------------------------------------------
-_WORKER_PIPELINE: Pipeline | None = None
-
-
-def _init_annotation_worker(pipeline: Pipeline) -> None:
-    """Install the service's pipeline in a freshly forked/spawned worker."""
-    global _WORKER_PIPELINE
-    _WORKER_PIPELINE = pipeline
-
-
-def _annotate_in_worker(text: str, doc_id: str, first_sid: int) -> Document:
-    """Annotate one document inside an annotation-pool worker process."""
-    assert _WORKER_PIPELINE is not None, "annotation worker not initialised"
-    return _WORKER_PIPELINE.annotate(text, doc_id=doc_id, first_sid=first_sid)
-
-
-def _warm_annotation_worker() -> None:
-    """No-op task submitted at startup to force worker spawning."""
-    return None
 
 
 def _estimate_document_bytes(document: Document) -> int:
@@ -245,9 +229,8 @@ class KokoService(Durability):
         first_sid)`` **and** a ``tokenizer.split_sentences(text)`` whose
         count bounds the sentences ``annotate`` will produce — the staged
         ingest sizes its sid reservation with it (subclassing
-        :class:`~repro.nlp.pipeline.Pipeline` satisfies both).  With
-        ``annotation_processes=True`` the pipeline must also be picklable
-        (the default rule-based one is).
+        :class:`~repro.nlp.pipeline.Pipeline` satisfies both).  Each
+        writer annotates on its own thread, outside every service lock.
     name:
         Name of the service's corpus (when reopening a durable directory,
         the persisted name wins).
@@ -256,32 +239,9 @@ class KokoService(Durability):
         or — when ``storage_dir`` holds an existing service — whatever
         shard count was persisted.  An explicit value that contradicts a
         recovered snapshot raises :class:`ServiceError`.
-    plan_cache_size, result_cache_size:
-        LRU capacities of the two read-side caches.
-    result_cache_max_entry_bytes:
-        Cost-aware result-cache admission: results whose estimated size
-        (:meth:`~repro.koko.results.KokoResult.approximate_bytes`)
-        exceeds this bound are never cached — one giant result would
-        evict many small reusable entries.  Applies to the full-result
-        cache and every per-shard partial cache; refusals are counted in
-        ``koko_result_cache_admission_skips_total`` and
-        ``koko_shard_cache_admission_skips_total{shard}``.  ``None``
-        (default) admits any size.
-    annotation_workers:
-        Size of the annotation pool the staged ingest path uses to run NLP
-        annotation off-lock.  ``None`` (default) annotates inline in the
-        calling thread — writers still annotate outside every lock, so
-        multi-threaded callers already overlap annotation with WAL fsyncs
-        and other shards' splices.
-    annotation_processes:
-        With ``annotation_workers`` set, use a **process** pool instead of
-        a thread pool — genuine multi-core annotation (the pure-Python
-        pipeline is GIL-bound in threads).  Documents travel back pickled,
-        exactly like WAL records.  Workers start via forkserver/spawn
-        (never fork — the service runs threads), so the usual
-        :mod:`multiprocessing` rule applies: the program's ``__main__``
-        module must be importable (scripts and pytest are; a bare
-        REPL/stdin program is not).
+    result_cache_size:
+        LRU capacity of the full-result cache and of each shard's partial
+        cache (the plan cache holds ``PLAN_CACHE_SIZE`` plans).
     storage_dir:
         Directory for the durability subsystem (snapshots + write-ahead
         log).  ``None`` (the default) keeps the service memory-only.  An
@@ -302,16 +262,6 @@ class KokoService(Durability):
         so no input can deadlock the pipeline.  ``None`` (default) admits
         unconditionally.  Waits are counted in
         ``koko_ingest_backpressure_waits_total``.
-    wal_sync:
-        fsync the WAL on every logged operation (default True).  Appends
-        from concurrent writers share fsyncs via group commit.
-    sync_interval:
-        Group-commit linger, in seconds: how long the WAL's sync leader
-        waits before flushing so more concurrent appends can join the
-        batch.  ``0.0`` (default) flushes immediately — batching then
-        happens only while a flush is already in flight.  Raising it
-        trades single-write commit latency for fewer, larger fsyncs under
-        concurrent load.
     bootstrap_snapshot:
         A :class:`~repro.persistence.SnapshotState` to adopt as the initial
         in-memory state — the replication bootstrap path: a follower
@@ -329,21 +279,18 @@ class KokoService(Durability):
         Callers that already carry a
         :class:`~repro.observability.tracing.TraceContext` (the RPC
         server continuing a client's trace) bypass local sampling — the
-        propagated ``sampled`` flag wins either way.
-    trace_store_capacity:
-        Number of distinct recent traces the per-node
-        :class:`~repro.observability.tracestore.TraceStore` ring keeps
-        (served at ``/traces`` by the telemetry plane).
+        propagated ``sampled`` flag wins either way.  The per-node
+        :class:`~repro.observability.tracestore.TraceStore` ring
+        (``/traces``) keeps the latest ``TRACE_STORE_CAPACITY`` traces.
     slow_query_ms, slow_ingest_ms:
         Wall-clock thresholds above which a query (respectively an
         ingest or removal) emits one structured entry into the slow-op
         log.  ``None`` disables that kind of slow-op entry.
     slow_op_log_path:
         Optional file the slow-op log also appends to, one JSON line per
-        entry (the in-memory ring behind :meth:`recent_slow_ops` is
-        always active).
-    slow_op_log_capacity:
-        Size of the slow-op ring buffer (default 256 entries).
+        entry, rotated to ``<path>.1`` at ``SLOW_OP_LOG_MAX_BYTES`` (the
+        in-memory ring of the latest ``SLOW_OP_LOG_CAPACITY`` entries
+        behind :meth:`recent_slow_ops` is always active).
     expander, vectors, dictionaries, use_gsp, use_default_vectors:
         Forwarded to every shard's :class:`~repro.koko.engine.KokoEngine`.
     """
@@ -353,25 +300,15 @@ class KokoService(Durability):
         pipeline: Pipeline | None = None,
         name: str = "service",
         shards: int | None = None,
-        plan_cache_size: int = 256,
         result_cache_size: int = 256,
-        result_cache_max_entry_bytes: int | None = None,
-        annotation_workers: int | None = None,
-        annotation_processes: bool = False,
         max_inflight_ingest_bytes: int | None = None,
         storage_dir: str | Path | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
-        wal_sync: bool = True,
-        sync_interval: float = 0.0,
-        checkpoint_poll_seconds: float = 0.2,
         bootstrap_snapshot: SnapshotState | None = None,
         trace_sample_rate: float = 0.01,
-        trace_store_capacity: int = 128,
         slow_query_ms: float | None = 250.0,
         slow_ingest_ms: float | None = 1000.0,
         slow_op_log_path: str | Path | None = None,
-        slow_op_log_capacity: int = 256,
-        slow_op_log_max_bytes: int | None = 16 * 1024 * 1024,
         expander: DescriptorExpander | None = None,
         vectors: VectorStore | None = None,
         dictionaries: dict[str, set[str]] | None = None,
@@ -380,10 +317,9 @@ class KokoService(Durability):
     ) -> None:
         if shards is not None and shards <= 0:
             raise ServiceError(f"shards must be positive, got {shards}")
-        if result_cache_max_entry_bytes is not None and result_cache_max_entry_bytes <= 0:
+        if result_cache_size <= 0:
             raise ServiceError(
-                f"result_cache_max_entry_bytes must be positive, got "
-                f"{result_cache_max_entry_bytes}"
+                f"result_cache_size must be positive, got {result_cache_size}"
             )
         if max_inflight_ingest_bytes is not None and max_inflight_ingest_bytes <= 0:
             raise ServiceError(
@@ -411,9 +347,7 @@ class KokoService(Durability):
         # the persisted shard count and name define the topology we build.
         recovery_started = time.perf_counter()
         self._closed = False
-        recovered = self._init_durability(
-            storage_dir, checkpoint_policy, wal_sync, sync_interval
-        )
+        recovered = self._init_durability(storage_dir, checkpoint_policy)
         adopted = recovered.snapshot if recovered is not None else bootstrap_snapshot
         if adopted is not None:
             if shards is not None and shards != adopted.num_shards:
@@ -451,16 +385,16 @@ class KokoService(Durability):
         # tracing + slow-op log share the stats registry, so one
         # render_text() exposes the whole service
         self._tracer = Tracer(trace_sample_rate)
-        self._trace_store = TraceStore(trace_store_capacity)
+        self._trace_store = TraceStore(TRACE_STORE_CAPACITY)
         # advisory: how many WAL records carried a trace context — the
         # shipper only pays per-record payload decodes once this is > 0
         self._wal_traces_logged = 0
         self._slow_query_ms = slow_query_ms
         self._slow_ingest_ms = slow_ingest_ms
         self._slow_log = SlowOpLog(
-            capacity=slow_op_log_capacity,
+            capacity=SLOW_OP_LOG_CAPACITY,
             path=str(slow_op_log_path) if slow_op_log_path is not None else None,
-            max_file_bytes=slow_op_log_max_bytes,
+            max_file_bytes=SLOW_OP_LOG_MAX_BYTES,
         )
         # per-shard load (queries, skip candidates, splices, EWMA stage
         # latency): registry families, scored into the heat report
@@ -473,13 +407,9 @@ class KokoService(Durability):
             "Operations that crossed their slow-op threshold.",
             labelnames=("kind",),
         )
-        self._plan_cache = PlanCache(plan_cache_size)
+        self._plan_cache = PlanCache(PLAN_CACHE_SIZE)
         self._result_cache: ResultCache[KokoResult] = ResultCache(
-            result_cache_size,
-            on_evict=self.stats.record_result_cache_eviction,
-            max_entry_bytes=result_cache_max_entry_bytes,
-            entry_bytes=KokoResult.approximate_bytes,
-            on_admission_skip=self.stats.record_result_cache_admission_skip,
+            result_cache_size, on_evict=self.stats.record_result_cache_eviction
         )
         # per-(query, shard) partials, one cache per shard so each shard's
         # own generation stamps its entries and hit/miss/eviction counters
@@ -489,11 +419,6 @@ class KokoService(Durability):
             ResultCache(
                 result_cache_size,
                 on_evict=partial(self._record_shard_cache_eviction, shard_id),
-                max_entry_bytes=result_cache_max_entry_bytes,
-                entry_bytes=KokoResult.approximate_bytes,
-                on_admission_skip=partial(
-                    self.stats.record_shard_cache_admission_skip, shard_id
-                ),
             )
             for shard_id in range(shards)
         ]
@@ -507,42 +432,9 @@ class KokoService(Durability):
             on_admission_wait=self.stats.record_backpressure_wait,
         )
         self._generations = [0] * shards
-        # Optional annotation pool for the off-lock annotation stage.
-        self._annotation_processes = annotation_processes
-        self._annotation_pool: Executor | None = None
-        if annotation_workers is not None and annotation_workers > 0:
-            if annotation_processes:
-                import multiprocessing
-
-                # never fork: the service already runs threads (checkpoint
-                # scheduler, pools) and forking a multithreaded process can
-                # deadlock the children.  forkserver/spawn start workers
-                # from a clean process; everything they need is pickled
-                # (the pipeline via the initializer, module-level task fns).
-                methods = multiprocessing.get_all_start_methods()
-                context = multiprocessing.get_context(
-                    "forkserver" if "forkserver" in methods else "spawn"
-                )
-                self._annotation_pool = ProcessPoolExecutor(
-                    max_workers=annotation_workers,
-                    mp_context=context,
-                    initializer=_init_annotation_worker,
-                    initargs=(self.pipeline,),
-                )
-                # Worker processes spawn lazily, one per submit that finds
-                # no idle worker — which would ramp the pool up under the
-                # first real burst.  Kick off every worker now (the warm
-                # tasks return immediately; initialisation proceeds in the
-                # background without blocking construction).
-                for _ in range(annotation_workers):
-                    self._annotation_pool.submit(_warm_annotation_worker)
-            else:
-                self._annotation_pool = ThreadPoolExecutor(
-                    max_workers=annotation_workers, thread_name_prefix="koko-annotate"
-                )
 
         if recovered is not None:
-            self._finish_recovery(recovered, checkpoint_poll_seconds)
+            self._finish_recovery(recovered)
         elif bootstrap_snapshot is not None:
             self._adopt_snapshot(bootstrap_snapshot)
         if adopted is not None or recovered is not None:
@@ -600,9 +492,8 @@ class KokoService(Durability):
 
         The staged pipeline (see the module docstring): the meta lock is
         held only to claim the document id and reserve a sentence-id range
-        (sized by a cheap sentence split); NLP annotation runs outside any
-        lock — inline, or on the annotation pool when the service was
-        built with ``annotation_workers``; the WAL append (durable via
+        (sized by a cheap sentence split); NLP annotation runs on the
+        calling thread outside any lock; the WAL append (durable via
         group commit) also runs off-lock; finally the postings splice
         write-locks exactly one shard.  Writers whose documents route to
         different shards therefore proceed in parallel end to end.
@@ -736,8 +627,8 @@ class KokoService(Durability):
         Staged exactly like :meth:`add_document`: the meta lock is held
         only to *claim* the removal (validate the id, mark it in flight so
         checkpoints drain it and conflicting operations are rejected); the
-        WAL append — one group commit, including any ``sync_interval``
-        linger — runs **off every lock**; the un-splice then write-locks
+        WAL append — one group commit — runs **off every lock**; the
+        un-splice then write-locks
         only the target shard.  No fsync ever happens under the meta lock,
         so removals never stall unrelated metadata operations (claims,
         reservations, other commits).
@@ -813,8 +704,8 @@ class KokoService(Durability):
             if raw:
                 stage_started = time.perf_counter()
                 for op in raw:
-                    op.document = self._annotate_off_lock(
-                        op.text, op.doc_id, op.base_sid
+                    op.document = self.pipeline.annotate(
+                        op.text, doc_id=op.doc_id, first_sid=op.base_sid
                     )
                 stages["annotate"] = time.perf_counter() - stage_started
                 if trace is not None:
@@ -875,17 +766,6 @@ class KokoService(Durability):
                     f"after a failed removal; reopen the service to replay "
                     f"the durable history"
                 )
-
-    def _annotate_off_lock(self, text: str, doc_id: str, first_sid: int) -> Document:
-        """Run NLP annotation with no service lock held (stage 1)."""
-        pool = self._annotation_pool
-        if pool is None:
-            return self.pipeline.annotate(text, doc_id=doc_id, first_sid=first_sid)
-        if self._annotation_processes:
-            return pool.submit(_annotate_in_worker, text, doc_id, first_sid).result()
-        return pool.submit(
-            self.pipeline.annotate, text, doc_id=doc_id, first_sid=first_sid
-        ).result()
 
     def _log(
         self,
@@ -1369,18 +1249,17 @@ class KokoService(Durability):
         staged ingests, flushes a final checkpoint when anything was
         logged since the last one, and closes the WAL — so a
         context-managed service always leaves a consistent,
-        immediately-loadable on-disk state.  A memory-only service just
-        drains its pools.  Calls issued after ``close`` raise
-        :class:`ServiceError`.
+        immediately-loadable on-disk state.  The slow-op file sink is
+        closed even when that final checkpoint raises.  Calls issued
+        after ``close`` raise :class:`ServiceError`.
         """
         if self._closed:
             return
         self._closed = True
-        self._close_durability()
-        if self._annotation_pool is not None:
-            self._annotation_pool.shutdown(wait=True)
-            self._annotation_pool = None
-        self._slow_log.close()
+        try:
+            self._close_durability()
+        finally:
+            self._slow_log.close()
 
     def __enter__(self) -> "KokoService":
         """Context-manager entry: the service itself."""

@@ -61,10 +61,6 @@ class ServiceStats:
             "Full-result cache evictions (stale = generation turnover).",
             labelnames=("reason",),
         )
-        self._result_cache_admission_skips = r.counter(
-            "koko_result_cache_admission_skips_total",
-            "Results refused by cost-aware cache admission (oversize).",
-        )
         # --- ingest path --------------------------------------------
         self._documents_added = r.counter(
             "koko_documents_added_total", "Documents ingested."
@@ -111,11 +107,6 @@ class ServiceStats:
         self._shard_cache_lru_evictions = r.counter(
             "koko_shard_cache_lru_evictions_total",
             "Per-shard partial-cache capacity evictions.",
-            ("shard",),
-        )
-        self._shard_cache_admission_skips = r.counter(
-            "koko_shard_cache_admission_skips_total",
-            "Per-shard partials refused by cost-aware cache admission.",
             ("shard",),
         )
         # --- durability: WAL, group commit, checkpoints, recovery ----
@@ -238,14 +229,6 @@ class ServiceStats:
     def record_result_cache_eviction(self, stale: bool) -> None:
         """Account one eviction from the full-result cache."""
         self._result_cache_evictions.labels("stale" if stale else "lru").inc()
-
-    def record_result_cache_admission_skip(self) -> None:
-        """Account one oversize result refused by full-result admission."""
-        self._result_cache_admission_skips.inc()
-
-    def record_shard_cache_admission_skip(self, shard: int) -> None:
-        """Account one oversize partial refused by shard *shard*'s cache."""
-        self._shard_cache_admission_skips.labels(shard).inc()
 
     def record_backpressure_wait(self) -> None:
         """Account one ingest claim that blocked on the in-flight bytes bound."""

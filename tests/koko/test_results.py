@@ -41,17 +41,6 @@ TEXTS = [
 ]
 
 
-def per_tuple_bytes(tuples) -> int:
-    """The cache-admission size as it was computed over tuple objects."""
-    total = 256
-    for t in tuples:
-        total += 120 + len(t.doc_id)
-        for name, text in t.values:
-            total += 100 + len(name) + len(text)
-        total += 80 * len(t.scores)
-    return total
-
-
 def exact(rows):
     """Rows with scores as ``repr``: equal only when bit-identical."""
     return [(t.doc_id, t.sid, t.values, repr(t.scores)) for t in rows]
@@ -98,7 +87,6 @@ def test_columns_hold_exactly_the_tuples_they_were_given(rows):
             assert exact([columns[index]]) == exact([rows[index]])
     assert exact(columns[1:-1]) == exact(rows[1:-1])
     result = KokoResult(tuples=rows)
-    assert result.approximate_bytes() == per_tuple_bytes(rows)
     assert len(result.tuples) == len(rows) and list(result) == rows
 
 
@@ -114,7 +102,6 @@ def test_merge_is_a_stable_sort_by_sid(rows, cuts):
     merged = merge_results(parts)
     assert exact(merged) == exact(sorted(rows, key=lambda t: t.sid))
     assert merged.candidate_sentences == sum(p.candidate_sentences for p in parts)
-    assert merged.approximate_bytes() == per_tuple_bytes(rows)
 
 
 def test_merge_of_parts_with_different_layouts_falls_back_to_tuples():
@@ -186,7 +173,6 @@ def test_counting_never_builds_a_tuple(service, monkeypatch):
     cached = service.query(ENTITY_QUERY)
     assert cached is result
     assert len(cached) == len(cached.tuples) == expected > 0
-    assert cached.approximate_bytes() > 256
     assert cached.candidate_sentences >= cached.evaluated_sentences > 0
 
 

@@ -336,21 +336,6 @@ class TestGoldenIdentity:
                     answer = client.query(query, threshold_override=0.0, keep_all_scores=True)
                     assert golden_rows(answer) == golden
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
-    def test_cache_admission_size_is_the_per_tuple_formula(self, golden_setup, name):
-        """``approximate_bytes`` from the columns is what tuple objects were charged."""
-        engines, services = golden_setup
-        family, query = GOLDEN_QUERIES[name]
-        for result in (
-            engines[family].execute(query, threshold_override=0.0, keep_all_scores=True),
-            services[family].query(query, threshold_override=0.0, keep_all_scores=True),
-        ):
-            expected = 256
-            for t in result:
-                expected += 120 + len(t.doc_id) + 80 * len(t.scores)
-                expected += sum(100 + len(var) + len(text) for var, text in t.values)
-            assert result.approximate_bytes() == expected
-
 
 # ----------------------------------------------------------------------
 # the set-at-a-time stage against the per-tuple loop it replaced

@@ -49,7 +49,6 @@ SURFACE = [
     ("koko_replication_connected", "gauge", (), "1 while the applier is attached to a live shipping session."),
     ("koko_replication_lag_bytes", "gauge", (), "Byte distance behind the primary's durable end (-1 = unknown)."),
     ("koko_replication_records_applied", "gauge", (), "Shipped WAL records applied since this replica bootstrapped."),
-    ("koko_result_cache_admission_skips_total", "counter", (), "Results refused by cost-aware cache admission (oversize)."),
     ("koko_result_cache_evictions_total", "counter", ("reason",), "Full-result cache evictions (stale = generation turnover)."),
     ("koko_result_cache_hits_total", "counter", (), "Full-result cache hits."),
     ("koko_result_cache_misses_total", "counter", (), "Full-result cache misses."),
@@ -65,7 +64,6 @@ SURFACE = [
     ("koko_rpc_requests_total", "counter", ("op",), "RPC requests received"),
     ("koko_rpc_transport_errors_total", "counter", ("kind",), "RPC connections dropped by fault kind"),
     ("koko_sentences_ingested_total", "counter", (), "Sentences ingested."),
-    ("koko_shard_cache_admission_skips_total", "counter", ("shard",), "Per-shard partials refused by cost-aware cache admission."),
     ("koko_shard_cache_hits_total", "counter", ("shard",), "Per-shard partial-cache hits."),
     ("koko_shard_cache_lru_evictions_total", "counter", ("shard",), "Per-shard partial-cache capacity evictions."),
     ("koko_shard_cache_misses_total", "counter", ("shard",), "Per-shard partial-cache misses."),

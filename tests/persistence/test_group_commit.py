@@ -4,7 +4,7 @@ The load-bearing properties:
 
 * concurrent appends are all durable and frame-atomic (no interleaving);
 * batching actually happens — N concurrent durability waits share fewer
-  than N fsyncs, and ``sync_interval`` coalesces a burst into ~1 flush;
+  than N fsyncs;
 * a crash **between the buffered batch append and its fsync** loses only
   a suffix: recovery yields a clean prefix of the operation history, at
   the WAL level and end-to-end through ``KokoService``;
@@ -107,18 +107,6 @@ def test_slow_fsync_coalesces_batches(tmp_path, monkeypatch, run_threads):
     assert wal.fsyncs_performed < per_thread * threads
 
 
-def test_sync_interval_lingers_for_larger_batches(tmp_path, run_threads):
-    wal = WriteAheadLog(layout_at(tmp_path), segment_id=1, sync_interval=0.05)
-    threads = 6
-
-    run_threads(threads, lambda index: wal.append(record(index)))
-    wal.close()
-    assert wal.records_synced == threads
-    # the linger window collects the whole burst into very few flushes
-    assert wal.fsyncs_performed <= 3
-    assert wal.max_batch_records >= 2
-
-
 def test_on_fsync_batches_sum_to_records(tmp_path, run_threads):
     batches = []
     wal = WriteAheadLog(layout_at(tmp_path), segment_id=1, on_fsync=batches.append)
@@ -128,16 +116,6 @@ def test_on_fsync_batches_sum_to_records(tmp_path, run_threads):
     assert all(batch >= 1 for batch in batches)
 
 
-def test_unsynced_writer_skips_group_commit(tmp_path):
-    wal = WriteAheadLog(layout_at(tmp_path), segment_id=1, sync=False)
-    for index in range(5):
-        wal.append(record(index))
-    wal.close()
-    assert wal.fsyncs_performed <= 1  # only the close-time flush
-    replay = read_records(tmp_path / "wal" / "wal-0000000001.log")
-    assert len(replay.records) == 5
-
-
 # ----------------------------------------------------------------------
 # crash between batch append and fsync → recovery to a prefix
 # ----------------------------------------------------------------------
@@ -145,7 +123,7 @@ def test_crash_between_batch_append_and_fsync_recovers_prefix(tmp_path, monkeypa
     """Records buffered but not yet fsynced are a *suffix*; losing them
     leaves the longest durable prefix intact."""
     path = tmp_path / "seg.log"
-    writer = WalWriter(path, sync=True)
+    writer = WalWriter(path)
     for index in range(6):
         writer.append(record(index))
     durable_bytes = writer.size_bytes
@@ -214,7 +192,7 @@ def test_service_group_commit_crash_recovers_to_prefix(tmp_path, monkeypatch, ru
 # fsync failure poisons the writer
 # ----------------------------------------------------------------------
 def test_failed_fsync_poisons_writer_and_discards_unacked_tail(tmp_path, monkeypatch):
-    writer = WalWriter(tmp_path / "seg.log", sync=True)
+    writer = WalWriter(tmp_path / "seg.log")
     writer.append(record(0))
 
     def broken_fsync(fd):

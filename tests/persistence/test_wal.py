@@ -25,8 +25,8 @@ def annotated():
     return Pipeline().annotate("Anna ate a delicious pie in Tokyo.", doc_id="d0")
 
 
-def write_records(path, records, sync=True):
-    writer = WalWriter(path, sync=sync)
+def write_records(path, records):
+    writer = WalWriter(path)
     for record in records:
         writer.append(record)
     writer.close()

@@ -159,7 +159,6 @@ def _valid_or_frame_error(body) -> None:
     except FrameError:
         return
     list(decoded)
-    decoded.approximate_bytes()
 
 
 @settings(max_examples=300, deadline=None)

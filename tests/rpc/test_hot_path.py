@@ -383,7 +383,7 @@ def test_a_write_leaves_no_stale_body(service, serve):
     assert cached_bodies(service) == []
 
 
-def test_eviction_and_admission_refusal_leave_no_bytes_behind(listen_ready, serve):
+def test_eviction_leaves_no_bytes_behind(listen_ready, serve):
     with KokoService(shards=1, result_cache_size=1, trace_sample_rate=0.0) as small:
         small.add_document(TEXTS[0], "doc0")
         served = serve(small)
@@ -395,18 +395,6 @@ def test_eviction_and_admission_refusal_leave_no_bytes_behind(listen_ready, serv
             client.query(CITY_QUERY)  # capacity 1: evicts the entity entry
         (city_body,) = cached_bodies(small)
         assert city_body != entity_body and len(small._result_cache) == 1
-
-    with KokoService(
-        shards=1, result_cache_max_entry_bytes=1, trace_sample_rate=0.0
-    ) as refusing:
-        refusing.add_document(TEXTS[0], "doc0")
-        served = serve(refusing)
-        client = served.client()
-        for _ in range(3):
-            assert len(client.query(ENTITY_QUERY)) > 0
-        # never admitted, so never answered on the loop and never encoded apart
-        assert served.submits == 3 and served.hit_threads == []
-        assert len(refusing._result_cache) == 0 and cached_bodies(refusing) == []
 
 
 _writes = st.one_of(

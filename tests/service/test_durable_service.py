@@ -9,10 +9,14 @@ re-annotation on the warm path.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+import repro.service.durability as durability_module
+from repro.corpora.wikipedia import generate_wikipedia_corpus
 from repro.errors import PersistenceError, ServiceError
+from repro.evaluation.queries import SCALEUP_QUERIES
 from repro.persistence import CheckpointPolicy, StorageLayout
 from repro.service import KokoService
 
@@ -226,15 +230,13 @@ def test_checkpoint_on_memory_only_service_raises(tmp_path):
         assert service.storage_dir is None
 
 
-def test_background_checkpoint_policy_triggers(tmp_path):
-    import time
-
+def test_background_checkpoint_policy_triggers(tmp_path, monkeypatch):
+    monkeypatch.setattr(durability_module, "CHECKPOINT_POLL_SECONDS", 0.02)
     path = tmp_path / "svc"
     with KokoService(
         shards=1,
         storage_dir=path,
         checkpoint_policy=CheckpointPolicy(min_ops=2, min_bytes=None, min_seconds=None),
-        checkpoint_poll_seconds=0.02,
     ) as service:
         service.add_document(TEXTS[0], "doc0")
         service.add_document(TEXTS[1], "doc1")
@@ -343,22 +345,83 @@ def test_initialised_but_unbootstrapped_directory_gets_bootstrapped(tmp_path):
         reopened.close()
 
 
-def test_wal_sync_false_still_recovers_after_clean_close(tmp_path):
+def test_close_closes_the_slow_op_sink_when_the_final_checkpoint_fails(
+    tmp_path, monkeypatch
+):
     service = KokoService(
-        shards=2,
         storage_dir=tmp_path / "svc",
-        wal_sync=False,
         checkpoint_policy=CheckpointPolicy.disabled(),
+        slow_op_log_path=tmp_path / "slow.jsonl",
     )
     service.add_document(TEXTS[0], "doc0")
-    expected = as_rows(service.query(ENTITY_QUERY))
-    assert service._wal.sync is False  # the knob actually reaches the log
-    service.close()
-    reopened = KokoService.open(tmp_path / "svc", pipeline=ExplodingPipeline())
+
+    def failing_write(layout, state):
+        raise PersistenceError("disk full")
+
+    monkeypatch.setattr(durability_module, "write_snapshot", failing_write)
+    with pytest.raises(PersistenceError):
+        service.close()
+    assert service._slow_log._file is None
+    service.close()  # a second close stays a no-op
+
+
+def test_an_invalid_cache_size_is_refused_before_the_directory_exists(tmp_path):
+    with pytest.raises(ServiceError, match="result_cache_size"):
+        KokoService(storage_dir=tmp_path / "svc", result_cache_size=0)
+    assert not (tmp_path / "svc").exists()
+
+
+def scaleup_rows(service):
+    return [as_rows(service.query(query)) for query in SCALEUP_QUERIES.values()]
+
+
+def test_a_crash_replays_every_uncheckpointed_add(tmp_path, wiki_corpus):
+    texts = [document.text for document in wiki_corpus.documents[:10]]
+    path = tmp_path / "svc"
+    service = KokoService(
+        shards=2, storage_dir=path, checkpoint_policy=CheckpointPolicy.disabled()
+    )
+    for index, text in enumerate(texts):
+        service.add_document(text, f"wiki{index}")
+    expected = scaleup_rows(service)
+    del service  # crash: every add lives only in the fsynced log
+
+    recovered = KokoService.open(path, pipeline=ExplodingPipeline())
     try:
-        assert as_rows(reopened.query(ENTITY_QUERY)) == expected
+        assert recovered.metrics.get("koko_replayed_wal_records").value == len(texts)
+        assert scaleup_rows(recovered) == expected
     finally:
-        reopened.close()
+        recovered.close()
+
+
+def test_a_warm_open_is_five_times_faster_than_a_cold_rebuild(tmp_path, pipeline):
+    """The cold side annotates, logs and splices every text; the warm side
+    loads the snapshot the clean close folded them into (best of three).
+    120 articles: a warm open has a fixed cost of a few milliseconds, so on
+    40 the ratio dips below 5 on a busy machine."""
+    texts = [
+        document.text
+        for document in generate_wikipedia_corpus(articles=120, pipeline=pipeline)
+    ]
+    path = tmp_path / "svc"
+    started = time.perf_counter()
+    service = KokoService(shards=1, storage_dir=path)
+    for index, text in enumerate(texts):
+        service.add_document(text, f"wiki{index}")
+    cold_seconds = time.perf_counter() - started
+    expected = scaleup_rows(service)
+    service.close()
+
+    warm_seconds = []
+    for _ in range(3):
+        started = time.perf_counter()
+        warm = KokoService.open(path, pipeline=ExplodingPipeline())
+        warm_seconds.append(time.perf_counter() - started)
+        try:
+            assert scaleup_rows(warm) == expected
+        finally:
+            warm.close()
+    assert cold_seconds >= 5 * min(warm_seconds), (cold_seconds, warm_seconds)
 
 
 def test_wal_replay_rejects_inconsistent_records(tmp_path):

@@ -158,32 +158,6 @@ def test_stale_first_sid_is_rejected():
 
 
 # ----------------------------------------------------------------------
-# annotation pools
-# ----------------------------------------------------------------------
-def test_thread_annotation_pool_matches_inline():
-    with KokoService(shards=2, annotation_workers=2) as pooled:
-        for index, text in enumerate(BASE_TEXTS):
-            pooled.add_document(text, f"doc{index}")
-        with KokoService(shards=2) as inline:
-            for index, text in enumerate(BASE_TEXTS):
-                inline.add_document(text, f"doc{index}")
-            for query in (ENTITY_QUERY, CITY_QUERY):
-                assert as_rows(pooled.query(query)) == as_rows(inline.query(query))
-
-
-def test_process_annotation_pool_matches_inline():
-    with KokoService(annotation_workers=2, annotation_processes=True) as pooled:
-        for index, text in enumerate(BASE_TEXTS[:3]):
-            pooled.add_document(text, f"doc{index}")
-        with KokoService() as inline:
-            for index, text in enumerate(BASE_TEXTS[:3]):
-                inline.add_document(text, f"doc{index}")
-            assert as_rows(pooled.query(ENTITY_QUERY)) == as_rows(
-                inline.query(ENTITY_QUERY)
-            )
-
-
-# ----------------------------------------------------------------------
 # checkpoints drain staged ingests; warm restart stays identical
 # ----------------------------------------------------------------------
 def test_checkpoint_during_concurrent_ingest_recovers_identically(tmp_path, run_threads):
@@ -574,7 +548,6 @@ def test_concurrent_writers_annotate_together_and_share_fsyncs(
         storage_dir=tmp_path / "svc",
         checkpoint_policy=CheckpointPolicy.disabled(),
         pipeline=MeetingPipeline(),
-        sync_interval=0.002,
     ) as service:
         def work(index: int) -> None:
             for n in range(3):

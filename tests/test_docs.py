@@ -6,8 +6,10 @@ carry a module docstring, ``__all__``, and docstrings on public
 classes/functions/methods — and every relative markdown link in
 ``README.md``, ``docs/*.md`` and ``benchmarks/README.md`` must resolve,
 every ``_private_name`` ``docs/ARCHITECTURE.md`` cites must exist in
-``src/repro``, and ``docs/OPERATIONS.md``'s metric table must name every
-metric ``src/repro`` registers while citing none it does not.
+``src/repro``, ``docs/OPERATIONS.md``'s metric table must name every
+metric ``src/repro`` registers while citing none it does not, and that
+document must cite every ``KokoService`` constructor parameter while its
+knob table names none that is gone.
 """
 
 from __future__ import annotations
@@ -93,4 +95,38 @@ def test_metric_table_must_name_every_registered_metric_verbatim(tmp_path):
         "koko_unlisted is missing from the metric table of docs/OPERATIONS.md",
         "koko_gone_total is not registered in src/repro/",
         "koko_listed_ is not registered in src/repro/",
+    ]
+
+
+def test_knob_table_and_constructor_must_agree(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "src" / "repro" / "service").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "service" / "service.py").write_text(
+        "class KokoService:\n"
+        "    def __init__(self, shards=None, storage_dir=None, undocumented=1):\n"
+        "        pass\n"
+    )
+    (tmp_path / "docs" / "OPERATIONS.md").write_text(
+        "Open with `KokoService.open(storage_dir)`; the word undocumented is prose.\n\n"
+        "| Knob | Default | What it does |\n| --- | --- | --- |\n"
+        "| `shards` | 1 | Partitions. |\n"
+        "| `wal_sync` / `shards` | `True` | Deleted. |\n"
+    )
+    completed = subprocess.run(
+        [
+            sys.executable,
+            str(REPO_ROOT / "scripts" / "check_docs.py"),
+            "--root",
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 1
+    flagged = [
+        line.split(" KNB ")[1] for line in completed.stdout.splitlines() if " KNB " in line
+    ]
+    assert flagged == [
+        "KokoService(undocumented) is not cited in docs/OPERATIONS.md",
+        "wal_sync in the knob table is not a KokoService parameter",
     ]
