@@ -107,6 +107,17 @@ def test_slow_fsync_coalesces_batches(tmp_path, monkeypatch, run_threads):
     assert wal.fsyncs_performed < per_thread * threads
 
 
+def test_a_lone_writer_fsyncs_every_append(tmp_path):
+    wal = WriteAheadLog(layout_at(tmp_path), segment_id=1)
+    for index in range(5):
+        wal.append(record(index))
+        # nothing else is in flight, so each append pays its own fsync
+        assert wal.records_synced == index + 1
+        assert wal.fsyncs_performed == index + 1
+    wal.close()
+    assert len(read_records(tmp_path / "wal" / "wal-0000000001.log").records) == 5
+
+
 def test_on_fsync_batches_sum_to_records(tmp_path, run_threads):
     batches = []
     wal = WriteAheadLog(layout_at(tmp_path), segment_id=1, on_fsync=batches.append)

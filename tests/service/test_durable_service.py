@@ -345,6 +345,16 @@ def test_initialised_but_unbootstrapped_directory_gets_bootstrapped(tmp_path):
         reopened.close()
 
 
+def test_every_acknowledged_add_is_fsynced(tmp_path):
+    with KokoService(
+        storage_dir=tmp_path / "svc", checkpoint_policy=CheckpointPolicy.disabled()
+    ) as service:
+        for index, text in enumerate(TEXTS[:3]):
+            service.add_document(text, f"doc{index}")
+            synced = service.metrics.get("koko_wal_records_synced_total").value
+            assert synced == index + 1
+
+
 def test_close_closes_the_slow_op_sink_when_the_final_checkpoint_fails(
     tmp_path, monkeypatch
 ):

@@ -521,6 +521,30 @@ def test_failed_pre_annotated_add_retries_with_the_same_sids(
         assert as_rows(reopened.query(ENTITY_QUERY)) == expected
 
 
+def test_each_writer_annotates_on_its_own_thread(run_threads):
+    """With no annotation pool, the thread that calls ``add_document`` is
+    the thread that runs the pipeline for that document."""
+    annotated_on: dict[str, int] = {}
+    writer_of: dict[str, int] = {}
+
+    class RecordingPipeline(Pipeline):
+        def annotate(self, text, doc_id, *args, **kwargs):
+            annotated_on[doc_id] = threading.get_ident()
+            return super().annotate(text, doc_id, *args, **kwargs)
+
+    with KokoService(shards=2, pipeline=RecordingPipeline()) as service:
+        def work(index: int) -> None:
+            for n in range(2):
+                doc_id = f"w{index}-{n}"
+                writer_of[doc_id] = threading.get_ident()
+                service.add_document(BASE_TEXTS[index * 2 + n], doc_id)
+
+        run_threads(3, work)
+        assert len(service) == 6
+    assert annotated_on == writer_of
+    assert len(set(writer_of.values())) == 3
+
+
 def test_concurrent_writers_annotate_together_and_share_fsyncs(
     tmp_path, monkeypatch, run_threads
 ):

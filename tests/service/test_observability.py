@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.service.service as service_module
 from repro.errors import ServiceError
 from repro.observability import ExplainedResult
 from repro.replication import InProcessTransport, LogShipper, ReplicaService
@@ -182,6 +183,20 @@ def test_slow_ingest_entries_cover_the_durable_write_path(tmp_path):
     assert set(remove_entry["stages_ms"]) == {"wal", "unsplice"}
     svc.close()
     assert (tmp_path / "slow.jsonl").read_text().count('"kind"') == 2
+
+
+def test_the_slow_op_file_rotates_at_the_service_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(service_module, "SLOW_OP_LOG_MAX_BYTES", 2048)
+    path = tmp_path / "slow.jsonl"
+    svc = service_with_docs(
+        slow_query_ms=0.0, slow_ingest_ms=None, slow_op_log_path=path
+    )
+    for _ in range(20):
+        svc.query(CITY_QUERY)
+    svc.close()
+    assert (tmp_path / "slow.jsonl.1").exists()
+    assert 0 < path.stat().st_size <= 2048
+    assert len(svc.recent_slow_ops()) == 20
 
 
 # ----------------------------------------------------------------------

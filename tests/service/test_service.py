@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import threading
 
 import pytest
@@ -263,3 +264,69 @@ def test_service_stats_defaults():
     assert stats.last_checkpoint_error == ""
     latency = stats.registry.get("koko_query_latency_seconds")
     assert histogram_quantiles(latency) == {50.0: 0.0, 95.0: 0.0, 99.0: 0.0}
+
+
+# ----------------------------------------------------------------------
+# constructor surface: deleted knobs stay deleted, fixed sizes unchanged
+# ----------------------------------------------------------------------
+DELETED_KNOBS = {
+    "annotation_workers": 2,
+    "annotation_processes": True,
+    "wal_sync": False,
+    "sync_interval": 0.002,
+    "result_cache_max_entry_bytes": 4096,
+    "plan_cache_size": 16,
+    "checkpoint_poll_seconds": 0.05,
+    "trace_store_capacity": 16,
+    "slow_op_log_capacity": 16,
+    "slow_op_log_max_bytes": 4096,
+}
+
+
+@pytest.mark.parametrize("knob", sorted(DELETED_KNOBS))
+def test_deleted_knob_is_refused_before_the_directory_exists(knob, tmp_path):
+    with pytest.raises(TypeError, match=knob):
+        KokoService(storage_dir=tmp_path / "svc", **{knob: DELETED_KNOBS[knob]})
+    assert not (tmp_path / "svc").exists()
+
+
+def test_constructor_takes_the_seventeen_kept_options():
+    assert list(inspect.signature(KokoService.__init__).parameters)[1:] == [
+        "pipeline",
+        "name",
+        "shards",
+        "result_cache_size",
+        "max_inflight_ingest_bytes",
+        "storage_dir",
+        "checkpoint_policy",
+        "bootstrap_snapshot",
+        "trace_sample_rate",
+        "slow_query_ms",
+        "slow_ingest_ms",
+        "slow_op_log_path",
+        "expander",
+        "vectors",
+        "dictionaries",
+        "use_gsp",
+        "use_default_vectors",
+    ]
+
+
+FIXED_SIZES = {
+    "plan_cache": (lambda svc: svc._plan_cache._plans.capacity, 256),
+    "trace_store": (lambda svc: svc._trace_store.capacity, 128),
+    "slow_op_ring": (lambda svc: svc._slow_log._entries.maxlen, 256),
+    "slow_op_file": (lambda svc: svc._slow_log._max_file_bytes, 16 * 1024 * 1024),
+    "checkpoint_poll": (lambda svc: svc._checkpoint_scheduler._poll_seconds, 0.2),
+}
+
+
+@pytest.mark.parametrize("component", sorted(FIXED_SIZES))
+def test_fixed_sizes_keep_the_former_defaults(component, tmp_path):
+    read, expected = FIXED_SIZES[component]
+    with KokoService(
+        storage_dir=tmp_path / "svc",
+        slow_op_log_path=tmp_path / "slow.jsonl",
+        use_default_vectors=False,
+    ) as service:
+        assert read(service) == expected
