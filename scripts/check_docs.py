@@ -20,7 +20,9 @@ missing-docstring subset of pydocstyle/ruff that the repo enforces:
   table, and every ``koko_*`` name that document cites is registered;
 * **KNB** — every ``KokoService.__init__`` parameter is cited in a code
   span somewhere in ``docs/OPERATIONS.md``, and every code span in the
-  first column of its knob table (header cell ``Knob``) is a parameter.
+  first column of its knob table (header cell ``Knob``) is a parameter;
+* **PTH** — every ``benchmarks/``, ``scripts/`` or ``examples/`` Python
+  file cited in the checked documents or the verify skill exists.
 
 Exit status 0 = clean; 1 = findings (printed one per line as
 ``path:line: CODE message``).
@@ -60,6 +62,9 @@ LINTED_PACKAGES = (
 #: markdown documents whose relative links must resolve
 LINKED_DOCUMENTS = ("README.md", "docs/*.md", "benchmarks/README.md")
 
+#: documents whose cited benchmark, script and example files must exist
+PATH_DOCUMENTS = (*LINKED_DOCUMENTS, ".claude/skills/verify/SKILL.md")
+
 #: document whose cited ``_private_name`` identifiers must exist in the source
 SYMBOL_DOCUMENT = "docs/ARCHITECTURE.md"
 SYMBOL_SOURCES = "src/repro"
@@ -77,6 +82,7 @@ _PRIVATE_NAME = re.compile(r"(?<![A-Za-z0-9_])_[A-Za-z]\w*")
 _CITED_METRIC = re.compile(r"(?<![A-Za-z0-9_])koko_\w*")
 _CODE_SPAN = re.compile(r"`([^`]+)`")
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+_CITED_PATH = re.compile(r"(?<![\w/.-])(?:benchmarks|scripts|examples)/[\w./-]*\.py(?!\w)")
 
 
 def lint_docstrings(module_path: Path, repo_root: Path) -> list[str]:
@@ -140,6 +146,20 @@ def lint_links(document: Path, repo_root: Path) -> list[str]:
                 findings.append(
                     f"{relative}:{line_number}: LNK broken link -> {target}"
                 )
+    return findings
+
+
+def lint_paths(document: Path, repo_root: Path) -> list[str]:
+    """Findings for cited ``benchmarks|scripts|examples/….py`` files that
+    do not exist."""
+    findings: list[str] = []
+    relative = document.relative_to(repo_root)
+    for line_number, line in enumerate(
+        document.read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        for cited in _CITED_PATH.findall(line):
+            if not (repo_root / cited).is_file():
+                findings.append(f"{relative}:{line_number}: PTH {cited} does not exist")
     return findings
 
 
@@ -282,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     for pattern in LINKED_DOCUMENTS:
         for document in sorted(root.glob(pattern)):
             findings.extend(lint_links(document, root))
+    for pattern in PATH_DOCUMENTS:
+        for document in sorted(root.glob(pattern)):
+            findings.extend(lint_paths(document, root))
     if (root / SYMBOL_DOCUMENT).exists():
         findings.extend(
             lint_symbols(root / SYMBOL_DOCUMENT, root / SYMBOL_SOURCES, root)

@@ -43,14 +43,13 @@ Two pieces, both dependency-free (asyncio + stdlib ``http.client``):
 * :class:`ClusterTelemetry` — a scraper that polls each registered
   node's ``/stats`` + ``/readyz`` over TCP, merges the per-node health,
   lag and applied positions into one cluster view (rendered at
-  ``/cluster`` on the node it is attached to, normally the primary), and
-  answers :meth:`ClusterTelemetry.replica_health` so a ``ReplicaSet``
-  router can fold *scraped* health into its routing decisions
-  (``router.attach_health_source(cluster)``).  When the primary's
-  ``LogShipper`` is provided, its authoritative per-session byte lag
-  joins the readiness verdict — a follower that stops acking flips the
-  primary's ``/readyz`` even if the follower's own endpoint still
-  answers with stale self-reported lag.
+  ``/cluster`` on the node it is attached to, normally the primary).  A
+  ``ReplicaSet`` router does not read it: it holds its replicas in
+  process and checks their connection, lag and apply progress directly.
+  When the primary's ``LogShipper`` is provided, its authoritative
+  per-session byte lag joins the readiness verdict — a follower that
+  stops acking flips the primary's ``/readyz`` even if the follower's
+  own endpoint still answers with stale self-reported lag.
 """
 
 from __future__ import annotations
@@ -70,6 +69,10 @@ __all__ = ["ClusterTelemetry", "TelemetryServer", "http_get_json", "scrape"]
 _TEXT = "text/plain; charset=utf-8"
 _JSON = "application/json; charset=utf-8"
 _PROM = "text/plain; version=0.0.4; charset=utf-8"
+
+#: seconds a client has to send the whole request head (request line and
+#: every header line); a client that trickles header lines is cut off here
+REQUEST_HEAD_SECONDS = 10.0
 
 _REASONS = {
     200: "OK",
@@ -157,6 +160,15 @@ def _dumps(payload: object) -> bytes:
     return (json.dumps(payload, indent=2, default=str) + "\n").encode("utf-8")
 
 
+async def _read_head(reader) -> list[str]:
+    """The request line's words; the header lines after it are drained
+    (every response closes the connection, so none of them matters)."""
+    parts = (await reader.readline()).decode("latin-1").split()
+    while await reader.readline() not in (b"", b"\r\n", b"\n"):
+        pass
+    return parts
+
+
 class TelemetryServer(LoopServer):
     """One node's HTTP telemetry endpoint (see the module docstring).
 
@@ -223,14 +235,11 @@ class TelemetryServer(LoopServer):
     async def _serve_connection(self, reader, writer) -> None:
         status, content_type, body = 400, _TEXT, b"bad request\n"
         try:
-            request_line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            parts = request_line.decode("latin-1").split()
-            while True:  # drain headers; every response closes the connection
-                line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-                if line in (b"", b"\r\n", b"\n"):
-                    break
+            parts = await asyncio.wait_for(_read_head(reader), REQUEST_HEAD_SECONDS)
             if len(parts) >= 2:
                 status, content_type, body = self._respond(parts[0].upper(), parts[1])
+        except asyncio.TimeoutError:
+            pass  # the head did not arrive in time: 400
         except Exception:
             status, content_type, body = 500, _TEXT, b"internal error\n"
         head = (
@@ -472,9 +481,7 @@ class ClusterTelemetry:
     either :meth:`start` the background poller (``poll_interval``
     seconds between sweeps) or call :meth:`scrape_once` on demand.
     The merged view (:meth:`cluster_view`) is what the primary's
-    :class:`TelemetryServer` renders at ``/cluster``; the per-name
-    views (:meth:`replica_health`) are what a ``ReplicaSet`` consumes
-    via ``attach_health_source``.
+    :class:`TelemetryServer` renders at ``/cluster``.
 
     Parameters
     ----------
@@ -694,16 +701,6 @@ class ClusterTelemetry:
     # ------------------------------------------------------------------
     # merged views
     # ------------------------------------------------------------------
-    def replica_health(self, name: str) -> dict | None:
-        """The last scraped view for node *name*, or ``None``.
-
-        The shape a ``ReplicaSet`` health source needs: ``scrape_ok``,
-        ``ready`` and ``lag_bytes`` drive routing; the rest is context.
-        """
-        with self._lock:
-            view = self._views.get(name)
-            return dict(view) if view is not None else None
-
     def ready(self) -> tuple[bool, dict]:
         """``(ok, detail)``: the whole cluster's readiness verdict.
 

@@ -621,16 +621,11 @@ class WriteAheadLog:
     ) -> None:
         self._layout = layout
         self.segment_id = segment_id
-        self._on_fsync_user = on_fsync
-        self._stats_lock = threading.Lock()
-        self.records_appended = 0
-        self.fsyncs_performed = 0
-        self.records_synced = 0
-        self.max_batch_records = 0
+        self._on_fsync = on_fsync
+        # guards segment_id and _writer together, which rotate() replaces
+        self._segment_lock = threading.Lock()
         self._writer = WalWriter(
-            layout.wal_path(segment_id),
-            truncate_to=truncate_to,
-            on_fsync=self._record_fsync,
+            layout.wal_path(segment_id), truncate_to=truncate_to, on_fsync=on_fsync
         )
         # make the segment's dirent durable, not just its contents — a lost
         # dirent after a crash would strand fsynced records in limbo
@@ -646,11 +641,6 @@ class WriteAheadLog:
         """Byte size of the active segment."""
         return self._writer.size_bytes
 
-    @property
-    def fsyncs_saved(self) -> int:
-        """Records made durable minus fsyncs performed (the group-commit win)."""
-        return self.records_synced - self.fsyncs_performed
-
     def durable_position(self) -> WalPosition:
         """The durable end of the log: active segment + fsynced prefix length.
 
@@ -661,19 +651,10 @@ class WriteAheadLog:
         same lock rotation updates them under, so the offset always belongs
         to the reported segment.
         """
-        with self._stats_lock:
+        with self._segment_lock:
             segment_id = self.segment_id
             writer = self._writer
         return WalPosition(segment_id, writer.synced_bytes)
-
-    def _record_fsync(self, batch: int) -> None:
-        """Account one fsync that committed *batch* records; forward to the user."""
-        with self._stats_lock:
-            self.fsyncs_performed += 1
-            self.records_synced += batch
-            self.max_batch_records = max(self.max_batch_records, batch)
-        if self._on_fsync_user is not None:
-            self._on_fsync_user(batch)
 
     def append(self, record: WalRecord, trace: Span | None = None) -> int:
         """Append one record to the active segment; returns the frame size.
@@ -682,10 +663,7 @@ class WriteAheadLog:
         record is durable (see :meth:`WalWriter.append`).  ``trace`` is
         forwarded to the writer for ``wal_append``/``fsync_wait`` spans.
         """
-        appended = self._writer.append(record, trace=trace)
-        with self._stats_lock:
-            self.records_appended += 1
-        return appended
+        return self._writer.append(record, trace=trace)
 
     def append_pipelined(
         self, record: WalRecord, trace: Span | None = None
@@ -696,10 +674,7 @@ class WriteAheadLog:
         log order is fixed when this returns, durability arrives when the
         ticket is waited on (or any later group commit covers the frame).
         """
-        appended, ticket = self._writer.append_pipelined(record, trace=trace)
-        with self._stats_lock:
-            self.records_appended += 1
-        return appended, ticket
+        return self._writer.append_pipelined(record, trace=trace)
 
     def flush_durable(self) -> WalPosition:
         """Make every record appended before this call durable.
@@ -708,7 +683,7 @@ class WriteAheadLog:
         (records from already-rotated segments were fsynced when their
         segment sealed) and returns the durable end of the log.
         """
-        with self._stats_lock:
+        with self._segment_lock:
             writer = self._writer
         writer.flush()
         return self.durable_position()
@@ -722,10 +697,8 @@ class WriteAheadLog:
         """
         sealed = self.segment_id
         self._writer.close()
-        successor = WalWriter(
-            self._layout.wal_path(sealed + 1), on_fsync=self._record_fsync
-        )
-        with self._stats_lock:  # paired with durable_position's read
+        successor = WalWriter(self._layout.wal_path(sealed + 1), on_fsync=self._on_fsync)
+        with self._segment_lock:  # paired with durable_position's read
             self.segment_id = sealed + 1
             self._writer = successor
         _fsync_dir(self._layout.wal_dir)

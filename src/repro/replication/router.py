@@ -143,7 +143,6 @@ class ReplicaSet:
         self._replicas: list = []
         self._health: dict[int, _ReplicaHealth] = {}
         self._rr = 0
-        self._health_source = None
         for replica in replicas:
             self.add_replica(replica)
 
@@ -272,8 +271,6 @@ class ReplicaSet:
                 continue
             if max_lag is not None:
                 lag = replica.lag_bytes
-                if lag is None:
-                    lag = self._scraped_lag(replica)
                 if lag is None or lag > max_lag:
                     self.stats.record_rejection("lag")
                     continue
@@ -281,12 +278,7 @@ class ReplicaSet:
 
     def _healthy(self, replica) -> bool:
         """Connected, applying, not told to re-bootstrap, not stuck."""
-        if (
-            not replica.connected
-            or replica.restart_requested
-        ):
-            return False
-        if not self._scraped_ready(replica):
+        if not replica.connected or replica.restart_requested:
             return False
         health = self._health.get(id(replica))
         if health is None:  # pragma: no cover - removed concurrently
@@ -316,56 +308,6 @@ class ReplicaSet:
             health = self._health.get(id(replica))
             if health is not None:
                 health.suspended_until = time.monotonic() + self.suspend_seconds
-
-    # ------------------------------------------------------------------
-    # scraped health (ClusterTelemetry integration)
-    # ------------------------------------------------------------------
-    def attach_health_source(self, source) -> None:
-        """Feed scraped telemetry into routing decisions.
-
-        *source* is anything with a ``replica_health(name) -> dict | None``
-        method — in practice a
-        :class:`~repro.observability.exposition.ClusterTelemetry` scraping
-        the replicas' ``/stats`` + ``/readyz`` endpoints.  Once attached:
-
-        * a replica whose latest scrape says ``ready`` is ``False`` is
-          treated as unhealthy (out-of-process signals — a wedged
-          checkpoint, a stalled WAL — that in-process checks cannot see);
-        * when a replica's in-process ``lag_bytes`` is still unknown, the
-          scraped lag stands in for the ``max_lag_bytes`` staleness check.
-
-        Pass ``None`` to detach.  Replicas with no scrape data yet are
-        unaffected — the source only ever *adds* evidence.
-        """
-        self._health_source = source
-
-    def _scraped_view(self, replica) -> dict | None:
-        """The health source's latest view of *replica*, if any."""
-        source = self._health_source
-        if source is None:
-            return None
-        name = getattr(replica, "name", None)
-        if name is None:
-            return None
-        try:
-            return source.replica_health(name)
-        except Exception:  # pragma: no cover - defensive
-            return None
-
-    def _scraped_ready(self, replica) -> bool:
-        """False only when a successful scrape reports the replica unready."""
-        view = self._scraped_view(replica)
-        if view is None or not view.get("scrape_ok"):
-            return True  # no evidence against it
-        return bool(view.get("ready", True))
-
-    def _scraped_lag(self, replica) -> int | None:
-        """The scraped ``lag_bytes`` for *replica* (None when unknown)."""
-        view = self._scraped_view(replica)
-        if view is None or not view.get("scrape_ok"):
-            return None
-        lag = view.get("lag_bytes")
-        return int(lag) if lag is not None else None
 
     # ------------------------------------------------------------------
     # observability

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.observability import TelemetryServer, http_get_json, scrape
+from repro.observability import TelemetryServer, exposition, http_get_json, scrape
 from repro.service import KokoService
 
 _SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
@@ -124,6 +125,28 @@ def test_unknown_paths_and_methods_are_rejected(server):
     assert status == 404
     status, _ = scrape(*server.address, "/cluster")  # no cluster attached
     assert status == 404
+
+
+def test_a_trickled_request_head_is_cut_off_at_its_deadline(server, monkeypatch):
+    """One deadline covers the whole request head: a client sending a header
+    line every 0.1 s is answered 400 or dropped once it passes."""
+    monkeypatch.setattr(exposition, "REQUEST_HEAD_SECONDS", 0.5)
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        sock.settimeout(0.1)
+        started = time.monotonic()
+        sock.sendall(b"GET /metrics HTTP/1.1\r\n")
+        answer = None
+        while answer is None and time.monotonic() - started < 3.0:
+            try:
+                sock.sendall(b"X-Trickle: 1\r\n")
+                answer = sock.recv(4096)
+            except socket.timeout:
+                continue
+            except OSError:  # reset by the server: dropped
+                answer = b""
+        elapsed = time.monotonic() - started
+    assert answer == b"" or answer.startswith(b"HTTP/1.1 400"), answer
+    assert elapsed < 1.5
 
 
 def test_scrape_under_concurrent_ingest_stays_parseable_and_monotone(service):

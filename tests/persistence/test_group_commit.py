@@ -60,7 +60,8 @@ def layout_at(path) -> StorageLayout:
 # concurrent appends: durability and frame atomicity
 # ----------------------------------------------------------------------
 def test_concurrent_appends_are_all_durable_and_frame_atomic(tmp_path, run_threads):
-    wal = WriteAheadLog(layout_at(tmp_path), segment_id=1)
+    batches = []
+    wal = WriteAheadLog(layout_at(tmp_path), segment_id=1, on_fsync=batches.append)
     per_thread, threads = 25, 4
 
     def work(index):
@@ -75,10 +76,9 @@ def test_concurrent_appends_are_all_durable_and_frame_atomic(tmp_path, run_threa
     assert sorted(r.doc_id for r in replay.records) == sorted(
         f"doc{i}" for i in range(per_thread * threads)
     )
-    assert wal.records_appended == per_thread * threads
-    assert wal.records_synced == per_thread * threads
+    assert sum(batches) == per_thread * threads
     # every record durable, but batches shared fsyncs
-    assert wal.fsyncs_performed <= wal.records_synced
+    assert len(batches) <= sum(batches)
 
 
 def test_slow_fsync_coalesces_batches(tmp_path, monkeypatch, run_threads):
@@ -92,7 +92,8 @@ def test_slow_fsync_coalesces_batches(tmp_path, monkeypatch, run_threads):
         real_fsync(fd)
 
     monkeypatch.setattr(wal_module.os, "fsync", slow_fsync)
-    wal = WriteAheadLog(layout_at(tmp_path), segment_id=1)
+    batches = []
+    wal = WriteAheadLog(layout_at(tmp_path), segment_id=1, on_fsync=batches.append)
     per_thread, threads = 10, 8
 
     def work(index):
@@ -101,19 +102,20 @@ def test_slow_fsync_coalesces_batches(tmp_path, monkeypatch, run_threads):
 
     run_threads(threads, work)
     wal.close()
-    assert wal.records_synced == per_thread * threads
-    assert wal.fsyncs_saved > 0
-    assert wal.max_batch_records >= 2
-    assert wal.fsyncs_performed < per_thread * threads
+    assert sum(batches) == per_thread * threads
+    assert sum(batches) - len(batches) > 0  # fsyncs saved
+    assert max(batches) >= 2
+    assert len(batches) < per_thread * threads
 
 
 def test_a_lone_writer_fsyncs_every_append(tmp_path):
-    wal = WriteAheadLog(layout_at(tmp_path), segment_id=1)
+    batches = []
+    wal = WriteAheadLog(layout_at(tmp_path), segment_id=1, on_fsync=batches.append)
     for index in range(5):
         wal.append(record(index))
         # nothing else is in flight, so each append pays its own fsync
-        assert wal.records_synced == index + 1
-        assert wal.fsyncs_performed == index + 1
+        assert sum(batches) == index + 1
+        assert len(batches) == index + 1
     wal.close()
     assert len(read_records(tmp_path / "wal" / "wal-0000000001.log").records) == 5
 

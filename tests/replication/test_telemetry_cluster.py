@@ -15,7 +15,6 @@ import pytest
 
 from repro.observability import (
     ClusterTelemetry,
-    MetricsRegistry,
     TelemetryServer,
     http_get_json,
     scrape,
@@ -123,65 +122,3 @@ def test_primary_readyz_flips_when_the_replica_stalls_past_the_bound(cluster):
     finally:
         gate.set()
         replica.service.apply_replicated = original
-
-
-def test_scraped_health_feeds_replica_set_routing():
-    """ReplicaSet consults an attached health source for routing."""
-    from repro.replication.router import ReplicaSet
-
-    class FakeReplica:
-        name = "r1"
-        connected = True
-        restart_requested = False
-        applied_position = None
-        lag_bytes = None  # in-process lag unknown -> scraped lag stands in
-
-        def caught_up_to(self, token):
-            return True
-
-        def query(self, query, **kwargs):
-            return f"served {query}"
-
-    class FakePrimary:
-        metrics = MetricsRegistry()
-
-        def wal_position(self):
-            return None
-
-        def query(self, query, **kwargs):
-            return f"primary {query}"
-
-    class StubSource:
-        def __init__(self):
-            self.view = {"scrape_ok": True, "ready": True, "lag_bytes": 10}
-
-        def replica_health(self, name):
-            return self.view if name == "r1" else None
-
-    replica = FakeReplica()
-    router = ReplicaSet(FakePrimary(), [replica], max_lag_bytes=100)
-    source = StubSource()
-    router.attach_health_source(source)
-
-    # healthy + scraped lag under the bound -> the replica serves
-    assert router.query("q") == "served q"
-
-    # scraped lag over the bound -> rejected for staleness, primary serves
-    source.view = {"scrape_ok": True, "ready": True, "lag_bytes": 5000}
-    assert router.query("q") == "primary q"
-    assert router.metrics.get("koko_router_rejections_total").values()["lag"] >= 1
-
-    # scraped un-readiness (e.g. wedged checkpoint) -> health rejection
-    source.view = {"scrape_ok": True, "ready": False, "lag_bytes": 0}
-    assert router.query("q") == "primary q"
-    assert router.metrics.get("koko_router_rejections_total").values()["health"] >= 1
-
-    # a failed scrape is not evidence against the replica
-    source.view = {"scrape_ok": False}
-    router.max_lag_bytes = None
-    assert router.query("q") == "served q"
-
-    # detaching restores pure in-process behaviour
-    source.view = {"scrape_ok": True, "ready": False}
-    router.attach_health_source(None)
-    assert router.query("q") == "served q"

@@ -9,7 +9,9 @@ every ``_private_name`` ``docs/ARCHITECTURE.md`` cites must exist in
 ``src/repro``, ``docs/OPERATIONS.md``'s metric table must name every
 metric ``src/repro`` registers while citing none it does not, and that
 document must cite every ``KokoService`` constructor parameter while its
-knob table names none that is gone.
+knob table names none that is gone, and every ``benchmarks/``,
+``scripts/`` or ``examples/`` Python file those documents or the verify
+skill cite must exist.
 """
 
 from __future__ import annotations
@@ -129,4 +131,32 @@ def test_knob_table_and_constructor_must_agree(tmp_path):
     assert flagged == [
         "KokoService(undocumented) is not cited in docs/OPERATIONS.md",
         "wal_sync in the knob table is not a KokoService parameter",
+    ]
+
+
+def test_a_cited_benchmark_script_or_example_that_is_gone_is_flagged(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "kept.py").write_text('"""Kept."""\n')
+    (tmp_path / "README.md").write_text(
+        "Run `scripts/kept.py`, then `python benchmarks/gone.py --smoke`.\n"
+        "Not paths: src/repro/scripts/x.py, `benchmarks/bench_*.py`, scripts/kept.pyc.\n"
+    )
+    skill = tmp_path / ".claude" / "skills" / "verify"
+    skill.mkdir(parents=True)
+    (skill / "SKILL.md").write_text("python examples/missing_demo.py\n")
+    completed = subprocess.run(
+        [
+            sys.executable,
+            str(REPO_ROOT / "scripts" / "check_docs.py"),
+            "--root",
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 1
+    assert [line for line in completed.stdout.splitlines() if " PTH " in line] == [
+        "README.md:1: PTH benchmarks/gone.py does not exist",
+        ".claude/skills/verify/SKILL.md:1: PTH examples/missing_demo.py does not exist",
     ]
