@@ -10,10 +10,14 @@ runs, not what it measures.
 queries in a ``KokoService(shards=4)`` with no RPC, WAL, replica or
 checkpoint thread; per query:
 
-* ``serial_shard_ms`` — each shard's slice (``shard.engine.execute``) run
-  one after another on this thread, and their sum: the work a query is;
+* ``pass_ms`` — the one pipeline pass over all four shards that a cold
+  query runs (the service's ``_run_pass``: read locks, every stage once
+  over the shards' union, the per-shard split): the work a query is;
+* ``shard_lookup_ms`` — per shard, the DPLI lookups alone (``run_dpli``
+  over that shard's index set): what each shard adds to the pass's
+  lookup work;
 * ``query_ms`` — ``service.query`` with every cache missed through a
-  unique ``threshold_override``, as on ``cold_extract``: the work plus
+  unique ``threshold_override``, as on ``cold_extract``: the pass plus
   whatever the service adds around it;
 * ``stage_ms`` — the merged ``StageTimings`` of one ``service.query``;
 * ``fallback_sentences`` — the candidate sentences the columnar
@@ -98,6 +102,7 @@ sys.path[:] = [str(REPO_ROOT / "src"), str(REPO_ROOT)] + [
 import cProfile  # noqa: E402
 from benchmarks.ledger import stack, workloads  # noqa: E402
 from repro.indexing.columnar import ColumnarPostings  # noqa: E402
+from repro.koko.dpli import run_dpli  # noqa: E402
 from repro.koko.engine import compile_query  # noqa: E402
 from repro.rpc import RpcClient, RpcServer  # noqa: E402
 from repro.rpc import client as client_module  # noqa: E402
@@ -141,7 +146,7 @@ def loaded_service(workload: str, seed: int, scale: float):
 
 
 # ----------------------------------------------------------------------
-# read: the cold query path, shard by shard
+# read: the cold query path, one pass over the shards
 # ----------------------------------------------------------------------
 READ_SMOKE_REPEAT = 2
 #: the query mix runs this long before anything is measured: a thread pool's
@@ -168,19 +173,21 @@ def profile_query(service: KokoService, text: str, repeat: int, top: int) -> dic
         workloads.COLD_THRESHOLD + n * workloads.COLD_STEP for n in itertools.count(1)
     )
     plan = compile_query(text)
-    per_shard: list[list[float]] = [[] for _ in range(stack.SHARDS)]
+    shard_ids = list(range(service.shard_count))
+    passes: list[float] = []
+    lookups: list[list[float]] = [[] for _ in shard_ids]
     for _ in range(repeat):
-        threshold = next(thresholds)
+        started = _now()
+        service._run_pass(shard_ids, plan, next(thresholds), False)
+        passes.append(_now() - started)
         for shard in service._shards:
             started = _now()
-            shard.engine.execute(plan, threshold_override=threshold)
-            per_shard[shard.shard_id].append(_now() - started)
+            run_dpli(plan.normalized, shard.indexes)
+            lookups[shard.shard_id].append(_now() - started)
 
-    fallback = 0
-    for shard in service._shards:
-        ctx = shard.engine.make_context(plan, threshold_override=next(thresholds))
-        shard.engine.pipeline.run(ctx)
-        fallback += ctx.fallback_sentences
+    ctx = service._pass_context(shard_ids, plan, next(thresholds))
+    service._pipeline.run(ctx)
+    fallback = ctx.fallback_sentences
 
     service.query(text, threshold_override=next(thresholds))  # plan cache warm
     samples: list[float] = []
@@ -191,11 +198,10 @@ def profile_query(service: KokoService, text: str, repeat: int, top: int) -> dic
         samples.append(_now() - started)
     usage = rusage_per_op(before, repeat)
 
-    serial = [_median_ms(times) for times in per_shard]
     report = {
         "tuples": len(result),
-        "serial_shard_ms": serial,
-        "serial_sum_ms": round(sum(serial), 4),
+        "pass_ms": _median_ms(passes),
+        "shard_lookup_ms": [_median_ms(times) for times in lookups],
         "query_ms": _median_ms(samples),
         "stage_ms": {name: _ms(value) for name, value in result.timings.as_dict().items()},
         "fallback_sentences": fallback,

@@ -137,7 +137,7 @@ class ColumnarPostings:
     """Delta/main columnar storage of integer posting rows grouped by key.
 
     ``columns`` names the per-row integer columns (the first one must be
-    ``"sid"`` — :meth:`remove_sid` filters on it).  Keys are arbitrary
+    ``"sid"`` — :meth:`remove_sids` filters on it).  Keys are arbitrary
     hashable values interned to dense ids unless ``identity_keys`` is set,
     in which case keys must already be dense non-negative ints (hierarchy
     node ids).
@@ -276,10 +276,18 @@ class ColumnarPostings:
         self._delta = tuple([] for _ in self.columns)
         self._delta_cache = None
 
-    def remove_sid(self, sid: int) -> None:
-        """Drop every row whose sentence id equals *sid*."""
+    def remove_sids(self, sids: np.ndarray) -> None:
+        """Drop every row whose sentence id is in the ascending array *sids*.
+
+        One compaction and one mask per call, however many sentences go:
+        a removed document passes all of its sids at once.
+        """
+        if not len(sids):
+            return
         self.compact()
-        mask = self._main[0] != sid
+        column = self._main[0]
+        nearest = np.minimum(np.searchsorted(sids, column), len(sids) - 1)
+        mask = sids[nearest] != column
         if mask.all():
             return
         self._main_kid = self._main_kid[mask]

@@ -20,7 +20,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..nlp.types import Sentence
 from .columnar import (
     ColumnarPostings,
     StringInterner,
@@ -137,11 +136,10 @@ class EntityIndex:
             [store_type.intern_key(etype) for etype in etypes], columns
         )
 
-    def remove_sentence(self, sentence: Sentence) -> None:
-        """Remove every posting contributed by *sentence* (by sentence id)."""
-        if sentence.entities:
-            self._store_text.remove_sid(sentence.sid)
-            self._store_type.remove_sid(sentence.sid)
+    def remove_sids(self, sids: np.ndarray) -> None:
+        """Remove every mention of the sentences *sids* (ascending)."""
+        self._store_text.remove_sids(sids)
+        self._store_type.remove_sids(sids)
 
     # ------------------------------------------------------------------
     # snapshot payload: the E rows once + the string table

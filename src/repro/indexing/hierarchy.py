@@ -210,23 +210,26 @@ class HierarchyIndex:
         store.ensure_key_capacity(self._next_id)
         store.append_batch(kids, columns)
 
-    def remove_sentence(self, sentence: Sentence) -> None:
-        """Un-merge *sentence*: drop its postings, prune emptied nodes.
+    def remove_sentences(self, sentences: Sequence[Sentence]) -> None:
+        """Un-merge *sentences* (ascending sids): drop their postings, prune.
 
-        Walks the same label paths :meth:`merge_tree` merged the sentence
-        through; a node left with no postings and no children is removed so
+        The rows of every sentence go in one store pass; then the label
+        paths :meth:`merge_tree` merged each sentence through are walked,
+        and a node left with no postings and no children is removed so
         that node counts (and the compression ratio) track the live corpus.
         """
-        if len(sentence) == 0:
+        sentences = [sentence for sentence in sentences if len(sentence)]
+        if not sentences:
             return
-        self._store.remove_sid(sentence.sid)
+        self._store.remove_sids(np.fromiter((s.sid for s in sentences), np.int64, len(sentences)))
         self._merge_memo.clear()  # pruning may invalidate memoised ids
-        self._prune(
-            getattr(sentence, self._layer),
-            sentence.tree_columns()[0],
-            sentence.root_index(),
-            self._dummy,
-        )
+        for sentence in sentences:
+            self._prune(
+                getattr(sentence, self._layer),
+                sentence.tree_columns()[0],
+                sentence.root_index(),
+                self._dummy,
+            )
 
     def _prune(
         self,

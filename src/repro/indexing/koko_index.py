@@ -135,10 +135,24 @@ class KokoIndexSet:
         return self
 
     def remove_document(self, document: Document) -> "KokoIndexSet":
-        """Incrementally un-index every sentence of *document*."""
+        """Incrementally un-index every sentence of *document*.
+
+        Each store drops the document's rows in one compaction and one
+        mask, and each hierarchy clears its merge memo once, however many
+        sentences the document has.
+        """
         started = time.perf_counter()
-        for sentence in document:
-            self.remove_sentence(sentence)
+        sentences = list(document)
+        sids = np.sort(np.fromiter((s.sid for s in sentences), np.int64, len(sentences)))
+        self.word_index.remove_sids(sids)
+        self.entity_index.remove_sids(
+            np.sort(np.fromiter((s.sid for s in sentences if s.entity_rows), np.int64))
+        )
+        self.pl_index.remove_sentences(sentences)
+        self.pos_index.remove_sentences(sentences)
+        self._unrooted.difference_update(sids.tolist())
+        self._sentences -= len(sentences)
+        self._tokens -= sum(map(len, sentences))
         self.build_seconds += time.perf_counter() - started
         return self
 
@@ -236,16 +250,6 @@ class KokoIndexSet:
             )
         if e_sids:
             self.entity_index.add_rows(e_sids, e_lefts, e_rights, e_etypes, e_texts)
-
-    def remove_sentence(self, sentence) -> None:
-        """Remove one sentence from all four indexes."""
-        self.word_index.remove_sentence(sentence)
-        self.entity_index.remove_sentence(sentence)
-        self.pl_index.remove_sentence(sentence)
-        self.pos_index.remove_sentence(sentence)
-        self._unrooted.discard(sentence.sid)
-        self._sentences -= 1
-        self._tokens -= len(sentence)
 
     # ------------------------------------------------------------------
     # DPLI lookups (Algorithm 1)

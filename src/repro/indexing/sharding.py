@@ -9,20 +9,28 @@ document to exactly one of them by a **stable** hash of its ``doc_id``
 set, which is what lets the service layer give every shard its own write
 lock: ingesting one document touches one shard only.
 
-Partitioning by document (not by sentence) keeps every index self-contained
-per shard — DPLI, skip-plan generation and aggregation never need postings
-from another shard, so query execution fans out embarrassingly parallel and
-the per-shard results merge by sentence id
-(:func:`~repro.koko.results.merge_results`).
+Partitioning by document (not by sentence) keeps every sentence's postings
+in one shard, and sentence ids are global, so the shards' postings are
+disjoint row sets of one corpus-wide relation.  A set over several shards
+therefore answers the DPLI lookups of Algorithm 1 (``entity_candidates``,
+``path_candidates``, ``unrooted_sids``) exactly by concatenating the
+per-shard answers and sorting once by ``(sid, tid)``.  The service runs one
+pipeline pass over the :meth:`~ShardedIndexSet.view` of the shards a query
+has to compute, and splits its result per shard afterwards.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from ..nlp.types import Corpus, Document
+from .columnar import PostingBlock
+from .decompose import DecomposedPath
 from .koko_index import IndexStatistics, KokoIndexSet
+from .query_ir import TreePath
 
 
 def shard_of(doc_id: str, num_shards: int) -> int:
@@ -34,6 +42,43 @@ def shard_of(doc_id: str, num_shards: int) -> int:
     if num_shards <= 0:
         raise ValueError(f"num_shards must be positive, got {num_shards}")
     return zlib.crc32(doc_id.encode("utf-8")) % num_shards
+
+
+class _UnionPostings(Sequence):
+    """The postings of several shards as one read-only sequence.
+
+    ``arrays`` (entity mentions) or ``block`` (path postings) hold the
+    concatenated columns the columnar extraction reads.  Iterating
+    materialises each shard's own postings — with that shard's string
+    tables — and puts them in the same row order (*order*, when the
+    columns were sorted after concatenation).
+    """
+
+    __slots__ = ("_parts", "_order", "_items", "arrays", "block")
+
+    def __init__(self, parts, order=None, arrays=None, block=None) -> None:
+        self._parts = parts
+        self._order = order
+        self._items = None
+        self.arrays = arrays
+        self.block = block
+
+    def _materialized(self) -> list:
+        if self._items is None:
+            items = [posting for part in self._parts for posting in part]
+            if self._order is not None:
+                items = [items[at] for at in self._order.tolist()]
+            self._items = items
+        return self._items
+
+    def __len__(self) -> int:
+        return sum(map(len, self._parts))
+
+    def __iter__(self):
+        return iter(self._materialized())
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
 
 
 class ShardedIndexSet:
@@ -49,6 +94,7 @@ class ShardedIndexSet:
     # ------------------------------------------------------------------
     @property
     def num_shards(self) -> int:
+        """How many shards this set holds."""
         return len(self.shards)
 
     def shard_id(self, doc_id: str) -> int:
@@ -58,6 +104,17 @@ class ShardedIndexSet:
     def shard_for(self, doc_id: str) -> KokoIndexSet:
         """The shard index set *doc_id* lives in."""
         return self.shards[self.shard_id(doc_id)]
+
+    def view(self, shard_ids: Sequence[int]) -> "ShardedIndexSet":
+        """The shards *shard_ids* (ascending) as one index set, for reads.
+
+        The view shares the shard objects.  Only its DPLI lookups are
+        meaningful: routing and maintenance belong to the full set, whose
+        shard count the hash is taken over.
+        """
+        view = object.__new__(ShardedIndexSet)
+        view.shards = [self.shards[shard_id] for shard_id in shard_ids]
+        return view
 
     def __iter__(self) -> Iterator[KokoIndexSet]:
         return iter(self.shards)
@@ -87,6 +144,45 @@ class ShardedIndexSet:
         return shard
 
     # ------------------------------------------------------------------
+    # DPLI lookups over the union of the shards (Algorithm 1)
+    # ------------------------------------------------------------------
+    def entity_candidates(self, etype: str):
+        """Mentions of type *etype* in every shard: ``(sorted sid column, postings)``.
+
+        The postings' ``arrays`` are the shards' columns one after another,
+        as :meth:`KokoIndexSet.entity_candidates` leaves them in one shard.
+        """
+        if len(self.shards) == 1:
+            return self.shards[0].entity_candidates(etype)
+        views = [shard.entity_index.lookup_type_block(etype)[1] for shard in self.shards]
+        arrays = tuple(map(np.concatenate, zip(*(view.arrays for view in views))))
+        return np.sort(arrays[0]), _UnionPostings(views, arrays=arrays)
+
+    def path_candidates(self, path: TreePath, decomposed: DecomposedPath | None = None):
+        """Postings of *path*'s final step in every shard, ``(sid, tid)``-sorted.
+
+        Each shard's block is already ``(sid, tid)``-sorted and a sentence
+        lives in one shard, so one stable sort by sid orders the union.
+        """
+        if len(self.shards) == 1:
+            return self.shards[0].path_candidates(path, decomposed)
+        views = [shard.path_candidates(path, decomposed)[1] for shard in self.shards]
+        blocks = [view.block for view in views]
+        block = PostingBlock(
+            *(
+                np.concatenate([getattr(part, name) for part in blocks])
+                for name in ("sid", "tid", "left", "right", "depth")
+            )
+        )
+        order = np.argsort(block.sid, kind="stable")
+        block = block.take(order)
+        return block.sid, _UnionPostings(views, order, block=block)
+
+    def unrooted_sids(self) -> np.ndarray:
+        """Sorted sids of every shard's sentences holding a token no hierarchy holds."""
+        return np.sort(np.concatenate([shard.unrooted_sids() for shard in self.shards]))
+
+    # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
     def statistics(self) -> IndexStatistics:
@@ -98,4 +194,5 @@ class ShardedIndexSet:
         return [shard.statistics() for shard in self.shards]
 
     def approximate_bytes(self) -> int:
+        """Every shard's estimated footprint, added up."""
         return sum(shard.approximate_bytes() for shard in self.shards)

@@ -20,7 +20,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..nlp.types import Sentence
 from .columnar import (
     ColumnarPostings,
     PostingBlock,
@@ -77,9 +76,9 @@ class WordIndex:
         store.append_batch(kids, columns)
         self._pair_cache = None
 
-    def remove_sentence(self, sentence: Sentence) -> None:
-        """Remove every posting contributed by *sentence* (by sentence id)."""
-        self._store.remove_sid(sentence.sid)
+    def remove_sids(self, sids: np.ndarray) -> None:
+        """Remove every posting of the sentences *sids* (ascending)."""
+        self._store.remove_sids(sids)
         self._pair_cache = None
 
     # ------------------------------------------------------------------

@@ -83,8 +83,10 @@ class DpliResult:
 def run_dpli(normalized: NormalizedQuery, indexes: KokoIndexSet) -> DpliResult:
     """Run Algorithm 1 against *indexes*.
 
-    *indexes* is a :class:`KokoIndexSet` or the reference index set that a
-    plain :class:`~repro.koko.engine.KokoEngine` builds: both answer
+    *indexes* is a :class:`KokoIndexSet`, a
+    :class:`~repro.indexing.sharding.ShardedIndexSet` view of several, or
+    the reference index set that a plain
+    :class:`~repro.koko.engine.KokoEngine` builds: all answer
     ``entity_candidates`` and ``path_candidates``.
     """
     result = DpliResult()

@@ -12,9 +12,11 @@ and evaluates queries through the four stages of Section 4:
    variable against its satisfying clause, apply thresholds and the
    excluding clause.
 
-Since the sharded-execution refactor the engine is a thin façade: it builds
-an :class:`~repro.koko.stages.ExecutionContext` over its own corpus and
-indexes and runs the :class:`~repro.koko.stages.StagePipeline`.  Wall-clock
+The engine is a thin façade: it builds an
+:class:`~repro.koko.stages.ExecutionContext` over its own corpus and
+indexes and runs the :class:`~repro.koko.stages.StagePipeline`.  The
+service builds its contexts itself, over the union of the shards a query
+has to compute, with resources from :func:`evidence_resources`.  Wall-clock
 time per stage is recorded in :class:`~repro.koko.results.StageTimings`
 (the columns of Table 2) as a by-product of running each stage.
 """
@@ -73,6 +75,31 @@ def compile_query(query: str | KokoQuery) -> CompiledQuery:
     )
 
 
+def evidence_resources(
+    expander: DescriptorExpander | None = None,
+    vectors: VectorStore | None = None,
+    dictionaries: dict[str, set[str]] | None = None,
+    use_default_vectors: bool = True,
+) -> EvidenceResources:
+    """What the satisfying clause scores with: expander, vectors, dictionaries.
+
+    Without *vectors* (and with ``use_default_vectors``) the memoised
+    default store is used; the ``location`` dictionary defaults to the
+    gazetteer's places.
+    """
+    if vectors is None and use_default_vectors:
+        from ..embeddings.pretrained import build_default_vectors
+
+        vectors = build_default_vectors()
+    dictionaries = dict(dictionaries) if dictionaries else {}
+    dictionaries.setdefault("location", set(GAZETTEER_GPE))
+    return EvidenceResources(
+        expander=expander or DescriptorExpander(vectors=vectors),
+        vectors=vectors,
+        dictionaries={k.lower(): {v.lower() for v in vals} for k, vals in dictionaries.items()},
+    )
+
+
 class KokoEngine:
     """Evaluate KOKO queries over one annotated corpus."""
 
@@ -94,41 +121,19 @@ class KokoEngine:
             indexes if indexes is not None else ReferenceIndexSet().build(corpus)
         )
         self.pipeline = StagePipeline()
-        if vectors is None and use_default_vectors:
-            from ..embeddings.pretrained import build_default_vectors
-
-            vectors = build_default_vectors()
-        dictionaries = dict(dictionaries) if dictionaries else {}
-        dictionaries.setdefault("location", set(GAZETTEER_GPE))
-        self.resources = EvidenceResources(
-            expander=expander or DescriptorExpander(vectors=vectors),
-            vectors=vectors,
-            dictionaries={k.lower(): {v.lower() for v in vals} for k, vals in dictionaries.items()},
+        self.resources = evidence_resources(
+            expander, vectors, dictionaries, use_default_vectors
         )
         # sid -> (document, sentence), used to "load" candidate articles
-        self._by_sid: dict[int, tuple[Document, Sentence]] = {}
-        for document in corpus:
-            for sentence in document:
-                self._by_sid[sentence.sid] = (document, sentence)
+        self._by_sid: dict[int, tuple[Document, Sentence]] = {
+            sentence.sid: (document, sentence)
+            for document in corpus
+            for sentence in document
+        }
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def register_document(self, document: Document) -> None:
-        """Make a newly ingested document's sentences addressable by sid.
-
-        The engine shares its corpus object with the caller; after the
-        caller appends *document* to that corpus (and indexes it), this
-        keeps the sid → sentence map in sync so candidate loading works.
-        """
-        for sentence in document:
-            self._by_sid[sentence.sid] = (document, sentence)
-
-    def unregister_document(self, document: Document) -> None:
-        """Forget a removed document's sentences."""
-        for sentence in document:
-            self._by_sid.pop(sentence.sid, None)
-
     def make_context(
         self,
         query: str | KokoQuery | CompiledQuery,

@@ -100,6 +100,17 @@ class StageTimings:
             "satisfying": self.satisfying,
         }
 
+    def scaled(self, share: float) -> "StageTimings":
+        """A copy with every stage's seconds multiplied by *share*."""
+        return StageTimings(
+            self.normalize * share,
+            self.dpli * share,
+            self.load_articles * share,
+            self.gsp * share,
+            self.extract * share,
+            self.satisfying * share,
+        )
+
     def accumulate(self, other: "StageTimings") -> "StageTimings":
         """Add *other*'s per-stage seconds into self (shard merge); returns self."""
         self.normalize += other.normalize
@@ -316,6 +327,33 @@ class ResultColumns(Sequence):
             first.scored,
             scores,
             present,
+        )
+
+    def take(self, rows: np.ndarray) -> "ResultColumns":
+        """The rows at the ascending positions *rows*, in columns of their own.
+
+        Every table keeps only the entries those rows use, in its own
+        order, and the integer columns are narrowed again.
+        """
+        if len(rows) == len(self):
+            return self
+        if not len(rows):
+            return ResultColumns()
+        tables, columns = [], []
+        for table, column in zip((self.doc_ids, *self.strings), self.index[:, rows]):
+            used = np.zeros(len(table), bool)
+            used[column] = True
+            tables.append(tuple(map(table.__getitem__, np.flatnonzero(used).tolist())))
+            columns.append((np.cumsum(used) - 1)[column])
+        return ResultColumns(
+            tables[0],
+            _narrow(self.sid[rows].tolist()),
+            self.variables,
+            tuple(tables[1:]),
+            np.array(columns, index_dtype(max(map(len, tables)))),
+            self.scored,
+            self.scores[:, rows] if self.scored else _NO_SCORES,
+            self.present[:, rows] if self.scored else _NO_PRESENCE,
         )
 
     # -- the sequence of tuples -----------------------------------------

@@ -11,9 +11,10 @@ this way buys three things:
   the stage (no dry re-runs just to fill in
   :class:`~repro.koko.results.StageTimings`);
 * a pipeline can run against **any index/corpus slice** — the context
-  carries the index set, the sid → sentence map and the corpus explicitly,
-  which is what lets :class:`~repro.service.KokoService` execute the same
-  query per shard and merge the results.
+  carries the index set, the sid → sentence map and the documents
+  explicitly, which is what lets :class:`~repro.service.KokoService` run
+  one pass over the union of the shards a query has to compute
+  (:meth:`~repro.indexing.sharding.ShardedIndexSet.view`).
 
 :class:`~repro.koko.engine.KokoEngine` is now a thin façade that builds a
 context from its own corpus/indexes and runs :data:`DEFAULT_STAGES`.
@@ -23,13 +24,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..errors import DeadlineExceeded
 from ..indexing.columnar import distinct_sorted
 from ..indexing.koko_index import KokoIndexSet
-from ..nlp.types import Corpus, Document, Sentence
+from ..indexing.sharding import ShardedIndexSet
+from ..nlp.types import Document, Sentence
 from ..observability.tracing import Span
 from .aggregate import (
     AggregationPlan,
@@ -50,7 +53,7 @@ from .results import KokoResult, ResultColumns
 class ExecutionContext:
     """Everything one query execution reads and produces.
 
-    The *inputs* (query, corpus slice, indexes, resources) are set up by
+    The *inputs* (query, documents, indexes, resources) are set up by
     the caller; each stage fills in its *intermediate* output (``parsed``/
     ``normalized``/``aggregation``, ``dpli``, ``documents``, ``bindings``) and accounts
     its own wall-clock in ``result.timings``.  ``finished`` short-circuits
@@ -59,8 +62,10 @@ class ExecutionContext:
 
     # --- inputs -------------------------------------------------------
     query: object  # str | KokoQuery | CompiledQuery
-    corpus: Corpus
-    indexes: KokoIndexSet
+    #: the documents the indexes cover, in corpus order; LoadStage walks
+    #: them (once) only when DPLI cannot prune to candidate sentences
+    corpus: Iterable[Document]
+    indexes: KokoIndexSet | ShardedIndexSet
     by_sid: Mapping[int, tuple[Document, Sentence]]
     resources: EvidenceResources
     use_gsp: bool = True
@@ -68,6 +73,8 @@ class ExecutionContext:
     keep_all_scores: bool = False
     #: optional trace span; when set, every stage run becomes a child span
     trace: Span | None = None
+    #: optional ``time.monotonic()`` deadline, checked before every stage
+    deadline: float | None = None
 
     # --- intermediate state, filled in stage by stage -----------------
     parsed: KokoQuery | None = None
@@ -165,10 +172,12 @@ class ExtractStage(Stage):
     """Evaluate the extract clause over the candidate sentences (GSP + extract).
 
     The index set picks the path.  Over the columnar
-    :class:`~repro.indexing.koko_index.KokoIndexSet` the binding table is
-    built from DPLI's blocks (:func:`~repro.koko.bindings.extract_bindings`),
-    and only the sentences it hands the per-sentence evaluator are counted
-    in ``ctx.fallback_sentences``.  Over the reference index set every
+    :class:`~repro.indexing.koko_index.KokoIndexSet` (or a
+    :class:`~repro.indexing.sharding.ShardedIndexSet` view of several) the
+    binding table is built from DPLI's blocks
+    (:func:`~repro.koko.bindings.extract_bindings`), and only the sentences
+    it hands the per-sentence evaluator are counted in
+    ``ctx.fallback_sentences``.  Over the reference index set every
     sentence is evaluated by :class:`SentenceEvaluator` and its assignments
     are converted to the same table — that path is the oracle.
 
@@ -185,7 +194,7 @@ class ExtractStage(Stage):
         evaluator = SentenceEvaluator(ctx.normalized, use_gsp=ctx.use_gsp)
         result = ctx.result
         sentences = sum(len(group) for _, group in ctx.documents)
-        if isinstance(ctx.indexes, KokoIndexSet):
+        if isinstance(ctx.indexes, (KokoIndexSet, ShardedIndexSet)):
             ctx.bindings, ctx.fallback_sentences = extract_bindings(
                 ctx.normalized, ctx.dpli, ctx.indexes, ctx.documents, evaluator
             )
@@ -449,23 +458,26 @@ DEFAULT_STAGES: tuple[Stage, ...] = (
 
 
 class StagePipeline:
-    """Run stages in order over one context, honouring short-circuits."""
+    """Run stages in order over one context, honouring short-circuits.
+
+    With ``ctx.deadline`` set, the deadline is checked before every stage:
+    a stage that has started finishes, but once the caller's budget is
+    spent no further stage starts (:class:`~repro.errors.DeadlineExceeded`).
+    """
 
     def __init__(self, stages: Sequence[Stage] = DEFAULT_STAGES) -> None:
         self.stages = tuple(stages)
 
     def run(self, ctx: ExecutionContext) -> KokoResult:
-        trace = ctx.trace
-        if trace is None:
-            # untraced hot path: no span allocations at all
-            for stage in self.stages:
-                stage.run(ctx)
-                if ctx.finished:
-                    break
-            return ctx.result
+        trace, deadline = ctx.trace, ctx.deadline
         for stage in self.stages:
-            with trace.span(stage.name):
-                stage.run(ctx)
+            if deadline is not None and time.monotonic() >= deadline:
+                raise DeadlineExceeded("query deadline expired")
+            if trace is None:
+                stage.run(ctx)  # untraced hot path: no span allocations at all
+            else:
+                with trace.span(stage.name):
+                    stage.run(ctx)
             if ctx.finished:
                 break
         return ctx.result

@@ -215,8 +215,9 @@ class ShardHeatAccumulator:
     ) -> None:
         """Account one query executed on *shard_id*.
 
-        ``skip_candidates`` is the candidate-sentence count the shard's
-        skip plan produced for this execution (0 when unknown).
+        ``skip_candidates`` is the candidate-sentence count the shard
+        contributed to this execution (0 when unknown); *seconds* is the
+        shard's part of its wall-clock.
         """
         self._queries[shard_id].inc()
         self._query_seconds[shard_id].inc(seconds)

@@ -22,24 +22,28 @@ a long-lived server:
   across N :class:`~repro.indexing.koko_index.KokoIndexSet` partitions
   (stable hash of ``doc_id``, see
   :class:`~repro.indexing.sharding.ShardedIndexSet`).  Every shard has its
-  own corpus slice, engine and readers-writer lock, so ingesting a
+  own corpus slice, index set and readers-writer lock, so ingesting a
   document write-locks **one** shard — queries keep reading the other
-  N−1 concurrently.
-* **Shard fan-out on the request thread** — a query executes the stage
-  pipeline shard by shard on the calling thread (the stages are
-  GIL-bound: four shard threads bought context switches, not overlap)
-  and the per-shard results are merged deterministically
-  (:func:`~repro.koko.results.merge_results`): stable tuple order,
-  summed :class:`~repro.koko.results.StageTimings`.  Concurrency is
-  across requests (:meth:`query_batch`, the RPC server's executor).
+  N−1 concurrently.  One service-wide ``sid → (document, sentence)`` map,
+  kept under the shard write locks, serves candidate loading.
+* **One pipeline pass per query, on the request thread** — the shards a
+  query cannot serve from their partial caches are read-locked in
+  shard-id order and the stage pipeline runs **once** over their union
+  (:meth:`~repro.indexing.sharding.ShardedIndexSet.view`; sentence ids
+  are global, so the union's lookups are exact).  The pass's result is
+  split per shard into the partial caches and merged with the reused
+  partials deterministically (:func:`~repro.koko.results.merge_results`):
+  stable tuple order, summed :class:`~repro.koko.results.StageTimings`.  The
+  stages are GIL-bound, so concurrency is across requests
+  (:meth:`query_batch`, the RPC server's executor), not across shards.
 * **Plan caching** — each distinct query string is parsed and normalised
   once (:class:`~repro.service.cache.PlanCache`).
 * **Result caching with per-shard generation stamps** — full query results
   are kept in an LRU stamped with the vector of per-shard generations; in
   addition each shard's partial result is cached under that shard's own
   generation, so ingesting into shard *k* invalidates only shard *k*'s
-  work — a repeat query re-executes one shard and reuses the other N−1
-  cached partials.
+  work — a repeat query computes one shard's partial and reuses the
+  other N−1 cached partials.
 * **Durability with group commit** — constructed with ``storage_dir`` (or
   via :meth:`KokoService.open`), every ``add``/``remove`` is appended to a
   CRC-framed write-ahead log *before* it is applied; concurrent appends
@@ -93,11 +97,15 @@ read earlier — the usual read-committed view of a partitioned store.
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from ..embeddings.expansion import DescriptorExpander
 from ..embeddings.vectors import VectorStore
@@ -105,10 +113,11 @@ from ..errors import DeadlineExceeded, PersistenceError, ServiceError
 from ..indexing.koko_index import IndexStatistics, KokoIndexSet
 from ..indexing.sharding import ShardedIndexSet
 from ..koko.ast import KokoQuery
-from ..koko.engine import CompiledQuery, KokoEngine, compile_query
+from ..koko.engine import CompiledQuery, compile_query, evidence_resources
 from ..koko.results import KokoResult, merge_results
+from ..koko.stages import ExecutionContext, StagePipeline
 from ..nlp.pipeline import Pipeline
-from ..nlp.types import Corpus, Document
+from ..nlp.types import Corpus, Document, Sentence
 from ..observability.heat import ShardHeatAccumulator, ShardHeatReport
 from ..observability.metrics import MetricsRegistry
 from ..observability.slowlog import SlowOpLog
@@ -180,38 +189,101 @@ def _estimate_document_bytes(document: Document) -> int:
 
 
 class _Shard:
-    """One partition: its own corpus slice, index set, engine and RW lock."""
+    """One partition: its own corpus slice, index set and RW lock.
+
+    *by_sid* is the service-wide ``sid → (document, sentence)`` map; a
+    shard writes its own documents' entries, under its write lock.
+    """
 
     def __init__(
-        self, shard_id: int, name: str, indexes: KokoIndexSet, engine_kwargs: dict
+        self,
+        shard_id: int,
+        name: str,
+        indexes: KokoIndexSet,
+        by_sid: dict[int, tuple[Document, Sentence]],
     ) -> None:
         self.shard_id = shard_id
         self.corpus = Corpus(name=name)
         self.indexes = indexes
-        self.engine = KokoEngine(self.corpus, indexes=indexes, **engine_kwargs)
         self.lock = ReadWriteLock()
         self.documents: dict[str, Document] = {}
+        self._by_sid = by_sid
 
     def splice(self, document: Document) -> None:
         """Wire one annotated document into this shard (write lock held)."""
         self.corpus.documents.append(document)
         self.documents[document.doc_id] = document
         self.indexes.add_document(document)
-        self.engine.register_document(document)
+        self._locate(document)
 
     def unsplice(self, document: Document) -> None:
         """Un-wire one document from this shard (write lock held)."""
         self.corpus.documents.remove(document)
         del self.documents[document.doc_id]
         self.indexes.remove_document(document)
-        self.engine.unregister_document(document)
+        for sentence in document:
+            self._by_sid.pop(sentence.sid, None)
 
     def adopt(self, documents: list[Document]) -> None:
         """Attach already-indexed documents (snapshot restore; no index add)."""
         for document in documents:
             self.corpus.documents.append(document)
             self.documents[document.doc_id] = document
-            self.engine.register_document(document)
+            self._locate(document)
+
+    def _locate(self, document: Document) -> None:
+        """Make *document*'s sentences loadable by sid."""
+        for sentence in document:
+            self._by_sid[sentence.sid] = (document, sentence)
+
+
+class _Partial:
+    """One shard's part of a pipeline pass's result: a partial-cache value.
+
+    Its sentence counts and timing share are known when the pass ends;
+    its rows are split off the pass's columns
+    (:meth:`~repro.koko.results.ResultColumns.take`, string tables
+    compacted) on first reuse, so the parts of a query that is never
+    repeated cost nothing to cache.  Once split, the part no longer holds
+    the pass's result.  *lock* serialises first splits between readers.
+    """
+
+    __slots__ = ("_source", "_row_part", "_at", "_result", "_lock", "candidates", "share")
+
+    def __init__(
+        self,
+        source: KokoResult,
+        row_part,
+        at: int,
+        candidates: int,
+        share: float,
+        lock: threading.Lock,
+    ) -> None:
+        # without row_part every row is this part's: the pass's result is it
+        self._source = None if row_part is None else source
+        self._row_part = row_part
+        self._at = at
+        self._result: KokoResult | None = source if row_part is None else None
+        self._lock = lock
+        self.candidates = candidates
+        self.share = share
+
+    def result(self) -> KokoResult:
+        """This shard's rows and counts as a result (split on first call)."""
+        result = self._result
+        if result is None:
+            with self._lock:
+                result = self._result
+                if result is None:
+                    source = self._source
+                    result = self._result = KokoResult.from_columns(
+                        source.columns.take(np.flatnonzero(self._row_part == self._at)),
+                        source.timings.scaled(self.share),
+                        self.candidates,
+                        self.candidates,
+                    )
+                    self._source = self._row_part = None
+        return result
 
 
 class KokoService(Durability):
@@ -291,8 +363,11 @@ class KokoService(Durability):
         entry, rotated to ``<path>.1`` at ``SLOW_OP_LOG_MAX_BYTES`` (the
         in-memory ring of the latest ``SLOW_OP_LOG_CAPACITY`` entries
         behind :meth:`recent_slow_ops` is always active).
-    expander, vectors, dictionaries, use_gsp, use_default_vectors:
-        Forwarded to every shard's :class:`~repro.koko.engine.KokoEngine`.
+    expander, vectors, dictionaries, use_default_vectors:
+        The evidence resources every query scores with
+        (:func:`~repro.koko.engine.evidence_resources`).
+    use_gsp:
+        Generate skip plans (GSP) during extraction.
     """
 
     def __init__(
@@ -363,22 +438,18 @@ class KokoService(Durability):
 
         shards = shards if shards is not None else 1
         self.name = name
-        if vectors is None and use_default_vectors:
-            from ..embeddings.pretrained import build_default_vectors
-
-            vectors = build_default_vectors()  # memoized; shared by all shards
-        engine_kwargs = dict(
-            expander=expander,
-            vectors=vectors,
-            dictionaries=dictionaries,
-            use_gsp=use_gsp,
-            use_default_vectors=use_default_vectors,
+        self._resources = evidence_resources(
+            expander, vectors, dictionaries, use_default_vectors
         )
+        self._use_gsp = use_gsp
+        self._pipeline = StagePipeline()
         self._index_set = ShardedIndexSet(shards)
         if adopted is not None:
             self._index_set.shards = list(adopted.index_sets)
+        # sid -> (document, sentence) across every shard: candidate loading
+        self._by_sid: dict[int, tuple[Document, Sentence]] = {}
         self._shards = [
-            _Shard(i, f"{name}/shard{i}", self._index_set.shards[i], engine_kwargs)
+            _Shard(i, f"{name}/shard{i}", self._index_set.shards[i], self._by_sid)
             for i in range(shards)
         ]
         self.stats = ServiceStats()
@@ -415,13 +486,14 @@ class KokoService(Durability):
         # own generation stamps its entries and hit/miss/eviction counters
         # attribute cleanly — the unit of reuse that survives other shards'
         # ingests, and the raw data of the cache-sizing question
-        self._shard_result_caches: list[ResultCache[KokoResult]] = [
+        self._shard_result_caches: list[ResultCache[_Partial]] = [
             ResultCache(
                 result_cache_size,
                 on_evict=partial(self._record_shard_cache_eviction, shard_id),
             )
             for shard_id in range(shards)
         ]
+        self._split_lock = threading.Lock()  # a cached part's first split
         # The meta lock and everything it guards — sid reservation, doc-id
         # claims, routing, admission, the checkpoint drain barrier — live
         # in the ingest state.  Annotation, WAL appends and posting
@@ -948,19 +1020,21 @@ class KokoService(Durability):
             aggregate-relevant ones.
         explain:
             Return an :class:`~repro.observability.tracing.ExplainedResult`
-            carrying the full span tree (cache lookups, shard fan-out,
-            every pipeline stage per shard, merge) next to the ordinary
+            carrying the full span tree (cache lookups, shard fan-out, the
+            one pipeline pass with each stage, merge) next to the ordinary
             result.  The pipeline **always executes fully** under
-            ``explain=True`` — result and partial caches are probed (and
-            their outcomes recorded as spans) but never served from, so
-            the report reflects real per-stage cost; the tuples are
-            identical to a plain query's.
+            ``explain=True`` — the result cache is probed (and its outcome
+            recorded as a span) but never served from, and the partial
+            caches are bypassed, so the pass covers every shard and the
+            report reflects real per-stage cost; the tuples are identical
+            to a plain query's.
         deadline:
             A ``time.monotonic()`` timestamp after which the query is
-            abandoned: checked on entry and before each shard's scan,
-            raising :class:`~repro.errors.DeadlineExceeded` — cooperative
-            cancellation, so a running shard scan finishes but the
-            remaining shards never start for a caller that has given up.
+            abandoned: checked on entry, on entry to the pipeline pass
+            and before each of its stages, raising
+            :class:`~repro.errors.DeadlineExceeded` — cooperative
+            cancellation, so a running stage finishes but no further
+            stage starts for a caller that has given up.
         trace_context:
             A propagated :class:`~repro.observability.tracing.TraceContext`;
             its ``sampled`` flag replaces the local sampling decision and
@@ -1102,45 +1176,49 @@ class KokoService(Durability):
         trace: Span | None = None,
         deadline: float | None = None,
     ) -> KokoResult:
-        """Run the stage pipeline shard by shard, here, and merge the results.
+        """Reuse fresh shard partials, compute the rest in one pass, merge.
 
-        With a ``cache_key`` (string queries), shards whose generation is
-        unchanged since a previous execution of the same query are served
-        from the per-shard partial cache — only the shards that actually
-        ingested since then re-execute.  With ``trace``, the fan-out gets
-        a ``shard_fanout`` span with one ``shardN`` child per shard and a
-        ``merge`` span for the deterministic combine.
+        With a ``cache_key`` (string queries), a shard whose generation is
+        unchanged since a previous execution of the same query is served
+        from its partial cache; the other shards — all of them without a
+        key — are computed together by one :meth:`_run_pass`, whose result
+        is merged with the reused partials as one part (every sentence
+        lives in one part, so the merge's sort by sid interleaves them
+        exactly).  With ``trace``, a ``shard_fanout`` span counts the
+        shards executed and reused and holds the pass's span, and a
+        ``merge`` span times the deterministic combine.
         """
-        fanout = (
-            trace.child("shard_fanout", shards=len(self._shards))
-            if trace is not None
-            else None
-        )
-        partials: list[KokoResult] = []
-        for shard in self._shards:
-            lookup_started = time.perf_counter()
-            partial_result = (
-                self._shard_result_caches[shard.shard_id].get(
-                    cache_key, self._generations[shard.shard_id]
-                )
+        parts: list[KokoResult] = []
+        missing: list[int] = []
+        for shard_id, cache in enumerate(self._shard_result_caches):
+            cached = (
+                cache.get(cache_key, self._generations[shard_id])
                 if cache_key is not None
                 else None
             )
-            if partial_result is not None:
-                self.stats.record_shard_partial(reused=True, shard=shard.shard_id)
-                if fanout is not None:
-                    fanout.record(
-                        f"shard{shard.shard_id}",
-                        time.perf_counter() - lookup_started,
-                        partial_cache="hit",
-                    )
+            if cached is None:
+                missing.append(shard_id)
             else:
-                # Normalise once so the loop doesn't repeat parse + normalise
-                # per shard (the plan cache already hands us a CompiledQuery).
-                if not isinstance(query, CompiledQuery):
-                    query = compile_query(query)
-                partial_result = self._execute_shard(
-                    shard,
+                self.stats.record_shard_partial(reused=True, shard=shard_id)
+                parts.append(cached.result())
+        fanout = (
+            trace.child(
+                "shard_fanout",
+                shards=len(self._shards),
+                executed=len(missing),
+                reused=len(parts),
+            )
+            if trace is not None
+            else None
+        )
+        if missing:
+            # the plan cache hands over a CompiledQuery; anything else is
+            # compiled here, once for the whole pass
+            if not isinstance(query, CompiledQuery):
+                query = compile_query(query)
+            parts.append(
+                self._run_pass(
+                    missing,
                     query,
                     threshold_override,
                     keep_all_scores,
@@ -1148,55 +1226,130 @@ class KokoService(Durability):
                     fanout,
                     deadline,
                 )
-            partials.append(partial_result)
+            )
         if fanout is not None:
             fanout.finish()
         if trace is None:
-            return merge_results(partials)
+            return merge_results(parts)
         with trace.span("merge"):
-            return merge_results(partials)
+            return merge_results(parts)
 
-    def _execute_shard(
+    def _run_pass(
         self,
-        shard: _Shard,
-        query: str | KokoQuery | CompiledQuery,
+        shard_ids: list[int],
+        plan: CompiledQuery,
         threshold_override: float | None,
         keep_all_scores: bool,
         cache_key=None,
         trace: Span | None = None,
         deadline: float | None = None,
     ) -> KokoResult:
-        """Execute one shard's slice under its read lock; cache the partial.
+        """Run the stage pipeline once over *shard_ids*; returns its result.
 
-        ``trace`` is the fan-out span this execution should hang its own
-        ``shardN`` child under.  An expired *deadline* abandons the shard
-        before its scan starts (cooperative cancellation: the remaining
-        shards of a timed-out query never run).
+        The shards' read locks are taken in shard-id order (every pass
+        takes them in the same order) and held for the whole pass, which
+        runs each stage once over the union of the shards.  The result is
+        also split per shard (:meth:`_split`); each part is cached under
+        the generation read under its lock and accounted in the shard heat.
+        ``trace`` is the fan-out span the ``pass`` span hangs under.  An
+        expired *deadline* abandons the pass on entry or between stages.
         """
         self._check_deadline(deadline)
         started = time.perf_counter()
-        span = trace.child(f"shard{shard.shard_id}") if trace is not None else None
-        with shard.lock.read_locked():
-            # The stamp is read under the read lock, so it is exactly the
-            # generation this execution observes on this shard.
-            generation = self._generations[shard.shard_id]
-            result = shard.engine.execute(
-                query,
-                threshold_override=threshold_override,
-                keep_all_scores=keep_all_scores,
-                trace=span,
+        span = trace.child("pass", shard_ids=list(shard_ids)) if trace is not None else None
+        shards = [self._shards[shard_id] for shard_id in shard_ids]
+        locked: list[_Shard] = []
+        try:
+            for shard in shards:
+                shard.lock.acquire_read()
+                locked.append(shard)
+            # read under the read locks: exactly the generations this pass sees
+            generations = [self._generations[shard_id] for shard_id in shard_ids]
+            ctx = self._pass_context(
+                shard_ids, plan, threshold_override, keep_all_scores, span, deadline
             )
-        if cache_key is not None:
-            self._shard_result_caches[shard.shard_id].put(cache_key, generation, result)
-            self.stats.record_shard_partial(reused=False, shard=shard.shard_id)
-        if span is not None:
-            span.annotate(tuples=len(result), generation=generation)
-            span.finish()
+            result = self._pipeline.run(ctx)
+        finally:
+            for shard in locked:
+                shard.lock.release_read()
         elapsed = time.perf_counter() - started
-        self._heat.record_query(
-            shard.shard_id, elapsed, skip_candidates=result.candidate_sentences
-        )
+        for shard_id, generation, part in zip(
+            shard_ids, generations, self._split(result, ctx.documents, shard_ids)
+        ):
+            if cache_key is not None:
+                self._shard_result_caches[shard_id].put(cache_key, generation, part)
+                self.stats.record_shard_partial(reused=False, shard=shard_id)
+            self._heat.record_query(
+                shard_id, elapsed * part.share, skip_candidates=part.candidates
+            )
+        if span is not None:
+            span.annotate(tuples=len(result), generations=generations)
+            span.finish()
         return result
+
+    def _pass_context(
+        self,
+        shard_ids: list[int],
+        plan: CompiledQuery,
+        threshold_override: float | None = None,
+        keep_all_scores: bool = False,
+        trace: Span | None = None,
+        deadline: float | None = None,
+    ) -> ExecutionContext:
+        """The execution context of one pass over the union of *shard_ids*.
+
+        The caller holds those shards' read locks while the pipeline runs.
+        """
+        return ExecutionContext(
+            query=plan,
+            corpus=chain.from_iterable(self._shards[i].corpus for i in shard_ids),
+            indexes=self._index_set.view(shard_ids),
+            by_sid=self._by_sid,
+            resources=self._resources,
+            use_gsp=self._use_gsp,
+            threshold_override=threshold_override,
+            keep_all_scores=keep_all_scores,
+            trace=trace,
+            deadline=deadline,
+        )
+
+    def _split(
+        self, result: KokoResult, documents, shard_ids: list[int]
+    ) -> list[_Partial]:
+        """One pass's *result* as one :class:`_Partial` per shard of *shard_ids*.
+
+        *documents* are the pass's loaded candidate groups: they say which
+        shard each candidate sentence (and so each row) belongs to, and
+        extraction evaluates every candidate sentence, so the counts are
+        exact.  A shard's stage timings are the pass's in proportion to its
+        share of the candidate sentences (equal shares when there were none).
+        """
+        if len(shard_ids) == 1:
+            count = result.candidate_sentences
+            return [_Partial(result, None, 0, count, 1.0, self._split_lock)]
+        position = {shard_id: at for at, shard_id in enumerate(shard_ids)}
+        shard_of = self._index_set.shard_id
+        part_of: dict[str, int] = {}  # candidate document -> its partial
+        candidates = [0] * len(shard_ids)
+        for document, sentences in documents:
+            at = part_of[document.doc_id] = position[shard_of(document.doc_id)]
+            candidates[at] += len(sentences)
+        total = sum(candidates)
+        columns = result.columns
+        row_part = np.fromiter(
+            map(part_of.__getitem__, columns.doc_ids), np.int64, len(columns.doc_ids)
+        )[columns.index[0]]
+        return [
+            _Partial(
+                result,
+                row_part,
+                at,
+                count,
+                count / total if total else 1 / len(shard_ids),
+                self._split_lock,
+            )
+            for at, count in enumerate(candidates)
+        ]
 
     @staticmethod
     def _check_deadline(deadline: float | None) -> None:
@@ -1218,8 +1371,8 @@ class KokoService(Durability):
         """Evaluate a batch of queries concurrently, preserving order.
 
         Each result carries its own :class:`~repro.koko.results.StageTimings`
-        exactly as single-query execution would; each query runs its shard
-        slices on its own batch thread.
+        exactly as single-query execution would; each query runs its pipeline
+        pass on its own batch thread.
 
         ``max_workers`` bounds the batch's thread pool.
         """
@@ -1499,20 +1652,6 @@ class KokoService(Durability):
         if len(self._shards) == 1:
             return self._shards[0].indexes
         return self._index_set
-
-    @property
-    def engine(self) -> KokoEngine:
-        """The single shard's engine (unsharded services only)."""
-        if len(self._shards) != 1:
-            raise ServiceError(
-                "a sharded service has no single engine; use .engines"
-            )
-        return self._shards[0].engine
-
-    @property
-    def engines(self) -> list[KokoEngine]:
-        """Every shard's engine, in shard order."""
-        return [shard.engine for shard in self._shards]
 
     @property
     def corpus(self) -> Corpus:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.corpora.wikipedia import WikipediaConfig, generate_wikipedia_corpus
 from repro.indexing.columnar import (
     ColumnarPostings,
     PostingBlock,
@@ -88,11 +89,27 @@ class TestColumnarPostings:
         store = ColumnarPostings(("sid", "tid"))
         kids = [store.intern_key(k) for k in ("a", "b", "a")]
         store.append_batch(kids, ([0, 0, 1], [0, 1, 2]))
-        store.remove_sid(0)
+        store.remove_sids(_int([0]))
         assert store.total_rows == 1
         assert store.arrays_for_key(kids[0])[0].tolist() == [1]
         assert store.key_count(kids[1]) == 0
         assert store.live_key_ids() == [kids[0]]
+
+    def test_remove_sids_drops_several_sentences_in_one_compaction(self, monkeypatch):
+        store = ColumnarPostings(("sid", "tid"))
+        kids = [store.intern_key(k) for k in ("a", "b", "a", "b", "a")]
+        store.append_batch(kids, ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]))
+        compactions = []
+        compact = ColumnarPostings.compact
+        monkeypatch.setattr(
+            ColumnarPostings, "compact", lambda self: compactions.append(1) or compact(self)
+        )
+        store.remove_sids(_int([1, 2, 7]))  # 7 holds no row
+        assert compactions == [1]
+        assert store.arrays_for_key(kids[0])[0].tolist() == [0, 4]
+        assert store.arrays_for_key(kids[1])[0].tolist() == [3]
+        store.remove_sids(_int([]))
+        assert compactions == [1] and store.total_rows == 3
 
     def test_identity_keys(self):
         store = ColumnarPostings(("sid",), identity_keys=True)
@@ -236,6 +253,39 @@ class TestBackendEquivalence:
         for document in paper_corpus.documents[1:]:
             survivors.add_document(document)
         assert_equivalent_indexes(full, survivors)
+
+    def test_removing_a_multi_sentence_document_equals_a_rebuild_without_it(
+        self, pipeline, assert_equivalent_indexes, monkeypatch
+    ):
+        corpus = generate_wikipedia_corpus(
+            WikipediaConfig(articles=6, seed=3), pipeline=pipeline
+        )
+        documents = corpus.documents
+        victim = max(documents[1:-1], key=len)  # not the first, nor the last
+        assert len(victim) >= 3 and any(s.entity_rows for s in victim)
+        full = KokoIndexSet().build(corpus)
+        passes = []
+        remove_sids = ColumnarPostings.remove_sids
+        monkeypatch.setattr(
+            ColumnarPostings,
+            "remove_sids",
+            lambda self, sids: passes.append(len(sids)) or remove_sids(self, sids),
+        )
+        full.remove_document(victim)
+        monkeypatch.undo()
+        # one pass per store (W, E by text, E by type, PL, POS) for the document
+        assert len(passes) == 5
+        rebuilt = KokoIndexSet()
+        for document in documents:
+            if document is not victim:
+                rebuilt.add_document(document)
+        assert_equivalent_indexes(full, rebuilt)
+        assert full.unrooted_sids().tolist() == rebuilt.unrooted_sids().tolist()
+        for sentence in victim:
+            for _, _, _, text in sentence.entity_rows:
+                assert sorted(full.entity_index.lookup_text(text)) == sorted(
+                    rebuilt.entity_index.lookup_text(text)
+                )
 
     def test_arrays_round_trip(self, paper_corpus, assert_equivalent_indexes):
         """``from_arrays(to_arrays())`` — the snapshot payload — is lossless."""

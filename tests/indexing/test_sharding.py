@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.indexing.koko_index import IndexStatistics, KokoIndexSet
 from repro.indexing.sharding import ShardedIndexSet, shard_of
+from repro.koko.engine import compile_query
+from repro.nlp.types import Corpus
 
 
 # ----------------------------------------------------------------------
@@ -114,3 +117,52 @@ class TestMergedStatistics:
         merged = IndexStatistics.merged([])
         assert merged.tokens == 0
         assert merged.pl_compression == 0.0 and merged.pos_compression == 0.0
+
+
+# ----------------------------------------------------------------------
+# DPLI lookups over a view of several shards
+# ----------------------------------------------------------------------
+LOOKUP_QUERY = (
+    'extract e:Entity, x:Location, d:Str from "b" if '
+    '(/ROOT:{ a = //verb, b = a/dobj, c = //"coffee", d = (b.subtree) } (b) in (e))'
+)
+
+
+class TestUnionLookups:
+    """A view answers exactly what one index set over its documents answers."""
+
+    @pytest.mark.parametrize("shard_ids", [[0, 1, 2, 3], [1, 3], [2]])
+    def test_view_lookups_equal_one_index_set_over_the_same_documents(
+        self, cafe_corpus, detach_last_token, shard_ids
+    ):
+        documents = list(cafe_corpus.documents)
+        # one sentence with a token no hierarchy holds, for unrooted_sids
+        first = documents[0]
+        documents[0] = type(first)(
+            first.doc_id, [detach_last_token(first.sentences[0]), *first.sentences[1:]]
+        )
+        sharded = ShardedIndexSet(4).build(Corpus("cafe", documents))
+        view = sharded.view(shard_ids)
+        mine = [d for d in documents if sharded.shard_id(d.doc_id) in shard_ids]
+        single = KokoIndexSet().build(Corpus("mine", mine))
+        assert view.unrooted_sids().tolist() == single.unrooted_sids().tolist()
+        if 0 in shard_ids and sharded.shard_id(first.doc_id) in shard_ids:
+            assert len(view.unrooted_sids())
+
+        normalized = compile_query(LOOKUP_QUERY).normalized
+        for etype in ("Entity", "Location", "Person"):
+            got_sids, got = view.entity_candidates(etype)
+            want_sids, want = single.entity_candidates(etype)
+            assert got_sids.tolist() == want_sids.tolist()
+            assert sorted(got) == sorted(want)
+            rows = sorted(zip(*(column.tolist() for column in got.arrays[:3])))
+            assert rows == sorted(zip(*(column.tolist() for column in want.arrays[:3])))
+        for variable in normalized.absolute_paths:
+            path, decomposed = normalized.tree_paths[variable], normalized.decomposed.get(variable)
+            got_sids, got = view.path_candidates(path, decomposed)
+            want_sids, want = single.path_candidates(path, decomposed)
+            assert len(want) > 0
+            assert got_sids.tolist() == want_sids.tolist()
+            for name in ("sid", "tid", "left", "right", "depth"):
+                assert np.array_equal(getattr(got.block, name), getattr(want.block, name))
+            assert [(p.sid, p.tid, p.word) for p in got] == [(p.sid, p.tid, p.word) for p in want]

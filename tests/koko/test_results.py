@@ -104,6 +104,30 @@ def test_merge_is_a_stable_sort_by_sid(rows, cuts):
     assert merged.candidate_sentences == sum(p.candidate_sentences for p in parts)
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=tuple_lists(), keep=st.lists(st.booleans(), max_size=12))
+def test_take_equals_building_the_kept_rows(rows, keep):
+    keep = (keep + [False] * len(rows))[: len(rows)]
+    columns = ResultColumns.from_tuples(rows)
+    taken = columns.take(np.flatnonzero(np.array(keep, bool)))
+    kept = [row for row, flag in zip(rows, keep) if flag]
+    built = ResultColumns.from_tuples(kept)
+    assert exact(taken) == exact(kept)
+    if kept:
+        # compacted tables: the entries the kept rows use, in table order,
+        # and columns as narrow as building the kept rows makes them
+        for mine, whole, fresh in zip(
+            (taken.doc_ids, *taken.strings),
+            (columns.doc_ids, *columns.strings),
+            (built.doc_ids, *built.strings),
+        ):
+            assert set(mine) == set(fresh) and len(mine) == len(fresh)
+            assert list(mine) == [entry for entry in whole if entry in set(mine)]
+        assert taken.sid.dtype == built.sid.dtype
+        assert taken.index.dtype == built.index.dtype
+        assert taken.scored == columns.scored
+
+
 def test_merge_of_parts_with_different_layouts_falls_back_to_tuples():
     a = KokoResult(tuples=[ExtractionTuple("d1", 4, (("x", "A"),), (("v", 0.5),))])
     b = KokoResult(tuples=[ExtractionTuple("d2", 2, (("x", "B"),))])

@@ -1,9 +1,11 @@
-"""The read path runs a query's shard slices on the request thread.
+"""The read path runs one pipeline pass per query, on the request thread.
 
-The stage pipeline is GIL-bound, so a per-query shard thread pool only
-bought context switches.  These tests pin the replacement: one plain loop,
-on the caller's thread, for every shard count, on primaries and replicas —
-with the trace tree, deadlines and tuple identity it had before.
+The stage pipeline is GIL-bound, so neither a per-query shard thread pool
+nor one pipeline run per shard bought anything but overhead.  These tests
+pin the replacement: the shards a query has to compute are read-locked in
+shard-id order and every stage runs once over their union, on the
+caller's thread, for every shard count, on primaries and replicas — with
+the trace tree, deadlines and tuple identity it had before.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.koko.engine import KokoEngine
 from repro.nlp.types import Corpus
 from repro.replication import InProcessTransport, LogShipper, ReplicaService
 from repro.service import KokoService
+from repro.service.locks import ReadWriteLock
 
 ENTITY_QUERY = (
     'extract e:Entity, d:Str from input.txt if '
@@ -49,7 +52,7 @@ def shard_threads() -> list[str]:
 
 @pytest.fixture
 def thread_spy(monkeypatch):
-    """Record ``threading.get_ident()`` in every shard slice and stage run."""
+    """Record ``threading.get_ident()`` in every pipeline pass and stage run."""
     seen: list[tuple[str, int]] = []
 
     def spied(label, original):
@@ -59,31 +62,30 @@ def thread_spy(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        KokoService, "_execute_shard", spied("shard", KokoService._execute_shard)
-    )
+    monkeypatch.setattr(KokoService, "_run_pass", spied("pass", KokoService._run_pass))
     for stage in stages.DEFAULT_STAGES:
         cls = type(stage)
         monkeypatch.setattr(cls, "run", spied(cls.name, cls.run))
     return seen
 
 
-def assert_all_on_this_thread(seen, shards: int) -> None:
+def assert_one_pass_on_this_thread(seen) -> None:
     labels = [label for label, _ in seen]
-    assert labels.count("shard") == shards
+    assert labels.count("pass") == 1
     for stage in stages.DEFAULT_STAGES:
-        assert labels.count(stage.name) == shards
+        assert labels.count(stage.name) == 1
     assert {ident for _, ident in seen} == {threading.get_ident()}
 
 
-def test_every_shard_slice_and_stage_runs_on_the_calling_thread(thread_spy):
+def test_one_pass_and_each_stage_run_once_on_the_calling_thread(thread_spy):
     with KokoService(shards=4) as service:
         for index, text in enumerate(TEXTS):
             service.add_document(text, f"doc{index}")
+        assert len({service.shard_of(f"doc{i}") for i in range(len(TEXTS))}) > 1
         thread_spy.clear()
         result = service.query(ENTITY_QUERY)
         assert len(result) > 0
-        assert_all_on_this_thread(thread_spy, shards=4)
+        assert_one_pass_on_this_thread(thread_spy)
         assert shard_threads() == []
     assert shard_threads() == []
 
@@ -100,7 +102,7 @@ def test_replica_queries_run_on_the_calling_thread_too(tmp_path, thread_spy):
             assert replica.wait_caught_up(primary.wal_position())
             thread_spy.clear()
             rows = as_rows(replica.query(ENTITY_QUERY))
-            assert_all_on_this_thread(thread_spy, shards=4)
+            assert_one_pass_on_this_thread(thread_spy)
             assert rows == as_rows(primary.query(ENTITY_QUERY))
             assert shard_threads() == []
         finally:
@@ -114,36 +116,66 @@ def test_explain_lists_the_shards_in_order_under_the_fanout(shards):
     with KokoService(shards=shards) as service:
         for index, text in enumerate(TEXTS):
             service.add_document(text, f"doc{index}")
+        service.query(CITY_QUERY)  # warm partials: explain must not use them
         explained = service.query(CITY_QUERY, explain=True)
         fanout = explained.trace.find("shard_fanout")
-        assert fanout.attributes["shards"] == shards
-        assert [child.name for child in fanout.children] == [
-            f"shard{i}" for i in range(shards)
+        assert fanout.attributes == {"shards": shards, "executed": shards, "reused": 0}
+        assert [child.name for child in fanout.children] == ["pass"]
+        one_pass = fanout.children[0]
+        assert one_pass.attributes["shard_ids"] == list(range(shards))
+        assert [child.name for child in one_pass.children] == [
+            stage.name for stage in stages.DEFAULT_STAGES
         ]
         assert explained.trace.find("merge") is not None
         assert as_rows(explained) == as_rows(service.query(CITY_QUERY))
 
 
-def test_deadline_expiring_after_the_first_shard_stops_the_rest(monkeypatch):
+def test_a_pass_read_locks_exactly_its_shards_in_shard_order(monkeypatch):
+    with KokoService(shards=4, trace_sample_rate=0.0) as service:
+        for index, text in enumerate(TEXTS):
+            service.add_document(text, f"doc{index}")
+        shard_of_lock = {id(shard.lock): shard.shard_id for shard in service._shards}
+        taken: list[int] = []
+        acquire = ReadWriteLock.acquire_read
+
+        def spied(lock):
+            taken.append(shard_of_lock[id(lock)])
+            return acquire(lock)
+
+        monkeypatch.setattr(ReadWriteLock, "acquire_read", spied)
+        service.query(ENTITY_QUERY)
+        assert taken == [0, 1, 2, 3]
+        # two writes to two shards: a repeat locks just those two, in order
+        written = sorted({service.shard_of("late-a"), service.shard_of("late-z")})
+        service.add_document("Anna ate a delicious pie in Osaka.", "late-a")
+        service.add_document("Paolo ate a delicious tart in Kyoto.", "late-z")
+        taken.clear()
+        service.query(ENTITY_QUERY)
+        assert taken == written
+
+
+def test_deadline_expiring_during_a_stage_stops_the_rest_of_the_pass(monkeypatch):
     with KokoService(shards=4) as service:
         mirror = [service.add_document(text, f"doc{i}") for i, text in enumerate(TEXTS)]
-        ran: list[int] = []
-        execute = KokoEngine.execute
+        ran: list[str] = []
         deadline = time.monotonic() + 60.0
+        for stage in stages.DEFAULT_STAGES:
+            cls, original = type(stage), type(stage).run
 
-        def slow_first(self, *args, **kwargs):
-            ran.append(1)
-            result = execute(self, *args, **kwargs)
-            # the budget runs out while the first shard is being scanned
-            monkeypatch.setattr(time, "monotonic", lambda: deadline + 1.0)
-            return result
+            def spied(self, ctx, _original=original):
+                ran.append(self.name)
+                _original(self, ctx)
+                if self.name == "dpli":
+                    # the budget runs out while DPLI is running
+                    monkeypatch.setattr(time, "monotonic", lambda: deadline + 1.0)
 
-        monkeypatch.setattr(KokoEngine, "execute", slow_first)
+            monkeypatch.setattr(cls, "run", spied)
         with pytest.raises(DeadlineExceeded):
             service.query(ENTITY_QUERY, deadline=deadline)
-        assert ran == [1]
+        assert ran == ["normalize", "dpli"]  # load, extract, aggregate never start
         monkeypatch.undo()
-        # the abandoned query cached nothing it could not finish
+        computed = service.metrics.get("koko_shard_partials_computed_total")
+        assert computed.value == 0  # the abandoned pass cached nothing
         reference = KokoEngine(Corpus(name="reference", documents=mirror))
         assert as_rows(service.query(ENTITY_QUERY)) == as_rows(
             reference.execute(ENTITY_QUERY)

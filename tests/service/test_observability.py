@@ -75,17 +75,19 @@ def test_explain_is_tuple_identical_and_covers_all_stages(shards):
     assert REQUIRED_QUERY_SPANS <= names
     if shards > 1:
         assert "merge" in names
-    # one shardN child per shard, even on a warm cache: explain bypasses
-    # the result and partial caches so every shard runs every stage
+    # one pass over every shard, even on a warm cache: explain bypasses the
+    # result and partial caches, so the pass covers all of them and holds
+    # each stage span exactly once
     fanout = explained.trace.find("shard_fanout")
     assert fanout is not None
-    assert {child.name for child in fanout.children} == {
-        f"shard{i}" for i in range(shards)
-    }
-    for child in fanout.children:
-        assert {"normalize", "dpli", "load", "extract", "aggregate"} <= (
-            child.names()
-        )
+    assert fanout.attributes == {"shards": shards, "executed": shards, "reused": 0}
+    assert [child.name for child in fanout.children] == ["pass"]
+    one_pass = fanout.children[0]
+    assert one_pass.attributes["shard_ids"] == list(range(shards))
+    assert one_pass.attributes["tuples"] == len(plain)
+    assert [child.name for child in one_pass.children] == [
+        "normalize", "dpli", "load", "extract", "aggregate"
+    ]
     report = explained.report()
     assert report.splitlines()[0].startswith("query")
     assert "ms" in report
@@ -309,10 +311,13 @@ def test_queries_and_candidates_feed_the_heat_report():
             svc.query(CITY_QUERY, threshold_override=0.3 + step * 0.01)
         report = svc.shard_heat_report()
         total_queries = sum(row.queries for row in report.shards)
-        assert total_queries == 2 * 3  # every query fans out to both shards
+        assert total_queries == 2 * 3  # every query's pass covers both shards
         assert sum(row.skip_candidates for row in report.shards) > 0
+        # the pass's wall-clock is shared out by candidate sentences: a
+        # shard's latency moves exactly when it had candidates
         assert all(
-            row.ewma_query_seconds > 0.0 for row in report.shards if row.queries
+            (row.ewma_query_seconds > 0.0) == (row.skip_candidates > 0)
+            for row in report.shards
         )
         assert report.hottest() is not None
     finally:

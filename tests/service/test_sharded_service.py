@@ -202,10 +202,10 @@ def test_sharded_bookkeeping_and_stats():
         assert [row.queries for row in report.shards] == [1, 1, 1, 1]
         assert [row.splices for row in report.shards] == [added[i] for i in range(4)]
 
-        # per-engine access: single-engine accessors refuse on sharded services
-        assert len(service.engines) == 4 and len(service.corpora) == 4
-        with pytest.raises(ServiceError):
-            service.engine
+        # per-shard corpora; the single-corpus accessor refuses on sharded
+        # services (shards have no engines of their own: one pass serves all)
+        assert len(service.corpora) == 4
+        assert not hasattr(service, "engines")
         with pytest.raises(ServiceError):
             service.corpus
 
@@ -214,7 +214,6 @@ def test_unsharded_accessors_and_defaults():
     service = KokoService()
     assert service.shard_count == 1
     assert not isinstance(service.indexes, ShardedIndexSet)
-    assert service.engine is service.engines[0]
     assert service.corpus is service.corpora[0]
     service.close()
     service.close()  # idempotent

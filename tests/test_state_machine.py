@@ -10,7 +10,10 @@ queries (the repeat is answered on the server's event loop from the
 result cache), checkpoints and close/reopen, and after every step checks
 what the service promises: tuple identity with the model, scores
 compared as ``repr``; equal candidate and evaluated sentence counts;
-sentence ids that never move; no ingest bytes left in flight.
+sentence ids that never move; no ingest bytes left in flight; and shard
+partials computed only where needed — a query computes one partial per
+shard whose generation moved since that query last ran, and reuses the
+rest.
 
 The budget comes from the Hypothesis profile: the small ``tier1`` one
 by default, ``--hypothesis-profile ci`` for the long run.
@@ -90,6 +93,10 @@ class ServiceMachine(RuleBasedStateMachine):
         self.next_sid = 0
         self._oracle: KokoEngine | None = None
         self.last_query: tuple[str, float | None, bool] | None = None
+        # per query key, the generations it last ran at, and the partials
+        # the service should have computed since it (re)opened
+        self.stamps: dict[tuple, tuple[int, ...]] = {}
+        self.partials_expected = 0
         self.service = KokoService(shards=self.shards, storage_dir=self.directory)
         self._connect()
 
@@ -127,6 +134,12 @@ class ServiceMachine(RuleBasedStateMachine):
 
     def _check_query(self, name: str, threshold: float | None, keep_all: bool) -> None:
         text = QUERIES[name]
+        key = (text, threshold, keep_all)
+        stamp, seen = self.service.generations, self.stamps.get(key)
+        self.partials_expected += (
+            len(stamp) if seen is None else sum(a != b for a, b in zip(seen, stamp))
+        )
+        self.stamps[key] = stamp
         got = self.client.query(text, threshold_override=threshold, keep_all_scores=keep_all)
         want = self._oracle_engine().execute(
             text, threshold_override=threshold, keep_all_scores=keep_all
@@ -202,6 +215,7 @@ class ServiceMachine(RuleBasedStateMachine):
         assert self.service.shard_count == self.shards
         self._connect()
         self.last_query = None
+        self.stamps, self.partials_expected = {}, 0  # fresh caches and counters
 
     # -- after every step ---------------------------------------------------
     @invariant()
@@ -217,6 +231,11 @@ class ServiceMachine(RuleBasedStateMachine):
             doc_id: [sentence.sid for sentence in document]
             for doc_id, document in self.model.items()
         }
+
+    @invariant()
+    def partials_are_computed_for_exactly_the_moved_shards(self):
+        computed = self.service.metrics.get("koko_shard_partials_computed_total")
+        assert computed.value == self.partials_expected
 
     @invariant()
     def nothing_is_in_flight(self):
