@@ -74,12 +74,6 @@ def main() -> None:
         # a query fans out across every shard and merges deterministically
         merged = sharded.query(DELICIOUS_QUERY)
         print(f"  merged tuples (sid order): {[t.sid for t in merged]}")
-        print("  per-shard heat:")
-        for row in sharded.shard_heat_report().shards:
-            print(
-                f"    shard {row.shard_id}: splices={row.splices} "
-                f"queries={row.queries} heat={row.heat_score:.2f}"
-            )
 
     print("\n--- durable service (snapshot + write-ahead log) ---")
     root = Path(tempfile.mkdtemp(prefix="koko-demo-"))

@@ -6,8 +6,7 @@ Builds the full monitored topology the operations guide describes and
 exercises every telemetry endpoint over real HTTP:
 
 1. a durable primary with a :class:`TelemetryServer` serving
-   ``/metrics``, ``/healthz``, ``/readyz``, ``/stats``, ``/slowlog`` and
-   ``/shards``;
+   ``/metrics``, ``/healthz``, ``/readyz``, ``/stats`` and ``/slowlog``;
 2. a TCP log-shipped replica with its own telemetry server;
 3. a :class:`ClusterTelemetry` scraper on the primary merging both
    nodes into ``/cluster`` and feeding the primary's readiness.
@@ -125,7 +124,7 @@ def main() -> int:
                     if not document["ready"] or node["lag_bytes"] != 0:
                         failures += 1
 
-                    print("\n=== /metrics.json, /stats, /slowlog, /shards " + "=" * 22)
+                    print("\n=== /metrics.json, /stats, /slowlog " + "=" * 30)
                     status, counters = http_get_json(
                         *primary_telemetry.address, "/metrics.json"
                     )
@@ -147,14 +146,6 @@ def main() -> int:
                     )
                     assert status == 200
                     print(f"  /slowlog: {len(slowlog)} entries")
-                    status, heat = http_get_json(*primary_telemetry.address, "/shards")
-                    assert status == 200
-                    print(
-                        f"  /shards: hottest={heat['hottest_shard']} "
-                        f"of {len(heat['shards'])} shards"
-                    )
-                    if heat["hottest_shard"] is None:
-                        failures += 1
                 cluster.close()
             replica.close()
             shipper.close()

@@ -18,6 +18,11 @@ missing-docstring subset of pydocstyle/ruff that the repo enforces:
   first argument of a ``.counter(`` / ``.gauge(`` / ``.histogram(`` call)
   is written out in the first column of ``docs/OPERATIONS.md``'s metric
   table, and every ``koko_*`` name that document cites is registered;
+  and every registered metric has a *reader*: its name (or a histogram
+  series of it) occurs outside its own registration — in a test other
+  than the surface pin, under ``benchmarks/``, ``scripts/`` or
+  ``examples/``, elsewhere in ``src/repro/``, or in ``docs/OPERATIONS.md``
+  outside the metric table;
 * **KNB** — every ``KokoService.__init__`` parameter is cited in a code
   span somewhere in ``docs/OPERATIONS.md``, and every code span in the
   first column of its knob table (header cell ``Knob``) is a parameter;
@@ -54,6 +59,7 @@ LINTED_PACKAGES = (
     "src/repro/indexing/word_index.py",
     "src/repro/indexing/entity_index.py",
     "src/repro/indexing/hierarchy.py",
+    "src/repro/indexing/sharding.py",
     "src/repro/koko/results.py",
     "src/repro/nlp/types.py",
     "src/repro/nlp/pipeline.py",
@@ -72,6 +78,12 @@ SYMBOL_SOURCES = "src/repro"
 #: document whose metric table (header cell ``Metric``) lists every metric
 METRIC_DOCUMENT = "docs/OPERATIONS.md"
 _REGISTRATIONS = ("counter", "gauge", "histogram")
+
+#: trees where naming a registered metric counts as reading it
+READER_TREES = ("tests", "benchmarks", "scripts", "examples", "src/repro")
+#: lists every metric, so naming one there is not reading it
+SURFACE_PIN = "tests/observability/test_metric_surface.py"
+_SERIES_SUFFIXES = ("", "_bucket", "_sum", "_count")
 
 #: the constructor whose parameters OPERATIONS must cite (KNB)
 KNOB_SOURCE = "src/repro/service/service.py"
@@ -181,9 +193,10 @@ def lint_symbols(document: Path, source_root: Path, repo_root: Path) -> list[str
     return findings
 
 
-def registered_metrics(source_root: Path, repo_root: Path) -> dict[str, tuple]:
-    """``{metric name: (path, line)}`` of every literal registration."""
-    found: dict[str, tuple] = {}
+def registrations(source_root: Path, repo_root: Path) -> list[tuple]:
+    """``(metric name, path, call line, name line)`` of every literal
+    registration, in path order."""
+    found: list[tuple] = []
     for module_path in sorted(source_root.rglob("*.py")):
         tree = ast.parse(module_path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -195,15 +208,24 @@ def registered_metrics(source_root: Path, repo_root: Path) -> dict[str, tuple]:
                 and isinstance(node.args[0], ast.Constant)
                 and isinstance(node.args[0].value, str)
             ):
-                where = (str(module_path.relative_to(repo_root)), node.lineno)
-                found.setdefault(node.args[0].value, where)
+                path = str(module_path.relative_to(repo_root))
+                name = node.args[0]
+                found.append((name.value, path, node.lineno, name.lineno))
     return found
 
 
-def first_column_spans(lines: list[str], header: str) -> list[tuple[int, str]]:
-    """``(line number, code span)`` in the first column of the table headed
-    ``| <header> |``."""
-    spans: list[tuple[int, str]] = []
+def registered_metrics(source_root: Path, repo_root: Path) -> dict[str, tuple]:
+    """``{metric name: (path, line)}`` of every literal registration."""
+    found: dict[str, tuple] = {}
+    for name, path, line, _ in registrations(source_root, repo_root):
+        found.setdefault(name, (path, line))
+    return found
+
+
+def table_rows(lines: list[str], header: str) -> list[tuple[int, list[str]]]:
+    """``(line number, cells)`` of every row of the table headed
+    ``| <header> |`` (header and separator rows included)."""
+    rows: list[tuple[int, list[str]]] = []
     in_table = False
     for line_number, line in enumerate(lines, start=1):
         cells = line.strip().strip("|").split("|") if line.startswith("|") else []
@@ -211,9 +233,19 @@ def first_column_spans(lines: list[str], header: str) -> list[tuple[int, str]]:
             in_table = False
         elif cells[0].strip() == header:
             in_table = True
-        elif in_table:
-            spans.extend((line_number, span) for span in _CODE_SPAN.findall(cells[0]))
-    return spans
+        if in_table:
+            rows.append((line_number, cells))
+    return rows
+
+
+def first_column_spans(lines: list[str], header: str) -> list[tuple[int, str]]:
+    """``(line number, code span)`` in the first column of the table headed
+    ``| <header> |``."""
+    return [
+        (line_number, span)
+        for line_number, cells in table_rows(lines, header)[1:]
+        for span in _CODE_SPAN.findall(cells[0])
+    ]
 
 
 def metric_table_names(lines: list[str]) -> set[str]:
@@ -239,6 +271,35 @@ def lint_metrics(document: Path, source_root: Path, repo_root: Path) -> list[str
                     f"{relative}:{line_number}: MET {name} is not registered "
                     f"in {SYMBOL_SOURCES}/"
                 )
+    return findings
+
+
+def lint_readers(document: Path, source_root: Path, repo_root: Path) -> list[str]:
+    """Findings for registered metrics that nothing outside their own
+    registration names."""
+    sites = registrations(source_root, repo_root)
+    own = {(path, line) for _, path, _, line in sites}
+    cited: set[str] = set()
+    for tree in READER_TREES:
+        for path in sorted((repo_root / tree).rglob("*")):
+            relative = str(path.relative_to(repo_root))
+            if path.suffix not in (".py", ".md") or relative == SURFACE_PIN:
+                continue
+            for line_number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1
+            ):
+                if (relative, line_number) not in own:
+                    cited.update(_CITED_METRIC.findall(line))
+    lines = document.read_text(encoding="utf-8").splitlines()
+    table = {line_number for line_number, _ in table_rows(lines, "Metric")}
+    for line_number, line in enumerate(lines, start=1):
+        if line_number not in table:
+            cited.update(_CITED_METRIC.findall(line))
+    findings: list[str] = []
+    for name, path, line, _ in sites:
+        if not any(name + suffix in cited for suffix in _SERIES_SUFFIXES):
+            findings.append(f"{path}:{line}: MET {name} has no reader")
+            cited.add(name)  # one finding per metric
     return findings
 
 
@@ -312,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     if (root / METRIC_DOCUMENT).exists():
         findings.extend(
             lint_metrics(root / METRIC_DOCUMENT, root / SYMBOL_SOURCES, root)
+        )
+        findings.extend(
+            lint_readers(root / METRIC_DOCUMENT, root / SYMBOL_SOURCES, root)
         )
         if (root / KNOB_SOURCE).exists():
             findings.extend(lint_knobs(root / METRIC_DOCUMENT, root / KNOB_SOURCE, root))

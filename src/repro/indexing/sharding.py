@@ -32,6 +32,8 @@ from .decompose import DecomposedPath
 from .koko_index import IndexStatistics, KokoIndexSet
 from .query_ir import TreePath
 
+__all__ = ["ShardedIndexSet", "shard_of"]
+
 
 def shard_of(doc_id: str, num_shards: int) -> int:
     """The shard index (0-based) document *doc_id* is routed to.

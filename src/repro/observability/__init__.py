@@ -19,18 +19,14 @@ use it without cycles:
 * :mod:`repro.observability.slowlog` — the :class:`SlowOpLog` ring
   buffer behind ``service.recent_slow_ops()``, with a size-capped
   JSON-lines file sink.
-* :mod:`repro.observability.heat` — per-shard heat accounting
-  (:class:`ShardHeatAccumulator` / :class:`ShardHeatReport`), the input
-  signal for shard split/rebalance decisions.
 * :mod:`repro.observability.exposition` — the network-facing telemetry
   plane: :class:`TelemetryServer` (``/metrics``, ``/healthz``,
-  ``/readyz``, ``/stats``, ``/slowlog``, ``/shards``, ``/traces``) and
+  ``/readyz``, ``/stats``, ``/slowlog``, ``/traces``) and
   :class:`ClusterTelemetry` (the scraped ``/cluster`` view and the
   stitched ``/cluster/traces/<id>`` cross-node traces).
 """
 
 from .exposition import ClusterTelemetry, TelemetryServer, http_get_json, scrape
-from .heat import HEAT_WEIGHTS, ShardHeat, ShardHeatAccumulator, ShardHeatReport
 from .metrics import (
     Counter,
     Gauge,
@@ -55,13 +51,9 @@ __all__ = [
     "Counter",
     "ExplainedResult",
     "Gauge",
-    "HEAT_WEIGHTS",
     "Histogram",
     "LabeledMetric",
     "MetricsRegistry",
-    "ShardHeat",
-    "ShardHeatAccumulator",
-    "ShardHeatReport",
     "SlowOpLog",
     "Span",
     "TelemetryServer",

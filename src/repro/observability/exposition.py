@@ -22,7 +22,6 @@ Two pieces, both dependency-free (asyncio + stdlib ``http.client``):
                        routing state per node kind
   ``GET /slowlog``     newest-first slow-op entries (``?limit=N``,
                        ``?trace_id=...`` to filter to one trace)
-  ``GET /shards``      the per-shard :class:`ShardHeatReport`
   ``GET /traces``      newest-first sampled-trace summaries from the
                        node's :class:`~repro.observability.tracestore.
                        TraceStore` (``?limit=N``)
@@ -125,7 +124,7 @@ def _node_kind(node) -> str:
 
 
 def _underlying_service(node):
-    """The ``KokoService`` whose stats/slowlog/heat back *node*."""
+    """The ``KokoService`` whose stats/slowlog/traces back *node*."""
     kind = _node_kind(node)
     if kind == "replica":
         return node.service
@@ -178,7 +177,7 @@ class TelemetryServer(LoopServer):
         The ``KokoService``, ``ReplicaService`` or ``ReplicaSet`` to
         expose.  Only its public observability surface is used
         (``metrics``, ``stats.last_checkpoint_error``, ``recent_slow_ops``,
-        ``shard_heat_report``, ``replication_stats`` / ``routing_stats``).
+        ``replication_stats`` / ``routing_stats``).
     host / port:
         Bind address; port 0 (the default) picks a free port —
         :meth:`start` returns the bound ``(host, port)``.
@@ -282,8 +281,6 @@ class TelemetryServer(LoopServer):
                 else:
                     entries = service.recent_slow_ops(limit)
                 return 200, _JSON, _dumps(entries)
-            if path == "/shards":
-                return 200, _JSON, _dumps(self.heat_document())
             if path == "/traces":
                 store = self._trace_store()
                 if store is None:
@@ -464,14 +461,6 @@ class TelemetryServer(LoopServer):
         if self._kind == "router":
             document["routing"] = self.node.routing_stats()
         return document
-
-    def heat_document(self) -> dict:
-        """The ``/shards`` payload: the node's shard heat report."""
-        service = _underlying_service(self.node)
-        report = getattr(service, "shard_heat_report", None)
-        if report is None:  # a node without heat accounting
-            return {"hottest_shard": None, "weights": {}, "shards": []}
-        return report().to_dict()
 
 
 class ClusterTelemetry:

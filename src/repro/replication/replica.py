@@ -90,9 +90,7 @@ class ReplicaService:
         self._error: str | None = None
         self._closed = False
         self._bootstrap_checkpoint_id: int | None = None
-        self._bootstrap_seconds = 0.0
 
-        bootstrap_started = time.perf_counter()
         try:
             mode, start, state = self._handshake(transport, resume=None)
             if mode != "snapshot" or state is None:
@@ -110,7 +108,6 @@ class ReplicaService:
                 pass
             raise
         self._bootstrap_checkpoint_id = state.checkpoint_id
-        self._bootstrap_seconds = time.perf_counter() - bootstrap_started
         self._register_metrics()
         with self._lock:
             self._applied = start
@@ -149,11 +146,6 @@ class ReplicaService:
             "Shipped WAL records applied since this replica bootstrapped.",
         )
         applied.set_function(lambda: float(self.records_applied))
-        bootstrap = registry.gauge(
-            "koko_replication_bootstrap_seconds",
-            "Wall-clock of the last snapshot bootstrap (handshake to ready).",
-        )
-        bootstrap.set(self._bootstrap_seconds)
         self._apply_hist = registry.histogram(
             "koko_replication_apply_seconds",
             "Per-record apply wall-clock (power-of-two buckets).",

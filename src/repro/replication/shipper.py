@@ -215,7 +215,6 @@ class ShipperSession:
                 self.records_shipped += len(batch)
                 self.bytes_shipped += batch_bytes
                 shipper._records_metric.inc(len(batch))
-                shipper._bytes_metric.inc(batch_bytes)
                 if getattr(shipper.service, "wal_traces_logged", 0) > 0:
                     self._record_ship_traces(batch, batch_bytes, send_seconds)
                 self._drain_acks(block=False)
@@ -225,10 +224,6 @@ class ShipperSession:
             now = time.monotonic()
             if now - last_heartbeat >= shipper.heartbeat_interval:
                 last_heartbeat = now
-                lag = self.lag_bytes()
-                shipper._lag_gauge.labels(self.peer).set(
-                    float(lag) if lag is not None else -1.0
-                )
                 self._transport.send(
                     (
                         "heartbeat",
@@ -240,7 +235,7 @@ class ShipperSession:
                             # a rotation that is the new segment's start
                             "position": cursor.position,
                             "acked": self.acked,
-                            "lag_bytes": lag,
+                            "lag_bytes": self.lag_bytes(),
                             # wall-clock send time: the follower derives its
                             # clock offset from this, which ClusterTelemetry
                             # uses to align trace fragments across nodes
@@ -322,7 +317,6 @@ class ShipperSession:
         checkpoint superseded it twice) — the retry picks the newer one.
         """
         layout = self._shipper.layout
-        ship_started = time.perf_counter()
         for _ in range(8):
             checkpoint_id = find_latest_valid(layout)
             if checkpoint_id is None:
@@ -345,9 +339,6 @@ class ShipperSession:
                 ("snapshot", {"manifest": manifest, "files": payloads})
             )
             self._shipper._snapshot_bytes_metric.inc(self.snapshot_bytes)
-            self._shipper._snapshot_ship_seconds.observe(
-                time.perf_counter() - ship_started
-            )
             return start
         raise ReplicationError("snapshot bootstrap kept losing races with pruning")
 
@@ -461,22 +452,9 @@ class LogShipper:
             "koko_shipper_records_shipped_total",
             "WAL records shipped to followers across all sessions.",
         )
-        self._bytes_metric = self.metrics.counter(
-            "koko_shipper_bytes_shipped_total",
-            "WAL payload bytes shipped to followers across all sessions.",
-        )
         self._snapshot_bytes_metric = self.metrics.counter(
             "koko_shipper_snapshot_bytes_shipped_total",
             "Snapshot bytes shipped during follower bootstraps.",
-        )
-        self._snapshot_ship_seconds = self.metrics.histogram(
-            "koko_shipper_snapshot_ship_seconds",
-            "Wall-clock per snapshot bootstrap (read + ship), pow-2 buckets.",
-        )
-        self._lag_gauge = self.metrics.gauge(
-            "koko_shipper_lag_bytes",
-            "Per-follower byte lag behind the durable end (-1 = unknown).",
-            labelnames=("peer",),
         )
         service.register_wal_pin(self._wal_floor)
 

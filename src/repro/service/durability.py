@@ -180,7 +180,6 @@ class Durability:
         """
         if self._wal is None or self._layout is None:
             raise ServiceError("service has no storage_dir to checkpoint into")
-        started = time.perf_counter()
         # the in-progress gauge brackets the whole attempt (including the
         # drain wait), so a wedged checkpointer is visible from outside
         self.stats.record_checkpoint_started()
@@ -215,7 +214,7 @@ class Durability:
                 self._layout.prune(sealed, wal_keep_from=self._wal_pin_floor())
                 prune_segments(self._layout)
                 self._checkpoint_id = sealed
-            self.stats.record_checkpoint(time.perf_counter() - started, sealed)
+            self.stats.record_checkpoint()
             return sealed
         finally:
             self.stats.record_checkpoint_finished()

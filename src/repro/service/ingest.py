@@ -49,7 +49,6 @@ class WriteOp:
     reservation: tuple[int, int] | None = None  # consumed reserve_sids range
     shard_id: int = -1
     frame_bytes: int = 0  # size of the logged frame
-    apply_seconds: float = 0.0  # this op's share of its shard's splice time
     progress: str | None = None  # CLAIMED → LOGGED → APPLIED
 
     def record(self, trace: TraceContext | None = None) -> WalRecord:

@@ -60,10 +60,9 @@ a long-lived server:
 * **Observability** — one
   :class:`~repro.observability.metrics.MetricsRegistry` (``service.metrics``,
   Prometheus text / JSON exposition) holds every counter: cache outcomes,
-  ingest volume, the query-latency histogram, per-shard load and heat
-  (:class:`~repro.observability.heat.ShardHeatAccumulator`), and
-  durability (WAL appends, group-commit batch sizes, checkpoints,
-  recovery), recorded through :class:`~repro.service.stats.ServiceStats`
+  ingest volume, the query-latency histogram, per-shard partial-cache
+  outcomes, and durability (WAL appends, group-commit batch sizes,
+  checkpoints, recovery), recorded through :class:`~repro.service.stats.ServiceStats`
   and read by name (``service.metrics.get("koko_…")``).  Query and ingest executions are
   traced into :class:`~repro.observability.tracing.Span` trees —
   deterministically sampled at ``trace_sample_rate``, or on demand via
@@ -118,7 +117,6 @@ from ..koko.results import KokoResult, merge_results
 from ..koko.stages import ExecutionContext, StagePipeline
 from ..nlp.pipeline import Pipeline
 from ..nlp.types import Corpus, Document, Sentence
-from ..observability.heat import ShardHeatAccumulator, ShardHeatReport
 from ..observability.metrics import MetricsRegistry
 from ..observability.slowlog import SlowOpLog
 from ..observability.tracestore import TraceStore
@@ -173,19 +171,6 @@ class IngestAck:
         if self.ticket is not None:
             self.ticket.wait()
         return self.document
-
-
-def _estimate_document_bytes(document: Document) -> int:
-    """Approximate payload bytes a document splices into its shard.
-
-    The raw text's UTF-8 length when the document carries its text
-    (heat accounting wants payload scale, not exact frame size); a
-    token-count estimate otherwise.
-    """
-    text = getattr(document, "text", "")
-    if text:
-        return len(text.encode("utf-8"))
-    return document.num_tokens * 8
 
 
 class _Shard:
@@ -467,9 +452,6 @@ class KokoService(Durability):
             path=str(slow_op_log_path) if slow_op_log_path is not None else None,
             max_file_bytes=SLOW_OP_LOG_MAX_BYTES,
         )
-        # per-shard load (queries, skip candidates, splices, EWMA stage
-        # latency): registry families, scored into the heat report
-        self._heat = ShardHeatAccumulator(shards, registry=self.stats.registry)
         self._traces_sampled = self.stats.registry.counter(
             "koko_traces_sampled_total", "Operations traced into a span tree."
         )
@@ -895,12 +877,9 @@ class KokoService(Durability):
                         shard.unsplice(op.document)
                     self._generations[shard_id] += 1
                     op.progress = APPLIED
-            seconds = time.perf_counter() - started
-            for op in group:
-                op.apply_seconds = seconds / len(group)
             if trace is not None:
                 name = "splice" if group[0].kind == OP_ADD else "unsplice"
-                trace.record(name, seconds, shard=shard_id)
+                trace.record(name, time.perf_counter() - started, shard=shard_id)
 
     def _abort(self, ops: list[WriteOp]) -> None:
         """Undo a failed write exactly as far as each op's progress got.
@@ -965,19 +944,11 @@ class KokoService(Durability):
         return op
 
     def _record_writes(self, ops: list[WriteOp], elapsed: float) -> None:
-        """Account committed ops in the ingest stats and the shard heat."""
+        """Account committed ops in the ingest stats."""
         per_op = elapsed / len(ops)
         for op in ops:
-            document = op.document
-            removed = op.kind == OP_REMOVE
             self.stats.record_ingest(
-                per_op, len(document), document.num_tokens, removed=removed
-            )
-            self._heat.record_splice(
-                op.shard_id,
-                op.frame_bytes or _estimate_document_bytes(document),
-                op.apply_seconds,
-                removed=removed,
+                per_op, op.document.num_tokens, removed=op.kind == OP_REMOVE
             )
 
     def _ensure_open(self) -> None:
@@ -1248,14 +1219,13 @@ class KokoService(Durability):
 
         The shards' read locks are taken in shard-id order (every pass
         takes them in the same order) and held for the whole pass, which
-        runs each stage once over the union of the shards.  The result is
-        also split per shard (:meth:`_split`); each part is cached under
-        the generation read under its lock and accounted in the shard heat.
+        runs each stage once over the union of the shards.  Under a
+        *cache_key* the result is also split per shard (:meth:`_split`) and
+        each part cached under the generation read under its lock.
         ``trace`` is the fan-out span the ``pass`` span hangs under.  An
         expired *deadline* abandons the pass on entry or between stages.
         """
         self._check_deadline(deadline)
-        started = time.perf_counter()
         span = trace.child("pass", shard_ids=list(shard_ids)) if trace is not None else None
         shards = [self._shards[shard_id] for shard_id in shard_ids]
         locked: list[_Shard] = []
@@ -1272,16 +1242,12 @@ class KokoService(Durability):
         finally:
             for shard in locked:
                 shard.lock.release_read()
-        elapsed = time.perf_counter() - started
-        for shard_id, generation, part in zip(
-            shard_ids, generations, self._split(result, ctx.documents, shard_ids)
-        ):
-            if cache_key is not None:
+        if cache_key is not None:
+            for shard_id, generation, part in zip(
+                shard_ids, generations, self._split(result, ctx.documents, shard_ids)
+            ):
                 self._shard_result_caches[shard_id].put(cache_key, generation, part)
                 self.stats.record_shard_partial(reused=False, shard=shard_id)
-            self._heat.record_query(
-                shard_id, elapsed * part.share, skip_candidates=part.candidates
-            )
         if span is not None:
             span.annotate(tuples=len(result), generations=generations)
             span.finish()
@@ -1429,17 +1395,6 @@ class KokoService(Durability):
     def closed(self) -> bool:
         """True once :meth:`close` has run (telemetry liveness probe)."""
         return self._closed
-
-    def shard_heat_report(self) -> ShardHeatReport:
-        """Every shard's heat signals, read from the registry and scored.
-
-        The :class:`~repro.observability.heat.ShardHeatReport` blends
-        queries routed, skip-plan candidates scanned, splice bytes, and
-        EWMA stage latency into a per-shard ``heat_score``; it backs the
-        telemetry ``/shards`` endpoint and is the input signal for shard
-        split/rebalance decisions.
-        """
-        return self._heat.report()
 
     @property
     def metrics(self) -> MetricsRegistry:

@@ -6,8 +6,7 @@ instruments of one :class:`~repro.service.KokoService` in a
 which is ``service.metrics``) and records into them through ``record_*``
 methods that encode a rule — ``record_query`` counts a bypassed cache as
 neither hit nor miss, ``record_wal_fsync`` feeds four instruments from one
-group commit.  The per-shard load families (queries, splices, heat) are
-registered by :class:`~repro.observability.heat.ShardHeatAccumulator`.
+group commit.
 
 The registry is the only read path: ``service.metrics.get("koko_…")``
 returns the instrument (``.value`` for counters and gauges, ``.values()``
@@ -68,17 +67,11 @@ class ServiceStats:
         self._documents_removed = r.counter(
             "koko_documents_removed_total", "Documents removed."
         )
-        self._sentences_ingested = r.counter(
-            "koko_sentences_ingested_total", "Sentences ingested."
-        )
         self._tokens_ingested = r.counter(
             "koko_tokens_ingested_total", "Annotated tokens ingested."
         )
         self._ingest_seconds = r.counter(
             "koko_ingest_seconds_total", "Wall seconds spent adding documents."
-        )
-        self._removal_seconds = r.counter(
-            "koko_removal_seconds_total", "Wall seconds spent removing documents."
         )
         self._backpressure_waits = r.counter(
             "koko_ingest_backpressure_waits_total",
@@ -135,12 +128,6 @@ class ServiceStats:
         self._checkpoint_failures = r.counter(
             "koko_checkpoint_failures_total", "Background checkpoints that failed."
         )
-        self._checkpoint_seconds = r.counter(
-            "koko_checkpoint_seconds_total", "Wall seconds spent checkpointing."
-        )
-        self._last_checkpoint_id = r.gauge(
-            "koko_last_checkpoint_id", "Id of the newest durable checkpoint."
-        )
         self._checkpoint_in_progress = r.gauge(
             "koko_checkpoint_in_progress",
             "1 while a checkpoint is running (a stuck checkpointer pins this at 1).",
@@ -190,19 +177,17 @@ class ServiceStats:
             self._plan_cache_misses.inc()
 
     def record_ingest(
-        self, seconds: float, sentences: int, tokens: int, *, removed: bool = False
+        self, seconds: float, tokens: int, *, removed: bool = False
     ) -> None:
         """Account one document added to (or removed from) the corpus.
 
-        Which shard it landed on is the heat accumulator's
-        ``record_splice``.
+        A removal counts the document only; an add also its tokens and
+        its share of the write's wall seconds.
         """
         if removed:
             self._documents_removed.inc()
-            self._removal_seconds.inc(float(seconds))
         else:
             self._documents_added.inc()
-            self._sentences_ingested.inc(sentences)
             self._tokens_ingested.inc(tokens)
             self._ingest_seconds.inc(float(seconds))
 
@@ -254,11 +239,9 @@ class ServiceStats:
         """Mark one running checkpoint as done (success, failure or no-op)."""
         self._checkpoint_in_progress.dec()
 
-    def record_checkpoint(self, seconds: float, checkpoint_id: int) -> None:
+    def record_checkpoint(self) -> None:
         """Account one completed snapshot checkpoint."""
         self._checkpoints_completed.inc()
-        self._checkpoint_seconds.inc(float(seconds))
-        self._last_checkpoint_id.set(checkpoint_id)
         self._last_checkpoint_unix.set(time.time())
 
     def record_checkpoint_failure(self, error: str) -> None:

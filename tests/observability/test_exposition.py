@@ -108,16 +108,12 @@ def test_readyz_fails_when_a_checkpoint_wedges(service):
         assert status == 200
 
 
-def test_slowlog_and_shards_endpoints_serve_structured_documents(service, server):
+def test_slowlog_endpoint_serves_structured_documents(service, server):
     service.query(ENTITY_QUERY)  # slow_query_ms=0 -> every query logged
     status, entries = http_get_json(*server.address, "/slowlog")
     assert status == 200 and entries and entries[0]["kind"] == "query"
     status, limited = http_get_json(*server.address, "/slowlog?limit=0")
     assert status == 200 and limited == []
-    status, heat = http_get_json(*server.address, "/shards")
-    assert status == 200
-    assert heat["hottest_shard"] is not None
-    assert len(heat["shards"]) == 2
 
 
 def test_unknown_paths_and_methods_are_rejected(server):

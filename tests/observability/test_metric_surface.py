@@ -27,13 +27,11 @@ CITY_QUERY = (
 SURFACE = [
     ("koko_checkpoint_failures_total", "counter", (), "Background checkpoints that failed."),
     ("koko_checkpoint_in_progress", "gauge", (), "1 while a checkpoint is running (a stuck checkpointer pins this at 1)."),
-    ("koko_checkpoint_seconds_total", "counter", (), "Wall seconds spent checkpointing."),
     ("koko_checkpoints_completed_total", "counter", (), "Snapshot checkpoints completed."),
     ("koko_documents_added_total", "counter", (), "Documents ingested."),
     ("koko_documents_removed_total", "counter", (), "Documents removed."),
     ("koko_ingest_backpressure_waits_total", "counter", (), "Ingest claims that blocked on the in-flight bytes bound."),
     ("koko_ingest_seconds_total", "counter", (), "Wall seconds spent adding documents."),
-    ("koko_last_checkpoint_id", "gauge", (), "Id of the newest durable checkpoint."),
     ("koko_last_checkpoint_unix", "gauge", (), "Unix time of the last completed checkpoint (0 = none yet)."),
     ("koko_plan_cache_hits_total", "counter", (), "Compiled-plan cache hits."),
     ("koko_plan_cache_misses_total", "counter", (), "Compiled-plan cache misses."),
@@ -42,10 +40,8 @@ SURFACE = [
     ("koko_recovered_documents", "gauge", (), "Documents restored by the warm restart."),
     ("koko_recovered_torn_tail", "gauge", (), "1 when recovery truncated a torn WAL tail."),
     ("koko_recovery_seconds", "gauge", (), "Wall seconds the warm restart took."),
-    ("koko_removal_seconds_total", "counter", (), "Wall seconds spent removing documents."),
     ("koko_replayed_wal_records", "gauge", (), "WAL records replayed on recovery."),
     ("koko_replication_apply_seconds", "histogram", (), "Per-record apply wall-clock (power-of-two buckets)."),
-    ("koko_replication_bootstrap_seconds", "gauge", (), "Wall-clock of the last snapshot bootstrap (handshake to ready)."),
     ("koko_replication_connected", "gauge", (), "1 while the applier is attached to a live shipping session."),
     ("koko_replication_lag_bytes", "gauge", (), "Byte distance behind the primary's durable end (-1 = unknown)."),
     ("koko_replication_records_applied", "gauge", (), "Shipped WAL records applied since this replica bootstrapped."),
@@ -63,27 +59,15 @@ SURFACE = [
     ("koko_rpc_request_seconds", "histogram", ("op",), "RPC request service time"),
     ("koko_rpc_requests_total", "counter", ("op",), "RPC requests received"),
     ("koko_rpc_transport_errors_total", "counter", ("kind",), "RPC connections dropped by fault kind"),
-    ("koko_sentences_ingested_total", "counter", (), "Sentences ingested."),
     ("koko_shard_cache_hits_total", "counter", ("shard",), "Per-shard partial-cache hits."),
     ("koko_shard_cache_lru_evictions_total", "counter", ("shard",), "Per-shard partial-cache capacity evictions."),
     ("koko_shard_cache_misses_total", "counter", ("shard",), "Per-shard partial-cache misses."),
     ("koko_shard_cache_stale_evictions_total", "counter", ("shard",), "Per-shard partial-cache generation evictions."),
-    ("koko_shard_documents_added_total", "counter", ("shard",), "Per-shard document routing."),
-    ("koko_shard_documents_removed_total", "counter", ("shard",), "Per-shard removals."),
-    ("koko_shard_ewma_query_seconds", "gauge", ("shard",), "EWMA of per-shard query-stage latency."),
-    ("koko_shard_ewma_splice_seconds", "gauge", ("shard",), "EWMA of per-shard splice-stage latency."),
     ("koko_shard_partials_computed_total", "counter", (), "Shard partial results computed (partial-cache misses)."),
     ("koko_shard_partials_reused_total", "counter", (), "Shard partial results served from the partial cache."),
-    ("koko_shard_queries_total", "counter", ("shard",), "Per-shard query executions."),
-    ("koko_shard_query_seconds_total", "counter", ("shard",), "Per-shard execution seconds."),
-    ("koko_shard_skip_candidates_total", "counter", ("shard",), "Per-shard skip-plan candidate sentences scanned."),
-    ("koko_shard_splice_bytes_total", "counter", ("shard",), "Per-shard payload bytes spliced in or out."),
-    ("koko_shipper_bytes_shipped_total", "counter", (), "WAL payload bytes shipped to followers across all sessions."),
-    ("koko_shipper_lag_bytes", "gauge", ("peer",), "Per-follower byte lag behind the durable end (-1 = unknown)."),
     ("koko_shipper_records_shipped_total", "counter", (), "WAL records shipped to followers across all sessions."),
     ("koko_shipper_sessions", "gauge", (), "Live follower shipping sessions."),
     ("koko_shipper_snapshot_bytes_shipped_total", "counter", (), "Snapshot bytes shipped during follower bootstraps."),
-    ("koko_shipper_snapshot_ship_seconds", "histogram", (), "Wall-clock per snapshot bootstrap (read + ship), pow-2 buckets."),
     ("koko_shipper_stalled_sessions", "gauge", (), "Sessions whose follower stopped acking within the stall timeout."),
     ("koko_slow_ops_total", "counter", ("kind",), "Operations that crossed their slow-op threshold."),
     ("koko_tokens_ingested_total", "counter", (), "Annotated tokens ingested."),

@@ -218,7 +218,7 @@ def test_registry_exposes_service_and_durability_metrics(tmp_path):
     for name in (
         "koko_queries_served_total",
         "koko_query_latency_seconds_bucket",
-        "koko_shard_queries_total",
+        "koko_shard_cache_misses_total",
         "koko_wal_records_appended_total",
         "koko_wal_batch_records_bucket",
         "koko_checkpoints_completed_total",
@@ -265,60 +265,3 @@ def test_one_registry_spans_service_persistence_and_replication(tmp_path):
     shipper.close()
     assert replica.metrics.get("koko_replication_connected").value == 0.0
     primary.close()
-
-
-# ----------------------------------------------------------------------
-# per-shard heat accounting
-# ----------------------------------------------------------------------
-def test_skewed_workload_heats_the_targeted_shard(tmp_path):
-    """Under a write+read workload aimed at one shard, the heat report
-    names that shard hottest (the split-victim-selection signal)."""
-    svc = KokoService(shards=4, storage_dir=tmp_path / "svc")
-    try:
-        # find doc ids hashing to shard 0 vs elsewhere, then skew hard
-        hot, cold = [], []
-        for index in range(200):
-            doc_id = f"doc{index}"
-            (hot if svc.shard_of(doc_id) == 0 else cold).append(doc_id)
-            if len(hot) >= 12 and len(cold) >= 2:
-                break
-        assert len(hot) >= 12 and len(cold) >= 2
-        texts = list(TEXTS.values())
-        for position, doc_id in enumerate(hot):
-            svc.add_document(texts[position % len(texts)], doc_id)
-        for position, doc_id in enumerate(cold[:2]):
-            svc.add_document(texts[position % len(texts)], doc_id)
-
-        report = svc.shard_heat_report()
-        assert len(report) == 4
-        assert report.hottest() == 0
-        row = report.shard(0)
-        assert row.splices == len(hot)
-        assert row.splice_bytes > report.shard(svc.shard_of(cold[0])).splice_bytes
-        assert row.heat_score == max(r.heat_score for r in report.shards)
-        # the mirrored labeled metrics carry the same story
-        text = svc.metrics.render_text()
-        assert 'koko_shard_splice_bytes_total{shard="0"}' in text
-        assert 'koko_shard_ewma_splice_seconds{shard="0"}' in text
-    finally:
-        svc.close()
-
-
-def test_queries_and_candidates_feed_the_heat_report():
-    svc = service_with_docs(shards=2, use_default_vectors=True)
-    try:
-        for step in range(3):  # distinct thresholds defeat the result cache
-            svc.query(CITY_QUERY, threshold_override=0.3 + step * 0.01)
-        report = svc.shard_heat_report()
-        total_queries = sum(row.queries for row in report.shards)
-        assert total_queries == 2 * 3  # every query's pass covers both shards
-        assert sum(row.skip_candidates for row in report.shards) > 0
-        # the pass's wall-clock is shared out by candidate sentences: a
-        # shard's latency moves exactly when it had candidates
-        assert all(
-            (row.ewma_query_seconds > 0.0) == (row.skip_candidates > 0)
-            for row in report.shards
-        )
-        assert report.hottest() is not None
-    finally:
-        svc.close()

@@ -181,9 +181,8 @@ def test_sharded_bookkeeping_and_stats():
     with KokoService(shards=4) as service:
         assert service.shard_count == 4
         assert isinstance(service.indexes, ShardedIndexSet)
-        for index, text in enumerate(TEXTS):
-            document = service.add_document(text, f"doc{index}")
-            assert service.shard_of(document.doc_id) < 4
+        documents = [service.add_document(text, f"doc{i}") for i, text in enumerate(TEXTS)]
+        assert all(service.shard_of(document.doc_id) < 4 for document in documents)
         assert service.document_ids() == [f"doc{i}" for i in range(len(TEXTS))]
         assert len(service) == len(TEXTS)
 
@@ -192,15 +191,11 @@ def test_sharded_bookkeeping_and_stats():
         assert len(per_shard) == 4
         assert merged.sentences == sum(s.sentences for s in per_shard)
         assert merged.tokens == sum(s.tokens for s in per_shard)
-
-        service.query(ENTITY_QUERY)
-        added = service.metrics.get("koko_shard_documents_added_total").values()
-        queries = service.metrics.get("koko_shard_queries_total").values()
-        assert sum(added.values()) == len(TEXTS)
-        assert queries == {0: 1, 1: 1, 2: 1, 3: 1}  # one per shard
-        report = service.shard_heat_report()
-        assert [row.queries for row in report.shards] == [1, 1, 1, 1]
-        assert [row.splices for row in report.shards] == [added[i] for i in range(4)]
+        # each document's sentences and tokens landed on the shard it routes to
+        for shard_id, stats in enumerate(per_shard):
+            mine = [d for d in documents if service.shard_of(d.doc_id) == shard_id]
+            assert stats.sentences == sum(len(d) for d in mine)
+            assert stats.tokens == sum(d.num_tokens for d in mine)
 
         # per-shard corpora; the single-corpus accessor refuses on sharded
         # services (shards have no engines of their own: one pass serves all)

@@ -7,7 +7,8 @@ classes/functions/methods — and every relative markdown link in
 ``README.md``, ``docs/*.md`` and ``benchmarks/README.md`` must resolve,
 every ``_private_name`` ``docs/ARCHITECTURE.md`` cites must exist in
 ``src/repro``, ``docs/OPERATIONS.md``'s metric table must name every
-metric ``src/repro`` registers while citing none it does not, and that
+metric ``src/repro`` registers while citing none it does not, every such
+metric must have a reader outside its own registration, and that
 document must cite every ``KokoService`` constructor parameter while its
 knob table names none that is gone, and every ``benchmarks/``,
 ``scripts/`` or ``examples/`` Python file those documents or the verify
@@ -97,6 +98,50 @@ def test_metric_table_must_name_every_registered_metric_verbatim(tmp_path):
         "koko_unlisted is missing from the metric table of docs/OPERATIONS.md",
         "koko_gone_total is not registered in src/repro/",
         "koko_listed_ is not registered in src/repro/",
+        # named only in the metric table: no reader (koko_unlisted's
+        # knob-table mention is outside it, so that one is read)
+        "koko_listed_total has no reader",
+        "koko_listed_seconds has no reader",
+    ]
+
+
+def test_a_metric_nothing_reads_is_flagged(tmp_path):
+    for directory in ("docs", "src/repro", "scripts", "tests/observability"):
+        (tmp_path / directory).mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "module.py").write_text(
+        "def register(registry):\n"
+        '    registry.counter("koko_orphan_total", "Pinned and tabled only.")\n'
+        '    registry.counter("koko_read_total", "A test reads it.")\n'
+        '    registry.counter("koko_runbook_total", "The runbook reads it.")\n'
+        '    registry.histogram(\n        "koko_series_seconds", "A script reads a series."\n    )\n'
+    )
+    (tmp_path / "tests" / "observability" / "test_metric_surface.py").write_text(
+        'SURFACE = ["koko_orphan_total", "koko_read_total", "koko_series_seconds"]\n'
+    )
+    (tmp_path / "tests" / "test_reader.py").write_text(
+        'def test_it(service):\n    service.metrics.get("koko_read_total")\n'
+    )
+    (tmp_path / "scripts" / "plot.py").write_text('"""Plots koko_series_seconds_bucket."""\n')
+    (tmp_path / "docs" / "OPERATIONS.md").write_text(
+        "| Metric | Kind | Meaning |\n| --- | --- | --- |\n"
+        "| `koko_orphan_total` / `koko_read_total` | counter | x |\n"
+        "| `koko_runbook_total` | counter | x |\n"
+        "| `koko_series_seconds` | histogram | x |\n\n"
+        "Alert when `koko_runbook_total` rises.\n"
+    )
+    completed = subprocess.run(
+        [
+            sys.executable,
+            str(REPO_ROOT / "scripts" / "check_docs.py"),
+            "--root",
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 1
+    assert completed.stdout.splitlines() == [
+        "src/repro/module.py:2: MET koko_orphan_total has no reader"
     ]
 
 
