@@ -330,6 +330,44 @@ def test_idle_caught_up_follower_never_goes_stalled(tmp_path):
             shipper.close()
 
 
+def test_each_followers_lag_is_reported_while_it_is_attached(tmp_path):
+    """``shipper.stats()`` carries one lag per live follower (and each
+    replica its own, off the heartbeat); a follower that leaves takes its
+    entry with it, so no departed peer's last lag lingers."""
+
+    def settled(predicate) -> bool:
+        deadline = time.monotonic() + 5.0
+        while not predicate() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return predicate()
+
+    with KokoService(shards=2, storage_dir=tmp_path / "svc") as primary:
+        primary.add_document(TEXTS[0], "doc0")
+        shipper = LogShipper(primary, heartbeat_interval=0.05)
+        leaving, staying = attach_replica(shipper), attach_replica(shipper)
+        try:
+            primary.add_document(TEXTS[1], "doc1")
+            for replica in (leaving, staying):
+                assert replica.wait_caught_up(primary.wal_position())
+            assert settled(
+                lambda: [s["lag_bytes"] for s in shipper.stats()["sessions"]] == [0, 0]
+            ), shipper.stats()
+            assert leaving.lag_bytes == staying.lag_bytes == 0
+            assert staying.replication_stats()["lag_bytes"] == 0
+
+            leaving.close()
+            assert settled(lambda: len(shipper.stats()["sessions"]) == 1), shipper.stats()
+            primary.add_document(TEXTS[2], "doc2")
+            assert staying.wait_caught_up(primary.wal_position())
+            assert settled(
+                lambda: [s["lag_bytes"] for s in shipper.stats()["sessions"]] == [0]
+            ), shipper.stats()
+        finally:
+            leaving.close()
+            staying.close()
+            shipper.close()
+
+
 def test_token_taken_right_after_a_checkpoint_is_reached(tmp_path):
     """A checkpoint rotates the log, so the primary's position becomes the
     start of an empty segment no shipped record ends at.  The heartbeat

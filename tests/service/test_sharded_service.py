@@ -205,6 +205,24 @@ def test_sharded_bookkeeping_and_stats():
             service.corpus
 
 
+def test_a_removal_shrinks_only_its_shards_statistics():
+    """Per-shard accounting follows removals too: the removed document's
+    sentences and tokens leave its own shard and no other."""
+    with KokoService(shards=4) as service:
+        documents = [service.add_document(text, f"doc{i}") for i, text in enumerate(TEXTS)]
+        before = service.statistics_by_shard()
+        victim = documents[3]
+        touched = service.shard_of(victim.doc_id)
+        service.remove_document(victim.doc_id)
+        after = service.statistics_by_shard()
+        for shard_id, (then, now) in enumerate(zip(before, after)):
+            if shard_id == touched:
+                assert then.sentences - now.sentences == len(victim)
+                assert then.tokens - now.tokens == victim.num_tokens
+            else:
+                assert (now.sentences, now.tokens) == (then.sentences, then.tokens)
+
+
 def test_unsharded_accessors_and_defaults():
     service = KokoService()
     assert service.shard_count == 1

@@ -21,6 +21,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -142,6 +144,76 @@ def test_a_metric_nothing_reads_is_flagged(tmp_path):
     assert completed.returncode == 1
     assert completed.stdout.splitlines() == [
         "src/repro/module.py:2: MET koko_orphan_total has no reader"
+    ]
+
+
+def _probe_tree(root: Path) -> None:
+    """One registered, tabled and pinned metric that nothing reads yet."""
+    for directory in ("docs", "src/repro", "tests/observability"):
+        (root / directory).mkdir(parents=True)
+    (root / "src" / "repro" / "module.py").write_text(
+        "def register(registry):\n"
+        '    registry.histogram("koko_probe_seconds", "Probe latency.")\n'
+    )
+    (root / "tests" / "observability" / "test_metric_surface.py").write_text(
+        'SURFACE = ["koko_probe_seconds"]\n'
+    )
+    (root / "docs" / "OPERATIONS.md").write_text(
+        "| Metric | Kind | Meaning |\n| --- | --- | --- |\n"
+        "| `koko_probe_seconds` | histogram | x |\n"
+    )
+
+
+def _check_docs(root: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "check_docs.py"), "--root", str(root)],
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    ("path", "text"),
+    [
+        ("tests/service/test_probe.py", 'metrics.get("koko_probe_seconds")\n'),
+        ("benchmarks/run.py", '"""Reports koko_probe_seconds_sum."""\n'),
+        ("scripts/plot.py", '"""Plots koko_probe_seconds_bucket."""\n'),
+        ("examples/demo.py", 'print(metrics.get("koko_probe_seconds").count)\n'),
+        ("src/repro/health.py", 'def ready(m):\n    return m.get("koko_probe_seconds")\n'),
+        ("docs/OPERATIONS.md", "\nPage when `koko_probe_seconds` p99 passes 1 s.\n"),
+    ],
+    ids=["test", "benchmark", "script", "example", "src", "runbook"],
+)
+def test_each_reader_site_clears_the_flag(tmp_path, path, text):
+    _probe_tree(tmp_path)
+    target = tmp_path / path
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with target.open("a", encoding="utf-8") as handle:
+        handle.write(text)
+    completed = _check_docs(tmp_path)
+    assert (completed.returncode, completed.stdout) == (0, "")
+
+
+@pytest.mark.parametrize(
+    ("path", "text"),
+    [
+        ("tests/observability/test_metric_surface.py", '# koko_probe_seconds_bucket\n'),
+        ("src/repro/other.py", 'def register(r):\n    r.histogram("koko_probe_seconds", "x")\n'),
+        ("scripts/notes.txt", "koko_probe_seconds\n"),
+    ],
+    ids=["surface-pin", "second-registration", "not-python-or-markdown"],
+)
+def test_a_non_reader_mention_leaves_the_flag(tmp_path, path, text):
+    _probe_tree(tmp_path)
+    target = tmp_path / path
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with target.open("a", encoding="utf-8") as handle:
+        handle.write(text)
+    completed = _check_docs(tmp_path)
+    assert completed.returncode == 1
+    # one finding per metric, at its first registration in path order
+    assert completed.stdout.splitlines() == [
+        "src/repro/module.py:2: MET koko_probe_seconds has no reader"
     ]
 
 
