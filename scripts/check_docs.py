@@ -60,6 +60,10 @@ LINTED_PACKAGES = (
     "src/repro/indexing/entity_index.py",
     "src/repro/indexing/hierarchy.py",
     "src/repro/indexing/sharding.py",
+    "src/repro/indexing/postings.py",
+    "src/repro/indexing/decompose.py",
+    "src/repro/koko/dpli.py",
+    "src/repro/koko/bindings.py",
     "src/repro/koko/results.py",
     "src/repro/nlp/types.py",
     "src/repro/nlp/pipeline.py",

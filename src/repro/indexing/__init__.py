@@ -1,7 +1,7 @@
 """KOKO's multi-indexing scheme and the baseline index designs."""
 
 from .decompose import DecomposedPath, decompose_path, lookup_decomposed_block
-from .entity_index import EntityIndex, EntityPosting
+from .entity_index import EntityIndex
 from .exact import (
     count_extractions,
     match_path_in_sentence,
@@ -12,6 +12,7 @@ from .hierarchy import HierarchyIndex, HierarchyNode, parse_label_index, pos_tag
 from .koko_index import IndexStatistics, KokoIndexSet
 from .sharding import ShardedIndexSet, shard_of
 from .postings import (
+    EntityPosting,
     Posting,
     ancestor_of,
     join_ancestor,

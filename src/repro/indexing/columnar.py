@@ -13,8 +13,7 @@ append-only *delta* tail.
   compaction merges the delta into the key-sorted main arrays and rebuilds
   the key-offset table, so per-key access is a ``searchsorted``-free slice.
 * :class:`PostingBlock` — a bundle of parallel ``(sid, tid, left, right,
-  depth)`` arrays flowing through the vectorized join pipeline, with lazy
-  materialisation back into :class:`Posting` objects.
+  depth)`` arrays: what every lookup returns and every join consumes.
 * ``join_*_block`` functions — whole-array implementations of the paper's
   posting-list algebra (Section 4.2.2).  Ancestor axes are evaluated as
   interval/window range predicates over the ``left/right/depth`` encoding of
@@ -28,24 +27,19 @@ locks.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-
-from .postings import Posting
 
 __all__ = [
     "ColumnarPostings",
     "PostingBlock",
-    "PostingView",
     "StringInterner",
-    "covers_block",
     "distinct_sorted",
     "int_column",
     "join_ancestor_block",
     "join_same_token_block",
     "pack_strings",
-    "parent_of_block",
     "under_words_block",
     "unpack_strings",
 ]
@@ -389,13 +383,9 @@ class ColumnarPostings:
 
 
 class PostingBlock:
-    """Parallel ``(sid, tid, left, right, depth)`` arrays for one posting set.
+    """Parallel ``(sid, tid, left, right, depth)`` arrays for one posting set."""
 
-    ``wid`` (optional, with its interner) carries the surface form so
-    :meth:`materialize` can rebuild full :class:`Posting` objects lazily.
-    """
-
-    __slots__ = ("sid", "tid", "left", "right", "depth", "wid", "interner")
+    __slots__ = ("sid", "tid", "left", "right", "depth")
 
     def __init__(
         self,
@@ -404,16 +394,12 @@ class PostingBlock:
         left: np.ndarray,
         right: np.ndarray,
         depth: np.ndarray,
-        wid: np.ndarray | None = None,
-        interner: StringInterner | None = None,
     ) -> None:
         self.sid = sid
         self.tid = tid
         self.left = left
         self.right = right
         self.depth = depth
-        self.wid = wid
-        self.interner = interner
 
     @classmethod
     def empty(cls) -> "PostingBlock":
@@ -434,8 +420,6 @@ class PostingBlock:
             self.left[selector],
             self.right[selector],
             self.depth[selector],
-            self.wid[selector] if self.wid is not None else None,
-            self.interner,
         )
 
     def sort_positional(self) -> "PostingBlock":
@@ -443,67 +427,6 @@ class PostingBlock:
         if self.size <= 1:
             return self
         return self.take(np.lexsort((self.tid, self.sid)))
-
-    def unique_sids(self) -> np.ndarray:
-        """Sorted distinct sentence ids of a ``(sid, tid)``-sorted block."""
-        return distinct_sorted(self.sid)
-
-    def materialize(self) -> list[Posting]:
-        """The block as a list of :class:`Posting` objects."""
-        words: Iterator[str]
-        if self.wid is not None and self.interner is not None:
-            text = self.interner.text
-            words = (text(w) for w in self.wid.tolist())
-        else:
-            words = ("" for _ in range(self.size))
-        return [
-            Posting(s, t, lo, hi, d, w)
-            for s, t, lo, hi, d, w in zip(
-                self.sid.tolist(),
-                self.tid.tolist(),
-                self.left.tolist(),
-                self.right.tolist(),
-                self.depth.tolist(),
-                words,
-            )
-        ]
-
-
-class PostingView(Sequence):
-    """A lazily materialised, read-only :class:`Posting` sequence of a block."""
-
-    __slots__ = ("_block", "_items")
-
-    def __init__(self, block: PostingBlock) -> None:
-        self._block = block
-        self._items: list[Posting] | None = None
-
-    @property
-    def block(self) -> PostingBlock:
-        """The columns behind the view."""
-        return self._block
-
-    def _materialized(self) -> list[Posting]:
-        items = self._items
-        if items is None:
-            items = self._block.materialize()
-            self._items = items
-        return items
-
-    def __len__(self) -> int:
-        return self._block.size
-
-    def __iter__(self):
-        return iter(self._materialized())
-
-    def __getitem__(self, index):
-        return self._materialized()[index]
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other) if isinstance(other, (list, PostingView)) else NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"PostingView({self._block.size} postings)"
 
 
 # ----------------------------------------------------------------------
@@ -598,43 +521,3 @@ def under_words_block(candidates: PostingBlock, words: PostingBlock) -> PostingB
     kept = np.zeros(candidates.size, bool)
     kept[c_idx[hit]] = True
     return candidates.take(kept)
-
-
-def covers_block(covering: PostingBlock, covered: PostingBlock) -> np.ndarray:
-    """Boolean mask over *covered*: has a same-sentence covering row.
-
-    The vectorized form of :meth:`Posting.covers` — subtree containment
-    as a pure interval predicate (no depth constraint).
-    """
-    if covering.size == 0 or covered.size == 0:
-        return np.zeros(covered.size, bool)
-    d_idx, a_idx = _pair_indices(covering.sid, covered.sid)
-    if len(d_idx) == 0:
-        return np.zeros(covered.size, bool)
-    hit = (covering.left[a_idx] <= covered.left[d_idx]) & (
-        covered.right[d_idx] <= covering.right[a_idx]
-    )
-    kept = np.zeros(covered.size, bool)
-    kept[d_idx[hit]] = True
-    return kept
-
-
-def parent_of_block(parents: PostingBlock, children: PostingBlock) -> np.ndarray:
-    """Boolean mask over *children*: has a same-sentence parent row.
-
-    The vectorized parent test of Example 3.2: containment plus an exact
-    ``depth == parent.depth + 1`` window predicate.
-    """
-    if parents.size == 0 or children.size == 0:
-        return np.zeros(children.size, bool)
-    c_idx, p_idx = _pair_indices(parents.sid, children.sid)
-    if len(c_idx) == 0:
-        return np.zeros(children.size, bool)
-    hit = (
-        (parents.left[p_idx] <= children.left[c_idx])
-        & (parents.right[p_idx] >= children.right[c_idx])
-        & (children.depth[c_idx] == parents.depth[p_idx] + 1)
-    )
-    kept = np.zeros(children.size, bool)
-    kept[c_idx[hit]] = True
-    return kept

@@ -43,6 +43,16 @@ from .query_ir import (
 if TYPE_CHECKING:  # pragma: no cover - typing only (koko_index imports us)
     from .koko_index import KokoIndexSet
 
+__all__ = [
+    "DecomposedPath",
+    "RowLookup",
+    "candidate_sentences_for_query",
+    "decompose_path",
+    "is_trivial",
+    "lookup_decomposed_block",
+    "row_lookup",
+]
+
 
 @dataclass(frozen=True)
 class DecomposedPath:
@@ -165,11 +175,11 @@ def lookup_decomposed_block(
     # P1 and P2: hierarchy-index lookups, joined on the same token.
     base: PostingBlock | None = None
     if not is_trivial(decomposed.parse_label_path):
-        base = indexes.pl_index.lookup_path_block(
+        base = indexes.pl_index.lookup_path(
             [(s.axis, s.label) for s in decomposed.parse_label_path.steps]
         )
     if not is_trivial(decomposed.pos_path):
-        pos_block = indexes.pos_index.lookup_path_block(
+        pos_block = indexes.pos_index.lookup_path(
             [(s.axis, s.label) for s in decomposed.pos_path.steps]
         )
         base = pos_block if base is None else join_same_token_block(base, pos_block)
@@ -180,7 +190,7 @@ def lookup_decomposed_block(
     if base is None and word_result is None:
         # The path constrains nothing (e.g. "//*"); every token qualifies,
         # which the hierarchy index can enumerate cheaply.
-        return indexes.pl_index.lookup_path_block([(DESCENDANT, "*")])
+        return indexes.pl_index.lookup_path([(DESCENDANT, "*")])
 
     # Join of P and Q (the two cases of Section 4.2.2): when the last path
     # element is a word, P and Q must refer to the very same token; when it
@@ -189,7 +199,7 @@ def lookup_decomposed_block(
     if base is None:
         if last_is_word:
             return word_result
-        candidates = indexes.pl_index.lookup_path_block([(DESCENDANT, "*")])
+        candidates = indexes.pl_index.lookup_path([(DESCENDANT, "*")])
         return under_words_block(candidates, word_result)
 
     result = base
@@ -208,9 +218,9 @@ def _lookup_word_path_block(
     if not word_steps:
         return None
     word, _ = word_steps[0]
-    current = indexes.word_index.lookup_block(word)
+    current = indexes.word_index.lookup(word)
     for word, gap in word_steps[1:]:
-        nxt = indexes.word_index.lookup_block(word)
+        nxt = indexes.word_index.lookup(word)
         current = join_ancestor_block(current, nxt, min_gap=max(1, gap))
         if current.size == 0:
             return current

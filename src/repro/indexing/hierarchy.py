@@ -17,12 +17,13 @@ paths without touching individual sentences.
 
 The trie structure (nodes, labels, parent/child links) is plain Python
 objects; the per-node posting lists live in one
-:class:`~repro.indexing.columnar.ColumnarPostings` store keyed by node id.
+:class:`~repro.indexing.columnar.ColumnarPostings` store keyed by node id,
+whose ``(sid, tid, left, right, depth)`` columns are a prefix of W's.
 The splice merges each tree shape once (an iterative DFS in the recursive
 merge order, so node ids equal those of the object-list build kept as the
 test oracle in :mod:`repro.indexing.reference`) and appends rows in
-batches; path lookups gather whole column slices.  ``node.postings`` stays
-readable as a lazy view over the node's store slice.
+batches; a path lookup gathers the matched nodes' column slices into one
+:class:`~repro.indexing.columnar.PostingBlock`.
 """
 
 from __future__ import annotations
@@ -36,16 +37,14 @@ from ..nlp.types import Sentence
 from .columnar import (
     ColumnarPostings,
     PostingBlock,
-    StringInterner,
     int_column,
     pack_strings,
     unpack_strings,
 )
-from .postings import Posting
 
 __all__ = ["HierarchyIndex", "HierarchyNode", "parse_label_index", "pos_tag_index"]
 
-_H_COLUMNS = ("sid", "tid", "left", "right", "depth", "wid")
+_H_COLUMNS = ("sid", "tid", "left", "right", "depth")
 
 #: distinct path patterns whose trie walk one index remembers
 _MATCH_MEMO_LIMIT = 256
@@ -53,14 +52,13 @@ _MATCH_MEMO_LIMIT = 256
 
 @dataclass
 class HierarchyNode:
-    """One node of the merged hierarchy: a label, children by label, postings."""
+    """One node of the merged hierarchy: a label and its children by label."""
 
     node_id: int
     label: str
     depth: int
     parent: "HierarchyNode | None" = None
     children: dict[str, "HierarchyNode"] = field(default_factory=dict)
-    postings: Sequence[Posting] = ()
 
     def path(self) -> str:
         """The unique ``/label/...`` path identifying this node (dummy excluded)."""
@@ -70,35 +68,6 @@ class HierarchyNode:
             labels.append(node.label)
             node = node.parent
         return "/" + "/".join(reversed(labels)) if labels else "/"
-
-
-class _NodePostingsView(Sequence):
-    """Read-only live view of one node's postings."""
-
-    __slots__ = ("_store", "_node_id", "_interner")
-
-    def __init__(
-        self, store: ColumnarPostings, node_id: int, interner: StringInterner
-    ) -> None:
-        self._store = store
-        self._node_id = node_id
-        self._interner = interner
-
-    def _materialize(self) -> list[Posting]:
-        sid, tid, left, right, depth, wid = self._store.arrays_for_key(self._node_id)
-        return PostingBlock(sid, tid, left, right, depth, wid, self._interner).materialize()
-
-    def __len__(self) -> int:
-        return self._store.key_count(self._node_id)
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"_NodePostingsView(node={self._node_id}, {len(self)} postings)"
 
 
 class HierarchyIndex:
@@ -112,24 +81,12 @@ class HierarchyIndex:
         the POS index.
     name:
         Diagnostic name ("PL" or "POS").
-    interner:
-        Word interner shared with the sibling indexes; a private one is
-        created when omitted.
     """
 
-    def __init__(
-        self,
-        layer: str,
-        name: str = "PL",
-        interner: StringInterner | None = None,
-    ) -> None:
+    def __init__(self, layer: str, name: str = "PL") -> None:
         self.name = name
         self._layer = layer
         self._next_id = 0
-        # NOTE: an explicit None test — a fresh shared interner is empty and
-        # therefore falsy, and falling back to a private one here would make
-        # stored word ids undecodable.
-        self._interner = interner if interner is not None else StringInterner()
         self._store = ColumnarPostings(_H_COLUMNS, identity_keys=True)
         # case-folded (axis, label) pattern -> (sorted matched node ids,
         # boolean table over node ids), both read-only.  The answer depends
@@ -153,7 +110,6 @@ class HierarchyIndex:
         node = HierarchyNode(node_id=self._next_id, label=label, depth=depth, parent=parent)
         self._next_id += 1
         self._match_memo.clear()
-        node.postings = _NodePostingsView(self._store, node.node_id, self._interner)
         return node
 
     # ------------------------------------------------------------------
@@ -281,31 +237,22 @@ class HierarchyIndex:
         """All nodes except the dummy root."""
         return (node for node in self._nodes.values() if node is not self._dummy)
 
-    def lookup_path(self, steps: list[tuple[str, str]]) -> list[Posting]:
+    def lookup_path(self, steps: list[tuple[str, str]]) -> PostingBlock:
         """Union of the posting lists of all nodes matching a path pattern.
 
         *steps* is a list of ``(axis, label)`` pairs where axis is ``"/"``
         (child) or ``"//"`` (descendant) and label is a node label or
         ``"*"``.  The pattern is anchored at the dummy node, i.e. the first
         step with axis ``"/"`` must match a top-level label (``root`` for
-        the PL index).
+        the PL index).  Every token merges into exactly one node, so the
+        per-node slices are disjoint and their concatenation needs no
+        deduplication — one gather plus one ``(sid, tid)`` sort.
         """
-        return self.lookup_path_block(steps).materialize()
-
-    def lookup_path_block(self, steps: list[tuple[str, str]]) -> PostingBlock:
-        """:meth:`lookup_path` as a ``(sid, tid)``-sorted posting block.
-
-        Every token merges into exactly one node, so the per-node slices are
-        disjoint and their concatenation needs no deduplication — one gather
-        plus one ``(sid, tid)`` sort.
-        """
-        store = self._store
         node_ids, member = self._matched(steps)
         if not len(node_ids):
             return PostingBlock.empty()
-        sid, tid, left, right, depth, wid = store.arrays_for_keys(node_ids, member)
         return PostingBlock(
-            sid, tid, left, right, depth, wid, self._interner
+            *self._store.arrays_for_keys(node_ids, member)
         ).sort_positional()
 
     def match_nodes(self, steps: list[tuple[str, str]]) -> list[HierarchyNode]:
@@ -424,17 +371,16 @@ class HierarchyIndex:
             ):
                 raise ValueError(f"{name} node table is not a trie in creation order")
             node = HierarchyNode(node_id, label, parent.depth + 1, parent)
-            node.postings = _NodePostingsView(self._store, node_id, self._interner)
             parent.children[label] = self._nodes[node_id] = node
             previous = node_id
         self._match_memo.clear()
 
 
-def parse_label_index(interner: StringInterner | None = None) -> HierarchyIndex:
+def parse_label_index() -> HierarchyIndex:
     """A hierarchy index keyed on dependency parse labels (the PL index)."""
-    return HierarchyIndex("labels", name="PL", interner=interner)
+    return HierarchyIndex("labels", name="PL")
 
 
-def pos_tag_index(interner: StringInterner | None = None) -> HierarchyIndex:
+def pos_tag_index() -> HierarchyIndex:
     """A hierarchy index keyed on POS tags (the POS index)."""
-    return HierarchyIndex("pos_tags", name="POS", interner=interner)
+    return HierarchyIndex("pos_tags", name="POS")

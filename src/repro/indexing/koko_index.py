@@ -19,16 +19,15 @@ import numpy as np
 
 from ..nlp.types import Corpus, Document
 from .columnar import (
-    PostingView,
+    PostingBlock,
     StringInterner,
     int_column,
     pack_strings,
     unpack_strings,
 )
 from .decompose import DecomposedPath, lookup_decomposed_block
-from .entity_index import EntityIndex, EntityPosting
+from .entity_index import EntityIndex
 from .hierarchy import HierarchyIndex, parse_label_index, pos_tag_index
-from .postings import Posting
 from .query_ir import TreePath
 from .word_index import WordIndex
 
@@ -103,8 +102,8 @@ class KokoIndexSet:
         self._interner = StringInterner()
         self.word_index = WordIndex(interner=self._interner)
         self.entity_index = EntityIndex()
-        self.pl_index: HierarchyIndex = parse_label_index(interner=self._interner)
-        self.pos_index: HierarchyIndex = pos_tag_index(interner=self._interner)
+        self.pl_index: HierarchyIndex = parse_label_index()
+        self.pos_index: HierarchyIndex = pos_tag_index()
         self.build_seconds = 0.0
         self._sentences = 0
         self._tokens = 0
@@ -170,14 +169,14 @@ class KokoIndexSet:
         POS and E rows of the whole batch accumulate in flat column lists,
         ``(sid, tid)``-ordered, and land in one
         :meth:`~repro.indexing.columnar.ColumnarPostings.append_batch` per
-        store — no per-token :class:`Posting` construction, no per-sentence
-        array work, O(batch) total.  The PL and POS stores share the W
-        batch's column lists (their six columns are a prefix of W's eight).
+        store — no per-token object construction, no per-sentence array
+        work, O(batch) total.  The PL and POS stores share the W batch's
+        column lists (their five columns are a prefix of W's eight).
         """
         pl_merge = self.pl_index.merge_tree
         pos_merge = self.pos_index.merge_tree
-        # one shared row payload: sid/tid/left/right/depth(/wid) columns for
-        # W, PL and POS alike; node-id columns double as the hierarchy keys
+        # one shared row payload: sid/tid/left/right/depth columns for W,
+        # PL and POS alike; node-id columns double as the hierarchy keys
         w_sids: list[int] = []
         w_tids: list[int] = []
         w_lefts: list[int] = []
@@ -226,17 +225,14 @@ class KokoIndexSet:
             w_texts.extend(sentence.words)
         if w_texts:
             wids = self._interner.intern_many(w_texts)
+            h_columns = (w_sids, w_tids, w_lefts, w_rights, w_depths)
             if all_reachable:
                 # the hierarchy rows are exactly the W rows: share the lists
-                h_columns = (w_sids, w_tids, w_lefts, w_rights, w_depths, wids)
                 pl_kids, pos_kids = w_plids, w_posids
             else:
                 # tokens unreachable from a root carry no hierarchy node
                 keep = [i for i, plid in enumerate(w_plids) if plid != -1]
-                h_columns = tuple(
-                    [column[i] for i in keep]
-                    for column in (w_sids, w_tids, w_lefts, w_rights, w_depths, wids)
-                )
+                h_columns = tuple([column[i] for i in keep] for column in h_columns)
                 pl_kids = [w_plids[i] for i in keep]
                 pos_kids = [w_posids[i] for i in keep]
             self.pl_index.append_rows(pl_kids, h_columns)
@@ -256,20 +252,24 @@ class KokoIndexSet:
     # ------------------------------------------------------------------
     def entity_candidates(
         self, etype: str
-    ) -> tuple[np.ndarray, Sequence[EntityPosting]]:
-        """Mentions of type *etype*: ``(sorted sid column, postings)``."""
-        sids, postings = self.entity_index.lookup_type_block(etype)
-        return np.sort(sids), postings
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Mentions of type *etype*: ``(sorted sid column, columns)``.
+
+        The columns are :meth:`EntityIndex.lookup_type`'s
+        ``(sid, left, right, text_id, etype_id)``.
+        """
+        columns = self.entity_index.lookup_type(etype)
+        return np.sort(columns[0]), columns
 
     def path_candidates(
         self, path: TreePath, decomposed: DecomposedPath | None = None
-    ) -> tuple[np.ndarray, Sequence[Posting]]:
-        """Postings of *path*'s final step: ``(sorted sid column, postings)``.
+    ) -> tuple[np.ndarray, PostingBlock]:
+        """Postings of *path*'s final step: ``(sid column, (sid, tid)-sorted block)``.
 
         *decomposed* is ``decompose_path(path)`` when the caller holds it.
         """
         block = lookup_decomposed_block(self, path, decomposed)
-        return block.sid, PostingView(block)
+        return block.sid, block
 
     def unrooted_sids(self) -> np.ndarray:
         """Sorted sids of sentences holding a token no hierarchy holds."""
@@ -309,7 +309,7 @@ class KokoIndexSet:
             word = word_store.key_of(kid)
             total += word_store.key_count(kid) * (sizeof(word) + 7 * 28 + 40)
         strings = self.entity_index._strings
-        for text_id in self.entity_index._store_type.all_arrays()[3].tolist():
+        for text_id in self.entity_index._store.all_arrays()[3].tolist():
             total += sizeof(strings.text(text_id)) + 3 * 28 + 40
         for hierarchy in (self.pl_index, self.pos_index):
             for node in hierarchy.nodes():

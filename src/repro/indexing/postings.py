@@ -17,6 +17,12 @@ posting lists:
 * :func:`join_same_token` — the PL ⋈ POS join, which keeps quintuples that
   refer to the very same token,
 * :func:`parent_of` — the parent test given in Example 3.2.
+
+These objects (with :class:`EntityPosting`, one entity-mention row) are
+the storage of the object-list reference build,
+:mod:`repro.indexing.reference`.  The production indexes hold the same
+rows as columns (:mod:`repro.indexing.columnar`) and import nothing from
+here.
 """
 
 from __future__ import annotations
@@ -25,6 +31,19 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..nlp.types import Sentence
+
+__all__ = [
+    "EntityPosting",
+    "Posting",
+    "ancestor_of",
+    "join_ancestor",
+    "join_descendant",
+    "join_same_token",
+    "parent_of",
+    "posting_for_token",
+    "sentences_of",
+    "union",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -51,6 +70,17 @@ class Posting:
             and self.left <= other.left
             and other.right <= self.right
         )
+
+
+@dataclass(frozen=True, order=True)
+class EntityPosting:
+    """One entity occurrence: sentence id, span, type, and surface text."""
+
+    sid: int
+    left: int
+    right: int
+    etype: str
+    text: str
 
 
 def posting_for_token(sentence: Sentence, tid: int) -> Posting:

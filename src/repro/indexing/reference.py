@@ -21,10 +21,16 @@ import numpy as np
 
 from ..nlp.types import Corpus, Document, Sentence
 from .decompose import DecomposedPath, decompose_path, is_trivial
-from .entity_index import EntityPosting, accepted_types
+from .entity_index import accepted_types
 from .hierarchy import HierarchyNode
 from .koko_index import IndexStatistics, sizeof
-from .postings import Posting, join_ancestor, join_same_token, posting_for_token
+from .postings import (
+    EntityPosting,
+    Posting,
+    join_ancestor,
+    join_same_token,
+    posting_for_token,
+)
 from .query_ir import DESCENDANT, KIND_WORD, TreePath
 
 __all__ = [
@@ -115,23 +121,29 @@ class ReferenceEntityIndex:
 
 
 class ReferenceHierarchyIndex:
-    """A merged dependency-tree trie whose nodes own Python posting lists."""
+    """A merged dependency-tree trie with one Python posting list per node."""
 
     def __init__(self, label_of: Callable, name: str) -> None:
         self.name = name
         self._label_of = label_of
         self._next_id = 0
         self._nodes: dict[int, HierarchyNode] = {}
+        self._postings: dict[int, list[Posting]] = {}
         self._dummy = self._new_node("<dummy>", -1, None)
 
     def _new_node(
         self, label: str, depth: int, parent: HierarchyNode | None
     ) -> HierarchyNode:
         node = self._nodes[self._next_id] = HierarchyNode(
-            self._next_id, label, depth, parent, postings=[]
+            self._next_id, label, depth, parent
         )
+        self._postings[self._next_id] = []
         self._next_id += 1
         return node
+
+    def node_postings(self, node_id: int) -> list[Posting]:
+        """The posting list of the node minted under *node_id*."""
+        return self._postings[node_id]
 
     def add_sentence(self, sentence: Sentence) -> dict[int, int]:
         """Merge *sentence*'s tree; the node id of every token reached."""
@@ -149,7 +161,7 @@ class ReferenceHierarchyIndex:
             child = parent.children[label] = self._new_node(
                 label, parent.depth + 1, parent
             )
-        child.postings.append(posting_for_token(sentence, tid))
+        self._postings[child.node_id].append(posting_for_token(sentence, tid))
         merged[tid] = child.node_id
         for ctid in sentence.children(tid):
             self._insert(sentence, ctid, child, merged)
@@ -166,12 +178,15 @@ class ReferenceHierarchyIndex:
             return
         for ctid in sentence.children(tid):
             self._remove(sentence, ctid, child)
-        child.postings = [
-            p for p in child.postings if (p.sid, p.tid) != (sentence.sid, tid)
+        postings = self._postings[child.node_id] = [
+            p
+            for p in self._postings[child.node_id]
+            if (p.sid, p.tid) != (sentence.sid, tid)
         ]
-        if not child.postings and not child.children:
+        if not postings and not child.children:
             del parent.children[label]
             del self._nodes[child.node_id]
+            del self._postings[child.node_id]
 
     @property
     def node_count(self) -> int:
@@ -181,7 +196,7 @@ class ReferenceHierarchyIndex:
     @property
     def token_count(self) -> int:
         """Number of tokens merged into the trie."""
-        return sum(len(node.postings) for node in self.nodes())
+        return sum(map(len, self._postings.values()))
 
     def compression_ratio(self) -> float:
         """Fraction of nodes eliminated by merging (0 when nothing merged)."""
@@ -211,7 +226,9 @@ class ReferenceHierarchyIndex:
 
     def lookup_path(self, steps: Sequence[tuple[str, str]]) -> list[Posting]:
         """Sorted union of the posting lists of every node matching *steps*."""
-        return sorted(p for node in self.match_nodes(steps) for p in node.postings)
+        return sorted(
+            p for node in self.match_nodes(steps) for p in self._postings[node.node_id]
+        )
 
 
 def _descendants(node: HierarchyNode) -> Iterator[HierarchyNode]:

@@ -46,43 +46,6 @@ def shard_of(doc_id: str, num_shards: int) -> int:
     return zlib.crc32(doc_id.encode("utf-8")) % num_shards
 
 
-class _UnionPostings(Sequence):
-    """The postings of several shards as one read-only sequence.
-
-    ``arrays`` (entity mentions) or ``block`` (path postings) hold the
-    concatenated columns the columnar extraction reads.  Iterating
-    materialises each shard's own postings — with that shard's string
-    tables — and puts them in the same row order (*order*, when the
-    columns were sorted after concatenation).
-    """
-
-    __slots__ = ("_parts", "_order", "_items", "arrays", "block")
-
-    def __init__(self, parts, order=None, arrays=None, block=None) -> None:
-        self._parts = parts
-        self._order = order
-        self._items = None
-        self.arrays = arrays
-        self.block = block
-
-    def _materialized(self) -> list:
-        if self._items is None:
-            items = [posting for part in self._parts for posting in part]
-            if self._order is not None:
-                items = [items[at] for at in self._order.tolist()]
-            self._items = items
-        return self._items
-
-    def __len__(self) -> int:
-        return sum(map(len, self._parts))
-
-    def __iter__(self):
-        return iter(self._materialized())
-
-    def __getitem__(self, index):
-        return self._materialized()[index]
-
-
 class ShardedIndexSet:
     """N hash-partitioned :class:`KokoIndexSet` shards behaving as one."""
 
@@ -148,19 +111,24 @@ class ShardedIndexSet:
     # ------------------------------------------------------------------
     # DPLI lookups over the union of the shards (Algorithm 1)
     # ------------------------------------------------------------------
-    def entity_candidates(self, etype: str):
-        """Mentions of type *etype* in every shard: ``(sorted sid column, postings)``.
+    def entity_candidates(
+        self, etype: str
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Mentions of type *etype* in every shard: ``(sorted sids, columns)``.
 
-        The postings' ``arrays`` are the shards' columns one after another,
-        as :meth:`KokoIndexSet.entity_candidates` leaves them in one shard.
+        The columns are the shards' one after another, as
+        :meth:`KokoIndexSet.entity_candidates` leaves them in one shard;
+        each shard's ``text_id`` / ``etype_id`` name its own string table.
         """
         if len(self.shards) == 1:
             return self.shards[0].entity_candidates(etype)
-        views = [shard.entity_index.lookup_type_block(etype)[1] for shard in self.shards]
-        arrays = tuple(map(np.concatenate, zip(*(view.arrays for view in views))))
-        return np.sort(arrays[0]), _UnionPostings(views, arrays=arrays)
+        parts = [shard.entity_index.lookup_type(etype) for shard in self.shards]
+        columns = tuple(map(np.concatenate, zip(*parts)))
+        return np.sort(columns[0]), columns
 
-    def path_candidates(self, path: TreePath, decomposed: DecomposedPath | None = None):
+    def path_candidates(
+        self, path: TreePath, decomposed: DecomposedPath | None = None
+    ) -> tuple[np.ndarray, PostingBlock]:
         """Postings of *path*'s final step in every shard, ``(sid, tid)``-sorted.
 
         Each shard's block is already ``(sid, tid)``-sorted and a sentence
@@ -168,17 +136,15 @@ class ShardedIndexSet:
         """
         if len(self.shards) == 1:
             return self.shards[0].path_candidates(path, decomposed)
-        views = [shard.path_candidates(path, decomposed)[1] for shard in self.shards]
-        blocks = [view.block for view in views]
+        blocks = [shard.path_candidates(path, decomposed)[1] for shard in self.shards]
         block = PostingBlock(
             *(
                 np.concatenate([getattr(part, name) for part in blocks])
                 for name in ("sid", "tid", "left", "right", "depth")
             )
         )
-        order = np.argsort(block.sid, kind="stable")
-        block = block.take(order)
-        return block.sid, _UnionPostings(views, order, block=block)
+        block = block.take(np.argsort(block.sid, kind="stable"))
+        return block.sid, block
 
     def unrooted_sids(self) -> np.ndarray:
         """Sorted sids of every shard's sentences holding a token no hierarchy holds."""

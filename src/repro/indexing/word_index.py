@@ -8,10 +8,11 @@ hierarchy indexes without touching the dependency trees again.
 
 The postings live in one :class:`~repro.indexing.columnar.ColumnarPostings`
 store whose ``W``-shaped rows ``(sid, tid, left, right, depth, wid, plid,
-posid)`` are flat numpy columns: batch appends for the ingest splice, array
-slices for the read-side joins, and the very arrays a snapshot persists.
-The object-list build these columns replaced survives only as the test
-oracle in :mod:`repro.indexing.reference`.
+posid)`` are flat numpy columns: batch appends for the ingest splice, a
+:class:`~repro.indexing.columnar.PostingBlock` of five of them per lookup,
+and the very arrays a snapshot persists.  The object-list build these
+columns replaced survives only as the test oracle in
+:mod:`repro.indexing.reference`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .columnar import (
     pack_strings,
     unpack_strings,
 )
-from .postings import Posting
 
 __all__ = ["WordIndex"]
 
@@ -43,8 +43,6 @@ class WordIndex:
         # stored word ids undecodable.
         self._interner = interner if interner is not None else StringInterner()
         self._store = ColumnarPostings(_W_COLUMNS)
-        # (sid, tid) -> (plid, posid), built lazily over the columnar rows
-        self._pair_cache: dict[tuple[int, int], tuple[int, int]] | None = None
         # word-interner id -> store key id: the splice resolves keys by
         # integer instead of re-hashing each token's lower-cased text
         self._wid_kid: dict[int, int] = {}
@@ -74,46 +72,22 @@ class WordIndex:
                 cache[wid] = kid
             append(kid)
         store.append_batch(kids, columns)
-        self._pair_cache = None
 
     def remove_sids(self, sids: np.ndarray) -> None:
         """Remove every posting of the sentences *sids* (ascending)."""
         self._store.remove_sids(sids)
-        self._pair_cache = None
 
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
-    def lookup(self, word: str) -> list[Posting]:
-        """Posting list of *word* (case-insensitive; empty if unseen)."""
-        return self.lookup_block(word).materialize()
-
-    def lookup_block(self, word: str) -> PostingBlock:
-        """Posting list of *word* as a ``(sid, tid)``-sorted columnar block."""
+    def lookup(self, word: str) -> PostingBlock:
+        """Posting list of *word* (case-insensitive; empty if unseen) as a
+        ``(sid, tid)``-sorted block."""
         store = self._store
         kid = store.key_id(word.lower())
         if kid is None:
             return PostingBlock.empty()
-        sid, tid, left, right, depth, wid, _plid, _posid = store.arrays_for_key(kid)
-        return PostingBlock(
-            sid, tid, left, right, depth, wid, self._interner
-        ).sort_positional()
-
-    def node_ids(self, sid: int, tid: int) -> tuple[int, int] | None:
-        """The (plid, posid) recorded for a token occurrence, if any."""
-        cache = self._pair_cache
-        if cache is None:
-            _, cols = self._store.all_arrays_with_keys()
-            sids, tids, plids, posids = cols[0], cols[1], cols[6], cols[7]
-            cache = {
-                (s, t): (pl, pos)
-                for s, t, pl, pos in zip(
-                    sids.tolist(), tids.tolist(), plids.tolist(), posids.tolist()
-                )
-                if pl != -1 or pos != -1
-            }
-            self._pair_cache = cache
-        return cache.get((sid, tid))
+        return PostingBlock(*store.arrays_for_key(kid)[:5]).sort_positional()
 
     def vocabulary(self) -> list[str]:
         """Every word holding at least one posting, sorted."""
@@ -162,9 +136,9 @@ class WordIndex:
         """W's rows keyed by its ``plid`` or ``posid`` column, ``-1`` rows dropped.
 
         The Section 6.2.1 join: hierarchy postings are not stored a second
-        time, their six columns are a prefix of W's eight.
+        time, their five columns are a prefix of W's eight.
         """
         cols = self._store.all_arrays()
         node_ids = cols[_W_COLUMNS.index(column)]
         keep = node_ids != -1
-        return node_ids[keep], tuple(col[keep] for col in cols[:6])
+        return node_ids[keep], tuple(col[keep] for col in cols[:5])

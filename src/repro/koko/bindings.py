@@ -248,7 +248,7 @@ def _entity_rows(dpli, variable, candidates, whole) -> _Rows:
     Within a sentence the rows follow the mentions' start, which is the
     order the NER emits them in (``entity_rows``).
     """
-    sid, left, right = dpli.entity_bindings[variable].arrays[:3]
+    sid, left, right = dpli.entity_bindings[variable][:3]
     pos, hit = candidates.locate(sid)
     kept = np.flatnonzero(hit & ~whole[pos])
     pos, left, right = pos[kept], left[kept], right[kept]
@@ -263,9 +263,9 @@ def _path_rows(normalized, dpli, indexes, variable, candidates, whole) -> _Rows:
     tree_path = normalized.tree_paths[variable]
     lookup = normalized.row_lookups[variable]
     if variable in normalized.dominant and lookup.path == tree_path:
-        block = dpli.path_bindings[variable].block
+        block = dpli.path_bindings[variable]
     else:
-        block = indexes.path_candidates(lookup.path, lookup.decomposed)[1].block
+        block = indexes.path_candidates(lookup.path, lookup.decomposed)[1]
     pos, hit = candidates.locate(block.sid)
     kept = np.flatnonzero(hit & ~whole[pos])
     pos = pos[kept]

@@ -23,22 +23,24 @@ result carries per-variable **sorted sentence-id columns**: skip-plan cost
 estimation (`bindings_count`) is a pair of binary searches instead of a
 posting-list scan, and can be answered for a whole candidate-sid array at
 once (:meth:`DpliResult.bindings_count_array`).  The postings stay what
-the index set returned: over the columnar indexes, views whose columns
-(``.block`` / ``.arrays``) the binding extraction reads its rows from.
+the index set returned: over the columnar indexes, a path's
+:class:`~repro.indexing.columnar.PostingBlock` and an entity type's
+``(sid, left, right, text_id, etype_id)`` columns, which the binding
+extraction reads its rows from; over the reference, posting lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from ..indexing.columnar import distinct_sorted
-from ..indexing.entity_index import EntityPosting
+from ..indexing.columnar import PostingBlock, distinct_sorted
 from ..indexing.koko_index import KokoIndexSet
-from ..indexing.postings import Posting
+from ..indexing.postings import EntityPosting, Posting
 from .normalize import NormalizedQuery
+
+__all__ = ["DpliResult", "run_dpli"]
 
 _EMPTY_SIDS = np.empty(0, dtype=np.int64)
 _EMPTY_SIDS.setflags(write=False)
@@ -49,9 +51,11 @@ class DpliResult:
     """Candidate bindings per variable plus the candidate sentence set."""
 
     #: path variable -> candidate postings (of its dominant path)
-    path_bindings: dict[str, Sequence[Posting]] = field(default_factory=dict)
-    #: entity variable -> entity postings
-    entity_bindings: dict[str, Sequence[EntityPosting]] = field(default_factory=dict)
+    path_bindings: dict[str, PostingBlock | list[Posting]] = field(default_factory=dict)
+    #: entity variable -> entity mentions (columns, or reference postings)
+    entity_bindings: dict[str, tuple[np.ndarray, ...] | list[EntityPosting]] = field(
+        default_factory=dict
+    )
     #: sorted ids of the sentences worth evaluating; None means "all
     #: sentences" (no pruning possible, e.g. an empty extract clause)
     candidate_sids: np.ndarray | None = None
@@ -101,7 +105,7 @@ def run_dpli(normalized: NormalizedQuery, indexes: KokoIndexSet) -> DpliResult:
         sid_arrays.append(distinct_sorted(sids))
 
     # dominant paths: look up the plan's decompositions
-    dominant: dict[str, tuple[np.ndarray, Sequence[Posting]]] = {}
+    dominant: dict[str, tuple[np.ndarray, PostingBlock | list[Posting]]] = {}
     for variable in normalized.dominant:
         sids, postings = dominant[variable] = indexes.path_candidates(
             normalized.tree_paths[variable], normalized.decomposed[variable]

@@ -75,7 +75,7 @@ from ..net import (
     read_frame,
     write_frame,
 )
-from ..observability.exposition import _node_kind
+from ..observability.exposition import _node_kind, _underlying_service
 from ..observability.tracing import Span, TraceContext
 from ..service.cache import CacheEntry
 from ..service.service import IngestAck
@@ -379,7 +379,7 @@ class RpcServer(LoopServer):
         latency.observe(elapsed)
         if span is not None and frag is not None:
             span.finish()
-            store = getattr(self._underlying_service(), "trace_store", None)
+            store = getattr(_underlying_service(self.node), "trace_store", None)
             if store is not None:
                 store.record(
                     frag,
@@ -465,14 +465,6 @@ class RpcServer(LoopServer):
     # ------------------------------------------------------------------
     # op handlers (run on the executor; blocking is fine here)
     # ------------------------------------------------------------------
-    def _underlying_service(self):
-        """The ``KokoService`` behind this node (itself, for a primary)."""
-        if self._kind == "replica":
-            return self.node.service
-        if self._kind == "router":
-            return self.node.primary
-        return self.node
-
     def _require_writable(self) -> None:
         """Reject writes on read-only nodes with a typed fault."""
         if self._kind == "replica":
@@ -635,7 +627,7 @@ class RpcServer(LoopServer):
     ):
         """``flush``: the durability barrier for pipelined/bulk ingest."""
         self._require_writable()
-        token = self._underlying_service().wait_durable()
+        token = _underlying_service(self.node).wait_durable()
         return {"token": token}
 
     def _op_info(
@@ -646,7 +638,7 @@ class RpcServer(LoopServer):
         client_id: str | None = None,
     ):
         """``info``: identity and corpus shape, for clients and probes."""
-        service = self._underlying_service()
+        service = _underlying_service(self.node)
         return {
             "name": self.name,
             "kind": self._kind,

@@ -19,7 +19,13 @@ from hypothesis import settings
 from repro.corpora.cafe_blogs import BARISTAMAG, generate_cafe_corpus
 from repro.corpora.happydb import generate_happydb_corpus
 from repro.corpora.wikipedia import generate_wikipedia_corpus
+from repro.indexing.columnar import PostingBlock, unpack_strings
 from repro.indexing.koko_index import KokoIndexSet
+from repro.indexing.reference import (
+    ReferenceEntityIndex,
+    ReferenceHierarchyIndex,
+    ReferenceIndexSet,
+)
 from repro.koko.engine import KokoEngine
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Sentence
@@ -98,20 +104,115 @@ def cafe_engine(cafe_corpus) -> KokoEngine:
 
 
 # ----------------------------------------------------------------------
+# postings as rows: production columns and reference objects alike
+# ----------------------------------------------------------------------
+_QUINTUPLE = ("sid", "tid", "left", "right", "depth")
+
+
+def _posting_rows(postings) -> list[tuple[int, ...]]:
+    """``(sid, tid, left, right, depth)`` rows, in order, of a production
+    :class:`PostingBlock` or a reference posting list."""
+    if isinstance(postings, PostingBlock):
+        return list(zip(*(getattr(postings, name).tolist() for name in _QUINTUPLE)))
+    return [tuple(getattr(p, name) for name in _QUINTUPLE) for p in postings]
+
+
+def _mention_rows(entity_index, mentions=None) -> list[tuple]:
+    """``(sid, left, right, etype, text)`` rows, in order, of *mentions*
+    (default: every mention *entity_index* holds).
+
+    Production mentions are ``lookup_type`` columns, decoded through the
+    index's own ``to_arrays()`` string table; reference mentions are
+    ``EntityPosting`` objects.
+    """
+    if isinstance(entity_index, ReferenceEntityIndex):
+        postings = entity_index.all_postings() if mentions is None else mentions
+        return [(p.sid, p.left, p.right, p.etype, p.text) for p in postings]
+    strings = unpack_strings(entity_index.to_arrays(), "E.strings")
+    columns = entity_index.lookup_type("Entity") if mentions is None else mentions
+    sid, left, right, text_id, etype_id = (column.tolist() for column in columns)
+    return [
+        (s, lo, hi, strings[etype], strings[text])
+        for s, lo, hi, text, etype in zip(sid, left, right, text_id, etype_id)
+    ]
+
+
+def _block_words(corpus, block) -> set[str]:
+    """The surface words of a block's tokens, read from *corpus*: the
+    production index keeps word ids in W alone, not in its lookup blocks."""
+    sentences = {sentence.sid: sentence for _, sentence in corpus.all_sentences()}
+    return {
+        sentences[sid][tid].text for sid, tid in zip(block.sid.tolist(), block.tid.tolist())
+    }
+
+
+@pytest.fixture(scope="session")
+def block_words():
+    """The surface words of a block's tokens, as a fixture."""
+    return _block_words
+
+
+@pytest.fixture(scope="session")
+def posting_rows():
+    """Postings as ``(sid, tid, left, right, depth)`` rows, as a fixture."""
+    return _posting_rows
+
+
+@pytest.fixture(scope="session")
+def mention_rows():
+    """Entity mentions as ``(sid, left, right, etype, text)`` rows, as a fixture."""
+    return _mention_rows
+
+
+# ----------------------------------------------------------------------
 # index-set equivalence (shared by incremental-index and service tests)
 # ----------------------------------------------------------------------
+def _node_rows(hierarchy, node_id: int) -> list[tuple[int, ...]]:
+    """The posting rows one hierarchy node holds."""
+    if isinstance(hierarchy, ReferenceHierarchyIndex):
+        return _posting_rows(hierarchy.node_postings(node_id))
+    return _posting_rows(PostingBlock(*hierarchy._store.arrays_for_key(node_id)))
+
+
 def _hierarchy_shape(hierarchy):
-    """Map node path -> sorted postings (id-independent node identity)."""
-    return {node.path(): sorted(node.postings) for node in hierarchy.nodes()}
+    """Map node path -> sorted posting rows (id-independent node identity)."""
+    return {
+        node.path(): sorted(_node_rows(hierarchy, node.node_id))
+        for node in hierarchy.nodes()
+    }
+
+
+def _recorded_node_ids(index_set) -> dict[tuple[int, int], tuple[int, int]]:
+    """``(sid, tid) -> (plid, posid)`` of every token the hierarchies hold.
+
+    Production reads them from the ``W.plid`` / ``W.posid`` columns of
+    ``to_arrays()``; the reference records them per token.
+    """
+    if isinstance(index_set, ReferenceIndexSet):
+        return index_set.word_index._node_ids
+    arrays = index_set.to_arrays()
+    columns = (arrays[f"W.{name}"].tolist() for name in ("sid", "tid", "plid", "posid"))
+    return {
+        (sid, tid): (plid, posid)
+        for sid, tid, plid, posid in zip(*columns)
+        if plid != -1
+    }
+
+
+@pytest.fixture(scope="session")
+def recorded_node_ids():
+    """Each token's ``(plid, posid)`` per index set, as a fixture."""
+    return _recorded_node_ids
 
 
 def _word_shape(index_set):
-    """Word postings plus each occurrence's PL/POS node *paths*."""
+    """Word posting rows plus each occurrence's PL/POS node *paths*."""
+    recorded = _recorded_node_ids(index_set)
     shape = {}
     for word in index_set.word_index.vocabulary():
         rows = []
-        for posting in sorted(index_set.word_index.lookup(word)):
-            node_ids = index_set.word_index.node_ids(posting.sid, posting.tid)
+        for row in sorted(_posting_rows(index_set.word_index.lookup(word))):
+            node_ids = recorded.get(row[:2])
             paths = (None, None)
             if node_ids is not None:
                 plid, posid = node_ids
@@ -119,7 +220,7 @@ def _word_shape(index_set):
                     index_set.pl_index.node_by_id(plid).path(),
                     index_set.pos_index.node_by_id(posid).path(),
                 )
-            rows.append((posting, paths))
+            rows.append((row, paths))
         shape[word] = rows
     return shape
 
@@ -127,8 +228,8 @@ def _word_shape(index_set):
 def assert_index_sets_equivalent(actual: KokoIndexSet, expected: KokoIndexSet) -> None:
     """Same postings, hierarchy paths and statistics (build time aside)."""
     assert _word_shape(actual) == _word_shape(expected)
-    assert sorted(actual.entity_index.all_postings()) == sorted(
-        expected.entity_index.all_postings()
+    assert sorted(_mention_rows(actual.entity_index)) == sorted(
+        _mention_rows(expected.entity_index)
     )
     assert _hierarchy_shape(actual.pl_index) == _hierarchy_shape(expected.pl_index)
     assert _hierarchy_shape(actual.pos_index) == _hierarchy_shape(expected.pos_index)

@@ -5,7 +5,8 @@ Three layers, mirroring ``src/repro/indexing/columnar.py``:
 * :class:`ColumnarPostings` — the delta/main store itself (append order,
   compaction, sid removal, identity keys);
 * the ``join_*_block`` vectorized posting algebra, compared against the
-  object-list joins of ``repro.indexing.postings``;
+  object-list joins of ``repro.indexing.postings`` and against ancestry
+  walked up random ``heads`` arrays;
 * equivalence — ``KokoIndexSet()`` must be observationally identical to
   the object-list reference build (postings, hierarchy paths, node ids,
   statistics) across batch builds, incremental adds, removals,
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpora.wikipedia import WikipediaConfig, generate_wikipedia_corpus
 from repro.indexing.columnar import (
@@ -26,18 +29,12 @@ from repro.indexing.columnar import (
     join_ancestor_block,
     join_same_token_block,
     pack_strings,
-    parent_of_block,
+    under_words_block,
     unpack_strings,
 )
 from repro.indexing.hierarchy import parse_label_index
 from repro.indexing.koko_index import KokoIndexSet
-from repro.indexing.postings import (
-    Posting,
-    join_ancestor,
-    join_same_token,
-    parent_of,
-    posting_for_token,
-)
+from repro.indexing.postings import Posting, join_ancestor, join_same_token
 from repro.indexing.reference import ReferenceIndexSet
 
 
@@ -45,17 +42,10 @@ def _int(values):
     return np.asarray(list(values), np.int64)
 
 
-def _block(postings: list[Posting], interner: StringInterner) -> PostingBlock:
+def _block(postings: list[Posting]) -> PostingBlock:
     ordered = sorted(postings)  # join blocks require ascending sentence ids
-    return PostingBlock(
-        _int(p.sid for p in ordered),
-        _int(p.tid for p in ordered),
-        _int(p.left for p in ordered),
-        _int(p.right for p in ordered),
-        _int(p.depth for p in ordered),
-        _int(interner.intern(p.word) for p in ordered),
-        interner,
-    )
+    columns = ("sid", "tid", "left", "right", "depth")
+    return PostingBlock(*(_int(getattr(p, name) for p in ordered) for name in columns))
 
 
 class TestStringInterner:
@@ -176,36 +166,138 @@ class TestColumnarPostings:
 
 
 class TestBlockAlgebra:
-    def test_join_ancestor_block_matches_object(self, paper_corpus):
+    def test_join_ancestor_block_matches_object(self, paper_corpus, posting_rows):
         index = ReferenceIndexSet().build(paper_corpus).word_index
-        interner = StringInterner()
         ate = index.lookup("ate")
         delicious = index.lookup("delicious")
         for gap in (1, 2, 5):
-            expected = sorted(join_ancestor(ate, delicious, min_gap=gap))
-            got = join_ancestor_block(
-                _block(ate, interner), _block(delicious, interner), min_gap=gap
-            ).materialize()
-            assert sorted(got) == expected
+            expected = posting_rows(sorted(join_ancestor(ate, delicious, min_gap=gap)))
+            got = join_ancestor_block(_block(ate), _block(delicious), min_gap=gap)
+            assert sorted(posting_rows(got)) == expected
 
-    def test_join_same_token_block_matches_object(self):
-        interner = StringInterner()
+    def test_join_same_token_block_matches_object(self, posting_rows):
         left = [Posting(0, 3, 3, 3, 2, "x"), Posting(0, 4, 4, 4, 2), Posting(1, 3, 3, 3, 1)]
         right = [Posting(0, 3, 3, 3, 2, "y"), Posting(1, 0, 0, 5, 0)]
-        expected = sorted(join_same_token(left, right))
-        got = join_same_token_block(
-            _block(left, interner), _block(right, interner)
-        ).materialize()
-        assert sorted(got) == expected
+        expected = posting_rows(sorted(join_same_token(left, right)))
+        got = join_same_token_block(_block(left), _block(right))
+        assert sorted(posting_rows(got)) == expected
 
-    def test_parent_of_block_matches_object(self, paper_sentence_2):
-        interner = StringInterner()
-        postings = [posting_for_token(paper_sentence_2, t) for t in range(len(paper_sentence_2))]
-        ate = [posting_for_token(paper_sentence_2, 1)]
-        mask = parent_of_block(_block(ate, interner), _block(postings, interner))
-        block = _block(postings, interner)
-        for kept, child in zip(mask.tolist(), block.materialize()):
-            assert kept == parent_of(ate[0], child)
+
+# ----------------------------------------------------------------------
+# the interval predicates against ancestry walked up random heads arrays
+# ----------------------------------------------------------------------
+@st.composite
+def _trees(draw):
+    """A random dependency tree as a ``heads`` array (``-1`` = the root).
+
+    Tokens are attached in a random order, each under one attached
+    before it, so every heads array is a tree, projective or not.
+    """
+    size = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(size)))
+    heads = [-1] * size
+    for at in range(1, size):
+        heads[order[at]] = order[draw(st.integers(0, at - 1))]
+    return heads
+
+
+def _region_encoding(heads: list[int]) -> list[tuple[int, int, int]]:
+    """Per token ``(left, right, depth)``: the pre-order region encoding of
+    XML twig joins (DMR-XPath), where ``left`` is the token's pre-order rank,
+    ``right`` the last rank of its subtree and ``depth`` its level — so
+    containment is ancestry on any tree, projective or not."""
+    children: list[list[int]] = [[] for _ in heads]
+    for tid, head in enumerate(heads):
+        if head != -1:
+            children[head].append(tid)
+    encoding = [(0, 0, 0)] * len(heads)
+    rank = 0
+
+    def visit(tid: int, depth: int) -> None:
+        nonlocal rank
+        left = rank
+        rank += 1
+        for child in children[tid]:
+            visit(child, depth + 1)
+        encoding[tid] = (left, rank - 1, depth)
+
+    visit(heads.index(-1), 0)
+    return encoding
+
+
+def _distance(heads: list[int], ancestor: int, token: int) -> int | None:
+    """Edges from *token* up to *ancestor* by walking heads; ``None`` if
+    *ancestor* is not on the way to the root (0 when they are the same)."""
+    steps = 0
+    while token != -1:
+        if token == ancestor:
+            return steps
+        token, steps = heads[token], steps + 1
+    return None
+
+
+@st.composite
+def _forests(draw):
+    """Random trees (one per sentence id) and two random token subsets."""
+    trees = draw(st.lists(_trees(), min_size=1, max_size=3))
+    tokens = [(sid, tid) for sid, heads in enumerate(trees) for tid in range(len(heads))]
+    subsets = [draw(st.lists(st.sampled_from(tokens), unique=True)) for _ in range(2)]
+    return trees, subsets
+
+
+def _encoded_block(trees, tokens) -> PostingBlock:
+    """A ``(sid, tid)``-sorted block of *tokens* in the region encoding."""
+    encodings = [_region_encoding(heads) for heads in trees]
+    rows = [(sid, tid, *encodings[sid][tid]) for sid, tid in sorted(tokens)]
+    if not rows:
+        return PostingBlock.empty()
+    return PostingBlock(*(_int(column) for column in zip(*rows)))
+
+
+class TestIntervalOracle:
+    """The vectorised interval predicates agree with ancestry derived by
+    walking random ``heads`` arrays, whatever the tree's shape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(forest=_forests(), min_gap=st.integers(1, 3))
+    def test_join_ancestor_block(self, forest, min_gap):
+        trees, (ancestors, descendants) = forest
+        got = join_ancestor_block(
+            _encoded_block(trees, ancestors), _encoded_block(trees, descendants), min_gap
+        )
+        expected = [
+            (sid, tid)
+            for sid, tid in sorted(descendants)
+            if any(
+                a_sid == sid and (_distance(trees[sid], a_tid, tid) or 0) >= min_gap
+                for a_sid, a_tid in ancestors
+            )
+        ]
+        assert list(zip(got.sid.tolist(), got.tid.tolist())) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(forest=_forests())
+    def test_under_words_block(self, forest):
+        trees, (candidates, words) = forest
+        got = under_words_block(
+            _encoded_block(trees, candidates), _encoded_block(trees, words)
+        )
+        expected = [
+            (sid, tid)
+            for sid, tid in sorted(candidates)
+            if any(
+                w_sid == sid and _distance(trees[sid], w_tid, tid) is not None
+                for w_sid, w_tid in words
+            )
+        ]
+        assert list(zip(got.sid.tolist(), got.tid.tolist())) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(forest=_forests())
+    def test_join_same_token_block(self, forest):
+        trees, (left, right) = forest
+        got = join_same_token_block(_encoded_block(trees, left), _encoded_block(trees, right))
+        assert list(zip(got.sid.tolist(), got.tid.tolist())) == sorted(set(left) & set(right))
 
 
 class TestBackendEquivalence:
@@ -273,19 +365,14 @@ class TestBackendEquivalence:
         )
         full.remove_document(victim)
         monkeypatch.undo()
-        # one pass per store (W, E by text, E by type, PL, POS) for the document
-        assert len(passes) == 5
+        # one pass per store (W, E, PL, POS) for the document
+        assert len(passes) == 4
         rebuilt = KokoIndexSet()
         for document in documents:
             if document is not victim:
                 rebuilt.add_document(document)
         assert_equivalent_indexes(full, rebuilt)
         assert full.unrooted_sids().tolist() == rebuilt.unrooted_sids().tolist()
-        for sentence in victim:
-            for _, _, _, text in sentence.entity_rows:
-                assert sorted(full.entity_index.lookup_text(text)) == sorted(
-                    rebuilt.entity_index.lookup_text(text)
-                )
 
     def test_arrays_round_trip(self, paper_corpus, assert_equivalent_indexes):
         """``from_arrays(to_arrays())`` — the snapshot payload — is lossless."""

@@ -58,25 +58,24 @@ class TestDecomposition:
         decomposed = decompose_path(p)
         assert decomposed.word_steps == (("ate", 0), ("delicious", 2))
 
-    def test_lookup_decomposed_matches_exact(self, paper_corpus, paper_indexes):
-        postings = lookup_decomposed_block(paper_indexes, DELICIOUS_PATH).materialize()
+    def test_lookup_decomposed_matches_exact(self, paper_corpus, paper_indexes, block_words):
+        block = lookup_decomposed_block(paper_indexes, DELICIOUS_PATH)
         exact_sids = matching_sentences(paper_corpus, DELICIOUS_QUERY)
-        assert {p.sid for p in postings} == exact_sids
-        assert {p.word for p in postings} == {"delicious"}
+        assert set(block.sid.tolist()) == exact_sids
+        assert block_words(paper_corpus, block) == {"delicious"}
 
     def test_lookup_word_final_step(self, paper_indexes):
         p = path(step(DESCENDANT, "ate", KIND_WORD))
-        postings = lookup_decomposed_block(paper_indexes, p).materialize()
-        assert len(postings) == 3
+        assert lookup_decomposed_block(paper_indexes, p).size == 3
 
-    def test_lookup_pos_final_step_under_word(self, paper_indexes):
+    def test_lookup_pos_final_step_under_word(self, paper_corpus, paper_indexes, block_words):
         # //"ate"/dobj — dobj children under the word "ate"
         p = path(
             step(DESCENDANT, "ate", KIND_WORD),
             step(CHILD, "dobj", KIND_PARSE_LABEL),
         )
-        postings = lookup_decomposed_block(paper_indexes, p).materialize()
-        assert {p_.word for p_ in postings} >= {"cream", "cheesecake"}
+        block = lookup_decomposed_block(paper_indexes, p)
+        assert block_words(paper_corpus, block) >= {"cream", "cheesecake"}
 
     def test_candidate_sentences_completeness(self, happy_corpus):
         """Index candidates must be a superset of the truly matching sentences."""

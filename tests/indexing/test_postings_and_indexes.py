@@ -5,7 +5,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.indexing.columnar import join_ancestor_block
 from repro.indexing.koko_index import KokoIndexSet
+from repro.indexing.reference import ReferenceIndexSet
 from repro.indexing.postings import (
     Posting,
     ancestor_of,
@@ -67,13 +69,17 @@ class TestPostings:
         c = Posting(0, 4, 4, 4, 2)
         assert join_same_token([a, c], [b]) == [a]
 
-    def test_join_ancestor_example_4_4(self, paper_indexes):
+    def test_join_ancestor_example_4_4(self, paper_corpus, paper_indexes, posting_rows):
         """Example 4.4: join 'ate' and 'delicious' postings with gap 2."""
-        index = paper_indexes.word_index
+        index = ReferenceIndexSet().build(paper_corpus).word_index
         ate = index.lookup("ate")
         delicious = index.lookup("delicious")
         joined = join_ancestor(ate, delicious, min_gap=2)
         assert {(p.sid, p.word) for p in joined} == {(0, "delicious"), (1, "delicious")}
+        # the production columns join to the very same rows
+        words = paper_indexes.word_index
+        block = join_ancestor_block(words.lookup("ate"), words.lookup("delicious"), 2)
+        assert posting_rows(block) == posting_rows(joined)
 
     @given(
         st.integers(0, 5), st.integers(0, 20), st.integers(0, 20), st.integers(0, 6),
@@ -92,23 +98,28 @@ class TestPostings:
 class TestWordAndEntityIndexes:
     def test_word_index_lookup_case_insensitive(self, paper_indexes):
         index = paper_indexes.word_index
-        assert len(index.lookup("ATE")) == 3  # twice in sentence 0, once in sentence 1
+        assert index.lookup("ATE").size == 3  # twice in sentence 0, once in sentence 1
 
     def test_word_index_vocabulary(self, paper_indexes):
         index = paper_indexes.word_index
         assert "delicious" in index
         assert "zebra" not in index
 
-    def test_entity_index_by_text_and_type(self, paper_indexes):
+    def test_entity_index_by_text_and_type(self, paper_indexes, mention_rows):
         index = paper_indexes.entity_index
-        assert len(index.lookup_text("cheesecake")) == 1
-        assert len(index.lookup_type("Entity")) == len(index)
-        assert all(p.etype == "PERSON" for p in index.lookup_type("Person"))
+        mentions = mention_rows(index)
+        assert [row[4] for row in mentions].count("cheesecake") == 1
+        assert len(index.lookup_type("Entity")[0]) == len(index) == len(mentions)
+        people = mention_rows(index, index.lookup_type("Person"))
+        assert people and all(etype == "PERSON" for _, _, _, etype, _ in people)
 
-    def test_entity_index_example_3_2(self, paper_indexes):
-        chunk = paper_indexes.entity_index.lookup_text("chocolate ice cream")
-        assert len(chunk) == 1
-        assert (chunk[0].left, chunk[0].right) == (3, 5)
+    def test_entity_index_example_3_2(self, paper_indexes, mention_rows):
+        chunk = [
+            row
+            for row in mention_rows(paper_indexes.entity_index)
+            if row[4] == "chocolate ice cream"
+        ]
+        assert [(left, right) for _, left, right, _, _ in chunk] == [(3, 5)]
 
 
 class TestHierarchyIndexes:
@@ -124,31 +135,35 @@ class TestHierarchyIndexes:
         }
         assert top_labels == {"root"}
 
-    def test_example_3_3_merged_postings(self, paper_indexes):
+    def test_example_3_3_merged_postings(self, paper_corpus, paper_indexes, block_words):
         """/root/dobj posting list contains cheesecake and cream (Example 3.3)."""
         index = paper_indexes.pl_index
-        postings = index.lookup_path([("/", "root"), ("/", "dobj")])
-        words = {p.word for p in postings}
-        assert {"cream", "cheesecake"} <= words
+        block = index.lookup_path([("/", "root"), ("/", "dobj")])
+        assert {"cream", "cheesecake"} <= block_words(paper_corpus, block)
 
     def test_wildcard_lookup(self, paper_corpus, paper_indexes):
         index = paper_indexes.pl_index
         all_tokens = index.lookup_path([("//", "*")])
-        assert len(all_tokens) == paper_corpus.num_tokens
+        assert all_tokens.size == paper_corpus.num_tokens
 
     def test_missing_path_returns_empty(self, paper_indexes):
         index = paper_indexes.pl_index
-        assert index.lookup_path([("/", "root"), ("/", "xcomp"), ("/", "xcomp")]) == []
+        assert index.lookup_path([("/", "root"), ("/", "xcomp"), ("/", "xcomp")]).size == 0
 
-    def test_pos_index_lookup(self, paper_indexes):
+    def test_pos_index_lookup(self, paper_corpus, paper_indexes, block_words):
         index = paper_indexes.pos_index
         verbs = index.lookup_path([("//", "VERB")])
-        assert {p.word.lower() for p in verbs} >= {"ate", "was", "bought"}
+        assert {word.lower() for word in block_words(paper_corpus, verbs)} >= {
+            "ate", "was", "bought"
+        }
 
-    def test_node_id_recorded_per_token(self, paper_corpus, paper_indexes):
+    def test_node_id_recorded_per_token(
+        self, paper_corpus, paper_indexes, recorded_node_ids
+    ):
         sentence = paper_corpus.documents[0].sentences[0]
+        node_ids = recorded_node_ids(paper_indexes)
         for token in sentence:
-            plid, posid = paper_indexes.word_index.node_ids(sentence.sid, token.index)
+            plid, posid = node_ids[(sentence.sid, token.index)]
             assert paper_indexes.pl_index.node_by_id(plid).label == token.label
             assert paper_indexes.pos_index.node_by_id(posid).label == token.pos
 
@@ -167,7 +182,7 @@ class TestKokoIndexSet:
         assert stats.pl_nodes > 0
         assert stats.approximate_bytes > 0
 
-    def test_word_index_carries_hierarchy_node_ids(self, paper_indexes):
-        plid, posid = paper_indexes.word_index.node_ids(0, 1)
+    def test_word_index_carries_hierarchy_node_ids(self, paper_indexes, recorded_node_ids):
+        plid, posid = recorded_node_ids(paper_indexes)[(0, 1)]
         assert plid >= 0 and posid >= 0
         assert paper_indexes.pl_index.node_by_id(plid).label == "root"

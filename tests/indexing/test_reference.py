@@ -7,7 +7,8 @@ running example (Examples 3.2–4.4), that the two answer the paper's
 lookups alike — word, entity and hierarchy lookups one by one, the
 SyntheticTree queries of Figures 6–8 and the DPLI lookups of the Section
 6.3 queries — and that the reference stays out of the serving path: under
-``src/`` only the plain engine's default build imports it.
+``src/`` only the plain engine's default build imports it, and the
+production indexes import no object postings at all.
 """
 
 from __future__ import annotations
@@ -272,18 +273,20 @@ class TestReferenceIndexSet:
 @pytest.mark.parametrize(
     "word", ["ate", "ATE", "delicious", "cheesecake", "a", ",", "zebra"]
 )
-def test_word_lookups_agree(word, paper_indexes, paper_reference):
-    assert paper_indexes.word_index.lookup(word) == paper_reference.word_index.lookup(
-        word
+def test_word_lookups_agree(word, paper_indexes, paper_reference, posting_rows):
+    assert posting_rows(paper_indexes.word_index.lookup(word)) == posting_rows(
+        paper_reference.word_index.lookup(word)
     )
 
 
 @pytest.mark.parametrize("etype", ["Entity", "Person", "PERSON", "Other", "Location"])
-def test_entity_candidates_agree(etype, paper_indexes, paper_reference):
-    sids, postings = paper_indexes.entity_candidates(etype)
+def test_entity_candidates_agree(etype, paper_indexes, paper_reference, mention_rows):
+    sids, columns = paper_indexes.entity_candidates(etype)
     expected_sids, expected = paper_reference.entity_candidates(etype)
     assert np.array_equal(sids, expected_sids)
-    assert sorted(postings) == sorted(expected)
+    assert sorted(mention_rows(paper_indexes.entity_index, columns)) == sorted(
+        mention_rows(paper_reference.entity_index, expected)
+    )
 
 
 _HIERARCHY_LOOKUPS = {
@@ -309,10 +312,14 @@ _HIERARCHY_LOOKUPS = {
     [(name, steps) for name, lookups in _HIERARCHY_LOOKUPS.items() for steps in lookups],
     ids=lambda value: value if isinstance(value, str) else "".join(map("".join, value)),
 )
-def test_hierarchy_lookups_agree(hierarchy, steps, paper_indexes, paper_reference):
+def test_hierarchy_lookups_agree(
+    hierarchy, steps, paper_indexes, paper_reference, posting_rows
+):
     production = getattr(paper_indexes, hierarchy)
     reference = getattr(paper_reference, hierarchy)
-    assert production.lookup_path(steps) == reference.lookup_path(steps)
+    assert posting_rows(production.lookup_path(steps)) == posting_rows(
+        reference.lookup_path(steps)
+    )
     assert [node.path() for node in production.match_nodes(steps)] == [
         node.path() for node in reference.match_nodes(steps)
     ]
@@ -333,16 +340,16 @@ _PATHS = [
 
 
 @pytest.mark.parametrize("tree_path", _PATHS, ids=lambda p: p.render())
-def test_path_candidates_agree(tree_path, paper_indexes, paper_reference):
-    sids, postings = paper_indexes.path_candidates(tree_path)
+def test_path_candidates_agree(tree_path, paper_indexes, paper_reference, posting_rows):
+    sids, block = paper_indexes.path_candidates(tree_path)
     expected_sids, expected = paper_reference.path_candidates(tree_path)
     assert np.array_equal(sids, expected_sids)
-    assert list(postings) == expected
+    assert posting_rows(block) == posting_rows(expected)
 
 
 @pytest.mark.parametrize("corpus_fixture", ["happy_corpus", "wiki_corpus"])
 def test_production_and_reference_agree_on_synthetic_tree_queries(
-    corpus_fixture, request
+    corpus_fixture, request, posting_rows
 ):
     corpus = request.getfixturevalue(corpus_fixture)
     production = KokoIndexSet().build(corpus)
@@ -355,28 +362,36 @@ def test_production_and_reference_agree_on_synthetic_tree_queries(
         assert candidates == candidate_sentences_for_query(reference, query), query.render()
         assert matching_sentences(corpus, query) <= candidates, query.render()
         for path in query.paths:
-            sids, postings = production.path_candidates(path)
+            sids, block = production.path_candidates(path)
             expected_sids, expected = reference.path_candidates(path)
             assert np.array_equal(sids, expected_sids)
-            assert list(postings) == expected
+            assert posting_rows(block) == posting_rows(expected)
     assert production.approximate_bytes() == reference.approximate_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(SCALEUP_QUERIES))
-def test_run_dpli_answers_alike_over_both_index_sets(name, wiki_corpus):
+def test_run_dpli_answers_alike_over_both_index_sets(
+    name, wiki_corpus, posting_rows, mention_rows
+):
     """One ``run_dpli`` body: the index set supplies sid columns + postings."""
     normalized = compile_query(SCALEUP_QUERIES[name]).normalized
-    production = run_dpli(normalized, KokoIndexSet().build(wiki_corpus))
-    reference = run_dpli(normalized, ReferenceIndexSet().build(wiki_corpus))
+    production_indexes = KokoIndexSet().build(wiki_corpus)
+    reference_indexes = ReferenceIndexSet().build(wiki_corpus)
+    production = run_dpli(normalized, production_indexes)
+    reference = run_dpli(normalized, reference_indexes)
     assert np.array_equal(production.candidate_sids, reference.candidate_sids)
     assert production.provably_empty == reference.provably_empty
     assert production.sid_columns.keys() == reference.sid_columns.keys()
     for variable, column in reference.sid_columns.items():
         assert np.array_equal(production.sid_columns[variable], column), variable
     for variable, postings in reference.path_bindings.items():
-        assert list(production.path_bindings[variable]) == postings, variable
+        block = production.path_bindings[variable]
+        assert posting_rows(block) == posting_rows(postings), variable
     for variable, postings in reference.entity_bindings.items():
-        assert sorted(production.entity_bindings[variable]) == sorted(postings)
+        columns = production.entity_bindings[variable]
+        assert sorted(mention_rows(production_indexes.entity_index, columns)) == sorted(
+            mention_rows(reference_indexes.entity_index, postings)
+        ), variable
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -401,3 +416,17 @@ def test_only_the_plain_engine_imports_the_reference():
         if "repro.indexing.reference" in _imported_modules(path)
     }
     assert importers == {"repro/koko/engine.py"}
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["columnar", "word_index", "entity_index", "hierarchy", "koko_index", "sharding"],
+)
+def test_production_indexes_import_no_object_postings(module):
+    """Object postings belong to the reference: production answers in columns."""
+    imported = _imported_modules(SRC / "repro" / "indexing" / f"{module}.py")
+    assert not {
+        name
+        for name in imported
+        if name == "repro.indexing.postings" or name.startswith("repro.indexing.postings.")
+    }

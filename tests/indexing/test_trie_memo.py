@@ -65,20 +65,21 @@ def _paths(nodes) -> list[str]:
     return sorted(node.path() for node in nodes)
 
 
-def _assert_lookups_agree(columnar: KokoIndexSet, oracle: ReferenceIndexSet, patterns) -> None:
+def _assert_lookups_agree(
+    columnar: KokoIndexSet, oracle: ReferenceIndexSet, patterns, rows
+) -> None:
     for name in ("pl_index", "pos_index"):
         index, reference = getattr(columnar, name), getattr(oracle, name)
         for steps in patterns:
             remembered = [node.node_id for node in index.match_nodes(steps)]
             assert remembered == index._walk_nodes(steps)
             assert _paths(index.match_nodes(steps)) == _paths(reference.match_nodes(steps))
-            assert index.lookup_path_block(steps).materialize() == reference.lookup_path(steps)
-            assert index.lookup_path(steps) == reference.lookup_path(steps)
+            assert rows(index.lookup_path(steps)) == rows(reference.lookup_path(steps))
 
 
 @settings(max_examples=25, deadline=None)
 @given(operations=_operations, patterns=st.lists(_steps, min_size=1, max_size=6))
-def test_memoised_lookups_track_adds_and_removes(operations, patterns):
+def test_memoised_lookups_track_adds_and_removes(posting_rows, operations, patterns):
     columnar, oracle = KokoIndexSet(), ReferenceIndexSet()
     live = []
     next_sid = 0
@@ -94,7 +95,7 @@ def test_memoised_lookups_track_adds_and_removes(operations, patterns):
             columnar.remove_document(document)
             oracle.remove_document(document)
         # the same patterns after every write: a stale memo would answer here
-        _assert_lookups_agree(columnar, oracle, patterns)
+        _assert_lookups_agree(columnar, oracle, patterns, posting_rows)
         for index in (columnar.pl_index, columnar.pos_index):
             assert len(index._match_memo) <= hierarchy._MATCH_MEMO_LIMIT
 
@@ -132,7 +133,7 @@ def test_memo_survives_a_splice_that_mints_no_node_and_not_one_that_does(walks):
     indexes.add_document(_PIPELINE.annotate(TEXTS[1], doc_id="a", first_sid=0))
     pl = indexes.pl_index
     before = _paths(pl.match_nodes(VERBS) + pl.match_nodes(ROOT_CHILDREN))
-    rows = pl.lookup_path_block(ROOT_CHILDREN).size
+    rows = pl.lookup_path(ROOT_CHILDREN).size
     walks.clear()
 
     nodes = pl.node_count
@@ -140,7 +141,7 @@ def test_memo_survives_a_splice_that_mints_no_node_and_not_one_that_does(walks):
     indexes.add_document(twin)  # same trees again: rows only, no new node
     assert pl.node_count == nodes
     assert _paths(pl.match_nodes(VERBS) + pl.match_nodes(ROOT_CHILDREN)) == before
-    assert pl.lookup_path_block(ROOT_CHILDREN).size == 2 * rows  # the gather sees the new rows
+    assert pl.lookup_path(ROOT_CHILDREN).size == 2 * rows  # the gather sees the new rows
     assert walks == []  # ...with both patterns answered from the memo
 
     indexes.remove_document(twin)  # its nodes keep the first document's rows: no prune
@@ -161,7 +162,7 @@ def test_memo_survives_a_splice_that_mints_no_node_and_not_one_that_does(walks):
     assert _paths(pl.match_nodes(VERBS) + pl.match_nodes(ROOT_CHILDREN)) == before
 
 
-def test_loading_a_snapshot_drops_what_the_empty_trie_remembered():
+def test_loading_a_snapshot_drops_what_the_empty_trie_remembered(posting_rows):
     original = KokoIndexSet()
     for number, text in enumerate(TEXTS):
         original.add_document(_PIPELINE.annotate(text, doc_id=f"d{number}", first_sid=10 * number))
@@ -169,15 +170,14 @@ def test_loading_a_snapshot_drops_what_the_empty_trie_remembered():
     restored = KokoIndexSet.from_arrays(arrays)
     assert _paths(restored.pl_index.match_nodes(VERBS)) == _paths(original.pl_index.match_nodes(VERBS))
 
-    fresh = parse_label_index(interner=restored._interner)
+    fresh = parse_label_index()
     assert fresh.match_nodes(ROOT_CHILDREN) == []  # remembered: nothing matches an empty trie
     fresh.load_arrays(arrays, *restored.word_index.rows_by_node("plid"))
     assert _paths(fresh.match_nodes(ROOT_CHILDREN)) == _paths(
         original.pl_index.match_nodes(ROOT_CHILDREN)
     )
-    assert (
-        fresh.lookup_path_block(ROOT_CHILDREN).materialize()
-        == original.pl_index.lookup_path(ROOT_CHILDREN)
+    assert posting_rows(fresh.lookup_path(ROOT_CHILDREN)) == posting_rows(
+        original.pl_index.lookup_path(ROOT_CHILDREN)
     )
 
 
@@ -202,7 +202,7 @@ def test_patterns_that_differ_only_in_case_share_one_entry():
     assert len(pos._match_memo) == 1
 
 
-def test_callers_cannot_corrupt_a_remembered_walk():
+def test_callers_cannot_corrupt_a_remembered_walk(posting_rows):
     indexes = KokoIndexSet()
     for number, text in enumerate(TEXTS[:3]):
         indexes.add_document(_PIPELINE.annotate(text, doc_id=f"d{number}", first_sid=10 * number))
@@ -215,9 +215,9 @@ def test_callers_cannot_corrupt_a_remembered_walk():
     expected = list(nodes)
     nodes.clear()
     assert pl.match_nodes(ROOT_CHILDREN) == expected
-    block = pl.lookup_path_block(ROOT_CHILDREN)
-    rows = block.materialize()
+    block = pl.lookup_path(ROOT_CHILDREN)
+    rows = posting_rows(block)
     block.sid[:] = -1
     block.tid[:] = -1
-    assert pl.lookup_path_block(ROOT_CHILDREN).materialize() == rows
+    assert posting_rows(pl.lookup_path(ROOT_CHILDREN)) == rows
     assert np.array_equal(pl._matched(ROOT_CHILDREN)[0], ids)

@@ -197,7 +197,7 @@ def test_row_lookup_holds_every_match_and_only_them_when_exact(tree_path, seed):
     corpus = _corpus(seed, 4)
     indexes = KokoIndexSet().build(corpus)
     lookup = row_lookup(tree_path)
-    block = indexes.path_candidates(lookup.path, lookup.decomposed)[1].block
+    block = indexes.path_candidates(lookup.path, lookup.decomposed)[1]
     rows: dict[int, set[int]] = {}
     for sid, tid in zip(block.sid.tolist(), block.tid.tolist()):
         rows.setdefault(sid, set()).add(tid)

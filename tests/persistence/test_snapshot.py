@@ -58,7 +58,7 @@ def snapshot_state_for(documents, checkpoint_id=3):
     )
 
 
-def test_write_validate_load_round_trip(tmp_path, documents):
+def test_write_validate_load_round_trip(tmp_path, documents, posting_rows, mention_rows):
     layout = StorageLayout(tmp_path)
     layout.initialise()
     state = snapshot_state_for(documents)
@@ -78,12 +78,16 @@ def test_write_validate_load_round_trip(tmp_path, documents):
     restored = loaded.index_sets[0]
     assert restored.word_index.vocabulary() == original.word_index.vocabulary()
     for word in original.word_index.vocabulary():
-        assert restored.word_index.lookup(word) == original.word_index.lookup(word)
-    assert sorted(restored.entity_index.all_postings()) == sorted(
-        original.entity_index.all_postings()
+        assert posting_rows(restored.word_index.lookup(word)) == posting_rows(
+            original.word_index.lookup(word)
+        )
+    assert sorted(mention_rows(restored.entity_index)) == sorted(
+        mention_rows(original.entity_index)
     )
     for steps in ([("/", "root")], [("/", "root"), ("//", "*")]):
-        assert restored.pl_index.lookup_path(steps) == original.pl_index.lookup_path(steps)
+        assert posting_rows(restored.pl_index.lookup_path(steps)) == posting_rows(
+            original.pl_index.lookup_path(steps)
+        )
     stats_r, stats_o = restored.statistics(), original.statistics()
     assert (stats_r.sentences, stats_r.tokens, stats_r.word_postings) == (
         stats_o.sentences,

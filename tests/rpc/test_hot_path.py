@@ -30,6 +30,7 @@ from repro.errors import (
 from repro.koko.engine import KokoEngine, compile_query
 from repro.koko.results import ExtractionTuple, KokoResult
 from repro.nlp.types import Corpus
+from repro.observability.exposition import _underlying_service
 from repro.rpc import AdmissionPolicy, AsyncRpcClient, RpcClient, RpcServer
 from repro.rpc import server as server_module
 from repro.net import FRAME_HEADER, frame_message
@@ -93,7 +94,7 @@ class Served:
             return submit(*args, **kwargs)
 
         self.server._executor.submit = counted_submit
-        service = self.server._underlying_service()
+        service = _underlying_service(node)
         cached_result = service.cached_result
 
         def spied_cached_result(*args, **kwargs):

@@ -10,10 +10,11 @@ queries (the repeat is answered on the server's event loop from the
 result cache), checkpoints and close/reopen, and after every step checks
 what the service promises: tuple identity with the model, scores
 compared as ``repr``; equal candidate and evaluated sentence counts;
-sentence ids that never move; no ingest bytes left in flight; and shard
+sentence ids that never move; no ingest bytes left in flight; shard
 partials computed only where needed — a query computes one partial per
 shard whose generation moved since that query last ran, and reuses the
-rest.
+rest; and, on every shard, remembered PL and POS trie walks that equal a
+fresh walk of the trie as it stands.
 
 The budget comes from the Hypothesis profile: the small ``tier1`` one
 by default, ``--hypothesis-profile ci`` for the long run.
@@ -55,6 +56,16 @@ QUERIES = {
     "location": 'extract a:Location from "w" if ()',
 }
 OVERRIDES = [(None, False), (0.0, True)]
+#: trie patterns (child, descendant and ``*`` steps; parse labels and POS
+#: tags) whose remembered walk every shard's PL and POS index is checked on
+TRIE_PATTERNS = [
+    [("/", "root")],
+    [("/", "root"), ("/", "*")],
+    [("/", "root"), ("//", "pobj")],
+    [("//", "*"), ("/", "det")],
+    [("//", "VERB"), ("/", "*")],
+    [("/", "*"), ("//", "noun")],
+]
 DOC_IDS = [f"d{index}" for index in range(6)]
 
 
@@ -240,6 +251,16 @@ class ServiceMachine(RuleBasedStateMachine):
     @invariant()
     def nothing_is_in_flight(self):
         assert self.service.inflight_ingest_bytes == 0
+
+    @invariant()
+    def remembered_trie_walks_are_fresh(self):
+        """A write, removal or reopen drops exactly the stale memo entries."""
+        indexes = self.service.indexes
+        for shard in getattr(indexes, "shards", [indexes]):
+            for hierarchy in (shard.pl_index, shard.pos_index):
+                for steps in TRIE_PATTERNS:
+                    remembered = hierarchy._matched(steps)[0].tolist()
+                    assert remembered == hierarchy._walk_nodes(steps), (hierarchy.name, steps)
 
 
 class FourShardMachine(ServiceMachine):
