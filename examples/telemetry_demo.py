@@ -74,7 +74,7 @@ def main() -> int:
                 primary.add_document(text, doc_id)
             primary.query(CITY_QUERY)
 
-            shipper = LogShipper(primary, heartbeat_interval=0.05)
+            shipper = LogShipper(primary)
             host, port = shipper.listen()
             replica = ReplicaService(connect_tcp(host, port), name="replica-1")
             assert replica.wait_caught_up(primary.wal_position(), timeout=60)

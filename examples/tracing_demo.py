@@ -73,7 +73,7 @@ def main() -> int:
     failures = 0
     try:
         with KokoService(shards=2, storage_dir=storage / "primary") as primary:
-            shipper = LogShipper(primary, heartbeat_interval=0.05)
+            shipper = LogShipper(primary)
             ship_host, ship_port = shipper.listen()
             replica = ReplicaService(
                 connect_tcp(ship_host, ship_port), name="replica-1"

@@ -23,9 +23,13 @@ missing-docstring subset of pydocstyle/ruff that the repo enforces:
   than the surface pin, under ``benchmarks/``, ``scripts/`` or
   ``examples/``, elsewhere in ``src/repro/``, or in ``docs/OPERATIONS.md``
   outside the metric table;
-* **KNB** — every ``KokoService.__init__`` parameter is cited in a code
-  span somewhere in ``docs/OPERATIONS.md``, and every code span in the
-  first column of its knob table (header cell ``Knob``) is a parameter;
+* **KNB** — every constructor parameter of the service and its serving
+  edges (:data:`KNOB_CONSTRUCTORS`: ``KokoService``, ``LogShipper``,
+  ``ReplicaService``, ``ReplicaSet``, ``RpcServer``, ``RpcClient``,
+  ``TelemetryServer``, ``ClusterTelemetry``) is cited in a code span
+  somewhere in ``docs/OPERATIONS.md``, and every code span in the first
+  column of its knob table (header cell ``Knob``) is a parameter of one
+  of them;
 * **PTH** — every ``benchmarks/``, ``scripts/`` or ``examples/`` Python
   file cited in the checked documents or the verify skill exists.
 
@@ -89,9 +93,18 @@ READER_TREES = ("tests", "benchmarks", "scripts", "examples", "src/repro")
 SURFACE_PIN = "tests/observability/test_metric_surface.py"
 _SERIES_SUFFIXES = ("", "_bucket", "_sum", "_count")
 
-#: the constructor whose parameters OPERATIONS must cite (KNB)
-KNOB_SOURCE = "src/repro/service/service.py"
-KNOB_CLASS = "KokoService"
+#: ``(module, class)`` of each constructor whose parameters OPERATIONS
+#: must cite (KNB); a module absent from the tree is skipped
+KNOB_CONSTRUCTORS = (
+    ("src/repro/service/service.py", "KokoService"),
+    ("src/repro/replication/shipper.py", "LogShipper"),
+    ("src/repro/replication/replica.py", "ReplicaService"),
+    ("src/repro/replication/router.py", "ReplicaSet"),
+    ("src/repro/rpc/server.py", "RpcServer"),
+    ("src/repro/rpc/client.py", "RpcClient"),
+    ("src/repro/observability/exposition.py", "TelemetryServer"),
+    ("src/repro/observability/exposition.py", "ClusterTelemetry"),
+)
 
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _PRIVATE_NAME = re.compile(r"(?<![A-Za-z0-9_])_[A-Za-z]\w*")
@@ -319,10 +332,8 @@ def constructor_parameters(module_path: Path, class_name: str) -> list[ast.arg]:
     return []
 
 
-def lint_knobs(document: Path, source: Path, repo_root: Path) -> list[str]:
+def lint_knobs(document: Path, repo_root: Path) -> list[str]:
     """Findings for uncited constructor parameters and stale knob-table rows."""
-    parameters = constructor_parameters(source, KNOB_CLASS)
-    names = {parameter.arg for parameter in parameters}
     lines = document.read_text(encoding="utf-8").splitlines()
     cited = {
         word
@@ -331,17 +342,26 @@ def lint_knobs(document: Path, source: Path, repo_root: Path) -> list[str]:
         for word in _IDENTIFIER.findall(span)
     }
     relative = document.relative_to(repo_root)
-    findings = [
-        f"{source.relative_to(repo_root)}:{parameter.lineno}: KNB "
-        f"{KNOB_CLASS}({parameter.arg}) is not cited in {relative}"
-        for parameter in parameters
-        if parameter.arg not in cited
-    ]
+    findings: list[str] = []
+    names: set[str] = set()
+    classes: list[str] = []
+    for module, class_name in KNOB_CONSTRUCTORS:
+        source = repo_root / module
+        if not source.exists():
+            continue
+        classes.append(class_name)
+        for parameter in constructor_parameters(source, class_name):
+            names.add(parameter.arg)
+            if parameter.arg not in cited:
+                findings.append(
+                    f"{module}:{parameter.lineno}: KNB {class_name}({parameter.arg}) "
+                    f"is not cited in {relative}"
+                )
     for line_number, span in first_column_spans(lines, "Knob"):
         if span not in names:
             findings.append(
                 f"{relative}:{line_number}: KNB {span} in the knob table is not "
-                f"a {KNOB_CLASS} parameter"
+                f"a {' / '.join(classes)} parameter"
             )
     return findings
 
@@ -381,8 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         findings.extend(
             lint_readers(root / METRIC_DOCUMENT, root / SYMBOL_SOURCES, root)
         )
-        if (root / KNOB_SOURCE).exists():
-            findings.extend(lint_knobs(root / METRIC_DOCUMENT, root / KNOB_SOURCE, root))
+        findings.extend(lint_knobs(root / METRIC_DOCUMENT, root))
 
     for finding in findings:
         print(finding)

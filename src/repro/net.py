@@ -11,9 +11,9 @@ written here once, with a blocking and an asyncio adapter for each part:
 
 * **Frames** — a little-endian ``u64`` length (:data:`FRAME_HEADER`),
   then the payload.  The blocking adapter is :class:`TcpTransport`; the
-  asyncio adapter is :func:`read_frame` (bounded by *max_frame_bytes*,
-  default :data:`MAX_FRAME_BYTES`, and guarded by one :class:`IdleTimer`
-  per connection) plus :func:`write_frame`.
+  asyncio adapter is :func:`read_frame` (bounded by
+  :data:`MAX_FRAME_BYTES`, and guarded by one :class:`IdleTimer` per
+  connection) plus :func:`write_frame`.
 * **The mutual HMAC handshake** — before the first frame, when the
   listener holds a token::
 
@@ -83,9 +83,9 @@ __all__ = [
 #: the length prefix of every frame
 FRAME_HEADER = struct.Struct("<Q")
 
-#: default upper bound on one frame an asyncio listener accepts; a header
-#: announcing more is treated as garbage and the connection is dropped
-#: before any allocation
+#: upper bound on one frame an asyncio reader accepts; a header announcing
+#: more is treated as garbage and the connection is dropped before any
+#: allocation
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -444,15 +444,13 @@ class IdleTimer:
 
 
 async def read_frame(
-    reader: asyncio.StreamReader,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-    idle: IdleTimer | None = None,
+    reader: asyncio.StreamReader, idle: IdleTimer | None = None
 ) -> bytes | None:
     """Read one whole frame payload from an asyncio stream.
 
     Returns ``None`` on a clean EOF at a frame boundary.  Raises
     :class:`FrameTooLarge` when the header announces more than
-    *max_frame_bytes* (the stream cannot be resynchronised — drop the
+    :data:`MAX_FRAME_BYTES` (the stream cannot be resynchronised — drop the
     connection), :class:`FrameError` on a mid-frame EOF, and
     :class:`asyncio.TimeoutError` when *idle*'s timeout elapses first (the
     slow-loris guard: a peer trickling header bytes forever is cut off).
@@ -467,9 +465,9 @@ async def read_frame(
                 return None  # clean EOF between frames
             raise FrameError("connection closed mid-header") from exc
         (length,) = FRAME_HEADER.unpack(header)
-        if length > max_frame_bytes:
+        if length > MAX_FRAME_BYTES:
             raise FrameTooLarge(
-                f"frame of {length} bytes exceeds the {max_frame_bytes}-byte bound"
+                f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte bound"
             )
         try:
             return await reader.readexactly(length)

@@ -73,6 +73,18 @@ _PROM = "text/plain; version=0.0.4; charset=utf-8"
 #: every header line); a client that trickles header lines is cut off here
 REQUEST_HEAD_SECONDS = 10.0
 
+#: ``/readyz`` fails once a single checkpoint has been in progress longer
+#: than this (a wedged checkpointer pins the WAL forever)
+CHECKPOINT_WEDGE_SECONDS = 300.0
+#: ``/readyz`` fails when appended records outrun synced records and the
+#: synced count has not advanced for this long (the fsync path wedged:
+#: writes are no longer becoming durable)
+WAL_STALL_SECONDS = 60.0
+#: seconds between :class:`ClusterTelemetry`'s background sweeps
+CLUSTER_POLL_SECONDS = 1.0
+#: the per-request HTTP timeout of a :class:`ClusterTelemetry` scrape
+SCRAPE_TIMEOUT_SECONDS = 2.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -185,13 +197,8 @@ class TelemetryServer(LoopServer):
         Node name in ``/stats`` (defaults to ``node.name``).
     max_lag_bytes:
         Readiness bound on replica byte lag; ``None`` skips the check.
-    checkpoint_wedge_seconds:
-        ``/readyz`` fails once a single checkpoint has been in progress
-        longer than this (a wedged checkpointer pins the WAL forever).
-    wal_stall_seconds:
-        ``/readyz`` fails when appended records outrun synced records
-        and the synced count has not advanced for this long (fsync path
-        wedged: writes are no longer becoming durable).
+        The checkpoint-wedge and WAL-stall bounds of ``/readyz`` are
+        :data:`CHECKPOINT_WEDGE_SECONDS` and :data:`WAL_STALL_SECONDS`.
     cluster:
         An optional :class:`ClusterTelemetry`; serving it at
         ``/cluster`` and folding its verdict into ``/readyz`` makes this
@@ -210,8 +217,6 @@ class TelemetryServer(LoopServer):
         *,
         name: str | None = None,
         max_lag_bytes: int | None = None,
-        checkpoint_wedge_seconds: float = 300.0,
-        wal_stall_seconds: float = 60.0,
         cluster: "ClusterTelemetry | None" = None,
         rpc_server=None,
     ) -> None:
@@ -222,8 +227,6 @@ class TelemetryServer(LoopServer):
         super().__init__(host, port, f"telemetry-{self.name}")
         self.max_lag_bytes = max_lag_bytes
         self._kind = _node_kind(node)
-        self._checkpoint_wedge_seconds = checkpoint_wedge_seconds
-        self._wal_stall_seconds = wal_stall_seconds
         self._probe_lock = threading.Lock()
         self._checkpoint_first_seen: float | None = None
         self._wal_synced_seen: tuple[int, float] = (0, time.monotonic())
@@ -412,10 +415,7 @@ class TelemetryServer(LoopServer):
             if registry.get("koko_checkpoint_in_progress").value > 0:
                 if self._checkpoint_first_seen is None:
                     self._checkpoint_first_seen = now
-                return (
-                    now - self._checkpoint_first_seen
-                    <= self._checkpoint_wedge_seconds
-                )
+                return now - self._checkpoint_first_seen <= CHECKPOINT_WEDGE_SECONDS
             self._checkpoint_first_seen = None
             return True
 
@@ -430,7 +430,7 @@ class TelemetryServer(LoopServer):
                 changed_at = now
             backlog = registry.get("koko_wal_records_appended_total").value - synced
             detail["wal_unsynced_records"] = backlog
-            return backlog <= 0 or (now - changed_at) <= self._wal_stall_seconds
+            return backlog <= 0 or (now - changed_at) <= WAL_STALL_SECONDS
 
     # ------------------------------------------------------------------
     # documents
@@ -467,8 +467,9 @@ class ClusterTelemetry:
     """Scrapes every node's telemetry endpoint into one cluster view.
 
     Register each node's ``(host, port)`` with :meth:`add_peer`, then
-    either :meth:`start` the background poller (``poll_interval``
-    seconds between sweeps) or call :meth:`scrape_once` on demand.
+    either :meth:`start` the background poller
+    (:data:`CLUSTER_POLL_SECONDS` between sweeps, each request bounded by
+    :data:`SCRAPE_TIMEOUT_SECONDS`) or call :meth:`scrape_once` on demand.
     The merged view (:meth:`cluster_view`) is what the primary's
     :class:`TelemetryServer` renders at ``/cluster``.
 
@@ -484,8 +485,6 @@ class ClusterTelemetry:
         keeps serving stale self-reported lag.
     max_lag_bytes:
         Byte-lag bound applied to both scraped and shipper-side lag.
-    poll_interval / scrape_timeout:
-        Background sweep period and the per-request HTTP timeout.
     """
 
     def __init__(
@@ -494,14 +493,10 @@ class ClusterTelemetry:
         *,
         shipper=None,
         max_lag_bytes: int | None = None,
-        poll_interval: float = 1.0,
-        scrape_timeout: float = 2.0,
     ) -> None:
         self.primary = primary
         self.shipper = shipper
         self.max_lag_bytes = max_lag_bytes
-        self.poll_interval = poll_interval
-        self.scrape_timeout = scrape_timeout
         self._lock = threading.Lock()
         self._peers: dict[str, tuple[str, int]] = {}
         self._views: dict[str, dict] = {}
@@ -560,10 +555,10 @@ class ClusterTelemetry:
         }
         try:
             status, stats = http_get_json(
-                host, port, "/stats", timeout=self.scrape_timeout
+                host, port, "/stats", timeout=SCRAPE_TIMEOUT_SECONDS
             )
             ready_status, ready = http_get_json(
-                host, port, "/readyz", timeout=self.scrape_timeout
+                host, port, "/readyz", timeout=SCRAPE_TIMEOUT_SECONDS
             )
         except Exception as exc:
             view["error"] = repr(exc)
@@ -587,7 +582,7 @@ class ClusterTelemetry:
         return view
 
     def start(self) -> None:
-        """Begin background polling every ``poll_interval`` seconds."""
+        """Begin background polling every :data:`CLUSTER_POLL_SECONDS`."""
         if self._thread is not None:
             return
         self._stop.clear()
@@ -597,7 +592,7 @@ class ClusterTelemetry:
         self._thread.start()
 
     def _poll_loop(self) -> None:
-        while not self._stop.wait(self.poll_interval):
+        while not self._stop.wait(CLUSTER_POLL_SECONDS):
             try:
                 self.scrape_once()
             except Exception:  # pragma: no cover - scrape errors live in views
@@ -673,7 +668,7 @@ class ClusterTelemetry:
                 continue
             try:
                 status, payload = http_get_json(
-                    host, port, f"/traces/{trace_id}", timeout=self.scrape_timeout
+                    host, port, f"/traces/{trace_id}", timeout=SCRAPE_TIMEOUT_SECONDS
                 )
             except Exception as exc:
                 errors.append(f"{name}: {exc!r}")

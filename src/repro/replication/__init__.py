@@ -6,8 +6,10 @@ The scale-out read path over the durability subsystem:
   :class:`~repro.replication.shipper.LogShipper` streams snapshot
   bootstrap + WAL tail to any number of followers, coordinating with
   checkpoint rotation through WAL retention pins;
-* **transports** — an in-process queue pair (:mod:`.transport`) and the
-  TCP transport of :mod:`repro.net` behind one message interface;
+* **transport** — :class:`~repro.net.TcpTransport`, the framed TCP
+  channel of :mod:`repro.net`: ``send(message)``, ``recv(timeout)``
+  (``None`` when nothing arrived in time) and ``close()``, a broken
+  channel raising :class:`~repro.net.TransportClosed`;
 * **replicas** (:mod:`.replica`) — a
   :class:`~repro.replication.replica.ReplicaService` restores the
   shipped snapshot, tails the log through the service's existing splice
@@ -24,10 +26,8 @@ from ..persistence import WalPosition
 from .replica import ReplicaService
 from .router import ReplicaSet, ReplicaSetStats
 from .shipper import LogShipper, ShipperSession
-from .transport import InProcessTransport
 
 __all__ = [
-    "InProcessTransport",
     "LogShipper",
     "ReplicaService",
     "ReplicaSet",

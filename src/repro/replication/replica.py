@@ -34,8 +34,13 @@ from ..net import TransportClosed
 from ..observability.tracing import Span, TraceContext, new_span_id
 from ..persistence import WalPosition, WalRecord, state_from_payloads
 from ..service import KokoService
+from . import shipper
 
 __all__ = ["ReplicaService"]
+
+#: applied records that may accumulate before an ack is sent (an ack is
+#: also sent whenever the stream goes idle)
+ACK_EVERY_RECORDS = 64
 
 
 class ReplicaService:
@@ -44,14 +49,11 @@ class ReplicaService:
     Parameters
     ----------
     transport:
-        The follower end of a transport connected to a primary's
-        :class:`~repro.replication.shipper.LogShipper` (e.g.
-        :func:`~repro.net.connect_tcp`, or the replica
-        end of :meth:`InProcessTransport.pair` handed to
-        ``shipper.serve``).
-    ack_every_records:
-        How many applied records may accumulate before an ack is sent
-        (an ack is also sent whenever the stream goes idle).
+        The follower end of a :class:`~repro.net.TcpTransport` connected
+        to a primary's :class:`~repro.replication.shipper.LogShipper`:
+        :func:`~repro.net.connect_tcp` to its ``listen()`` port, or one
+        end of a connected socket pair whose other end is handed to
+        ``shipper.serve``.
     name:
         Label for diagnostics.
     **service_kwargs:
@@ -71,13 +73,11 @@ class ReplicaService:
     def __init__(
         self,
         transport,
-        ack_every_records: int = 64,
         name: str = "replica",
         **service_kwargs,
     ) -> None:
         self._transport = transport
         self.name = name
-        self._ack_every_records = ack_every_records
         self._service_kwargs = dict(service_kwargs)
         self._lock = threading.Lock()
         self._applied: WalPosition | None = None
@@ -152,24 +152,36 @@ class ReplicaService:
         )
 
     def _handshake(self, transport, resume: WalPosition | None):
-        """Subscribe and read the hello (+ snapshot, when bootstrapping)."""
+        """Subscribe and read the hello (+ snapshot, when bootstrapping).
+
+        Anything but a well-formed hello — and, on a bootstrap, a
+        well-formed snapshot — raises :class:`ReplicationError`; the
+        callers close the transport.
+        """
         transport.send(("subscribe", {"resume": resume}))
-        hello = transport.recv(timeout=60.0)
-        if hello is None or hello[0] != "hello":
-            raise ReplicationError(f"{self.name}: expected hello, got {hello!r}")
-        mode = hello[1]["mode"]
-        start: WalPosition = hello[1]["start"]
+        hello = transport.recv(timeout=shipper.SUBSCRIBE_SECONDS)
+        mode, start = self._fields(hello, "hello", "mode", "start")
+        if not isinstance(start, WalPosition):
+            raise ReplicationError(f"{self.name}: hello without a start, got {hello!r}")
         state = None
         if mode == "snapshot":
-            snapshot_msg = transport.recv(timeout=600.0)
-            if snapshot_msg is None or snapshot_msg[0] != "snapshot":
-                raise ReplicationError(
-                    f"{self.name}: expected snapshot payload, got {snapshot_msg!r}"
-                )
-            state = state_from_payloads(
-                snapshot_msg[1]["manifest"], snapshot_msg[1]["files"]
+            snapshot_msg = transport.recv(timeout=shipper.BOOTSTRAP_SECONDS)
+            manifest, files = self._fields(
+                snapshot_msg, "snapshot", "manifest", "files"
             )
+            state = state_from_payloads(manifest, files)
         return mode, start, state
+
+    def _fields(self, message, kind: str, *keys) -> tuple:
+        """The *keys* of a well-formed ``(kind, {key: ...})`` *message*;
+        :class:`ReplicationError` for anything else."""
+        try:
+            tag, info = message
+            if tag == kind:
+                return tuple(info[key] for key in keys)
+        except (TypeError, ValueError, KeyError):
+            pass
+        raise ReplicationError(f"{self.name}: expected {kind}, got {message!r}")
 
     def reconnect(self, transport) -> bool:
         """Re-attach a disconnected replica through a fresh transport.
@@ -272,7 +284,7 @@ class ReplicaService:
                             self._applied = position
                             self._records_applied += 1
                         unacked += 1
-                        if unacked >= self._ack_every_records:
+                        if unacked >= ACK_EVERY_RECORDS:
                             unacked = self._send_ack(transport)
                     self._note_primary_end(primary_end)
                 elif kind == "heartbeat":

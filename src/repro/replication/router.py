@@ -15,10 +15,10 @@ followers, with the staleness controls a replicated read path needs:
   rejects replicas whose byte lag behind the primary exceeds the bound;
 * **failover** — a replica that disconnected, whose applier died, that
   was told to re-bootstrap, or that has made no apply progress for
-  ``failover_seconds`` while the primary advanced, stops receiving
+  :data:`FAILOVER_SECONDS` while the primary advanced, stops receiving
   queries; a replica that raises mid-query is skipped, the query is
   re-routed (ultimately to the primary, which always answers), and the
-  failed replica is benched for ``suspend_seconds`` — apply progress
+  failed replica is benched for :data:`SUSPEND_SECONDS` — apply progress
   rehabilitates it sooner, and on a write-idle primary the bench simply
   expires, so one transient error never removes a replica for good.
 
@@ -38,6 +38,15 @@ from ..observability.metrics import MetricsRegistry
 from ..persistence import WalPosition
 
 __all__ = ["ReplicaSet", "ReplicaSetStats"]
+
+#: a replica whose applied position has not advanced for this long while
+#: the primary's log end is ahead of it is stuck ("stopped acking") and
+#: out of rotation until it progresses again
+FAILOVER_SECONDS = 5.0
+#: how long a replica that raised mid-query stays benched; apply progress
+#: lifts the bench early, and otherwise it expires on its own, so a
+#: transient failure on a write-idle primary cannot bench it for good
+SUSPEND_SECONDS = 1.0
 
 _UNSET = object()
 
@@ -112,16 +121,9 @@ class ReplicaSet:
         Default staleness bound: replicas lagging more than this many
         bytes behind the primary's durable end are not routed to.
         ``None`` (default) accepts any lag.
-    failover_seconds:
-        A replica whose applied position has not advanced for this long —
-        while the primary's log end is ahead of it — is considered stuck
-        ("stopped acking") and taken out of rotation until it progresses
-        again.
-    suspend_seconds:
-        How long a replica that raised mid-query stays benched.  Apply
-        progress lifts the bench early; otherwise it expires on its own,
-        so a transient failure on a write-idle primary (where the applied
-        position never moves) cannot bench a replica permanently.
+
+    The failover and bench windows are :data:`FAILOVER_SECONDS` and
+    :data:`SUSPEND_SECONDS`.
     """
 
     def __init__(
@@ -129,13 +131,9 @@ class ReplicaSet:
         primary,
         replicas=(),
         max_lag_bytes: int | None = None,
-        failover_seconds: float = 5.0,
-        suspend_seconds: float = 1.0,
     ) -> None:
         self.primary = primary
         self.max_lag_bytes = max_lag_bytes
-        self.failover_seconds = failover_seconds
-        self.suspend_seconds = suspend_seconds
         # routing counters join the primary's registry, so the primary's
         # exposition covers the whole replicated read path
         self.stats = ReplicaSetStats(primary.metrics)
@@ -297,17 +295,17 @@ class ReplicaSet:
                 primary_end is not None
                 and (applied is None or applied < primary_end)
             )
-            if behind and now - health.last_progress_monotonic > self.failover_seconds:
+            if behind and now - health.last_progress_monotonic > FAILOVER_SECONDS:
                 return False  # stopped acking while the primary advanced
         return True
 
     def _suspend(self, replica) -> None:
-        """Bench a replica that failed a query for ``suspend_seconds``
+        """Bench a replica that failed a query for :data:`SUSPEND_SECONDS`
         (apply progress lifts the bench early)."""
         with self._lock:
             health = self._health.get(id(replica))
             if health is not None:
-                health.suspended_until = time.monotonic() + self.suspend_seconds
+                health.suspended_until = time.monotonic() + SUSPEND_SECONDS
 
     # ------------------------------------------------------------------
     # observability

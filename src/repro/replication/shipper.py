@@ -21,10 +21,16 @@ still needs (its ack position, falling back to its read position) via
 ``KokoService.register_wal_pin``; checkpoint pruning keeps everything at
 or above the lowest pin, so a follower mid-tail never loses records a
 rotation folded away.  A session that stops acking for
-``stall_timeout`` seconds drops its pin (so one dead follower cannot
-make the log grow without bound) and is marked *stalled*; if it revives
+:data:`STALL_SECONDS` drops its pin (so one dead follower cannot make
+the log grow without bound) and is marked *stalled*; if it revives
 after its segments were pruned, the cursor raises and the session tells
 the follower to reconnect — which re-bootstraps from a fresh snapshot.
+
+**Timing.**  Every interval, window and batch bound is a module
+constant below, read at each use; no deployment varies them.  The two
+handshake windows, :data:`SUBSCRIBE_SECONDS` and
+:data:`BOOTSTRAP_SECONDS`, bound both ends of a session: the follower
+(:mod:`repro.replication.replica`) reads them from here too.
 """
 
 from __future__ import annotations
@@ -42,6 +48,26 @@ from ..persistence.wal import WalRecord
 from ..persistence.snapshot import find_latest_valid
 
 __all__ = ["LogShipper", "ShipperSession"]
+
+#: seconds a caught-up session waits between WAL polls; the wait doubles
+#: as the ack-receive timeout
+POLL_SECONDS = 0.02
+#: seconds between ``heartbeat`` messages to each follower
+HEARTBEAT_SECONDS = 0.5
+#: bounds on one ``records`` message
+BATCH_MAX_RECORDS = 256
+BATCH_MAX_BYTES = 4 * 1024 * 1024
+#: seconds without an ack after which a *tailing* session stops pinning
+#: WAL segments and reports itself stalled
+STALL_SECONDS = 60.0
+#: the opening window: the primary waits this long for a fresh session's
+#: subscribe, the follower as long for the primary's hello
+SUBSCRIBE_SECONDS = 30.0
+#: the bootstrap window: the follower waits this long for the snapshot,
+#: and a session keeps its retention pin this long before the follower's
+#: first ack (shipping the snapshot, then the follower deserialising it
+#: and building its service, both take longer than :data:`STALL_SECONDS`)
+BOOTSTRAP_SECONDS = 600.0
 
 
 class ShipperSession:
@@ -90,21 +116,21 @@ class ShipperSession:
 
     @property
     def stalled(self) -> bool:
-        """True when the follower has not acked within ``stall_timeout``.
+        """True when the follower has not acked within :data:`STALL_SECONDS`.
 
         Until the follower's **first ack** lands, the session is exempt up
-        to ``bootstrap_timeout`` instead: a fresh follower first receives
-        the snapshot, then deserialises it and builds its service before
-        its applier can ack anything — legitimately longer than
-        ``stall_timeout``, and dropping the WAL retention pin during that
+        to :data:`BOOTSTRAP_SECONDS` instead: a fresh follower first
+        receives the snapshot, then deserialises it and builds its service
+        before its applier can ack anything — legitimately longer than the
+        stall window, and dropping the WAL retention pin during that
         window would let a checkpoint prune exactly the segments the
         follower is about to need.
         """
         with self._lock:
             if not self._acked_once:
                 elapsed = time.monotonic() - self._started_monotonic
-                return elapsed > self._shipper.bootstrap_timeout
-        return self.last_ack_age_seconds > self._shipper.stall_timeout
+                return elapsed > BOOTSTRAP_SECONDS
+        return self.last_ack_age_seconds > STALL_SECONDS
 
     @property
     def alive(self) -> bool:
@@ -174,7 +200,7 @@ class ShipperSession:
 
     def _serve(self) -> None:
         shipper = self._shipper
-        subscribe = self._transport.recv(timeout=shipper.subscribe_timeout)
+        subscribe = self._transport.recv(timeout=SUBSCRIBE_SECONDS)
         if subscribe is None or subscribe[0] != "subscribe":
             raise ReplicationError(
                 f"session {self.session_id}: expected a subscribe message, "
@@ -192,8 +218,8 @@ class ShipperSession:
         while not self._stop.is_set():
             try:
                 batch = cursor.poll(
-                    max_records=shipper.batch_max_records,
-                    max_bytes=shipper.batch_max_bytes,
+                    max_records=BATCH_MAX_RECORDS,
+                    max_bytes=BATCH_MAX_BYTES,
                     # never ship past the durable end: a follower must not
                     # apply a record a primary crash could still discard
                     up_to=shipper.service.wal_position(),
@@ -222,7 +248,7 @@ class ShipperSession:
                 # caught up: the recv timeout doubles as the poll interval
                 self._drain_acks(block=True)
             now = time.monotonic()
-            if now - last_heartbeat >= shipper.heartbeat_interval:
+            if now - last_heartbeat >= HEARTBEAT_SECONDS:
                 last_heartbeat = now
                 self._transport.send(
                     (
@@ -344,11 +370,8 @@ class ShipperSession:
 
     def _drain_acks(self, block: bool) -> None:
         """Absorb follower messages; *block* waits one poll interval."""
-        shipper = self._shipper
         while True:
-            message = self._transport.recv(
-                timeout=shipper.poll_interval if block else 0.0
-            )
+            message = self._transport.recv(timeout=POLL_SECONDS if block else 0.0)
             if message is None:
                 return
             if message[0] == "ack":
@@ -376,57 +399,19 @@ class ShipperSession:
 class LogShipper:
     """Streams a durable service's snapshot + WAL to follower sessions.
 
-    Parameters
-    ----------
-    service:
-        The primary — must have been constructed with ``storage_dir`` (the
-        WAL and snapshots are what get shipped).
-    poll_interval:
-        Seconds a caught-up session waits between WAL polls (the wait
-        doubles as the ack-receive timeout).
-    heartbeat_interval:
-        Seconds between ``heartbeat`` messages to each follower.
-    batch_max_records, batch_max_bytes:
-        Bounds on one ``records`` message.
-    stall_timeout:
-        Seconds without an ack after which a *tailing* session stops
-        pinning WAL segments (and reports itself stalled).  A revived
-        follower whose segments were pruned is told to reconnect and
-        re-bootstrap.
-    bootstrap_timeout:
-        Seconds a session may hold its retention pin before its
-        follower's **first ack**.  Covers shipping the snapshot *and* the
-        follower deserialising it and building its service — both
-        legitimately slower than ``stall_timeout``; matches the
-        follower's snapshot receive window by default.
-    subscribe_timeout:
-        Seconds a fresh session waits for the follower's subscribe.
+    *service* is the primary; it must have been constructed with
+    ``storage_dir`` (the WAL and snapshots are what get shipped).  The
+    shipping intervals, batch bounds and session windows are this
+    module's constants.
     """
 
-    def __init__(
-        self,
-        service,
-        poll_interval: float = 0.02,
-        heartbeat_interval: float = 0.5,
-        batch_max_records: int = 256,
-        batch_max_bytes: int = 4 * 1024 * 1024,
-        stall_timeout: float = 60.0,
-        bootstrap_timeout: float = 600.0,
-        subscribe_timeout: float = 30.0,
-    ) -> None:
+    def __init__(self, service) -> None:
         if service.storage_dir is None:
             raise ReplicationError(
                 "log shipping needs a durable primary (storage_dir=...)"
             )
         self.service = service
         self.layout = service._layout
-        self.poll_interval = poll_interval
-        self.heartbeat_interval = heartbeat_interval
-        self.batch_max_records = batch_max_records
-        self.batch_max_bytes = batch_max_bytes
-        self.stall_timeout = stall_timeout
-        self.bootstrap_timeout = bootstrap_timeout
-        self.subscribe_timeout = subscribe_timeout
         self._auth_token: bytes | str | None = None
         self._lock = threading.Lock()
         self._sessions: list[ShipperSession] = []

@@ -1,7 +1,7 @@
 """Network query/ingest RPC tier.
 
 The network front door of a KOKO deployment: :class:`RpcServer` serves
-queries and ingest over the replication transport's framed+HMAC wire for
+queries and ingest over :mod:`repro.net`'s framed+HMAC wire for
 any node kind (primary service, read-only replica, or router), with
 per-client token-bucket admission (:class:`AdmissionPolicy`),
 server-side query deadlines, bulk ingest and pipelined durability acks.

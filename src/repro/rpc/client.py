@@ -331,11 +331,9 @@ class RpcClient(_CallMixin):
         auth_token: bytes | str | None = None,
         client_id: str | None = None,
         timeout: float = 30.0,
-        default_deadline: float | None = None,
         trace_sample_rate: float = 0.0,
     ) -> None:
         self.client_id = client_id if client_id is not None else _default_client_id()
-        self.default_deadline = default_deadline
         self.timeout = timeout
         self._init_tracing(trace_sample_rate)
         self._transport = connect_tcp(host, port, timeout, auth_token)
@@ -344,8 +342,6 @@ class RpcClient(_CallMixin):
 
     def _call(self, op: str, args: dict, deadline: float | None):
         """One request/response exchange; faults re-raise typed."""
-        if deadline is None:
-            deadline = self.default_deadline
         ctx, span, started = self._begin_call(op)
         request = RpcRequest(
             op=op,
@@ -390,7 +386,10 @@ class AsyncRpcClient(_CallMixin):
     """asyncio RPC client; every op method is a coroutine.
 
     Create with :meth:`connect`.  An asyncio lock serialises exchanges so
-    one client can be shared across tasks.
+    one client can be shared across tasks.  As with :class:`RpcClient`, a
+    call whose exchange does not complete within the ``timeout`` given to
+    :meth:`connect` raises :class:`~repro.errors.RpcUnavailable` and
+    closes the connection; later calls fail fast.
     """
 
     def __init__(
@@ -403,7 +402,8 @@ class AsyncRpcClient(_CallMixin):
         self._reader = reader
         self._writer = writer
         self.client_id = client_id if client_id is not None else _default_client_id()
-        self.default_deadline: float | None = None
+        #: seconds one exchange may take (:meth:`connect` sets it)
+        self.timeout: float | None = None
         self._lock = asyncio.Lock()
         self._request_ids = itertools.count(1)
         self._init_tracing(trace_sample_rate)
@@ -419,7 +419,11 @@ class AsyncRpcClient(_CallMixin):
         timeout: float = 10.0,
         trace_sample_rate: float = 0.0,
     ) -> "AsyncRpcClient":
-        """Open a connection (and run the handshake when *auth_token*)."""
+        """Open a connection (and run the handshake when *auth_token*).
+
+        *timeout* bounds the connect, the handshake and every later
+        request/response exchange.
+        """
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port), timeout=timeout
         )
@@ -434,14 +438,14 @@ class AsyncRpcClient(_CallMixin):
         except Exception:
             writer.close()
             raise
-        return cls(
+        client = cls(
             reader, writer, client_id=client_id, trace_sample_rate=trace_sample_rate
         )
+        client.timeout = timeout
+        return client
 
     async def _call(self, op: str, args: dict, deadline: float | None):
         """One request/response exchange; faults re-raise typed."""
-        if deadline is None:
-            deadline = self.default_deadline
         ctx, span, started = self._begin_call(op)
         request = RpcRequest(
             op=op,
@@ -452,14 +456,29 @@ class AsyncRpcClient(_CallMixin):
             trace=ctx,
         )
         async with self._lock:
+            if self._writer.is_closing():
+                raise RpcUnavailable("server connection is closed")
             try:
-                await write_frame(self._writer, encode_message(request))
-                payload = await read_frame(self._reader)
+                payload = await asyncio.wait_for(
+                    self._exchange(encode_message(request)), self.timeout
+                )
+            except (asyncio.TimeoutError, TimeoutError):
+                # the late response would be read as the next call's answer
+                self._writer.close()
+                raise RpcUnavailable(
+                    f"no response to {op!r} within the client timeout of "
+                    f"{self.timeout:g}s; connection closed"
+                ) from None
             except (ConnectionError, OSError) as exc:
                 raise RpcUnavailable(f"server connection failed: {exc}") from exc
         if payload is None:
             raise RpcUnavailable("server closed the connection")
         return self._complete_call(request, payload, span, started)
+
+    async def _exchange(self, request: bytes) -> bytes | None:
+        """Send one framed request and read the response frame."""
+        await write_frame(self._writer, request)
+        return await read_frame(self._reader)
 
     async def close(self) -> None:
         """Close the connection (idempotent)."""

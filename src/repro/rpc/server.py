@@ -65,7 +65,6 @@ from ..errors import (
     RpcStaleRead,
 )
 from ..net import (
-    MAX_FRAME_BYTES,
     FrameError,
     FrameTooLarge,
     IdleTimer,
@@ -90,6 +89,13 @@ from .wire import (
 )
 
 __all__ = ["RpcServer"]
+
+#: a connection with no whole frame for this long is cut (the slow-loris
+#: guard, :class:`~repro.net.IdleTimer`); frames over
+#: :data:`repro.net.MAX_FRAME_BYTES` are dropped before allocation
+IDLE_SECONDS = 300.0
+#: a client that has not finished the HMAC handshake by now is cut
+HANDSHAKE_SECONDS = 5.0
 
 #: ops that mutate state — rejected on replicas, ingest-bucket admitted
 _WRITE_OPS = frozenset({"add_document", "add_documents", "remove_document", "flush"})
@@ -118,9 +124,6 @@ class RpcServer(LoopServer):
     admission:
         An :class:`AdmissionPolicy` (or prepared
         :class:`AdmissionController`); ``None`` admits everything.
-    max_frame_bytes / idle_timeout / handshake_timeout:
-        Transport hardening: frames over the bound, connections idle past
-        the timeout, and handshakes that stall are dropped (and counted).
     default_deadline:
         Budget in seconds applied to requests that carry none
         (``None`` = no server-imposed deadline).
@@ -140,9 +143,6 @@ class RpcServer(LoopServer):
         auth_token: bytes | str | None = None,
         allow_unauthenticated: bool = False,
         admission: AdmissionPolicy | AdmissionController | None = None,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        idle_timeout: float = 300.0,
-        handshake_timeout: float = 5.0,
         default_deadline: float | None = None,
         max_workers: int = 8,
         name: str | None = None,
@@ -154,9 +154,6 @@ class RpcServer(LoopServer):
         self.name = name if name is not None else getattr(node, "name", "rpc")
         super().__init__(host, port, f"rpc-server-{self.name}")
         self.auth_token = auth_token
-        self.max_frame_bytes = max_frame_bytes
-        self.idle_timeout = idle_timeout
-        self.handshake_timeout = handshake_timeout
         self.default_deadline = default_deadline
         self._kind = _node_kind(node)
         if isinstance(admission, AdmissionPolicy):
@@ -225,17 +222,13 @@ class RpcServer(LoopServer):
         self._connections.inc()
         peername = writer.get_extra_info("peername") or ("unknown", 0)
         peer = f"{peername[0]}:{peername[1]}"
-        idle = (
-            IdleTimer(reader, self.idle_timeout)
-            if self.idle_timeout is not None
-            else None
-        )
+        idle = IdleTimer(reader, IDLE_SECONDS)
         try:
             if self.auth_token is not None:
                 try:
                     ok = await asyncio.wait_for(
                         handshake_async(reader, writer, self.auth_token, listener=True),
-                        timeout=self.handshake_timeout,
+                        timeout=HANDSHAKE_SECONDS,
                     )
                 except Exception:
                     ok = False
@@ -244,7 +237,7 @@ class RpcServer(LoopServer):
                     return
             while True:
                 try:
-                    payload = await read_frame(reader, self.max_frame_bytes, idle)
+                    payload = await read_frame(reader, idle)
                 except (asyncio.TimeoutError, TimeoutError):
                     self._transport_errors.labels("idle_timeout").inc()
                     return
@@ -279,8 +272,7 @@ class RpcServer(LoopServer):
         except (ConnectionError, OSError):
             self._transport_errors.labels("disconnect").inc()
         finally:
-            if idle is not None:
-                idle.cancel()
+            idle.cancel()
             self._connections.dec()
             try:
                 writer.close()

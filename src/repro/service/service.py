@@ -139,12 +139,13 @@ from .stats import ServiceStats
 __all__ = ["IngestAck", "KokoService"]
 
 # Sizes no workload varies: compiled plans kept, distinct traces behind
-# ``/traces``, slow-op entries in the ring, and the slow-op file's bytes
-# before it rotates to ``<path>.1``.
+# ``/traces``, slow-op entries in the ring, the slow-op file's bytes
+# before it rotates to ``<path>.1``, and the threads of one query_batch.
 PLAN_CACHE_SIZE = 256
 TRACE_STORE_CAPACITY = 128
 SLOW_OP_LOG_CAPACITY = 256
 SLOW_OP_LOG_MAX_BYTES = 16 * 1024 * 1024
+QUERY_BATCH_WORKERS = 4
 
 
 @dataclass
@@ -1332,20 +1333,18 @@ class KokoService(Durability):
         queries: list[str | KokoQuery | CompiledQuery],
         threshold_override: float | None = None,
         keep_all_scores: bool = False,
-        max_workers: int = 4,
     ) -> list[KokoResult]:
         """Evaluate a batch of queries concurrently, preserving order.
 
         Each result carries its own :class:`~repro.koko.results.StageTimings`
         exactly as single-query execution would; each query runs its pipeline
-        pass on its own batch thread.
-
-        ``max_workers`` bounds the batch's thread pool.
+        pass on its own batch thread, at most :data:`QUERY_BATCH_WORKERS`
+        at once.
         """
         self._ensure_open()
         if not queries:
             return []
-        workers = max(1, min(max_workers, len(queries)))
+        workers = min(QUERY_BATCH_WORKERS, len(queries))
         with ThreadPoolExecutor(max_workers=workers) as executor:
             return list(
                 executor.map(

@@ -353,26 +353,28 @@ class TcpCluster(NamedTuple):
 
 
 @pytest.fixture
-def make_tcp_cluster(tmp_path):
+def make_tcp_cluster(tmp_path, monkeypatch):
     """Factory for the canonical e2e cluster: primary + TCP replica + router.
 
     ``make_tcp_cluster(shards=..., texts=[...])`` ingests *texts* as
     ``doc0..docN`` on the primary, ships them to a TCP replica behind an
     ephemeral port (``wait_for_listen`` guarded), waits for catch-up, and
-    wraps both in a ``ReplicaSet`` router.  Everything is torn down in
-    reverse order at test exit.  Call it multiple times for multi-cluster
-    tests; each call gets its own storage directory.
+    wraps both in a ``ReplicaSet`` router.  The shipper heartbeats every
+    50 ms, so replica lag and clock offset settle quickly.  Everything is
+    torn down in reverse order at test exit.  Call it multiple times for
+    multi-cluster tests; each call gets its own storage directory.
     """
     from repro.replication import LogShipper, ReplicaService, connect_tcp
+    from repro.replication import shipper as shipper_module
     from repro.replication.router import ReplicaSet
     from repro.service import KokoService
 
+    monkeypatch.setattr(shipper_module, "HEARTBEAT_SECONDS", 0.05)
     clusters: list[TcpCluster] = []
 
     def _make(
         shards: int = 2,
         texts=(),
-        heartbeat_interval: float = 0.05,
         auth_token=None,
         **service_kwargs,
     ) -> TcpCluster:
@@ -383,7 +385,7 @@ def make_tcp_cluster(tmp_path):
         )
         for index, text in enumerate(texts):
             primary.add_document(text, f"doc{index}")
-        shipper = LogShipper(primary, heartbeat_interval=heartbeat_interval)
+        shipper = LogShipper(primary)
         host, port = shipper.listen(auth_token=auth_token)
         wait_for_listen(host, port)
         replica = ReplicaService(

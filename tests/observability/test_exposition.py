@@ -88,10 +88,9 @@ def test_health_probes_flip_when_the_service_closes(service, server):
     assert status == 503
 
 
-def test_readyz_fails_when_a_checkpoint_wedges(service):
-    with TelemetryServer(
-        service, checkpoint_wedge_seconds=0.05
-    ) as telemetry:
+def test_readyz_fails_when_a_checkpoint_wedges(service, monkeypatch):
+    monkeypatch.setattr(exposition, "CHECKPOINT_WEDGE_SECONDS", 0.05)
+    with TelemetryServer(service) as telemetry:
         service.stats.record_checkpoint_started()
         try:
             # first probe observes the running checkpoint and arms the timer
@@ -104,6 +103,22 @@ def test_readyz_fails_when_a_checkpoint_wedges(service):
         finally:
             service.stats.record_checkpoint_finished()
         # a finished checkpoint clears the wedge verdict
+        status, body = http_get_json(*telemetry.address, "/readyz")
+        assert status == 200
+
+
+def test_readyz_fails_when_appended_records_stop_becoming_durable(
+    service, monkeypatch
+):
+    monkeypatch.setattr(exposition, "WAL_STALL_SECONDS", 0.05)
+    with TelemetryServer(service) as telemetry:
+        status, body = http_get_json(*telemetry.address, "/readyz")
+        assert status == 200 and body["checks"]["wal_advancing"]
+        service.metrics.get("koko_wal_records_appended_total").inc()  # unsynced
+        time.sleep(0.1)
+        status, body = http_get_json(*telemetry.address, "/readyz")
+        assert status == 503 and body["checks"]["wal_advancing"] is False
+        service.metrics.get("koko_wal_records_synced_total").inc()  # caught up
         status, body = http_get_json(*telemetry.address, "/readyz")
         assert status == 200
 

@@ -5,18 +5,15 @@ re-annotation, across checkpoint rotations and follower restarts."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
 import pytest
 
+import repro.replication.shipper as shipper_module
 from repro.persistence import CheckpointPolicy, WalPosition
-from repro.replication import (
-    InProcessTransport,
-    LogShipper,
-    ReplicaService,
-    connect_tcp,
-)
+from repro.replication import LogShipper, ReplicaService, TcpTransport, connect_tcp
 from repro.service import KokoService
 
 ENTITY_QUERY = (
@@ -50,7 +47,8 @@ class ExplodingPipeline:
 
 
 def attach_replica(shipper, **kwargs) -> ReplicaService:
-    primary_end, replica_end = InProcessTransport.pair()
+    """A replica over a connected socket pair whose other end *shipper* serves."""
+    primary_end, replica_end = map(TcpTransport, socket.socketpair())
     shipper.serve(primary_end)
     kwargs.setdefault("pipeline", ExplodingPipeline())
     return ReplicaService(replica_end, **kwargs)
@@ -267,7 +265,7 @@ def test_reconnect_resumes_without_rebootstrap(tmp_path):
     with KokoService(shards=1, storage_dir=tmp_path / "svc") as primary:
         primary.add_document(TEXTS[0], "doc0")
         shipper = LogShipper(primary)
-        primary_end, replica_end = InProcessTransport.pair()
+        primary_end, replica_end = map(TcpTransport, socket.socketpair())
         shipper.serve(primary_end)
         replica = ReplicaService(replica_end, pipeline=ExplodingPipeline())
         try:
@@ -279,7 +277,7 @@ def test_reconnect_resumes_without_rebootstrap(tmp_path):
             assert not replica.connected
 
             primary.add_document(TEXTS[1], "doc1")  # written while detached
-            new_primary_end, new_replica_end = InProcessTransport.pair()
+            new_primary_end, new_replica_end = map(TcpTransport, socket.socketpair())
             shipper.serve(new_primary_end)
             resumed = replica.reconnect(new_replica_end)
             assert resumed  # position still on disk: stream continued
@@ -312,16 +310,18 @@ def test_tcp_shipping_end_to_end(tmp_path, listen_ready):
             shipper.close()
 
 
-def test_idle_caught_up_follower_never_goes_stalled(tmp_path):
+def test_idle_caught_up_follower_never_goes_stalled(tmp_path, monkeypatch):
     """An idle-but-healthy follower keeps acking off heartbeats, so its WAL
-    retention pin survives ingest-quiet periods longer than stall_timeout."""
+    retention pin survives ingest-quiet periods longer than the stall window."""
+    monkeypatch.setattr(shipper_module, "HEARTBEAT_SECONDS", 0.05)
+    monkeypatch.setattr(shipper_module, "STALL_SECONDS", 0.4)
     with KokoService(shards=1, storage_dir=tmp_path / "svc") as primary:
         primary.add_document(TEXTS[0], "doc0")
-        shipper = LogShipper(primary, heartbeat_interval=0.05, stall_timeout=0.4)
+        shipper = LogShipper(primary)
         replica = attach_replica(shipper)
         try:
             assert replica.wait_caught_up(primary.wal_position())
-            time.sleep(0.8)  # two stall_timeouts of pure silence
+            time.sleep(0.8)  # two stall windows of pure silence
             session = shipper.sessions[0]
             assert not session.stalled
             assert session.pin() is not None
@@ -330,7 +330,7 @@ def test_idle_caught_up_follower_never_goes_stalled(tmp_path):
             shipper.close()
 
 
-def test_each_followers_lag_is_reported_while_it_is_attached(tmp_path):
+def test_each_followers_lag_is_reported_while_it_is_attached(tmp_path, monkeypatch):
     """``shipper.stats()`` carries one lag per live follower (and each
     replica its own, off the heartbeat); a follower that leaves takes its
     entry with it, so no departed peer's last lag lingers."""
@@ -341,9 +341,10 @@ def test_each_followers_lag_is_reported_while_it_is_attached(tmp_path):
             time.sleep(0.01)
         return predicate()
 
+    monkeypatch.setattr(shipper_module, "HEARTBEAT_SECONDS", 0.05)
     with KokoService(shards=2, storage_dir=tmp_path / "svc") as primary:
         primary.add_document(TEXTS[0], "doc0")
-        shipper = LogShipper(primary, heartbeat_interval=0.05)
+        shipper = LogShipper(primary)
         leaving, staying = attach_replica(shipper), attach_replica(shipper)
         try:
             primary.add_document(TEXTS[1], "doc1")
@@ -368,7 +369,7 @@ def test_each_followers_lag_is_reported_while_it_is_attached(tmp_path):
             shipper.close()
 
 
-def test_token_taken_right_after_a_checkpoint_is_reached(tmp_path):
+def test_token_taken_right_after_a_checkpoint_is_reached(tmp_path, monkeypatch):
     """A checkpoint rotates the log, so the primary's position becomes the
     start of an empty segment no shipped record ends at.  The heartbeat
     carries the shipper's send cursor, which lets a caught-up follower
@@ -376,12 +377,13 @@ def test_token_taken_right_after_a_checkpoint_is_reached(tmp_path):
     then serves the read-your-writes query from the replica."""
     from repro.replication import ReplicaSet
 
+    monkeypatch.setattr(shipper_module, "HEARTBEAT_SECONDS", 0.1)
     with KokoService(
         shards=2,
         storage_dir=tmp_path / "svc",
         checkpoint_policy=CheckpointPolicy.disabled(),
     ) as primary:
-        shipper = LogShipper(primary, heartbeat_interval=0.1)
+        shipper = LogShipper(primary)
         replica = attach_replica(shipper, name="r0")
         try:
             primary.add_document(TEXTS[0], "doc0")
@@ -499,7 +501,7 @@ def test_non_loopback_listen_requires_auth_token_or_explicit_opt_out(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# bootstrap vs stall_timeout: the retention pin must survive a slow ship
+# bootstrap vs the stall window: the retention pin must survive a slow ship
 # ----------------------------------------------------------------------
 class _SlowBootstrapTransport:
     """Primary-side transport stub whose snapshot send blocks until released
@@ -529,20 +531,21 @@ class _SlowBootstrapTransport:
         self.release.set()
 
 
-def test_bootstrap_longer_than_stall_timeout_keeps_the_pin(tmp_path):
+def test_bootstrap_longer_than_stall_timeout_keeps_the_pin(tmp_path, monkeypatch):
     """A session mid-snapshot has no acks yet by design; it must keep its
-    WAL retention pin past stall_timeout (regression: the pin dropped and a
+    WAL retention pin past STALL_SECONDS (regression: the pin dropped and a
     concurrent checkpoint could prune the fresh follower's tail)."""
+    monkeypatch.setattr(shipper_module, "STALL_SECONDS", 0.05)
     with KokoService(shards=1, storage_dir=tmp_path / "svc") as primary:
         primary.add_document(TEXTS[0], "doc0")
-        shipper = LogShipper(primary, stall_timeout=0.05)
+        shipper = LogShipper(primary)
         transport = _SlowBootstrapTransport()
         session = shipper.serve(transport)
         try:
             deadline = time.monotonic() + 5.0
             while session.position is None and time.monotonic() < deadline:
                 time.sleep(0.01)  # wait for bootstrap to claim its position
-            time.sleep(0.2)  # several stall_timeouts into the snapshot ship
+            time.sleep(0.2)  # several stall windows into the snapshot ship
             assert not session.stalled
             assert session.pin() is not None
         finally:
@@ -571,14 +574,15 @@ class _SilentResumeTransport:
         pass
 
 
-def test_resumed_session_uses_the_ordinary_stall_clock(tmp_path):
+def test_resumed_session_uses_the_ordinary_stall_clock(tmp_path, monkeypatch):
     """A granted resume ships no snapshot: the follower has live state and
-    can ack immediately, so it gets stall_timeout — not the much longer
+    can ack immediately, so it gets STALL_SECONDS — not the much longer
     bootstrap grace (a silently dead resumed follower must not pin the
-    log for bootstrap_timeout)."""
+    log for BOOTSTRAP_SECONDS)."""
+    monkeypatch.setattr(shipper_module, "STALL_SECONDS", 0.05)
     with KokoService(shards=1, storage_dir=tmp_path / "svc") as primary:
         primary.add_document(TEXTS[0], "doc0")
-        shipper = LogShipper(primary, stall_timeout=0.05, bootstrap_timeout=600.0)
+        shipper = LogShipper(primary)
         end = primary.wal_position()
         session = shipper.serve(
             _SilentResumeTransport(WalPosition(end.segment_id, 0))
@@ -588,7 +592,7 @@ def test_resumed_session_uses_the_ordinary_stall_clock(tmp_path):
             while not session.resumed and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert session.resumed
-            time.sleep(0.2)  # past stall_timeout, nowhere near bootstrap_timeout
+            time.sleep(0.2)  # past the stall window, nowhere near the bootstrap one
             assert session.stalled
             assert session.pin() is None
         finally:
@@ -607,12 +611,13 @@ def test_wait_caught_up_false_when_primary_end_never_learned():
     assert replica.wait_caught_up(timeout=0.05) is False
 
 
-def test_bootstrap_pin_expires_after_bootstrap_timeout(tmp_path):
+def test_bootstrap_pin_expires_after_bootstrap_timeout(tmp_path, monkeypatch):
     """The exemption is bounded: a follower wedged inside bootstrap counts
-    as stalled after bootstrap_timeout, so it cannot pin the log forever."""
+    as stalled after BOOTSTRAP_SECONDS, so it cannot pin the log forever."""
+    monkeypatch.setattr(shipper_module, "BOOTSTRAP_SECONDS", 0.05)
     with KokoService(shards=1, storage_dir=tmp_path / "svc") as primary:
         primary.add_document(TEXTS[0], "doc0")
-        shipper = LogShipper(primary, stall_timeout=60.0, bootstrap_timeout=0.05)
+        shipper = LogShipper(primary)
         transport = _SlowBootstrapTransport()
         session = shipper.serve(transport)
         try:
@@ -630,26 +635,86 @@ def test_bootstrap_pin_expires_after_bootstrap_timeout(tmp_path):
 # ----------------------------------------------------------------------
 # handshake failures must not leak the transport
 # ----------------------------------------------------------------------
-def test_unexpected_handshake_mode_raises_and_closes_the_transport():
+SNAPSHOT_HELLO = ("hello", {"mode": "snapshot", "start": WalPosition(1, 0)})
+MALFORMED_HANDSHAKES = {
+    "fresh-answered-with-resume": (
+        [("hello", {"mode": "resume", "start": WalPosition(1, 0)})],
+        "snapshot",
+    ),
+    "hello-without-body": ([("hello",)], "expected hello"),
+    "hello-with-empty-body": ([("hello", {})], "expected hello"),
+    "hello-with-text-body": ([("hello", "x")], "expected hello"),
+    "hello-without-start": ([("hello", {"mode": "snapshot"})], "expected hello"),
+    "hello-with-bad-start": (
+        [("hello", {"mode": "snapshot", "start": "x"})],
+        "without a start",
+    ),
+    "snapshot-without-manifest": (
+        [SNAPSHOT_HELLO, ("snapshot", {"files": {}})],
+        "expected snapshot",
+    ),
+    "snapshot-without-files": (
+        [SNAPSHOT_HELLO, ("snapshot", {"manifest": {}})],
+        "expected snapshot",
+    ),
+}
+
+
+class ScriptedPrimary:
+    """A (buggy/hostile) primary end answering a subscribe with *replies*
+    in order, then silence."""
+
+    def __init__(self, replies):
+        self._replies = list(replies)
+        self.closed = False
+
+    def send(self, message):
+        pass
+
+    def recv(self, timeout=None):
+        return self._replies.pop(0) if self._replies else None
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HANDSHAKES))
+def test_unexpected_handshake_mode_raises_and_closes_the_transport(case):
     from repro.errors import ReplicationError
-    from repro.persistence import WalPosition
 
-    class ResumeOnFreshTransport:
-        """A (buggy/hostile) primary answering a fresh subscribe with a
-        resume instead of a snapshot bootstrap."""
-
-        closed = False
-
-        def send(self, message):
-            pass
-
-        def recv(self, timeout=None):
-            return ("hello", {"mode": "resume", "start": WalPosition(1, 0)})
-
-        def close(self):
-            self.closed = True
-
-    transport = ResumeOnFreshTransport()
-    with pytest.raises(ReplicationError, match="snapshot"):
+    replies, match = MALFORMED_HANDSHAKES[case]
+    transport = ScriptedPrimary(replies)
+    with pytest.raises(ReplicationError, match=match):
         ReplicaService(transport)
     assert transport.closed
+
+
+@pytest.mark.parametrize(
+    "case", sorted(set(MALFORMED_HANDSHAKES) - {"fresh-answered-with-resume"})
+)
+def test_malformed_reconnect_handshake_raises_and_closes_the_transport(
+    tmp_path, case
+):
+    """A reconnect refuses the same shapes, and the disconnected replica
+    keeps serving its old state."""
+    from repro.errors import ReplicationError
+
+    with KokoService(shards=1, storage_dir=tmp_path / "svc") as primary:
+        primary.add_document(TEXTS[0], "doc0")
+        shipper = LogShipper(primary)
+        replica = attach_replica(shipper)
+        try:
+            assert replica.wait_caught_up(primary.wal_position())
+            replica._transport.close()
+            deadline = time.monotonic() + 5.0
+            while replica.connected and time.monotonic() < deadline:
+                time.sleep(0.01)
+            replies, match = MALFORMED_HANDSHAKES[case]
+            transport = ScriptedPrimary(replies)
+            with pytest.raises(ReplicationError, match=match):
+                replica.reconnect(transport)
+            assert transport.closed
+            assert replica.document_ids() == ["doc0"]
+        finally:
+            replica.close()
+            shipper.close()

@@ -3,13 +3,15 @@ failover — unit-tested against stub replicas, plus one live integration."""
 
 from __future__ import annotations
 
+import socket
 import time
 
 import pytest
 
 from repro.observability.metrics import MetricsRegistry
 from repro.persistence import WalPosition
-from repro.replication import InProcessTransport, LogShipper, ReplicaService, ReplicaSet
+from repro.replication import LogShipper, ReplicaService, ReplicaSet, TcpTransport
+from repro.replication import router as router_module
 from repro.service import KokoService
 
 ENTITY_QUERY = (
@@ -152,14 +154,15 @@ def test_failover_on_query_error_falls_back_and_suspends():
     assert router.query("q") == "flaky:q"
 
 
-def test_suspension_expires_without_apply_progress():
+def test_suspension_expires_without_apply_progress(monkeypatch):
     """On a write-idle primary the applied position never moves, so the
     bench must expire on its own — one transient error must not remove a
     replica from rotation permanently."""
+    monkeypatch.setattr(router_module, "SUSPEND_SECONDS", 0.05)
     primary = StubPrimary()
     flaky = StubReplica("flaky")
     flaky.fail_next = True
-    router = ReplicaSet(primary, [flaky], suspend_seconds=0.05)
+    router = ReplicaSet(primary, [flaky])
     assert router.query("q") == "primary:q"  # failure → benched
     flaky.fail_next = False
     assert router.query("q") == "primary:q"  # still benched
@@ -167,10 +170,11 @@ def test_suspension_expires_without_apply_progress():
     assert router.query("q") == "flaky:q"
 
 
-def test_stuck_replica_fails_over_after_timeout():
+def test_stuck_replica_fails_over_after_timeout(monkeypatch):
+    monkeypatch.setattr(router_module, "FAILOVER_SECONDS", 0.05)
     primary = StubPrimary(position=WalPosition(1, 500))
     stuck = StubReplica("stuck", applied=WalPosition(1, 100))
-    router = ReplicaSet(primary, [stuck], failover_seconds=0.05)
+    router = ReplicaSet(primary, [stuck])
     assert router.query("q") == "stuck:q"  # first sighting: grace period
     time.sleep(0.1)  # no apply progress while the primary is ahead
     assert router.query("q") == "primary:q"
@@ -232,7 +236,7 @@ def test_router_with_live_replicas_and_write_tokens(tmp_path):
     with KokoService(shards=2, storage_dir=tmp_path / "svc") as primary:
         primary.add_document(TEXTS[0], "doc0")
         shipper = LogShipper(primary)
-        ends = [InProcessTransport.pair() for _ in range(2)]
+        ends = [tuple(map(TcpTransport, socket.socketpair())) for _ in range(2)]
         for primary_end, _ in ends:
             shipper.serve(primary_end)
         replicas = [

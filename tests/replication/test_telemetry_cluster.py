@@ -16,6 +16,7 @@ import pytest
 from repro.observability import (
     ClusterTelemetry,
     TelemetryServer,
+    exposition,
     http_get_json,
     scrape,
 )
@@ -39,9 +40,7 @@ def cluster(make_tcp_cluster, listen_ready):
 
     replica_telemetry = TelemetryServer(replica, name="tcp-replica")
     listen_ready(*replica_telemetry.start())
-    telemetry = ClusterTelemetry(
-        primary=primary, shipper=shipper, max_lag_bytes=1024, poll_interval=0.05
-    )
+    telemetry = ClusterTelemetry(primary=primary, shipper=shipper, max_lag_bytes=1024)
     telemetry.add_peer("tcp-replica", *replica_telemetry.address)
     primary_telemetry = TelemetryServer(primary, name="primary", cluster=telemetry)
     listen_ready(*primary_telemetry.start())
@@ -122,3 +121,21 @@ def test_primary_readyz_flips_when_the_replica_stalls_past_the_bound(cluster):
     finally:
         gate.set()
         replica.service.apply_replicated = original
+
+
+def test_background_poller_sweeps_every_cluster_poll_interval(cluster, monkeypatch):
+    """``start()`` scrapes on its own, one sweep per CLUSTER_POLL_SECONDS."""
+    _, _, _, replica_telemetry, _ = cluster
+    monkeypatch.setattr(exposition, "CLUSTER_POLL_SECONDS", 0.05)
+    sweeps = []
+    poller = ClusterTelemetry()
+    poller.add_peer("tcp-replica", *replica_telemetry.address)
+    scrape_once = poller.scrape_once
+    monkeypatch.setattr(poller, "scrape_once", lambda: sweeps.append(scrape_once()))
+    with poller:
+        deadline = time.monotonic() + 5.0
+        while len(sweeps) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert len(sweeps) >= 3
+    (node,) = sweeps[-1]["nodes"]
+    assert node["name"] == "tcp-replica" and node["scrape_ok"]

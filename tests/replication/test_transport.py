@@ -2,41 +2,55 @@
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
 
-from repro.replication import InProcessTransport, TcpTransport, TransportClosed, connect_tcp
+from repro.replication import TcpTransport, TransportClosed, connect_tcp
 
 
-def test_in_process_pair_delivers_in_order():
-    a, b = InProcessTransport.pair()
+def socket_pair() -> tuple[TcpTransport, TcpTransport]:
+    """Two transports over a connected ``socket.socketpair()``."""
+    return tuple(map(TcpTransport, socket.socketpair()))
+
+
+def test_socket_pair_delivers_in_order():
+    a, b = socket_pair()
     for i in range(5):
         a.send(("msg", i))
     assert [b.recv(timeout=1.0)[1] for _ in range(5)] == list(range(5))
     b.send(("reply", "ok"))
     assert a.recv(timeout=1.0) == ("reply", "ok")
+    a.close()
+    b.close()
 
 
-def test_in_process_recv_timeout_returns_none():
-    a, b = InProcessTransport.pair()
+def test_socket_pair_recv_timeout_returns_none():
+    a, b = socket_pair()
     assert b.recv(timeout=0.01) is None
     assert a.recv(timeout=0.0) is None
+    a.send(("still", "open"))  # a timed-out recv leaves the stream usable
+    assert b.recv(timeout=1.0) == ("still", "open")
+    a.close()
+    b.close()
 
 
-def test_in_process_close_wakes_both_ends():
-    a, b = InProcessTransport.pair()
+def test_socket_pair_close_drains_then_closes_both_ends():
+    a, b = socket_pair()
     a.send(("queued", 1))
     a.close()
-    assert b.recv(timeout=1.0) == ("queued", 1)  # queued data still drains
+    assert b.recv(timeout=1.0) == ("queued", 1)  # sent data still drains
     with pytest.raises(TransportClosed):
         b.recv(timeout=1.0)
     with pytest.raises(TransportClosed):
         a.send(("late", 2))
+    b.close()
 
 
-def test_in_process_close_wakes_a_blocked_receiver():
-    a, b = InProcessTransport.pair()
+@pytest.mark.parametrize("closer", ["peer", "own"])
+def test_socket_pair_close_wakes_a_blocked_receiver(closer):
+    a, b = socket_pair()
     outcome = []
 
     def blocked_recv():
@@ -47,14 +61,14 @@ def test_in_process_close_wakes_a_blocked_receiver():
 
     thread = threading.Thread(target=blocked_recv)
     thread.start()
-    b.close()
+    (a if closer == "peer" else b).close()
     thread.join(timeout=5.0)
     assert outcome == ["closed"]
+    a.close()
+    b.close()
 
 
 def tcp_pair():
-    import socket
-
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -129,8 +143,6 @@ def test_tcp_recv_timeout_never_leaks_into_send():
 
 
 def _auth_socket_pair():
-    import socket
-
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -172,7 +184,6 @@ def test_auth_is_mutual_dialer_rejects_a_listener_without_the_token():
     """A replica misdirected at the wrong endpoint must not proceed to
     unpickling frames: the listener has to prove token knowledge too."""
     import os
-    import socket
 
     listener = socket.create_server(("127.0.0.1", 0))
 

@@ -16,8 +16,10 @@ import time
 
 import pytest
 
+from repro import net
 from repro.replication import LogShipper, ReplicaService, connect_tcp
 from repro.rpc import RpcClient, RpcServer
+from repro.rpc import server as server_module
 from repro.service import KokoService
 
 TEXT = "I ate a chocolate ice cream, which was delicious, and also ate a pie."
@@ -77,13 +79,13 @@ def wait_for_count(read, target: float, timeout: float = 5.0) -> float:
 # the RPC server
 # ----------------------------------------------------------------------
 @pytest.fixture
-def rpc_setup(listen_ready):
+def rpc_setup(listen_ready, monkeypatch):
     """A served single-shard service with aggressive transport bounds."""
+    monkeypatch.setattr(net, "MAX_FRAME_BYTES", 1 << 20)
+    monkeypatch.setattr(server_module, "IDLE_SECONDS", 0.5)
     with KokoService(shards=1) as service:
         service.add_document(TEXT, "doc0")
-        with RpcServer(
-            service, max_frame_bytes=1 << 20, idle_timeout=0.5
-        ) as server:
+        with RpcServer(service) as server:
             host, port = listen_ready(*server.address)
             yield server, host, port
 
@@ -151,12 +153,11 @@ def test_rpc_garbage_frame_is_dropped_not_unpickled_into_a_crash(rpc_setup):
     assert_still_serving(host, port)
 
 
-def test_rpc_auth_handshake_abort_counts_and_serves_on(listen_ready):
+def test_rpc_auth_handshake_abort_counts_and_serves_on(listen_ready, monkeypatch):
+    monkeypatch.setattr(server_module, "HANDSHAKE_SECONDS", 0.5)
     with KokoService(shards=1) as service:
         service.add_document(TEXT, "doc0")
-        with RpcServer(
-            service, auth_token=b"secret", handshake_timeout=0.5
-        ) as server:
+        with RpcServer(service, auth_token=b"secret") as server:
             host, port = listen_ready(*server.address)
 
             # abort 1: connect, read the server nonce, hang up silently
@@ -172,9 +173,17 @@ def test_rpc_auth_handshake_abort_counts_and_serves_on(listen_ready):
             assert read_until_closed(sock) == b""
             sock.close()
 
+            # abort 3: read the nonce, then stall: the handshake window cuts it
+            sock = raw_connect(host, port)
+            sock.recv(16)
+            started = time.monotonic()
+            assert read_until_closed(sock) == b""
+            assert time.monotonic() - started < 3.0
+            sock.close()
+
             assert wait_for_count(
-                lambda: transport_error_count(server, "auth_failure"), 2
-            ) >= 2
+                lambda: transport_error_count(server, "auth_failure"), 3
+            ) >= 3
             # a properly keyed client is still served
             client = RpcClient(host, port, auth_token=b"secret")
             try:

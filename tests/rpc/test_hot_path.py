@@ -570,8 +570,49 @@ def test_client_timeout_never_hands_a_late_answer_to_the_next_call(
     assert as_rows(patient.query(ENTITY_QUERY)) == as_rows(query(ENTITY_QUERY))
 
 
-def test_idle_timer_spares_a_busy_connection_and_cuts_an_idle_one(service, serve):
-    served = serve(service, idle_timeout=0.3)
+def test_async_client_times_out_on_a_listener_that_never_replies():
+    """``AsyncRpcClient`` bounds each exchange by the ``timeout`` given to
+    ``connect()``: a server that reads the request and never answers costs
+    one timeout, then the connection is closed and later calls fail fast."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    accepted: list[socket.socket] = []
+
+    def read_and_never_reply():
+        sock, _ = listener.accept()
+        accepted.append(sock)
+        sock.recv(65536)
+
+    thread = threading.Thread(target=read_and_never_reply)
+    thread.start()
+
+    async def drive():
+        client = await AsyncRpcClient.connect(*listener.getsockname()[:2], timeout=0.2)
+        try:
+            started = time.monotonic()
+            with pytest.raises(RpcUnavailable, match="client timeout of 0.2s"):
+                await client.ping()
+            assert time.monotonic() - started < 2.0
+            started = time.monotonic()
+            with pytest.raises(RpcUnavailable):
+                await client.ping()
+            assert time.monotonic() - started < 0.1
+        finally:
+            await client.close()
+
+    try:
+        asyncio.run(asyncio.wait_for(drive(), 10.0))  # the test's own backstop
+    finally:
+        thread.join(timeout=5.0)
+        for sock in accepted:
+            sock.close()
+        listener.close()
+
+
+def test_idle_timer_spares_a_busy_connection_and_cuts_an_idle_one(
+    service, serve, monkeypatch
+):
+    monkeypatch.setattr(server_module, "IDLE_SECONDS", 0.3)
+    served = serve(service)
     client = served.client()
     cut = service.metrics.counter(
         "koko_rpc_transport_errors_total", "", ("kind",)

@@ -10,6 +10,7 @@ the trace tree, deadlines and tuple identity it had before.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -19,7 +20,7 @@ from repro.errors import DeadlineExceeded
 from repro.koko import stages
 from repro.koko.engine import KokoEngine
 from repro.nlp.types import Corpus
-from repro.replication import InProcessTransport, LogShipper, ReplicaService
+from repro.replication import LogShipper, ReplicaService, TcpTransport
 from repro.service import KokoService
 from repro.service.locks import ReadWriteLock
 
@@ -95,7 +96,7 @@ def test_replica_queries_run_on_the_calling_thread_too(tmp_path, thread_spy):
         for index, text in enumerate(TEXTS):
             primary.add_document(text, f"doc{index}")
         shipper = LogShipper(primary)
-        primary_end, replica_end = InProcessTransport.pair()
+        primary_end, replica_end = map(TcpTransport, socket.socketpair())
         shipper.serve(primary_end)
         replica = ReplicaService(replica_end)
         try:

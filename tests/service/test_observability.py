@@ -14,12 +14,15 @@ The acceptance criteria of the observability work land here:
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
+import repro.replication.shipper as shipper_module
 import repro.service.service as service_module
 from repro.errors import ServiceError
 from repro.observability import ExplainedResult
-from repro.replication import InProcessTransport, LogShipper, ReplicaService
+from repro.replication import LogShipper, ReplicaService, TcpTransport
 from repro.service import KokoService
 
 CITY_QUERY = (
@@ -227,12 +230,16 @@ def test_registry_exposes_service_and_durability_metrics(tmp_path):
     svc.close()
 
 
-def test_one_registry_spans_service_persistence_and_replication(tmp_path):
+def test_one_registry_spans_service_persistence_and_replication(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(shipper_module, "POLL_SECONDS", 0.01)
+    monkeypatch.setattr(shipper_module, "HEARTBEAT_SECONDS", 0.05)
     primary = KokoService(storage_dir=tmp_path / "svc")
     primary.add_document(TEXTS["doc0"], "doc0")
     primary.checkpoint()
-    shipper = LogShipper(primary, poll_interval=0.01, heartbeat_interval=0.05)
-    primary_end, replica_end = InProcessTransport.pair()
+    shipper = LogShipper(primary)
+    primary_end, replica_end = map(TcpTransport, socket.socketpair())
     shipper.serve(primary_end)
     replica = ReplicaService(replica_end, name="r1")
     primary.add_document(TEXTS["doc1"], "doc1")

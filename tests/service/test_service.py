@@ -126,7 +126,7 @@ def test_compiled_query_bypasses_caches(service):
 # ----------------------------------------------------------------------
 def test_query_batch_preserves_order_and_timings(service):
     queries = [ENTITY_QUERY, CITY_QUERY, ENTITY_QUERY, CITY_QUERY]
-    results = service.query_batch(queries, max_workers=3)
+    results = service.query_batch(queries)
     assert len(results) == len(queries)
     assert tuple_set(results[0]) == tuple_set(results[2])
     assert tuple_set(results[1]) == tuple_set(results[3])

@@ -9,8 +9,9 @@ every ``_private_name`` ``docs/ARCHITECTURE.md`` cites must exist in
 ``src/repro``, ``docs/OPERATIONS.md``'s metric table must name every
 metric ``src/repro`` registers while citing none it does not, every such
 metric must have a reader outside its own registration, and that
-document must cite every ``KokoService`` constructor parameter while its
-knob table names none that is gone, and every ``benchmarks/``,
+document must cite every constructor parameter of ``KokoService`` and
+its serving edges while its knob table names none that is gone, and
+every ``benchmarks/``,
 ``scripts/`` or ``examples/`` Python file those documents or the verify
 skill cite must exist.
 """
@@ -248,6 +249,25 @@ def test_knob_table_and_constructor_must_agree(tmp_path):
     assert flagged == [
         "KokoService(undocumented) is not cited in docs/OPERATIONS.md",
         "wal_sync in the knob table is not a KokoService parameter",
+    ]
+
+
+def test_an_uncited_serving_edge_parameter_is_flagged(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "src" / "repro" / "replication").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "replication" / "shipper.py").write_text(
+        "class LogShipper:\n"
+        "    def __init__(self, service, poll_interval=0.02):\n"
+        "        pass\n"
+    )
+    (tmp_path / "docs" / "OPERATIONS.md").write_text(
+        "Ship with `LogShipper(service)`; polling is a constant.\n"
+    )
+    completed = _check_docs(tmp_path)
+    assert completed.returncode == 1
+    assert [line for line in completed.stdout.splitlines() if " KNB " in line] == [
+        "src/repro/replication/shipper.py:2: KNB LogShipper(poll_interval) "
+        "is not cited in docs/OPERATIONS.md"
     ]
 
 
