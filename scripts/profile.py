@@ -11,7 +11,7 @@ queries in a ``KokoService(shards=4)`` with no RPC, WAL, replica or
 checkpoint thread; per query:
 
 * ``pass_ms`` — the one pipeline pass over all four shards that a cold
-  query runs (the service's ``_run_pass``: read locks, every stage once
+  query runs (``ReadPath._run_pass``: read locks, every stage once
   over the shards' union, the per-shard split): the work a query is;
 * ``shard_lookup_ms`` — per shard, the DPLI lookups alone (``run_dpli``
   over that shard's index set): what each shard adds to the pass's
@@ -104,6 +104,7 @@ from benchmarks.ledger import stack, workloads  # noqa: E402
 from repro.indexing.columnar import ColumnarPostings  # noqa: E402
 from repro.koko.dpli import run_dpli  # noqa: E402
 from repro.koko.engine import compile_query  # noqa: E402
+from repro.koko.stages import ExecutionContext, StagePipeline  # noqa: E402
 from repro.rpc import RpcClient, RpcServer  # noqa: E402
 from repro.rpc import client as client_module  # noqa: E402
 from repro.rpc import server as server_module  # noqa: E402
@@ -176,17 +177,26 @@ def profile_query(service: KokoService, text: str, repeat: int, top: int) -> dic
     shard_ids = list(range(service.shard_count))
     passes: list[float] = []
     lookups: list[list[float]] = [[] for _ in shard_ids]
+    read = service._read
     for _ in range(repeat):
         started = _now()
-        service._run_pass(shard_ids, plan, next(thresholds), False)
+        read._run_pass(shard_ids, plan, next(thresholds), False)
         passes.append(_now() - started)
         for shard in service._shards:
             started = _now()
             run_dpli(plan.normalized, shard.indexes)
             lookups[shard.shard_id].append(_now() - started)
 
-    ctx = service._pass_context(shard_ids, plan, next(thresholds))
-    service._pipeline.run(ctx)
+    # the same pass outside the read path, to read its extract counters
+    ctx = ExecutionContext(
+        query=plan,
+        corpus=itertools.chain.from_iterable(service.corpora),
+        indexes=read._index_set,
+        by_sid=read._by_sid,
+        resources=read._resources,
+        threshold_override=next(thresholds),
+    )
+    StagePipeline().run(ctx)
     fallback = ctx.fallback_sentences
 
     service.query(text, threshold_override=next(thresholds))  # plan cache warm

@@ -16,7 +16,6 @@ fixed number of bootstrapping iterations.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from ..nlp.types import Corpus, Sentence
@@ -156,15 +155,3 @@ class NellBootstrapper:
             if len(patterns) >= self.min_instance_support
         }
         return promoted | state.instances
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def pattern_counts(self, corpus: Corpus) -> Counter:
-        """How often each learned pattern fires (for inspection/tests)."""
-        state = self.run(corpus)
-        counts: Counter = Counter()
-        for text, context in self._candidate_contexts(corpus):
-            if context in state.patterns:
-                counts[context] += 1
-        return counts

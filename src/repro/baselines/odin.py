@@ -108,10 +108,3 @@ class OdinMatcher:
         for combo in combos:
             mentions.append(OdinMention(rule=rule.name, sid=sentence.sid, values=combo))
         return mentions
-
-    # ------------------------------------------------------------------
-    # convenience
-    # ------------------------------------------------------------------
-    def timed_run(self, corpus: Corpus) -> tuple[list[OdinMention], float]:
-        mentions = self.run(corpus)
-        return mentions, self.last_runtime

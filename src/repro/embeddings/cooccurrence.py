@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..nlp.types import Corpus, Sentence
+from ..nlp.types import Sentence
 
 
 @dataclass
@@ -61,11 +61,6 @@ class CooccurrenceCounter:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def count_corpus(self, corpus: Corpus) -> CooccurrenceCounts:
-        """Count over every sentence of an annotated corpus."""
-        sentences = (sentence for _, sentence in corpus.all_sentences())
-        return self.count_sentences(sentences)
-
     def count_sentences(self, sentences: Iterable[Sentence]) -> CooccurrenceCounts:
         """Count over an iterable of annotated sentences."""
         token_lists = []

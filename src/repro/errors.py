@@ -41,14 +41,6 @@ class KokoSemanticError(ReproError):
     """
 
 
-class IndexError_(ReproError):
-    """Raised by index construction or lookup failures.
-
-    Named with a trailing underscore to avoid shadowing the builtin
-    :class:`IndexError`.
-    """
-
-
 class PipelineError(ReproError):
     """Raised when the NLP pipeline cannot annotate its input."""
 
@@ -129,7 +121,3 @@ class ReplicationError(ReproError):
 
 class EmbeddingError(ReproError):
     """Raised by the embedding / descriptor-expansion subsystem."""
-
-
-class EvaluationError(ReproError):
-    """Raised by the experiment harness for invalid configurations."""

@@ -27,10 +27,6 @@ from ...nlp.types import Corpus
 from ..metrics import index_effectiveness
 from ..reporting import format_table
 
-# Buckets for the "number of extractions" series (log-scale buckets, as in
-# Figures 7(c,d) / 8(c,d)).
-_EXTRACTION_BUCKETS = ((0, 1), (1, 10), (10, 100), (100, 1000), (1000, 10**9))
-
 
 @dataclass
 class QueryMeasurement:
@@ -57,23 +53,6 @@ class IndexPerformanceResult:
     def mean_effectiveness(self, design: str) -> float:
         values = [m.effectiveness for m in self.measurements if m.design == design and m.supported]
         return sum(values) / len(values) if values else 0.0
-
-    def by_extraction_bucket(self, design: str, metric: str) -> list[tuple[str, float]]:
-        out = []
-        for low, high in _EXTRACTION_BUCKETS:
-            selected = [
-                m
-                for m in self.measurements
-                if m.design == design and m.supported and low <= m.extractions < high
-            ]
-            if not selected:
-                continue
-            values = [
-                m.lookup_seconds if metric == "time" else m.effectiveness
-                for m in selected
-            ]
-            out.append((f"[{low},{high})", sum(values) / len(values)))
-        return out
 
     def supported_fraction(self, design: str) -> float:
         all_measurements = [m for m in self.measurements if m.design == design]

@@ -30,15 +30,6 @@ class ThresholdSweep:
     def best_f1(self) -> float:
         return max((s.f1 for s in self.scores), default=0.0)
 
-    def f1_series(self) -> list[float]:
-        return [s.f1 for s in self.scores]
-
-    def precision_series(self) -> list[float]:
-        return [s.precision for s in self.scores]
-
-    def recall_series(self) -> list[float]:
-        return [s.recall for s in self.scores]
-
 
 def koko_scored_values(
     engine: KokoEngine, query: str, variable: str = "x"

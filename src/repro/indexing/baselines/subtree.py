@@ -41,7 +41,6 @@ class _SingleLayerSubtreeIndex:
         self.mss = mss
         self._label_of = label_of
         self._postings: dict[_SubtreeKey, set[int]] = {}
-        self.key_count = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -53,7 +52,6 @@ class _SingleLayerSubtreeIndex:
                 if bucket is None:
                     bucket = set()
                     self._postings[key] = bucket
-                    self.key_count += 1
                 bucket.add(sentence.sid)
 
     def _keys_rooted_at(self, sentence: Sentence, tid: int) -> list[_SubtreeKey]:
@@ -203,8 +201,3 @@ class SubtreeIndex(BaseTreeIndex):
     # ------------------------------------------------------------------
     def approximate_bytes(self) -> int:
         return self._pl.approximate_bytes() + self._pos.approximate_bytes()
-
-    @property
-    def unique_subtrees(self) -> int:
-        """Number of distinct subtree keys across both layers."""
-        return self._pl.key_count + self._pos.key_count

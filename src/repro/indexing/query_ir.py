@@ -87,14 +87,8 @@ class TreePath:
     def render(self) -> str:
         return "".join(step.render() for step in self.steps)
 
-    def labels_of_kind(self, kind: str) -> list[str]:
-        return [step.label for step in self.steps if step.kind == kind]
-
     def has_wildcard(self) -> bool:
         return any(step.kind == KIND_ANY for step in self.steps)
-
-    def has_descendant_axis(self) -> bool:
-        return any(step.axis == DESCENDANT for step in self.steps)
 
 
 @dataclass
@@ -106,10 +100,6 @@ class TreePatternQuery:
 
     def render(self) -> str:
         return " AND ".join(path.render() for path in self.paths)
-
-    @property
-    def total_steps(self) -> int:
-        return sum(len(path) for path in self.paths)
 
     def uses_words(self) -> bool:
         return any(

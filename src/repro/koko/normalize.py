@@ -80,16 +80,6 @@ class NormalizedQuery:
     #: (:func:`~repro.indexing.decompose.row_lookup`)
     row_lookups: dict[str, RowLookup] = field(default_factory=dict)
 
-    def all_variables(self) -> list[str]:
-        names = list(self.entity_vars) + list(self.absolute_paths) + list(self.span_vars)
-        seen: set[str] = set()
-        ordered = []
-        for name in names:
-            if name not in seen:
-                seen.add(name)
-                ordered.append(name)
-        return ordered
-
 
 def normalize(query: KokoQuery) -> NormalizedQuery:
     """Normalise *query* (Section 4.1); raises on unresolvable references."""

@@ -41,9 +41,6 @@ class CanonicalClause:
     text: str
     weight: float
 
-    def token_range(self) -> range:
-        return range(self.start, self.end + 1)
-
 
 class ClauseSegmenter:
     """Split sentences into canonical clauses for descriptor scoring."""

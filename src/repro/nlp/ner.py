@@ -99,11 +99,6 @@ class EntityRecognizer:
                 i += 1
         return mentions
 
-    def add_gazetteer(self, etype: str, names: set[str]) -> None:
-        """Register additional known names for *etype*."""
-        bucket = self._extra.setdefault(etype, set())
-        bucket.update(name.lower() for name in names)
-
     # ------------------------------------------------------------------
     # capitalised spans
     # ------------------------------------------------------------------

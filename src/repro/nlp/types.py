@@ -584,15 +584,6 @@ class Document:
                 return sentence
         raise KeyError(f"no sentence with sid={sid} in document {self.doc_id!r}")
 
-    def entity_texts(self, etype: str | None = None) -> list[str]:
-        """All entity-mention texts in the document, optionally filtered by type."""
-        return [
-            text
-            for sentence in self.sentences
-            for _, _, mention_type, text in sentence.entity_rows
-            if etype is None or mention_type == etype
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Document(doc_id={self.doc_id!r}, sentences={len(self.sentences)})"
 

@@ -285,9 +285,7 @@ class TelemetryServer(LoopServer):
                     entries = service.recent_slow_ops(limit)
                 return 200, _JSON, _dumps(entries)
             if path == "/traces":
-                store = self._trace_store()
-                if store is None:
-                    return 404, _TEXT, b"no trace store on this node\n"
+                store = _underlying_service(self.node).trace_store
                 limit = max(1, _query_int(query, "limit", 50))
                 payload = {
                     "node": self.name,
@@ -297,9 +295,7 @@ class TelemetryServer(LoopServer):
                 }
                 return 200, _JSON, _dumps(payload)
             if path.startswith("/traces/"):
-                store = self._trace_store()
-                if store is None:
-                    return 404, _TEXT, b"no trace store on this node\n"
+                store = _underlying_service(self.node).trace_store
                 trace_id = path[len("/traces/") :]
                 fragments = store.get(trace_id)
                 if fragments is None:
@@ -340,10 +336,6 @@ class TelemetryServer(LoopServer):
     def _registry(self) -> MetricsRegistry:
         """The node's metrics registry (every node kind exposes one)."""
         return self.node.metrics
-
-    def _trace_store(self):
-        """The node's trace store, or ``None`` for nodes without one."""
-        return getattr(_underlying_service(self.node), "trace_store", None)
 
     # ------------------------------------------------------------------
     # probes

@@ -152,8 +152,8 @@ def read_frames(
 ) -> FrameScan:
     """Scan whole CRC-valid frames from byte *start_offset* of one segment.
 
-    The streaming sibling of :func:`read_records`: payloads come back raw
-    (not decoded into :class:`WalRecord`), each tagged with the byte offset
+    The log's one frame scanner (:func:`read_records` decodes what it
+    returns).  Payloads come back raw, each tagged with the byte offset
     just past its frame, so a log shipper can forward bytes verbatim and
     resume from any reported offset.  Stops at the first incomplete or
     CRC-invalid frame (``partial_tail``), or once more than *max_bytes* of
@@ -290,37 +290,26 @@ class ReplayResult:
 def read_records(path: str | Path) -> ReplayResult:
     """Scan one segment, tolerating a torn final frame.
 
-    Returns every record of the longest valid prefix.  ``torn`` is True when
-    trailing bytes had to be discarded (truncated header, truncated payload,
-    or CRC mismatch) — the durable prefix property crash recovery relies on.
+    :func:`read_frames` plus a decode step: returns every record of the
+    longest valid prefix.  ``torn`` is True when trailing bytes had to be
+    discarded (truncated header, truncated payload, CRC mismatch, or a
+    frame that does not decode) — the durable prefix property crash
+    recovery relies on.
     With group commit a crash between the buffered append and the batch
     fsync can lose several trailing records at once; they are still a
     *suffix*, so the prefix property is unaffected.
     """
-    path = Path(path)
+    scan = read_frames(path)
     records: list[WalRecord] = []
     valid = 0
-    torn = False
-    with path.open("rb") as handle:
-        while True:
-            header = handle.read(_HEADER.size)
-            if not header:
-                break
-            if len(header) < _HEADER.size:
-                torn = True
-                break
-            length, crc = _HEADER.unpack(header)
-            payload = handle.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                torn = True
-                break
-            try:
-                records.append(WalRecord.from_payload(payload))
-            except Exception:
-                torn = True
-                break
-            valid += _HEADER.size + length
-    return ReplayResult(records=records, valid_bytes=valid, torn=torn)
+    for end_offset, payload in scan.frames:
+        try:
+            records.append(WalRecord.from_payload(payload))
+        except Exception:
+            # a CRC-valid frame that does not decode ends the prefix too
+            return ReplayResult(records=records, valid_bytes=valid, torn=True)
+        valid = end_offset
+    return ReplayResult(records=records, valid_bytes=valid, torn=scan.partial_tail)
 
 
 class WalWriter:
@@ -398,18 +387,12 @@ class WalWriter:
         every append waiting on the discarded suffix raises, and the log
         keeps only what was acknowledged.
         """
-        started = time.perf_counter() if trace is not None else 0.0
-        frame = encode_frame(record.to_payload())
-        target = self._buffered_append(frame)
-        if trace is not None:
-            trace.record(
-                "wal_append", time.perf_counter() - started, bytes=len(frame)
-            )
+        frame_bytes, ticket = self.append_pipelined(record, trace=trace)
         wait_started = time.perf_counter() if trace is not None else 0.0
-        self._await_durable(target)
+        ticket.wait()
         if trace is not None:
             trace.record("fsync_wait", time.perf_counter() - wait_started)
-        return len(frame)
+        return frame_bytes
 
     def append_pipelined(
         self, record: WalRecord, trace: Span | None = None
@@ -630,11 +613,6 @@ class WriteAheadLog:
         # make the segment's dirent durable, not just its contents — a lost
         # dirent after a crash would strand fsynced records in limbo
         _fsync_dir(layout.wal_dir)
-
-    @property
-    def active_path(self) -> Path:
-        """Path of the segment currently being appended to."""
-        return self._writer.path
 
     @property
     def active_bytes(self) -> int:

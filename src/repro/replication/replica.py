@@ -277,8 +277,7 @@ class ReplicaService:
                         self.service.apply_replicated(record)
                         apply_seconds = time.perf_counter() - apply_started
                         self._apply_hist.observe(apply_seconds)
-                        trace = getattr(record, "trace", None)
-                        if trace is not None and trace.sampled:
+                        if record.trace is not None and record.trace.sampled:
                             self._record_apply_trace(record, apply_seconds)
                         with self._lock:
                             self._applied = position
@@ -329,9 +328,6 @@ class ReplicaService:
         tree spanning both nodes.
         """
         trace = record.trace
-        store = getattr(self.service, "trace_store", None)
-        if trace is None or store is None:
-            return
         span = Span.completed(
             "replica.apply",
             seconds,
@@ -341,7 +337,7 @@ class ReplicaService:
         context = TraceContext(
             trace_id=trace.trace_id, span_id=new_span_id(), sampled=True
         )
-        store.record(
+        self.service.trace_store.record(
             context,
             span,
             parent_span_id=trace.span_id,
@@ -520,14 +516,8 @@ class ReplicaService:
         return self.service.cached_result(query, *args, **kwargs)
 
     def query_batch(self, queries, **kwargs):
-        """Concurrent batch evaluation (see :meth:`KokoService.query_batch`)."""
-        service = self.service
-        try:
-            return service.query_batch(queries, **kwargs)
-        except ServiceError:
-            if service is not self.service:
-                return self.service.query_batch(queries, **kwargs)
-            raise
+        """Evaluate *queries* in order, each exactly as :meth:`query` would."""
+        return [self.query(query, **kwargs) for query in queries]
 
     def add_document(self, *args, **kwargs):
         """Replicas are read-only: raises :class:`ReplicationError`."""

@@ -232,16 +232,19 @@ class ShipperSession:
                 return
             if batch:
                 end = shipper.service.wal_position()
-                send_started = time.perf_counter()
-                self._transport.send(("records", batch, end))
-                send_seconds = time.perf_counter() - send_started
+                # accounted before the send: the follower may apply the
+                # batch before send returns, and a failed send ends the
+                # session anyway
                 with self._lock:
                     self._position = batch[-1][0]
                 batch_bytes = sum(len(p) for _, p in batch)
                 self.records_shipped += len(batch)
                 self.bytes_shipped += batch_bytes
                 shipper._records_metric.inc(len(batch))
-                if getattr(shipper.service, "wal_traces_logged", 0) > 0:
+                send_started = time.perf_counter()
+                self._transport.send(("records", batch, end))
+                send_seconds = time.perf_counter() - send_started
+                if shipper.service.wal_traces_logged > 0:
                     self._record_ship_traces(batch, batch_bytes, send_seconds)
                 self._drain_acks(block=False)
             else:
@@ -283,9 +286,6 @@ class ShipperSession:
         leg of a cross-node trace.
         """
         service = self._shipper.service
-        store = getattr(service, "trace_store", None)
-        if store is None:
-            return
         for position, payload in batch:
             try:
                 record = WalRecord.from_payload(payload)
@@ -306,12 +306,12 @@ class ShipperSession:
             context = TraceContext(
                 trace_id=trace.trace_id, span_id=new_span_id(), sampled=True
             )
-            store.record(
+            service.trace_store.record(
                 context,
                 span,
                 parent_span_id=trace.span_id,
                 kind="ship",
-                node=getattr(service, "name", None),
+                node=service.name,
             )
 
     def _try_resume(self, resume: WalPosition | None) -> WalPosition | None:

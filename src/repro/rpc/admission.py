@@ -129,8 +129,3 @@ class AdmissionController:
                 f"client {client_id!r} exceeded its {kind} rate "
                 f"({rate:g}/s, burst {burst:g}); retry later"
             )
-
-    def tracked_clients(self) -> int:
-        """How many ``(client, kind)`` buckets are live (observability)."""
-        with self._lock:
-            return len(self._buckets)

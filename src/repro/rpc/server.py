@@ -371,15 +371,13 @@ class RpcServer(LoopServer):
         latency.observe(elapsed)
         if span is not None and frag is not None:
             span.finish()
-            store = getattr(_underlying_service(self.node), "trace_store", None)
-            if store is not None:
-                store.record(
-                    frag,
-                    span,
-                    parent_span_id=ctx.span_id,
-                    kind="rpc",
-                    node=self.name,
-                )
+            _underlying_service(self.node).trace_store.record(
+                frag,
+                span,
+                parent_span_id=ctx.span_id,
+                kind="rpc",
+                node=self.name,
+            )
         response = RpcResponse(
             request_id=request.request_id,
             value=value,

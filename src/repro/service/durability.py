@@ -96,7 +96,8 @@ class Durability:
             for document in documents:
                 self._ingest.live[document.doc_id] = shard_id
         self._ingest.next_sid = snapshot.next_sid
-        self._generations = list(snapshot.generations)
+        # in place: the read path shares this list object
+        self._generations[:] = snapshot.generations
         self._checkpoint_id = snapshot.checkpoint_id
 
     def _finish_recovery(self, recovered: RecoveredState) -> None:

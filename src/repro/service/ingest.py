@@ -10,7 +10,9 @@ each one got, so a failure can be undone exactly as far as it went.
 ``KokoService._write`` drives the stages between :meth:`IngestState.claim`
 and :meth:`IngestState.commit` (annotate, log, apply) with the lock
 released; recovery replay and replica apply go through the same claim and
-commit with ``replayed`` ops.
+commit with ``replayed`` ops.  The apply stage splices into a
+:class:`Shard` under its write lock; a pipelined write returns an
+:class:`IngestAck`.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..errors import ServiceError
-from ..nlp.types import Document
+from ..indexing.koko_index import KokoIndexSet
+from ..nlp.types import Corpus, Document, Sentence
 from ..observability.tracing import TraceContext
-from ..persistence import OP_ADD, OP_REMOVE, WalRecord
+from ..persistence import OP_ADD, OP_REMOVE, CommitTicket, WalRecord
+from .locks import ReadWriteLock
 
-__all__ = ["APPLIED", "CLAIMED", "LOGGED", "IngestState", "WriteOp"]
+__all__ = ["APPLIED", "CLAIMED", "LOGGED", "IngestAck", "IngestState", "Shard", "WriteOp"]
 
 CLAIMED = "claimed"  # id and sid range held; nothing else may touch the id
 LOGGED = "logged"  # its record is in the write-ahead log
@@ -288,3 +292,78 @@ class IngestState:
             finally:
                 self._barrier -= 1
                 self._cond.notify_all()
+
+
+@dataclass
+class IngestAck:
+    """The pipelined-ack return of ``add_document(wait_durable=False)``.
+
+    The document is already spliced and visible to queries; the *commit
+    future* — durability — is the attached :class:`CommitTicket`.  A crash
+    before :meth:`wait_durable` returns may lose the operation (it is in
+    WAL order but possibly not yet fsynced); everything the default
+    ``wait_durable=True`` path promises is restored by waiting.
+    """
+
+    document: Document
+    ticket: CommitTicket | None  # None on a memory-only service
+
+    @property
+    def durable(self) -> bool:
+        """True once the logged record is covered by an fsync (no blocking)."""
+        return self.ticket is None or self.ticket.durable
+
+    def wait_durable(self) -> Document:
+        """Block until the ingest is durable; returns the document."""
+        if self.ticket is not None:
+            self.ticket.wait()
+        return self.document
+
+
+class Shard:
+    """One partition: its own corpus slice, index set and RW lock.
+
+    *by_sid* is the service-wide ``sid → (document, sentence)`` map; a
+    shard writes its own documents' entries, under its write lock.
+    """
+
+    def __init__(
+        self,
+        shard_id: int,
+        name: str,
+        indexes: KokoIndexSet,
+        by_sid: dict[int, tuple[Document, Sentence]],
+    ) -> None:
+        self.shard_id = shard_id
+        self.corpus = Corpus(name=name)
+        self.indexes = indexes
+        self.lock = ReadWriteLock()
+        self.documents: dict[str, Document] = {}
+        self._by_sid = by_sid
+
+    def splice(self, document: Document) -> None:
+        """Wire one annotated document into this shard (write lock held)."""
+        self.corpus.documents.append(document)
+        self.documents[document.doc_id] = document
+        self.indexes.add_document(document)
+        self._locate(document)
+
+    def unsplice(self, document: Document) -> None:
+        """Un-wire one document from this shard (write lock held)."""
+        self.corpus.documents.remove(document)
+        del self.documents[document.doc_id]
+        self.indexes.remove_document(document)
+        for sentence in document:
+            self._by_sid.pop(sentence.sid, None)
+
+    def adopt(self, documents: list[Document]) -> None:
+        """Attach already-indexed documents (snapshot restore; no index add)."""
+        for document in documents:
+            self.corpus.documents.append(document)
+            self.documents[document.doc_id] = document
+            self._locate(document)
+
+    def _locate(self, document: Document) -> None:
+        """Make *document*'s sentences loadable by sid."""
+        for sentence in document:
+            self._by_sid[sentence.sid] = (document, sentence)

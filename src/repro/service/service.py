@@ -26,24 +26,12 @@ a long-lived server:
   document write-locks **one** shard — queries keep reading the other
   N−1 concurrently.  One service-wide ``sid → (document, sentence)`` map,
   kept under the shard write locks, serves candidate loading.
-* **One pipeline pass per query, on the request thread** — the shards a
-  query cannot serve from their partial caches are read-locked in
-  shard-id order and the stage pipeline runs **once** over their union
-  (:meth:`~repro.indexing.sharding.ShardedIndexSet.view`; sentence ids
-  are global, so the union's lookups are exact).  The pass's result is
-  split per shard into the partial caches and merged with the reused
-  partials deterministically (:func:`~repro.koko.results.merge_results`):
-  stable tuple order, summed :class:`~repro.koko.results.StageTimings`.  The
-  stages are GIL-bound, so concurrency is across requests
-  (:meth:`query_batch`, the RPC server's executor), not across shards.
-* **Plan caching** — each distinct query string is parsed and normalised
-  once (:class:`~repro.service.cache.PlanCache`).
-* **Result caching with per-shard generation stamps** — full query results
-  are kept in an LRU stamped with the vector of per-shard generations; in
-  addition each shard's partial result is cached under that shard's own
-  generation, so ingesting into shard *k* invalidates only shard *k*'s
-  work — a repeat query computes one shard's partial and reuses the
-  other N−1 cached partials.
+* **The read path** — plan cache, result and per-shard partial caches
+  stamped with per-shard generations, and one pipeline pass per query
+  over the shards its partials cannot serve — lives in
+  :class:`~repro.service.read.ReadPath`; :meth:`query` and
+  :meth:`cached_result` wrap it in tracing, accounting and the slow-op
+  log.
 * **Durability with group commit** — constructed with ``storage_dir`` (or
   via :meth:`KokoService.open`), every ``add``/``remove`` is appended to a
   CRC-framed write-ahead log *before* it is applied; concurrent appends
@@ -54,9 +42,8 @@ a long-lived server:
   the WAL tail — tolerating a torn final record — so the service restarts
   warm with identical query results and zero re-annotation.
 * **Concurrency** — any number of queries evaluate in parallel under the
-  per-shard read locks; :meth:`query_batch` fans a batch out over a thread
-  pool, preserving per-query timings.  Checkpoints hold per-shard *read*
-  locks only, so snapshotting never stalls readers.
+  per-shard read locks.  Checkpoints hold per-shard *read* locks only, so
+  snapshotting never stalls readers.
 * **Observability** — one
   :class:`~repro.observability.metrics.MetricsRegistry` (``service.metrics``,
   Prometheus text / JSON exposition) holds every counter: cache outcomes,
@@ -86,35 +73,22 @@ Lock hierarchy (see ``docs/ARCHITECTURE.md`` for the full map)::
     its ops' progress: applied ops are un-applied, logged ops get the
     inverse record appended (a remove for an add, an add for a remove)
     so replay nets to nothing, and the claims are released.
-
-Consistency note: a result served from the cache always corresponds to one
-vector of shard generations.  An uncached query that overlaps an in-flight
-ingest may observe the new document on its shard while other shards are
-read earlier — the usual read-committed view of a partitioned store.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import partial
-from itertools import chain
 from pathlib import Path
-
-import numpy as np
 
 from ..embeddings.expansion import DescriptorExpander
 from ..embeddings.vectors import VectorStore
-from ..errors import DeadlineExceeded, PersistenceError, ServiceError
+from ..errors import PersistenceError, ServiceError
 from ..indexing.koko_index import IndexStatistics, KokoIndexSet
 from ..indexing.sharding import ShardedIndexSet
 from ..koko.ast import KokoQuery
-from ..koko.engine import CompiledQuery, compile_query, evidence_resources
-from ..koko.results import KokoResult, merge_results
-from ..koko.stages import ExecutionContext, StagePipeline
+from ..koko.engine import CompiledQuery, evidence_resources
+from ..koko.results import KokoResult
 from ..nlp.pipeline import Pipeline
 from ..nlp.types import Corpus, Document, Sentence
 from ..observability.metrics import MetricsRegistry
@@ -130,146 +104,20 @@ from ..persistence import (
     WalPosition,
     WalRecord,
 )
-from .cache import CacheEntry, PlanCache, ResultCache
+from .cache import CacheEntry
 from .durability import Durability
-from .ingest import APPLIED, LOGGED, IngestState, WriteOp
-from .locks import ReadWriteLock
+from .ingest import APPLIED, LOGGED, IngestAck, IngestState, Shard, WriteOp
+from .read import ReadPath, check_deadline
 from .stats import ServiceStats
 
 __all__ = ["IngestAck", "KokoService"]
 
-# Sizes no workload varies: compiled plans kept, distinct traces behind
-# ``/traces``, slow-op entries in the ring, the slow-op file's bytes
-# before it rotates to ``<path>.1``, and the threads of one query_batch.
-PLAN_CACHE_SIZE = 256
+# Sizes no workload varies: distinct traces behind ``/traces``, slow-op
+# entries in the ring, and the slow-op file's bytes before it rotates to
+# ``<path>.1``.
 TRACE_STORE_CAPACITY = 128
 SLOW_OP_LOG_CAPACITY = 256
 SLOW_OP_LOG_MAX_BYTES = 16 * 1024 * 1024
-QUERY_BATCH_WORKERS = 4
-
-
-@dataclass
-class IngestAck:
-    """The pipelined-ack return of ``add_document(wait_durable=False)``.
-
-    The document is already spliced and visible to queries; the *commit
-    future* — durability — is the attached :class:`CommitTicket`.  A crash
-    before :meth:`wait_durable` returns may lose the operation (it is in
-    WAL order but possibly not yet fsynced); everything the default
-    ``wait_durable=True`` path promises is restored by waiting.
-    """
-
-    document: Document
-    ticket: CommitTicket | None  # None on a memory-only service
-
-    @property
-    def durable(self) -> bool:
-        """True once the logged record is covered by an fsync (no blocking)."""
-        return self.ticket is None or self.ticket.durable
-
-    def wait_durable(self) -> Document:
-        """Block until the ingest is durable; returns the document."""
-        if self.ticket is not None:
-            self.ticket.wait()
-        return self.document
-
-
-class _Shard:
-    """One partition: its own corpus slice, index set and RW lock.
-
-    *by_sid* is the service-wide ``sid → (document, sentence)`` map; a
-    shard writes its own documents' entries, under its write lock.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        name: str,
-        indexes: KokoIndexSet,
-        by_sid: dict[int, tuple[Document, Sentence]],
-    ) -> None:
-        self.shard_id = shard_id
-        self.corpus = Corpus(name=name)
-        self.indexes = indexes
-        self.lock = ReadWriteLock()
-        self.documents: dict[str, Document] = {}
-        self._by_sid = by_sid
-
-    def splice(self, document: Document) -> None:
-        """Wire one annotated document into this shard (write lock held)."""
-        self.corpus.documents.append(document)
-        self.documents[document.doc_id] = document
-        self.indexes.add_document(document)
-        self._locate(document)
-
-    def unsplice(self, document: Document) -> None:
-        """Un-wire one document from this shard (write lock held)."""
-        self.corpus.documents.remove(document)
-        del self.documents[document.doc_id]
-        self.indexes.remove_document(document)
-        for sentence in document:
-            self._by_sid.pop(sentence.sid, None)
-
-    def adopt(self, documents: list[Document]) -> None:
-        """Attach already-indexed documents (snapshot restore; no index add)."""
-        for document in documents:
-            self.corpus.documents.append(document)
-            self.documents[document.doc_id] = document
-            self._locate(document)
-
-    def _locate(self, document: Document) -> None:
-        """Make *document*'s sentences loadable by sid."""
-        for sentence in document:
-            self._by_sid[sentence.sid] = (document, sentence)
-
-
-class _Partial:
-    """One shard's part of a pipeline pass's result: a partial-cache value.
-
-    Its sentence counts and timing share are known when the pass ends;
-    its rows are split off the pass's columns
-    (:meth:`~repro.koko.results.ResultColumns.take`, string tables
-    compacted) on first reuse, so the parts of a query that is never
-    repeated cost nothing to cache.  Once split, the part no longer holds
-    the pass's result.  *lock* serialises first splits between readers.
-    """
-
-    __slots__ = ("_source", "_row_part", "_at", "_result", "_lock", "candidates", "share")
-
-    def __init__(
-        self,
-        source: KokoResult,
-        row_part,
-        at: int,
-        candidates: int,
-        share: float,
-        lock: threading.Lock,
-    ) -> None:
-        # without row_part every row is this part's: the pass's result is it
-        self._source = None if row_part is None else source
-        self._row_part = row_part
-        self._at = at
-        self._result: KokoResult | None = source if row_part is None else None
-        self._lock = lock
-        self.candidates = candidates
-        self.share = share
-
-    def result(self) -> KokoResult:
-        """This shard's rows and counts as a result (split on first call)."""
-        result = self._result
-        if result is None:
-            with self._lock:
-                result = self._result
-                if result is None:
-                    source = self._source
-                    result = self._result = KokoResult.from_columns(
-                        source.columns.take(np.flatnonzero(self._row_part == self._at)),
-                        source.timings.scaled(self.share),
-                        self.candidates,
-                        self.candidates,
-                    )
-                    self._source = self._row_part = None
-        return result
 
 
 class KokoService(Durability):
@@ -424,18 +272,13 @@ class KokoService(Durability):
 
         shards = shards if shards is not None else 1
         self.name = name
-        self._resources = evidence_resources(
-            expander, vectors, dictionaries, use_default_vectors
-        )
-        self._use_gsp = use_gsp
-        self._pipeline = StagePipeline()
         self._index_set = ShardedIndexSet(shards)
         if adopted is not None:
             self._index_set.shards = list(adopted.index_sets)
         # sid -> (document, sentence) across every shard: candidate loading
         self._by_sid: dict[int, tuple[Document, Sentence]] = {}
         self._shards = [
-            _Shard(i, f"{name}/shard{i}", self._index_set.shards[i], self._by_sid)
+            Shard(i, f"{name}/shard{i}", self._index_set.shards[i], self._by_sid)
             for i in range(shards)
         ]
         self.stats = ServiceStats()
@@ -461,22 +304,19 @@ class KokoService(Durability):
             "Operations that crossed their slow-op threshold.",
             labelnames=("kind",),
         )
-        self._plan_cache = PlanCache(PLAN_CACHE_SIZE)
-        self._result_cache: ResultCache[KokoResult] = ResultCache(
-            result_cache_size, on_evict=self.stats.record_result_cache_eviction
+        # bumped in place by the write side and by snapshot adoption: the
+        # read path stamps its caches with this very list
+        self._generations = [0] * shards
+        self._read = ReadPath(
+            self._shards,
+            self._index_set,
+            self._by_sid,
+            self._generations,
+            evidence_resources(expander, vectors, dictionaries, use_default_vectors),
+            use_gsp,
+            result_cache_size,
+            self.stats,
         )
-        # per-(query, shard) partials, one cache per shard so each shard's
-        # own generation stamps its entries and hit/miss/eviction counters
-        # attribute cleanly — the unit of reuse that survives other shards'
-        # ingests, and the raw data of the cache-sizing question
-        self._shard_result_caches: list[ResultCache[_Partial]] = [
-            ResultCache(
-                result_cache_size,
-                on_evict=partial(self._record_shard_cache_eviction, shard_id),
-            )
-            for shard_id in range(shards)
-        ]
-        self._split_lock = threading.Lock()  # a cached part's first split
         # The meta lock and everything it guards — sid reservation, doc-id
         # claims, routing, admission, the checkpoint drain barrier — live
         # in the ingest state.  Annotation, WAL appends and posting
@@ -486,7 +326,6 @@ class KokoService(Durability):
             ensure_open=self._ensure_open,
             on_admission_wait=self.stats.record_backpressure_wait,
         )
-        self._generations = [0] * shards
 
         if recovered is not None:
             self._finish_recovery(recovered)
@@ -972,13 +811,11 @@ class KokoService(Durability):
     ) -> KokoResult | ExplainedResult:
         """Evaluate one query against the current corpus.
 
-        String queries go through the plan cache and the generation-stamped
-        result caches; pre-parsed queries bypass both.  An untraced query
-        starts with :meth:`cached_result` — a full-result hit returns from
-        there, by the same code a non-blocking caller uses.  Execution holds
-        per-shard *read* locks only, so any number of queries run
-        concurrently with each other and with the off-lock stages of
-        in-flight ingests.
+        One :meth:`~repro.service.read.ReadPath.run` call (see
+        :mod:`repro.service.read`) wrapped in tracing, accounting and the
+        slow-op log.  Execution holds per-shard *read* locks only, so
+        queries run concurrently with each other and with the off-lock
+        stages of in-flight ingests.
 
         Parameters
         ----------
@@ -994,19 +831,15 @@ class KokoService(Durability):
             Return an :class:`~repro.observability.tracing.ExplainedResult`
             carrying the full span tree (cache lookups, shard fan-out, the
             one pipeline pass with each stage, merge) next to the ordinary
-            result.  The pipeline **always executes fully** under
-            ``explain=True`` — the result cache is probed (and its outcome
-            recorded as a span) but never served from, and the partial
-            caches are bypassed, so the pass covers every shard and the
-            report reflects real per-stage cost; the tuples are identical
-            to a plain query's.
+            result.  The pipeline **always executes fully** over every
+            shard: the result cache is probed but never served from, and
+            the partial caches are bypassed.  The tuples are a plain
+            query's.
         deadline:
             A ``time.monotonic()`` timestamp after which the query is
-            abandoned: checked on entry, on entry to the pipeline pass
-            and before each of its stages, raising
-            :class:`~repro.errors.DeadlineExceeded` — cooperative
-            cancellation, so a running stage finishes but no further
-            stage starts for a caller that has given up.
+            abandoned with :class:`~repro.errors.DeadlineExceeded`:
+            checked on entry, on entry to the pipeline pass and before
+            each of its stages (a running stage finishes).
         trace_context:
             A propagated :class:`~repro.observability.tracing.TraceContext`;
             its ``sampled`` flag replaces the local sampling decision and
@@ -1015,69 +848,14 @@ class KokoService(Durability):
             The caller's identity, recorded on slow-op entries.
         """
         self._ensure_open()
-        self._check_deadline(deadline)
+        check_deadline(deadline)
         started = time.perf_counter()
         trace, frag = self._start_trace(
             "query", trace_context, force=explain, shards=len(self._shards)
         )
-        if trace is None:
-            entry = self.cached_result(
-                query, threshold_override, keep_all_scores, client_id
-            )
-            if entry is not None:
-                return entry.value
-        result_hit: bool | None = None
-        plan_hit: bool | None = None
-        if isinstance(query, str):
-            key = (query, threshold_override, keep_all_scores)
-            stamp = tuple(self._generations)
-            cached = None
-            if trace is not None:
-                # an untraced query already probed (and missed) above; a
-                # traced one makes the same lookup here, timed into a span
-                lookup_started = time.perf_counter()
-                cached = self._result_cache.get(key, stamp)
-                trace.record(
-                    "result_cache",
-                    time.perf_counter() - lookup_started,
-                    hit=cached is not None,
-                )
-            if cached is not None and not explain:
-                result = cached
-                result_hit = True
-            else:
-                # explain re-executes even on a result-cache hit — the
-                # point is the per-stage breakdown, which a cached result
-                # cannot provide.  The hit still counts as one (the cache
-                # could have served it).
-                result_hit = cached is not None
-                lookup_started = time.perf_counter()
-                plan, plan_hit = self._plan_cache.get_or_compile(query)
-                if trace is not None:
-                    trace.record(
-                        "plan_cache",
-                        time.perf_counter() - lookup_started,
-                        hit=plan_hit,
-                    )
-                result = self._execute(
-                    plan,
-                    threshold_override,
-                    keep_all_scores,
-                    # explain bypasses the per-shard partial caches too, so
-                    # every shard runs every stage and the tree is complete
-                    cache_key=None if explain else key,
-                    trace=trace,
-                    deadline=deadline,
-                )
-                self._result_cache.put(key, stamp, result)
-        else:
-            result = self._execute(
-                query,
-                threshold_override,
-                keep_all_scores,
-                trace=trace,
-                deadline=deadline,
-            )
+        result, result_hit, plan_hit = self._read.run(
+            query, threshold_override, keep_all_scores, explain, trace, deadline
+        )
         elapsed = time.perf_counter() - started
         self.stats.record_query(
             elapsed, result_cache_hit=result_hit, plan_cache_hit=plan_hit
@@ -1108,28 +886,20 @@ class KokoService(Durability):
     ) -> CacheEntry[KokoResult] | None:
         """The result-cache entry that answers *query* right now, else None.
 
-        This is the hit path of :meth:`query` (which starts with it) made
-        callable on its own, so a caller that must not block — the RPC
-        server's event loop — can answer a cached query where the request
-        arrived.  It reads the generation vector and probes the result
-        cache under the cache's own short mutex; it never compiles, never
-        executes and takes no shard, ingest or WAL lock.  A hit is counted
-        (``koko_queries_served_total``, ``koko_result_cache_hits_total``,
-        the latency histogram, the slow-op log) as ``query`` counts one,
-        but it is never traced: the local tracer does not sample here,
-        even at ``trace_sample_rate=1.0``.  A miss, a non-string query
-        and a closed service return ``None`` and record nothing — the
-        caller falls back to ``query``.
-
-        The entry (not just its value) is returned so that a server can
-        keep the value's encoded form in the entry's ``encoded`` slot.
+        The hit path of :meth:`query` — the same probe,
+        :meth:`~repro.service.read.ReadPath.cached` — for a caller that
+        must not block (the RPC server's event loop): it never compiles,
+        never executes and takes no shard, ingest or WAL lock.  A hit is
+        counted and slow-logged as ``query`` counts one, but never traced,
+        even at ``trace_sample_rate=1.0``.  A miss, a non-string query and
+        a closed service return ``None`` and record nothing.  The entry is
+        returned so a server can keep the value's wire bytes in its
+        ``encoded`` slot.
         """
-        if self._closed or not isinstance(query, str):
+        if self._closed:
             return None
         started = time.perf_counter()
-        entry = self._result_cache.entry(
-            (query, threshold_override, keep_all_scores), tuple(self._generations)
-        )
+        entry = self._read.cached(query, threshold_override, keep_all_scores)
         if entry is None:
             return None
         elapsed = time.perf_counter() - started
@@ -1139,223 +909,22 @@ class KokoService(Durability):
         )
         return entry
 
-    def _execute(
-        self,
-        query: str | KokoQuery | CompiledQuery,
-        threshold_override: float | None,
-        keep_all_scores: bool,
-        cache_key=None,
-        trace: Span | None = None,
-        deadline: float | None = None,
-    ) -> KokoResult:
-        """Reuse fresh shard partials, compute the rest in one pass, merge.
-
-        With a ``cache_key`` (string queries), a shard whose generation is
-        unchanged since a previous execution of the same query is served
-        from its partial cache; the other shards — all of them without a
-        key — are computed together by one :meth:`_run_pass`, whose result
-        is merged with the reused partials as one part (every sentence
-        lives in one part, so the merge's sort by sid interleaves them
-        exactly).  With ``trace``, a ``shard_fanout`` span counts the
-        shards executed and reused and holds the pass's span, and a
-        ``merge`` span times the deterministic combine.
-        """
-        parts: list[KokoResult] = []
-        missing: list[int] = []
-        for shard_id, cache in enumerate(self._shard_result_caches):
-            cached = (
-                cache.get(cache_key, self._generations[shard_id])
-                if cache_key is not None
-                else None
-            )
-            if cached is None:
-                missing.append(shard_id)
-            else:
-                self.stats.record_shard_partial(reused=True, shard=shard_id)
-                parts.append(cached.result())
-        fanout = (
-            trace.child(
-                "shard_fanout",
-                shards=len(self._shards),
-                executed=len(missing),
-                reused=len(parts),
-            )
-            if trace is not None
-            else None
-        )
-        if missing:
-            # the plan cache hands over a CompiledQuery; anything else is
-            # compiled here, once for the whole pass
-            if not isinstance(query, CompiledQuery):
-                query = compile_query(query)
-            parts.append(
-                self._run_pass(
-                    missing,
-                    query,
-                    threshold_override,
-                    keep_all_scores,
-                    cache_key,
-                    fanout,
-                    deadline,
-                )
-            )
-        if fanout is not None:
-            fanout.finish()
-        if trace is None:
-            return merge_results(parts)
-        with trace.span("merge"):
-            return merge_results(parts)
-
-    def _run_pass(
-        self,
-        shard_ids: list[int],
-        plan: CompiledQuery,
-        threshold_override: float | None,
-        keep_all_scores: bool,
-        cache_key=None,
-        trace: Span | None = None,
-        deadline: float | None = None,
-    ) -> KokoResult:
-        """Run the stage pipeline once over *shard_ids*; returns its result.
-
-        The shards' read locks are taken in shard-id order (every pass
-        takes them in the same order) and held for the whole pass, which
-        runs each stage once over the union of the shards.  Under a
-        *cache_key* the result is also split per shard (:meth:`_split`) and
-        each part cached under the generation read under its lock.
-        ``trace`` is the fan-out span the ``pass`` span hangs under.  An
-        expired *deadline* abandons the pass on entry or between stages.
-        """
-        self._check_deadline(deadline)
-        span = trace.child("pass", shard_ids=list(shard_ids)) if trace is not None else None
-        shards = [self._shards[shard_id] for shard_id in shard_ids]
-        locked: list[_Shard] = []
-        try:
-            for shard in shards:
-                shard.lock.acquire_read()
-                locked.append(shard)
-            # read under the read locks: exactly the generations this pass sees
-            generations = [self._generations[shard_id] for shard_id in shard_ids]
-            ctx = self._pass_context(
-                shard_ids, plan, threshold_override, keep_all_scores, span, deadline
-            )
-            result = self._pipeline.run(ctx)
-        finally:
-            for shard in locked:
-                shard.lock.release_read()
-        if cache_key is not None:
-            for shard_id, generation, part in zip(
-                shard_ids, generations, self._split(result, ctx.documents, shard_ids)
-            ):
-                self._shard_result_caches[shard_id].put(cache_key, generation, part)
-                self.stats.record_shard_partial(reused=False, shard=shard_id)
-        if span is not None:
-            span.annotate(tuples=len(result), generations=generations)
-            span.finish()
-        return result
-
-    def _pass_context(
-        self,
-        shard_ids: list[int],
-        plan: CompiledQuery,
-        threshold_override: float | None = None,
-        keep_all_scores: bool = False,
-        trace: Span | None = None,
-        deadline: float | None = None,
-    ) -> ExecutionContext:
-        """The execution context of one pass over the union of *shard_ids*.
-
-        The caller holds those shards' read locks while the pipeline runs.
-        """
-        return ExecutionContext(
-            query=plan,
-            corpus=chain.from_iterable(self._shards[i].corpus for i in shard_ids),
-            indexes=self._index_set.view(shard_ids),
-            by_sid=self._by_sid,
-            resources=self._resources,
-            use_gsp=self._use_gsp,
-            threshold_override=threshold_override,
-            keep_all_scores=keep_all_scores,
-            trace=trace,
-            deadline=deadline,
-        )
-
-    def _split(
-        self, result: KokoResult, documents, shard_ids: list[int]
-    ) -> list[_Partial]:
-        """One pass's *result* as one :class:`_Partial` per shard of *shard_ids*.
-
-        *documents* are the pass's loaded candidate groups: they say which
-        shard each candidate sentence (and so each row) belongs to, and
-        extraction evaluates every candidate sentence, so the counts are
-        exact.  A shard's stage timings are the pass's in proportion to its
-        share of the candidate sentences (equal shares when there were none).
-        """
-        if len(shard_ids) == 1:
-            count = result.candidate_sentences
-            return [_Partial(result, None, 0, count, 1.0, self._split_lock)]
-        position = {shard_id: at for at, shard_id in enumerate(shard_ids)}
-        shard_of = self._index_set.shard_id
-        part_of: dict[str, int] = {}  # candidate document -> its partial
-        candidates = [0] * len(shard_ids)
-        for document, sentences in documents:
-            at = part_of[document.doc_id] = position[shard_of(document.doc_id)]
-            candidates[at] += len(sentences)
-        total = sum(candidates)
-        columns = result.columns
-        row_part = np.fromiter(
-            map(part_of.__getitem__, columns.doc_ids), np.int64, len(columns.doc_ids)
-        )[columns.index[0]]
-        return [
-            _Partial(
-                result,
-                row_part,
-                at,
-                count,
-                count / total if total else 1 / len(shard_ids),
-                self._split_lock,
-            )
-            for at, count in enumerate(candidates)
-        ]
-
-    @staticmethod
-    def _check_deadline(deadline: float | None) -> None:
-        """Raise :class:`DeadlineExceeded` when *deadline* has passed."""
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceeded("query deadline expired")
-
-    def _record_shard_cache_eviction(self, shard_id: int, stale: bool) -> None:
-        """Forward one shard-partial-cache eviction into the service stats."""
-        self.stats.record_shard_cache_eviction(shard_id, stale=stale)
-
     def query_batch(
         self,
         queries: list[str | KokoQuery | CompiledQuery],
         threshold_override: float | None = None,
         keep_all_scores: bool = False,
     ) -> list[KokoResult]:
-        """Evaluate a batch of queries concurrently, preserving order.
-
-        Each result carries its own :class:`~repro.koko.results.StageTimings`
-        exactly as single-query execution would; each query runs its pipeline
-        pass on its own batch thread, at most :data:`QUERY_BATCH_WORKERS`
-        at once.
-        """
+        """Evaluate *queries* in order, each exactly as :meth:`query` would."""
         self._ensure_open()
-        if not queries:
-            return []
-        workers = min(QUERY_BATCH_WORKERS, len(queries))
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            return list(
-                executor.map(
-                    lambda q: self.query(
-                        q,
-                        threshold_override=threshold_override,
-                        keep_all_scores=keep_all_scores,
-                    ),
-                    queries,
-                )
+        return [
+            self.query(
+                query,
+                threshold_override=threshold_override,
+                keep_all_scores=keep_all_scores,
             )
+            for query in queries
+        ]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1501,17 +1070,10 @@ class KokoService(Durability):
         client_id: str | None = None,
     ) -> None:
         """Record one structured slow-op entry if *elapsed* crosses the bar."""
-        threshold = self._slow_query_ms
-        if threshold is None:
-            return
-        duration_ms = elapsed * 1000.0
-        if duration_ms < threshold:
+        if self._slow_query_ms is None or elapsed * 1000.0 < self._slow_query_ms:
             return
         timings = result.timings
-        entry = {
-            "kind": "query",
-            "ts_unix": round(time.time(), 3),
-            "duration_ms": round(duration_ms, 3),
+        self._record_slow("query", elapsed, trace, {
             "query_sha1": (
                 hashlib.sha1(query.encode()).hexdigest()[:12]
                 if isinstance(query, str)
@@ -1534,11 +1096,7 @@ class KokoService(Durability):
                 "extract": round(timings.extract * 1000.0, 3),
                 "aggregate": round(timings.satisfying * 1000.0, 3),
             },
-        }
-        if trace is not None:
-            entry["trace"] = trace.to_dict()
-        self._slow_ops.labels("query").inc()
-        self._slow_log.record(entry)
+        })
 
     def _observe_slow_ingest(
         self,
@@ -1555,16 +1113,9 @@ class KokoService(Durability):
         A multi-op write is one entry: the first op's id and shard, the
         sentence, token and frame-byte totals of them all.
         """
-        threshold = self._slow_ingest_ms
-        if threshold is None:
+        if self._slow_ingest_ms is None or elapsed * 1000.0 < self._slow_ingest_ms:
             return
-        duration_ms = elapsed * 1000.0
-        if duration_ms < threshold:
-            return
-        entry = {
-            "kind": kind,
-            "ts_unix": round(time.time(), 3),
-            "duration_ms": round(duration_ms, 3),
+        self._record_slow(kind, elapsed, trace, {
             "trace_id": trace_id,
             "client_id": client_id,
             "doc_id": ops[0].doc_id,
@@ -1575,6 +1126,17 @@ class KokoService(Durability):
             "stages_ms": {
                 name: round(seconds * 1000.0, 3) for name, seconds in stages.items()
             },
+        })
+
+    def _record_slow(
+        self, kind: str, elapsed: float, trace: Span | None, fields: dict
+    ) -> None:
+        """File one slow-op entry: kind, time and duration, *fields*, the span tree."""
+        entry = {
+            "kind": kind,
+            "ts_unix": round(time.time(), 3),
+            "duration_ms": round(elapsed * 1000.0, 3),
+            **fields,
         }
         if trace is not None:
             entry["trace"] = trace.to_dict()

@@ -204,7 +204,7 @@ class ServiceStats:
             self._shard_partials_computed.inc()
             self._shard_cache_misses.labels(shard).inc()
 
-    def record_shard_cache_eviction(self, shard: int, *, stale: bool) -> None:
+    def record_shard_cache_eviction(self, shard: int, stale: bool) -> None:
         """Account one eviction from shard *shard*'s partial-result cache."""
         if stale:
             self._shard_cache_stale_evictions.labels(shard).inc()

@@ -204,19 +204,3 @@ def test_traces_endpoint_json_schema_is_pinned(listen_ready):
 
             status, _ = http_get_json(*server.address, "/traces/nonexistent")
             assert status == 404
-
-
-def test_traces_endpoint_404s_without_a_store(listen_ready):
-    class Bare:
-        name = "bare"
-        closed = False
-
-        def __init__(self):
-            from repro.observability import MetricsRegistry
-
-            self.metrics = MetricsRegistry()
-
-    with TelemetryServer(Bare()) as server:
-        listen_ready(*server.address)
-        status, _ = http_get_json(*server.address, "/traces")
-        assert status == 404

@@ -18,6 +18,7 @@ from repro.persistence import (
 )
 from repro.persistence.wal import encode_frame
 from repro.nlp.pipeline import Pipeline
+from repro.observability.tracing import Span
 
 
 @pytest.fixture()
@@ -107,6 +108,29 @@ def test_crc_mismatch_is_a_torn_tail(tmp_path):
     assert result.torn
     assert [r.doc_id for r in result.records] == ["first"]
     assert result.valid_bytes == first_frame
+
+
+def test_crc_valid_frame_that_does_not_decode_is_a_torn_tail(tmp_path):
+    path = tmp_path / "wal.log"
+    write_records(path, [WalRecord(op=OP_REMOVE, doc_id="first")])
+    first_frame = path.stat().st_size
+    with path.open("ab") as handle:
+        handle.write(encode_frame(b"not a record"))
+        handle.write(encode_frame(WalRecord(op=OP_REMOVE, doc_id="after").to_payload()))
+
+    result = read_records(path)
+    assert result.torn
+    assert [r.doc_id for r in result.records] == ["first"]
+    assert result.valid_bytes == first_frame
+
+
+def test_append_is_durable_on_return_and_traces_both_steps(tmp_path):
+    writer = WalWriter(tmp_path / "wal.log")
+    trace = Span("ingest")
+    frame_bytes = writer.append(WalRecord(op=OP_REMOVE, doc_id="d0"), trace=trace)
+    assert frame_bytes == writer.size_bytes == writer.synced_bytes
+    assert [child.name for child in trace.children] == ["wal_append", "fsync_wait"]
+    writer.close()
 
 
 def test_garbage_length_header_is_contained(tmp_path):

@@ -430,6 +430,42 @@ def test_dead_applier_closes_its_session(tmp_path):
             shipper.close()
 
 
+def test_a_batch_is_counted_before_it_is_sent(tmp_path, monkeypatch):
+    """The follower may apply a batch before ``send`` returns, so the
+    session's position and shipped counts must already include it."""
+    monkeypatch.setattr(shipper_module, "POLL_SECONDS", 0.01)
+    with KokoService(shards=1, storage_dir=tmp_path / "svc") as primary:
+        primary.add_document(TEXTS[0], "doc0")
+        shipper = LogShipper(primary)
+        primary_end, replica_end = map(TcpTransport, socket.socketpair())
+        shipped = primary.metrics.get("koko_shipper_records_shipped_total")
+        seen = []  # (counted, sent so far) at each records send
+        sent = 0
+        send = primary_end.send
+
+        def counting_send(message):
+            nonlocal sent
+            if message[0] == "records":
+                sent += len(message[1])
+                (session,) = shipper.sessions
+                seen.append((shipped.value, session.records_shipped, sent))
+            send(message)
+
+        primary_end.send = counting_send
+        shipper.serve(primary_end)
+        replica = ReplicaService(replica_end, pipeline=ExplodingPipeline())
+        try:
+            for index, text in enumerate(TEXTS[1:4], start=1):
+                primary.add_document(text, f"doc{index}")
+            assert replica.wait_caught_up(primary.wal_position())
+            assert seen and all(
+                counted == session_count == total for counted, session_count, total in seen
+            )
+        finally:
+            replica.close()
+            shipper.close()
+
+
 def test_shipper_requires_a_durable_primary():
     from repro.errors import ReplicationError
 

@@ -359,7 +359,7 @@ def test_no_query_response_pickles_a_result(service, serve, result_pickles):
 
 def cached_bodies(service: KokoService) -> list[bytes]:
     """Every encoded body reachable from the service's result cache."""
-    entries = service._result_cache._entries._entries.values()
+    entries = service._read._result_cache._entries._entries.values()
     return [entry.encoded for entry in entries if entry.encoded is not None]
 
 
@@ -395,7 +395,7 @@ def test_eviction_leaves_no_bytes_behind(listen_ready, serve):
         for _ in range(2):
             client.query(CITY_QUERY)  # capacity 1: evicts the entity entry
         (city_body,) = cached_bodies(small)
-        assert city_body != entity_body and len(small._result_cache) == 1
+        assert city_body != entity_body and len(small._read._result_cache) == 1
 
 
 _writes = st.one_of(

@@ -28,6 +28,7 @@ from repro.persistence import WalPosition
 from repro.rpc import AdmissionPolicy, AsyncRpcClient, RpcClient, RpcServer
 from repro.service import KokoService
 from repro.service.ingest import IngestState
+from repro.service.read import ReadPath
 
 ENTITY_QUERY = (
     'extract e:Entity, d:Str from input.txt if '
@@ -204,13 +205,13 @@ def test_expired_deadline_never_starts_shard_work(rpc_client, monkeypatch):
             service.add_document(text, f"doc{index}")
         client = rpc_client(service)
         scans = []
-        original = KokoService._run_pass
+        original = ReadPath._run_pass
 
         def counting(self, *args, **kwargs):
             scans.append(1)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(KokoService, "_run_pass", counting)
+        monkeypatch.setattr(ReadPath, "_run_pass", counting)
         with pytest.raises(RpcDeadlineExceeded):
             client.query(ENTITY_QUERY, deadline=0.0)
         assert scans == []  # rejected before the pipeline pass ran
@@ -224,13 +225,13 @@ def test_inflight_deadline_returns_before_the_work_finishes(
             service.add_document(text, f"doc{index}")
         client = rpc_client(service)
         gate = threading.Event()
-        original = KokoService._run_pass
+        original = ReadPath._run_pass
 
         def wedged(self, *args, **kwargs):
             gate.wait(5.0)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(KokoService, "_run_pass", wedged)
+        monkeypatch.setattr(ReadPath, "_run_pass", wedged)
         try:
             started = time.monotonic()
             with pytest.raises(RpcDeadlineExceeded):
@@ -248,13 +249,13 @@ def test_server_default_deadline_applies_when_request_has_none(
         service.add_document(TEXTS[0], "doc0")
         client = rpc_client(service, default_deadline=0.15)
         gate = threading.Event()
-        original = KokoService._run_pass
+        original = ReadPath._run_pass
 
         def wedged(self, *args, **kwargs):
             gate.wait(5.0)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(KokoService, "_run_pass", wedged)
+        monkeypatch.setattr(ReadPath, "_run_pass", wedged)
         try:
             with pytest.raises(RpcDeadlineExceeded):
                 client.query(ENTITY_QUERY)

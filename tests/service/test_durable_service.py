@@ -96,7 +96,13 @@ def test_reopened_service_keeps_serving_and_ingesting(tmp_path):
     service.close()
 
     reopened = KokoService.open(tmp_path / "svc")
+    before = as_rows(reopened.query(ENTITY_QUERY))  # cached after the reopen
     reopened.add_document(TEXTS[4], "doc4")
+    after = as_rows(reopened.query(ENTITY_QUERY))
+    # the write invalidated the cached answer: the read side shares the
+    # generation vector that the snapshot restored
+    assert "doc4" not in {row[0] for row in before}
+    assert "doc4" in {row[0] for row in after}
     reopened.remove_document("doc0")
     expected = as_rows(reopened.query(ENTITY_QUERY))
     reopened.close()

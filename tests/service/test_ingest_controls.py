@@ -11,7 +11,7 @@ from repro.errors import ServiceError
 from repro.nlp.pipeline import Pipeline
 from repro.persistence import CheckpointPolicy, WriteAheadLog
 from repro.service import KokoService
-from repro.service.service import _Shard
+from repro.service.ingest import Shard
 
 ENTITY_QUERY = (
     'extract e:Entity, d:Str from input.txt if '
@@ -100,7 +100,7 @@ def test_remove_conflicts_are_rejected():
 PARKABLE_STAGES = {
     "annotate": (Pipeline, ["annotate"]),
     "log": (WriteAheadLog, ["append", "append_pipelined"]),
-    "apply": (_Shard, ["splice", "unsplice"]),
+    "apply": (Shard, ["splice", "unsplice"]),
 }
 
 

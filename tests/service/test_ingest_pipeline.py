@@ -29,7 +29,7 @@ from repro.nlp.types import Corpus
 from repro.persistence import CheckpointPolicy, WriteAheadLog
 from repro.replication import LogShipper, ReplicaService, connect_tcp
 from repro.service import KokoService
-from repro.service.service import _Shard
+from repro.service.ingest import Shard
 
 ENTITY_QUERY = (
     'extract e:Entity, d:Str from input.txt if '
@@ -244,7 +244,7 @@ def test_failed_splice_after_wal_append_does_not_resurrect(tmp_path, monkeypatch
             raise RuntimeError("splice blew up")
 
         with monkeypatch.context() as patched:
-            patched.setattr(_Shard, "splice", exploding)
+            patched.setattr(Shard, "splice", exploding)
             with pytest.raises(RuntimeError):
                 service.add_document(BASE_TEXTS[1], "broken")
         assert sorted(service.document_ids()) == ["good"]
@@ -273,7 +273,7 @@ def test_failed_bulk_chunk_leaves_no_orphan_postings(tmp_path, monkeypatch):
         shards=2, storage_dir=path, checkpoint_policy=CheckpointPolicy.disabled()
     )
     try:
-        original = _Shard.splice
+        original = Shard.splice
 
         def failing_on_shard_1(shard, document):
             if shard.shard_id == 1:
@@ -283,7 +283,7 @@ def test_failed_bulk_chunk_leaves_no_orphan_postings(tmp_path, monkeypatch):
         ids = [f"d{index}" for index in range(8)]
         assert {service.shard_of(doc_id) for doc_id in ids} == {0, 1}
         with monkeypatch.context() as patched:
-            patched.setattr(_Shard, "splice", failing_on_shard_1)
+            patched.setattr(Shard, "splice", failing_on_shard_1)
             with pytest.raises(RuntimeError):
                 service.add_documents(TEXTS[:8], ids)
         assert service.document_ids() == [] and len(service) == 0
@@ -382,8 +382,8 @@ def test_failed_write_is_undone_everywhere(
         owner, names, nth = {
             "annotate": (Pipeline, ["annotate"], ops - 1),
             "wal": (WriteAheadLog, ["append", "append_pipelined"], ops // 2),
-            "apply_first": (_Shard, ["splice", "unsplice"], 0),
-            "apply_later": (_Shard, ["splice", "unsplice"], ops - 1),
+            "apply_first": (Shard, ["splice", "unsplice"], 0),
+            "apply_later": (Shard, ["splice", "unsplice"], ops - 1),
         }[stage]
 
         def check(node) -> None:
@@ -507,7 +507,7 @@ def test_failed_pre_annotated_add_retries_with_the_same_sids(
         )
         sids = [sentence.sid for sentence in document]
         with monkeypatch.context() as patched:
-            _fail_nth_call(patched, _Shard, ["splice"], 0)
+            _fail_nth_call(patched, Shard, ["splice"], 0)
             with pytest.raises(RuntimeError, match="injected failure"):
                 service.add_annotated_document(document)
         # a raw add in between takes fresh sids past the handed-back span

@@ -23,6 +23,7 @@ from repro.nlp.types import Corpus
 from repro.replication import LogShipper, ReplicaService, TcpTransport
 from repro.service import KokoService
 from repro.service.locks import ReadWriteLock
+from repro.service.read import ReadPath
 
 ENTITY_QUERY = (
     'extract e:Entity, d:Str from input.txt if '
@@ -63,7 +64,7 @@ def thread_spy(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(KokoService, "_run_pass", spied("pass", KokoService._run_pass))
+    monkeypatch.setattr(ReadPath, "_run_pass", spied("pass", ReadPath._run_pass))
     for stage in stages.DEFAULT_STAGES:
         cls = type(stage)
         monkeypatch.setattr(cls, "run", spied(cls.name, cls.run))

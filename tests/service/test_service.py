@@ -12,6 +12,7 @@ from repro.indexing.koko_index import KokoIndexSet
 from repro.koko.engine import KokoEngine, compile_query
 from repro.observability.metrics import histogram_quantiles
 from repro.service import KokoService, PlanCache, ReadWriteLock, ResultCache
+from repro.service.read import ReadPath
 from repro.service.stats import ServiceStats
 
 ENTITY_QUERY = (
@@ -78,11 +79,39 @@ def test_service_results_match_plain_engine(service, pipeline):
 # ----------------------------------------------------------------------
 # caching
 # ----------------------------------------------------------------------
-def test_repeated_query_hits_result_cache(service):
+@pytest.mark.parametrize("sample_rate", [0.0, 1.0], ids=["untraced", "traced"])
+def test_repeated_query_hits_result_cache(sample_rate):
+    service = KokoService(use_default_vectors=True, trace_sample_rate=sample_rate)
+    for doc_id, text in DOC_TEXTS.items():
+        service.add_document(text, doc_id)
     first = service.query(ENTITY_QUERY)
     second = service.query(ENTITY_QUERY)
     assert second is first  # shared cache entry
     assert values(service, *CACHE_COUNTERS) == [1, 1, 0, 1]
+    if sample_rate:
+        # the one probe recorded its outcome in the hit's span tree
+        (latest,) = service.trace_store.recent(1)
+        (fragment,) = service.trace_store.get(latest["trace_id"])
+        probes = [c for c in fragment["root"]["children"] if c["name"] == "result_cache"]
+        assert [probe["attrs"]["hit"] for probe in probes] == [True]
+
+
+def test_query_batch_runs_in_order_on_the_calling_thread(service, monkeypatch):
+    threads = []
+    run = ReadPath.run
+
+    def spied(self, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReadPath, "run", spied)
+    queries = [ENTITY_QUERY, CITY_QUERY, ENTITY_QUERY]
+    batch = service.query_batch(queries, threshold_override=0.0)
+    assert threads == [threading.get_ident()] * len(queries)
+    assert [tuple_set(result) for result in batch] == [
+        tuple_set(service.query(query, threshold_override=0.0)) for query in queries
+    ]
+    assert batch[2] is batch[0]  # the repeat was a result-cache hit
 
 
 def test_ingestion_invalidates_result_cache_but_not_plans(service):
@@ -313,7 +342,7 @@ def test_constructor_takes_the_seventeen_kept_options():
 
 
 FIXED_SIZES = {
-    "plan_cache": (lambda svc: svc._plan_cache._plans.capacity, 256),
+    "plan_cache": (lambda svc: svc._read._plan_cache._plans.capacity, 256),
     "trace_store": (lambda svc: svc._trace_store.capacity, 128),
     "slow_op_ring": (lambda svc: svc._slow_log._entries.maxlen, 256),
     "slow_op_file": (lambda svc: svc._slow_log._max_file_bytes, 16 * 1024 * 1024),

@@ -32,6 +32,7 @@ from repro.koko.results import ResultColumns
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Corpus
 from repro.service import KokoService
+from repro.service.read import ReadPath
 
 #: no entity variable and no node path: DPLI leaves ``candidate_sids`` None
 UNPRUNED_QUERY = 'extract b:Str from "w" if (/ROOT:{ b = ^ + "chocolate" })'
@@ -75,13 +76,13 @@ def test_the_union_pass_is_tuple_identical_to_the_reference_engine(shards):
 def _passes(monkeypatch) -> list[list[int]]:
     """Record the shard ids of every pipeline pass."""
     seen: list[list[int]] = []
-    run_pass = KokoService._run_pass
+    run_pass = ReadPath._run_pass
 
     def spied(self, shard_ids, *args, **kwargs):
         seen.append(list(shard_ids))
         return run_pass(self, shard_ids, *args, **kwargs)
 
-    monkeypatch.setattr(KokoService, "_run_pass", spied)
+    monkeypatch.setattr(ReadPath, "_run_pass", spied)
     return seen
 
 
@@ -126,7 +127,7 @@ def test_each_partial_holds_its_own_rows_and_counts(monkeypatch, name):
         misses = service.metrics.get("koko_shard_cache_misses_total").values()
         assert misses == {shard_id: 1 for shard_id in range(4)}
         parts = [
-            service._shard_result_caches[shard_id].get(
+            service._read._shard_caches[shard_id].get(
                 (text, None, False), service.generations[shard_id]
             )
             for shard_id in range(4)

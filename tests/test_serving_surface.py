@@ -17,7 +17,6 @@ import repro.replication.replica as replica_module
 import repro.replication.router as router_module
 import repro.replication.shipper as shipper_module
 import repro.rpc.server as server_module
-import repro.service.service as service_module
 from repro import net
 from repro.observability import ClusterTelemetry, TelemetryServer, exposition
 from repro.replication import (
@@ -105,7 +104,6 @@ FORMER_DEFAULTS = [
     (exposition, "WAL_STALL_SECONDS", 60.0),
     (exposition, "CLUSTER_POLL_SECONDS", 1.0),
     (exposition, "SCRAPE_TIMEOUT_SECONDS", 2.0),
-    (service_module, "QUERY_BATCH_WORKERS", 4),
 ]
 
 
