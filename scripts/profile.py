@@ -19,7 +19,12 @@ checkpoint thread; per query:
 * ``query_ms`` — ``service.query`` with every cache missed through a
   unique ``threshold_override``, as on ``cold_extract``: the pass plus
   whatever the service adds around it;
-* ``stage_ms`` — the merged ``StageTimings`` of one ``service.query``;
+* ``stage_ms`` — per stage, the median over the ``service.query`` loop
+  of the merged ``StageTimings`` (medians of separate stages need not sum
+  to ``query_ms``);
+* ``body_sha256`` — the SHA-256 of the answer's ``columns-v1`` body
+  (``encode_body``) with its stage timings zeroed: equal digests mean the
+  same tuples, tables and table order on the wire;
 * ``fallback_sentences`` — the candidate sentences the columnar
   extraction handed the per-sentence evaluator (span variables, sentences
   with an unrooted token); 0 means every binding came from the DPLI blocks;
@@ -78,6 +83,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -104,10 +110,12 @@ from benchmarks.ledger import stack, workloads  # noqa: E402
 from repro.indexing.columnar import ColumnarPostings  # noqa: E402
 from repro.koko.dpli import run_dpli  # noqa: E402
 from repro.koko.engine import compile_query  # noqa: E402
+from repro.koko.results import KokoResult, StageTimings  # noqa: E402
 from repro.koko.stages import ExecutionContext, StagePipeline  # noqa: E402
 from repro.rpc import RpcClient, RpcServer  # noqa: E402
 from repro.rpc import client as client_module  # noqa: E402
 from repro.rpc import server as server_module  # noqa: E402
+from repro.rpc.wire import encode_body  # noqa: E402
 from repro.service import KokoService, durability  # noqa: E402
 
 SMOKE_SCALE = 0.05
@@ -168,6 +176,14 @@ def warm_up(service: KokoService, seconds: float) -> None:
             service.query(text, threshold_override=workloads.COLD_THRESHOLD - n * workloads.COLD_STEP)
 
 
+def body_digest(result: KokoResult) -> str:
+    """SHA-256 of *result*'s wire body with the stage timings it carries zeroed."""
+    untimed = KokoResult.from_columns(
+        result.columns, StageTimings(), result.candidate_sentences, result.evaluated_sentences
+    )
+    return hashlib.sha256(encode_body(untimed)).hexdigest()
+
+
 def profile_query(service: KokoService, text: str, repeat: int, top: int) -> dict:
     """Measurements of one query text, every execution at a threshold of its own."""
     thresholds = (
@@ -201,11 +217,13 @@ def profile_query(service: KokoService, text: str, repeat: int, top: int) -> dic
 
     service.query(text, threshold_override=next(thresholds))  # plan cache warm
     samples: list[float] = []
+    stages: list[dict[str, float]] = []
     before = _rusage()
     for _ in range(repeat):
         started = _now()
         result = service.query(text, threshold_override=next(thresholds))
         samples.append(_now() - started)
+        stages.append(result.timings.as_dict())
     usage = rusage_per_op(before, repeat)
 
     report = {
@@ -213,8 +231,9 @@ def profile_query(service: KokoService, text: str, repeat: int, top: int) -> dic
         "pass_ms": _median_ms(passes),
         "shard_lookup_ms": [_median_ms(times) for times in lookups],
         "query_ms": _median_ms(samples),
-        "stage_ms": {name: _ms(value) for name, value in result.timings.as_dict().items()},
+        "stage_ms": {name: _median_ms([row[name] for row in stages]) for name in stages[0]},
         "fallback_sentences": fallback,
+        "body_sha256": body_digest(result),
         **usage,
     }
     if top:

@@ -423,10 +423,20 @@ class PostingBlock:
         )
 
     def sort_positional(self) -> "PostingBlock":
-        """The same rows ordered by ``(sid, tid)``."""
+        """The same rows ordered by ``(sid, tid)``, ties in row order.
+
+        A gather concatenates per-key runs that are each ``(sid, tid)``-sorted,
+        and one stable argsort of the packed key ``sid << 32 | tid`` merges
+        them into exactly ``np.lexsort((tid, sid))``'s permutation, several
+        times faster.  Ids that do not pack (a planned sid can pass 2³¹) take
+        the lexsort.
+        """
         if self.size <= 1:
             return self
-        return self.take(np.lexsort((self.tid, self.sid)))
+        sid, tid = self.sid, self.tid
+        if 0 <= sid.min() and sid.max() < 1 << 31 and 0 <= tid.min() and tid.max() < 1 << 32:
+            return self.take(((sid << 32) | tid).argsort(kind="stable"))
+        return self.take(np.lexsort((tid, sid)))
 
 
 # ----------------------------------------------------------------------

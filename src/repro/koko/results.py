@@ -141,13 +141,14 @@ def index_dtype(size: int) -> np.dtype:
     return np.min_scalar_type(max(size - 1, 0))
 
 
-def _narrow(values: list[int]) -> np.ndarray:
+def _narrow(values: Sequence[int] | np.ndarray) -> np.ndarray:
     """Integers in the narrowest dtype that holds every one of them."""
-    low, high = min(values), max(values)
+    values = np.asarray(values)
+    low, high = int(values.min()), int(values.max())
     dtype = np.min_scalar_type(high)
     if low < 0:
         dtype = np.result_type(np.min_scalar_type(low), dtype)
-    return np.asarray(values, dtype)
+    return values.astype(dtype)
 
 
 class ResultColumns(Sequence):
@@ -201,33 +202,33 @@ class ResultColumns(Sequence):
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def build(
+    def from_tables(
         cls,
         doc_ids: Sequence[str],
         doc: Sequence[int],
         sid: Sequence[int],
         variables: Sequence[str] = (),
-        texts: Sequence[Sequence[str]] = (),
+        strings: Sequence[Sequence[str]] = (),
+        positions: Sequence[Sequence[int]] = (),
         scored: Sequence[str] = (),
         scores: Sequence[Sequence[float]] = (),
         present: Sequence[Sequence[bool]] = (),
     ) -> "ResultColumns":
-        """Columns from per-row lists; ``texts[i][row]`` is output variable
-        *i*'s text, and its string table is built here."""
-        if not sid:
+        """Columns from string tables and per-row positions into them.
+
+        ``doc[row]`` indexes *doc_ids* and ``positions[i][row]`` output
+        variable *i*'s table ``strings[i]``; each may be a list or an
+        integer array.
+        """
+        if not len(sid):
             return cls()  # an empty result needs no layout
-        strings, columns = [], [doc]
-        for column in texts:
-            table = tuple(dict.fromkeys(column))
-            position = dict(zip(table, range(len(table))))
-            strings.append(table)
-            columns.append(list(map(position.__getitem__, column)))
+        strings = tuple(map(tuple, strings))
         return cls(
             tuple(doc_ids),
             _narrow(sid),
             tuple(variables),
-            tuple(strings),
-            np.array(columns, index_dtype(max([len(doc_ids), *map(len, strings)]))),
+            strings,
+            np.array([doc, *positions], index_dtype(max([len(doc_ids), *map(len, strings)]))),
             tuple(scored),
             np.array(scores, np.float64) if scored else _NO_SCORES,
             np.array(present, np.bool_) if scored else _NO_PRESENCE,
@@ -272,12 +273,19 @@ class ResultColumns(Sequence):
             for at, score in slots:
                 scores[at, row_no] = score
                 present[at, row_no] = True
-        return cls.build(
+        strings, positions = [], []
+        for i in range(len(variables)):
+            column = [row.values[i][1] for row in rows]
+            table = tuple(dict.fromkeys(column))
+            strings.append(table)
+            positions.append(list(map(dict(zip(table, range(len(table)))).__getitem__, column)))
+        return cls.from_tables(
             tuple(doc_position),
             [doc_position[row.doc_id] for row in rows],
             [row.sid for row in rows],
             variables,
-            [[row.values[i][1] for row in rows] for i in range(len(variables))],
+            strings,
+            positions,
             scored,
             scores,
             present,
@@ -347,7 +355,7 @@ class ResultColumns(Sequence):
             columns.append((np.cumsum(used) - 1)[column])
         return ResultColumns(
             tables[0],
-            _narrow(self.sid[rows].tolist()),
+            _narrow(self.sid[rows]),
             self.variables,
             tuple(tables[1:]),
             np.array(columns, index_dtype(max(map(len, tables)))),

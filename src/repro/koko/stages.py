@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from ..errors import DeadlineExceeded
 from ..indexing.columnar import distinct_sorted
 from ..indexing.koko_index import KokoIndexSet
 from ..indexing.sharding import ShardedIndexSet
-from ..nlp.types import Document, Sentence
+from ..nlp.types import Document, Sentence, span_texts
 from ..observability.tracing import Span
 from .aggregate import (
     AggregationPlan,
@@ -100,6 +101,7 @@ class Stage:
     name = "stage"
 
     def run(self, ctx: ExecutionContext) -> None:  # pragma: no cover - interface
+        """Do this stage's step over *ctx*, in place."""
         raise NotImplementedError
 
 
@@ -114,6 +116,7 @@ class NormalizeStage(Stage):
     name = "normalize"
 
     def run(self, ctx: ExecutionContext) -> None:
+        """Set ``ctx.parsed``, ``ctx.normalized`` and ``ctx.aggregation``."""
         started = time.perf_counter()
         query = ctx.query
         if hasattr(query, "parsed") and hasattr(query, "normalized"):
@@ -133,6 +136,7 @@ class DpliStage(Stage):
     name = "dpli"
 
     def run(self, ctx: ExecutionContext) -> None:
+        """Set ``ctx.dpli``; finish the pipeline when it proves the answer empty."""
         started = time.perf_counter()
         ctx.dpli = run_dpli(ctx.normalized, ctx.indexes)
         ctx.result.timings.dpli += time.perf_counter() - started
@@ -146,6 +150,7 @@ class LoadStage(Stage):
     name = "load"
 
     def run(self, ctx: ExecutionContext) -> None:
+        """Set ``ctx.documents`` to the candidate sentences grouped by document."""
         started = time.perf_counter()
         candidate_sids = ctx.dpli.candidate_sids if ctx.dpli is not None else None
         if candidate_sids is None:
@@ -190,6 +195,7 @@ class ExtractStage(Stage):
     name = "extract"
 
     def run(self, ctx: ExecutionContext) -> None:
+        """Set ``ctx.bindings`` (and ``ctx.fallback_sentences``)."""
         started = time.perf_counter()
         evaluator = SentenceEvaluator(ctx.normalized, use_gsp=ctx.use_gsp)
         result = ctx.result
@@ -223,68 +229,95 @@ class ExtractStage(Stage):
 
 
 class _Slot:
-    """The distinct values one scored (or excluding-judged) slot binds.
+    """The distinct spans one slot binds.
 
-    ``value[row]`` numbers the row's value, or is -1 where the row does
-    not bind the slot's variable (or was dropped before the slot).  Per
-    value, ``sids``/``starts``/``ends``/``docs`` locate its first row and
-    ``sighted`` lists the values in first-sighting order.  The per-value
-    arrays ``score``/``passed`` end in one more entry, the verdict of an
-    unbound row, so ``score[value]`` needs no mask.
+    A slot that a clause scores or judges is numbered when collected:
+    ``value[row]`` numbers the row's span, or is -1 where the row does not
+    bind the slot's variable (or was dropped before the slot); ``first``
+    is each span's first row.  :meth:`spell` then fills ``spelled`` (the
+    distinct texts) and ``text_id`` (per span, its text's position
+    there), and the clause's verdicts fill ``score``/``passed``, which end
+    in one more entry, the verdict of an unbound row, so ``score[value]``
+    needs no mask.  An output slot nothing judges is numbered only over
+    the rows the stage keeps (:meth:`strings`).
     """
 
-    __slots__ = ("value", "sids", "starts", "ends", "docs", "sighted", "score", "passed")
+    __slots__ = ("column", "value", "first", "spelled", "text_id", "score", "passed")
 
-    def __init__(self, value, first, table: BindingTable, column) -> None:
+    def __init__(self, column, value=None, first=None) -> None:
+        self.column = column
         self.value = value
-        self.sids = table.sid[first].tolist()
-        self.starts, self.ends = column[:2, first].tolist() if column is not None else ([], [])
-        self.docs = table.doc[first].tolist()
-        self.sighted = np.argsort(first).tolist()
-        self.score = np.zeros(len(first) + 1)
-        self.passed = np.ones(len(first) + 1, bool)
+        self.first = first
+        self.spelled: tuple[str, ...] | None = None
+        self.text_id: np.ndarray | None = None
 
-    def text(self, texts: "_Texts", value: int) -> str:
-        return texts.of(self.sids[value], self.starts[value], self.ends[value])
+    def texts_at(self, table: BindingTable, rows) -> list[str]:
+        """The text of the span bound at each of *rows* (indexes, or a slice)."""
+        starts, ends = self.column[:2, rows].tolist()
+        sentences = map(table.sentences.__getitem__, table.sid[rows].tolist())
+        return span_texts(map(_words, sentences), starts, ends)
+
+    def spell(self, table: BindingTable) -> None:
+        """Build every span's text, once."""
+        if self.spelled is None:
+            self.spelled, self.text_id = _intern(self.texts_at(table, self.first))
+
+    def strings(self, table: BindingTable, keys: "_SpanKeys", rows: np.ndarray):
+        """The string table of *rows* (first-row order) and each row's index into it."""
+        if self.spelled is None:  # numbered and spelled over these rows alone
+            _, first, number = np.unique(
+                keys.of(rows, self.column), return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)
+            texts = self.texts_at(table, rows[first[order]])
+        else:
+            text_id = self.text_id[self.value[rows]]
+            _, first, number = np.unique(text_id, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            texts = list(map(self.spelled.__getitem__, text_id[first[order]].tolist()))
+        spelled, text_id = _intern(texts)
+        position = np.empty(len(order), np.int64)
+        position[order] = text_id
+        return spelled, position[number]
 
 
-class _Texts:
-    """Span texts of one execution, each built once."""
+_words = attrgetter("words")
 
-    def __init__(self, sentences) -> None:
-        self._sentences = sentences
-        self._texts: dict[tuple[int, int, int], str] = {}
 
-    def of(self, sid: int, start: int, end: int) -> str:
-        span = (sid, start, end)
-        text = self._texts.get(span)
-        if text is None:
-            text = self._texts[span] = self._sentences[sid].span_text(start, end)
-        return text
+def _intern(texts: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct *texts* in first-seen order, and each text's position there."""
+    spelled = tuple(dict.fromkeys(texts))
+    position = dict(zip(spelled, range(len(spelled))))
+    return spelled, np.fromiter(map(position.__getitem__, texts), np.int64, len(texts))
 
 
 class AggregateStage(Stage):
     """Score each distinct candidate value once, then attach scores to rows.
 
     Evidence is a property of the candidate *value* (Section 4.4), so the
-    stage works set-at-a-time over the binding table, in three passes:
+    stage works set-at-a-time over the distinct spans of the binding
+    table, in three passes:
 
     1. **collect** — per scored slot (the variable of a satisfying
        clause; every output variable too when an excluding clause judges
        them), one ``np.unique`` over the packed ``(sentence, start, end)``
-       keys of the rows that bind it numbers each row's value;
-    2. **score** — a clause whose conditions are all value-only is scored
-       once per distinct value for the whole execution and never looks at
-       a document; a clause with a document-reading condition is scored
-       once per (document, value), over evidence built lazily per document;
-    3. **emit** — fancy-index the verdicts through the rows' values and
-       fill the result's columns in candidate order (no per-tuple object
-       is built).
+       keys of the rows that bind it numbers each row's span;
+    2. **score** — each distinct span's text is built once, from its
+       sentence's words, and each distinct text is lower-cased once; a
+       clause whose conditions are all value-only is scored once per
+       distinct spelling for the whole execution and never looks at a
+       document; a clause with a document-reading condition is scored
+       once per (document, spelling), over evidence built lazily per
+       document; the verdicts reach the spans, then the rows, by fancy
+       indexing;
+    3. **emit** — per output, the distinct texts of the kept rows become
+       its string table in first-row order and the rows' positions in it
+       its index column (no per-row string is built); an output nothing
+       judged is numbered and spelled here, over the kept rows alone.
 
-    The text of a distinct span is built once, when first needed.  Within
-    a document, values that differ only in case share one score: the
-    first-seen spelling is the one handed to the scorer (``matches`` is
-    case-sensitive, so which spelling that is matters).  The excluding
+    Within a document, values that differ only in case share one score:
+    the first-seen spelling is the one handed to the scorer (``matches``
+    is case-sensitive, so which spelling that is matters).  The excluding
     clause has no such rule and sees every distinct spelling.  A row that
     leaves an output variable unbound is dropped from that slot on, after
     the earlier slots have seen its values.
@@ -293,28 +326,28 @@ class AggregateStage(Stage):
     name = "aggregate"
 
     def run(self, ctx: ExecutionContext) -> None:
+        """Fill ``ctx.result.columns`` from ``ctx.bindings``."""
         started = time.perf_counter()
         plan = ctx.aggregation
         table = ctx.bindings
-        texts = _Texts(table.sentences)
-        slots, alive = self._collect(table, plan)
+        slots, alive, keys = self._collect(table, plan)
         aggregator = EvidenceAggregator(ConditionScorer(ctx.resources))
-        self._score(aggregator, table, plan, slots, ctx.threshold_override, texts)
-        keep = alive & ~self._exclusions(aggregator, table, plan, slots, texts)
-        self._emit(ctx, table, plan, slots, keep, texts)
+        self._score(aggregator, table, plan, slots, ctx.threshold_override)
+        keep = alive & ~self._exclusions(aggregator, table, plan, slots)
+        self._emit(ctx, table, plan, slots, keys, keep)
         ctx.result.timings.satisfying += time.perf_counter() - started
 
     @staticmethod
     def _collect(table: BindingTable, plan: AggregationPlan):
-        """Pass 1: the values of every slot that is scored or judged.
+        """Pass 1: one :class:`_Slot` per slot, numbered where a clause needs it.
 
-        Returns one :class:`_Slot` per such slot (``None`` for an output
-        slot nothing judges) and the rows that bind every output variable.
+        Also returns the rows that bind every output variable and the
+        table's span keys.
         """
         rows_total = len(table)
         alive = np.ones(rows_total, bool)
-        keys = None
-        slots: list[_Slot | None] = []
+        keys = _SpanKeys(table, plan.variables) if rows_total else None
+        slots: list[_Slot] = []
         for slot, (variable, clause) in enumerate(zip(plan.variables, plan.clauses)):
             output = slot < plan.outputs
             column = table.columns.get(variable)
@@ -324,47 +357,67 @@ class AggregateStage(Stage):
                 seen = alive & (column[0] >= 0)
             if output:
                 alive = seen
-            if clause is None and (not output or plan.excluding is None):
-                slots.append(None)
+            if clause is None and plan.excluding is None:
+                slots.append(_Slot(column))  # an output numbered when emitted
                 continue
             value = np.full(rows_total, -1, np.int64)
             first = rows = np.flatnonzero(seen)
             if len(rows):
-                if keys is None:
-                    keys = _SpanKeys(table, plan.variables)
                 _, first, value[rows] = np.unique(
                     keys.of(rows, column), return_index=True, return_inverse=True
                 )
                 first = rows[first]
-            slots.append(_Slot(value, first, table, column))
-        return slots, alive
+            slots.append(_Slot(column, value, first))
+        return slots, alive, keys
 
     @staticmethod
-    def _score(aggregator, table, plan: AggregationPlan, slots, threshold_override, texts):
-        """Pass 2: a ``(score, passed)`` verdict per distinct value of each scored slot.
+    def _score(aggregator, table, plan: AggregationPlan, slots, threshold_override):
+        """Pass 2: a ``(score, passed)`` verdict per distinct span of each scored slot.
 
-        A value takes the verdict of its document's first-seen spelling of
-        it (case-insensitively).
+        A span takes the verdict of its document's first-seen spelling of
+        its text (case-insensitively).
         """
+        documents = table.documents
         for clause, slot in zip(plan.clauses, slots):
             if clause is None:
                 continue
-            first_seen: dict[tuple[int, str], str] = {}
-            memo: dict = {}
-            for value in slot.sighted:
-                text, doc = slot.text(texts, value), slot.docs[value]
-                spelling = first_seen.setdefault((doc, text.lower()), text)
-                key = (doc, spelling) if clause.reads_document else spelling
-                verdict = memo.get(key)
-                if verdict is None:
-                    outcome = aggregator.score_clause(
-                        clause, spelling, table.documents[doc], threshold_override
+            slot.score = np.zeros(len(slot.first) + 1)
+            slot.passed = np.ones(len(slot.first) + 1, bool)
+            if not len(slot.first):
+                continue
+            slot.spell(table)
+            lowered, lowered_id = _intern([text.lower() for text in slot.spelled])
+            doc = table.doc[slot.first]
+            sighted = np.argsort(slot.first)  # spans in first-sighting order
+            _, pick, group = np.unique(
+                (doc * len(lowered) + lowered_id[slot.text_id])[sighted],
+                return_index=True,
+                return_inverse=True,
+            )
+            # per (document, lowered text): the text id and document of its first spelling
+            spelling = slot.text_id[sighted[pick]].tolist()
+            if clause.reads_document:
+                outcomes = [
+                    aggregator.score_clause(
+                        clause, slot.spelled[text], documents[index], threshold_override
                     )
-                    verdict = memo[key] = (outcome.score, outcome.passed)
-                slot.score[value], slot.passed[value] = verdict
+                    for text, index in zip(spelling, doc[sighted[pick]].tolist())
+                ]
+            else:
+                memo = {
+                    text: aggregator.score_clause(
+                        clause, slot.spelled[text], None, threshold_override
+                    )
+                    for text in dict.fromkeys(spelling)
+                }
+                outcomes = list(map(memo.__getitem__, spelling))
+            of_span = np.empty(len(sighted), np.int64)
+            of_span[sighted] = group
+            slot.score[:-1] = np.array([outcome.score for outcome in outcomes])[of_span]
+            slot.passed[:-1] = np.array([outcome.passed for outcome in outcomes])[of_span]
 
     @staticmethod
-    def _exclusions(aggregator, table, plan: AggregationPlan, slots, texts):
+    def _exclusions(aggregator, table, plan: AggregationPlan, slots):
         """Pass 2, excluding clause: the rows whose output texts it removes."""
         excluded = np.zeros(len(table), bool)
         excluding = plan.excluding
@@ -372,18 +425,22 @@ class AggregateStage(Stage):
             return excluded
         memo: dict = {}
         for slot in slots[: plan.outputs]:
-            flags = np.zeros(len(slot.sids) + 1, bool)  # the last: unbound
-            for value in slot.sighted:
-                text, doc = slot.text(texts, value), slot.docs[value]
+            if not len(slot.first):
+                continue
+            slot.spell(table)
+            flags = np.zeros(len(slot.first) + 1, bool)  # the last: unbound
+            docs = table.doc[slot.first].tolist()
+            for span, (text, doc) in enumerate(zip(slot.text_id.tolist(), docs)):
+                text = slot.spelled[text]
                 key = (doc, text) if excluding.reads_document else text
                 if key not in memo:
                     memo[key] = aggregator.excludes(excluding, text, table.documents[doc])
-                flags[value] = memo[key]
+                flags[span] = memo[key]
             excluded |= flags[slot.value]
         return excluded
 
     @staticmethod
-    def _emit(ctx, table, plan: AggregationPlan, slots, keep, texts):
+    def _emit(ctx, table, plan: AggregationPlan, slots, keys, keep):
         """Pass 3: the result's columns, rows in candidate order.
 
         A row is kept when it binds every output variable, every score it
@@ -402,17 +459,14 @@ class AggregateStage(Stage):
             return
         doc = table.doc[rows]  # ascending: rows are grouped by document
         docs = distinct_sorted(doc)
-        sids = table.sid[rows].tolist()
-        outputs = plan.variables[: plan.outputs]
-        ctx.result.columns = ResultColumns.build(
+        outputs = [slot.strings(table, keys, rows) for slot in slots[: plan.outputs]]
+        ctx.result.columns = ResultColumns.from_tables(
             [table.documents[index].doc_id for index in docs.tolist()],
-            np.searchsorted(docs, doc).tolist(),
-            sids,
-            outputs,
-            [
-                list(map(texts.of, sids, *table.columns[variable][:2, rows].tolist()))
-                for variable in outputs
-            ],
+            np.searchsorted(docs, doc),
+            table.sid[rows],
+            plan.variables[: plan.outputs],
+            [strings for strings, _ in outputs],
+            [positions for _, positions in outputs],
             [v for v, clause in zip(plan.variables, plan.clauses) if clause is not None],
             [slot.score[slot.value[rows]] for slot in scored],
             [slot.value[rows] >= 0 for slot in scored],
@@ -431,7 +485,8 @@ class _SpanKeys:
         sid = table.sid
         self.sentence = np.zeros(len(sid), np.int64)
         np.cumsum(sid[1:] != sid[:-1], out=self.sentence[1:])
-        bounds = [int(table.columns[v][:2].max()) + 1 for v in variables if v in table.columns]
+        # a bound row has start <= end + 1, so both key fields stay below max(end) + 2
+        bounds = [int(table.columns[v][1].max()) + 2 for v in variables if v in table.columns]
         self.bits = max(bounds, default=0).bit_length()
         self.packed = int(self.sentence[-1]).bit_length() + 2 * self.bits <= 62
         if self.packed:
@@ -469,6 +524,7 @@ class StagePipeline:
         self.stages = tuple(stages)
 
     def run(self, ctx: ExecutionContext) -> KokoResult:
+        """Run every stage over *ctx* until one finishes it; return its result."""
         trace, deadline = ctx.trace, ctx.deadline
         for stage in self.stages:
             if deadline is not None and time.monotonic() >= deadline:

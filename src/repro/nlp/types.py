@@ -44,6 +44,7 @@ __all__ = [
     "Span",
     "Token",
     "detokenize",
+    "span_texts",
 ]
 
 # Universal POS tagset (Petrov, Das, McDonald 2012) with PROPN split out,
@@ -612,6 +613,26 @@ def detokenize(tokens: Iterable[str]) -> str:
             pieces.append(" " + token)
         previous = token
     return "".join(pieces)
+
+
+def span_texts(
+    words: Iterable[Sequence[str]], starts: Iterable[int], ends: Iterable[int]
+) -> list[str]:
+    """The surface text of each span ``words[i][starts[i] .. ends[i]]`` (inclusive).
+
+    Equal to ``detokenize(words[i][starts[i]:ends[i] + 1])`` span for span,
+    with no call where none is needed: a single token is itself, a run
+    with no spacing exception is joined by spaces (an empty span, ``end ==
+    start - 1``, gives ``""``), and anything else goes to :func:`detokenize`.
+    """
+    return [
+        tokens[start]
+        if start == end
+        else " ".join(run)
+        if _SPACING_EXCEPTIONS.isdisjoint(run := tokens[start : end + 1])
+        else detokenize(run)
+        for tokens, start, end in zip(words, starts, ends)
+    ]
 
 
 @dataclass

@@ -31,7 +31,8 @@ from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Sentence
 
 # Budgets of the tests that take theirs from the Hypothesis profile (the
-# model-based state machine, the binding-table property): ``tier1`` for the
+# model-based state machine, the binding-table property, the span-text
+# property of ``test_stages.py``): ``tier1`` for the
 # tier-1 suite, ``--hypothesis-profile ci`` for CI's longer run.  Tests that
 # set ``max_examples`` themselves keep it under either.
 settings.register_profile("tier1", max_examples=8, stateful_step_count=20)

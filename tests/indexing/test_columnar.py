@@ -254,6 +254,64 @@ def _encoded_block(trees, tokens) -> PostingBlock:
     return PostingBlock(*(_int(column) for column in zip(*rows)))
 
 
+def _labelled(pairs) -> PostingBlock:
+    """A block of ``(sid, tid)`` *pairs* whose ``left`` column is the row number."""
+    sid, tid = (_int(column) for column in zip(*pairs)) if pairs else (_int(()), _int(()))
+    rows = np.arange(len(sid))
+    return PostingBlock(sid, tid, rows, rows, rows)
+
+
+_ids = st.integers(0, 40)
+_sorted_runs = st.lists(
+    st.lists(st.tuples(_ids, _ids), max_size=12).map(sorted), max_size=8
+).map(lambda runs: [pair for run in runs for pair in run])
+
+
+class TestSortPositional:
+    """``sort_positional`` returns exactly ``np.lexsort((tid, sid))``'s permutation."""
+
+    @staticmethod
+    def _check(pairs) -> None:
+        block = _labelled(pairs)
+        ordered = block.sort_positional()
+        expected = np.lexsort((block.tid, block.sid))
+        assert ordered.left.tolist() == expected.tolist()
+        assert ordered.sid.tolist() == block.sid[expected].tolist()
+        assert ordered.tid.tolist() == block.tid[expected].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sorted_runs)
+    def test_concatenated_sorted_runs_with_duplicate_keys(self, pairs):
+        """What a gather hands it: per-key runs, each sorted, keys repeating."""
+        self._check(pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**32 - 1))))
+    def test_arbitrary_rows(self, pairs):
+        self._check(pairs)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(2**31, 0), (1, 5), (2**31, 0), (0, 7)],  # a planned sid past 2**31
+            [(3, 2**32), (3, 1), (2, 2**32 + 1), (3, 1)],  # a tid that does not fit
+            [(2**40, 2**33), (5, 0), (2**40, 1)],
+        ],
+    )
+    def test_ids_that_do_not_pack_take_the_lexsort(self, pairs, monkeypatch):
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+        block = _labelled(pairs)
+        assert block.sort_positional().left.tolist() == real((block.tid, block.sid)).tolist()
+        assert calls
+
+    def test_packable_ids_never_call_lexsort(self, monkeypatch):
+        monkeypatch.setattr(np, "lexsort", None)
+        block = _labelled([(2**31 - 1, 2**32 - 1), (0, 3), (2**31 - 1, 0), (0, 3)])
+        assert block.sort_positional().left.tolist() == [1, 3, 2, 0]
+
+
 class TestIntervalOracle:
     """The vectorised interval predicates agree with ancestry derived by
     walking random ``heads`` arrays, whatever the tree's shape."""

@@ -16,6 +16,7 @@ from repro.corpora.cafe_blogs import BARISTAMAG, generate_cafe_corpus
 from repro.corpora.tweets import generate_tweet_corpus
 from repro.corpora.wikipedia import WikipediaConfig, generate_wikipedia_corpus
 from repro.evaluation import queries as evaluation_queries
+from repro.indexing.koko_index import KokoIndexSet
 from repro.koko.aggregate import plan_aggregation
 from repro.koko.bindings import BindingTable
 from repro.koko.ast import (
@@ -34,7 +35,13 @@ from repro.koko.ast import (
 from repro.koko.conditions import ConditionScorer, Occurrence
 from repro.koko.engine import KokoEngine, compile_query
 from repro.koko.evaluator import Binding
-from repro.koko.results import ExtractionTuple, KokoResult, StageTimings, merge_results
+from repro.koko.results import (
+    ExtractionTuple,
+    KokoResult,
+    ResultColumns,
+    StageTimings,
+    merge_results,
+)
 from repro.koko.stages import (
     DEFAULT_STAGES,
     AggregateStage,
@@ -46,6 +53,7 @@ from repro.koko.stages import (
     StagePipeline,
 )
 from repro.nlp.pipeline import Pipeline
+from repro.nlp.types import detokenize, span_texts
 from repro.rpc import RpcClient, RpcServer
 from repro.rpc.wire import decode_body, encode_body
 from repro.service import KokoService
@@ -605,3 +613,195 @@ def test_dateofbirth_scores_each_value_once_and_never_reads_the_document(
     assert calls["occurrences"] == 0
     assert calls["detokenize"] <= len(bindings)
     assert sorted(calls["similar_to"]) == sorted(verbs)  # once per distinct value
+
+
+# ----------------------------------------------------------------------
+# span texts from the words column
+# ----------------------------------------------------------------------
+_SPACING_TOKENS = sorted(types_module._NO_SPACE_BEFORE | types_module._NO_SPACE_AFTER)
+_PLAIN_TOKENS = ["Born", "in", "Paris", "1990", "the", "Blue", "Bottle"]
+
+
+@st.composite
+def _spans(draw):
+    """A token list and one span of it: empty, one token, or a run."""
+    words = tuple(
+        draw(st.lists(st.sampled_from(_PLAIN_TOKENS + _SPACING_TOKENS), min_size=1, max_size=10))
+    )
+    kind = draw(st.sampled_from(["empty", "single", "run"]))
+    if kind == "empty":
+        start = draw(st.integers(0, len(words)))
+        return words, start, start - 1
+    start = draw(st.integers(0, len(words) - 1))
+    end = start if kind == "single" else draw(st.integers(start, len(words) - 1))
+    return words, start, end
+
+
+@settings(deadline=None)  # examples from the Hypothesis profile
+@example(spans=[(("a", *_SPACING_TOKENS, "b"), 0, len(_SPACING_TOKENS) + 1)])
+@example(spans=[((token,), 0, 0) for token in _SPACING_TOKENS])
+@given(spans=st.lists(_spans(), max_size=8))
+def test_span_texts_equal_detokenize(spans):
+    """Every spacing exception, single tokens and empty spans (``end == start - 1``)."""
+    words = [span[0] for span in spans]
+    starts = [span[1] for span in spans]
+    ends = [span[2] for span in spans]
+    assert span_texts(words, starts, ends) == [
+        detokenize(tokens[start : end + 1]) for tokens, start, end in spans
+    ]
+
+
+# ----------------------------------------------------------------------
+# the emitted columns against the tuple-built reference
+# ----------------------------------------------------------------------
+def assert_same_columns(columns: ResultColumns, reference: ResultColumns) -> None:
+    """Field for field: tables and their order, dtypes, scores bit for bit, presence."""
+    assert columns.doc_ids == reference.doc_ids
+    assert columns.variables == reference.variables
+    assert columns.strings == reference.strings
+    assert columns.scored == reference.scored
+    for name in ("sid", "index", "scores", "present"):
+        mine, theirs = getattr(columns, name), getattr(reference, name)
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
+        assert mine.tobytes() == theirs.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def columnar_engines(pipeline):
+    """The golden corpora over the production (columnar) index set."""
+    return {
+        name: KokoEngine(corpus, indexes=KokoIndexSet().build(corpus))
+        for name, corpus in golden_corpora(pipeline).items()
+    }
+
+
+#: the ledger's three queries are the golden file's wiki family
+LEDGER_QUERIES = ("Chocolate", "Title", "DateOfBirth")
+
+
+class TestEmittedColumns:
+    """The aggregate stage's columns equal ``ResultColumns.from_tuples`` of its tuples."""
+
+    @pytest.mark.parametrize("keep_all_scores", [False, True])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
+    def test_columns_equal_the_tuple_built_reference(
+        self, columnar_engines, keep_all_scores, name
+    ):
+        family, query = GOLDEN_QUERIES[name]
+        threshold = 0.0 if keep_all_scores else None
+        result = columnar_engines[family].execute(
+            query, threshold_override=threshold, keep_all_scores=keep_all_scores
+        )
+        assert len(result), "a query with no tuples checks nothing"
+        assert_same_columns(result.columns, ResultColumns.from_tuples(list(result)))
+
+    def test_the_families_cover_the_ledger_queries_and_an_excluding_clause(self):
+        assert set(LEDGER_QUERIES) <= set(GOLDEN_QUERIES)
+        assert any(
+            compile_query(query).parsed.excluding is not None
+            for _, query in GOLDEN_QUERIES.values()
+        )
+
+    def test_each_document_scores_its_own_first_seen_spelling(self, pipeline, paper_engine):
+        """"Born" first in d1, "born" first in d2, scored by a case-sensitive ``matches``."""
+        corpus = pipeline.annotate_corpus(
+            {"d1": "Born in Paris . Then born again .", "d2": "Then born again . Born in Paris ."}
+        )
+        candidates = [
+            (
+                document,
+                [
+                    (sentence, {"x": Binding(sentence.sid, index, index)})
+                    for sentence in document
+                    for index, word in enumerate(sentence.words)
+                    if word.lower() == "born"
+                ],
+            )
+            for document in corpus
+        ]
+        query = KokoQuery(
+            outputs=[OutputVar("x", "Str")],
+            satisfying=[
+                SatisfyingClause(
+                    "x", [WeightedCondition(StrCondition("x", "matches", "^B"), 1.0)], 0.5
+                )
+            ],
+        )
+        ctx = ExecutionContext(
+            query=query,
+            corpus=corpus,
+            indexes=paper_engine.indexes,
+            by_sid={},
+            resources=paper_engine.resources,
+            keep_all_scores=True,
+        )
+        ctx.parsed, ctx.aggregation = query, plan_aggregation(query)
+        ctx.bindings = BindingTable.from_assignments(candidates)
+        AggregateStage().run(ctx)
+        assert [(t.doc_id, t.value("x"), t.score("x")) for t in ctx.result] == [
+            ("d1", "Born", 1.0),
+            ("d1", "born", 1.0),
+            ("d2", "born", 0.0),
+            ("d2", "Born", 0.0),
+        ]
+        assert ctx.result.columns.strings == (("Born", "born"),)
+        assert_same_columns(ctx.result.columns, ResultColumns.from_tuples(list(ctx.result)))
+
+    @pytest.mark.parametrize("scored", [False, True])
+    def test_string_tables_follow_first_row_order(self, pipeline, paper_engine, scored):
+        """Rows that meet a sentence's spans out of token order: the table is in
+        row order, not span order, whether or not a clause spelled the spans."""
+        corpus = pipeline.annotate_corpus({"d1": "Paris loves Rome and Rome loves Paris ."})
+        sentence = corpus.documents[0].sentences[0]
+        at = {word: index for index, word in enumerate(sentence.words)}  # the last of each
+        order = ["Paris", "loves", "Rome", "Paris", "Rome"]  # tokens 6, 5, 4, 6, 4
+        candidates = [
+            (
+                corpus.documents[0],
+                [(sentence, {"x": Binding(sentence.sid, at[w], at[w])}) for w in order],
+            )
+        ]
+        clauses = (
+            [SatisfyingClause("x", [WeightedCondition(StrCondition("x", "contains", "o"), 1.0)], 0.0)]
+            if scored
+            else []
+        )
+        query = KokoQuery(outputs=[OutputVar("x", "Str")], satisfying=clauses)
+        ctx = ExecutionContext(
+            query=query,
+            corpus=corpus,
+            indexes=paper_engine.indexes,
+            by_sid={},
+            resources=paper_engine.resources,
+        )
+        ctx.parsed, ctx.aggregation = query, plan_aggregation(query)
+        ctx.bindings = BindingTable.from_assignments(candidates)
+        AggregateStage().run(ctx)
+        assert [t.value("x") for t in ctx.result] == order
+        assert ctx.result.columns.strings == (("Paris", "loves", "Rome"),)
+        assert_same_columns(ctx.result.columns, ResultColumns.from_tuples(list(ctx.result)))
+
+    def test_a_query_with_no_outputs_emits_the_doc_column_alone(self, pipeline, paper_engine):
+        corpus = pipeline.annotate_corpus({"d1": "I ate a pie ."})
+        sentence = corpus.documents[0].sentences[0]
+        candidates = [(corpus.documents[0], [(sentence, {"x": Binding(sentence.sid, 3, 3)})])]
+        query = KokoQuery(
+            outputs=[],
+            satisfying=[
+                SatisfyingClause(
+                    "x", [WeightedCondition(StrCondition("x", "contains", "pie"), 1.0)], 0.5
+                )
+            ],
+        )
+        ctx = ExecutionContext(
+            query=query,
+            corpus=corpus,
+            indexes=paper_engine.indexes,
+            by_sid={},
+            resources=paper_engine.resources,
+        )
+        ctx.parsed, ctx.aggregation = query, plan_aggregation(query)
+        ctx.bindings = BindingTable.from_assignments(candidates)
+        AggregateStage().run(ctx)
+        assert as_rows(ctx.result) == [("d1", sentence.sid, (), (("x", 1.0),))]
+        assert_same_columns(ctx.result.columns, ResultColumns.from_tuples(list(ctx.result)))
