@@ -60,7 +60,9 @@ The ledger's ``ingest_durable`` stack (``ServingStack``: a durable 4-shard
 primary, a TCP replica, an ``RpcServer``) with one closed-loop
 ``RpcClient.add_document`` writer over the pool texts, while the intervals
 of the work nobody asked for are recorded: ``checkpoint``,
-``write_snapshot`` (the file-writing part of a checkpoint), ``gc2``
+``write_snapshot`` (the file-writing part of a checkpoint: a corpus
+segment with the documents added since the previous one, per shard that
+gained any; no index is written), ``gc2``
 (generation-2 collections via ``gc.callbacks``), ``compact``
 (``ColumnarPostings.compact``) and ``replica_apply``
 (``KokoService.apply_replicated`` on the follower).  Per kind: count,

@@ -5,8 +5,6 @@ from . import (
     fig4_wnut,
     fig5_descriptors,
     fig6_index_construction,
-    fig7_happydb_index,
-    fig8_wikipedia_index,
     index_performance,
     nell_comparison,
     odin_comparison,
@@ -19,8 +17,6 @@ __all__ = [
     "fig4_wnut",
     "fig5_descriptors",
     "fig6_index_construction",
-    "fig7_happydb_index",
-    "fig8_wikipedia_index",
     "index_performance",
     "nell_comparison",
     "odin_comparison",

@@ -6,9 +6,10 @@ For every index design and every SyntheticTree benchmark query, measure:
 * effectiveness — the fraction of returned sentences that truly contain
   bindings for all query variables (Section 6.2.2),
 
-aggregated (a/b) against increasing corpus size and (c/d) against the
-number of extractions of the query.  Figure 7 uses the HappyDB-like corpus,
-Figure 8 the Wikipedia-like corpus; both share this module.
+aggregated (a/b) against increasing corpus size — one :func:`run` per
+size — and (c/d) against the number of extractions of the query.  Figure 7
+uses the HappyDB-like corpus, Figure 8 the Wikipedia-like corpus; both
+share this module.
 
 Expected shape: KOKO and SUBTREE are the fastest; INVERTED is the slowest
 and least effective; KOKO and ADVINVERTED reach near-perfect effectiveness;
@@ -109,18 +110,6 @@ def run(
                 )
             )
     return result
-
-
-def run_corpus_sweep(
-    corpora: list[Corpus],
-    queries_per_setting: int = 1,
-    designs: list[type[BaseTreeIndex]] | None = None,
-) -> list[IndexPerformanceResult]:
-    """The (a)/(b) panels: one result per corpus size."""
-    return [
-        run(corpus, queries_per_setting=queries_per_setting, designs=designs)
-        for corpus in corpora
-    ]
 
 
 def format_result(result: IndexPerformanceResult) -> str:

@@ -27,7 +27,7 @@ locks.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,12 +36,9 @@ __all__ = [
     "PostingBlock",
     "StringInterner",
     "distinct_sorted",
-    "int_column",
     "join_ancestor_block",
     "join_same_token_block",
-    "pack_strings",
     "under_words_block",
-    "unpack_strings",
 ]
 
 _INT = np.int64
@@ -87,44 +84,8 @@ class StringInterner:
         """The string interned under id *wid*."""
         return self._texts[wid]
 
-    def texts(self) -> list[str]:
-        """A copy of the string table, in id order."""
-        return list(self._texts)
-
     def __len__(self) -> int:
         return len(self._texts)
-
-
-def pack_strings(name: str, texts: "Sequence[str]") -> dict[str, np.ndarray]:
-    """String table *name* as two integer arrays: UTF-8 bytes and end offsets."""
-    encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
-    return {
-        name: np.frombuffer(b"".join(encoded), np.uint8),
-        f"{name}.ends": np.cumsum([len(item) for item in encoded], dtype=_INT),
-    }
-
-
-def unpack_strings(arrays: "Mapping[str, np.ndarray]", name: str) -> list[str]:
-    """The inverse of :func:`pack_strings`; ``ValueError`` on malformed input."""
-    raw = int_column(arrays[name], np.uint8).tobytes()
-    bounds = [0, *int_column(arrays[f"{name}.ends"]).tolist()]
-    if bounds[-1] != len(raw) or bounds != sorted(bounds):
-        raise ValueError(f"string table {name!r}: offsets do not match its bytes")
-    return [
-        raw[lo:hi].decode("utf-8", "surrogatepass")
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-
-
-def int_column(array, dtype=_INT) -> np.ndarray:
-    """*array* as a flat integer column; ``ValueError`` if it is not one."""
-    if (
-        not isinstance(array, np.ndarray)
-        or array.ndim != 1
-        or array.dtype.kind not in "iu"
-    ):
-        raise ValueError("expected a one-dimensional integer array")
-    return array.astype(dtype, copy=False)
 
 
 class ColumnarPostings:
@@ -202,10 +163,6 @@ class ColumnarPostings:
         if nkeys > self._nkeys:
             self._nkeys = nkeys
 
-    def keys(self) -> list[object]:
-        """A copy of the key table of an interned store, in id order."""
-        return list(self._keys)
-
     def live_key_ids(self) -> list[int]:
         """Ids of keys that currently hold at least one row, ascending."""
         counts = np.zeros(self._nkeys, _INT)
@@ -234,31 +191,6 @@ class ColumnarPostings:
         if not self._delta_kid:
             return
         self._set_main(*self.all_arrays_with_keys())
-
-    def load(self, kids, cols, keys=None, nkeys: int = 0) -> None:
-        """Fill an empty store from snapshot columns, compacting them.
-
-        Rows may come in any order (a snapshot holds main, then the delta
-        tail).  *keys* is an interned store's key table in id order; an
-        identity-keyed store passes its id-space size *nkeys*.  Raises
-        ``ValueError`` unless the columns are integers of one length and
-        every key id lies inside the key table.
-        """
-        if not self._identity:
-            self._keys = list(keys)
-            self._key_ids = {key: kid for kid, key in enumerate(self._keys)}
-            nkeys = len(self._key_ids)  # short of the table if keys repeat
-        kid = int_column(kids)
-        columns = tuple(int_column(col) for col in cols)
-        if (
-            nkeys < len(self._keys)
-            or len(columns) != len(self.columns)
-            or any(len(col) != len(kid) for col in columns)
-            or (len(kid) and not 0 <= kid.min() <= kid.max() < nkeys)
-        ):
-            raise ValueError(f"malformed columns for a {self.columns} store")
-        self._nkeys = nkeys
-        self._set_main(kid, columns)
 
     def _set_main(self, kid: np.ndarray, cols: Sequence[np.ndarray]) -> None:
         """Install *kid*/*cols* as the main arrays, key-sorted; drop the delta."""

@@ -14,17 +14,9 @@ object-list build survives only as the test oracle in
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
-from .columnar import (
-    ColumnarPostings,
-    StringInterner,
-    int_column,
-    pack_strings,
-    unpack_strings,
-)
+from .columnar import ColumnarPostings, StringInterner
 
 __all__ = ["ENTITY_TYPE_ALIASES", "EntityIndex", "accepted_types"]
 
@@ -76,32 +68,6 @@ class EntityIndex:
     def remove_sids(self, sids: np.ndarray) -> None:
         """Remove every mention of the sentences *sids* (ascending)."""
         self._store.remove_sids(sids)
-
-    # ------------------------------------------------------------------
-    # snapshot payload: the E rows + the string table
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The mention rows and the interned string table."""
-        rows = self._store.all_arrays()
-        return {
-            **pack_strings("E.strings", self._strings.texts()),
-            **{f"E.{name}": col for name, col in zip(_E_COLUMNS, rows)},
-        }
-
-    def load_arrays(self, arrays: "Mapping[str, np.ndarray]") -> None:
-        """Fill this empty index from :meth:`to_arrays` output.
-
-        The rows are regrouped by mention type.
-        """
-        strings = self._strings
-        strings.intern_many(unpack_strings(arrays, "E.strings"))
-        cols = [int_column(arrays[f"E.{name}"]) for name in _E_COLUMNS]
-        ids = np.concatenate(cols[3:])
-        if len(ids) and not 0 <= ids.min() <= ids.max() < len(strings):
-            raise ValueError("E row names a string outside the string table")
-        unique, inverse = np.unique(cols[4], return_inverse=True)
-        keys = [strings.text(i) for i in unique.tolist()]
-        self._store.load(inverse, cols, keys=keys)
 
     # ------------------------------------------------------------------
     # lookup

@@ -29,18 +29,12 @@ batches; a path lookup gathers the matched nodes' column slices into one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..nlp.types import Sentence
-from .columnar import (
-    ColumnarPostings,
-    PostingBlock,
-    int_column,
-    pack_strings,
-    unpack_strings,
-)
+from .columnar import ColumnarPostings, PostingBlock
 
 __all__ = ["HierarchyIndex", "HierarchyNode", "parse_label_index", "pos_tag_index"]
 
@@ -94,9 +88,7 @@ class HierarchyIndex:
         # node is minted or pruned and survives every other write.
         self._match_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._dummy = self._new_node("<dummy>", depth=-1, parent=None)
-        # node id -> node; insertion order is creation order, which is
-        # topological (parents are always created before their children) —
-        # the property to_arrays relies on.  A dict (not a list) so that
+        # node id -> node, in creation order.  A dict (not a list) so that
         # remove_sentence can prune emptied nodes without invalidating the
         # ids of the survivors.
         self._nodes: dict[int, HierarchyNode] = {self._dummy.node_id: self._dummy}
@@ -320,60 +312,6 @@ class HierarchyIndex:
         if pattern_label == "*":
             return True
         return node_label.lower() == pattern_label.lower()
-
-    # ------------------------------------------------------------------
-    # snapshot payload: the trie, not its postings
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The trie as a ``(node_id, parent_id, label)`` table plus next id.
-
-        Node postings are absent on purpose: they are W's rows regrouped on
-        ``plid``/``posid`` (Section 6.2.1), which :meth:`load_arrays` is handed.
-        """
-        name, nodes = self.name, list(self.nodes())
-        return {
-            f"{name}.node_id": np.asarray([n.node_id for n in nodes], np.int64),
-            f"{name}.parent_id": np.asarray([n.parent.node_id for n in nodes], np.int64),
-            f"{name}.next_id": np.asarray([self._next_id], np.int64),
-            **pack_strings(f"{name}.labels", [n.label for n in nodes]),
-        }
-
-    def load_arrays(
-        self, arrays: "Mapping[str, np.ndarray]", kids: np.ndarray, rows
-    ) -> None:
-        """Fill this empty index: the trie from *arrays*, the
-        postings from *rows* keyed by node id *kids*.
-
-        Table order is creation order (ascending id, parents first), so
-        child order and node ids match the captured index and the next
-        merged sentence mints the same ids.  Raises ``ValueError`` on a
-        malformed table or a row keyed by a node the table lacks.
-        """
-        name = self.name
-        node_ids = int_column(arrays[f"{name}.node_id"])
-        parent_ids = int_column(arrays[f"{name}.parent_id"])
-        labels = unpack_strings(arrays, f"{name}.labels")
-        (self._next_id,) = int_column(arrays[f"{name}.next_id"]).tolist()
-        self._store.load(kids, rows, nkeys=self._next_id)
-        if not len(node_ids) == len(parent_ids) == len(labels):
-            raise ValueError(f"{name} node table columns differ in length")
-        if not np.isin(kids, node_ids).all():
-            raise ValueError(f"{name} posting row names an absent trie node")
-        previous = self._dummy.node_id
-        for node_id, parent_id, label in zip(
-            node_ids.tolist(), parent_ids.tolist(), labels
-        ):
-            parent = self._nodes.get(parent_id)
-            if (
-                parent is None
-                or not previous < node_id < self._next_id
-                or label in parent.children
-            ):
-                raise ValueError(f"{name} node table is not a trie in creation order")
-            node = HierarchyNode(node_id, label, parent.depth + 1, parent)
-            parent.children[label] = self._nodes[node_id] = node
-            previous = node_id
-        self._match_memo.clear()
 
 
 def parse_label_index() -> HierarchyIndex:

@@ -3,28 +3,22 @@
 :class:`KokoIndexSet` is what every service shard builds during
 preprocessing (Figure 2 of the paper, "Parse text & build indices"): it
 owns the four columnar indexes, records build time, answers the DPLI
-lookups of Algorithm 1, persists itself as named arrays for snapshots, and
-reports its size for the index-size experiments (Figure 6) by the
-relational accounting of Section 6.2.1.  :mod:`repro.indexing.reference`
-holds the object-list build the tests compare it against.
+lookups of Algorithm 1, and reports its size for the index-size
+experiments (Figure 6) by the relational accounting of Section 6.2.1.
+:mod:`repro.indexing.reference` holds the object-list build the tests
+compare it against.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from ..nlp.types import Corpus, Document
-from .columnar import (
-    PostingBlock,
-    StringInterner,
-    int_column,
-    pack_strings,
-    unpack_strings,
-)
+from .columnar import PostingBlock, StringInterner
 from .decompose import DecomposedPath, lookup_decomposed_block
 from .entity_index import EntityIndex
 from .hierarchy import HierarchyIndex, parse_label_index, pos_tag_index
@@ -321,48 +315,3 @@ class KokoIndexSet:
                 ancestors = node.depth + 1
                 total += ancestors * (2 * sizeof(node.label) + 4 * 28 + 40)
         return total
-
-    # ------------------------------------------------------------------
-    # snapshot payload
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The index set as named integer arrays — what a snapshot persists.
-
-        W's columns, the E rows once, the string tables and the two trie
-        node tables.  The PL and POS postings are not captured:
-        :meth:`from_arrays` regroups them from W's ``plid``/``posid``
-        columns (Section 6.2.1).  Nothing is compacted or otherwise
-        mutated, so a shard read lock suffices.
-        """
-        return {
-            "counts": np.asarray([self._sentences, self._tokens], np.int64),
-            **pack_strings("words", self._interner.texts()),
-            **self.word_index.to_arrays(),
-            **self.entity_index.to_arrays(),
-            **self.pl_index.to_arrays(),
-            **self.pos_index.to_arrays(),
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: "Mapping[str, np.ndarray]", build_seconds: float = 0.0
-    ) -> "KokoIndexSet":
-        """An index set rebuilt from :meth:`to_arrays` output.
-
-        Postings, node ids, interner ids and statistics equal the captured
-        set's, so later splices mint the same ids.  The arrays come from
-        disk or a socket: a missing name raises ``KeyError``, a structural
-        inconsistency ``ValueError``.
-        """
-        index_set = cls()
-        words = index_set.word_index
-        index_set._interner.intern_many(unpack_strings(arrays, "words"))
-        words.load_arrays(arrays)
-        index_set.entity_index.load_arrays(arrays)
-        index_set.pl_index.load_arrays(arrays, *words.rows_by_node("plid"))
-        index_set.pos_index.load_arrays(arrays, *words.rows_by_node("posid"))
-        index_set._sentences, index_set._tokens = int_column(arrays["counts"]).tolist()
-        unrooted = int_column(arrays["W.plid"]) == -1
-        index_set._unrooted = set(int_column(arrays["W.sid"])[unrooted].tolist())
-        index_set.build_seconds = build_seconds
-        return index_set

@@ -8,26 +8,19 @@ hierarchy indexes without touching the dependency trees again.
 
 The postings live in one :class:`~repro.indexing.columnar.ColumnarPostings`
 store whose ``W``-shaped rows ``(sid, tid, left, right, depth, wid, plid,
-posid)`` are flat numpy columns: batch appends for the ingest splice, a
-:class:`~repro.indexing.columnar.PostingBlock` of five of them per lookup,
-and the very arrays a snapshot persists.  The object-list build these
-columns replaced survives only as the test oracle in
-:mod:`repro.indexing.reference`.
+posid)`` are flat numpy columns: batch appends for the ingest splice and a
+:class:`~repro.indexing.columnar.PostingBlock` of five of them per lookup.
+The object-list build these columns replaced survives only as the test
+oracle in :mod:`repro.indexing.reference`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .columnar import (
-    ColumnarPostings,
-    PostingBlock,
-    StringInterner,
-    pack_strings,
-    unpack_strings,
-)
+from .columnar import ColumnarPostings, PostingBlock, StringInterner
 
 __all__ = ["WordIndex"]
 
@@ -101,44 +94,3 @@ class WordIndex:
     def __len__(self) -> int:
         """Total number of postings."""
         return self._store.total_rows
-
-    # ------------------------------------------------------------------
-    # snapshot payload: the store's own columns
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The W store as named arrays: key table, key ids, the eight columns.
-
-        Rows are main followed by the delta tail — nothing is compacted, so
-        a shard read lock suffices; :meth:`load_arrays` compacts.
-        """
-        kid, cols = self._store.all_arrays_with_keys()
-        return {
-            **pack_strings("W.keys", self._store.keys()),
-            "W.kid": kid,
-            **{f"W.{name}": col for name, col in zip(_W_COLUMNS, cols)},
-        }
-
-    def load_arrays(self, arrays: "Mapping[str, np.ndarray]") -> None:
-        """Fill this empty index from :meth:`to_arrays` output.
-
-        The shared word interner must already hold its table.
-        """
-        self._store.load(
-            arrays["W.kid"],
-            [arrays[f"W.{name}"] for name in _W_COLUMNS],
-            keys=unpack_strings(arrays, "W.keys"),
-        )
-        wids = self._store.all_arrays()[5]
-        if len(wids) and not 0 <= wids.min() <= wids.max() < len(self._interner):
-            raise ValueError("W.wid names a word outside the interner table")
-
-    def rows_by_node(self, column: str) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """W's rows keyed by its ``plid`` or ``posid`` column, ``-1`` rows dropped.
-
-        The Section 6.2.1 join: hierarchy postings are not stored a second
-        time, their five columns are a prefix of W's eight.
-        """
-        cols = self._store.all_arrays()
-        node_ids = cols[_W_COLUMNS.index(column)]
-        keep = node_ids != -1
-        return node_ids[keep], tuple(col[keep] for col in cols[:5])

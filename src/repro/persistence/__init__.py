@@ -2,13 +2,13 @@
 
 The subsystem splits durable state the way HTAP engines do:
 
-* **snapshots** — read-optimised: the corpus as immutable per-shard
-  segments that later snapshots share (a checkpoint writes only what
-  changed) and every shard's index columns, the same numpy arrays the
-  shard serves from (:meth:`~repro.indexing.koko_index.KokoIndexSet.to_arrays`
-  / ``from_arrays``); the bytes on disk are also the replica-bootstrap
-  payload, and a store of another layout version is refused
-  (:class:`LayoutVersionError`), never partially read;
+* **snapshots** — the corpus as immutable per-shard segments that later
+  snapshots share (a checkpoint writes only the documents added since the
+  previous one).  Indexes are derived data and are not stored: a restore
+  rebuilds each shard's from its documents with the ingest splice.  The
+  bytes on disk are also the replica-bootstrap payload, and a store of
+  another layout version is refused (:class:`LayoutVersionError`), never
+  partially read;
 * **write-ahead log** — write-optimised: every ``add``/``remove`` appended
   with CRC framing and fsync before it touches memory, rotated at each
   checkpoint;

@@ -12,7 +12,6 @@ One service maps to one directory::
         segments/                   # immutable files the manifests share
           corpus-0-0000000005.seg   #   shard 0's documents gained by ckpt 5
           corpus-0-0000000009.seg   #   ... and those gained by ckpt 9
-          indexes-0-0000000009.npz  #   shard 0's index columns at ckpt 9
           ...
       wal/
         wal-0000000010.log          # operations since checkpoint 9
@@ -39,7 +38,7 @@ __all__ = ["LAYOUT_VERSION", "StorageLayout", "fsync_dir", "fsync_file"]
 
 #: bump when the snapshot or WAL format changes incompatibly; a store of
 #: any other version is refused (there is no reader for old layouts)
-LAYOUT_VERSION = 4
+LAYOUT_VERSION = 5
 
 SNAPSHOT_PREFIX = "ckpt-"
 MANIFEST_NAME = "manifest.json"

@@ -1,4 +1,4 @@
-"""Versioned snapshots of a live service: corpus segments + index columns + counters.
+"""Versioned snapshots of a live service: corpus segments + counters.
 
 A snapshot is the read-optimised half of the durability design: the full
 service state at one checkpoint.  Its directory ``ckpt-<id>/`` holds only
@@ -12,21 +12,19 @@ are shared with the snapshots before and after it:
   the NLP pipeline produced, so warm restart re-annotates nothing.  A
   checkpoint writes at most one segment per shard and names every other
   one again, so each document is pickled once in its lifetime;
-* ``segments/indexes-<i>-<id>.npz`` — shard *i*'s index columns as
-  :meth:`KokoIndexSet.to_arrays` names them, each in the narrowest integer
-  dtype that holds it, zip-deflated; nothing in it is pickled and it is
-  read with ``allow_pickle=False``.  A shard whose generation has not moved
-  since the previous checkpoint names that checkpoint's file again;
 * ``manifest.json`` — layout version, shard count, sid counter, per-shard
-  generation stamps; per shard its index file and its segments in order,
-  each with its frame count and the ids of documents removed since it was
-  written (**tombstones**); and ``files``, a SHA-256 digest per named file,
-  so a half-written or bit-rotted snapshot is detected and skipped at
-  recovery time.
+  generation stamps; per shard its segments in order, each with its frame
+  count and the ids of documents removed since it was written
+  (**tombstones**); and ``files``, a SHA-256 digest per named file, so a
+  half-written or bit-rotted snapshot is detected and skipped at recovery
+  time.
 
 Reading a shard is reading its segments in manifest order and skipping
 tombstoned frames: the result is the shard's ``corpus.documents`` as
-captured, in the same order.
+captured, in the same order.  The indexes are not stored: they are
+derived data, and the service rebuilds each shard's from these documents
+with the splice every write runs (``Shard.adopt``).  Node and interner ids
+therefore restart from zero; what a restore keeps is their content.
 
 **Merging.**  A new segment is merged with the newest existing ones, from
 the oldest segment that is not larger (in frames) than everything newer
@@ -39,7 +37,7 @@ re-pickles a document.
 The same bytes are the replica-bootstrap payload.  A manifest of another
 ``LAYOUT_VERSION`` is refused (:class:`LayoutVersionError`): there is one
 reader, for the current layout.  Every file name a manifest holds must
-match the two patterns above — checked before any path join or payload
+match the segment pattern above — checked before any path join or payload
 lookup, on disk and on the wire — so a manifest cannot point outside
 ``segments/``.
 
@@ -54,7 +52,6 @@ What a crash leaves behind is removed by the next prune
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -65,10 +62,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import PersistenceError
-from ..indexing.koko_index import KokoIndexSet
 from ..nlp.types import Document
 from .layout import (
     LAYOUT_VERSION,
@@ -94,7 +88,6 @@ __all__ = [
 
 #: the only file names a manifest may hold (relative to ``snapshots/``)
 _SEGMENT_NAME = re.compile(r"segments/corpus-[0-9]{1,6}-[0-9]{10}\.seg")
-_INDEXES_NAME = re.compile(r"segments/indexes-[0-9]{1,6}-[0-9]{10}\.npz")
 #: a segment frame's header: doc-id bytes, pickle bytes
 _FRAME = struct.Struct("<II")
 
@@ -121,19 +114,11 @@ class ShardSegments:
 
     segments: list[Segment] = field(default_factory=list)
     saved: dict[str, tuple[str, Document]] = field(default_factory=dict)
-    #: ``(file, digest)`` of the shard's index columns ...
-    indexes: tuple[str, str] | None = None
-    #: ... and the shard generation they were captured at
-    generation: int = -1
 
     def holds(self, document: Document) -> bool:
         """True when *document* itself has a live frame in these segments."""
         entry = self.saved.get(document.doc_id)
         return entry is not None and entry[1] is document
-
-    def has_columns(self, generation: int) -> bool:
-        """True when the stored index columns are those of *generation*."""
-        return self.indexes is not None and self.generation == generation
 
 
 @dataclass
@@ -146,14 +131,6 @@ class SnapshotState:
     next_sid: int
     generations: list[int]
     documents_by_shard: list[list[Document]]
-    build_seconds_by_shard: list[float] = field(default_factory=list)
-    #: per-shard :meth:`KokoIndexSet.to_arrays` captures (taken under the
-    #: shard lock), ``None`` where :meth:`ShardSegments.has_columns` says the
-    #: stored ones are current; populated by whoever hands the state to the
-    #: writer
-    index_arrays: list[dict[str, np.ndarray] | None] = field(default_factory=list)
-    #: per-shard restored index sets; populated by the loader only
-    index_sets: list[KokoIndexSet] = field(default_factory=list)
     #: per-shard :class:`ShardSegments` — the writer's input is what the
     #: previous snapshot holds (empty: write every document); after a write
     #: or a load, what this snapshot holds
@@ -196,8 +173,6 @@ def _read_manifest(layout: StorageLayout, checkpoint_id: int) -> dict:
 @dataclass(frozen=True)
 class _ShardEntry:
     documents: int
-    build_seconds: float
-    indexes: tuple[str, str]
     segments: tuple[Segment, ...]
 
 
@@ -217,8 +192,8 @@ def _count(value) -> int:
     return value
 
 
-def _named(name, pattern: re.Pattern, files: dict) -> str:
-    if not isinstance(name, str) or not pattern.fullmatch(name):
+def _named(name, files: dict) -> str:
+    if not isinstance(name, str) or not _SEGMENT_NAME.fullmatch(name):
         raise PersistenceError(f"snapshot manifest names an unsafe file {name!r}")
     if name not in files:
         raise PersistenceError(f"snapshot manifest has no digest for {name!r}")
@@ -236,9 +211,7 @@ def _parse_manifest(manifest: dict) -> _Manifest:
         if not isinstance(files, dict):
             raise TypeError("files is not a table")
         for name, digest in files.items():
-            if not isinstance(name, str) or not (
-                _SEGMENT_NAME.fullmatch(name) or _INDEXES_NAME.fullmatch(name)
-            ):
+            if not isinstance(name, str) or not _SEGMENT_NAME.fullmatch(name):
                 raise PersistenceError(
                     f"snapshot manifest names an unsafe file {name!r}"
                 )
@@ -253,10 +226,9 @@ def _parse_manifest(manifest: dict) -> _Manifest:
             raise ValueError("shard count disagrees with the shard tables")
         entries = []
         for shard in shards:
-            indexes = _named(shard["indexes"], _INDEXES_NAME, files)
             segments = []
             for segment in shard["segments"]:
-                name = _named(segment["file"], _SEGMENT_NAME, files)
+                name = _named(segment["file"], files)
                 tombstones = segment["tombstones"]
                 if not isinstance(tombstones, list) or not all(
                     isinstance(doc_id, str) for doc_id in tombstones
@@ -264,14 +236,7 @@ def _parse_manifest(manifest: dict) -> _Manifest:
                     raise TypeError(f"tombstones of {name} are not a list of ids")
                 frames, removed = _count(segment["frames"]), frozenset(tombstones)
                 segments.append(Segment(name, files[name], frames, removed))
-            entries.append(
-                _ShardEntry(
-                    documents=_count(shard["documents"]),
-                    build_seconds=float(shard["build_seconds"]),
-                    indexes=(indexes, files[indexes]),
-                    segments=tuple(segments),
-                )
-            )
+            entries.append(_ShardEntry(_count(shard["documents"]), tuple(segments)))
         if not isinstance(manifest["name"], str):
             raise TypeError("name is not a string")
         return _Manifest(
@@ -290,18 +255,11 @@ def _manifest_of(state: SnapshotState, shards: list[ShardSegments]) -> dict:
     files: dict[str, str] = {}
     entries = []
     for shard_id, shard in enumerate(shards):
-        files[shard.indexes[0]] = shard.indexes[1]
         for segment in shard.segments:
             files[segment.file] = segment.digest
         entries.append(
             {
                 "documents": len(state.documents_by_shard[shard_id]),
-                "build_seconds": (
-                    state.build_seconds_by_shard[shard_id]
-                    if state.build_seconds_by_shard
-                    else 0.0
-                ),
-                "indexes": shard.indexes[0],
                 "segments": [
                     {
                         "file": segment.file,
@@ -327,28 +285,6 @@ def _manifest_of(state: SnapshotState, shards: list[ShardSegments]) -> dict:
 # ----------------------------------------------------------------------
 # file payloads
 # ----------------------------------------------------------------------
-def _narrow(array: np.ndarray) -> np.ndarray:
-    """*array* in the narrowest integer dtype that holds every value."""
-    if array.size == 0:
-        return array.astype(np.uint8)
-    return array.astype(
-        np.result_type(
-            np.min_scalar_type(int(array.min())), np.min_scalar_type(int(array.max()))
-        )
-    )
-
-
-def _encode_index_arrays(arrays: dict[str, np.ndarray]) -> bytes:
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **{name: _narrow(a) for name, a in arrays.items()})
-    return buffer.getvalue()
-
-
-def _decode_index_arrays(payload: bytes) -> dict[str, np.ndarray]:
-    with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
-        return {name: archive[name] for name in archive.files}
-
-
 def _frame(document: Document) -> bytes:
     """One segment frame: header, doc id, the document's own pickle."""
     key = document.doc_id.encode("utf-8")
@@ -473,20 +409,10 @@ def _write_shard(
         else segment
         for segment in previous.segments
     ]
-    tag = f"{shard_id}-{state.checkpoint_id:010d}"
     if split < len(documents):
-        segments = _append_segment(
-            layout, f"segments/corpus-{tag}.seg", segments, saved, documents[split:]
-        )
-    indexes = previous.indexes
-    arrays = state.index_arrays[shard_id]
-    if arrays is not None:
-        name = f"segments/indexes-{tag}.npz"
-        payload = _encode_index_arrays(arrays)
-        indexes = (name, _write_file(layout.snapshots_dir / name, payload))
-    if indexes is None:
-        raise ValueError(f"shard {shard_id} has no index columns, captured or stored")
-    return ShardSegments(segments, saved, indexes, state.generations[shard_id])
+        name = f"segments/corpus-{shard_id}-{state.checkpoint_id:010d}.seg"
+        segments = _append_segment(layout, name, segments, saved, documents[split:])
+    return ShardSegments(segments, saved)
 
 
 def write_snapshot(layout: StorageLayout, state: SnapshotState) -> Path:
@@ -494,8 +420,7 @@ def write_snapshot(layout: StorageLayout, state: SnapshotState) -> Path:
 
     Writes only what changed since ``state.segments``: per shard at most
     one new segment (the documents it does not hold yet, merged as the
-    binary-counter rule says) and, where ``state.index_arrays`` has a
-    capture, one index file; every other file is named again.  New files
+    binary-counter rule says); every other file is named again.  New files
     and their directory are fsynced before the manifest is written.  On
     return ``state.segments`` describes the new snapshot.
 
@@ -605,7 +530,7 @@ def find_latest_valid(layout: StorageLayout) -> int | None:
 
 
 def load_snapshot(layout: StorageLayout, checkpoint_id: int) -> SnapshotState:
-    """Load snapshot *checkpoint_id*: documents, index sets, counters.
+    """Load snapshot *checkpoint_id*: documents and counters.
 
     The disk path is the wire path: the digest-verified file bytes of
     :func:`read_snapshot_payloads`, decoded by :func:`state_from_payloads`.
@@ -640,7 +565,7 @@ def read_snapshot_payloads(
 
 
 def _read_shard(
-    entry: _ShardEntry, generation: int, payload_of: Callable[[str], bytes]
+    entry: _ShardEntry, payload_of: Callable[[str], bytes]
 ) -> tuple[list[Document], ShardSegments]:
     """A shard's documents in corpus order: its segments, tombstones skipped."""
     documents: list[Document] = []
@@ -668,8 +593,7 @@ def _read_shard(
             f"segments hold {len(documents)} live documents, "
             f"the manifest says {entry.documents}"
         )
-    shard = ShardSegments(list(entry.segments), saved, entry.indexes, generation)
-    return documents, shard
+    return documents, ShardSegments(list(entry.segments), saved)
 
 
 def state_from_payloads(
@@ -693,7 +617,6 @@ def state_from_payloads(
         next_sid=parsed.next_sid,
         generations=parsed.generations,
         documents_by_shard=[],
-        build_seconds_by_shard=[entry.build_seconds for entry in parsed.shards],
     )
 
     def payload_of(name: str) -> bytes:
@@ -706,13 +629,7 @@ def state_from_payloads(
 
     for shard_id, entry in enumerate(parsed.shards):
         try:
-            index_set = KokoIndexSet.from_arrays(
-                _decode_index_arrays(payload_of(entry.indexes[0])),
-                build_seconds=entry.build_seconds,
-            )
-            documents, segments = _read_shard(
-                entry, parsed.generations[shard_id], payload_of
-            )
+            documents, segments = _read_shard(entry, payload_of)
         except PersistenceError:
             raise
         except Exception as exc:
@@ -721,7 +638,6 @@ def state_from_payloads(
                 f"decode: {exc!r}"
             ) from exc
         state.documents_by_shard.append(documents)
-        state.index_sets.append(index_set)
         state.segments.append(segments)
     if len(set().union(*(shard.saved for shard in state.segments))) != sum(
         map(len, state.documents_by_shard)

@@ -10,9 +10,7 @@ scheduler and lock, the pins, and what the latest snapshot holds).
 A checkpoint, step by step::
 
     drain barrier up (IngestState.drained: claimed writes finish, new wait)
-      rotate the WAL; per shard, under its read lock: the document list,
-      and to_arrays() only if its generation moved since its columns
-      were last written
+      rotate the WAL; per shard, under its read lock: the document list
     barrier down — writers proceed
     write_snapshot: per shard, one segment with the documents the latest
       snapshot does not hold (merged when the binary counter says so),
@@ -21,7 +19,10 @@ A checkpoint, step by step::
     repoint CURRENT · prune snapshots, unreferenced files, covered WAL
 
 The write costs what changed since the previous checkpoint, not the corpus:
-each document is pickled once in its lifetime.
+each document is pickled once in its lifetime, and no index is written.
+A restore (recovery or a replica bootstrap) hands each shard its
+documents, and ``Shard.adopt`` rebuilds the shard's indexes from them with
+the splice every write runs.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ class Durability:
     def _adopt_snapshot(self, snapshot: SnapshotState) -> None:
         """Attach a restored snapshot's documents and counters to the shards.
 
-        Shared by on-disk recovery and the replication bootstrap: the
-        index sets were already installed at construction; this wires the
-        documents, routing table, sid counter and generation stamps.
+        Shared by on-disk recovery and the replication bootstrap: each
+        shard indexes its documents (:meth:`Shard.adopt`); this also wires
+        the routing table, sid counter and generation stamps.
         """
         for shard_id, shard in enumerate(self._shards):
             documents = snapshot.documents_by_shard[shard_id]
@@ -138,21 +139,11 @@ class Durability:
         self._segments = state.segments
 
     def _capture_snapshot_state(self, checkpoint_id: int) -> SnapshotState:
-        """Capture every shard under its read lock (readers unaffected).
-
-        A shard's columns are captured only when its generation moved
-        since they were last written; otherwise the writer names the
-        stored file again.
-        """
-        index_arrays: list[dict | None] = []
+        """Capture every shard's document list under its read lock."""
         documents_by_shard = []
-        build_seconds: list[float] = []
-        for shard, stored in zip(self._shards, self._segments):
+        for shard in self._shards:
             with shard.lock.read_locked():
-                current = stored.has_columns(self._generations[shard.shard_id])
-                index_arrays.append(None if current else shard.indexes.to_arrays())
                 documents_by_shard.append(list(shard.corpus.documents))
-                build_seconds.append(shard.indexes.build_seconds)
         return SnapshotState(
             checkpoint_id=checkpoint_id,
             name=self.name,
@@ -160,8 +151,6 @@ class Durability:
             next_sid=self._ingest.next_sid,
             generations=list(self._generations),
             documents_by_shard=documents_by_shard,
-            build_seconds_by_shard=build_seconds,
-            index_arrays=index_arrays,
             segments=list(self._segments),
         )
 
@@ -171,8 +160,8 @@ class Durability:
         Raises the ingest drain barrier (staged ingests that already
         reserved ids finish; new claims wait), rotates the WAL, captures
         every shard under its *read* lock (readers keep running), writes
-        the versioned snapshot — only the documents and columns that
-        changed since the previous one — atomically repoints ``CURRENT``
+        the versioned snapshot — only the documents added or removed
+        since the previous one — atomically repoints ``CURRENT``
         and prunes superseded snapshots, files and segments.  Returns the
         new checkpoint id, or ``None`` when nothing was logged since the
         last checkpoint.
@@ -197,8 +186,7 @@ class Durability:
                     ingest.uncheckpointed_ops = 0
                     self._last_checkpoint_monotonic = time.monotonic()
                 # File writes happen outside the meta lock: the captured state
-                # is immutable (column arrays are replaced, never written in
-                # place; documents are never mutated after ingest), so
+                # is immutable (documents are never mutated after ingest), so
                 # writers proceed while we fsync.
                 try:
                     write_snapshot(self._layout, state)

@@ -357,11 +357,16 @@ class Shard:
             self._by_sid.pop(sentence.sid, None)
 
     def adopt(self, documents: list[Document]) -> None:
-        """Attach already-indexed documents (snapshot restore; no index add)."""
+        """Attach a restored snapshot's documents to this empty shard.
+
+        The indexes are rebuilt from them by :meth:`KokoIndexSet.build`,
+        the same splice every write, WAL replay and replica apply runs.
+        """
         for document in documents:
             self.corpus.documents.append(document)
             self.documents[document.doc_id] = document
             self._locate(document)
+        self.indexes.build(self.corpus)
 
     def _locate(self, document: Document) -> None:
         """Make *document*'s sentences loadable by sid."""

@@ -273,8 +273,6 @@ class KokoService(Durability):
         shards = shards if shards is not None else 1
         self.name = name
         self._index_set = ShardedIndexSet(shards)
-        if adopted is not None:
-            self._index_set.shards = list(adopted.index_sets)
         # sid -> (document, sentence) across every shard: candidate loading
         self._by_sid: dict[int, tuple[Document, Sentence]] = {}
         self._shards = [

@@ -19,7 +19,7 @@ from hypothesis import settings
 from repro.corpora.cafe_blogs import BARISTAMAG, generate_cafe_corpus
 from repro.corpora.happydb import generate_happydb_corpus
 from repro.corpora.wikipedia import generate_wikipedia_corpus
-from repro.indexing.columnar import PostingBlock, unpack_strings
+from repro.indexing.columnar import PostingBlock
 from repro.indexing.koko_index import KokoIndexSet
 from repro.indexing.reference import (
     ReferenceEntityIndex,
@@ -123,17 +123,17 @@ def _mention_rows(entity_index, mentions=None) -> list[tuple]:
     (default: every mention *entity_index* holds).
 
     Production mentions are ``lookup_type`` columns, decoded through the
-    index's own ``to_arrays()`` string table; reference mentions are
-    ``EntityPosting`` objects.
+    index's own string interner; reference mentions are ``EntityPosting``
+    objects.
     """
     if isinstance(entity_index, ReferenceEntityIndex):
         postings = entity_index.all_postings() if mentions is None else mentions
         return [(p.sid, p.left, p.right, p.etype, p.text) for p in postings]
-    strings = unpack_strings(entity_index.to_arrays(), "E.strings")
+    string = entity_index._strings.text
     columns = entity_index.lookup_type("Entity") if mentions is None else mentions
     sid, left, right, text_id, etype_id = (column.tolist() for column in columns)
     return [
-        (s, lo, hi, strings[etype], strings[text])
+        (s, lo, hi, string(etype), string(text))
         for s, lo, hi, text, etype in zip(sid, left, right, text_id, etype_id)
     ]
 
@@ -186,13 +186,17 @@ def _hierarchy_shape(hierarchy):
 def _recorded_node_ids(index_set) -> dict[tuple[int, int], tuple[int, int]]:
     """``(sid, tid) -> (plid, posid)`` of every token the hierarchies hold.
 
-    Production reads them from the ``W.plid`` / ``W.posid`` columns of
-    ``to_arrays()``; the reference records them per token.
+    Production reads them from the ``plid`` / ``posid`` columns of the W
+    store; the reference records them per token.
     """
     if isinstance(index_set, ReferenceIndexSet):
         return index_set.word_index._node_ids
-    arrays = index_set.to_arrays()
-    columns = (arrays[f"W.{name}"].tolist() for name in ("sid", "tid", "plid", "posid"))
+    store = index_set.word_index._store
+    columns = (
+        column.tolist()
+        for name, column in zip(store.columns, store.all_arrays())
+        if name in ("sid", "tid", "plid", "posid")
+    )
     return {
         (sid, tid): (plid, posid)
         for sid, tid, plid, posid in zip(*columns)
@@ -226,17 +230,30 @@ def _word_shape(index_set):
     return shape
 
 
+def index_set_shape(index_set) -> tuple:
+    """What an index set holds, independent of its node and interner ids:
+    word rows with their node paths, mention rows, each hierarchy's paths
+    and rows, and the statistics with build time set aside."""
+    return (
+        _word_shape(index_set),
+        sorted(_mention_rows(index_set.entity_index)),
+        _hierarchy_shape(index_set.pl_index),
+        _hierarchy_shape(index_set.pos_index),
+        dataclasses.replace(index_set.statistics(), build_seconds=0.0),
+    )
+
+
 def assert_index_sets_equivalent(actual: KokoIndexSet, expected: KokoIndexSet) -> None:
     """Same postings, hierarchy paths and statistics (build time aside)."""
-    assert _word_shape(actual) == _word_shape(expected)
-    assert sorted(_mention_rows(actual.entity_index)) == sorted(
-        _mention_rows(expected.entity_index)
-    )
-    assert _hierarchy_shape(actual.pl_index) == _hierarchy_shape(expected.pl_index)
-    assert _hierarchy_shape(actual.pos_index) == _hierarchy_shape(expected.pos_index)
-    actual_stats = dataclasses.replace(actual.statistics(), build_seconds=0.0)
-    expected_stats = dataclasses.replace(expected.statistics(), build_seconds=0.0)
-    assert actual_stats == expected_stats
+    actual_shape, expected_shape = index_set_shape(actual), index_set_shape(expected)
+    for part, (got, want) in enumerate(zip(actual_shape, expected_shape)):
+        assert got == want, f"index set shapes differ in part {part}"
+
+
+@pytest.fixture(scope="session")
+def index_shape():
+    """:func:`index_set_shape`, as a fixture."""
+    return index_set_shape
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,8 @@ Three layers, mirroring ``src/repro/indexing/columnar.py``:
   walked up random ``heads`` arrays;
 * equivalence — ``KokoIndexSet()`` must be observationally identical to
   the object-list reference build (postings, hierarchy paths, node ids,
-  statistics) across batch builds, incremental adds, removals,
-  single-sentence splices and the ``to_arrays`` / ``from_arrays`` round
-  trip a snapshot takes.
+  statistics) across batch builds, incremental adds, removals and
+  single-sentence splices.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ from repro.indexing.columnar import (
     StringInterner,
     join_ancestor_block,
     join_same_token_block,
-    pack_strings,
     under_words_block,
-    unpack_strings,
 )
 from repro.indexing.hierarchy import parse_label_index
 from repro.indexing.koko_index import KokoIndexSet
@@ -119,50 +116,6 @@ class TestColumnarPostings:
         assert store.total_rows == rows
         assert not store._delta_kid  # the delta was folded into main
         assert store.arrays_for_key(kid)[0].tolist() == list(range(rows))
-
-
-    def test_load_compacts_rows_in_any_order(self):
-        """Rows captured as main + delta tail land key-sorted, order kept."""
-        live = ColumnarPostings(("sid", "tid"))
-        kid_a, kid_b = live.intern_key("a"), live.intern_key("b")
-        live.append_batch([kid_a, kid_b], ([0, 0], [3, 1]))
-        live.compact()
-        live.append_batch([kid_a], ([1], [2]))  # un-compacted tail
-        kid, cols = live.all_arrays_with_keys()
-        loaded = ColumnarPostings(("sid", "tid"))
-        loaded.load(kid.astype(np.uint8), [c.astype(np.int16) for c in cols], keys=live.keys())
-        assert not loaded._delta_kid
-        assert loaded.key_id("b") == kid_b
-        assert loaded.arrays_for_key(kid_a)[1].tolist() == [3, 2]
-        assert all(col.dtype == np.int64 for col in loaded.all_arrays())
-        # a key interned after the restore continues the id sequence
-        assert loaded.intern_key("c") == live.intern_key("c")
-
-    @pytest.mark.parametrize(
-        "kids, cols, keys",
-        [
-            ([0, 1], ([0, 0],), ["a", "b"]),  # missing column
-            ([0, 1], ([0, 0], [1]), ["a", "b"]),  # length mismatch
-            ([0, 2], ([0, 0], [1, 1]), ["a", "b"]),  # key id past the key table
-            ([0, -1], ([0, 0], [1, 1]), ["a", "b"]),  # negative key id
-            ([0, 1], ([0, 0], [1, 1]), ["a", "a"]),  # duplicate keys
-            ([0.0, 1.0], ([0, 0], [1, 1]), ["a", "b"]),  # not integers
-        ],
-    )
-    def test_load_rejects_malformed_columns(self, kids, cols, keys):
-        store = ColumnarPostings(("sid", "tid"))
-        with pytest.raises(ValueError):
-            store.load(np.asarray(kids), [np.asarray(c) for c in cols], keys=keys)
-
-    def test_packed_strings_round_trip(self):
-        texts = ["", "Tōkyō", "a\x00b", "\udc80", "pie"]
-        arrays = pack_strings("t", texts)
-        assert sorted(arrays) == ["t", "t.ends"] and arrays["t"].dtype == np.uint8
-        assert unpack_strings(arrays, "t") == texts
-        assert unpack_strings(pack_strings("t", []), "t") == []
-        arrays["t.ends"] = arrays["t.ends"][:-1]  # offsets stop short of the bytes
-        with pytest.raises(ValueError):
-            unpack_strings(arrays, "t")
 
 
 class TestBlockAlgebra:
@@ -431,23 +384,6 @@ class TestBackendEquivalence:
                 rebuilt.add_document(document)
         assert_equivalent_indexes(full, rebuilt)
         assert full.unrooted_sids().tolist() == rebuilt.unrooted_sids().tolist()
-
-    def test_arrays_round_trip(self, paper_corpus, assert_equivalent_indexes):
-        """``from_arrays(to_arrays())`` — the snapshot payload — is lossless."""
-        columnar = KokoIndexSet().build(paper_corpus)
-        arrays = columnar.to_arrays()
-        assert not any(name.startswith(("PL.sid", "POS.sid")) for name in arrays)
-        restored = KokoIndexSet.from_arrays(arrays, build_seconds=1.5)
-        assert restored.build_seconds == 1.5
-        assert_equivalent_indexes(restored, columnar)
-        assert_equivalent_indexes(restored, ReferenceIndexSet().build(paper_corpus))
-        for original, rebuilt in (
-            (columnar.pl_index, restored.pl_index),
-            (columnar.pos_index, restored.pos_index),
-        ):
-            assert {n.node_id: n.path() for n in rebuilt.nodes()} == {
-                n.node_id: n.path() for n in original.nodes()
-            }
 
 
 class TestMergeMemo:

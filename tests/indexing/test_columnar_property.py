@@ -1,5 +1,5 @@
 """Property tests: the columnar representation is observationally invisible,
-in memory and across a snapshot.
+in memory and across a restart.
 
 For randomly generated corpora:
 
@@ -9,13 +9,16 @@ For randomly generated corpora:
   of ``tests/conftest.py``), also for a token unreachable from the root;
 * :class:`~repro.service.KokoService` at 1 and 4 shards answers every query
   with the tuples of that engine, in the same order;
-* after ``checkpoint()`` → ``close()`` → ``open()`` every shard's index set
-  is equivalent to the never-restarted one, and the next ingested sentence
-  mints the same hierarchy node ids and word ids on both.  The add/remove
-  interleavings put the cases a snapshot must carry in front of the
-  capture: an un-compacted delta tail, trie nodes pruned by removals
-  (non-contiguous node ids) and tokens unreachable from the root
-  (``plid == -1``).
+* after ``checkpoint()`` → ``close()`` → ``open()`` every shard's index set,
+  rebuilt from the snapshot's documents, is equivalent to the
+  never-restarted one, before and after one more ingest.  Node and
+  interner ids are not persisted, so only their content is compared.  The
+  add/remove interleavings put the cases a restore must reproduce in front
+  of the checkpoint: an un-compacted delta tail, trie nodes pruned by
+  removals (non-contiguous node ids on the live side) and tokens
+  unreachable from the root (``plid == -1``).
+
+The reopen property takes its budget from the Hypothesis profile.
 
 Corpora are drawn from the same word pool as the incremental-maintenance
 property test, so the trees exercise repeated shapes (the merge-memo hit
@@ -76,16 +79,6 @@ def _shard_indexes(service) -> list[KokoIndexSet]:
     return [indexes] if isinstance(indexes, KokoIndexSet) else list(indexes.shards)
 
 
-def _minted_ids(index_set: KokoIndexSet):
-    """Everything the next splice's id assignment depends on."""
-    return (
-        {n.path(): n.node_id for n in index_set.pl_index.nodes()},
-        {n.path(): n.node_id for n in index_set.pos_index.nodes()},
-        index_set._interner.texts(),
-        index_set.word_index._store.keys(),
-    )
-
-
 @settings(max_examples=8, deadline=None)
 @example(texts=["Paolo visited Beijing and Anna ate cheesecake."], detach=True)
 @given(texts=_corpora, detach=st.booleans())
@@ -107,7 +100,7 @@ def test_columnar_and_object_backends_agree(
             assert [_rows(service.query(query)) for query in QUERIES] == expected
 
 
-@settings(max_examples=8, deadline=None)
+@settings(deadline=None)
 @example(  # all three at once: pruned nodes, a delta tail, a detached token
     before=["Anna ate pie in Tokyo.", "Paolo visited the cafe and ate."],
     removed={1},
@@ -173,7 +166,6 @@ def test_reopened_service_matches_the_never_restarted_one(
                 for restored, original in zip(
                     _shard_indexes(durable), _shard_indexes(live)
                 ):
-                    assert _minted_ids(restored) == _minted_ids(original)
                     assert_equivalent_indexes(restored, original)
                 expected = _oracle_rows(mirror.values())
                 for service in (live, durable):

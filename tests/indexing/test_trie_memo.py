@@ -3,7 +3,7 @@
 ``HierarchyIndex`` memoises, per case-folded ``(axis, label)`` pattern, the
 ids of the matched trie nodes.  The answer depends on the trie's structure
 alone, so the memo must be dropped exactly when a node is minted or pruned
-(or the trie is loaded from a snapshot) and must survive every other write.
+and must survive every other write.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.indexing import hierarchy
-from repro.indexing.hierarchy import HierarchyIndex, parse_label_index
+from repro.indexing.hierarchy import HierarchyIndex
 from repro.indexing.koko_index import KokoIndexSet
 from repro.indexing.reference import ReferenceIndexSet
 from repro.koko.engine import compile_query
@@ -160,25 +160,6 @@ def test_memo_survives_a_splice_that_mints_no_node_and_not_one_that_does(walks):
     assert pl.node_count == nodes
     assert pl._match_memo == {}
     assert _paths(pl.match_nodes(VERBS) + pl.match_nodes(ROOT_CHILDREN)) == before
-
-
-def test_loading_a_snapshot_drops_what_the_empty_trie_remembered(posting_rows):
-    original = KokoIndexSet()
-    for number, text in enumerate(TEXTS):
-        original.add_document(_PIPELINE.annotate(text, doc_id=f"d{number}", first_sid=10 * number))
-    arrays = original.to_arrays()
-    restored = KokoIndexSet.from_arrays(arrays)
-    assert _paths(restored.pl_index.match_nodes(VERBS)) == _paths(original.pl_index.match_nodes(VERBS))
-
-    fresh = parse_label_index()
-    assert fresh.match_nodes(ROOT_CHILDREN) == []  # remembered: nothing matches an empty trie
-    fresh.load_arrays(arrays, *restored.word_index.rows_by_node("plid"))
-    assert _paths(fresh.match_nodes(ROOT_CHILDREN)) == _paths(
-        original.pl_index.match_nodes(ROOT_CHILDREN)
-    )
-    assert posting_rows(fresh.lookup_path(ROOT_CHILDREN)) == posting_rows(
-        original.pl_index.lookup_path(ROOT_CHILDREN)
-    )
 
 
 def test_memo_is_bounded_by_its_constant():

@@ -7,9 +7,7 @@ import json
 import pytest
 
 from repro.errors import PersistenceError
-from repro.indexing.koko_index import KokoIndexSet
 from repro.nlp.pipeline import Pipeline
-from repro.nlp.types import Corpus
 from repro.persistence import (
     LAYOUT_VERSION,
     OP_ADD,
@@ -26,7 +24,6 @@ from repro.service import KokoService
 
 
 def snapshot_state_for(documents, checkpoint_id):
-    indexes = KokoIndexSet().build(Corpus(name="snap", documents=documents))
     return SnapshotState(
         checkpoint_id=checkpoint_id,
         name="snap",
@@ -34,8 +31,6 @@ def snapshot_state_for(documents, checkpoint_id):
         next_sid=sum(len(d) for d in documents),
         generations=[len(documents)],
         documents_by_shard=[documents],
-        build_seconds_by_shard=[indexes.build_seconds],
-        index_arrays=[indexes.to_arrays()],
     )
 
 TEXTS = [
@@ -202,7 +197,9 @@ def test_layout_version_skew_fails_closed(tmp_path):
     _stamp_version(layout, LAYOUT_VERSION)
     newest = layout.snapshot_dir(layout.snapshot_ids()[-1])
     manifest = json.loads((newest / "manifest.json").read_text("utf-8"))
-    (layout.snapshots_dir / manifest["shards"][0]["indexes"]).write_bytes(b"bit rot")
+    # the segment the newest checkpoint wrote; the fallback does not name it
+    own = manifest["shards"][0]["segments"][-1]["file"]
+    (layout.snapshots_dir / own).write_bytes(b"bit rot")
     with KokoService.open(tmp_path, use_default_vectors=False) as reopened:
         assert sorted(reopened.document_ids()) == ["doc0", "doc1", "doc2", "doc3"]
 

@@ -11,10 +11,10 @@ later snapshots share.  The properties pinned here:
   crash reopens in any interleaving agree with that oracle;
 * no document reaches ``pickle.dumps`` twice across 20 checkpoints;
 * segments per shard stay within ``floor(log2 written) + 1``;
-* a shard whose generation did not move names its old index file again;
+* a shard that gained and lost nothing names its old segments again;
 * a manifest is checked before it is used: a mutated or hostile one, on
   disk or shipped, raises ``PersistenceError`` and nothing else, and a
-  version-2 or version-3 store gets ``LayoutVersionError``.
+  version-2, version-3 or version-4 store gets ``LayoutVersionError``.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PersistenceError
-from repro.indexing.koko_index import KokoIndexSet
 from repro.koko.engine import KokoEngine
 from repro.nlp.types import Corpus, Document
 from repro.persistence import (
+    LAYOUT_VERSION,
     CheckpointPolicy,
     LayoutVersionError,
     SnapshotState,
@@ -300,7 +300,6 @@ def _bare_state(checkpoint_id, documents, previous):
         next_sid=0,
         generations=[0],
         documents_by_shard=[documents],
-        index_arrays=[None if previous else KokoIndexSet().to_arrays()],
         segments=previous,
     )
 
@@ -347,7 +346,7 @@ def test_binary_counter_merges_equal_checkpoints(tmp_path):
     assert frames == [[1], [2], [2, 1], [4], [4, 1], [4, 2], [4, 2, 1], [8]]
 
 
-def test_clean_shard_names_its_index_file_again(tmp_path):
+def test_clean_shard_names_its_segments_again(tmp_path):
     with KokoService(shards=4, storage_dir=tmp_path / "svc", **SERVICE_KWARGS) as service:
         ids = [f"doc{index}" for index in range(12)]
         for index, doc_id in enumerate(ids):
@@ -360,11 +359,16 @@ def test_clean_shard_names_its_index_file_again(tmp_path):
         before, after = manifest(layout, first), manifest(layout, second)
         for shard_id, (old, new) in enumerate(zip(before["shards"], after["shards"])):
             if shard_id == touched:
-                assert new["indexes"] != old["indexes"]
                 assert new["segments"] != old["segments"]
             else:
-                assert new["indexes"] == old["indexes"]
                 assert new["segments"] == old["segments"]
+        # the only file the second checkpoint wrote is the touched shard's
+        # new segment
+        assert set(after["files"]) - set(before["files"]) == {
+            new["segments"][-1]["file"]
+            for shard_id, new in enumerate(after["shards"])
+            if shard_id == touched
+        }
 
 
 def test_a_corrupt_shared_segment_fails_one_checkpoint_then_heals(tmp_path):
@@ -552,7 +556,7 @@ def test_unsafe_file_names_are_refused_before_any_read(snapshot_on_disk, monkeyp
     secret.write_bytes(b"not for the snapshot reader")
     hostile = json.loads(json.dumps(good))
     hostile["files"][name] = hashlib.sha256(secret.read_bytes()).hexdigest()
-    hostile["shards"][0]["indexes"] = name
+    hostile["shards"][0]["segments"][0]["file"] = name
     opened = []
     real_read_bytes = type(secret).read_bytes
     monkeypatch.setattr(
@@ -595,30 +599,52 @@ def test_a_version_2_store_is_refused_with_a_typed_error(tmp_path):
         state_from_payloads(v2, {})
 
 
-def test_a_version_3_store_is_refused_before_a_frame_is_decoded(tmp_path, monkeypatch):
-    """The layout before columnar sentences had these very files, but its
-    segment frames and WAL records pickle object-graph sentences.  Opening
-    such a store, reading it, or bootstrapping from it shipped raises
-    ``LayoutVersionError`` before any frame is unpickled, and touches nothing."""
+def _as_written_by(manifest: dict, version: int, layout: StorageLayout) -> dict:
+    """*manifest* restamped as layout *version* wrote it.
+
+    Version 3 had these very files (its frames pickle object-graph
+    sentences).  Version 4 also named, per shard, the index columns of
+    ``indexes-<i>-<N>.npz`` and their ``build_seconds``; the file is written
+    beside the segments and digested like them.
+    """
+    older = dict(json.loads(json.dumps(manifest)), version=version)
+    if version == 4:
+        for shard_id, shard in enumerate(older["shards"]):
+            name = f"segments/indexes-{shard_id}-{older['checkpoint_id']:010d}.npz"
+            payload = b"PK\x05\x06" + bytes(18)  # an empty zip archive
+            (layout.snapshots_dir / name).write_bytes(payload)
+            older["files"][name] = hashlib.sha256(payload).hexdigest()
+            shard.update(indexes=name, build_seconds=0.0)
+    return older
+
+
+@pytest.mark.parametrize("version", [3, 4])
+def test_an_older_store_is_refused_before_a_frame_is_decoded(tmp_path, monkeypatch, version):
+    """Opening a store of layout 3 or 4, reading it, or bootstrapping from
+    it shipped raises ``LayoutVersionError`` naming its version and this
+    build's before any frame is unpickled, and touches nothing."""
     with KokoService(storage_dir=tmp_path / "svc", **SERVICE_KWARGS) as service:
         for index, text in enumerate(TEXTS[:3]):
             service.add_document(text, f"doc{index}")
         sealed = service.checkpoint()
     layout = StorageLayout(tmp_path / "svc")
     path = layout.snapshot_dir(sealed) / "manifest.json"
-    v3 = dict(json.loads(path.read_text("utf-8")), version=3)
-    path.write_text(json.dumps(v3), "utf-8")
-    shipped = {name: (layout.snapshots_dir / name).read_bytes() for name in v3["files"]}
+    older = _as_written_by(json.loads(path.read_text("utf-8")), version, layout)
+    path.write_text(json.dumps(older), "utf-8")
+    shipped = {name: (layout.snapshots_dir / name).read_bytes() for name in older["files"]}
+    assert any(name.endswith(".npz") for name in shipped) == (version == 4)
     unpickled = []
     monkeypatch.setattr(
         snapshot_module, "pickle", SimpleNamespace(loads=unpickled.append)
     )
     before = sorted(str(p) for p in layout.root.rglob("*"))
-    with pytest.raises(LayoutVersionError, match="version 3"):
+    with pytest.raises(LayoutVersionError, match=f"version {version}") as raised:
         KokoService.open(layout.root, **SERVICE_KWARGS)
+    assert f"version {LAYOUT_VERSION}" in str(raised.value) and LAYOUT_VERSION == 5
     with pytest.raises(LayoutVersionError):
         read_snapshot_payloads(layout, sealed)
-    with pytest.raises(LayoutVersionError):
-        state_from_payloads(v3, shipped)
+    with pytest.raises(LayoutVersionError, match=f"version {version}") as raised:
+        state_from_payloads(older, shipped)
+    assert f"version {LAYOUT_VERSION}" in str(raised.value)
     assert unpickled == []
     assert sorted(str(p) for p in layout.root.rglob("*")) == before

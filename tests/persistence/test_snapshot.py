@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import PersistenceError
@@ -45,7 +42,6 @@ def documents():
 
 
 def snapshot_state_for(documents, checkpoint_id=3):
-    indexes = KokoIndexSet().build(Corpus(name="snap", documents=documents))
     return SnapshotState(
         checkpoint_id=checkpoint_id,
         name="snap",
@@ -53,8 +49,6 @@ def snapshot_state_for(documents, checkpoint_id=3):
         next_sid=sum(len(d) for d in documents),
         generations=[len(documents)],
         documents_by_shard=[documents],
-        build_seconds_by_shard=[indexes.build_seconds],
-        index_arrays=[indexes.to_arrays()],
     )
 
 
@@ -73,9 +67,12 @@ def test_write_validate_load_round_trip(tmp_path, documents, posting_rows, menti
     assert loaded.generations == [len(documents)]
     assert [d.doc_id for d in loaded.documents_by_shard[0]] == ["doc0", "doc1", "doc2"]
 
-    # the restored index set is lookup-identical to the original
+    # what a restored shard builds from the loaded documents is
+    # lookup-identical to the original
     original = ReferenceIndexSet().build(Corpus(name="ref", documents=documents))
-    restored = loaded.index_sets[0]
+    restored = KokoIndexSet().build(
+        Corpus(name="snap", documents=loaded.documents_by_shard[0])
+    )
     assert restored.word_index.vocabulary() == original.word_index.vocabulary()
     for word in original.word_index.vocabulary():
         assert posting_rows(restored.word_index.lookup(word)) == posting_rows(
@@ -105,86 +102,24 @@ def _manifest(layout, checkpoint_id):
     return json.loads((layout.snapshot_dir(checkpoint_id) / "manifest.json").read_text("utf-8"))
 
 
-def _shard_file(layout, checkpoint_id, kind):
-    """Path of shard 0's index file (``"indexes"``) or first corpus segment."""
+def _corpus_file(layout, checkpoint_id):
+    """Path of shard 0's first corpus segment."""
     shard = _manifest(layout, checkpoint_id)["shards"][0]
-    name = shard["indexes"] if kind == "indexes" else shard["segments"][0]["file"]
-    return layout.snapshots_dir / name
+    return layout.snapshots_dir / shard["segments"][0]["file"]
 
 
-def test_snapshot_directory_holds_columns_not_pickles(tmp_path, documents):
+def test_snapshot_holds_the_documents_and_no_index(tmp_path, documents):
+    """Indexes are derived data: the only file is the corpus segment, and
+    the manifest names nothing else."""
     layout = StorageLayout(tmp_path)
     layout.initialise()
     directory = write_snapshot(layout, snapshot_state_for(documents))
     assert [p.name for p in directory.iterdir()] == ["manifest.json"]
-    assert sorted(p.name for p in layout.segments_dir.iterdir()) == [
-        "corpus-0-0000000003.seg",
-        "indexes-0-0000000003.npz",
-    ]
-    with np.load(_shard_file(layout, 3, "indexes"), allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    assert all(a.dtype.kind in "iu" and a.ndim == 1 for a in arrays.values())
-    # narrowest lossless dtype per column; PL/POS postings are not stored
-    assert arrays["W.sid"].dtype == np.uint8 and arrays["W.plid"].dtype == np.uint8
-    assert not any(name in arrays for name in ("PL.sid", "POS.sid", "PL.kid"))
-
-
-def _rewrite_index_payload(layout, checkpoint_id, mutate):
-    """Replace shard 0's index file with a mutated copy and re-digest the manifest."""
-    path = _shard_file(layout, checkpoint_id, "indexes")
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name].astype(np.int64) for name in archive.files}
-    mutate(arrays)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    path.write_bytes(buffer.getvalue())
-    manifest = _manifest(layout, checkpoint_id)
-    name = manifest["shards"][0]["indexes"]
-    manifest["files"][name] = hashlib.sha256(buffer.getvalue()).hexdigest()
-    (layout.snapshot_dir(checkpoint_id) / "manifest.json").write_text(
-        json.dumps(manifest), "utf-8"
-    )
-
-
-class _Boom:
-    def __reduce__(self):
-        return (pytest.fail, ("index payload was unpickled",))
-
-
-def _set(name, value):
-    return lambda arrays: arrays.__setitem__(name, value(arrays[name]))
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        pytest.param(lambda a: a.pop("W.tid"), id="missing-array"),
-        pytest.param(_set("W.depth", lambda c: c[:-1]), id="column-length-mismatch"),
-        pytest.param(_set("W.kid", lambda c: c + 1000), id="key-id-past-key-table"),
-        pytest.param(_set("W.wid", lambda c: c + 100000), id="word-id-past-interner"),
-        pytest.param(_set("W.plid", lambda c: np.where(c == c.max(), c.max() + 1, c)),
-                     id="plid-names-absent-node"),
-        pytest.param(_set("W.posid", lambda c: c - 7), id="negative-posid"),
-        pytest.param(_set("PL.parent_id", lambda c: c[::-1].copy()), id="trie-out-of-order"),
-        pytest.param(_set("E.text_id", lambda c: c + 100000), id="entity-string-id-past-table"),
-        pytest.param(_set("W.keys.ends", lambda c: c[:-1]), id="string-table-truncated"),
-        pytest.param(_set("W.left", lambda c: c.astype(np.float64)), id="float-column"),
-        pytest.param(_set("W.sid", lambda c: np.array([_Boom()] * len(c), dtype=object)),
-                     id="object-dtype-array"),
-    ],
-)
-def test_malformed_index_payload_is_refused(tmp_path, documents, mutate):
-    """Digest-consistent but structurally wrong columns never load."""
-    layout = StorageLayout(tmp_path)
-    layout.initialise()
-    write_snapshot(layout, snapshot_state_for(documents))
-    _rewrite_index_payload(layout, 3, mutate)
-    assert validate_snapshot(layout, 3) is not None  # the digests do match
-    with pytest.raises(PersistenceError):
-        load_snapshot(layout, 3)
-    manifest, payloads = read_snapshot_payloads(layout, 3)
-    with pytest.raises(PersistenceError):
-        state_from_payloads(manifest, payloads)
+    assert [p.name for p in layout.segments_dir.iterdir()] == ["corpus-0-0000000003.seg"]
+    manifest = _manifest(layout, 3)
+    assert manifest["version"] == LAYOUT_VERSION == 5
+    assert list(manifest["files"]) == ["segments/corpus-0-0000000003.seg"]
+    assert sorted(manifest["shards"][0]) == ["documents", "segments"]
 
 
 def test_shipped_bytes_round_trip_and_version_check(tmp_path, documents):
@@ -192,12 +127,9 @@ def test_shipped_bytes_round_trip_and_version_check(tmp_path, documents):
     layout.initialise()
     write_snapshot(layout, snapshot_state_for(documents))
     manifest, payloads = read_snapshot_payloads(layout, 3)
-    assert sorted(payloads) == [
-        "segments/corpus-0-0000000003.seg",
-        "segments/indexes-0-0000000003.npz",
-    ]
+    assert sorted(payloads) == ["segments/corpus-0-0000000003.seg"]
     state = state_from_payloads(manifest, payloads)
-    assert state.index_sets[0].statistics().tokens == sum(
+    assert sum(d.num_tokens for d in state.documents_by_shard[0]) == sum(
         d.num_tokens for d in documents
     )
     skewed = dict(manifest, version=LAYOUT_VERSION + 1)
@@ -211,7 +143,7 @@ def test_tampered_file_fails_validation(tmp_path, documents):
     layout = StorageLayout(tmp_path)
     layout.initialise()
     write_snapshot(layout, snapshot_state_for(documents))
-    corpus_file = _shard_file(layout, 3, "corpus")
+    corpus_file = _corpus_file(layout, 3)
     corpus_file.write_bytes(corpus_file.read_bytes() + b"x")
     assert validate_snapshot(layout, 3) is None
     with pytest.raises(PersistenceError):
@@ -222,7 +154,7 @@ def test_missing_manifest_or_file_fails_validation(tmp_path, documents):
     layout = StorageLayout(tmp_path)
     layout.initialise()
     write_snapshot(layout, snapshot_state_for(documents))
-    _shard_file(layout, 3, "indexes").unlink()
+    _corpus_file(layout, 3).unlink()
     assert validate_snapshot(layout, 3) is None
     assert validate_snapshot(layout, 99) is None  # absent snapshot
 

@@ -14,7 +14,11 @@ sentence ids that never move; no ingest bytes left in flight; shard
 partials computed only where needed — a query computes one partial per
 shard whose generation moved since that query last ran, and reuses the
 rest; and, on every shard, remembered PL and POS trie walks that equal a
-fresh walk of the trie as it stands.
+fresh walk of the trie as it stands.  A reopen rebuilds every shard's
+indexes from the snapshot's documents: node and interner ids may differ
+from the ones before close (removals leave gaps), but each shard's
+id-independent shape (``index_set_shape`` of ``tests/conftest.py``) must
+not.
 
 The budget comes from the Hypothesis profile: the small ``tier1`` one
 by default, ``--hypothesis-profile ci`` for the long run.
@@ -36,6 +40,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from conftest import index_set_shape
 from repro.corpora.wikipedia import WikipediaConfig, generate_wikipedia_corpus
 from repro.evaluation import queries as evaluation_queries
 from repro.koko.engine import KokoEngine
@@ -218,12 +223,18 @@ class ServiceMachine(RuleBasedStateMachine):
     def checkpoint(self):
         self.service.checkpoint()
 
+    def _shard_shapes(self) -> list[tuple]:
+        indexes = self.service.indexes
+        return [index_set_shape(shard) for shard in getattr(indexes, "shards", [indexes])]
+
     @rule()
     def close_and_reopen(self):
         self._disconnect()
+        before = self._shard_shapes()
         self.service.close()
         self.service = KokoService.open(self.directory)
         assert self.service.shard_count == self.shards
+        assert self._shard_shapes() == before
         self._connect()
         self.last_query = None
         self.stamps, self.partials_expected = {}, 0  # fresh caches and counters
