@@ -32,6 +32,17 @@ response's ``server_ms`` — into the client's own small
 :class:`~repro.observability.tracestore.TraceStore` (``client.traces``).
 Even untraced, every response's ``server_ms`` feeds the running
 :meth:`~_CallMixin.stats` wire/server split.
+
+**Decoded bodies.**  Each client keeps the ``columns-v1`` bodies it has
+decoded, keyed by the body bytes themselves, up to
+:data:`BODY_MEMO_BYTES` in all (least recently used first out): a body
+byte-equal to a held one — a cached answer asked again — is not decoded
+again, and every call still gets its own ``KokoResult`` (and its own
+``StageTimings``) over the held read-only columns.  Byte equality is the
+whole test, so the server plays no part and no wire format changed; any
+other body goes through :func:`~repro.rpc.wire.decode_body` and all its
+checks.  :meth:`~_CallMixin.stats` counts ``bodies_decoded`` and
+``bodies_reused``.
 """
 
 from __future__ import annotations
@@ -41,9 +52,13 @@ import itertools
 import os
 import threading
 import time
+from collections import OrderedDict
+from dataclasses import replace
 
 from ..errors import RpcError, RpcUnavailable
+from ..koko.results import KokoResult
 from ..net import (
+    FrameError,
     TransportClosed,
     connect_tcp,
     handshake_async,
@@ -52,9 +67,19 @@ from ..net import (
 )
 from ..observability.tracestore import TraceStore
 from ..observability.tracing import Span, TraceContext, Tracer
-from .wire import RpcRequest, decode_response, encode_message, raise_fault
+from .wire import (
+    RpcRequest,
+    decode_body,
+    decode_response,
+    encode_message,
+    raise_fault,
+)
 
-__all__ = ["AsyncRpcClient", "RpcClient"]
+__all__ = ["AsyncRpcClient", "BODY_MEMO_BYTES", "RpcClient"]
+
+#: bytes of ``columns-v1`` bodies one client keeps decoded for reuse (the
+#: decoded columns are views of them); a larger body is decoded and not kept
+BODY_MEMO_BYTES = 8 * 1024 * 1024
 
 _client_counter = itertools.count()
 
@@ -62,6 +87,53 @@ _client_counter = itertools.count()
 def _default_client_id() -> str:
     """A per-process-unique admission identity for anonymous clients."""
     return f"client-{os.getpid()}-{next(_client_counter)}"
+
+
+class _DecodedBodies:
+    """One client's LRU of decoded ``columns-v1`` bodies, keyed by the bytes.
+
+    Called with a body, it returns a new ``KokoResult``: over the held
+    columns when a byte-equal body is held, else over what
+    :func:`decode_body` makes of it.  The bytes held never exceed
+    :data:`BODY_MEMO_BYTES` (read at use).  Thread-safe; two threads that
+    meet one new body may both decode it, and it is held once.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._held: OrderedDict[bytes, KokoResult] = OrderedDict()
+        #: bytes of the bodies held
+        self.nbytes = 0
+        self.decoded = 0
+        self.reused = 0
+
+    def __call__(self, body: memoryview) -> KokoResult:
+        if len(body) > BODY_MEMO_BYTES:
+            result = decode_body(body)
+            with self._lock:
+                self.decoded += 1
+            return result
+        key = bytes(body)
+        with self._lock:
+            held = self._held.get(key)
+            if held is not None:
+                self._held.move_to_end(key)
+                self.reused += 1
+        if held is None:
+            held = decode_body(key)
+            with self._lock:
+                self.decoded += 1
+                if key not in self._held:
+                    self._held[key] = held
+                    self.nbytes += len(key)
+                    while self.nbytes > BODY_MEMO_BYTES:
+                        self.nbytes -= len(self._held.popitem(last=False)[0])
+        return KokoResult.from_columns(
+            held.columns,
+            replace(held.timings),
+            held.candidate_sentences,
+            held.evaluated_sentences,
+        )
 
 
 class _CallMixin:
@@ -77,8 +149,9 @@ class _CallMixin:
         raise NotImplementedError  # pragma: no cover - subclasses override
 
     # -- client-side tracing + wire/server timing ----------------------
-    def _init_tracing(self, trace_sample_rate: float) -> None:
-        """Set up the sampler, the client-local trace store and stats."""
+    def _init_calls(self, trace_sample_rate: float) -> None:
+        """Set up the sampler, the client-local trace store, the stats
+        and the decoded-body memo."""
         self._tracer = Tracer(trace_sample_rate)
         #: completed client-side ``rpc.call`` traces (small local ring)
         self.traces = TraceStore(capacity=32)
@@ -90,6 +163,7 @@ class _CallMixin:
             "server_ms_total": 0.0,
             "timed": 0,  # responses that carried server_ms
         }
+        self._bodies = _DecodedBodies()
 
     def _begin_call(self, op: str):
         """Sampling decision for one call: ``(context, span, started)``."""
@@ -145,7 +219,7 @@ class _CallMixin:
         """Everything after a response payload arrived, for both clients:
         decode it (either frame shape), check it answers *request*,
         account the exchange, and return its value or raise its fault."""
-        response = decode_response(payload)
+        response = decode_response(payload, self._bodies)
         if response.request_id != request.request_id:
             raise RpcError(
                 f"response id {response.request_id} does not match "
@@ -169,10 +243,14 @@ class _CallMixin:
         ``server_ms_avg`` / ``wire_ms_avg`` are computed over the
         responses that carried ``server_ms`` (``timed``); ``wire`` is the
         round trip minus the server's dispatch time — framing, kernel,
-        network and client-side scheduling.
+        network and client-side scheduling.  ``bodies_decoded`` and
+        ``bodies_reused`` count the result bodies this client decoded and
+        the ones it answered from a byte-equal body decoded before.
         """
         with self._stats_lock:
             snapshot = dict(self._stats)
+        snapshot["bodies_decoded"] = self._bodies.decoded
+        snapshot["bodies_reused"] = self._bodies.reused
         timed = snapshot["timed"]
         snapshot["rtt_ms_avg"] = (
             round(snapshot["rtt_ms_total"] / snapshot["requests"], 3)
@@ -335,7 +413,7 @@ class RpcClient(_CallMixin):
     ) -> None:
         self.client_id = client_id if client_id is not None else _default_client_id()
         self.timeout = timeout
-        self._init_tracing(trace_sample_rate)
+        self._init_calls(trace_sample_rate)
         self._transport = connect_tcp(host, port, timeout, auth_token)
         self._lock = threading.Lock()
         self._request_ids = itertools.count(1)
@@ -388,8 +466,10 @@ class AsyncRpcClient(_CallMixin):
     Create with :meth:`connect`.  An asyncio lock serialises exchanges so
     one client can be shared across tasks.  As with :class:`RpcClient`, a
     call whose exchange does not complete within the ``timeout`` given to
-    :meth:`connect` raises :class:`~repro.errors.RpcUnavailable` and
-    closes the connection; later calls fail fast.
+    :meth:`connect`, or whose response frame is refused (over
+    :data:`~repro.net.MAX_FRAME_BYTES`, or cut off mid-frame), raises
+    :class:`~repro.errors.RpcUnavailable` and closes the connection; later
+    calls fail fast.
     """
 
     def __init__(
@@ -406,7 +486,7 @@ class AsyncRpcClient(_CallMixin):
         self.timeout: float | None = None
         self._lock = asyncio.Lock()
         self._request_ids = itertools.count(1)
-        self._init_tracing(trace_sample_rate)
+        self._init_calls(trace_sample_rate)
 
     @classmethod
     async def connect(
@@ -469,6 +549,13 @@ class AsyncRpcClient(_CallMixin):
                     f"no response to {op!r} within the client timeout of "
                     f"{self.timeout:g}s; connection closed"
                 ) from None
+            except FrameError as exc:
+                # the unread rest of a refused frame would be read as the
+                # next answer's header: the stream is out of step for good
+                self._writer.close()
+                raise RpcUnavailable(
+                    f"refused a response frame ({exc}); connection closed"
+                ) from exc
             except (ConnectionError, OSError) as exc:
                 raise RpcUnavailable(f"server connection failed: {exc}") from exc
         if payload is None:

@@ -364,13 +364,16 @@ def decode_message(payload: bytes) -> object:
         raise FrameError(f"undecodable frame payload: {exc!r}") from exc
 
 
-def decode_response(payload: bytes) -> RpcResponse:
+def decode_response(payload: bytes, body_decoder=decode_body) -> RpcResponse:
     """Decode one response payload of either shape into an
     :class:`RpcResponse` that carries its value.
 
     Raises :class:`FrameError` when the payload is not a response, when
     bytes trail a response that announced no body, when the body's length
     differs from the marker's, or when the marker names an unknown codec.
+    A body, once the envelope has vouched for its length and codec, goes
+    to *body_decoder* (a client's memo of decoded bodies, which calls
+    :func:`decode_body` for every body it has not seen).
     """
     stream = io.BytesIO(payload)
     try:
@@ -393,7 +396,7 @@ def decode_response(payload: bytes) -> RpcResponse:
             f"response announced a body of {marker.nbytes} bytes, "
             f"{trailing} arrived"
         )
-    return replace(response, value=decode_body(memoryview(payload)[envelope_end:]))
+    return replace(response, value=body_decoder(memoryview(payload)[envelope_end:]))
 
 
 # -- fault mapping ------------------------------------------------------

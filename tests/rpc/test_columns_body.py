@@ -4,10 +4,11 @@ Every ``query`` answer travels as ``envelope ‖ body`` where the body is the
 result's columns, not a pickle.  These tests pin the round trip (tuples
 and scores bit for bit, numeric columns wrapped in place), the decoder's
 refusal of every malformed body with ``FrameError`` and nothing else —
-fed straight in and through both clients — and, over random corpora with
-removes, that a query answers the same in-process, through ``RpcClient``
-and through ``AsyncRpcClient`` as a fresh engine over the reference
-indexes.
+fed straight in and through both clients — that a client's memo of
+decoded bodies answers every body exactly as ``decode_body`` does and
+holds no more than its budget, and, over random corpora with removes,
+that a query answers the same in-process, through ``RpcClient`` and
+through ``AsyncRpcClient`` as a fresh engine over the reference indexes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import asyncio
 import dataclasses
 import socket
 import struct
+import sys
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from repro.koko.parser import parse_query
 from repro.koko.results import ExtractionTuple, KokoResult, StageTimings
 from repro.nlp.types import Corpus
 from repro.rpc import AsyncRpcClient, RpcClient, RpcServer
+from repro.rpc import client as client_module
 from repro.rpc import wire
 from repro.net import FRAME_HEADER, frame_message
 from repro.rpc.wire import (
@@ -321,6 +325,104 @@ def test_both_clients_read_a_good_body(scripted):
     server.bodies += [encode_body(a_result())] * 2
     assert exact(blocking.query("q")) == exact(a_result())
     assert exact(run(asynchronous.query("q"))) == exact(a_result())
+
+
+# ----------------------------------------------------------------------
+# a client's decoded bodies: reused only for equal bytes, within the budget
+# ----------------------------------------------------------------------
+@st.composite
+def body_sequences(draw) -> tuple[list[bytes], int]:
+    """Bodies from a small pool, its single-byte mutants and bodies over
+    the budget, in any order with repeats; and the budget."""
+    pool = [encode_body(result) for result in draw(st.lists(results(), min_size=1, max_size=3))]
+
+    def mutant(body: bytes) -> bytes:
+        at = draw(st.integers(0, len(body) - 1))
+        return body[:at] + bytes([body[at] ^ draw(st.integers(1, 255))]) + body[at + 1 :]
+
+    pool += [mutant(draw(st.sampled_from(pool))) for _ in range(draw(st.integers(1, 2)))]
+    # room for every body of the pool, or any budget up to twice the largest
+    budget = draw(
+        st.one_of(st.just(sum(map(len, pool))), st.integers(0, 2 * max(map(len, pool))))
+    )
+    pool.append(encode_body(KokoResult(tuples=[ExtractionTuple("d", 1, (("x", "z" * budget),), ())])))
+    sequence = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return sequence, budget
+
+
+@settings(deadline=None)
+@given(drawn=body_sequences())
+def test_the_memo_answers_each_body_as_decode_body_does(scripted, drawn):
+    """Through one fresh client: each call returns what ``decode_body`` makes
+    of that call's bytes (or ``FrameError``) and never a neighbour's decode,
+    a caller's edits to its result never reach the next call, equal bytes
+    within the budget are decoded once (least recently used out first),
+    and the bytes held never exceed the budget."""
+    sequence, budget = drawn
+    server = scripted[0]
+    model: OrderedDict[bytes, None] = OrderedDict()  # the bodies held, LRU first
+    decoded = reused = 0
+    with pytest.MonkeyPatch.context() as patch, RpcClient(*server.address, timeout=5.0) as client:
+        patch.setattr(client_module, "BODY_MEMO_BYTES", budget)
+        for body in sequence:
+            server.bodies.append(body)
+            try:
+                expected = decode_body(body)
+            except FrameError:
+                with pytest.raises(FrameError):
+                    client.query("q")
+                continue
+            got = client.query("q")
+            assert got == expected and exact(got) == exact(expected)
+            got.timings.normalize = -1.0  # must not show in a later call
+            got.candidate_sentences = -1
+            if body in model:
+                model.move_to_end(body)
+                reused += 1
+            else:
+                decoded += 1
+                if len(body) <= budget:
+                    model[body] = None
+                    while sum(map(len, model)) > budget:
+                        model.popitem(last=False)
+            held = client._bodies
+            assert list(held._held) == list(model)
+            assert held.nbytes == sum(map(len, model)) <= budget
+            stats = client.stats()
+            assert (stats["bodies_decoded"], stats["bodies_reused"]) == (decoded, reused)
+
+
+@pytest.mark.timeout(60)
+def test_threads_sharing_one_memo_lose_no_count_and_no_byte(monkeypatch):
+    """More threads than cores on one client's memo, switching often: every
+    call is counted once, the bytes held are the bytes of the bodies held,
+    within the budget, and every answer is its own body's decode."""
+    pool = [
+        encode_body(KokoResult(tuples=[ExtractionTuple(f"d{n}", n, (("x", "v" * n),), ())]))
+        for n in range(12)
+    ]
+    monkeypatch.setattr(client_module, "BODY_MEMO_BYTES", 3 * max(map(len, pool)))
+    memo, calls, wrong = client_module._DecodedBodies(), 400, []
+
+    def hammer(offset: int) -> None:
+        for n in range(calls):
+            body = pool[(n * 7 + offset) % len(pool)]
+            if exact(memo(memoryview(body))) != exact(decode_body(body)):
+                wrong.append(body)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=50)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads) and wrong == []
+    assert memo.decoded + memo.reused == 6 * calls and memo.reused > 0
+    assert memo.nbytes == sum(map(len, memo._held)) <= client_module.BODY_MEMO_BYTES
 
 
 # ----------------------------------------------------------------------

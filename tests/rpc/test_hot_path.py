@@ -1,12 +1,13 @@
-"""Hot reads: answered where they arrive, encoded once.
+"""Hot reads: answered where they arrive, encoded once, decoded once.
 
 A query the node's result cache can answer is answered on the server's
 event loop (no executor hop), every result travels as a typed body and is
-never pickled, and a cached answer's wire bytes are kept in the cache
-entry beside the value, so a repeated response is not re-encoded.  These
-tests pin all three, the requests that must still take the executor, the
-frame layout's failure modes in both clients, and that nothing about the
-answers, admission, deadlines or invalidation changed.
+never pickled, a cached answer's wire bytes are kept in the cache entry
+beside the value, so a repeated response is not re-encoded, and each
+client keeps the bodies it decoded, so a byte-equal body is not decoded
+again.  These tests pin all four, the requests that must still take the
+executor, the frame layout's failure modes in both clients, and that
+nothing about the answers, admission, deadlines or invalidation changed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.koko.engine import KokoEngine, compile_query
 from repro.koko.results import ExtractionTuple, KokoResult
 from repro.nlp.types import Corpus
 from repro.observability.exposition import _underlying_service
+from repro import net
 from repro.rpc import AdmissionPolicy, AsyncRpcClient, RpcClient, RpcServer
 from repro.rpc import server as server_module
 from repro.net import FRAME_HEADER, frame_message
@@ -398,6 +400,58 @@ def test_eviction_leaves_no_bytes_behind(listen_ready, serve):
         assert city_body != entity_body and len(small._read._result_cache) == 1
 
 
+# ----------------------------------------------------------------------
+# (c) a client decodes each distinct body once; every call gets its own result
+# ----------------------------------------------------------------------
+def decode_counts(client) -> tuple[int, int]:
+    stats = client.stats()
+    return stats["bodies_decoded"], stats["bodies_reused"]
+
+
+def test_a_repeated_answer_is_decoded_once_and_each_call_gets_its_own_result(
+    service, serve
+):
+    served = serve(service)
+    client = served.client()
+    # a miss, then hits: the miss's body and the cached one are the same bytes
+    answers = [client.query(CITY_QUERY) for _ in range(4)]
+    assert decode_counts(client) == (1, 3)
+    assert len({id(answer) for answer in answers}) == 4
+    assert len({id(answer.timings) for answer in answers}) == 4
+    assert {id(answer.columns) for answer in answers} == {id(answers[0].columns)}
+    assert all(whole(answer) == whole(answers[0]) for answer in answers)
+    kept = whole(answers[0])
+    answers[1].timings.extract = -1.0  # one caller's result is its own
+    assert whole(client.query(CITY_QUERY)) == kept
+    # another client decodes for itself
+    assert whole(served.client().query(CITY_QUERY)) == kept
+    assert decode_counts(served.clients[-1]) == (1, 0)
+
+    # a write changes the answer and its bytes: decoded afresh
+    service.add_document("Lisbon is a city in Portugal.", "lisbon")
+    after = client.query(CITY_QUERY)
+    assert decode_counts(client) == (2, 4)
+    assert as_rows(after) == as_rows(service.query(CITY_QUERY))
+    assert "Lisbon" in {value for row in as_rows(after) for _, value in row[2]}
+    service.remove_document("lisbon")
+    assert as_rows(client.query(CITY_QUERY)) == kept[0]
+    assert decode_counts(client) == (3, 4)
+
+
+def test_the_async_client_keeps_its_own_decoded_bodies(service, serve):
+    served = serve(service)
+    expected = whole(service.query(ENTITY_QUERY))
+
+    async def ask():
+        async with await AsyncRpcClient.connect(*served.address) as client:
+            answers = [await client.query(ENTITY_QUERY) for _ in range(3)]
+            return answers, decode_counts(client)
+
+    answers, counts = asyncio.run(ask())
+    assert counts == (1, 2) and len({id(answer) for answer in answers}) == 3
+    assert all(whole(answer) == expected for answer in answers)
+
+
 _writes = st.one_of(
     st.tuples(st.just("add"), st.integers(0, 5)),
     st.tuples(st.just("remove"), st.integers(0, 5)),
@@ -606,6 +660,56 @@ def test_async_client_times_out_on_a_listener_that_never_replies():
         for sock in accepted:
             sock.close()
         listener.close()
+
+
+@pytest.mark.parametrize("refused", ["oversized", "cut mid-frame"])
+def test_async_client_closes_the_connection_after_refusing_a_frame(
+    monkeypatch, refused
+):
+    """A response frame ``read_frame`` refuses leaves the stream out of step:
+    the client raises ``RpcUnavailable`` and closes the connection, so the
+    unread rest of that frame is never read as the next answer's header."""
+    monkeypatch.setattr(net, "MAX_FRAME_BYTES", 1000)
+    listener = socket.create_server(("127.0.0.1", 0))
+    asked: list[int] = []
+
+    def answer() -> None:
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as stream:
+            while True:
+                header = stream.read(FRAME_HEADER.size)
+                if len(header) < FRAME_HEADER.size:
+                    return
+                request = decode_message(stream.read(FRAME_HEADER.unpack(header)[0]))
+                asked.append(request.request_id)
+                if refused == "cut mid-frame":
+                    conn.sendall(FRAME_HEADER.pack(100) + b"x" * 10)
+                    return
+                if request.request_id == 1:
+                    conn.sendall(frame_message(b"x" * 2000))
+                else:
+                    pong = RpcResponse(request_id=request.request_id, value="pong")
+                    conn.sendall(frame_message(encode_message(pong)))
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+
+    async def drive():
+        client = await AsyncRpcClient.connect(*listener.getsockname()[:2], timeout=5.0)
+        try:
+            with pytest.raises(RpcUnavailable, match="connection closed"):
+                await client.ping()
+            with pytest.raises(RpcUnavailable, match="connection is closed"):
+                await client.ping()
+        finally:
+            await client.close()
+
+    try:
+        asyncio.run(asyncio.wait_for(drive(), 10.0))
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+    assert asked == [1] and not thread.is_alive()
 
 
 def test_idle_timer_spares_a_busy_connection_and_cuts_an_idle_one(

@@ -1,5 +1,7 @@
 """The serving edges' constructor surface: the kept options, the deleted
-ones refused, and the constants that replaced them at their old values.
+ones refused, the constants that replaced them at their old values, and
+the constants that never were options (the client's decoded-body budget)
+at theirs.
 
 Replication, RPC and telemetry keep only the options a deployment sets;
 every other interval, window and bound is a module constant read at
@@ -16,6 +18,7 @@ import pytest
 import repro.replication.replica as replica_module
 import repro.replication.router as router_module
 import repro.replication.shipper as shipper_module
+import repro.rpc.client as client_module
 import repro.rpc.server as server_module
 from repro import net
 from repro.observability import ClusterTelemetry, TelemetryServer, exposition
@@ -100,6 +103,7 @@ FORMER_DEFAULTS = [
     (net, "MAX_FRAME_BYTES", 64 * 1024 * 1024),
     (server_module, "IDLE_SECONDS", 300.0),
     (server_module, "HANDSHAKE_SECONDS", 5.0),
+    (client_module, "BODY_MEMO_BYTES", 8 * 1024 * 1024),
     (exposition, "CHECKPOINT_WEDGE_SECONDS", 300.0),
     (exposition, "WAL_STALL_SECONDS", 60.0),
     (exposition, "CLUSTER_POLL_SECONDS", 1.0),

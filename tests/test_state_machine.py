@@ -7,7 +7,9 @@ shares no index, extraction or storage code with the service.  The
 ``RpcServer``, driven through an ``RpcClient``.  Hypothesis interleaves
 adds, bulk adds, removes, re-adds of removed ids, cold and repeated
 queries (the repeat is answered on the server's event loop from the
-result cache), checkpoints and close/reopen, and after every step checks
+result cache, and the client reuses its decode of the same bytes), the
+last query asked again after writes or a reopen, checkpoints and
+close/reopen, and after every step checks
 what the service promises: tuple identity with the model, scores
 compared as ``repr``; equal candidate and evaluated sentence counts;
 sentence ids that never move; no ingest bytes left in flight; shard
@@ -109,6 +111,8 @@ class ServiceMachine(RuleBasedStateMachine):
         self.next_sid = 0
         self._oracle: KokoEngine | None = None
         self.last_query: tuple[str, float | None, bool] | None = None
+        #: the last query asked, kept across writes and reopens
+        self.asked: tuple[str, float | None, bool] | None = None
         # per query key, the generations it last ran at, and the partials
         # the service should have computed since it (re)opened
         self.stamps: dict[tuple, tuple[int, ...]] = {}
@@ -163,7 +167,7 @@ class ServiceMachine(RuleBasedStateMachine):
         assert rows(got) == rows(want), name
         assert got.candidate_sentences == want.candidate_sentences, name
         assert got.evaluated_sentences == want.evaluated_sentences, name
-        self.last_query = (name, threshold, keep_all)
+        self.last_query = self.asked = (name, threshold, keep_all)
 
     def _free_ids(self) -> list[str]:
         return [doc_id for doc_id in DOC_IDS if doc_id not in self.model]
@@ -212,11 +216,20 @@ class ServiceMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.last_query is not None)
     @rule()
     def repeated_query(self):
-        """The same request again: a result-cache hit, answered on the loop."""
+        """The same request again: a result-cache hit, answered on the loop
+        with the bytes the client decoded last time, so it decodes nothing."""
         hits = self.service.metrics.get("koko_result_cache_hits_total")
-        before = hits.value
+        before, decoded = hits.value, self.client.stats()["bodies_decoded"]
         self._check_query(*self.last_query)
         assert hits.value == before + 1
+        assert self.client.stats()["bodies_decoded"] == decoded
+
+    @precondition(lambda self: self.asked is not None and self.last_query is None)
+    @rule()
+    def query_after_a_change(self):
+        """The last query again after a write or a reopen: the model's
+        answer as it stands, whatever bodies the client holds decoded."""
+        self._check_query(*self.asked)
 
     # -- durability ---------------------------------------------------------
     @rule()
