@@ -11,8 +11,9 @@ queries in a ``KokoService(shards=4)`` with no RPC, WAL, replica or
 checkpoint thread; per query:
 
 * ``pass_ms`` — the one pipeline pass over all four shards that a cold
-  query runs (``ReadPath._run_pass``: read locks, every stage once
-  over the shards' union, the per-shard split): the work a query is;
+  query runs (``ReadPath._refresh``: read locks, every stage once over
+  the shards' union, each shard's candidate documents): the work a
+  query is;
 * ``shard_lookup_ms`` — per shard, the DPLI lookups alone (``run_dpli``
   over that shard's index set): what each shard adds to the pass's
   lookup work;
@@ -204,7 +205,7 @@ def profile_query(service: KokoService, text: str, repeat: int, top: int) -> dic
     read = service._read
     for _ in range(repeat):
         started = _now()
-        read._run_pass(shard_ids, plan, next(thresholds), False)
+        read._refresh([(shard_id, None) for shard_id in shard_ids], plan, next(thresholds), False)
         passes.append(_now() - started)
         for shard in service._shards:
             started = _now()

@@ -94,8 +94,9 @@ class HierarchyIndex:
         self._nodes: dict[int, HierarchyNode] = {self._dummy.node_id: self._dummy}
         # (root, labels, structure) -> per-token node ids: two trees with
         # the same shape and label sequence merge through exactly the same
-        # trie path, so the walk result can be reused verbatim.  Node
-        # removal can prune trie nodes, so any removal clears the memo.
+        # trie path, so the walk result can be reused verbatim.  Only a
+        # pruned node can make an entry name a dead id, so a prune clears
+        # the memo and a removal that prunes nothing keeps it.
         self._merge_memo: dict[tuple, list[int]] = {}
 
     def _new_node(self, label: str, depth: int, parent: HierarchyNode | None) -> HierarchyNode:
@@ -170,7 +171,6 @@ class HierarchyIndex:
         if not sentences:
             return
         self._store.remove_sids(np.fromiter((s.sid for s in sentences), np.int64, len(sentences)))
-        self._merge_memo.clear()  # pruning may invalidate memoised ids
         for sentence in sentences:
             self._prune(
                 getattr(sentence, self._layer),
@@ -197,6 +197,7 @@ class HierarchyIndex:
             del parent.children[label]
             del self._nodes[child.node_id]
             self._match_memo.clear()
+            self._merge_memo.clear()  # some entry may name the dead node
 
     # ------------------------------------------------------------------
     # statistics (the >99.7% node-reduction claim of Section 3)

@@ -16,7 +16,9 @@ therefore answers the DPLI lookups of Algorithm 1 (``entity_candidates``,
 ``path_candidates``, ``unrooted_sids``) exactly by concatenating the
 per-shard answers and sorting once by ``(sid, tid)``.  The service runs one
 pipeline pass over the :meth:`~ShardedIndexSet.view` of the shards a query
-has to compute, and splits its result per shard afterwards.
+has to compute, and splits its result per shard afterwards.  A view may
+limit a shard to some of its sentences (the documents written since a
+cached partial was made): its lookups then answer for those sids alone.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ class ShardedIndexSet:
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
         self.shards: list[KokoIndexSet] = [KokoIndexSet() for _ in range(num_shards)]
+        #: per shard, the sorted sids a view answers for (None: all); None
+        #: when no shard is limited
+        self.limits: list[np.ndarray | None] | None = None
 
     # ------------------------------------------------------------------
     # routing
@@ -70,15 +75,24 @@ class ShardedIndexSet:
         """The shard index set *doc_id* lives in."""
         return self.shards[self.shard_id(doc_id)]
 
-    def view(self, shard_ids: Sequence[int]) -> "ShardedIndexSet":
+    def view(
+        self,
+        shard_ids: Sequence[int],
+        limits: Sequence[np.ndarray | None] | None = None,
+    ) -> "ShardedIndexSet":
         """The shards *shard_ids* (ascending) as one index set, for reads.
 
-        The view shares the shard objects.  Only its DPLI lookups are
+        *limits*, when given, holds per shard of *shard_ids* the sorted
+        sids the view answers for, or None for all of the shard's.  The
+        view shares the shard objects.  Only its DPLI lookups are
         meaningful: routing and maintenance belong to the full set, whose
         shard count the hash is taken over.
         """
         view = object.__new__(ShardedIndexSet)
         view.shards = [self.shards[shard_id] for shard_id in shard_ids]
+        if limits is not None and all(limit is None for limit in limits):
+            limits = None
+        view.limits = None if limits is None else list(limits)
         return view
 
     def __iter__(self) -> Iterator[KokoIndexSet]:
@@ -120,9 +134,14 @@ class ShardedIndexSet:
         :meth:`KokoIndexSet.entity_candidates` leaves them in one shard;
         each shard's ``text_id`` / ``etype_id`` name its own string table.
         """
-        if len(self.shards) == 1:
+        if len(self.shards) == 1 and self.limits is None:
             return self.shards[0].entity_candidates(etype)
         parts = [shard.entity_index.lookup_type(etype) for shard in self.shards]
+        if self.limits is not None:
+            parts = [
+                part if limit is None else tuple(column[_within(part[0], limit)] for column in part)
+                for part, limit in zip(parts, self.limits)
+            ]
         columns = tuple(map(np.concatenate, zip(*parts)))
         return np.sort(columns[0]), columns
 
@@ -134,9 +153,16 @@ class ShardedIndexSet:
         Each shard's block is already ``(sid, tid)``-sorted and a sentence
         lives in one shard, so one stable sort by sid orders the union.
         """
-        if len(self.shards) == 1:
+        if len(self.shards) == 1 and self.limits is None:
             return self.shards[0].path_candidates(path, decomposed)
         blocks = [shard.path_candidates(path, decomposed)[1] for shard in self.shards]
+        if self.limits is not None:
+            blocks = [
+                block if limit is None else block.take(_within(block.sid, limit))
+                for block, limit in zip(blocks, self.limits)
+            ]
+            if len(blocks) == 1:
+                return blocks[0].sid, blocks[0]
         block = PostingBlock(
             *(
                 np.concatenate([getattr(part, name) for part in blocks])
@@ -148,7 +174,13 @@ class ShardedIndexSet:
 
     def unrooted_sids(self) -> np.ndarray:
         """Sorted sids of every shard's sentences holding a token no hierarchy holds."""
-        return np.sort(np.concatenate([shard.unrooted_sids() for shard in self.shards]))
+        parts = [shard.unrooted_sids() for shard in self.shards]
+        if self.limits is not None:
+            parts = [
+                sids if limit is None else sids[_within(sids, limit)]
+                for sids, limit in zip(parts, self.limits)
+            ]
+        return np.sort(np.concatenate(parts))
 
     # ------------------------------------------------------------------
     # accounting
@@ -164,3 +196,11 @@ class ShardedIndexSet:
     def approximate_bytes(self) -> int:
         """Every shard's estimated footprint, added up."""
         return sum(shard.approximate_bytes() for shard in self.shards)
+
+
+def _within(sids: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """A mask of the entries of *sids* that the sorted *limit* holds."""
+    if not len(limit):
+        return np.zeros(len(sids), bool)
+    at = np.searchsorted(limit, sids)
+    return limit[np.minimum(at, len(limit) - 1)] == sids

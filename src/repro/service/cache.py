@@ -163,6 +163,15 @@ class ResultCache(Generic[V]):
             return None
         return entry
 
+    def latest(self, key: Hashable) -> CacheEntry[V] | None:
+        """The entry cached under *key* at whatever generation, else None.
+
+        For a caller that can bring a stale value up to date itself: a
+        stale entry is neither evicted nor counted here, and the caller's
+        :meth:`put` replaces it.
+        """
+        return self._entries.get(key)
+
     def get(self, key: Hashable, generation: Hashable) -> V | None:
         """The value of :meth:`entry`, else None."""
         entry = self.entry(key, generation)

@@ -325,6 +325,15 @@ class Shard:
 
     *by_sid* is the service-wide ``sid → (document, sentence)`` map; a
     shard writes its own documents' entries, under its write lock.
+
+    :attr:`changes` logs the shard's latest writes, oldest first, as
+    ``(generation, added, document)``: the generation the write moved the
+    shard to, whether it added or removed, and the document itself.  It
+    is what lets the read path patch a partial result cached at an older
+    generation instead of recomputing it (:meth:`changes_since`).  The
+    log holds at most as many entries as the shard has live documents, so
+    it costs no more than the documents themselves; a partial older than
+    its first entry is recomputed in full.
     """
 
     def __init__(
@@ -339,6 +348,7 @@ class Shard:
         self.indexes = indexes
         self.lock = ReadWriteLock()
         self.documents: dict[str, Document] = {}
+        self.changes: deque[tuple[int, bool, Document]] = deque()
         self._by_sid = by_sid
 
     def splice(self, document: Document) -> None:
@@ -355,6 +365,36 @@ class Shard:
         self.indexes.remove_document(document)
         for sentence in document:
             self._by_sid.pop(sentence.sid, None)
+
+    def record(self, generation: int, added: bool, document: Document) -> None:
+        """Log one applied write that moved the shard to *generation*.
+
+        Called under the write lock, beside the generation bump; trims the
+        log to the live document count (each entry leaves once, so a write
+        costs O(1) amortised).
+        """
+        changes = self.changes
+        changes.append((generation, added, document))
+        while len(changes) > len(self.documents):
+            changes.popleft()
+
+    def changes_since(self, generation: int) -> list[tuple[bool, Document]] | None:
+        """The writes after *generation*, oldest first, as ``(added, document)``.
+
+        ``None`` when the log no longer reaches back that far (or never
+        did: a restored shard starts with an empty log).  Read it under
+        the read lock, with *generation* below the current one.
+        """
+        changes = self.changes
+        if not changes or changes[0][0] > generation + 1:
+            return None
+        window = []
+        for entry in reversed(changes):
+            if entry[0] <= generation:
+                break
+            window.append(entry[1:])
+        window.reverse()
+        return window
 
     def adopt(self, documents: list[Document]) -> None:
         """Attach a restored snapshot's documents to this empty shard.

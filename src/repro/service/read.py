@@ -17,19 +17,28 @@ normalise → DPLI over the multi-index → GSP → extract → aggregate):
 * **Result caching with per-shard generation stamps** — full query
   results are kept in an LRU stamped with the generation vector; in
   addition each shard's partial result is cached under that shard's own
-  generation, so ingesting into shard *k* invalidates only shard *k*'s
-  work — a repeat query computes one shard's partial and reuses the
-  other N−1 cached partials.
+  generation, so ingesting into shard *k* touches only shard *k*'s
+  work — a repeat query reuses the other N−1 cached partials.
+* **Patching, not recomputing** — a stale partial is brought up to date
+  from the shard's change log (:meth:`~repro.service.ingest.Shard.changes_since`):
+  the rows of documents removed since are dropped and only the documents
+  added since are computed.  Every clause a score depends on reads one
+  document, so a document's rows do not depend on its neighbours.  A
+  partial the log no longer reaches (or a shard with none) is computed
+  whole — the same pass, with every document of the shard "added".
 * **One pipeline pass per query, on the request thread** — the shards a
-  query cannot serve from their partial caches are read-locked in
-  shard-id order and the stage pipeline runs **once** over their union
+  query cannot serve from their partial caches as they stand are
+  read-locked in shard-id order and the stage pipeline runs **once** over
+  the union of what they need computed
   (:meth:`~repro.indexing.sharding.ShardedIndexSet.view`; sentence ids
-  are global, so the union's lookups are exact).  The pass's result is
-  split per shard into the partial caches and merged with the reused
-  partials deterministically (:func:`~repro.koko.results.merge_results`):
-  stable tuple order, summed :class:`~repro.koko.results.StageTimings`.
-  The stages are GIL-bound, so concurrency is across requests (the RPC
-  server's executor), not across shards.
+  are global, so the union's lookups are exact); a query whose stale
+  shards only lost documents runs no pass.  Every part — reused,
+  patched, computed — is merged once, deterministically
+  (:func:`~repro.koko.results.merge_results`): stable tuple order, summed
+  :class:`~repro.koko.results.StageTimings`.  The refreshed shards'
+  partials are cached as parts of that answer.  The stages are
+  GIL-bound, so concurrency is across requests (the RPC server's
+  executor), not across shards.
 
 The generation vector is the service's own list, bumped in place by the
 write side; the read path never copies it, so every stamp it takes is
@@ -43,7 +52,6 @@ read earlier — the usual read-committed view of a partitioned store.
 
 from __future__ import annotations
 
-import threading
 import time
 from functools import partial
 from itertools import chain
@@ -54,7 +62,7 @@ from ..errors import DeadlineExceeded
 from ..indexing.sharding import ShardedIndexSet
 from ..koko.conditions import EvidenceResources
 from ..koko.engine import CompiledQuery, compile_query
-from ..koko.results import KokoResult, merge_results
+from ..koko.results import KokoResult, StageTimings, merge_results
 from ..koko.stages import ExecutionContext, StagePipeline
 from ..nlp.types import Document, Sentence
 from ..observability.tracing import Span
@@ -75,52 +83,104 @@ def check_deadline(deadline: float | None) -> None:
 
 
 class _Partial:
-    """One shard's part of a pipeline pass's result: a partial-cache value.
+    """One shard's part of a query's answer: a partial-cache value.
 
-    Its sentence counts and timing share are known when the pass ends;
-    its rows are split off the pass's columns
-    (:meth:`~repro.koko.results.ResultColumns.take`, string tables
-    compacted) on first reuse, so the parts of a query that is never
-    repeated cost nothing to cache.  Once split, the part no longer holds
-    the pass's result.  *lock* serialises first splits between readers.
+    *documents* maps the doc id of each of the shard's candidate documents
+    to ``(document, candidate sentences)`` — what a later write to the
+    shard is checked against, by document identity — and *timings* is the
+    shard's share of the work.  The part's rows are the rows of *source*
+    (the answer it was cached with) whose document is one of *documents*.
+    Nothing is split off when a part is cached or reused: a query takes
+    the rows it needs from each answer its parts come from in one go
+    (:func:`_gather`), so the parts of a query that is never repeated cost
+    nothing to cache, and the parts of one answer reused together cost
+    one take, or none when they still cover all of its rows.
     """
 
-    __slots__ = ("_source", "_row_part", "_at", "_result", "_lock", "candidates", "share")
+    __slots__ = ("source", "documents", "candidates", "timings")
 
     def __init__(
         self,
         source: KokoResult,
-        row_part,
-        at: int,
-        candidates: int,
-        share: float,
-        lock: threading.Lock,
+        documents: dict[str, tuple[Document, int]],
+        timings: StageTimings,
+        candidates: int | None = None,
     ) -> None:
-        # without row_part every row is this part's: the pass's result is it
-        self._source = None if row_part is None else source
-        self._row_part = row_part
-        self._at = at
-        self._result: KokoResult | None = source if row_part is None else None
-        self._lock = lock
-        self.candidates = candidates
-        self.share = share
+        self.source = source
+        self.documents = documents
+        self.candidates = (
+            sum(count for _, count in documents.values()) if candidates is None else candidates
+        )
+        self.timings = timings
 
-    def result(self) -> KokoResult:
-        """This shard's rows and counts as a result (split on first call)."""
-        result = self._result
-        if result is None:
-            with self._lock:
-                result = self._result
-                if result is None:
-                    source = self._source
-                    result = self._result = KokoResult.from_columns(
-                        source.columns.take(np.flatnonzero(self._row_part == self._at)),
-                        source.timings.scaled(self.share),
-                        self.candidates,
-                        self.candidates,
-                    )
-                    self._source = self._row_part = None
-        return result
+    def within(self, source: KokoResult) -> "_Partial":
+        """This part with its rows read from *source*, an answer that holds them."""
+        return _Partial(source, self.documents, self.timings, self.candidates)
+
+
+def _gather(parts: list[_Partial]) -> list[KokoResult]:
+    """The rows and counts of *parts*, one result per answer they come from.
+
+    The parts cached with one answer are selected from it together: one
+    :meth:`~repro.koko.results.ResultColumns.take` (string tables
+    compacted), which hands the columns back as they are when the parts
+    still cover every row.
+    """
+    by_source: dict[int, list[_Partial]] = {}
+    for part in parts:
+        by_source.setdefault(id(part.source), []).append(part)
+    results = []
+    for group in by_source.values():
+        documents, timings = group[0].documents, group[0].timings
+        if len(group) > 1:
+            documents, timings = {}, StageTimings()
+            for part in group:
+                documents.update(part.documents)
+                timings.accumulate(part.timings)
+        candidates = sum(part.candidates for part in group)
+        columns = group[0].source.columns
+        mine = np.fromiter(
+            map(documents.__contains__, columns.doc_ids), bool, len(columns.doc_ids)
+        )
+        results.append(
+            KokoResult.from_columns(
+                columns.take(np.flatnonzero(mine[columns.index[0]])),
+                timings,
+                candidates,
+                candidates,
+            )
+        )
+    return results
+
+
+class _Refresh:
+    """One shard the cache could not serve as it stands, read under its lock.
+
+    *kept* is the part of the shard's stale partial that no write has
+    touched since — its source, its untouched documents and their share
+    of its timings — or None when there is no usable partial.  *fresh*
+    lists the documents written since, which the pass computes, or is
+    None when the pass covers the whole shard.
+    """
+
+    __slots__ = ("shard_id", "generation", "kept", "fresh")
+
+    def __init__(
+        self,
+        shard_id: int,
+        generation: int,
+        kept: _Partial | None = None,
+        fresh: list[Document] | None = None,
+    ) -> None:
+        self.shard_id = shard_id
+        self.generation = generation
+        self.kept = kept
+        self.fresh = fresh
+
+    @property
+    def runs(self) -> bool:
+        """Whether the pass computes any of this shard's documents."""
+        return self.fresh is None or bool(self.fresh)
 
 
 class ReadPath:
@@ -166,7 +226,6 @@ class ReadPath:
             )
             for shard_id in range(len(shards))
         ]
-        self._split_lock = threading.Lock()  # a cached part's first split
 
     def cached(
         self,
@@ -244,63 +303,175 @@ class ReadPath:
         trace: Span | None = None,
         deadline: float | None = None,
     ) -> KokoResult:
-        """Reuse fresh shard partials, compute the rest in one pass, merge.
+        """Reuse fresh shard partials, bring the rest up to date, merge once.
 
         With a ``cache_key``, a shard whose generation is unchanged since
         a previous execution of the same query is served from its partial
-        cache; the other shards — all of them without a key — are computed
-        together by one :meth:`_run_pass`, whose result is merged with the
-        reused partials as one part (every sentence lives in one part, so
-        the merge's sort by sid interleaves them exactly).  With ``trace``,
-        a ``shard_fanout`` span counts the shards executed and reused and
-        holds the pass's span, and a ``merge`` span times the
-        deterministic combine.
+        cache.  Every other shard — all of them without a key — is brought
+        up to date by :meth:`_refresh`: a stale partial whose shard log
+        still reaches back to it is patched (rows of removed documents
+        dropped, added documents computed), anything else is computed
+        whole.  All the parts are merged in one
+        :func:`~repro.koko.results.merge_results` (every sentence lives in
+        one part, so the merge's sort by sid interleaves them exactly), and
+        every shard's partial is then cached as a part of that answer.
+        With ``trace``, a ``shard_fanout`` span counts the shards executed
+        (computed or patched), reused and patched and holds the pass's
+        span, and a ``merge`` span times the deterministic combine.
         """
-        parts: list[KokoResult] = []
-        missing: list[int] = []
+        reused: list[tuple[int, CacheEntry[_Partial]]] = []
+        stale: list[tuple[int, CacheEntry[_Partial] | None]] = []
         for shard_id, cache in enumerate(self._shard_caches):
-            cached = (
-                cache.get(cache_key, self._generations[shard_id])
-                if cache_key is not None
-                else None
-            )
-            if cached is None:
-                missing.append(shard_id)
-            else:
+            entry = cache.latest(cache_key) if cache_key is not None else None
+            if entry is not None and entry.generation == self._generations[shard_id]:
                 self._stats.record_shard_partial(reused=True, shard=shard_id)
-                parts.append(cached.result())
+                reused.append((shard_id, entry))
+            else:
+                stale.append((shard_id, entry))
+        parts = [entry.value for _, entry in reused]
         fanout = (
             trace.child(
                 "shard_fanout",
                 shards=len(self._shards),
-                executed=len(missing),
-                reused=len(parts),
+                executed=len(stale),
+                reused=len(reused),
             )
             if trace is not None
             else None
         )
-        if missing:
+        refreshed: list[_Refresh] = []
+        owned: list[dict[str, tuple[Document, int]]] = []
+        result = None
+        if stale:
             # the plan cache hands over a CompiledQuery; anything else is
             # compiled here, once for the whole pass
             if not isinstance(query, CompiledQuery):
                 query = compile_query(query)
-            parts.append(
-                self._run_pass(
-                    missing,
-                    query,
-                    threshold_override,
-                    keep_all_scores,
-                    cache_key,
-                    fanout,
-                    deadline,
-                )
+            refreshed, result, owned = self._refresh(
+                stale, query, threshold_override, keep_all_scores, fanout, deadline
             )
+            parts.extend(refresh.kept for refresh in refreshed if refresh.kept is not None)
         if fanout is not None:
+            fanout.annotate(patched=sum(refresh.kept is not None for refresh in refreshed))
             fanout.finish()
         if trace is None:
-            return merge_results(parts)
-        with trace.span("merge"):
-            return merge_results(parts)
+            answer = self._merge(parts, result)
+        else:
+            with trace.span("merge"):
+                answer = self._merge(parts, result)
+        if cache_key is not None and refreshed:
+            self._cache_parts(cache_key, answer, refreshed, result, owned)
+            # the reused parts move to this answer too, under their own
+            # stamps: the next run finds every part of the query in one
+            # answer and takes from it once, or not at all
+            for shard_id, entry in reused:
+                self._shard_caches[shard_id].put(
+                    cache_key, entry.generation, entry.value.within(answer)
+                )
+        return answer
+
+    @staticmethod
+    def _merge(parts: list[_Partial], result: KokoResult | None) -> KokoResult:
+        """The rows of *parts* (:func:`_gather`) and the pass's *result*, merged once."""
+        gathered = _gather(parts)
+        if result is not None:
+            gathered.append(result)
+        return merge_results(gathered)
+
+    def _refresh(
+        self,
+        stale: list[tuple[int, CacheEntry[_Partial] | None]],
+        plan: CompiledQuery,
+        threshold_override: float | None,
+        keep_all_scores: bool,
+        trace: Span | None = None,
+        deadline: float | None = None,
+    ) -> tuple[list[_Refresh], KokoResult | None, list[dict[str, tuple[Document, int]]]]:
+        """Read the *stale* shards under their read locks; run one pass.
+
+        The locks are taken in shard-id order (every query takes them in
+        the same order) and held while each shard's generation and change
+        log are read (:meth:`_plan`) and while one :meth:`_run_pass`
+        computes, over the union of those shards, every shard with no
+        usable partial and the added documents of the others.  A shard
+        that only lost documents adds nothing to the pass, and with no
+        such work there is no pass.  Returns the shards' plans, the pass's
+        result (None without a pass) and, per planned shard, the candidate
+        documents the pass found in it.  An expired *deadline* abandons
+        the refresh on entry or between stages.
+        """
+        check_deadline(deadline)
+        shards = [self._shards[shard_id] for shard_id, _ in stale]
+        locked: list[Shard] = []
+        try:
+            for shard in shards:
+                shard.lock.acquire_read()
+                locked.append(shard)
+            refreshed = [
+                self._plan(shard_id, shard, entry)
+                for (shard_id, entry), shard in zip(stale, shards)
+            ]
+            work = [(refresh, shard) for refresh, shard in zip(refreshed, shards) if refresh.runs]
+            if not work:
+                return refreshed, None, [{} for _ in refreshed]
+            result, owned = self._run_pass(
+                [refresh.shard_id for refresh, _ in work],
+                plan,
+                threshold_override,
+                keep_all_scores,
+                [shard for _, shard in work],
+                [refresh.fresh for refresh, _ in work],
+                trace,
+                deadline,
+            )
+        finally:
+            for shard in locked:
+                shard.lock.release_read()
+        by_shard = dict(zip((refresh.shard_id for refresh, _ in work), owned))
+        return refreshed, result, [by_shard.get(refresh.shard_id, {}) for refresh in refreshed]
+
+    def _plan(
+        self, shard_id: int, shard: Shard, entry: CacheEntry[_Partial] | None
+    ) -> _Refresh:
+        """What bringing *shard* up to date takes (its read lock held).
+
+        A cached partial is a usable base when the shard's change log
+        (:meth:`Shard.changes_since`) still covers every write since the
+        partial's generation.  Walking those writes in order, a removed
+        document leaves the base's kept documents only when it is the very
+        document the base holds under that id, and an added one is fresh
+        until a later removal — so a document re-added under the same id
+        never keeps the old rows, and the kept part keeps the base's
+        timings in proportion to the candidate sentences it keeps.  A
+        stale partial past the log's reach is counted as a stale eviction
+        and recomputed whole.
+        """
+        generation = self._generations[shard_id]
+        window = None if entry is None else shard.changes_since(entry.generation)
+        if window is None:
+            if entry is not None:
+                self._stats.record_shard_cache_eviction(shard_id, True)
+            return _Refresh(shard_id, generation)
+        base = entry.value
+        documents = base.documents
+        fresh: dict[str, Document] = {}
+        for added, document in window:
+            doc_id = document.doc_id
+            if added:
+                fresh[doc_id] = document
+                continue
+            fresh.pop(doc_id, None)
+            held = documents.get(doc_id)
+            if held is not None and held[0] is document:
+                if documents is base.documents:
+                    documents = dict(documents)  # copied on the first removal
+                del documents[doc_id]
+        kept = base
+        if documents is not base.documents:
+            kept = _Partial(base.source, documents, base.timings)
+            if base.candidates:
+                kept.timings = base.timings.scaled(kept.candidates / base.candidates)
+        return _Refresh(shard_id, generation, kept, list(fresh.values()))
 
     def _run_pass(
         self,
@@ -308,91 +479,102 @@ class ReadPath:
         plan: CompiledQuery,
         threshold_override: float | None,
         keep_all_scores: bool,
-        cache_key=None,
+        shards: list[Shard],
+        fresh: list[list[Document] | None],
         trace: Span | None = None,
         deadline: float | None = None,
-    ) -> KokoResult:
-        """Run the stage pipeline once over *shard_ids*; returns its result.
+    ) -> tuple[KokoResult, list[dict[str, tuple[Document, int]]]]:
+        """Run the stage pipeline once over *shard_ids*, their locks held.
 
-        The shards' read locks are taken in shard-id order (every pass
-        takes them in the same order) and held for the whole pass, which
-        runs each stage once over the union of the shards.  Under a
-        *cache_key* the result is also split per shard (:meth:`_split`) and
-        each part cached under the generation read under its lock.
-        ``trace`` is the fan-out span the ``pass`` span hangs under.  An
-        expired *deadline* abandons the pass on entry or between stages.
+        A shard with a *fresh* list takes part with those documents only:
+        the view's lookups answer for their sentences alone
+        (:meth:`~repro.indexing.sharding.ShardedIndexSet.view`) and they
+        are its part of the corpus LoadStage falls back to; a shard with
+        ``None`` takes part whole.  Returns the result and, per shard, its
+        candidate documents as ``doc id -> (document, candidate
+        sentences)``: extraction evaluates every candidate sentence, so
+        the counts are exact, and a document belongs to the one pass shard
+        that holds it.  ``trace`` is the fan-out span the ``pass`` span
+        hangs under.
         """
-        check_deadline(deadline)
         span = trace.child("pass", shard_ids=list(shard_ids)) if trace is not None else None
-        shards = [self._shards[shard_id] for shard_id in shard_ids]
-        locked: list[Shard] = []
-        try:
-            for shard in shards:
-                shard.lock.acquire_read()
-                locked.append(shard)
-            # read under the read locks: exactly the generations this pass sees
-            generations = [self._generations[shard_id] for shard_id in shard_ids]
-            ctx = ExecutionContext(
-                query=plan,
-                corpus=chain.from_iterable(shard.corpus for shard in shards),
-                indexes=self._index_set.view(shard_ids),
-                by_sid=self._by_sid,
-                resources=self._resources,
-                use_gsp=self._use_gsp,
-                threshold_override=threshold_override,
-                keep_all_scores=keep_all_scores,
-                trace=span,
-                deadline=deadline,
+        limits = [
+            None
+            if documents is None
+            else np.sort(
+                np.fromiter(
+                    (sentence.sid for document in documents for sentence in document),
+                    np.int64,
+                )
             )
-            result = self._pipeline.run(ctx)
-        finally:
-            for shard in locked:
-                shard.lock.release_read()
-        if cache_key is not None:
-            for shard_id, generation, part in zip(
-                shard_ids, generations, self._split(result, ctx.documents, shard_ids)
-            ):
-                self._shard_caches[shard_id].put(cache_key, generation, part)
-                self._stats.record_shard_partial(reused=False, shard=shard_id)
-        if span is not None:
-            span.annotate(tuples=len(result), generations=generations)
-            span.finish()
-        return result
-
-    def _split(
-        self, result: KokoResult, documents, shard_ids: list[int]
-    ) -> list[_Partial]:
-        """One pass's *result* as one :class:`_Partial` per shard of *shard_ids*.
-
-        *documents* are the pass's loaded candidate groups: they say which
-        shard each candidate sentence (and so each row) belongs to, and
-        extraction evaluates every candidate sentence, so the counts are
-        exact.  A shard's stage timings are the pass's in proportion to its
-        share of the candidate sentences (equal shares when there were none).
-        """
-        if len(shard_ids) == 1:
-            count = result.candidate_sentences
-            return [_Partial(result, None, 0, count, 1.0, self._split_lock)]
-        position = {shard_id: at for at, shard_id in enumerate(shard_ids)}
-        shard_of = self._index_set.shard_id
-        part_of: dict[str, int] = {}  # candidate document -> its partial
-        candidates = [0] * len(shard_ids)
-        for document, sentences in documents:
-            at = part_of[document.doc_id] = position[shard_of(document.doc_id)]
-            candidates[at] += len(sentences)
-        total = sum(candidates)
-        columns = result.columns
-        row_part = np.fromiter(
-            map(part_of.__getitem__, columns.doc_ids), np.int64, len(columns.doc_ids)
-        )[columns.index[0]]
-        return [
-            _Partial(
-                result,
-                row_part,
-                at,
-                count,
-                count / total if total else 1 / len(shard_ids),
-                self._split_lock,
-            )
-            for at, count in enumerate(candidates)
+            for documents in fresh
         ]
+        ctx = ExecutionContext(
+            query=plan,
+            corpus=chain.from_iterable(
+                shard.corpus if documents is None else documents
+                for shard, documents in zip(shards, fresh)
+            ),
+            indexes=self._index_set.view(shard_ids, limits),
+            by_sid=self._by_sid,
+            resources=self._resources,
+            use_gsp=self._use_gsp,
+            threshold_override=threshold_override,
+            keep_all_scores=keep_all_scores,
+            trace=span,
+            deadline=deadline,
+        )
+        result = self._pipeline.run(ctx)
+        owned: list[dict[str, tuple[Document, int]]] = [{} for _ in shards]
+        for document, sentences in ctx.documents:
+            doc_id = document.doc_id
+            for mine, shard in zip(owned, shards):
+                if shard.documents.get(doc_id) is document:
+                    mine[doc_id] = (document, len(sentences))
+                    break
+        if span is not None:
+            span.annotate(
+                tuples=len(result),
+                generations=[self._generations[shard_id] for shard_id in shard_ids],
+            )
+            span.finish()
+        return result, owned
+
+    def _cache_parts(
+        self,
+        cache_key,
+        answer: KokoResult,
+        refreshed: list[_Refresh],
+        result: KokoResult | None,
+        owned: list[dict[str, tuple[Document, int]]],
+    ) -> None:
+        """Cache each refreshed shard's partial as a part of *answer*.
+
+        A shard's documents are its kept part's plus those it owns in the
+        pass, and its timings the kept part's plus its share of the pass's
+        in proportion to its candidate sentences (equal shares when the
+        pass had none).  Each part is stamped with the generation its
+        shard had under the lock.
+        """
+        runs = sum(refresh.runs for refresh in refreshed)
+        for refresh, mine in zip(refreshed, owned):
+            kept = refresh.kept
+            if not refresh.runs:  # it only lost documents
+                part = kept.within(answer)
+            else:
+                count = sum(candidates for _, candidates in mine.values())
+                total = result.candidate_sentences
+                timings = result.timings.scaled(count / total if total else 1 / runs)
+                if kept is None:
+                    part = _Partial(answer, mine, timings, count)
+                else:
+                    part = _Partial(
+                        answer,
+                        {**kept.documents, **mine},
+                        timings.accumulate(kept.timings),
+                        kept.candidates + count,
+                    )
+            self._shard_caches[refresh.shard_id].put(cache_key, refresh.generation, part)
+            self._stats.record_shard_partial(
+                reused=False, shard=refresh.shard_id, patched=kept is not None
+            )

@@ -698,7 +698,9 @@ class KokoService(Durability):
 
         One write-lock round per touched shard; one generation bump per
         document keeps the counters identical to a record-at-a-time
-        replica apply.
+        replica apply.  Each bump is logged in the shard's change log
+        (:meth:`Shard.record`) — replica apply, WAL replay and the
+        inverses of :meth:`_abort` all come through here.
         """
         by_shard: dict[int, list[WriteOp]] = {}
         for op in ops:
@@ -709,11 +711,13 @@ class KokoService(Durability):
             started = time.perf_counter()
             with shard.lock.write_locked():
                 for op in group:
-                    if op.kind == OP_ADD:
+                    added = op.kind == OP_ADD
+                    if added:
                         shard.splice(op.document)
                     else:
                         shard.unsplice(op.document)
                     self._generations[shard_id] += 1
+                    shard.record(self._generations[shard_id], added, op.document)
                     op.progress = APPLIED
             if trace is not None:
                 name = "splice" if group[0].kind == OP_ADD else "unsplice"

@@ -86,6 +86,10 @@ class ServiceStats:
             "koko_shard_partials_computed_total",
             "Shard partial results computed (partial-cache misses).",
         )
+        self._shard_partials_patched = r.counter(
+            "koko_shard_partials_patched_total",
+            "Computed shard partials patched from a stale partial, not recomputed whole.",
+        )
         self._shard_cache_hits = r.counter(
             "koko_shard_cache_hits_total", "Per-shard partial-cache hits.", ("shard",)
         )
@@ -191,11 +195,13 @@ class ServiceStats:
             self._tokens_ingested.inc(tokens)
             self._ingest_seconds.inc(float(seconds))
 
-    def record_shard_partial(self, *, reused: bool, shard: int) -> None:
+    def record_shard_partial(self, *, reused: bool, shard: int, patched: bool = False) -> None:
         """Account one shard partial served from (or stored into) its cache.
 
         The event lands in the service-wide reuse counters and in that
-        shard's hit/miss family (reused = a cache hit for the shard).
+        shard's hit/miss family (reused = a cache hit for the shard).  A
+        *patched* partial is a computed one (a miss) that started from the
+        shard's stale partial.
         """
         if reused:
             self._shard_partials_reused.inc()
@@ -203,6 +209,8 @@ class ServiceStats:
         else:
             self._shard_partials_computed.inc()
             self._shard_cache_misses.labels(shard).inc()
+            if patched:
+                self._shard_partials_patched.inc()
 
     def record_shard_cache_eviction(self, shard: int, stale: bool) -> None:
         """Account one eviction from shard *shard*'s partial-result cache."""

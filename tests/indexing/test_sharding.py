@@ -175,3 +175,37 @@ class TestUnionLookups:
             assert got_sids.tolist() == want_sids.tolist()
             for name in ("sid", "tid", "left", "right", "depth"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("shard_ids", [[0, 1, 2, 3], [1, 3], [2]])
+    def test_a_limited_view_answers_for_its_sids_alone(self, cafe_corpus, shard_ids):
+        documents = list(cafe_corpus.documents)
+        sharded = ShardedIndexSet(4).build(Corpus("cafe", documents))
+        # every other shard of the view is limited to one of its documents
+        limits, mine = [], []
+        for at, shard_id in enumerate(shard_ids):
+            held = [d for d in documents if sharded.shard_id(d.doc_id) == shard_id]
+            if at % 2:
+                limits.append(None)
+                mine.extend(held)
+            else:
+                kept = held[-1:]
+                limits.append(np.array([s.sid for d in kept for s in d], np.int64))
+                mine.extend(kept)
+        view = sharded.view(shard_ids, limits)
+        mine.sort(key=lambda d: d.sentences[0].sid)
+        single = KokoIndexSet().build(Corpus("mine", mine))
+        assert view.unrooted_sids().tolist() == single.unrooted_sids().tolist()
+        normalized = compile_query(LOOKUP_QUERY).normalized
+        for etype in ("Entity", "Location", "Person"):
+            got_sids, got = view.entity_candidates(etype)
+            want_sids, want = single.entity_candidates(etype)
+            assert got_sids.tolist() == want_sids.tolist()
+            rows = sorted(zip(*(column.tolist() for column in got[:3])))
+            assert rows == sorted(zip(*(column.tolist() for column in want[:3])))
+        for variable in normalized.absolute_paths:
+            path, decomposed = normalized.tree_paths[variable], normalized.decomposed.get(variable)
+            got_sids, got = view.path_candidates(path, decomposed)
+            want_sids, want = single.path_candidates(path, decomposed)
+            assert got_sids.tolist() == want_sids.tolist()
+            for name in ("sid", "tid", "left", "right", "depth"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))

@@ -162,6 +162,35 @@ def test_memo_survives_a_splice_that_mints_no_node_and_not_one_that_does(walks):
     assert _paths(pl.match_nodes(VERBS) + pl.match_nodes(ROOT_CHILDREN)) == before
 
 
+def test_a_removal_keeps_the_merge_memo_unless_it_prunes_a_node():
+    indexes = KokoIndexSet()
+    indexes.add_document(_PIPELINE.annotate(TEXTS[1], doc_id="a", first_sid=0))
+    pl = indexes.pl_index
+    twin = _PIPELINE.annotate(TEXTS[1], doc_id="b", first_sid=10)
+    indexes.add_document(twin)
+    remembered = dict(pl._merge_memo)
+    assert remembered
+
+    indexes.remove_document(twin)  # the first document keeps every node alive
+    assert pl._merge_memo == remembered
+    again = _PIPELINE.annotate(TEXTS[1], doc_id="c", first_sid=20)
+    nodes = pl.node_count
+    indexes.add_document(again)  # merges through the kept memo: no new node
+    assert pl.node_count == nodes
+
+    novel = _PIPELINE.annotate(TEXTS[2], doc_id="d", first_sid=30)
+    indexes.add_document(novel)
+    indexes.remove_document(novel)  # its nodes are pruned
+    live = set(pl._nodes)
+    assert all(
+        node_id in live for node_ids in pl._merge_memo.values() for node_id in node_ids
+    )
+    indexes.add_document(_PIPELINE.annotate(TEXTS[2], doc_id="e", first_sid=40))
+    assert _paths(pl.match_nodes(VERBS)) == _paths(
+        [pl.node_by_id(node_id) for node_id in pl._walk_nodes(VERBS)]
+    )
+
+
 def test_memo_is_bounded_by_its_constant():
     indexes = KokoIndexSet()
     indexes.add_document(_PIPELINE.annotate(TEXTS[0], doc_id="a", first_sid=0))

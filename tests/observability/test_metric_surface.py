@@ -64,6 +64,7 @@ SURFACE = [
     ("koko_shard_cache_misses_total", "counter", ("shard",), "Per-shard partial-cache misses."),
     ("koko_shard_cache_stale_evictions_total", "counter", ("shard",), "Per-shard partial-cache generation evictions."),
     ("koko_shard_partials_computed_total", "counter", (), "Shard partial results computed (partial-cache misses)."),
+    ("koko_shard_partials_patched_total", "counter", (), "Computed shard partials patched from a stale partial, not recomputed whole."),
     ("koko_shard_partials_reused_total", "counter", (), "Shard partial results served from the partial cache."),
     ("koko_shipper_records_shipped_total", "counter", (), "WAL records shipped to followers across all sessions."),
     ("koko_shipper_sessions", "gauge", (), "Live follower shipping sessions."),

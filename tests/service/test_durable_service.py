@@ -17,6 +17,7 @@ import repro.service.durability as durability_module
 from repro.corpora.wikipedia import generate_wikipedia_corpus
 from repro.errors import PersistenceError, ServiceError
 from repro.evaluation.queries import SCALEUP_QUERIES
+from repro.indexing.koko_index import KokoIndexSet
 from repro.persistence import CheckpointPolicy, StorageLayout
 from repro.service import KokoService
 
@@ -410,34 +411,50 @@ def test_a_crash_replays_every_uncheckpointed_add(tmp_path, wiki_corpus):
         recovered.close()
 
 
-def test_a_warm_open_is_five_times_faster_than_a_cold_rebuild(tmp_path, pipeline):
+def test_a_warm_open_annotates_and_replays_nothing_and_builds_each_shard_once(
+    tmp_path, pipeline, monkeypatch
+):
     """The cold side annotates, logs and splices every text; the warm side
-    loads the snapshot the clean close folded them into (best of three).
-    120 articles: a warm open has a fixed cost of a few milliseconds, so on
-    40 the ratio dips below 5 on a busy machine."""
+    loads the snapshot the clean close folded them into.  The claim is
+    counted, not timed (a wall-clock ratio against the cold side failed
+    on a loaded machine): the warm open runs no annotation (the
+    ``ExplodingPipeline`` raises if asked), replays no WAL record, builds
+    each shard's indexes once from its documents and splices none one by
+    one, and answers exactly like the service it reopens."""
     texts = [
         document.text
-        for document in generate_wikipedia_corpus(articles=120, pipeline=pipeline)
+        for document in generate_wikipedia_corpus(articles=40, pipeline=pipeline)
     ]
     path = tmp_path / "svc"
-    started = time.perf_counter()
-    service = KokoService(shards=1, storage_dir=path)
+    service = KokoService(shards=2, storage_dir=path)
     for index, text in enumerate(texts):
         service.add_document(text, f"wiki{index}")
-    cold_seconds = time.perf_counter() - started
     expected = scaleup_rows(service)
+    per_shard = sorted(len(corpus) for corpus in service.corpora)
     service.close()
 
-    warm_seconds = []
-    for _ in range(3):
-        started = time.perf_counter()
-        warm = KokoService.open(path, pipeline=ExplodingPipeline())
-        warm_seconds.append(time.perf_counter() - started)
-        try:
-            assert scaleup_rows(warm) == expected
-        finally:
-            warm.close()
-    assert cold_seconds >= 5 * min(warm_seconds), (cold_seconds, warm_seconds)
+    builds: list[int] = []
+    splices: list[str] = []
+    build, add_document = KokoIndexSet.build, KokoIndexSet.add_document
+
+    def counted_build(self, corpus):
+        builds.append(len(corpus))
+        return build(self, corpus)
+
+    def counted_add(self, document):
+        splices.append(document.doc_id)
+        return add_document(self, document)
+
+    monkeypatch.setattr(KokoIndexSet, "build", counted_build)
+    monkeypatch.setattr(KokoIndexSet, "add_document", counted_add)
+    warm = KokoService.open(path, pipeline=ExplodingPipeline())
+    try:
+        assert warm.metrics.get("koko_replayed_wal_records").value == 0
+        assert sorted(builds) == per_shard and sum(builds) == len(texts)
+        assert splices == []
+        assert scaleup_rows(warm) == expected
+    finally:
+        warm.close()
 
 
 def test_wal_replay_rejects_inconsistent_records(tmp_path):

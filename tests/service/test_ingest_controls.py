@@ -309,15 +309,30 @@ def test_per_shard_cache_counters_track_hits_misses_and_stale_evictions():
             service.add_document(text, f"doc{index}")
         service.query(ENTITY_QUERY)  # 4 partial misses (computed)
         target = service.shard_of(service.add_document(TEXTS[4], "docX").doc_id)
-        service.query(ENTITY_QUERY)  # 3 reused, 1 recomputed (stale evicted)
+        service.query(ENTITY_QUERY)  # 3 reused, 1 patched from its stale partial
 
         misses = service.metrics.get("koko_shard_cache_misses_total").values()
         hits = service.metrics.get("koko_shard_cache_hits_total").values()
-        stale = service.metrics.get("koko_shard_cache_stale_evictions_total").values()
+        stale = service.metrics.get("koko_shard_cache_stale_evictions_total")
+        patched = service.metrics.get("koko_shard_partials_patched_total")
         assert sum(misses.values()) == 5
         assert sum(hits.values()) == 3
-        assert stale == {target: 1}  # no other shard saw a stale entry
         assert misses[target] == 2
+        assert patched.value == 1
+        assert stale.values() == {}  # a patched partial is replaced, not evicted
+
+        # more writes to the target shard than it has live documents: its
+        # change log no longer reaches the cached partial, which is dropped
+        live = 1 + sum(service.shard_of(f"doc{index}") == target for index in range(4))
+        for _ in range(live // 2 + 1):
+            service.remove_document("docX")
+            service.add_document(TEXTS[4], "docX")
+        service.query(ENTITY_QUERY)  # 3 reused, 1 recomputed whole
+        misses = service.metrics.get("koko_shard_cache_misses_total").values()
+        assert sum(misses.values()) == 6
+        assert misses[target] == 3
+        assert patched.value == 1
+        assert stale.values() == {target: 1}  # no other shard saw a stale entry
         snapshot = service.metrics.snapshot()
         assert snapshot["koko_shard_cache_misses_total"] == {
             str(shard): count for shard, count in misses.items()

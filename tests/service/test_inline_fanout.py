@@ -121,7 +121,9 @@ def test_explain_lists_the_shards_in_order_under_the_fanout(shards):
         service.query(CITY_QUERY)  # warm partials: explain must not use them
         explained = service.query(CITY_QUERY, explain=True)
         fanout = explained.trace.find("shard_fanout")
-        assert fanout.attributes == {"shards": shards, "executed": shards, "reused": 0}
+        assert fanout.attributes == {
+            "shards": shards, "executed": shards, "reused": 0, "patched": 0
+        }
         assert [child.name for child in fanout.children] == ["pass"]
         one_pass = fanout.children[0]
         assert one_pass.attributes["shard_ids"] == list(range(shards))
@@ -138,22 +140,40 @@ def test_a_pass_read_locks_exactly_its_shards_in_shard_order(monkeypatch):
             service.add_document(text, f"doc{index}")
         shard_of_lock = {id(shard.lock): shard.shard_id for shard in service._shards}
         taken: list[int] = []
-        acquire = ReadWriteLock.acquire_read
+        passes: list[list[int]] = []
+        acquire, run_pass = ReadWriteLock.acquire_read, ReadPath._run_pass
 
         def spied(lock):
             taken.append(shard_of_lock[id(lock)])
             return acquire(lock)
 
+        def spied_pass(self, shard_ids, *args, **kwargs):
+            passes.append(list(shard_ids))
+            return run_pass(self, shard_ids, *args, **kwargs)
+
         monkeypatch.setattr(ReadWriteLock, "acquire_read", spied)
+        monkeypatch.setattr(ReadPath, "_run_pass", spied_pass)
+        patched = service.metrics.get("koko_shard_partials_patched_total")
         service.query(ENTITY_QUERY)
         assert taken == [0, 1, 2, 3]
-        # two writes to two shards: a repeat locks just those two, in order
+        assert passes == [[0, 1, 2, 3]]
+        # two writes to two shards: a repeat locks just those two, in order,
+        # and patches both parts in one pass over the two new documents
         written = sorted({service.shard_of("late-a"), service.shard_of("late-z")})
         service.add_document("Anna ate a delicious pie in Osaka.", "late-a")
         service.add_document("Paolo ate a delicious tart in Kyoto.", "late-z")
         taken.clear()
         service.query(ENTITY_QUERY)
         assert taken == written
+        assert passes[1:] == [written]
+        assert patched.value == len(written)
+        # a removal: its shard is still read-locked once, but runs no pass
+        service.remove_document("late-a")
+        taken.clear()
+        service.query(ENTITY_QUERY)
+        assert taken == [service.shard_of("late-a")]
+        assert passes[2:] == []
+        assert patched.value == len(written) + 1
 
 
 def test_deadline_expiring_during_a_stage_stops_the_rest_of_the_pass(monkeypatch):

@@ -83,7 +83,9 @@ def test_explain_is_tuple_identical_and_covers_all_stages(shards):
     # each stage span exactly once
     fanout = explained.trace.find("shard_fanout")
     assert fanout is not None
-    assert fanout.attributes == {"shards": shards, "executed": shards, "reused": 0}
+    assert fanout.attributes == {
+        "shards": shards, "executed": shards, "reused": 0, "patched": 0
+    }
     assert [child.name for child in fanout.children] == ["pass"]
     one_pass = fanout.children[0]
     assert one_pass.attributes["shard_ids"] == list(range(shards))

@@ -10,10 +10,12 @@ pass's result back per shard.  These tests pin what the split must keep:
   index-supported variable: the candidate set is the corpus, in corpus
   order), with equal candidate and evaluated sentence counts;
 * per-shard partials that hold exactly their shard's rows and sentence
-  counts, so that after a write to one shard a repeat query computes one
-  partial in a pass over that shard alone and reuses the other N−1;
-* a cached part split off the pass's columns once, on first reuse, even
-  when many readers reuse it at the same moment.
+  counts, so that after a write to one shard a repeat query patches that
+  shard's partial — no pass for a removal, a pass over the added
+  document alone for an add — and reuses the other N−1;
+* parts that hold their rows as a selection of the answer they were
+  cached with, so a query takes each answer its parts come from once,
+  however many readers reuse them at the same moment.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.koko.results import ResultColumns
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Corpus
 from repro.service import KokoService
-from repro.service.read import ReadPath
+from repro.service.read import ReadPath, _gather
 
 #: no entity variable and no node path: DPLI leaves ``candidate_sids`` None
 UNPRUNED_QUERY = 'extract b:Str from "w" if (/ROOT:{ b = ^ + "chocolate" })'
@@ -92,23 +94,36 @@ def test_a_write_to_one_shard_recomputes_one_partial_and_reuses_the_rest(monkeyp
         passes = _passes(monkeypatch)
         computed = service.metrics.get("koko_shard_partials_computed_total")
         reused = service.metrics.get("koko_shard_partials_reused_total")
+        patched = service.metrics.get("koko_shard_partials_patched_total")
         text = QUERIES["DateOfBirth"]
         first = service.query(text)
         assert passes == [[0, 1, 2, 3]]
-        assert (computed.value, reused.value) == (4, 0)
+        assert (computed.value, patched.value, reused.value) == (4, 0, 0)
 
+        # a removal: the touched shard's partial drops the victim's rows, no pass
         victim = next(d for d in mirror if d.doc_id == first[-1].doc_id)
         service.remove_document(victim.doc_id)
         mirror.remove(victim)
         touched = service.shard_of(victim.doc_id)
         again = service.query(text)
-        assert passes[1:] == [[touched]]
-        assert (computed.value, reused.value) == (5, 3)
+        assert passes[1:] == []
+        assert (computed.value, patched.value, reused.value) == (5, 1, 3)
         want = KokoEngine(Corpus("reference", mirror)).execute(text)
         assert rows(again) == rows(want)
         assert again.candidate_sentences == want.candidate_sentences
         assert again.evaluated_sentences == want.evaluated_sentences
         assert victim.doc_id not in {t.doc_id for t in again}
+
+        # the document back: one pass over the touched shard, limited to it
+        mirror.append(service.add_document(victim.text, victim.doc_id))
+        back = service.query(text)
+        assert passes[1:] == [[touched]]
+        assert (computed.value, patched.value, reused.value) == (6, 2, 6)
+        want = KokoEngine(Corpus("reference", mirror)).execute(text)
+        assert rows(back) == rows(want)
+        assert back.candidate_sentences == want.candidate_sentences
+        assert back.evaluated_sentences == want.evaluated_sentences
+        assert victim.doc_id in {t.doc_id for t in back}
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
@@ -122,7 +137,7 @@ def test_each_partial_holds_its_own_rows_and_counts(monkeypatch, name):
             ResultColumns, "take", lambda self, rows: takes.append(len(rows)) or take(self, rows)
         )
         merged = service.query(text)
-        assert takes == []  # a part is split off the pass's columns on first reuse only
+        assert takes == []  # a cold query caches its parts without splitting them
         # one pass covered every shard: one partial-cache miss each
         misses = service.metrics.get("koko_shard_cache_misses_total").values()
         assert misses == {shard_id: 1 for shard_id in range(4)}
@@ -133,8 +148,9 @@ def test_each_partial_holds_its_own_rows_and_counts(monkeypatch, name):
             for shard_id in range(4)
         ]
         assert sum(part.candidates for part in parts) == merged.candidate_sentences
-        partials = [part.result() for part in parts]
-        assert len(takes) == 4 and [part.result() for part in parts] == partials
+        assert all(part.source.columns is merged.columns for part in parts)
+        partials = [_gather([part])[0] for part in parts]
+        assert len(takes) == 4
         assert sum(1 for partial in partials if len(partial)) > 1
         for shard_id, partial in enumerate(partials):
             mine = [d for d in mirror if service.shard_of(d.doc_id) == shard_id]
@@ -149,20 +165,23 @@ def test_each_partial_holds_its_own_rows_and_counts(monkeypatch, name):
         assert merged.candidate_sentences == sum(p.candidate_sentences for p in partials)
 
 
-def test_concurrent_readers_split_each_reused_part_once(monkeypatch):
+def test_concurrent_readers_take_each_shared_answer_once_per_query(monkeypatch):
     service, mirror = loaded(4)
     with service:
         text = QUERIES["DateOfBirth"]
-        first = service.query(text)  # four parts cached, none split yet
+        first = service.query(text)  # four parts cached, all over this answer
         victim = next(d for d in mirror if d.doc_id == first[0].doc_id)
         service.remove_document(victim.doc_id)
         mirror.remove(victim)
         want = rows(KokoEngine(Corpus("reference", mirror)).execute(text))
+        hits = service.metrics.get("koko_result_cache_hits_total")
+        patched = service.metrics.get("koko_shard_partials_patched_total")
+        hits_before = hits.value
         takes = []
         take = ResultColumns.take
 
-        def slow_take(self, rows):  # widens the window two first reuses could share
-            takes.append(1)
+        def slow_take(self, rows):  # widens the window concurrent readers share
+            takes.append(self)
             time.sleep(0.01)
             return take(self, rows)
 
@@ -183,4 +202,11 @@ def test_concurrent_readers_split_each_reused_part_once(monkeypatch):
             sys.setswitchinterval(interval)
         assert not any(reader.is_alive() for reader in readers)
         assert got == [want] * 8
-        assert len(takes) == 3  # the three untouched shards' parts, split once each
+        # every reader that missed the result cache executed: it patched
+        # the touched shard (the victim's rows dropped, no pass) or reused
+        # a part another reader had patched, and took the rows of the
+        # parts cached with the first answer from it in ONE take — three
+        # or four parts, however many readers did so at once
+        executed = 8 - (hits.value - hits_before)
+        assert 1 <= patched.value <= executed
+        assert sum(source is first.columns for source in takes) == executed

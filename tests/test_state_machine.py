@@ -5,7 +5,9 @@ fresh ``KokoEngine`` over the object-list ``ReferenceIndexSet``, which
 shares no index, extraction or storage code with the service.  The
 **system** is a durable ``KokoService`` (1 and 4 shards) behind an
 ``RpcServer``, driven through an ``RpcClient``.  Hypothesis interleaves
-adds, bulk adds, removes, re-adds of removed ids, cold and repeated
+adds, bulk adds, removes, re-adds of removed ids, a live id replaced by
+a new document under the same id, churn on one shard past its change
+log's reach, cold and repeated
 queries (the repeat is answered on the server's event loop from the
 result cache, and the client reuses its decode of the same bytes), the
 last query asked again after writes or a reopen, checkpoints and
@@ -14,8 +16,11 @@ what the service promises: tuple identity with the model, scores
 compared as ``repr``; equal candidate and evaluated sentence counts;
 sentence ids that never move; no ingest bytes left in flight; shard
 partials computed only where needed — a query computes one partial per
-shard whose generation moved since that query last ran, and reuses the
-rest; and, on every shard, remembered PL and POS trie walks that equal a
+shard whose generation moved since that query last ran and reuses the
+rest, patches each such partial whose shard's change log (as long as the
+shard's live document count) still reaches back to it, and runs one
+pass exactly when some shard has no usable partial or gained a document;
+and, on every shard, remembered PL and POS trie walks that equal a
 fresh walk of the trie as it stands.  A reopen rebuilds every shard's
 indexes from the snapshot's documents: node and interner ids may differ
 from the ones before close (removals leave gaps), but each shard's
@@ -45,6 +50,7 @@ from hypothesis.stateful import (
 from conftest import index_set_shape
 from repro.corpora.wikipedia import WikipediaConfig, generate_wikipedia_corpus
 from repro.evaluation import queries as evaluation_queries
+from repro.indexing.sharding import shard_of
 from repro.koko.engine import KokoEngine
 from repro.nlp.pipeline import Pipeline
 from repro.nlp.types import Corpus
@@ -113,10 +119,16 @@ class ServiceMachine(RuleBasedStateMachine):
         self.last_query: tuple[str, float | None, bool] | None = None
         #: the last query asked, kept across writes and reopens
         self.asked: tuple[str, float | None, bool] | None = None
+        self.texts: dict[str, str] = {}  # doc id -> the text it was added with
         # per query key, the generations it last ran at, and the partials
-        # the service should have computed since it (re)opened
+        # (computed, patched) and passes the service should have run since
+        # it (re)opened
         self.stamps: dict[tuple, tuple[int, ...]] = {}
-        self.partials_expected = 0
+        self.partials_expected = self.patched_expected = self.passes_expected = 0
+        # per shard: its generation, and the writes its change log holds as
+        # (generation, added, doc id), trimmed to its live document count
+        self.generations = [0] * self.shards
+        self.logs: list[list[tuple[int, bool, str]]] = [[] for _ in range(self.shards)]
         self.service = KokoService(shards=self.shards, storage_dir=self.directory)
         self._connect()
 
@@ -124,6 +136,15 @@ class ServiceMachine(RuleBasedStateMachine):
     def _connect(self) -> None:
         self.server = RpcServer(self.service)
         self.client = RpcClient(*self.server.start())
+        self.passes = 0
+        read = self.service._read
+        run_pass = read._run_pass
+
+        def counted(*args, **kwargs):
+            self.passes += 1
+            return run_pass(*args, **kwargs)
+
+        read._run_pass = counted
 
     def _disconnect(self) -> None:
         self.client.close()
@@ -139,7 +160,26 @@ class ServiceMachine(RuleBasedStateMachine):
         pipeline = _pipeline()
         self.model[doc_id] = pipeline.annotate(text, doc_id=doc_id, first_sid=self.next_sid)
         self.next_sid += len(pipeline.tokenizer.split_sentences(text))
+        self.texts[doc_id] = text
         self.removed.discard(doc_id)
+        self._logged(doc_id, True)
+
+    def _drop(self, doc_id: str) -> None:
+        del self.model[doc_id]
+        self.removed.add(doc_id)
+        self._logged(doc_id, False)
+
+    def _shard(self, doc_id: str) -> int:
+        return shard_of(doc_id, self.shards)
+
+    def _logged(self, doc_id: str, added: bool) -> None:
+        """One write to *doc_id*'s shard: a generation and a log entry."""
+        shard = self._shard(doc_id)
+        self.generations[shard] += 1
+        log = self.logs[shard]
+        log.append((self.generations[shard], added, doc_id))
+        live = sum(self._shard(other) == shard for other in self.model)
+        del log[: max(0, len(log) - live)]
         self._changed()
 
     def _changed(self) -> None:
@@ -156,9 +196,24 @@ class ServiceMachine(RuleBasedStateMachine):
         text = QUERIES[name]
         key = (text, threshold, keep_all)
         stamp, seen = self.service.generations, self.stamps.get(key)
-        self.partials_expected += (
-            len(stamp) if seen is None else sum(a != b for a, b in zip(seen, stamp))
-        )
+        assert stamp == tuple(self.generations)
+        runs = False
+        for shard, now in enumerate(stamp):
+            then = None if seen is None else seen[shard]
+            if then == now:
+                continue
+            self.partials_expected += 1
+            log = self.logs[shard]
+            if then is None or not log or log[0][0] > then + 1:
+                runs = True  # no usable partial: the shard is computed whole
+                continue
+            self.patched_expected += 1
+            fresh: set[str] = set()
+            for generation, added, doc_id in log:
+                if generation > then:
+                    (fresh.add if added else fresh.discard)(doc_id)
+            runs = runs or bool(fresh)
+        self.passes_expected += runs
         self.stamps[key] = stamp
         got = self.client.query(text, threshold_override=threshold, keep_all_scores=keep_all)
         want = self._oracle_engine().execute(
@@ -197,9 +252,7 @@ class ServiceMachine(RuleBasedStateMachine):
     def remove(self, data):
         doc_id = data.draw(st.sampled_from(sorted(self.model)))
         self.client.remove_document(doc_id)
-        del self.model[doc_id]
-        self.removed.add(doc_id)
-        self._changed()
+        self._drop(doc_id)
 
     @precondition(lambda self: self.removed)
     @rule(data=st.data(), text=st.integers(0, 11))
@@ -207,6 +260,30 @@ class ServiceMachine(RuleBasedStateMachine):
         doc_id = data.draw(st.sampled_from(sorted(self.removed)))
         self.client.add_document(_texts()[text], doc_id=doc_id)
         self._admit(doc_id, _texts()[text])
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), text=st.integers(0, 11))
+    def replace_a_document(self, data, text):
+        """A live id removed and added again with new text: a query that
+        patches across both must never keep the old document's rows."""
+        doc_id = data.draw(st.sampled_from(sorted(self.model)))
+        self.client.remove_document(doc_id)
+        self._drop(doc_id)
+        self.client.add_document(_texts()[text], doc_id=doc_id)
+        self._admit(doc_id, _texts()[text])
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def churn_past_the_log(self, data):
+        """More writes to one shard than it has live documents: its log
+        no longer reaches any partial cached before them."""
+        doc_id = data.draw(st.sampled_from(sorted(self.model)))
+        live = sum(self._shard(other) == self._shard(doc_id) for other in self.model)
+        for _ in range(live // 2 + 1):
+            self.client.remove_document(doc_id)
+            self._drop(doc_id)
+            self.client.add_document(self.texts[doc_id], doc_id=doc_id)
+            self._admit(doc_id, self.texts[doc_id])
 
     # -- reads --------------------------------------------------------------
     @rule(name=st.sampled_from(sorted(QUERIES)), override=st.sampled_from(OVERRIDES))
@@ -250,7 +327,11 @@ class ServiceMachine(RuleBasedStateMachine):
         assert self._shard_shapes() == before
         self._connect()
         self.last_query = None
-        self.stamps, self.partials_expected = {}, 0  # fresh caches and counters
+        # fresh caches, counters and change logs (close checkpointed, so
+        # the reopen replayed nothing)
+        self.stamps = {}
+        self.partials_expected = self.patched_expected = self.passes_expected = 0
+        self.logs = [[] for _ in range(self.shards)]
 
     # -- after every step ---------------------------------------------------
     @invariant()
@@ -269,8 +350,12 @@ class ServiceMachine(RuleBasedStateMachine):
 
     @invariant()
     def partials_are_computed_for_exactly_the_moved_shards(self):
-        computed = self.service.metrics.get("koko_shard_partials_computed_total")
+        metrics = self.service.metrics
+        computed = metrics.get("koko_shard_partials_computed_total")
+        patched = metrics.get("koko_shard_partials_patched_total")
         assert computed.value == self.partials_expected
+        assert patched.value == self.patched_expected
+        assert self.passes == self.passes_expected
 
     @invariant()
     def nothing_is_in_flight(self):
