@@ -160,10 +160,11 @@ class _Refresh:
     touched since — its source, its untouched documents and their share
     of its timings — or None when there is no usable partial.  *fresh*
     lists the documents written since, which the pass computes, or is
-    None when the pass covers the whole shard.
+    None when the pass covers the whole shard.  *owned* is filled by the
+    pass: the candidate documents it found in the shard.
     """
 
-    __slots__ = ("shard_id", "generation", "kept", "fresh")
+    __slots__ = ("shard_id", "generation", "kept", "fresh", "owned")
 
     def __init__(
         self,
@@ -176,6 +177,7 @@ class _Refresh:
         self.generation = generation
         self.kept = kept
         self.fresh = fresh
+        self.owned: dict[str, tuple[Document, int]] = {}
 
     @property
     def runs(self) -> bool:
@@ -340,14 +342,13 @@ class ReadPath:
             else None
         )
         refreshed: list[_Refresh] = []
-        owned: list[dict[str, tuple[Document, int]]] = []
         result = None
         if stale:
             # the plan cache hands over a CompiledQuery; anything else is
             # compiled here, once for the whole pass
             if not isinstance(query, CompiledQuery):
                 query = compile_query(query)
-            refreshed, result, owned = self._refresh(
+            refreshed, result = self._refresh(
                 stale, query, threshold_override, keep_all_scores, fanout, deadline
             )
             parts.extend(refresh.kept for refresh in refreshed if refresh.kept is not None)
@@ -360,7 +361,7 @@ class ReadPath:
             with trace.span("merge"):
                 answer = self._merge(parts, result)
         if cache_key is not None and refreshed:
-            self._cache_parts(cache_key, answer, refreshed, result, owned)
+            self._cache_parts(cache_key, answer, refreshed, result)
             # the reused parts move to this answer too, under their own
             # stamps: the next run finds every part of the query in one
             # answer and takes from it once, or not at all
@@ -386,7 +387,7 @@ class ReadPath:
         keep_all_scores: bool,
         trace: Span | None = None,
         deadline: float | None = None,
-    ) -> tuple[list[_Refresh], KokoResult | None, list[dict[str, tuple[Document, int]]]]:
+    ) -> tuple[list[_Refresh], KokoResult | None]:
         """Read the *stale* shards under their read locks; run one pass.
 
         The locks are taken in shard-id order (every query takes them in
@@ -395,10 +396,10 @@ class ReadPath:
         computes, over the union of those shards, every shard with no
         usable partial and the added documents of the others.  A shard
         that only lost documents adds nothing to the pass, and with no
-        such work there is no pass.  Returns the shards' plans, the pass's
-        result (None without a pass) and, per planned shard, the candidate
-        documents the pass found in it.  An expired *deadline* abandons
-        the refresh on entry or between stages.
+        such work there is no pass.  Returns the shards' plans, each with
+        the candidate documents the pass found in it, and the pass's result
+        (None without a pass).  An expired *deadline* abandons the refresh
+        on entry or between stages.
         """
         check_deadline(deadline)
         shards = [self._shards[shard_id] for shard_id, _ in stale]
@@ -413,7 +414,7 @@ class ReadPath:
             ]
             work = [(refresh, shard) for refresh, shard in zip(refreshed, shards) if refresh.runs]
             if not work:
-                return refreshed, None, [{} for _ in refreshed]
+                return refreshed, None
             result, owned = self._run_pass(
                 [refresh.shard_id for refresh, _ in work],
                 plan,
@@ -427,8 +428,9 @@ class ReadPath:
         finally:
             for shard in locked:
                 shard.lock.release_read()
-        by_shard = dict(zip((refresh.shard_id for refresh, _ in work), owned))
-        return refreshed, result, [by_shard.get(refresh.shard_id, {}) for refresh in refreshed]
+        for (refresh, _), mine in zip(work, owned):
+            refresh.owned = mine
+        return refreshed, result
 
     def _plan(
         self, shard_id: int, shard: Shard, entry: CacheEntry[_Partial] | None
@@ -546,7 +548,6 @@ class ReadPath:
         answer: KokoResult,
         refreshed: list[_Refresh],
         result: KokoResult | None,
-        owned: list[dict[str, tuple[Document, int]]],
     ) -> None:
         """Cache each refreshed shard's partial as a part of *answer*.
 
@@ -557,8 +558,8 @@ class ReadPath:
         shard had under the lock.
         """
         runs = sum(refresh.runs for refresh in refreshed)
-        for refresh, mine in zip(refreshed, owned):
-            kept = refresh.kept
+        for refresh in refreshed:
+            kept, mine = refresh.kept, refresh.owned
             if not refresh.runs:  # it only lost documents
                 part = kept.within(answer)
             else:
