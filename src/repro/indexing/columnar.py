@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "ColumnarPostings",
     "PostingBlock",
-    "StringInterner",
     "distinct_sorted",
     "join_ancestor_block",
     "join_same_token_block",
@@ -45,47 +44,6 @@ _INT = np.int64
 
 #: compaction threshold: merge the delta once it outgrows max(this, |main|)
 _MIN_COMPACT_ROWS = 4096
-
-
-class StringInterner:
-    """Bidirectional string ↔ small-int mapping shared by columnar stores."""
-
-    __slots__ = ("_ids", "_texts")
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._texts: list[str] = []
-
-    def intern(self, text: str) -> int:
-        """The stable id of *text*, assigning the next id on first sight."""
-        wid = self._ids.get(text)
-        if wid is None:
-            wid = len(self._texts)
-            self._ids[text] = wid
-            self._texts.append(text)
-        return wid
-
-    def intern_many(self, texts: "Sequence[str]") -> list[int]:
-        """Ids for every string of *texts*, in order (one pass, no frames)."""
-        ids = self._ids
-        stored = self._texts
-        out: list[int] = []
-        append = out.append
-        for text in texts:
-            wid = ids.get(text)
-            if wid is None:
-                wid = len(stored)
-                ids[text] = wid
-                stored.append(text)
-            append(wid)
-        return out
-
-    def text(self, wid: int) -> str:
-        """The string interned under id *wid*."""
-        return self._texts[wid]
-
-    def __len__(self) -> int:
-        return len(self._texts)
 
 
 class ColumnarPostings:

@@ -1,13 +1,14 @@
 """The entity inverted index (Section 3.1).
 
 Holds every entity mention as a row ``(x, u, v)`` — sentence id plus the
-leftmost and rightmost token ids of the mention span — together with the
-mention's surface text and type.  Variables declared as ``x:Entity``,
-``a:GPE`` or ``a:Person`` obtain their candidate bindings by type, so the
-rows ``(sid, left, right, text_id, etype_id)`` live in one
+leftmost and rightmost token ids of the mention span.  Variables declared
+as ``x:Entity``, ``a:GPE`` or ``a:Person`` obtain their candidate bindings
+by type, so the rows ``(sid, left, right)`` live in one
 :class:`~repro.indexing.columnar.ColumnarPostings` store keyed by mention
-type, with the string payloads interned: a type lookup hands the query
-planner whole column arrays instead of Python object lists.  The
+type: a type lookup hands the query planner whole column arrays instead of
+Python object lists.  A mention's surface text is its sentence's span, so
+the store keeps none; the size model counts it
+(:meth:`~repro.indexing.koko_index.KokoIndexSet.approximate_bytes`).  The
 object-list build survives only as the test oracle in
 :mod:`repro.indexing.reference`.
 """
@@ -16,11 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .columnar import ColumnarPostings, StringInterner
+from .columnar import ColumnarPostings
 
 __all__ = ["ENTITY_TYPE_ALIASES", "EntityIndex", "accepted_types"]
 
-_E_COLUMNS = ("sid", "left", "right", "text_id", "etype_id")
+_E_COLUMNS = ("sid", "left", "right")
 
 #: query-side entity type (lower-cased) -> the mention types it binds; any
 #: other name binds mentions of its upper-cased self
@@ -40,30 +41,18 @@ class EntityIndex:
     """Inverted index over entity mentions."""
 
     def __init__(self) -> None:
-        self._strings = StringInterner()
         self._store = ColumnarPostings(_E_COLUMNS)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_rows(
-        self,
-        sids: list[int],
-        lefts: list[int],
-        rights: list[int],
-        etypes: list[str],
-        texts: list[str],
+        self, sids: list[int], lefts: list[int], rights: list[int], etypes: list[str]
     ) -> None:
         """Splice: append mention rows (spanning any number of sentences,
         in ``(sid, position)`` order), keyed by mention type."""
-        intern_many = self._strings.intern_many
-        etype_ids = intern_many(etypes)
-        text_ids = intern_many(texts)
         store = self._store
-        store.append_batch(
-            [store.intern_key(etype) for etype in etypes],
-            (sids, lefts, rights, text_ids, etype_ids),
-        )
+        store.append_batch(list(map(store.intern_key, etypes)), (sids, lefts, rights))
 
     def remove_sids(self, sids: np.ndarray) -> None:
         """Remove every mention of the sentences *sids* (ascending)."""
@@ -73,7 +62,7 @@ class EntityIndex:
     # lookup
     # ------------------------------------------------------------------
     def lookup_type(self, etype: str) -> tuple[np.ndarray, ...]:
-        """The ``(sid, left, right, text_id, etype_id)`` columns of type *etype*.
+        """The ``(sid, left, right)`` columns of type *etype*.
 
         The pseudo-type ``"Entity"`` returns every mention regardless of
         type.  Rows of one mention type keep their insertion order; a type

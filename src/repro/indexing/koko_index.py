@@ -18,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..nlp.types import Corpus, Document
-from .columnar import PostingBlock, StringInterner
+from .columnar import PostingBlock
 from .decompose import DecomposedPath, lookup_decomposed_block
 from .entity_index import EntityIndex
 from .hierarchy import HierarchyIndex, parse_label_index, pos_tag_index
@@ -93,14 +93,16 @@ class KokoIndexSet:
     """Builds and owns KOKO's four indexes over one corpus."""
 
     def __init__(self) -> None:
-        self._interner = StringInterner()
-        self.word_index = WordIndex(interner=self._interner)
+        self.word_index = WordIndex()
         self.entity_index = EntityIndex()
         self.pl_index: HierarchyIndex = parse_label_index()
         self.pos_index: HierarchyIndex = pos_tag_index()
         self.build_seconds = 0.0
         self._sentences = 0
         self._tokens = 0
+        #: ``sizeof`` of every held mention's text, for the E rows of the
+        #: size model (the E store keeps no text)
+        self._mention_text_bytes = 0
         #: sids of sentences with a token no hierarchy holds (a second root
         #: or a head cycle): their lookup rows are not all their matches
         self._unrooted: set[int] = set()
@@ -146,12 +148,11 @@ class KokoIndexSet:
         self._unrooted.difference_update(sids.tolist())
         self._sentences -= len(sentences)
         self._tokens -= sum(map(len, sentences))
+        self._mention_text_bytes -= sum(
+            sizeof(row[3]) for sentence in sentences for row in sentence.entity_rows
+        )
         self.build_seconds += time.perf_counter() - started
         return self
-
-    def add_sentence(self, sentence) -> None:
-        """Index one sentence in all four indexes."""
-        self._splice_sentences((sentence,))
 
     def _splice_sentences(self, sentences) -> None:
         """The splice: columnise each sentence once, flush one batch.
@@ -165,7 +166,7 @@ class KokoIndexSet:
         :meth:`~repro.indexing.columnar.ColumnarPostings.append_batch` per
         store — no per-token object construction, no per-sentence array
         work, O(batch) total.  The PL and POS stores share the W batch's
-        column lists (their five columns are a prefix of W's eight).
+        column lists: all three hold the same five columns.
         """
         pl_merge = self.pl_index.merge_tree
         pos_merge = self.pos_index.merge_tree
@@ -183,7 +184,6 @@ class KokoIndexSet:
         e_lefts: list[int] = []
         e_rights: list[int] = []
         e_etypes: list[str] = []
-        e_texts: list[str] = []
         all_reachable = True
         for sentence in sentences:
             sid = sentence.sid
@@ -197,7 +197,7 @@ class KokoIndexSet:
                 e_lefts.extend(starts)
                 e_rights.extend(ends)
                 e_etypes.extend(etypes)
-                e_texts.extend(texts)
+                self._mention_text_bytes += sum(map(sizeof, texts))
             if n == 0:
                 continue
             # the children column is a tuple of tuples: hashable as it
@@ -218,7 +218,6 @@ class KokoIndexSet:
             w_posids.extend(posids)
             w_texts.extend(sentence.words)
         if w_texts:
-            wids = self._interner.intern_many(w_texts)
             h_columns = (w_sids, w_tids, w_lefts, w_rights, w_depths)
             if all_reachable:
                 # the hierarchy rows are exactly the W rows: share the lists
@@ -232,14 +231,10 @@ class KokoIndexSet:
             self.pl_index.append_rows(pl_kids, h_columns)
             self.pos_index.append_rows(pos_kids, h_columns)
             self.word_index.add_token_rows(
-                w_texts,
-                (
-                    w_sids, w_tids, w_lefts, w_rights,
-                    w_depths, wids, w_plids, w_posids,
-                ),
+                w_texts, (w_sids, w_tids, w_lefts, w_rights, w_depths)
             )
         if e_sids:
-            self.entity_index.add_rows(e_sids, e_lefts, e_rights, e_etypes, e_texts)
+            self.entity_index.add_rows(e_sids, e_lefts, e_rights, e_etypes)
 
     # ------------------------------------------------------------------
     # DPLI lookups (Algorithm 1)
@@ -250,7 +245,7 @@ class KokoIndexSet:
         """Mentions of type *etype*: ``(sorted sid column, columns)``.
 
         The columns are :meth:`EntityIndex.lookup_type`'s
-        ``(sid, left, right, text_id, etype_id)``.
+        ``(sid, left, right)``.
         """
         columns = self.entity_index.lookup_type(etype)
         return np.sort(columns[0]), columns
@@ -293,18 +288,18 @@ class KokoIndexSet:
         The estimate models each index as its relational rows — the same
         accounting used for the baseline designs — so that Figure 6(b)'s
         comparison reflects the index *designs*: one W row per token (word
-        plus 7 integers), one E row per entity mention, and one closure-table
-        row per (node, ancestor) pair of the merged hierarchies, which is
-        tiny because merging removes the vast majority of nodes.
+        plus 7 integers: the paper's W, whose ``wid`` / ``plid`` / ``posid``
+        the W store does not hold), one E row per entity mention (its text
+        plus 3 integers), and one closure-table row per (node, ancestor)
+        pair of the merged hierarchies, which is tiny because merging
+        removes the vast majority of nodes.
         """
         total = 0
         word_store = self.word_index._store
         for kid in word_store.live_key_ids():
             word = word_store.key_of(kid)
             total += word_store.key_count(kid) * (sizeof(word) + 7 * 28 + 40)
-        strings = self.entity_index._strings
-        for text_id in self.entity_index._store.all_arrays()[3].tolist():
-            total += sizeof(strings.text(text_id)) + 3 * 28 + 40
+        total += self._mention_text_bytes + len(self.entity_index) * (3 * 28 + 40)
         for hierarchy in (self.pl_index, self.pos_index):
             for node in hierarchy.nodes():
                 # One closure-table row per (node, ancestor) pair.  The

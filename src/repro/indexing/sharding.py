@@ -130,9 +130,9 @@ class ShardedIndexSet:
     ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Mentions of type *etype* in every shard: ``(sorted sids, columns)``.
 
-        The columns are the shards' one after another, as
-        :meth:`KokoIndexSet.entity_candidates` leaves them in one shard;
-        each shard's ``text_id`` / ``etype_id`` name its own string table.
+        The columns are the shards' ``(sid, left, right)`` one after
+        another, as :meth:`KokoIndexSet.entity_candidates` leaves them in
+        one shard.
         """
         if len(self.shards) == 1 and self.limits is None:
             return self.shards[0].entity_candidates(etype)

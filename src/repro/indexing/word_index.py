@@ -1,17 +1,19 @@
 """The word inverted index (Section 3.1).
 
 Maps every word (lower-cased) to the posting list of its occurrences.  The
-index also records, for each occurrence, the hierarchy-index node ids of the
-token in the PL and POS indexes (``plid`` / ``posid``) — the extra columns
-of the ``W`` relation in Section 6.2.1 that let the engine join inverted and
-hierarchy indexes without touching the dependency trees again.
+paper's ``W`` relation (Section 6.2.1) also carries each occurrence's word
+id and its PL and POS node ids (``wid`` / ``plid`` / ``posid``) so that a
+relational engine can rebuild hierarchy postings by joining on ``W``.  Here
+the hierarchy stores keep their own rows and the DPLI joins blocks on
+``(sid, tid)``, so those three columns live in the size model of
+:meth:`~repro.indexing.koko_index.KokoIndexSet.approximate_bytes` only.
 
 The postings live in one :class:`~repro.indexing.columnar.ColumnarPostings`
-store whose ``W``-shaped rows ``(sid, tid, left, right, depth, wid, plid,
-posid)`` are flat numpy columns: batch appends for the ingest splice and a
-:class:`~repro.indexing.columnar.PostingBlock` of five of them per lookup.
-The object-list build these columns replaced survives only as the test
-oracle in :mod:`repro.indexing.reference`.
+store keyed by the lower-cased word, whose rows ``(sid, tid, left, right,
+depth)`` are flat numpy columns: batch appends for the ingest splice and a
+:class:`~repro.indexing.columnar.PostingBlock` of them per lookup.  The
+object-list build these columns replaced survives only as the test oracle
+in :mod:`repro.indexing.reference`.
 """
 
 from __future__ import annotations
@@ -20,25 +22,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .columnar import ColumnarPostings, PostingBlock, StringInterner
+from .columnar import ColumnarPostings, PostingBlock
 
 __all__ = ["WordIndex"]
 
-_W_COLUMNS = ("sid", "tid", "left", "right", "depth", "wid", "plid", "posid")
+_W_COLUMNS = ("sid", "tid", "left", "right", "depth")
 
 
 class WordIndex:
     """Inverted index from word to posting list."""
 
-    def __init__(self, interner: StringInterner | None = None) -> None:
-        # NOTE: an explicit None test — a fresh shared interner is empty and
-        # therefore falsy, and falling back to a private one here would make
-        # stored word ids undecodable.
-        self._interner = interner if interner is not None else StringInterner()
+    def __init__(self) -> None:
         self._store = ColumnarPostings(_W_COLUMNS)
-        # word-interner id -> store key id: the splice resolves keys by
-        # integer instead of re-hashing each token's lower-cased text
-        self._wid_kid: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -48,23 +43,12 @@ class WordIndex:
     ) -> None:
         """Splice: append W rows spanning any number of sentences.
 
-        *columns* are the eight W columns in ``(sid, tid)`` order; *texts*
-        are the surface forms matching the ``wid`` column row for row.  Key
-        ids resolve through the wid -> kid cache, so steady-state splices
-        hash one int per token instead of one lower-cased string.
+        *columns* are the five W columns in ``(sid, tid)`` order; *texts*
+        are the surface forms matching them row for row, each row keyed by
+        its lower-cased text.
         """
         store = self._store
-        cache = self._wid_kid
-        intern_key = store.intern_key
-        kids: list[int] = []
-        append = kids.append
-        for text, wid in zip(texts, columns[5]):
-            kid = cache.get(wid)
-            if kid is None:
-                kid = intern_key(text.lower())
-                cache[wid] = kid
-            append(kid)
-        store.append_batch(kids, columns)
+        store.append_batch(list(map(store.intern_key, map(str.lower, texts))), columns)
 
     def remove_sids(self, sids: np.ndarray) -> None:
         """Remove every posting of the sentences *sids* (ascending)."""
@@ -80,7 +64,7 @@ class WordIndex:
         kid = store.key_id(word.lower())
         if kid is None:
             return PostingBlock.empty()
-        return PostingBlock(*store.arrays_for_key(kid)[:5]).sort_positional()
+        return PostingBlock(*store.arrays_for_key(kid)).sort_positional()
 
     def vocabulary(self) -> list[str]:
         """Every word holding at least one posting, sorted."""

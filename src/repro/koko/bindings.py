@@ -248,7 +248,7 @@ def _entity_rows(dpli, variable, candidates, whole) -> _Rows:
     Within a sentence the rows follow the mentions' start, which is the
     order the NER emits them in (``entity_rows``).
     """
-    sid, left, right = dpli.entity_bindings[variable][:3]
+    sid, left, right = dpli.entity_bindings[variable]
     pos, hit = candidates.locate(sid)
     kept = np.flatnonzero(hit & ~whole[pos])
     pos, left, right = pos[kept], left[kept], right[kept]

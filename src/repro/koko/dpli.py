@@ -25,8 +25,8 @@ posting-list scan, and can be answered for a whole candidate-sid array at
 once (:meth:`DpliResult.bindings_count_array`).  The postings stay what
 the index set returned: over the columnar indexes, a path's
 :class:`~repro.indexing.columnar.PostingBlock` and an entity type's
-``(sid, left, right, text_id, etype_id)`` columns, which the binding
-extraction reads its rows from; over the reference, posting lists.
+``(sid, left, right)`` columns, which the binding extraction reads its
+rows from; over the reference, posting lists.
 """
 
 from __future__ import annotations

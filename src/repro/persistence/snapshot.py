@@ -23,7 +23,7 @@ Reading a shard is reading its segments in manifest order and skipping
 tombstoned frames: the result is the shard's ``corpus.documents`` as
 captured, in the same order.  The indexes are not stored: they are
 derived data, and the service rebuilds each shard's from these documents
-with the splice every write runs (``Shard.adopt``).  Node and interner ids
+with the splice every write runs (``Shard.adopt``).  Node and word-key ids
 therefore restart from zero; what a restore keeps is their content.
 
 **Merging.**  A new segment is merged with the newest existing ones, from

@@ -119,23 +119,24 @@ def _posting_rows(postings) -> list[tuple[int, ...]]:
 
 
 def _mention_rows(entity_index, mentions=None) -> list[tuple]:
-    """``(sid, left, right, etype, text)`` rows, in order, of *mentions*
+    """``(sid, left, right, etype)`` rows, in order, of *mentions*
     (default: every mention *entity_index* holds).
 
-    Production mentions are ``lookup_type`` columns, decoded through the
-    index's own string interner; reference mentions are ``EntityPosting``
-    objects.
+    Production mentions are ``lookup_type`` columns, each row typed by the
+    store key it is held under; reference mentions are ``EntityPosting``
+    objects.  A mention's text is its sentence's span, so rows leave it out.
     """
     if isinstance(entity_index, ReferenceEntityIndex):
         postings = entity_index.all_postings() if mentions is None else mentions
-        return [(p.sid, p.left, p.right, p.etype, p.text) for p in postings]
-    string = entity_index._strings.text
+        return [(p.sid, p.left, p.right, p.etype) for p in postings]
+    store = entity_index._store
+    etype_of = {
+        row: store.key_of(kid)
+        for kid in store.live_key_ids()
+        for row in zip(*(column.tolist() for column in store.arrays_for_key(kid)))
+    }
     columns = entity_index.lookup_type("Entity") if mentions is None else mentions
-    sid, left, right, text_id, etype_id = (column.tolist() for column in columns)
-    return [
-        (s, lo, hi, string(etype), string(text))
-        for s, lo, hi, text, etype in zip(sid, left, right, text_id, etype_id)
-    ]
+    return [(*row, etype_of[row]) for row in zip(*(column.tolist() for column in columns))]
 
 
 def _block_words(corpus, block) -> set[str]:
@@ -186,22 +187,18 @@ def _hierarchy_shape(hierarchy):
 def _recorded_node_ids(index_set) -> dict[tuple[int, int], tuple[int, int]]:
     """``(sid, tid) -> (plid, posid)`` of every token the hierarchies hold.
 
-    Production reads them from the ``plid`` / ``posid`` columns of the W
-    store; the reference records them per token.
+    Production reads them from the PL and POS stores, whose rows are keyed
+    by node id; the reference records them per token.
     """
     if isinstance(index_set, ReferenceIndexSet):
         return index_set.word_index._node_ids
-    store = index_set.word_index._store
-    columns = (
-        column.tolist()
-        for name, column in zip(store.columns, store.all_arrays())
-        if name in ("sid", "tid", "plid", "posid")
-    )
-    return {
-        (sid, tid): (plid, posid)
-        for sid, tid, plid, posid in zip(*columns)
-        if plid != -1
-    }
+
+    def node_ids(hierarchy) -> dict[tuple[int, int], int]:
+        kids, (sids, tids, *_) = hierarchy._store.all_arrays_with_keys()
+        return dict(zip(zip(sids.tolist(), tids.tolist()), kids.tolist()))
+
+    plids, posids = node_ids(index_set.pl_index), node_ids(index_set.pos_index)
+    return {token: (plid, posids[token]) for token, plid in plids.items()}
 
 
 @pytest.fixture(scope="session")
@@ -231,7 +228,7 @@ def _word_shape(index_set):
 
 
 def index_set_shape(index_set) -> tuple:
-    """What an index set holds, independent of its node and interner ids:
+    """What an index set holds, independent of its node and word-key ids:
     word rows with their node paths, mention rows, each hierarchy's paths
     and rows, and the statistics with build time set aside."""
     return (
@@ -264,8 +261,7 @@ def assert_equivalent_indexes():
 
 def detached_last_token(sentence: Sentence) -> Sentence:
     """*sentence* rebuilt from its columns with the last token a second root:
-    it hangs off no tree, so its W row carries ``plid == posid == -1`` and
-    no hierarchy holds it."""
+    it hangs off no tree, so no hierarchy holds it."""
     return Sentence.from_columns(
         sentence.sid,
         sentence.words,

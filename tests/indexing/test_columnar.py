@@ -24,7 +24,6 @@ from repro.corpora.wikipedia import WikipediaConfig, generate_wikipedia_corpus
 from repro.indexing.columnar import (
     ColumnarPostings,
     PostingBlock,
-    StringInterner,
     join_ancestor_block,
     join_same_token_block,
     under_words_block,
@@ -33,6 +32,7 @@ from repro.indexing.hierarchy import parse_label_index
 from repro.indexing.koko_index import KokoIndexSet
 from repro.indexing.postings import Posting, join_ancestor, join_same_token
 from repro.indexing.reference import ReferenceIndexSet
+from repro.nlp.types import Document
 
 
 def _int(values):
@@ -43,14 +43,6 @@ def _block(postings: list[Posting]) -> PostingBlock:
     ordered = sorted(postings)  # join blocks require ascending sentence ids
     columns = ("sid", "tid", "left", "right", "depth")
     return PostingBlock(*(_int(getattr(p, name) for p in ordered) for name in columns))
-
-
-class TestStringInterner:
-    def test_intern_many_matches_intern(self):
-        a, b = StringInterner(), StringInterner()
-        texts = ["ate", "pie", "ate", "Anna", "pie"]
-        assert a.intern_many(texts) == [b.intern(t) for t in texts]
-        assert [a.text(i) for i in range(len(a))] == ["ate", "pie", "Anna"]
 
 
 class TestColumnarPostings:
@@ -339,10 +331,10 @@ class TestBackendEquivalence:
     def test_sentence_splice_matches_batch_build(
         self, paper_corpus, assert_equivalent_indexes
     ):
-        """The single-sentence splice is the batch splice of one sentence."""
+        """Splicing one sentence at a time builds what the batch splice does."""
         one_by_one = KokoIndexSet()
-        for _, sentence in paper_corpus.all_sentences():
-            one_by_one.add_sentence(sentence)
+        for document, sentence in paper_corpus.all_sentences():
+            one_by_one.add_document(Document(document.doc_id, [sentence]))
         assert_equivalent_indexes(
             one_by_one, KokoIndexSet().build(paper_corpus)
         )

@@ -12,7 +12,7 @@ For randomly generated corpora:
 * after ``checkpoint()`` → ``close()`` → ``open()`` every shard's index set,
   rebuilt from the snapshot's documents, is equivalent to the
   never-restarted one, before and after one more ingest.  Node and
-  interner ids are not persisted, so only their content is compared.  The
+  word-key ids are not persisted, so only their content is compared.  The
   add/remove interleavings put the cases a restore must reproduce in front
   of the checkpoint: an un-compacted delta tail, trie nodes pruned by
   removals (non-contiguous node ids on the live side) and tokens

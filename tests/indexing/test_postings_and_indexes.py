@@ -19,6 +19,12 @@ from repro.indexing.postings import (
 )
 
 
+def _mention_texts(corpus, mentions) -> list[str]:
+    """Each ``(sid, left, right, etype)`` mention's text: its sentence's span."""
+    sentences = {sentence.sid: sentence for _, sentence in corpus.all_sentences()}
+    return [sentences[sid].span_text(left, right) for sid, left, right, _ in mentions]
+
+
 class TestPostings:
     def test_posting_for_token_matches_paper_example(self, paper_sentence_2):
         # Example 3.2: ate in sentence 1 -> (1,1,0-12,0)
@@ -105,21 +111,22 @@ class TestWordAndEntityIndexes:
         assert "delicious" in index
         assert "zebra" not in index
 
-    def test_entity_index_by_text_and_type(self, paper_indexes, mention_rows):
+    def test_entity_index_by_text_and_type(self, paper_corpus, paper_indexes, mention_rows):
         index = paper_indexes.entity_index
         mentions = mention_rows(index)
-        assert [row[4] for row in mentions].count("cheesecake") == 1
+        assert _mention_texts(paper_corpus, mentions).count("cheesecake") == 1
         assert len(index.lookup_type("Entity")[0]) == len(index) == len(mentions)
         people = mention_rows(index, index.lookup_type("Person"))
-        assert people and all(etype == "PERSON" for _, _, _, etype, _ in people)
+        assert people and all(etype == "PERSON" for _, _, _, etype in people)
 
-    def test_entity_index_example_3_2(self, paper_indexes, mention_rows):
+    def test_entity_index_example_3_2(self, paper_corpus, paper_indexes, mention_rows):
+        mentions = mention_rows(paper_indexes.entity_index)
         chunk = [
-            row
-            for row in mention_rows(paper_indexes.entity_index)
-            if row[4] == "chocolate ice cream"
+            (left, right)
+            for (_, left, right, _), text in zip(mentions, _mention_texts(paper_corpus, mentions))
+            if text == "chocolate ice cream"
         ]
-        assert [(left, right) for _, left, right, _, _ in chunk] == [(3, 5)]
+        assert chunk == [(3, 5)]
 
 
 class TestHierarchyIndexes:

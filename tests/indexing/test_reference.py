@@ -366,7 +366,13 @@ def test_production_and_reference_agree_on_synthetic_tree_queries(
             expected_sids, expected = reference.path_candidates(path)
             assert np.array_equal(sids, expected_sids)
             assert posting_rows(block) == posting_rows(expected)
-    assert production.approximate_bytes() == reference.approximate_bytes()
+    built = production.approximate_bytes()
+    assert built == reference.approximate_bytes()
+    # removals keep the size model on the reference's count
+    for document in corpus.documents[::5]:
+        production.remove_document(document)
+        reference.remove_document(document)
+    assert production.approximate_bytes() == reference.approximate_bytes() < built
 
 
 @pytest.mark.parametrize("name", sorted(SCALEUP_QUERIES))

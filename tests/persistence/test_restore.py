@@ -63,12 +63,11 @@ def _rows(result) -> list:
 
 
 def _minted_ids(index_set: KokoIndexSet) -> tuple:
-    """Node ids by path, the word interner table and the W key table."""
-    store, interner = index_set.word_index._store, index_set._interner
+    """Node ids by path and the W key table."""
+    store = index_set.word_index._store
     return (
         {n.path(): n.node_id for n in index_set.pl_index.nodes()},
         {n.path(): n.node_id for n in index_set.pos_index.nodes()},
-        [interner.text(wid) for wid in range(len(interner))],
         [store.key_of(kid) for kid in range(len(store._keys))],
     )
 

@@ -22,7 +22,7 @@ shard's live document count) still reaches back to it, and runs one
 pass exactly when some shard has no usable partial or gained a document;
 and, on every shard, remembered PL and POS trie walks that equal a
 fresh walk of the trie as it stands.  A reopen rebuilds every shard's
-indexes from the snapshot's documents: node and interner ids may differ
+indexes from the snapshot's documents: node and word-key ids may differ
 from the ones before close (removals leave gaps), but each shard's
 id-independent shape (``index_set_shape`` of ``tests/conftest.py``) must
 not.
