@@ -377,6 +377,28 @@ class TestBackendEquivalence:
         assert_equivalent_indexes(full, rebuilt)
         assert full.unrooted_sids().tolist() == rebuilt.unrooted_sids().tolist()
 
+    def test_size_model_after_removals_matches_a_rebuild_without_them(self, happy_corpus):
+        """The E store keeps no mention text, so the size model counts its
+        bytes as it goes: a removal takes back exactly what the splice
+        added, down to an empty index set's size once every document is
+        gone."""
+        documents = happy_corpus.documents
+        victims = [d for d in documents if any(s.entity_rows for s in d)][::2]
+        assert victims
+        full = KokoIndexSet().build(happy_corpus)
+        built = full.approximate_bytes()
+        for document in victims:
+            full.remove_document(document)
+        rebuilt = KokoIndexSet()
+        for document in documents:
+            if document not in victims:
+                rebuilt.add_document(document)
+        assert full.approximate_bytes() == rebuilt.approximate_bytes() < built
+        for document in documents:
+            if document not in victims:
+                full.remove_document(document)
+        assert full.approximate_bytes() == KokoIndexSet().approximate_bytes()
+
 
 class TestMergeMemo:
     def test_identical_tree_shapes_share_the_walk(self):
